@@ -800,25 +800,25 @@ impl Bitmap {
     /// nearly full bitmap costs one counter load per full page instead of
     /// a 4 KiB word walk.
     pub fn first_free_from(&self, from: Vbn) -> Option<Vbn> {
-        if from.get() >= self.space_len {
-            return None;
-        }
-        let mut page = (from.get() / BITS_PER_BITMAP_BLOCK) as usize;
-        let mut in_page = from.get() % BITS_PER_BITMAP_BLOCK;
-        while page < self.pages.len() {
-            if self.page_free[page] == 0 {
-                page += 1;
-                in_page = 0;
-                continue;
+        self.first_free_between(from.get(), self.space_len).map(Vbn)
+    }
+
+    /// First free VBN in `from..to` (`to <= space_len`). Pages whose
+    /// summary counter reads full are skipped unread, and no word past
+    /// `to` is probed: a search costs at most the range it was given.
+    fn first_free_between(&self, from: u64, to: u64) -> Option<u64> {
+        let mut pos = from;
+        while pos < to {
+            let p = (pos / BITS_PER_BITMAP_BLOCK) as usize;
+            let page_start = p as u64 * BITS_PER_BITMAP_BLOCK;
+            let page_end = (page_start + BITS_PER_BITMAP_BLOCK).min(to);
+            if self.page_free[p] != 0 {
+                let hit = self.pages[p].first_free_in(pos - page_start, page_end - page_start);
+                if let Some(i) = hit {
+                    return Some(page_start + i);
+                }
             }
-            if let Some(i) = self.pages[page].first_free_from(in_page) {
-                let vbn = page as u64 * BITS_PER_BITMAP_BLOCK + i;
-                // Tail padding is allocated, so vbn < space_len always holds;
-                // keep the check as a defensive invariant.
-                return (vbn < self.space_len).then_some(Vbn(vbn));
-            }
-            page += 1;
-            in_page = 0;
+            pos = page_end;
         }
         None
     }
@@ -1110,31 +1110,28 @@ impl Iterator for FreeRunIter<'_> {
     type Item = (Vbn, u64);
 
     fn next(&mut self) -> Option<(Vbn, u64)> {
-        if self.next >= self.end {
-            return None;
-        }
-        let start = self.bitmap.first_free_from(Vbn(self.next))?;
-        if start.get() >= self.end {
-            return None;
-        }
-        // Extend the run page by page: a page whose remainder holds no
-        // allocated bit is consumed whole, so long runs cost one probe
-        // per 32 Ki bits rather than one per bit.
-        let mut pos = start.get();
+        let start = self.bitmap.first_free_between(self.next, self.end)?;
+        // Extend the run page by page, never probing past the range end:
+        // a page whose remainder holds no allocated bit is consumed
+        // whole, so long runs cost one probe per 32 Ki bits rather than
+        // one per bit, and short runs stop at the word that ends them.
+        let mut pos = start;
         while pos < self.end {
-            let p = (pos / BITS_PER_BITMAP_BLOCK) as usize;
-            let in_page = pos % BITS_PER_BITMAP_BLOCK;
-            match self.bitmap.pages[p].first_allocated_in(in_page, BITS_PER_BITMAP_BLOCK) {
+            let p = pos / BITS_PER_BITMAP_BLOCK;
+            let page_start = p * BITS_PER_BITMAP_BLOCK;
+            let page_end = (page_start + BITS_PER_BITMAP_BLOCK).min(self.end);
+            let hit = self.bitmap.pages[p as usize]
+                .first_allocated_in(pos - page_start, page_end - page_start);
+            match hit {
                 Some(i) => {
-                    pos = p as u64 * BITS_PER_BITMAP_BLOCK + i;
+                    pos = page_start + i;
                     break;
                 }
-                None => pos = (p as u64 + 1) * BITS_PER_BITMAP_BLOCK,
+                None => pos = page_end,
             }
         }
-        let run_end = pos.min(self.end);
-        self.next = run_end + 1; // +1: the bit at run_end is allocated
-        Some((start, run_end - start.get()))
+        self.next = pos + 1; // +1: the bit at `pos` is allocated (or the range's end)
+        Some((Vbn(start), pos - start))
     }
 }
 

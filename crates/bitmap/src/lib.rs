@@ -27,6 +27,8 @@
 mod bitmap;
 mod page;
 pub mod scan;
+mod sort;
 
 pub use bitmap::{Bitmap, DirtyStats};
 pub use page::BitmapPage;
+pub use sort::sort_vbns;

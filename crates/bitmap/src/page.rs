@@ -84,22 +84,9 @@ impl BitmapPage {
         if start == end {
             return 0;
         }
-        let (first_word, last_word) = ((start / 64) as usize, ((end - 1) / 64) as usize);
-        let mut allocated = 0u32;
-        for (wi, &w) in self.words[first_word..=last_word].iter().enumerate() {
-            let wi = wi + first_word;
-            let mut mask = u64::MAX;
-            if wi == first_word {
-                mask &= u64::MAX << (start % 64);
-            }
-            if wi == last_word {
-                let top = end - (last_word as u64) * 64; // 1..=64 bits kept
-                if top < 64 {
-                    mask &= (1u64 << top) - 1;
-                }
-            }
-            allocated += (w & mask).count_ones();
-        }
+        let allocated: u32 = Self::range_words(start, end)
+            .map(|(wi, mask)| (self.words[wi] & mask).count_ones())
+            .sum();
         (end - start) as u32 - allocated
     }
 
@@ -123,15 +110,16 @@ impl BitmapPage {
         }
     }
 
-    /// Visit the word indices and masks covering bits `start..end`:
-    /// `f(word_index, mask)` once per touched word. The mask selects only
-    /// in-range bits, so edge words are handled without branching at the
-    /// call sites.
+    /// The word indices and masks covering bits `start..end`, one
+    /// `(word_index, mask)` per touched word in ascending order. The mask
+    /// selects only in-range bits, so edge words are handled without
+    /// branching at the call sites. An iterator, so a search stops at
+    /// its first hit instead of walking to the end of the range.
     #[inline]
-    fn for_range_words(start: u64, end: u64, mut f: impl FnMut(usize, u64)) {
+    fn range_words(start: u64, end: u64) -> impl Iterator<Item = (usize, u64)> {
         debug_assert!(start < end && end <= Self::bits());
         let (first_word, last_word) = ((start / 64) as usize, ((end - 1) / 64) as usize);
-        for wi in first_word..=last_word {
+        (first_word..last_word + 1).map(move |wi| {
             let mut mask = u64::MAX;
             if wi == first_word {
                 mask &= u64::MAX << (start % 64);
@@ -142,27 +130,21 @@ impl BitmapPage {
                     mask &= (1u64 << top) - 1;
                 }
             }
-            f(wi, mask);
-        }
+            (wi, mask)
+        })
     }
 
     /// First *allocated* bit in `start..end`, or `None` if the whole range
-    /// is free. One popcount-free word test per touched word.
+    /// is free. One popcount-free word test per word up to the hit.
     pub fn first_allocated_in(&self, start: u64, end: u64) -> Option<u64> {
         debug_assert!(start <= end && end <= Self::bits());
         if start == end {
             return None;
         }
-        let mut found = None;
-        Self::for_range_words(start, end, |wi, mask| {
-            if found.is_none() {
-                let hit = self.words[wi] & mask;
-                if hit != 0 {
-                    found = Some(wi as u64 * 64 + hit.trailing_zeros() as u64);
-                }
-            }
-        });
-        found
+        Self::range_words(start, end).find_map(|(wi, mask)| {
+            let hit = self.words[wi] & mask;
+            (hit != 0).then(|| wi as u64 * 64 + hit.trailing_zeros() as u64)
+        })
     }
 
     /// First *free* bit in `start..end`, or `None` if the whole range is
@@ -172,16 +154,10 @@ impl BitmapPage {
         if start == end {
             return None;
         }
-        let mut found = None;
-        Self::for_range_words(start, end, |wi, mask| {
-            if found.is_none() {
-                let hit = !self.words[wi] & mask;
-                if hit != 0 {
-                    found = Some(wi as u64 * 64 + hit.trailing_zeros() as u64);
-                }
-            }
-        });
-        found
+        Self::range_words(start, end).find_map(|(wi, mask)| {
+            let hit = !self.words[wi] & mask;
+            (hit != 0).then(|| wi as u64 * 64 + hit.trailing_zeros() as u64)
+        })
     }
 
     /// Set every bit in `start..end` allocated with whole-word stores.
@@ -191,10 +167,9 @@ impl BitmapPage {
         if start == end {
             return;
         }
-        let words = &mut self.words;
-        Self::for_range_words(start, end, |wi, mask| {
-            words[wi] |= mask;
-        });
+        for (wi, mask) in Self::range_words(start, end) {
+            self.words[wi] |= mask;
+        }
     }
 
     /// Clear every bit in `start..end` with whole-word stores. The caller
@@ -203,10 +178,9 @@ impl BitmapPage {
         if start == end {
             return;
         }
-        let words = &mut self.words;
-        Self::for_range_words(start, end, |wi, mask| {
-            words[wi] &= !mask;
-        });
+        for (wi, mask) in Self::range_words(start, end) {
+            self.words[wi] &= !mask;
+        }
     }
 
     /// Clear every bit of `mask` in word `wi`. The caller must have

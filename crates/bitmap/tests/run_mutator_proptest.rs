@@ -9,9 +9,16 @@
 //! mutates nothing. The per-bit reference loop comes from `wafl-oracle`
 //! (`per_bit_allocate_run`/`per_bit_free_run`), keeping the definition
 //! of "correct" outside the crate under test.
+//!
+//! The same goes for the searches the mutators and the allocator's drain
+//! lean on (`first_allocated_in`, `first_free_in`, `free_runs_in_range`),
+//! which stop at their first hit and at their range's end, and for
+//! `sort_vbns`, which orders the batches `free_sorted_blocks` takes:
+//! each is checked here against the obvious per-bit loop or
+//! `sort_unstable`.
 
 use proptest::prelude::*;
-use wafl_bitmap::Bitmap;
+use wafl_bitmap::{sort_vbns, Bitmap};
 use wafl_oracle::{per_bit_allocate_run, per_bit_free_run};
 use wafl_types::{Vbn, BITS_PER_BITMAP_BLOCK};
 
@@ -32,8 +39,114 @@ fn assert_equivalent(a: &Bitmap, b: &Bitmap, aa_blocks: u64) {
     a.verify_summary();
 }
 
+/// A bitmap with `runs` allocated, longest first; a run overlapping an
+/// earlier one is dropped whole. Short runs fragment the space, long
+/// ones fill whole pages.
+fn bitmap_with_allocated(runs: &[(u64, u64)]) -> Bitmap {
+    let mut b = Bitmap::new(SPACE);
+    let mut runs = runs.to_vec();
+    runs.sort_by_key(|&(_, len)| std::cmp::Reverse(len));
+    for (start, len) in runs {
+        let _ = b.allocate_run(Vbn(start), len.min(SPACE - start));
+    }
+    b
+}
+
+/// Strategy for [`bitmap_with_allocated`].
+fn allocated_runs() -> impl Strategy<Value = Vec<(u64, u64)>> {
+    proptest::collection::vec(
+        (
+            0..SPACE,
+            prop_oneof![4 => 1u64..130, 1 => 1u64..2 * BITS_PER_BITMAP_BLOCK],
+        ),
+        0..60,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The in-page range probes return the first bit in the wanted state
+    /// inside `start..end` and nothing outside it, for ranges that start
+    /// and end mid-word.
+    #[test]
+    fn range_probes_match_per_bit_scan(
+        runs in allocated_runs(),
+        ranges in proptest::collection::vec(
+            (0..BITS_PER_BITMAP_BLOCK, 0..BITS_PER_BITMAP_BLOCK + 1),
+            1..50,
+        ),
+    ) {
+        let b = bitmap_with_allocated(&runs);
+        for (i, &(x, y)) in ranges.iter().enumerate() {
+            let (start, end) = (x.min(y), x.max(y));
+            let page = b.page(i % b.page_count()).unwrap();
+            let first = |free: bool| (start..end).find(|&bit| page.is_free(bit) == free);
+            prop_assert_eq!(page.first_allocated_in(start, end), first(false));
+            prop_assert_eq!(page.first_free_in(start, end), first(true));
+        }
+    }
+
+    /// `free_runs_in_range` yields exactly the maximal free runs of its
+    /// range, clipped to it: ranges start and end mid-word and mid-page,
+    /// runs cross page boundaries, and free or allocated bits just
+    /// outside the range never leak into the result.
+    #[test]
+    fn free_runs_in_range_match_per_bit_scan(
+        runs in allocated_runs(),
+        ranges in proptest::collection::vec((0..SPACE + 50, 0u64..SPACE + 50), 1..20),
+    ) {
+        let b = bitmap_with_allocated(&runs);
+        for &(start, len) in &ranges {
+            let end = (start + len).min(SPACE);
+            let mut want: Vec<(Vbn, u64)> = Vec::new();
+            let mut open: Option<u64> = None;
+            for v in start..end {
+                match (b.is_free(Vbn(v)).unwrap(), open) {
+                    (true, None) => open = Some(v),
+                    (false, Some(s)) => {
+                        want.push((Vbn(s), v - s));
+                        open = None;
+                    }
+                    _ => {}
+                }
+            }
+            if let Some(s) = open {
+                want.push((Vbn(s), end - s));
+            }
+            let got: Vec<(Vbn, u64)> = b.free_runs_in_range(Vbn(start), len).collect();
+            prop_assert_eq!(got, want, "range {}+{}", start, len);
+        }
+    }
+
+    /// `sort_vbns` is `sort_unstable` on every input shape the CP feeds
+    /// it: random, already ascending, two ascending runs (a sequential
+    /// overwrite that wrapped), descending, with duplicates, and with
+    /// keys beyond 2^32 up to the top byte.
+    #[test]
+    fn sort_vbns_matches_sort_unstable(
+        keys in proptest::collection::vec(
+            prop_oneof![0u64..5_000, 0u64..1 << 23, (1u64 << 32)..(1u64 << 45), u64::MAX - 9..u64::MAX],
+            0..600,
+        ),
+        split in 0usize..600,
+    ) {
+        let check = |input: Vec<u64>| {
+            let mut got: Vec<Vbn> = input.into_iter().map(Vbn).collect();
+            let mut want = got.clone();
+            want.sort_unstable();
+            sort_vbns(&mut got);
+            assert_eq!(got, want);
+        };
+        let mut ascending = keys.clone();
+        ascending.sort_unstable();
+        let split = split.min(ascending.len());
+        let two_runs = [&ascending[split..], &ascending[..split]].concat();
+        check(keys);
+        check(two_runs);
+        check(ascending.iter().rev().copied().collect());
+        check(ascending);
+    }
 
     /// Interleaved bulk and per-bit mutations on two bitmaps stay
     /// bit-for-bit and counter-for-counter identical. Runs are drawn to
@@ -119,4 +232,24 @@ proptest! {
             b.verify_summary();
         }
     }
+}
+
+/// A duplicate survives the ordering helper, so the batch free still
+/// sees it, rejects the batch as a double free, and changes nothing.
+#[test]
+fn duplicate_vbn_is_still_rejected_after_sorting() {
+    let mut b = Bitmap::new(SPACE);
+    b.enable_aa_summary(4096).unwrap();
+    b.allocate_run(Vbn(0), 40_000).unwrap();
+    b.take_dirty_stats();
+    let before_pages = b.page_free_counts().to_vec();
+    let mut batch: Vec<Vbn> = [39_000u64, 7, 33_000, 70, 7, 12].map(Vbn).to_vec();
+    sort_vbns(&mut batch);
+    assert!(b.free_sorted_blocks(&batch).is_err());
+    assert_eq!(b.page_free_counts(), &before_pages[..]);
+    assert_eq!(b.take_dirty_stats(), wafl_bitmap::DirtyStats::default());
+    b.verify_summary();
+    batch.dedup();
+    b.free_sorted_blocks(&batch).unwrap();
+    assert_eq!(b.free_blocks(), SPACE - 40_000 + 5);
 }

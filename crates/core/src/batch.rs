@@ -47,11 +47,19 @@ impl ScoreDeltaBatch {
         self.deltas.is_empty()
     }
 
-    /// Drain the batch as `(aa, delta)` pairs, leaving it empty. Zero
-    /// deltas (equal frees and allocations) are skipped — they cannot move
-    /// an AA between heap positions or histogram bins.
-    pub fn drain(&mut self) -> impl Iterator<Item = (AaId, ScoreDelta)> + '_ {
-        self.deltas.drain().filter(|(_, d)| !d.is_zero())
+    /// Drain the batch as `(aa, delta)` pairs in ascending AA order,
+    /// leaving it empty. Zero deltas (equal frees and allocations) are
+    /// skipped — they cannot move an AA between heap positions or
+    /// histogram bins.
+    ///
+    /// The order matters: the caches break score ties by arrival order,
+    /// so it decides which of two equally good AAs is picked next. Sorted,
+    /// it is a function of the batch's contents — not of the map's
+    /// per-process hash seed or of the order shards recorded into it.
+    pub fn drain(&mut self) -> impl Iterator<Item = (AaId, ScoreDelta)> {
+        let mut deltas: Vec<_> = self.deltas.drain().filter(|(_, d)| !d.is_zero()).collect();
+        deltas.sort_unstable_by_key(|&(aa, _)| aa);
+        deltas.into_iter()
     }
 
     /// Iterate without draining.

@@ -325,7 +325,7 @@ impl Aggregate {
             // stripe-based topology machinery serves both shapes.
             let stripes_per_aa = policy
                 .stripes_per_aa()
-                .or(policy.blocks_per_aa())
+                .or_else(|| policy.blocks_per_aa())
                 .unwrap_or(DEFAULT_STRIPES_PER_AA)
                 .min(spec.device_blocks);
             let topology = AaTopology::raid_aware(
@@ -431,7 +431,7 @@ impl Aggregate {
         });
         let stripes_per_aa = policy
             .stripes_per_aa()
-            .or(policy.blocks_per_aa())
+            .or_else(|| policy.blocks_per_aa())
             .unwrap_or(DEFAULT_STRIPES_PER_AA)
             .min(spec.device_blocks);
         let topology = AaTopology::raid_aware(
@@ -494,9 +494,12 @@ impl Aggregate {
     /// Repeated writes to the same block within one CP coalesce (§2.1).
     pub fn client_overwrite(&mut self, vol: VolumeId, logical: u64) -> WaflResult<()> {
         self.check_writable()?;
-        let v = self.vols.get(vol.index()).ok_or(WaflError::InvalidConfig {
-            reason: format!("no volume {vol}"),
-        })?;
+        let v = self
+            .vols
+            .get(vol.index())
+            .ok_or_else(|| WaflError::InvalidConfig {
+                reason: format!("no volume {vol}"),
+            })?;
         if logical >= v.logical_blocks() {
             return Err(WaflError::VbnOutOfRange {
                 vbn: Vbn(logical),
@@ -539,9 +542,12 @@ impl Aggregate {
     /// is a no-op, matching hole-punching semantics.
     pub fn client_delete(&mut self, vol: VolumeId, logical: u64) -> WaflResult<()> {
         self.check_writable()?;
-        let v = self.vols.get(vol.index()).ok_or(WaflError::InvalidConfig {
-            reason: format!("no volume {vol}"),
-        })?;
+        let v = self
+            .vols
+            .get(vol.index())
+            .ok_or_else(|| WaflError::InvalidConfig {
+                reason: format!("no volume {vol}"),
+            })?;
         if logical >= v.logical_blocks() {
             return Err(WaflError::VbnOutOfRange {
                 vbn: Vbn(logical),
@@ -555,9 +561,12 @@ impl Aggregate {
     /// Cost (µs) of reading `logical` from `vol` at the media layer.
     /// Unmapped blocks read as zeroes for free.
     pub fn client_read(&self, vol: VolumeId, logical: u64) -> WaflResult<f64> {
-        let v = self.vols.get(vol.index()).ok_or(WaflError::InvalidConfig {
-            reason: format!("no volume {vol}"),
-        })?;
+        let v = self
+            .vols
+            .get(vol.index())
+            .ok_or_else(|| WaflError::InvalidConfig {
+                reason: format!("no volume {vol}"),
+            })?;
         let Some(vvbn) = v.lookup_logical(logical) else {
             return Ok(0.0);
         };
@@ -568,7 +577,7 @@ impl Aggregate {
             .groups
             .iter()
             .find(|g| g.geometry.contains(pvbn))
-            .ok_or(WaflError::VbnOutOfRange {
+            .ok_or_else(|| WaflError::VbnOutOfRange {
                 vbn: pvbn,
                 space_len: self.bitmap.space_len(),
             })?;
@@ -780,6 +789,27 @@ mod tests {
         assert_eq!(agg.bitmap().space_len(), 3 * 4096);
         assert_eq!(agg.free_fraction(), 1.0);
         assert!(agg.groups()[0].cache().is_some());
+    }
+
+    #[test]
+    fn client_ops_name_the_missing_volume_and_the_bad_block() {
+        let mut agg = Aggregate::new(small_cfg(), &[(FlexVolConfig::default(), 1000)], 1).unwrap();
+        let no_volume = WaflError::InvalidConfig {
+            reason: "no volume VolumeId(9)".into(),
+        };
+        let past_end = WaflError::VbnOutOfRange {
+            vbn: Vbn(1000),
+            space_len: 1000,
+        };
+        let (ghost, vol) = (VolumeId(9), VolumeId(0));
+        assert_eq!(agg.client_overwrite(ghost, 0), Err(no_volume.clone()));
+        assert_eq!(agg.client_delete(ghost, 0), Err(no_volume.clone()));
+        assert_eq!(agg.client_read(ghost, 0), Err(no_volume));
+        assert_eq!(agg.client_overwrite(vol, 1000), Err(past_end.clone()));
+        assert_eq!(agg.client_delete(vol, 1000), Err(past_end));
+        // Reads past the end see a hole, like any unmapped block.
+        assert_eq!(agg.client_read(vol, 1000), Ok(0.0));
+        assert_eq!(agg.pending_ops(), 0, "a rejected op queues nothing");
     }
 
     #[test]

@@ -63,6 +63,17 @@ pub(crate) struct AllocOutcome {
     pub cursor_misses: u64,
 }
 
+impl AllocOutcome {
+    /// Record a *fresh* claim: an AA taken from a cache, a random draw or
+    /// a sweep, at the score it was claimed with. The one place the pick
+    /// statistics are fed from, so every planner counts the same events —
+    /// an active AA carried over from an earlier CP was recorded when it
+    /// was claimed and is not a pick again.
+    pub(crate) fn record_pick(&mut self, aa: AaId, score: AaScore) {
+        self.picked.push((aa, score));
+    }
+}
+
 /// Dense "already tried" set over AA ids for one plan call — replaces a
 /// `HashSet` on the random-pick path so each membership test is a word
 /// index and a mask instead of a hash.
@@ -160,7 +171,7 @@ fn plan_group_quarantine_sweep(
             continue;
         }
         out.sweep_picks += 1;
-        out.picked.push((aa, AaScore(score)));
+        out.record_pick(aa, AaScore(score));
         let before = out.vbns.len();
         let ranges = g.topology.aa_write_ranges(aa);
         drain_ranges(&ranges, bitmap, quota, out);
@@ -241,7 +252,7 @@ pub(crate) fn plan_raid_group(
                         }
                         match claimed {
                             Some((aa, score)) if score.get() > 0 => {
-                                out.picked.push((aa, score));
+                                out.record_pick(aa, score);
                                 g.active_aa = Some(aa);
                                 aa
                             }
@@ -292,14 +303,14 @@ pub(crate) fn plan_raid_group(
                                             .into_iter()
                                             .map(|(_, s)| s.get())
                                             .max()
-                                            .unwrap_or(score.get())
+                                            .unwrap_or_else(|| score.get())
                                     });
                                     out.pick_errors.push((
                                         true_best.saturating_sub(score.get()),
                                         hbps.config().bin_width(),
                                     ));
                                 }
-                                out.picked.push((aa, score));
+                                out.record_pick(aa, score);
                                 g.active_aa = Some(aa);
                                 aa
                             }
@@ -321,7 +332,7 @@ pub(crate) fn plan_raid_group(
                     if score.get() == 0 {
                         continue;
                     }
-                    out.picked.push((aa, score));
+                    out.record_pick(aa, score);
                     g.active_aa = Some(aa);
                     aa
                 }
@@ -434,7 +445,7 @@ pub(crate) fn allocate_vvbns(
                                             .into_iter()
                                             .map(|(_, s)| s.get())
                                             .max()
-                                            .unwrap_or(score.get())
+                                            .unwrap_or_else(|| score.get())
                                     });
                                 out.pick_errors.push((
                                     true_best.saturating_sub(score.get()),
@@ -468,7 +479,7 @@ pub(crate) fn allocate_vvbns(
                 };
                 match picked {
                     Some((aa, score)) => {
-                        out.picked.push((aa, score));
+                        out.record_pick(aa, score);
                         vol.active_aa = Some(aa);
                         aa
                     }
@@ -493,7 +504,7 @@ pub(crate) fn allocate_vvbns(
                             return Err(WaflError::SpaceExhausted);
                         };
                         out.sweep_picks += 1;
-                        out.picked.push((aa, score));
+                        out.record_pick(aa, score);
                         vol.active_aa = Some(aa);
                         aa
                     }

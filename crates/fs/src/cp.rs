@@ -821,7 +821,7 @@ impl Aggregate {
             // state-neutral.
             let mut frees = std::mem::take(&mut self.delayed_pvbn_frees);
             if !frees.is_empty() {
-                frees.sort_unstable();
+                wafl_bitmap::sort_vbns(&mut frees);
                 let mut gi = 0usize;
                 // Sorted input means whole AA spans go by between
                 // topology lookups: one aa_span_of_vbn call per span

@@ -124,11 +124,14 @@ impl DelayedFreeLog {
         for _ in 0..page_budget {
             // If the list drained while pages remain, rebuild it.
             if self.hbps.needs_replenish(1) {
-                let scores: Vec<(AaId, AaScore)> = self
+                let mut scores: Vec<(AaId, AaScore)> = self
                     .per_page
                     .iter()
                     .map(|(&p, v)| (AaId(p as u32), AaScore(v.len() as u32)))
                     .collect();
+                // The ranking breaks score ties by arrival, and the
+                // map's order is its per-process hash seed's.
+                scores.sort_unstable_by_key(|&(page, _)| page);
                 self.hbps.replenish(scores)?;
             }
             let Some((page, _bound)) = self.hbps.take_best() else {
@@ -221,6 +224,34 @@ mod tests {
         assert_eq!(stats.pages_processed, 1, "all 500 shared one page");
         assert_eq!(bitmap.free_blocks(), 4 * 32768 - 500);
         assert_eq!(log.pending(), 0);
+    }
+
+    #[test]
+    fn equally_full_pages_process_in_the_same_order_every_time() {
+        // More pages than the ranking lists (1000), one pending free
+        // each: once the list drains, a replenish re-ranks the rest from
+        // the log itself, and among equal scores its iteration order is
+        // the processing order. Two logs fed the same frees must agree;
+        // left in the map's order, each would follow its own hash seed.
+        const PAGES: u64 = 1200;
+        let order = || {
+            let mut bitmap = Bitmap::new(PAGES * BITS_PER_BITMAP_BLOCK);
+            let mut log = DelayedFreeLog::new();
+            for p in 0..PAGES {
+                let vbn = Vbn(p * BITS_PER_BITMAP_BLOCK);
+                bitmap.allocate(vbn).unwrap();
+                log.log_free(vbn).unwrap();
+            }
+            let mut order = Vec::new();
+            log.force_drain(&mut bitmap, |v, _| {
+                order.push(v.get() / BITS_PER_BITMAP_BLOCK);
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(order.len() as u64, PAGES);
+            order
+        };
+        assert_eq!(order(), order());
     }
 
     #[test]

@@ -267,11 +267,11 @@ pub(crate) fn plan_raid_group_sharded(
     };
 
     let mut out = AllocOutcome::default();
-    // The cross-CP active AA joins the claim order first (best position):
-    // it is mid-drain, so its remaining free count is its exact score. A
-    // quarantined active AA goes back to the heap instead, popcount-
+    // The cross-CP active AA joins the claim order first (best position)
+    // without counting as a pick: it was recorded the CP it was claimed.
+    // A quarantined active AA goes back to the heap instead, popcount-
     // scored, exactly like the legacy planner.
-    let mut seed_lease: Option<(AaId, AaScore)> = None;
+    let mut carried_over: Option<AaId> = None;
     if let Some(aa) = g.active_aa.take() {
         if g.quarantined_aas.contains(&aa) {
             let score = popcount_score(&g.topology, bitmap, aa);
@@ -279,7 +279,7 @@ pub(crate) fn plan_raid_group_sharded(
                 cache.insert(aa, AaScore(score))?;
             }
         } else {
-            seed_lease = Some((aa, g.topology.score_from_bitmap(bitmap, aa)));
+            carried_over = Some(aa);
         }
     }
 
@@ -298,14 +298,16 @@ pub(crate) fn plan_raid_group_sharded(
     {
         let mut state = mgr.state.lock().expect("fresh manager");
         while covered < quota as u64 {
-            let lease = match seed_lease.take() {
-                Some(l) => Some(l),
-                None => LeaseManager::take_ranked(&mut state)?,
+            let aa = match carried_over.take() {
+                Some(aa) => aa,
+                None => match LeaseManager::take_ranked(&mut state)? {
+                    Some((aa, score)) => {
+                        out.record_pick(aa, score);
+                        aa
+                    }
+                    None => break, // ranking dry; the CP's shortfall pass takes over
+                },
             };
-            let Some((aa, score)) = lease else {
-                break; // ranking dry; the CP's shortfall pass takes over
-            };
-            out.picked.push((aa, score));
             claimed.push(aa);
             for (start, len) in topology.aa_write_ranges(aa) {
                 if covered >= quota as u64 {

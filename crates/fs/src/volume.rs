@@ -190,8 +190,9 @@ impl FlexVol {
     /// Record that `logical` now lives at (`vvbn`, `pvbn`). Returns the
     /// *previous* (vvbn, pvbn) pair if the block was mapped and no
     /// snapshot pins it — those become delayed frees; pinned pairs detach
-    /// instead and free when their last snapshot goes. Called by the CP
-    /// engine only.
+    /// instead and free when their last snapshot goes. The one-block
+    /// reference [`FlexVol::remap_batch`] is tested against.
+    #[cfg(test)]
     pub(crate) fn remap(&mut self, logical: u64, vvbn: Vbn, pvbn: Vbn) -> Option<(Vbn, Vbn)> {
         let old_v = self.logical_map[logical as usize];
         self.logical_map[logical as usize] = vvbn.get();
@@ -206,9 +207,19 @@ impl FlexVol {
     /// `logicals[i]` now lives at (`vvbns[i]`, `pvbns[i]`), queue freed
     /// old virtual VBNs on the volume's delayed-free list, and return the
     /// freed *physical* VBNs for the aggregate's delayed-free path.
-    /// Semantically [`FlexVol::remap`] in a loop; shaped as a batch so
-    /// the CP engine can fan whole volumes out across worker shards —
-    /// every structure touched here belongs to this volume alone.
+    /// Previous pairs that a snapshot pins detach instead and free when
+    /// their last snapshot goes. Shaped as a batch so the CP engine can
+    /// fan whole volumes out across worker shards — every structure
+    /// touched here belongs to this volume alone.
+    ///
+    /// Three passes instead of three dependent steps per block: a random
+    /// overwrite misses the cache on its `logical_map` slot and again on
+    /// the old vvbn's map slot, and per block the second address is only
+    /// known once the first load lands. Pass by pass the loads are
+    /// independent, so the core overlaps the misses. The end state is
+    /// that of the per-block order because a CP's logicals are distinct
+    /// (no pass-1 slot is touched twice) and its new vvbns were free
+    /// before the CP (no pass-2 insert lands on a slot pass 3 releases).
     pub(crate) fn remap_batch(
         &mut self,
         logicals: &[u64],
@@ -217,9 +228,27 @@ impl FlexVol {
     ) -> Vec<Vbn> {
         debug_assert_eq!(logicals.len(), vvbns.len());
         debug_assert_eq!(logicals.len(), pvbns.len());
+        debug_assert!(
+            logicals.iter().collect::<HashSet<_>>().len() == logicals.len(),
+            "a CP binds each logical block once"
+        );
+        let old_vvbns: Vec<u64> = logicals
+            .iter()
+            .zip(vvbns)
+            .map(|(&logical, vvbn)| {
+                std::mem::replace(&mut self.logical_map[logical as usize], vvbn.get())
+            })
+            .collect();
+        for (vvbn, pvbn) in vvbns.iter().zip(pvbns) {
+            let displaced = self.vvbn_map.insert(vvbn.get(), pvbn.get());
+            debug_assert!(displaced.is_none(), "{vvbn} was mapped before its CP");
+        }
         let mut freed_pvbns = Vec::with_capacity(logicals.len());
-        for ((&logical, &vvbn), &pvbn) in logicals.iter().zip(vvbns).zip(pvbns) {
-            if let Some((old_v, old_p)) = self.remap(logical, vvbn, pvbn) {
+        for old_v in old_vvbns {
+            if old_v == UNMAPPED {
+                continue;
+            }
+            if let Some((old_v, old_p)) = self.release_or_detach(Vbn(old_v)) {
                 self.delayed_vvbn_frees.push(old_v);
                 freed_pvbns.push(old_p);
             }
@@ -327,7 +356,7 @@ impl FlexVol {
         if frees.is_empty() {
             return Ok(0);
         }
-        frees.sort_unstable();
+        wafl_bitmap::sort_vbns(&mut frees);
         let total = frees.len() as u64;
         // Sorted input: one aa_span_of_vbn lookup per AA span crossed
         // instead of one aa_of_vbn per block, one record_freed per span
@@ -403,6 +432,59 @@ mod tests {
         assert_eq!(v.remap(5, Vbn(200), Vbn(9500)), Some((Vbn(100), Vbn(9000))));
         assert_eq!(v.lookup_logical(5), Some(Vbn(200)));
         assert_eq!(v.lookup_vvbn(Vbn(100)), None);
+    }
+
+    /// Assert two volumes hold the same mapping state after a bind.
+    fn assert_same_bind_state(a: &FlexVol, b: &FlexVol, ctx: &str) {
+        for l in 0..a.logical_blocks() {
+            assert_eq!(a.lookup_logical(l), b.lookup_logical(l), "{ctx}: {l}");
+        }
+        assert!(a.vvbn_entries().eq(b.vvbn_entries()), "{ctx}: vvbn map");
+        assert_eq!(a.delayed_vvbn_frees, b.delayed_vvbn_frees, "{ctx}");
+        assert_eq!(a.detached, b.detached, "{ctx}");
+    }
+
+    #[test]
+    fn staged_remap_batch_matches_per_block_remap() {
+        // Four CPs over the same volume pair: first writes (UNMAPPED
+        // slots), overwrites beside first writes, then — a snapshot
+        // taken — overwrites of pinned blocks only (all detach), and
+        // last a CP mixing pinned old versions with ones written since
+        // the snapshot (detach beside free).
+        let (mut batched, mut looped) = (vol(), vol());
+        let mut next_vbn = 0u64;
+        let mut state = 0x0005_DEEC_E66Du64;
+        for cp in 0..4 {
+            if cp == 2 {
+                batched.snapshot_create();
+                looped.snapshot_create();
+            }
+            // Distinct logicals in scrambled order, as the dirty list
+            // delivers them.
+            let mut logicals: Vec<u64> = (0..1000).filter(|l| (l + cp) % 3 != 0).collect();
+            for i in (1..logicals.len()).rev() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                logicals.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            let vvbns: Vec<Vbn> = (0..logicals.len() as u64)
+                .map(|i| Vbn(next_vbn + i))
+                .collect();
+            let pvbns: Vec<Vbn> = vvbns.iter().map(|v| Vbn(500_000 + v.get() * 2)).collect();
+            next_vbn += logicals.len() as u64;
+
+            let freed = batched.remap_batch(&logicals, &vvbns, &pvbns);
+            let mut freed_ref = Vec::new();
+            for ((&l, &v), &p) in logicals.iter().zip(&vvbns).zip(&pvbns) {
+                if let Some((old_v, old_p)) = looped.remap(l, v, p) {
+                    looped.delayed_vvbn_frees.push(old_v);
+                    freed_ref.push(old_p);
+                }
+            }
+            assert_eq!(freed, freed_ref, "cp {cp}: freed pvbns, in order");
+            assert_same_bind_state(&batched, &looped, &format!("cp {cp}"));
+        }
+        assert!(batched.detached_blocks() > 0, "the snapshot pinned blocks");
+        assert!(!batched.delayed_vvbn_frees.is_empty());
     }
 
     #[test]

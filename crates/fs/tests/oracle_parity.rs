@@ -155,6 +155,9 @@ fn assert_parity(agg: &mut Aggregate, orc: &mut OracleAggregate, seed: u64, roun
             );
         }
         assert_eq!(sa.ops, so.ops, "seed {seed} round {round}");
+        // Pick statistics: fresh claims only, whichever planner ran.
+        assert_eq!(sa.agg_picks, so.agg_picks, "seed {seed} round {round}");
+        assert_eq!(sa.vol_picks, so.vol_picks, "seed {seed} round {round}");
         assert_eq!(
             sa.metafile_pages, so.metafile_pages,
             "seed {seed} round {round}"
@@ -284,6 +287,63 @@ fn multi_group_multi_vol_matches_oracle() {
             assert_eq!(a.per_device_chains, b.per_device_chains, "round {round}");
             assert_eq!(a.media_us.to_bits(), b.media_us.to_bits(), "round {round}");
         }
+    }
+}
+
+/// The pick statistics behind every "picked AA free %" figure must not
+/// depend on the shard count. Geometry and aging of
+/// `tests/paper_claims.rs::caches_beat_average_on_aged_systems`, whose
+/// reported pick quality used to shift with the host's core count: the
+/// sharded planner counted the active AA it carried over from the last
+/// CP as a pick, at its depleted score, every CP.
+#[test]
+fn pick_stats_do_not_depend_on_shard_count() {
+    const AGED_LOGICALS: u64 = 120_000;
+    let picks_per_cp = |shards: usize| {
+        let mut agg = Aggregate::new(
+            AggregateConfig {
+                write_shards: shards,
+                ..AggregateConfig::single_group(RaidGroupSpec {
+                    data_devices: 4,
+                    parity_devices: 1,
+                    device_blocks: 16 * 4096,
+                    profile: MediaProfile::hdd(),
+                })
+            },
+            &[(
+                FlexVolConfig {
+                    size_blocks: 8 * 32768,
+                    aa_cache: true,
+                    aa_blocks: Some(4096),
+                },
+                AGED_LOGICALS,
+            )],
+            55,
+        )
+        .unwrap();
+        wafl_fs::aging::fill_volume(&mut agg, VolumeId(0), 4096).unwrap();
+        wafl_fs::aging::random_overwrite_churn(&mut agg, VolumeId(0), 240_000, 4096, 56).unwrap();
+        let mut rng = StdRng::seed_from_u64(57);
+        (0..10)
+            .map(|_| {
+                for _ in 0..4096 {
+                    agg.client_overwrite(VolumeId(0), rng.random_range(0..AGED_LOGICALS))
+                        .unwrap();
+                }
+                let s = agg.run_cp().unwrap();
+                (
+                    s.agg_picks,
+                    s.agg_pick_free_sum.to_bits(),
+                    s.vol_picks,
+                    s.vol_pick_free_sum.to_bits(),
+                )
+            })
+            .collect::<Vec<_>>()
+    };
+    let one = picks_per_cp(1);
+    assert!(one.iter().any(|&(agg_picks, ..)| agg_picks > 0));
+    for shards in [2, 4] {
+        assert_eq!(picks_per_cp(shards), one, "write_shards = {shards}");
     }
 }
 

@@ -510,7 +510,7 @@ impl OracleAggregate {
             );
             let stripes_per_aa = policy
                 .stripes_per_aa()
-                .or(policy.blocks_per_aa())
+                .or_else(|| policy.blocks_per_aa())
                 .unwrap_or(DEFAULT_STRIPES_PER_AA)
                 .min(spec.device_blocks);
             let topology = AaTopology::raid_aware(
@@ -605,9 +605,12 @@ impl OracleAggregate {
 
     /// Queue a client overwrite; repeated writes within one CP coalesce.
     pub fn client_overwrite(&mut self, vol: VolumeId, logical: u64) -> WaflResult<()> {
-        let v = self.vols.get(vol.index()).ok_or(WaflError::InvalidConfig {
-            reason: format!("no volume {vol}"),
-        })?;
+        let v = self
+            .vols
+            .get(vol.index())
+            .ok_or_else(|| WaflError::InvalidConfig {
+                reason: format!("no volume {vol}"),
+            })?;
         if logical >= v.logical_map.len() as u64 {
             return Err(WaflError::VbnOutOfRange {
                 vbn: Vbn(logical),
@@ -625,9 +628,12 @@ impl OracleAggregate {
 
     /// Queue a deletion; the block's VBNs free at the next CP boundary.
     pub fn client_delete(&mut self, vol: VolumeId, logical: u64) -> WaflResult<()> {
-        let v = self.vols.get(vol.index()).ok_or(WaflError::InvalidConfig {
-            reason: format!("no volume {vol}"),
-        })?;
+        let v = self
+            .vols
+            .get(vol.index())
+            .ok_or_else(|| WaflError::InvalidConfig {
+                reason: format!("no volume {vol}"),
+            })?;
         if logical >= v.logical_map.len() as u64 {
             return Err(WaflError::VbnOutOfRange {
                 vbn: Vbn(logical),

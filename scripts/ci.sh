@@ -16,6 +16,8 @@
 #   scripts/ci.sh --par-smoke     # the sharded-pipeline gate alone
 #   scripts/ci.sh --oracle-parity # the wafl-oracle parity sweep alone
 #   scripts/ci.sh --trace-smoke   # the flight-recorder export gate alone
+#   scripts/ci.sh --bench-check   # the benchmark package's smoke run and
+#                                 # unit tests alone
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -75,6 +77,16 @@ trace_smoke() {
     "$out" --expect-shards 4 >/dev/null
 }
 
+# Benchmark-package gate: benchmark/ is a workspace of its own, so the
+# workspace build, clippy and test lines above never compile it. Run its
+# smoke pass (every workload, every metric named in BENCHMARK.json, every
+# correctness check) and its unit tests, so a crate API change cannot
+# silently break it.
+bench_check() {
+  run benchmark/check.sh
+  run cargo test --release --offline --manifest-path benchmark/Cargo.toml
+}
+
 if [[ "${1:-}" == "--obs-smoke" ]]; then
   obs_smoke
   echo "CI gates passed."
@@ -111,8 +123,16 @@ if [[ "${1:-}" == "--trace-smoke" ]]; then
   exit 0
 fi
 
+if [[ "${1:-}" == "--bench-check" ]]; then
+  bench_check
+  echo "CI gates passed."
+  exit 0
+fi
+
 run cargo fmt --all --check
-run cargo clippy --workspace --all-targets -- -D warnings
+# or_fun_call is allow-by-default: an eager `ok_or(.. format!(..))` on
+# the op path costs a malloc + format + free per *successful* call.
+run cargo clippy --workspace --all-targets -- -D warnings -D clippy::or_fun_call
 run cargo test -q
 obs_smoke
 scrub_smoke
@@ -120,6 +140,7 @@ alloc_smoke
 par_smoke
 oracle_parity
 trace_smoke
+bench_check
 
 if [[ "${1:-}" == "--torture" ]]; then
   run cargo test --release -p wafl-fs --test crash_consistency -- --ignored
