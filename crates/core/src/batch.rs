@@ -1,6 +1,5 @@
 //! CP-boundary batching of AA score changes.
 
-use std::collections::HashMap;
 use wafl_types::{AaId, ScoreDelta};
 
 /// Accumulates the score increments (frees) and decrements (allocations)
@@ -8,9 +7,21 @@ use wafl_types::{AaId, ScoreDelta};
 /// the CP boundary (§3.3: "AA score updates resulting from frees and
 /// allocations are delayed and performed efficiently in batched fashion at
 /// the CP boundary").
+///
+/// Dense: one net delta per AA, indexed by [`AaId`], beside a bitset of
+/// the AAs recorded into since the last drain. Recording is an indexed
+/// add, and walking the bitset yields the AAs in ascending order with
+/// nothing to hash and nothing to sort. Both tables grow to the highest
+/// AA recorded (8 bytes and one bit per AA of the space) and are kept
+/// across drains.
 #[derive(Clone, Debug, Default)]
 pub struct ScoreDeltaBatch {
-    deltas: HashMap<AaId, ScoreDelta>,
+    /// Net delta per AA; zero outside the touched set.
+    deltas: Vec<i64>,
+    /// Bit `aa % 64` of word `aa / 64`: `aa` was recorded into.
+    touched: Vec<u64>,
+    /// Bits set in `touched`.
+    touched_count: usize,
 }
 
 impl ScoreDeltaBatch {
@@ -21,30 +32,37 @@ impl ScoreDeltaBatch {
 
     /// Record `n` blocks allocated from `aa` during this CP.
     pub fn record_allocated(&mut self, aa: AaId, n: u32) {
-        *self.deltas.entry(aa).or_default() += ScoreDelta::allocated(n);
+        self.record(aa, ScoreDelta::allocated(n));
     }
 
     /// Record `n` blocks freed back to `aa` during this CP.
     pub fn record_freed(&mut self, aa: AaId, n: u32) {
-        *self.deltas.entry(aa).or_default() += ScoreDelta::freed(n);
+        self.record(aa, ScoreDelta::freed(n));
     }
 
-    /// Merge another batch (e.g. a per-thread batch from the parallel
-    /// allocator) into this one.
-    pub fn merge(&mut self, other: ScoreDeltaBatch) {
-        for (aa, d) in other.deltas {
-            *self.deltas.entry(aa).or_default() += d;
+    #[inline]
+    fn record(&mut self, aa: AaId, delta: ScoreDelta) {
+        let i = aa.index();
+        if i >= self.deltas.len() {
+            let len = (i + 1).next_multiple_of(64);
+            self.deltas.resize(len, 0);
+            self.touched.resize(len / 64, 0);
         }
+        self.deltas[i] += delta.0;
+        let (word, bit) = (&mut self.touched[i / 64], 1u64 << (i % 64));
+        self.touched_count += usize::from(*word & bit == 0);
+        *word |= bit;
     }
 
-    /// Number of AAs with a pending change.
+    /// Number of AAs with a pending change, counting those whose frees
+    /// and allocations net to zero.
     pub fn touched_aas(&self) -> usize {
-        self.deltas.len()
+        self.touched_count
     }
 
     /// True if nothing changed.
     pub fn is_empty(&self) -> bool {
-        self.deltas.is_empty()
+        self.touched_count == 0
     }
 
     /// Drain the batch as `(aa, delta)` pairs in ascending AA order,
@@ -53,18 +71,24 @@ impl ScoreDeltaBatch {
     /// histogram bins.
     ///
     /// The order matters: the caches break score ties by arrival order,
-    /// so it decides which of two equally good AAs is picked next. Sorted,
-    /// it is a function of the batch's contents — not of the map's
-    /// per-process hash seed or of the order shards recorded into it.
+    /// so it decides which of two equally good AAs is picked next.
+    /// Ascending, it is a function of the batch's contents — not of the
+    /// order shards recorded into it.
     pub fn drain(&mut self) -> impl Iterator<Item = (AaId, ScoreDelta)> {
-        let mut deltas: Vec<_> = self.deltas.drain().filter(|(_, d)| !d.is_zero()).collect();
-        deltas.sort_unstable_by_key(|&(aa, _)| aa);
-        deltas.into_iter()
-    }
-
-    /// Iterate without draining.
-    pub fn iter(&self) -> impl Iterator<Item = (AaId, ScoreDelta)> + '_ {
-        self.deltas.iter().map(|(&aa, &d)| (aa, d))
+        let mut out = Vec::with_capacity(self.touched_count);
+        for (w, word) in self.touched.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let delta = std::mem::take(&mut self.deltas[i]);
+                if delta != 0 {
+                    out.push((AaId(i as u32), ScoreDelta(delta)));
+                }
+            }
+        }
+        self.touched_count = 0;
+        out.into_iter()
     }
 }
 
@@ -79,8 +103,7 @@ mod tests {
         b.record_freed(AaId(1), 4);
         b.record_freed(AaId(2), 3);
         assert_eq!(b.touched_aas(), 2);
-        let mut got: Vec<_> = b.drain().collect();
-        got.sort_by_key(|&(aa, _)| aa);
+        let got: Vec<_> = b.drain().collect();
         assert_eq!(
             got,
             vec![(AaId(1), ScoreDelta(-6)), (AaId(2), ScoreDelta(3))]
@@ -95,21 +118,36 @@ mod tests {
         b.record_freed(AaId(5), 8);
         assert_eq!(b.touched_aas(), 1);
         assert_eq!(b.drain().count(), 0);
+        assert!(b.is_empty());
     }
 
     #[test]
-    fn merge_combines_per_thread_batches() {
-        let mut a = ScoreDeltaBatch::new();
-        a.record_allocated(AaId(1), 5);
+    fn drain_is_ascending_across_words_and_growth() {
         let mut b = ScoreDeltaBatch::new();
-        b.record_freed(AaId(1), 2);
-        b.record_allocated(AaId(2), 1);
-        a.merge(b);
-        let mut got: Vec<_> = a.drain().collect();
-        got.sort_by_key(|&(aa, _)| aa);
-        assert_eq!(
-            got,
-            vec![(AaId(1), ScoreDelta(-3)), (AaId(2), ScoreDelta(-1))]
-        );
+        // Recorded descending, so every record but the first lands below
+        // the table's end and the first two grow it.
+        for aa in [700u32, 64, 63, 0, 5_000, 129] {
+            b.record_freed(AaId(aa), aa + 1);
+        }
+        let got: Vec<_> = b.drain().collect();
+        let want: Vec<_> = [0u32, 63, 64, 129, 700, 5_000]
+            .iter()
+            .map(|&aa| (AaId(aa), ScoreDelta(aa as i64 + 1)))
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_drain_leaves_nothing_for_the_next_cp() {
+        let mut b = ScoreDeltaBatch::new();
+        for aa in 0..200 {
+            b.record_allocated(AaId(aa), 1);
+        }
+        // Empty as soon as `drain` returns, however much of it is read.
+        assert_eq!(b.drain().next(), Some((AaId(0), ScoreDelta(-1))));
+        assert!(b.is_empty());
+        assert_eq!(b.drain().count(), 0);
+        b.record_freed(AaId(150), 2);
+        assert_eq!(b.drain().collect::<Vec<_>>(), [(AaId(150), ScoreDelta(2))]);
     }
 }

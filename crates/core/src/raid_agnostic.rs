@@ -137,11 +137,27 @@ impl RaidAgnosticCache {
     /// background scan). Returns `true` if a scan ran — the caller charges
     /// its cost (`bitmap.page_count()` page reads; the in-memory rescan
     /// itself is a summary-counter copy, not a popcount walk).
-    pub fn maybe_replenish(&mut self, bitmap: &Bitmap) -> WaflResult<bool> {
+    ///
+    /// A scan empties `batch`, the deltas recorded for this cache since
+    /// its last [`RaidAgnosticCache::apply_cp_batch`]. They describe
+    /// changes the bitmap already holds, so the scan has just read their
+    /// outcome; applied afterwards they would move each AA out of the bin
+    /// it had *before* them — a bin the rescanned histogram no longer
+    /// counts it in. (The allocator scans in the middle of a CP when the
+    /// list runs dry. Left in the batch, that CP's earlier allocations
+    /// made the histogram drift and the list grow duplicates until a bin
+    /// listed more AAs than it counted: a TopAA image `from_pages`
+    /// rejects.)
+    pub fn maybe_replenish(
+        &mut self,
+        bitmap: &Bitmap,
+        batch: &mut ScoreDeltaBatch,
+    ) -> WaflResult<bool> {
         if !self.hbps.needs_replenish(self.low_water) {
             return Ok(false);
         }
         self.hbps.replenish(self.topology.all_scores(bitmap))?;
+        let _ = batch.drain().count();
         self.stats.replenish_scans += 1;
         Ok(true)
     }
@@ -243,11 +259,39 @@ mod tests {
         let mut cache = RaidAgnosticCache::build(t, &bitmap).unwrap();
         // Drain everything the list holds.
         while cache.pick_best(&bitmap).is_some() {}
-        assert!(cache.maybe_replenish(&bitmap).unwrap());
+        let mut batch = ScoreDeltaBatch::new();
+        assert!(cache.maybe_replenish(&bitmap, &mut batch).unwrap());
         assert!(cache.pick_best(&bitmap).is_some());
         assert_eq!(cache.stats().replenish_scans, 1);
         // A full list does not replenish again.
-        assert!(!cache.maybe_replenish(&bitmap).unwrap());
+        assert!(!cache.maybe_replenish(&bitmap, &mut batch).unwrap());
+    }
+
+    #[test]
+    fn a_mid_cp_replenish_spends_the_batch_it_has_just_read() {
+        let t = topo(64 * 1024);
+        let mut bitmap = Bitmap::new(64 * 1024);
+        let mut cache = RaidAgnosticCache::build(t.clone(), &bitmap).unwrap();
+        let mut batch = ScoreDeltaBatch::new();
+        // First half of a CP: AA 0 is drained to the last block, and the
+        // list runs dry.
+        bitmap.allocate_run(Vbn(0), 1024).unwrap();
+        batch.record_allocated(AaId(0), 1024);
+        while cache.pick_best(&bitmap).is_some() {}
+        // The rescan counts AA 0 where it is now, in the last bin …
+        assert!(cache.maybe_replenish(&bitmap, &mut batch).unwrap());
+        assert!(batch.is_empty());
+        // … so only what the CP does afterwards is left to apply.
+        bitmap.allocate_run(Vbn(1024), 100).unwrap();
+        batch.record_allocated(AaId(1), 100);
+        cache.apply_cp_batch(&mut batch, &bitmap).unwrap();
+        let mut want = vec![0u32; cache.hbps().bin_counts().len()];
+        for (_, score) in t.all_scores(&bitmap) {
+            want[cache.hbps().bin_of(score)] += 1;
+        }
+        assert_eq!(cache.hbps().bin_counts(), &want[..]);
+        let (hist, list) = cache.to_topaa();
+        assert!(Hbps::from_pages(&hist, &list).is_ok());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Property-based tests for the AA caches against shadow models.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use wafl_core::{topaa, Hbps, HbpsConfig, RaidAwareCache, ScoreDeltaBatch};
-use wafl_types::{AaId, AaScore};
+use wafl_types::{AaId, AaScore, ScoreDelta};
 
 // ---------------------------------------------------------------------
 // RAID-aware max-heap vs a naive shadow map
@@ -200,5 +200,76 @@ proptest! {
         let back = Hbps::from_pages(&p1, &p2).unwrap();
         prop_assert_eq!(back.bin_counts(), hbps.bin_counts());
         prop_assert_eq!(back.list_len(), hbps.list_len());
+    }
+}
+
+// ---------------------------------------------------------------------
+// The dense ScoreDeltaBatch vs an ordered-map model
+// ---------------------------------------------------------------------
+
+#[derive(Clone, Debug)]
+enum BatchOp {
+    Freed(u32, u32),
+    Allocated(u32, u32),
+    /// Free and allocate the same count: touched, net zero.
+    Both(u32, u32),
+    Drain,
+}
+
+/// AA ids from three scales, so that later records land below, inside
+/// and far past the tables the first ones sized.
+fn batch_aa() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..70, 0u32..2_100, 250_000u32..250_300]
+}
+
+fn batch_op() -> impl Strategy<Value = BatchOp> {
+    prop_oneof![
+        4 => (batch_aa(), 1u32..40_000).prop_map(|(aa, n)| BatchOp::Freed(aa, n)),
+        4 => (batch_aa(), 1u32..40_000).prop_map(|(aa, n)| BatchOp::Allocated(aa, n)),
+        2 => (batch_aa(), 1u32..40_000).prop_map(|(aa, n)| BatchOp::Both(aa, n)),
+        1 => Just(BatchOp::Drain),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn dense_batch_matches_ordered_map_model(
+        ops in proptest::collection::vec(batch_op(), 1..400),
+    ) {
+        let mut batch = ScoreDeltaBatch::new();
+        let mut model: BTreeMap<u32, i64> = BTreeMap::new();
+        for op in ops.into_iter().chain([BatchOp::Drain]) {
+            match op {
+                BatchOp::Freed(aa, n) => {
+                    batch.record_freed(AaId(aa), n);
+                    *model.entry(aa).or_default() += n as i64;
+                }
+                BatchOp::Allocated(aa, n) => {
+                    batch.record_allocated(AaId(aa), n);
+                    *model.entry(aa).or_default() -= n as i64;
+                }
+                BatchOp::Both(aa, n) => {
+                    batch.record_freed(AaId(aa), n);
+                    batch.record_allocated(AaId(aa), n);
+                    model.entry(aa).or_default();
+                }
+                BatchOp::Drain => {
+                    // A clone drains alike and leaves the original whole.
+                    let cloned: Vec<_> = batch.clone().drain().collect();
+                    let want: Vec<_> = std::mem::take(&mut model)
+                        .into_iter()
+                        .filter(|&(_, d)| d != 0)
+                        .map(|(aa, d)| (AaId(aa), ScoreDelta(d)))
+                        .collect();
+                    prop_assert_eq!(batch.drain().collect::<Vec<_>>(), want.clone());
+                    prop_assert_eq!(cloned, want);
+                }
+            }
+            // Touched AAs count whether or not their deltas cancel.
+            prop_assert_eq!(batch.touched_aas(), model.len());
+            prop_assert_eq!(batch.is_empty(), model.is_empty());
+        }
     }
 }

@@ -3,6 +3,7 @@
 use crate::config::{AggregateConfig, FlexVolConfig, RaidGroupSpec};
 use crate::delayed_free::DelayedFreeLog;
 use crate::obs::FsObs;
+use crate::paged_map::check_block_space;
 use crate::scrub::{HealthState, ScrubState, ScrubStatus};
 use crate::volume::FlexVol;
 use wafl_bitmap::Bitmap;
@@ -302,7 +303,10 @@ impl Aggregate {
                 spec.device_blocks,
                 Vbn(base),
             )?;
-            base += spec.data_blocks();
+            // Saturating: a size whose product overflows is past the limit.
+            let blocks = u64::from(spec.data_devices).saturating_mul(spec.device_blocks);
+            base = base.saturating_add(blocks);
+            check_block_space("aggregate physical space", base)?;
             let policy = cfg.aa_policy_override.unwrap_or_else(|| {
                 AaSizingPolicy::for_media(
                     spec.profile.media,
@@ -405,6 +409,8 @@ impl Aggregate {
     /// extended bitmap).
     pub fn add_raid_group(&mut self, spec: RaidGroupSpec) -> WaflResult<RaidGroupId> {
         let base = self.bitmap.space_len();
+        let blocks = u64::from(spec.data_devices).saturating_mul(spec.device_blocks);
+        check_block_space("aggregate physical space", base.saturating_add(blocks))?;
         let id = RaidGroupId(self.groups.len() as u32);
         let geometry = RaidGeometry::new(
             id,
@@ -819,6 +825,40 @@ mod tests {
             ..small_cfg()
         };
         assert!(Aggregate::new(cfg, &[], 1).is_err());
+    }
+
+    #[test]
+    fn physical_space_past_the_four_byte_limit_is_rejected() {
+        let group = |data_devices, device_blocks| RaidGroupSpec {
+            data_devices,
+            parity_devices: 1,
+            device_blocks,
+            profile: MediaProfile::hdd(),
+        };
+        let rejected = |groups: Vec<RaidGroupSpec>| {
+            let cfg = AggregateConfig {
+                raid_groups: groups,
+                ..small_cfg()
+            };
+            matches!(
+                Aggregate::new(cfg, &[], 1),
+                Err(WaflError::InvalidConfig { reason }) if reason.contains("physical space")
+            )
+        };
+        // One group at the limit, two that only reach it together, and a
+        // size whose product overflows — all before any bitmap is sized.
+        assert!(rejected(vec![group(4, 1 << 30)]));
+        assert!(rejected(vec![group(2, 1 << 30), group(2, 1 << 30)]));
+        assert!(rejected(vec![group(3, u64::MAX / 2)]));
+        // Growth is held to the same limit and leaves the aggregate alone.
+        let mut agg = Aggregate::new(small_cfg(), &[], 1).unwrap();
+        let before = agg.bitmap().space_len();
+        assert!(matches!(
+            agg.add_raid_group(group(4, 1 << 30)),
+            Err(WaflError::InvalidConfig { .. })
+        ));
+        assert_eq!(agg.bitmap().space_len(), before);
+        assert_eq!(agg.groups().len(), 1);
     }
 
     #[test]

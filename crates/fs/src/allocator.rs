@@ -401,7 +401,7 @@ pub(crate) fn allocate_vvbns(
                                     // and retry once; the scan cost is
                                     // charged to the CP (§3.3.2's
                                     // background scan).
-                                    if cache.maybe_replenish(&vol.bitmap)? {
+                                    if cache.maybe_replenish(&vol.bitmap, &mut vol.batch)? {
                                         out.replenish_pages += vol.bitmap.page_count() as u64;
                                         // The replenish scan re-derives AA
                                         // scores from scratch; the cursor's

@@ -585,9 +585,12 @@ impl Aggregate {
         // Every group's runs are disjoint (groups own disjoint VBN
         // ranges; within a group, shards drained disjoint AAs), so the
         // whole CP applies as one sorted, page-partitioned bulk mutation.
+        // The runs arrive as one ascending stretch per drained AA and
+        // device, a handful per CP: the stable sort merges such
+        // stretches where the unstable one would start from scratch.
         let mut all_runs: Vec<(Vbn, u64)> =
             plans.iter().flat_map(|p| p.runs.iter().copied()).collect();
-        all_runs.sort_unstable_by_key(|&(start, _)| start.get());
+        all_runs.sort_by_key(|&(start, _)| start.get());
         self.bitmap
             .mutate_runs_partitioned(&all_runs, true, shards)?;
         for plan in &plans {
@@ -958,7 +961,7 @@ impl Aggregate {
                     // §3.3.2's background scan: if takes have drained the
                     // list faster than frees re-populate it — or quality
                     // degraded — walk the bitmap and rebuild.
-                    let pages = if cache.maybe_replenish(&vol.bitmap)? {
+                    let pages = if cache.maybe_replenish(&vol.bitmap, &mut vol.batch)? {
                         // The rescan re-derived the AA scores; the drain
                         // cursor's claim of "nothing free behind me" is no
                         // longer backed by anything.

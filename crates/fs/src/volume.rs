@@ -2,15 +2,23 @@
 //! and the volume's RAID-agnostic AA cache.
 
 use crate::config::FlexVolConfig;
-use crate::paged_map::PagedMap;
+use crate::paged_map::{check_block_space, slot, PagedMap};
 use crate::snapshot::{Snapshot, SnapshotId};
 use std::collections::{HashMap, HashSet};
 use wafl_bitmap::Bitmap;
 use wafl_core::{AaTopology, RaidAgnosticCache, ScoreDeltaBatch};
 use wafl_types::{AaSizingPolicy, Vbn, VolumeId, WaflError, WaflResult, RAID_AGNOSTIC_AA_BLOCKS};
 
-/// Sentinel for "no mapping".
-const UNMAPPED: u64 = u64::MAX;
+/// `logical_map` sentinel for "no mapping" (virtual spaces are checked
+/// to end below it, see [`check_block_space`]).
+const UNMAPPED: u32 = u32::MAX;
+
+/// A logical block's position in `logical_map`. A number no `usize`
+/// holds indexes past the end, like any other block the volume lacks.
+#[inline]
+fn index(logical: u64) -> usize {
+    usize::try_from(logical).unwrap_or(usize::MAX)
+}
 
 /// One FlexVol volume hosted in the aggregate.
 ///
@@ -34,8 +42,12 @@ pub struct FlexVol {
     pub(crate) topology: AaTopology,
     /// HBPS-backed cache; `None` when the volume's AA cache is disabled.
     pub(crate) cache: Option<RaidAgnosticCache>,
-    /// Logical block → virtual VBN.
-    logical_map: Vec<u64>,
+    /// Logical block → virtual VBN, 4 bytes a slot: a random overwrite
+    /// misses the cache here once per block, and the miss is cheaper the
+    /// smaller the table (`docs/perf.md`, *CP footprint*). The functions
+    /// that touch it deny `clippy::cast_possible_truncation`: block
+    /// numbers go in through [`slot`] and come out through `u64::from`.
+    logical_map: Vec<u32>,
     /// Dirty-epoch stamp per logical block: the block is queued for the
     /// next CP iff its stamp equals the aggregate's current epoch byte
     /// (`1 + cp_epoch % 255`; `0` = never stamped). Replaces a
@@ -90,6 +102,7 @@ impl FlexVol {
     /// space. The virtual space (`cfg.size_blocks`) must be at least as
     /// large.
     pub fn new(id: VolumeId, cfg: FlexVolConfig, logical_blocks: u64) -> WaflResult<FlexVol> {
+        check_block_space(format_args!("volume {id}: virtual space"), cfg.size_blocks)?;
         if cfg.size_blocks < logical_blocks {
             return Err(WaflError::InvalidConfig {
                 reason: format!(
@@ -177,9 +190,10 @@ impl FlexVol {
     }
 
     /// Current virtual VBN of a logical block (`None` if never written).
+    #[deny(clippy::cast_possible_truncation)]
     pub fn lookup_logical(&self, logical: u64) -> Option<Vbn> {
-        let v = *self.logical_map.get(logical as usize)?;
-        (v != UNMAPPED).then_some(Vbn(v))
+        let v = *self.logical_map.get(index(logical))?;
+        (v != UNMAPPED).then_some(Vbn(u64::from(v)))
     }
 
     /// Physical VBN backing a virtual VBN.
@@ -193,14 +207,14 @@ impl FlexVol {
     /// instead and free when their last snapshot goes. The one-block
     /// reference [`FlexVol::remap_batch`] is tested against.
     #[cfg(test)]
+    #[deny(clippy::cast_possible_truncation)]
     pub(crate) fn remap(&mut self, logical: u64, vvbn: Vbn, pvbn: Vbn) -> Option<(Vbn, Vbn)> {
-        let old_v = self.logical_map[logical as usize];
-        self.logical_map[logical as usize] = vvbn.get();
+        let old_v = std::mem::replace(&mut self.logical_map[index(logical)], slot(vvbn.get()));
         self.vvbn_map.insert(vvbn.get(), pvbn.get());
         if old_v == UNMAPPED {
             return None;
         }
-        self.release_or_detach(Vbn(old_v))
+        self.release_or_detach(Vbn(u64::from(old_v)))
     }
 
     /// CP bind for one volume's whole write set: record that each
@@ -220,6 +234,7 @@ impl FlexVol {
     /// that of the per-block order because a CP's logicals are distinct
     /// (no pass-1 slot is touched twice) and its new vvbns were free
     /// before the CP (no pass-2 insert lands on a slot pass 3 releases).
+    #[deny(clippy::cast_possible_truncation)]
     pub(crate) fn remap_batch(
         &mut self,
         logicals: &[u64],
@@ -232,11 +247,11 @@ impl FlexVol {
             logicals.iter().collect::<HashSet<_>>().len() == logicals.len(),
             "a CP binds each logical block once"
         );
-        let old_vvbns: Vec<u64> = logicals
+        let old_vvbns: Vec<u32> = logicals
             .iter()
             .zip(vvbns)
             .map(|(&logical, vvbn)| {
-                std::mem::replace(&mut self.logical_map[logical as usize], vvbn.get())
+                std::mem::replace(&mut self.logical_map[index(logical)], slot(vvbn.get()))
             })
             .collect();
         for (vvbn, pvbn) in vvbns.iter().zip(pvbns) {
@@ -248,7 +263,7 @@ impl FlexVol {
             if old_v == UNMAPPED {
                 continue;
             }
-            if let Some((old_v, old_p)) = self.release_or_detach(Vbn(old_v)) {
+            if let Some((old_v, old_p)) = self.release_or_detach(Vbn(u64::from(old_v))) {
                 self.delayed_vvbn_frees.push(old_v);
                 freed_pvbns.push(old_p);
             }
@@ -259,13 +274,13 @@ impl FlexVol {
     /// Remove `logical`'s mapping entirely (file deletion / hole punch),
     /// returning the freed (vvbn, pvbn) pair for the delayed-free path
     /// (or `None` when a snapshot pins it).
+    #[deny(clippy::cast_possible_truncation)]
     pub(crate) fn unmap(&mut self, logical: u64) -> Option<(Vbn, Vbn)> {
-        let old_v = self.logical_map[logical as usize];
+        let old_v = std::mem::replace(&mut self.logical_map[index(logical)], UNMAPPED);
         if old_v == UNMAPPED {
             return None;
         }
-        self.logical_map[logical as usize] = UNMAPPED;
-        self.release_or_detach(Vbn(old_v))
+        self.release_or_detach(Vbn(u64::from(old_v)))
     }
 
     /// The active file system no longer references `old_v`: free it now,
@@ -301,11 +316,8 @@ impl FlexVol {
     /// cleaning relocated the block). The virtual VBN itself is unchanged,
     /// so logical mappings and the volume's activemap are untouched.
     pub(crate) fn redirect_vvbn(&mut self, vvbn: Vbn, new_pvbn: Vbn) {
-        let slot = self
-            .vvbn_map
-            .get_mut(vvbn.get())
-            .expect("redirected vvbn must be mapped");
-        *slot = new_pvbn.get();
+        let mapped = self.vvbn_map.set(vvbn.get(), new_pvbn.get());
+        assert!(mapped, "redirected {vvbn} must be mapped");
     }
 
     /// Read access to the volume's activemap (diagnostics, scans).
@@ -420,6 +432,22 @@ mod tests {
             100
         )
         .is_err());
+    }
+
+    #[test]
+    fn construction_rejects_spaces_past_the_four_byte_limit() {
+        // Rejected before anything is sized by the request.
+        for size_blocks in [u32::MAX as u64, 1 << 32, u64::MAX] {
+            let cfg = FlexVolConfig {
+                size_blocks,
+                aa_cache: false,
+                aa_blocks: None,
+            };
+            assert!(matches!(
+                FlexVol::new(VolumeId(3), cfg, 100),
+                Err(WaflError::InvalidConfig { reason }) if reason.contains("VolumeId(3)")
+            ));
+        }
     }
 
     #[test]

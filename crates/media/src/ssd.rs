@@ -56,6 +56,13 @@ pub struct SsdFtl {
     valid: Vec<u32>,
     /// Fully erased blocks available for writing.
     free_ebs: Vec<u32>,
+    /// `free_ebs` membership per erase block, so that the GC's victim
+    /// scan asks in O(1) what a search of the list would answer.
+    is_free: Vec<bool>,
+    /// Pick GC victims the way the code did before `is_free` existed
+    /// (the differential test's reference side).
+    #[cfg(test)]
+    pick_by_list_search: bool,
     /// Erase block currently being programmed, and its fill level.
     active: u32,
     write_ptr: u32,
@@ -101,16 +108,17 @@ impl SsdFtl {
                 reason: "SSD too large for the u32 page index space".into(),
             });
         }
-        let mut free_ebs: Vec<u32> = (0..physical_ebs as u32).rev().collect();
-        let active = free_ebs.pop().expect("at least one erase block");
-        Ok(SsdFtl {
+        let mut ftl = SsdFtl {
             erase_block_pages,
             logical_pages,
             l2p: vec![UNMAPPED; logical_pages as usize],
             p2l: vec![UNMAPPED; physical_pages as usize],
             valid: vec![0; physical_ebs as usize],
-            free_ebs,
-            active,
+            free_ebs: (0..physical_ebs as u32).rev().collect(),
+            is_free: vec![true; physical_ebs as usize],
+            #[cfg(test)]
+            pick_by_list_search: false,
+            active: 0,
             write_ptr: 0,
             gc_reserve,
             in_gc: false,
@@ -119,7 +127,9 @@ impl SsdFtl {
             read_us: 60.0,
             erase_us: 2000.0,
             channels: 8.0,
-        })
+        };
+        ftl.active = ftl.pop_free();
+        Ok(ftl)
     }
 
     /// Exported capacity in pages.
@@ -152,14 +162,32 @@ impl SsdFtl {
         }
     }
 
+    /// Take an erased block off the free list.
+    fn pop_free(&mut self) -> u32 {
+        let eb = self
+            .free_ebs
+            .pop()
+            .expect("FTL invariant: free list never empties (OP + reserve)");
+        self.is_free[eb as usize] = false;
+        eb
+    }
+
+    /// The GC's victim: the lowest-numbered of the sealed blocks (neither
+    /// active nor erased) with the fewest valid pages.
+    fn pick_victim(&self) -> u32 {
+        (0u32..)
+            .zip(self.valid.iter().zip(&self.is_free))
+            .filter(|&(eb, (_, &free))| eb != self.active && !free)
+            .min_by_key(|&(_, (&valid, _))| valid)
+            .map(|(eb, _)| eb)
+            .expect("non-free erase block exists")
+    }
+
     /// Claim the next physical page of the active block, rolling to a new
     /// erase block (and triggering GC) as needed.
     fn alloc_page(&mut self) -> u32 {
         if self.write_ptr == self.erase_block_pages {
-            self.active = self
-                .free_ebs
-                .pop()
-                .expect("FTL invariant: free list never empties (OP + reserve)");
+            self.active = self.pop_free();
             self.write_ptr = 0;
             if !self.in_gc && self.free_ebs.len() < self.gc_reserve {
                 self.run_gc();
@@ -176,16 +204,13 @@ impl SsdFtl {
     fn run_gc(&mut self) {
         self.in_gc = true;
         while self.free_ebs.len() < self.gc_reserve {
-            let victim = self
-                .valid
-                .iter()
-                .enumerate()
-                .filter(|&(eb, _)| {
-                    eb as u32 != self.active && !self.free_ebs.contains(&(eb as u32))
-                })
-                .min_by_key(|&(_, &v)| v)
-                .map(|(eb, _)| eb as u32)
-                .expect("non-free erase block exists");
+            let victim = self.pick_victim();
+            #[cfg(test)]
+            let victim = if self.pick_by_list_search {
+                tests::victim_by_list_search(self)
+            } else {
+                victim
+            };
             let base = victim * self.erase_block_pages;
             for p in base..base + self.erase_block_pages {
                 let lpn = self.p2l[p as usize];
@@ -204,6 +229,7 @@ impl SsdFtl {
             debug_assert_eq!(self.valid[victim as usize], 0);
             self.stats.erases += 1;
             self.free_ebs.push(victim);
+            self.is_free[victim as usize] = true;
         }
         self.in_gc = false;
     }
@@ -275,6 +301,54 @@ impl SsdFtl {
 mod tests {
     use super::*;
     use rand::prelude::*;
+
+    /// The victim scan as it was: every erase block asks the free *list*
+    /// whether it is on it.
+    pub(super) fn victim_by_list_search(ftl: &SsdFtl) -> u32 {
+        ftl.valid
+            .iter()
+            .enumerate()
+            .filter(|&(eb, _)| eb as u32 != ftl.active && !ftl.free_ebs.contains(&(eb as u32)))
+            .min_by_key(|&(_, &v)| v)
+            .map(|(eb, _)| eb as u32)
+            .expect("non-free erase block exists")
+    }
+
+    #[test]
+    fn flagged_victim_scan_matches_the_list_search() {
+        // Same host stream into two FTLs that differ only in how they
+        // find a victim: writes skewed towards a hot fifth of the space
+        // (many equally empty victims: the tie-break matters), trims in
+        // bursts, at a tight and a roomy over-provisioning.
+        for (seed, op) in [(11u64, 0.07), (12, 0.28)] {
+            let n = 64 * 120;
+            let mut flagged = SsdFtl::new(n, 64, op).unwrap();
+            let mut searched = SsdFtl::new(n, 64, op).unwrap();
+            searched.pick_by_list_search = true;
+            let mut rng = StdRng::seed_from_u64(seed);
+            for step in 0..(8 * n as u64) {
+                let lpn = if rng.random_range(0..10) < 7 {
+                    rng.random_range(0..n / 5)
+                } else {
+                    rng.random_range(0..n)
+                };
+                if step % 4096 < 256 {
+                    flagged.trim(lpn).unwrap();
+                    searched.trim(lpn).unwrap();
+                } else {
+                    flagged.host_write(lpn).unwrap();
+                    searched.host_write(lpn).unwrap();
+                }
+            }
+            assert!(flagged.stats().erases > 100, "the stream must exercise GC");
+            assert_eq!(flagged.stats(), searched.stats());
+            assert_eq!(flagged.l2p, searched.l2p);
+            assert_eq!(flagged.free_ebs, searched.free_ebs);
+            for (eb, &free) in flagged.is_free.iter().enumerate() {
+                assert_eq!(free, flagged.free_ebs.contains(&(eb as u32)), "eb {eb}");
+            }
+        }
+    }
 
     #[test]
     fn construction_validates() {

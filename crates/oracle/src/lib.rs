@@ -340,7 +340,7 @@ impl OracleVol {
                         _ => {
                             // List drained: replenish from a scan and
                             // retry once.
-                            if self.cache.maybe_replenish(&self.bitmap)? {
+                            if self.cache.maybe_replenish(&self.bitmap, &mut self.batch)? {
                                 out.replenish_pages += self.bitmap.page_count() as u64;
                                 self.drain_cursor = None;
                                 self.cache
@@ -910,7 +910,7 @@ impl OracleAggregate {
             let touched = vol.batch.touched_aas() as u64;
             cache_ops += touched;
             vol.cache.apply_cp_batch(&mut vol.batch, &vol.bitmap)?;
-            if vol.cache.maybe_replenish(&vol.bitmap)? {
+            if vol.cache.maybe_replenish(&vol.bitmap, &mut vol.batch)? {
                 vol.drain_cursor = None;
                 stats.replenish_pages += vol.bitmap.page_count() as u64;
             }

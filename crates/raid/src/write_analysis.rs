@@ -161,9 +161,12 @@ pub struct RunWriteAnalysis {
 /// Analyze one CP's writes given as allocation runs instead of blocks.
 ///
 /// Equivalent to expanding `runs` and calling [`analyze_cp_write`] (the
-/// equivalence is tested below), but costs O(runs log runs): stripe
-/// classification is a coverage sweep over run endpoints, so a thousand
-/// multi-block runs never touch per-block state. Runs may cross device
+/// equivalence is tested below), but stripe classification is a coverage
+/// sweep over run endpoints, so a thousand multi-block runs never touch
+/// per-block state. The sweep costs O(endpoints × data devices) — a
+/// group is a few dozen devices wide at most — and the one sort left,
+/// of each device's intervals, meets one ascending stretch per drained
+/// AA, which the stable sort merges. Runs may cross device
 /// boundaries; overlapping runs are an upstream error, debug-asserted
 /// here like duplicate blocks are in [`analyze_cp_write`].
 pub fn analyze_cp_write_runs(
@@ -201,7 +204,9 @@ pub fn analyze_cp_write_runs(
         stripe_intervals: Vec::new(),
     };
     for (dev, mut ivals) in per_dev.into_iter().enumerate() {
-        ivals.sort_unstable();
+        // One ascending stretch per drained AA: the stable sort merges
+        // such stretches, the unstable one sorts as if from scratch.
+        ivals.sort();
         let mut merged: Vec<(u64, u64)> = Vec::with_capacity(ivals.len());
         for (s, l) in ivals {
             out.analysis.per_device_blocks[dev] += l;
@@ -217,51 +222,27 @@ pub fn analyze_cp_write_runs(
         out.device_chains.push(merged);
     }
 
-    // Stripe classification: sweep the chain endpoints, tracking how many
-    // devices cover each stripe span. Between consecutive endpoints the
-    // coverage `k` is constant, so a whole span of stripes classifies at
-    // once.
-    let mut events: Vec<(u64, i8)> = Vec::new();
-    for chains in &out.device_chains {
-        for &(s, l) in chains {
-            events.push((s, 1));
-            events.push((s + l, -1));
-        }
-    }
-    events.sort_unstable();
-    let mut k = 0u64;
-    let mut prev_pos = 0u64;
-    let mut open = 0u64;
-    let mut idx = 0;
-    while idx < events.len() {
-        let pos = events[idx].0;
-        if k > 0 {
-            let width = pos - prev_pos;
-            if k == d as u64 {
-                out.analysis.full_stripes += width;
-            } else {
-                out.analysis.partial_stripes += width;
-                // Per stripe: RMW reads k old-data + p old-parity,
-                // reconstruct reads the d-k untouched blocks; cheaper wins.
-                out.analysis.parity_reads += width * (k + p).min(d as u64 - k);
-            }
-            out.analysis.parity_writes += width * p;
-        }
-        let was = k;
-        while idx < events.len() && events[idx].0 == pos {
-            match events[idx].1 {
-                1 => k += 1,
-                _ => k -= 1,
-            }
-            idx += 1;
-        }
-        if was == 0 && k > 0 {
-            open = pos;
-        }
-        if was > 0 && k == 0 {
-            out.stripe_intervals.push((open, pos - open));
-        }
-        prev_pos = pos;
+    // Stripe classification. `classify` books `width` stripes that `k`
+    // devices cover (arithmetic on comparison results, not branches: on
+    // fragmented writes the coverage changes like a coin toss).
+    let classify = |a: &mut CpWriteAnalysis, k: u64, width: u64| {
+        let full = u64::from(k == d as u64);
+        let partial = u64::from(k > 0) - full;
+        a.full_stripes += width * full;
+        a.partial_stripes += width * partial;
+        // Per stripe: RMW reads k old-data + p old-parity, reconstruct
+        // reads the d-k untouched blocks; cheaper wins.
+        a.parity_reads += width * partial * (k + p).min(d as u64 - k);
+        a.parity_writes += width * (full + partial) * p;
+    };
+    let mut wrote = out.device_chains.iter().filter(|c| !c.is_empty());
+    if let (Some(only), None) = (wrote.next(), wrote.next()) {
+        // One device wrote (on a one-device range, always): its chains
+        // are the stripe intervals, each covered once.
+        classify(&mut out.analysis, 1, data_blocks);
+        out.stripe_intervals = only.clone();
+    } else {
+        sweep_stripes(&mut out, classify);
     }
 
     // Tetrises touched: count tetris ids covered by the stripe union,
@@ -277,6 +258,63 @@ pub fn analyze_cp_write_runs(
         prev_last = Some(last);
     }
     Ok(out)
+}
+
+/// Classify the stripes several devices' chains cover: sweep the chain
+/// endpoints in position order, tracking how many devices cover each
+/// stripe span. Between consecutive endpoints the coverage `k` is
+/// constant, so a whole span of stripes classifies at once.
+///
+/// A device's chains are ascending, disjoint and maximal, so its
+/// endpoints s0 < e0 < s1 < e1 < … are in order already, one to a
+/// position: the sweep takes the lowest of the streams' heads instead of
+/// sorting 2 × chains events. `ends[i]` is the `i`th writing device's
+/// stream (even index: a chain opens) closed by a `u64::MAX` sentinel,
+/// `taken[i]` the endpoints consumed; like `classify`, the steps are
+/// arithmetic, not branches.
+fn sweep_stripes(out: &mut RunWriteAnalysis, classify: impl Fn(&mut CpWriteAnalysis, u64, u64)) {
+    let ends: Vec<Vec<u64>> = (out.device_chains.iter())
+        .filter(|chains| !chains.is_empty())
+        .map(|chains| {
+            (chains.iter().flat_map(|&(s, l)| [s, s + l]))
+                .chain([u64::MAX])
+                .collect()
+        })
+        .collect();
+    let mut taken = vec![0usize; ends.len()];
+    // One slot more than intervals can exist: every step writes the
+    // would-be interval and only keeps it (`n_intervals`) if one closed.
+    let chains: usize = out.device_chains.iter().map(Vec::len).sum();
+    out.stripe_intervals = vec![(0, 0); chains + 1];
+    let mut n_intervals = 0usize;
+    let mut k = 0u64;
+    let mut prev_pos = 0u64;
+    let mut open = 0u64;
+    loop {
+        let pos = (ends.iter().zip(&taken))
+            .map(|(ends, &taken)| ends[taken])
+            .fold(u64::MAX, u64::min);
+        if pos == u64::MAX {
+            break;
+        }
+        classify(&mut out.analysis, k, pos - prev_pos);
+        // Every event at `pos` before the coverage is looked at again: a
+        // chain ending where another device's begins leaves no gap.
+        let was = k;
+        for (ends, taken) in ends.iter().zip(&mut taken) {
+            let hit = u64::from(ends[*taken] == pos);
+            let closes = *taken as u64 & 1;
+            k = k + hit - 2 * (hit & closes);
+            *taken += hit as usize;
+        }
+        if was == 0 {
+            open = pos;
+        }
+        out.stripe_intervals[n_intervals] = (open, pos - open);
+        n_intervals += usize::from(was > 0 && k == 0);
+        prev_pos = pos;
+    }
+    out.stripe_intervals.truncate(n_intervals);
 }
 
 #[cfg(test)]
@@ -455,6 +493,68 @@ mod tests {
                 (v(0, 127), 2),
             ],
         );
+    }
+
+    #[test]
+    fn one_writing_device_needs_no_sweep() {
+        // A one-device range (every stripe it writes is full) and a 4+1
+        // group whose CP stayed on device 2 (every stripe partial), runs
+        // out of order and touching.
+        let single = RaidGeometry::new(RaidGroupId(0), 1, 0, 10_000, Vbn(0)).unwrap();
+        let wide = g();
+        for (geometry, dev) in [(&single, 0), (&wide, 2)] {
+            let v = |dbn| vbn(geometry, dev, dbn);
+            let runs = [
+                (v(500), 3),
+                (v(10), 2),
+                (v(12), 5),
+                (v(9_999), 1),
+                (v(64), 64),
+            ];
+            assert_runs_equivalent(geometry, &runs);
+            let rw = analyze_cp_write_runs(geometry, &runs).unwrap();
+            let chains = vec![(10, 7), (64, 64), (500, 3), (9_999, 1)];
+            assert_eq!(rw.device_chains[dev as usize], chains);
+            assert_eq!(rw.stripe_intervals, chains);
+        }
+    }
+
+    #[test]
+    fn run_analysis_matches_per_block_on_wide_groups_with_touching_chains() {
+        use rand::prelude::*;
+        // Three AAs of 256 stripes drained one after the other, the last
+        // one lower than the first, device by device as the allocator
+        // walks them. Run lengths and gaps come from a three-value
+        // alphabet over a four-stripe period, so across 8 – 12 devices
+        // chains end where other devices' begin, begin and end together,
+        // and run to the AAs' shared edges all the time.
+        for (seed, d) in [(1u64, 8u32), (2, 9), (3, 12)] {
+            let g = RaidGeometry::new(RaidGroupId(0), d, 2, 4096, Vbn(0)).unwrap();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut runs: Vec<(Vbn, u64)> = Vec::new();
+            for aa in [5u64, 6, 2] {
+                for dev in 0..d {
+                    let (mut dbn, end) = (aa * 256, (aa + 1) * 256);
+                    while dbn < end {
+                        let len = [1u64, 2, 4][rng.random_range(0..3usize)].min(end - dbn);
+                        runs.push((vbn(&g, dev, dbn), len));
+                        dbn += len + [0u64, 2, 4][rng.random_range(0..3usize)];
+                    }
+                }
+            }
+            // A gap of 0 leaves adjacent runs for the chain merge.
+            assert!(runs
+                .windows(2)
+                .any(|w| w[0].0.get() + w[0].1 == w[1].0.get()));
+            assert_runs_equivalent(&g, &runs);
+            let rw = analyze_cp_write_runs(&g, &runs).unwrap();
+            assert!(rw.analysis.full_stripes > 0 && rw.analysis.partial_stripes > 0);
+            // Disjoint and maximal: no two stripe intervals touch.
+            assert!(rw
+                .stripe_intervals
+                .windows(2)
+                .all(|w| w[0].0 + w[0].1 < w[1].0));
+        }
     }
 
     #[test]

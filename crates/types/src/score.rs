@@ -76,19 +76,6 @@ impl ScoreDelta {
     pub fn merge(self, other: ScoreDelta) -> ScoreDelta {
         ScoreDelta(self.0 + other.0)
     }
-
-    /// True if applying this delta would leave any score unchanged.
-    #[inline]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-}
-
-impl std::ops::AddAssign for ScoreDelta {
-    #[inline]
-    fn add_assign(&mut self, rhs: ScoreDelta) {
-        self.0 += rhs.0;
-    }
 }
 
 #[cfg(test)]
@@ -112,10 +99,10 @@ mod tests {
     fn merge_sums_frees_and_allocations() {
         let d = ScoreDelta::freed(7).merge(ScoreDelta::allocated(3));
         assert_eq!(d, ScoreDelta(4));
-        assert!(!d.is_zero());
-        assert!(ScoreDelta::freed(3)
-            .merge(ScoreDelta::allocated(3))
-            .is_zero());
+        assert_eq!(
+            ScoreDelta::freed(3).merge(ScoreDelta::allocated(3)),
+            ScoreDelta(0)
+        );
     }
 
     #[test]
