@@ -2,7 +2,6 @@
 //! accounting.
 
 use crate::page::{BitmapPage, WORDS_PER_PAGE};
-use rayon::prelude::*;
 use wafl_types::{Vbn, WaflError, WaflResult, BITS_PER_BITMAP_BLOCK};
 
 /// Per-consistency-point accounting of bitmap-metafile I/O.
@@ -516,15 +515,10 @@ impl Bitmap {
     }
 
     /// Apply a whole batch of disjoint runs — all allocations or all
-    /// frees — with the word stores fanned out over up to `workers`
-    /// threads. This is the concurrent-apply primitive behind the sharded
-    /// CP pipeline: shards produce runs over disjoint AAs, the runs are
-    /// split at metafile-page boundaries here, and each worker owns a
-    /// contiguous, non-overlapping range of pages (its words, its
-    /// `page_free` counters, its dirty flags), so no two threads ever
-    /// touch the same cache line of bitmap state. The scalar counters
-    /// (`free_blocks`, `DirtyStats`, the per-AA summary) are merged
-    /// serially after the join — they are O(runs), not O(blocks).
+    /// frees — as one mutation: the CP's apply primitive. The runs are
+    /// split at metafile-page boundaries and stored page by page; the
+    /// scalar counters (`free_blocks`, the per-AA summary) advance once
+    /// per run, not once per block.
     ///
     /// Requirements: `runs` must be sorted by start VBN and pairwise
     /// disjoint (zero-length runs are allowed and skipped). Atomicity
@@ -532,16 +526,9 @@ impl Bitmap {
     /// be in the expected state before any bit changes, so an error
     /// leaves the bitmap untouched.
     ///
-    /// With `workers <= 1` (or few touched pages) everything runs inline
-    /// on the calling thread; the result is bit-for-bit identical to
-    /// applying each run with [`Bitmap::allocate_run`]/[`Bitmap::free_run`]
-    /// in order, at any worker count.
-    pub fn mutate_runs_partitioned(
-        &mut self,
-        runs: &[(Vbn, u64)],
-        alloc: bool,
-        workers: usize,
-    ) -> WaflResult<()> {
+    /// The result is bit-for-bit identical to applying each run with
+    /// [`Bitmap::allocate_run`]/[`Bitmap::free_run`] in order.
+    pub fn mutate_runs_partitioned(&mut self, runs: &[(Vbn, u64)], alloc: bool) -> WaflResult<()> {
         // ---- validate shape + expected state (read-only) ---------------
         let mut prev_end = 0u64;
         let mut total = 0u64;
@@ -609,78 +596,23 @@ impl Bitmap {
             }
         }
 
-        // ---- partition pages across workers, apply ----------------------
-        // Cut the segment list into `workers` spans balanced by segment
-        // count, never splitting a page across two spans; then carve the
-        // page/counter/dirty vectors into matching disjoint `&mut` slices.
-        let workers = workers.clamp(1, segments.len().max(1));
-        struct Shard<'a> {
-            pages: &'a mut [BitmapPage],
-            page_free: &'a mut [u16],
-            dirty: &'a mut [bool],
-            base_page: usize,
-            segments: &'a [(usize, u64, u64)],
-        }
-        let mut shards: Vec<Shard<'_>> = Vec::with_capacity(workers);
-        {
-            let per_worker = segments.len().div_ceil(workers);
-            let mut rest_pages = &mut self.pages[..];
-            let mut rest_free = &mut self.page_free[..];
-            let mut rest_dirty = &mut self.dirty[..];
-            let mut consumed_pages = 0usize;
-            let mut seg_rest = &segments[..];
-            while !seg_rest.is_empty() {
-                let mut cut = per_worker.min(seg_rest.len());
-                // Keep all segments of one page in the same shard.
-                while cut < seg_rest.len() && seg_rest[cut].0 == seg_rest[cut - 1].0 {
-                    cut += 1;
-                }
-                let (mine, rest) = seg_rest.split_at(cut);
-                seg_rest = rest;
-                // Pages `..=last` (relative to what's left) go to this shard.
-                let last_page = mine.last().expect("cut >= 1").0;
-                let split = last_page + 1 - consumed_pages;
-                let (p, rp) = rest_pages.split_at_mut(split);
-                let (f, rf) = rest_free.split_at_mut(split);
-                let (d, rd) = rest_dirty.split_at_mut(split);
-                shards.push(Shard {
-                    pages: p,
-                    page_free: f,
-                    dirty: d,
-                    base_page: consumed_pages,
-                    segments: mine,
-                });
-                rest_pages = rp;
-                rest_free = rf;
-                rest_dirty = rd;
-                consumed_pages = last_page + 1;
+        // ---- apply ------------------------------------------------------
+        for &(p, a, b) in &segments {
+            let touched = (b - a) as u16;
+            if alloc {
+                self.pages[p].set_range_allocated(a, b);
+                self.page_free[p] -= touched;
+            } else {
+                self.pages[p].set_range_free(a, b);
+                self.page_free[p] += touched;
+            }
+            if !self.dirty[p] {
+                self.dirty[p] = true;
+                self.stats.pages_dirtied += 1;
             }
         }
-        let newly_dirtied: Vec<u64> = shards
-            .into_par_iter()
-            .map(|shard| {
-                let mut dirtied = 0u64;
-                for &(page, a, b) in shard.segments {
-                    let p = page - shard.base_page;
-                    let touched = (b - a) as u16;
-                    if alloc {
-                        shard.pages[p].set_range_allocated(a, b);
-                        shard.page_free[p] -= touched;
-                    } else {
-                        shard.pages[p].set_range_free(a, b);
-                        shard.page_free[p] += touched;
-                    }
-                    if !shard.dirty[p] {
-                        shard.dirty[p] = true;
-                        dirtied += 1;
-                    }
-                }
-                dirtied
-            })
-            .collect();
 
-        // ---- serial merge of the shared counters ------------------------
-        self.stats.pages_dirtied += newly_dirtied.iter().sum::<u64>();
+        // ---- the counters that advance per run --------------------------
         self.stats.bits_flipped += total;
         if alloc {
             self.free_blocks -= total;
@@ -1242,8 +1174,7 @@ mod tests {
             // (isolated bits, same-word neighbours, word and page
             // boundaries all show up at this density).
             for b in [&mut bulk, &mut bit] {
-                b.mutate_runs_partitioned(&[(Vbn(0), space)], true, 1)
-                    .unwrap();
+                b.mutate_runs_partitioned(&[(Vbn(0), space)], true).unwrap();
             }
             let mut rng = StdRng::seed_from_u64(aa_blocks);
             let mut vbns: Vec<Vbn> = (0..space)

@@ -1,13 +1,13 @@
 //! Property tests for the partitioned bulk mutator.
 //!
-//! `mutate_runs_partitioned` is the sharded CP pipeline's apply
-//! primitive: sorted disjoint runs, carved into per-worker page spans and
-//! stored concurrently. It exists purely as a faster spelling of a
-//! sequential `allocate_run`/`free_run` loop over the same runs, so these
-//! tests pin it to that loop — bit state, per-page counters, per-AA
-//! counters, top-level total, and `DirtyStats` — across worker counts,
-//! and prove malformed input (overlap, out-of-range, state conflicts)
-//! rejects without mutating anything.
+//! `mutate_runs_partitioned` is the CP's apply primitive: sorted disjoint
+//! runs, split at page boundaries and applied as one verified batch. It
+//! exists purely as a faster spelling of a sequential
+//! `allocate_run`/`free_run` loop over the same runs, so these tests pin
+//! it to that loop — bit state, per-page counters, per-AA counters,
+//! top-level total, and `DirtyStats` — and prove malformed input
+//! (overlap, out-of-range, state conflicts) rejects without mutating
+//! anything.
 
 use proptest::prelude::*;
 use wafl_bitmap::Bitmap;
@@ -56,15 +56,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Allocate-then-free cycles through the partitioned mutator match
-    /// the sequential run-mutator loop at every worker count, including
-    /// the degenerate 1-worker path.
+    /// the sequential run-mutator loop.
     #[test]
     fn partitioned_matches_sequential_runs(
         raw in proptest::collection::vec(
             (0..SPACE, 1u64..3 * BITS_PER_BITMAP_BLOCK / 2),
             1..30,
         ),
-        workers in 1usize..8,
     ) {
         let mut runs = normalize(&raw);
         if runs.is_empty() {
@@ -76,14 +74,14 @@ proptest! {
         let mut seq = Bitmap::new(SPACE);
         seq.enable_aa_summary(AA_BLOCKS).unwrap();
 
-        part.mutate_runs_partitioned(&runs, true, workers).unwrap();
+        part.mutate_runs_partitioned(&runs, true).unwrap();
         for &(s, l) in &runs {
             seq.allocate_run(s, l).unwrap();
         }
         assert_equivalent(&part, &seq);
         prop_assert_eq!(part.take_dirty_stats(), seq.take_dirty_stats());
 
-        part.mutate_runs_partitioned(&runs, false, workers).unwrap();
+        part.mutate_runs_partitioned(&runs, false).unwrap();
         for &(s, l) in &runs {
             seq.free_run(s, l).unwrap();
         }
@@ -102,7 +100,6 @@ proptest! {
             (0..SPACE, 1u64..BITS_PER_BITMAP_BLOCK),
             1..12,
         ),
-        workers in 1usize..8,
     ) {
         let mut runs = normalize(&raw);
         if runs.is_empty() {
@@ -117,7 +114,7 @@ proptest! {
         let conflicts = runs
             .iter()
             .any(|&(s, l)| s.get() <= occupied && occupied < s.get() + l);
-        let res = b.mutate_runs_partitioned(&runs, true, workers);
+        let res = b.mutate_runs_partitioned(&runs, true);
         if conflicts {
             prop_assert!(res.is_err(), "allocating over an allocated bit must fail");
             prop_assert_eq!(b.free_blocks(), before_free);
@@ -125,7 +122,7 @@ proptest! {
             b.verify_summary();
         } else {
             prop_assert!(res.is_ok());
-            b.mutate_runs_partitioned(&runs, false, workers).unwrap();
+            b.mutate_runs_partitioned(&runs, false).unwrap();
             prop_assert_eq!(b.free_blocks(), before_free);
             b.verify_summary();
         }
@@ -140,15 +137,15 @@ fn malformed_run_lists_are_rejected() {
     b.enable_aa_summary(AA_BLOCKS).unwrap();
     // Overlap.
     assert!(b
-        .mutate_runs_partitioned(&[(Vbn(0), 10), (Vbn(5), 10)], true, 4)
+        .mutate_runs_partitioned(&[(Vbn(0), 10), (Vbn(5), 10)], true)
         .is_err());
     // Out of order (caught as overlap of the sorted precondition).
     assert!(b
-        .mutate_runs_partitioned(&[(Vbn(100), 10), (Vbn(0), 10)], true, 4)
+        .mutate_runs_partitioned(&[(Vbn(100), 10), (Vbn(0), 10)], true)
         .is_err());
     // Out of range.
     assert!(b
-        .mutate_runs_partitioned(&[(Vbn(SPACE - 1), 10)], true, 4)
+        .mutate_runs_partitioned(&[(Vbn(SPACE - 1), 10)], true)
         .is_err());
     // Nothing mutated by any of the rejections.
     assert_eq!(b.free_blocks(), SPACE);

@@ -73,7 +73,7 @@ impl ScoreDeltaBatch {
     /// The order matters: the caches break score ties by arrival order,
     /// so it decides which of two equally good AAs is picked next.
     /// Ascending, it is a function of the batch's contents — not of the
-    /// order shards recorded into it.
+    /// order it was recorded in.
     pub fn drain(&mut self) -> impl Iterator<Item = (AaId, ScoreDelta)> {
         let mut out = Vec::with_capacity(self.touched_count);
         for (w, word) in self.touched.iter_mut().enumerate() {

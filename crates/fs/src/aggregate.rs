@@ -286,11 +286,9 @@ impl Aggregate {
                 reason: "aggregate needs at least one RAID group".into(),
             });
         }
-        if cfg.write_shards == 0 {
+        if cfg.write_shards != 1 {
             return Err(WaflError::InvalidConfig {
-                reason: "write_shards must be >= 1: the legacy shards=0 pipeline moved to the \
-                         test-only wafl-oracle crate"
-                    .into(),
+                reason: "write_shards must be 1: there is one physical planner".into(),
             });
         }
         let mut groups = Vec::with_capacity(cfg.raid_groups.len());
@@ -376,9 +374,6 @@ impl Aggregate {
         let space = bitmap.space_len() as usize;
         let scrub = ScrubState::new(cfg.scrub_pages_per_cp);
         let mut obs = FsObs::default();
-        if cfg.write_shards > 1 {
-            obs.register_shards(cfg.write_shards);
-        }
         if cfg.trace_events > 0 {
             obs.enable_tracing(cfg.trace_events);
         }

@@ -61,6 +61,11 @@ pub(crate) struct AllocOutcome {
     /// Drains that started from the AA's first VBN (no cursor, cursor on
     /// another AA, or cursor invalidated by frees/quarantine/replenish).
     pub cursor_misses: u64,
+    /// Physical plans only: blocks taken from each AA drained, in drain
+    /// order. The CP records them into the group's score batch where it
+    /// applies `runs`, so the batch never describes blocks the bitmap
+    /// does not hold yet.
+    pub takes: Vec<(AaId, u32)>,
 }
 
 impl AllocOutcome {
@@ -175,15 +180,20 @@ fn plan_group_quarantine_sweep(
         let before = out.vbns.len();
         let ranges = g.topology.aa_write_ranges(aa);
         drain_ranges(&ranges, bitmap, quota, out);
-        g.batch
-            .record_allocated(aa, (out.vbns.len() - before) as u32);
+        out.takes.push((aa, (out.vbns.len() - before) as u32));
     }
 }
 
 /// Plan `quota` physical allocations from one RAID group. Reads the
 /// shared physical bitmap; mutates only group-local state (cache, batch,
 /// active AA), so plans for different groups run in parallel. The
-/// returned VBNs are applied to the bitmap serially afterwards.
+/// returned runs are applied to the bitmap serially afterwards, and the
+/// per-AA takes recorded into the group's batch with them.
+///
+/// `g.batch` holds exactly the changes the bitmap already carries and the
+/// cache has not seen (the CP records takes and frees where it applies
+/// them), so an HBPS replenish here spends it: the rescan has just read
+/// what it describes.
 pub(crate) fn plan_raid_group(
     g: &mut RaidGroupState,
     bitmap: &wafl_bitmap::Bitmap,
@@ -276,11 +286,14 @@ pub(crate) fn plan_raid_group(
                         }
                         if hbps.needs_replenish(4) {
                             hbps.replenish(g.topology.all_scores(bitmap))?;
+                            let _ = g.batch.drain().count();
                             out.replenish_pages += (g.geometry.data_blocks() / 32_768).max(1);
                         }
                         match hbps.take_best() {
                             Some((aa, _bound)) => {
-                                if g.quarantined_aas.contains(&aa) {
+                                // A replenish against the plan's snapshot
+                                // relists AAs this call has already drained.
+                                if g.quarantined_aas.contains(&aa) || !tried.insert(aa) {
                                     continue; // attempts bound caps this
                                 }
                                 let score = g.topology.score_from_bitmap(bitmap, aa);
@@ -341,11 +354,15 @@ pub(crate) fn plan_raid_group(
         // Assign the AA's free VBNs in write order: tetris by tetris, one
         // chain per device — full stripes and long chains (§2.3–2.4).
         // The plan phase must also skip VBNs it already took itself.
+        // Ranges with no free block are dropped by their summary count
+        // and not examined, like the prefix behind a volume's drain
+        // cursor.
         let before = out.vbns.len();
-        let ranges = g.topology.aa_write_ranges(aa);
+        let mut ranges = g.topology.aa_write_ranges(aa);
+        ranges.retain(|&(start, len)| bitmap.free_count_range(start, len) > 0);
         let exhausted = drain_ranges(&ranges, bitmap, quota, &mut out);
         let taken = (out.vbns.len() - before) as u32;
-        g.batch.record_allocated(aa, taken);
+        out.takes.push((aa, taken));
         if exhausted {
             out.drained.push(aa);
             g.active_aa = None;

@@ -76,36 +76,20 @@ pub struct AggregateConfig {
     pub pick_audit_sample: u32,
     /// CPU cost model for the per-op overhead accounting (§4.1.2).
     pub cpu: CpuModel,
-    /// Worker shards for the CP write pipeline. AAs are the sharding
-    /// unit: each shard leases disjoint AAs from the TopAA ranking and
-    /// drains them with no shared state on the per-block path; leases
-    /// return (re-ranked) at the CP boundary. `1` runs the sharded
-    /// pipeline single-threaded and fully deterministically; values
-    /// above 1 fan planning, binding, and the bulk bitmap applies out
-    /// over that many workers (capped by the host's cores). The default
-    /// — [`default_write_shards`] — is the host's detected parallelism.
-    /// `0` is rejected: the pre-sharding legacy pipeline it used to
-    /// select now lives in the test-only `wafl-oracle` crate. See
-    /// `docs/perf.md` ("Sharded write allocation").
+    /// Vestigial: always `1`, and [`Aggregate::new`](crate::Aggregate::new)
+    /// rejects anything else. The sharded planner that read it is gone;
+    /// the field stays only because the frozen `benchmark/src/main.rs`
+    /// prints it, and goes with that line in the next
+    /// benchmark-definition PR.
     pub write_shards: usize,
     /// Flight-recorder journal capacity in events; `0` (the default)
     /// disables tracing entirely. When set, the aggregate journals CP
-    /// phase spans, shard lease traffic, scrub/health transitions, and
+    /// phase spans, allocator events, scrub/health transitions, and
     /// mount phases into a bounded ring (overflow drops events and bumps
     /// `trace.dropped_events` — the hot path never blocks), and samples a
     /// per-CP time series of registry deltas. See `docs/observability.md`
     /// ("Flight recorder").
     pub trace_events: usize,
-}
-
-/// The detected default for [`AggregateConfig::write_shards`]: the
-/// host's available parallelism, 1 if detection fails. Every shard
-/// count produces the same observable file-system state (pinned by the
-/// parity suites), so the config can safely follow the hardware.
-pub fn default_write_shards() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 impl AggregateConfig {
@@ -125,7 +109,7 @@ impl AggregateConfig {
             scrub_pages_per_cp: 0,
             pick_audit_sample: 64,
             cpu: CpuModel::default(),
-            write_shards: default_write_shards(),
+            write_shards: 1,
             trace_events: 0,
         }
     }

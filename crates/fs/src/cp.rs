@@ -462,8 +462,9 @@ impl Aggregate {
         // ---- 2. virtual allocation, parallel across volumes -----------
         // Flight recorder epoch: the engine-track phase spans are
         // synthesized at step 10 from the wall-clock laps, anchored here.
-        // The tracer rides into the rayon closures as a clone (the ring
-        // is shared behind an Arc), leaving `self` free for par_iter_mut.
+        // The tracer rides into the rebalance fan-out as a clone (the
+        // ring is shared behind an Arc), leaving `self` free for
+        // par_iter_mut.
         let trace_t0 = self.obs.trace_now_us();
         let tracer = self.obs.tracer.clone();
         let trace_cp = stats.cp_index;
@@ -528,36 +529,23 @@ impl Aggregate {
         let quotas = self.rg_quotas(n);
         let bitmap = &self.bitmap;
         let audit_sample = self.cfg.pick_audit_sample;
-        let shards = self.cfg.write_shards;
-        let plans: Vec<WaflResult<(AllocOutcome, crate::sharded::ShardStats)>> = self
+        let plans: Vec<WaflResult<AllocOutcome>> = self
             .groups
             .par_iter_mut()
             .zip(quotas.par_iter())
             .enumerate()
             .map(|(i, (g, &quota))| {
-                crate::sharded::plan_raid_group_sharded(
+                plan_raid_group(
                     g,
                     bitmap,
                     quota,
                     mode,
                     cp_seed ^ (0xABCD + i as u64),
                     audit_sample,
-                    shards,
-                    tracer.as_ref(),
-                    trace_cp,
                 )
             })
             .collect();
-        let mut shard_stats = crate::sharded::ShardStats::default();
-        let plans: Vec<AllocOutcome> = plans
-            .into_iter()
-            .map(|r| {
-                r.map(|(out, s)| {
-                    shard_stats.accumulate(&s);
-                    out
-                })
-            })
-            .collect::<WaflResult<_>>()?;
+        let plans = plans.into_iter().collect::<WaflResult<Vec<_>>>()?;
         wall.plan_physical_us += lap_us(&mut mark);
         // Apply the plans to the shared bitmap (serial, cheap bit sets).
         if let Some(site @ CrashSite::AfterBlockWrites(limit)) = crash {
@@ -583,21 +571,23 @@ impl Aggregate {
         // forward.
         let mut per_rg_runs: Vec<Vec<(Vbn, u64)>> = Vec::with_capacity(self.groups.len());
         // Every group's runs are disjoint (groups own disjoint VBN
-        // ranges; within a group, shards drained disjoint AAs), so the
-        // whole CP applies as one sorted, page-partitioned bulk mutation.
+        // ranges; within a group, each AA is drained once), so the
+        // whole CP applies as one sorted bulk mutation.
         // The runs arrive as one ascending stretch per drained AA and
         // device, a handful per CP: the stable sort merges such
         // stretches where the unstable one would start from scratch.
         let mut all_runs: Vec<(Vbn, u64)> =
             plans.iter().flat_map(|p| p.runs.iter().copied()).collect();
         all_runs.sort_by_key(|&(start, _)| start.get());
-        self.bitmap
-            .mutate_runs_partitioned(&all_runs, true, shards)?;
+        self.bitmap.mutate_runs_partitioned(&all_runs, true)?;
         for plan in &plans {
             pvbns.extend_from_slice(&plan.vbns);
             per_rg_runs.push(plan.runs.clone());
         }
-        for (g, plan) in self.groups.iter().zip(&plans) {
+        for (g, plan) in self.groups.iter_mut().zip(&plans) {
+            for &(aa, taken) in &plan.takes {
+                g.batch.record_allocated(aa, taken);
+            }
             stats.agg_picks += plan.picked.len() as u64;
             stats.blocks_examined += plan.blocks_examined;
             stats.replenish_pages += plan.replenish_pages;
@@ -626,6 +616,9 @@ impl Aggregate {
                     cp_seed ^ (0xF00D + i as u64),
                     audit_sample,
                 )?;
+                for &(aa, taken) in &plan.takes {
+                    g.batch.record_allocated(aa, taken);
+                }
                 if plan.vbns.is_empty() {
                     continue;
                 }
@@ -672,8 +665,11 @@ impl Aggregate {
                     })?;
                     stats.delayed_frees_applied += dstats.frees_applied;
                     stats.delayed_free_pages += dstats.pages_processed;
-                    // The heaps still carry pre-free scores mid-CP; that
-                    // only costs pick quality. Retry the plans.
+                    // Retry the plans. A re-plan that scores AAs from the
+                    // bitmap (HBPS replenish, random-AA mode, the
+                    // quarantine sweep) finds the freed blocks; a heap
+                    // keeps its pre-free scores until the CP boundary
+                    // and does not (ROADMAP, open item 1).
                     continue;
                 }
                 return Err(WaflError::SpaceExhausted);
@@ -813,8 +809,8 @@ impl Aggregate {
                 }
                 Ok(())
             })?;
-            stats.delayed_frees_applied = dstats.frees_applied;
-            stats.delayed_free_pages = dstats.pages_processed;
+            stats.delayed_frees_applied += dstats.frees_applied;
+            stats.delayed_free_pages += dstats.pages_processed;
         } else {
             // Sort, walk the batch once for owner, trim, and per-AA
             // score accounting (the groups go by monotonically — they
@@ -969,7 +965,6 @@ impl Aggregate {
                         if let Some(t) = &tracer {
                             t.emit(
                                 trace_cp,
-                                None,
                                 TraceData::CursorInvalidated {
                                     vol: vol.id.0,
                                     reason: "replenish",
@@ -1084,7 +1079,6 @@ impl Aggregate {
             self.obs.trace_at(
                 t0,
                 cp,
-                None,
                 TraceData::Span {
                     name: "cp",
                     dur_us: wall.total_us,
@@ -1109,7 +1103,6 @@ impl Aggregate {
                 self.obs.trace_at(
                     ts,
                     cp,
-                    None,
                     TraceData::Span {
                         name,
                         dur_us,
@@ -1119,25 +1112,8 @@ impl Aggregate {
                 ts += dur_us;
             }
             if sweep_picks > 0 {
-                self.obs.trace_at(
-                    t0,
-                    cp,
-                    None,
-                    TraceData::SweepFallback { picks: sweep_picks },
-                );
-            }
-        }
-        // Per-shard lease traffic (registered only when write_shards > 1;
-        // the fallback paths report empty stats).
-        for (i, (&leases, &steals)) in shard_stats
-            .leases
-            .iter()
-            .zip(&shard_stats.steals)
-            .enumerate()
-        {
-            if let Some(shard_obs) = self.obs.shard.get(i) {
-                shard_obs.leases.inc(leases);
-                shard_obs.steals.inc(steals);
+                self.obs
+                    .trace_at(t0, cp, TraceData::SweepFallback { picks: sweep_picks });
             }
         }
         // Delta-scrape the maintenance counters of every cache structure
@@ -1574,6 +1550,109 @@ mod tests {
     }
 
     #[test]
+    fn cp_allocates_each_block_once_and_accounts_for_space() {
+        let mut a = agg(true, true);
+        use rand::prelude::*;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        for _ in 0..6 {
+            for _ in 0..3000 {
+                a.client_overwrite(VolumeId(0), rng.random_range(0..50_000))
+                    .unwrap();
+            }
+            a.run_cp().unwrap();
+        }
+        // The run invariants (no double allocation, summary counters
+        // exact) are enforced by the bitmap itself; reaching here without
+        // a BitmapStateMismatch *is* the disjointness proof. Check space
+        // accounting end-to-end on top.
+        a.bitmap().verify_summary();
+        let mapped = (0..50_000u64)
+            .filter(|&l| a.volumes()[0].lookup_logical(l).is_some())
+            .count() as u64;
+        assert_eq!(
+            a.bitmap().free_blocks() + mapped,
+            a.bitmap().space_len(),
+            "every live logical block occupies exactly one pvbn"
+        );
+    }
+
+    #[test]
+    fn quarantined_aas_are_never_allocated() {
+        let mut a = agg(true, true);
+        // Quarantine a few physical AAs, then allocate heavily.
+        {
+            let g = &mut a.groups_mut()[0];
+            g.quarantined_aas.insert(wafl_types::AaId(0));
+            g.quarantined_aas.insert(wafl_types::AaId(1));
+        }
+        use rand::prelude::*;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        for _ in 0..4 {
+            for _ in 0..2000 {
+                a.client_overwrite(VolumeId(0), rng.random_range(0..50_000))
+                    .unwrap();
+            }
+            a.run_cp().unwrap();
+        }
+        let g = &a.groups()[0];
+        for aa in [wafl_types::AaId(0), wafl_types::AaId(1)] {
+            for &(start, len) in &g.topology().aa_vbn_ranges(aa) {
+                assert_eq!(
+                    a.bitmap().free_count_range(start, len) as u64,
+                    len,
+                    "quarantined AA {aa:?} must never be drained"
+                );
+            }
+            match g.cache.as_ref() {
+                Some(GroupCache::Heap(cache)) => {
+                    assert!(cache.contains(aa), "quarantined AAs stay ranked")
+                }
+                _ => panic!("expected a heap cache"),
+            }
+        }
+    }
+
+    #[test]
+    fn partial_drains_keep_the_active_cursor() {
+        let mut a = agg(true, true);
+        use rand::prelude::*;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for _ in 0..3 {
+            for _ in 0..1000 {
+                a.client_overwrite(VolumeId(0), rng.random_range(0..50_000))
+                    .unwrap();
+            }
+            a.run_cp().unwrap();
+        }
+        // 1000 ops per CP never fill an AA, so the quota was met mid-AA:
+        // that AA stays the group's active cursor, held *out* of the
+        // ranking until it drains dry.
+        let g = &a.groups()[0];
+        let aa = g.active_aa.expect("quota met mid-AA leaves a cursor");
+        match g.cache.as_ref() {
+            Some(GroupCache::Heap(cache)) => {
+                assert!(!cache.contains(aa), "active cursor must be off the heap");
+            }
+            _ => panic!("expected a heap cache"),
+        }
+    }
+
+    #[test]
+    fn bind_batch_owner_updates_survive_reads() {
+        // End-to-end read-back: data written before a CP remains
+        // addressable after it.
+        let mut a = agg(true, true);
+        for l in 0..500u64 {
+            a.client_overwrite(VolumeId(0), l).unwrap();
+        }
+        a.run_cp().unwrap();
+        for l in (0..500u64).step_by(7) {
+            let vvbn = a.volumes()[0].lookup_logical(l).expect("mapped");
+            assert!(a.volumes()[0].lookup_vvbn(vvbn).is_some());
+        }
+    }
+
+    #[test]
     fn azcs_chain_translation() {
         let mut st = AZCS_IDLE;
         // A chain covering exactly one region (63 data blocks from 0):
@@ -1811,6 +1890,61 @@ mod batched_free_tests {
             a.bitmap().space_len() - a.bitmap().free_blocks(),
             55_000 + a.free_log().pending()
         );
+    }
+
+    /// A CP that pulls the log forward under space pressure and then
+    /// runs its budgeted pass reports both: every free that left the log
+    /// is counted once.
+    #[test]
+    fn force_drained_frees_are_counted_with_the_budgeted_ones() {
+        const LOGICAL: u64 = 250_000;
+        // Without the RAID-aware cache the re-plan scores AAs from the
+        // bitmap, so it finds the blocks a force-drain has just freed.
+        let mut a = Aggregate::new(
+            AggregateConfig {
+                batched_frees: true,
+                free_pages_per_cp: 1,
+                raid_aware_cache: false,
+                ..AggregateConfig::single_group(RaidGroupSpec {
+                    data_devices: 2,
+                    parity_devices: 1,
+                    device_blocks: 32 * 4096,
+                    profile: MediaProfile::hdd(),
+                })
+            },
+            &[(
+                FlexVolConfig {
+                    size_blocks: 8 * 32768,
+                    aa_cache: true,
+                    aa_blocks: None,
+                },
+                LOGICAL, // ~95 % of the 262,144-block aggregate
+            )],
+            8,
+        )
+        .unwrap();
+        aging::fill_volume(&mut a, VolumeId(0), 4096).unwrap();
+        use rand::prelude::*;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut force_drains = 0;
+        for cp in 0..35 {
+            for _ in 0..4096 {
+                a.client_overwrite(VolumeId(0), rng.random_range(0..LOGICAL))
+                    .unwrap();
+            }
+            let before = a.free_log().pending();
+            let s = a.run_cp().unwrap();
+            // The volume is full, so every op frees the block it
+            // overwrote: what entered the log and did not stay was applied.
+            assert_eq!(
+                s.delayed_frees_applied,
+                before + s.ops - a.free_log().pending(),
+                "cp {cp}"
+            );
+            // More pages than the budget means the log was force-drained.
+            force_drains += (s.delayed_free_pages > 1) as u32;
+        }
+        assert!(force_drains > 0, "the run must force-drain the log");
     }
 
     #[test]

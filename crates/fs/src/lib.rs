@@ -40,13 +40,12 @@ pub mod mount;
 pub mod obs;
 mod paged_map;
 pub mod scrub;
-pub mod sharded;
 pub mod snapshot;
 mod volume;
 
 pub use aggregate::{Aggregate, RaidGroupState};
 pub use allocator::AllocatorMode;
-pub use config::{default_write_shards, AggregateConfig, CpuModel, FlexVolConfig, RaidGroupSpec};
+pub use config::{AggregateConfig, CpuModel, FlexVolConfig, RaidGroupSpec};
 pub use cp::{CpOutcome, CpStats, CpWallClock, PhaseDrift, WallClockOverlay};
 pub use scrub::{HealthState, ScrubStatus};
 pub use volume::FlexVol;

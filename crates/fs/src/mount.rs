@@ -23,7 +23,6 @@ fn trace_mount_span(agg: &Aggregate, name: &'static str, t0: Option<f64>, model_
         agg.obs.trace_at(
             t0,
             agg.cp_count,
-            None,
             TraceData::Span {
                 name,
                 dur_us: now - t0,

@@ -116,14 +116,6 @@ pub struct FsObs {
     /// Measured wall clock: CP-boundary cache rebalance.
     pub(crate) cp_wall_rebalance_us: Histogram,
 
-    // ---- fs::sharded (per-shard lease traffic, exported per CP) ---------
-    /// Per-shard lease/steal counters (`allocator.shard.{i}.*`), present
-    /// when the aggregate was configured with `write_shards > 1`. Worker
-    /// shards never touch these mid-CP: they tally plain integers in
-    /// their private outcomes, and the CP boundary folds the totals in
-    /// through these lock-free handles.
-    pub(crate) shard: Vec<ShardObs>,
-
     // ---- fs::mount ------------------------------------------------------
     /// Structures (groups + volumes) fast-pathed from a TopAA seed.
     pub(crate) mount_seed_hits: Counter,
@@ -229,7 +221,6 @@ impl FsObs {
             cp_wall_frees_us: registry.histogram("cp.wall.frees_us", PHASE_US_BOUNDS),
             cp_wall_costing_us: registry.histogram("cp.wall.costing_us", PHASE_US_BOUNDS),
             cp_wall_rebalance_us: registry.histogram("cp.wall.rebalance_us", PHASE_US_BOUNDS),
-            shard: Vec::new(),
             mount_seed_hits: registry.counter("mount.topaa_seed_hits"),
             mount_degradations: registry.counter("mount.degradation_events"),
             mount_cold_pages: registry.counter("mount.cold_scan_pages"),
@@ -261,29 +252,11 @@ impl FsObs {
         &self.registry
     }
 
-    /// Pre-register the `allocator.shard.{i}.*` lease-traffic counters
-    /// for `n` worker shards. Called once at aggregate construction when
-    /// sharded write allocation is configured; idempotent per name (the
-    /// registry returns the existing handle on re-registration).
-    pub(crate) fn register_shards(&mut self, n: usize) {
-        self.shard = (0..n)
-            .map(|i| ShardObs {
-                leases: self
-                    .registry
-                    .counter(&format!("allocator.shard.{i}.leases")),
-                steals: self
-                    .registry
-                    .counter(&format!("allocator.shard.{i}.steals")),
-            })
-            .collect();
-    }
-
     /// Switch on the flight recorder: a bounded trace journal with room
     /// for `capacity` events plus the per-CP time series. Called once at
-    /// aggregate construction, after [`FsObs::register_shards`] so the
-    /// series can track the per-shard lease counters.
+    /// aggregate construction.
     pub(crate) fn enable_tracing(&mut self, capacity: usize) {
-        let mut counters: Vec<String> = [
+        let counters = [
             "cp.completed",
             "allocator.aas_claimed",
             "allocator.blocks_examined",
@@ -294,18 +267,10 @@ impl FsObs {
             "scrub.aas_quarantined",
             "scrub.released",
             wafl_obs::trace::DROPPED_EVENTS,
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        for i in 0..self.shard.len() {
-            counters.push(format!("allocator.shard.{i}.leases"));
-            counters.push(format!("allocator.shard.{i}.steals"));
-        }
-        let counter_refs: Vec<&str> = counters.iter().map(|s| s.as_str()).collect();
+        ];
         self.cp_series = Some(PerCpSeries::new(
             &self.registry,
-            &counter_refs,
+            &counters,
             &["cp.wall.total_us", "cp.phase.media_us"],
             &[
                 "space.free_fraction",
@@ -320,18 +285,18 @@ impl FsObs {
     /// Append a trace event stamped now; a no-op costing one `Option`
     /// check when tracing is off.
     #[inline]
-    pub(crate) fn trace(&self, cp: u64, shard: Option<u32>, data: TraceData) {
+    pub(crate) fn trace(&self, cp: u64, data: TraceData) {
         if let Some(t) = &self.tracer {
-            t.emit(cp, shard, data);
+            t.emit(cp, data);
         }
     }
 
     /// Append a trace event with an explicit timestamp (the CP engine's
     /// reconstructed phase timeline).
     #[inline]
-    pub(crate) fn trace_at(&self, ts_us: f64, cp: u64, shard: Option<u32>, data: TraceData) {
+    pub(crate) fn trace_at(&self, ts_us: f64, cp: u64, data: TraceData) {
         if let Some(t) = &self.tracer {
-            t.emit_at(ts_us, cp, shard, data);
+            t.emit_at(ts_us, cp, data);
         }
     }
 
@@ -388,23 +353,6 @@ impl Default for FsObs {
     fn default() -> FsObs {
         FsObs::new(Registry::new())
     }
-}
-
-/// One worker shard's lease-traffic counters.
-///
-/// The unit of both counters is a *lease* — one batch of AA ranges
-/// handed out by the lease manager — not an individual AA (a single
-/// lease typically spans several AA ranges).
-#[derive(Clone, Debug)]
-pub(crate) struct ShardObs {
-    /// Lease batches this shard drew from its own pre-partitioned queue
-    /// (the rank-ordered drain prefix is dealt round-robin into
-    /// per-shard queues up front).
-    pub(crate) leases: Counter,
-    /// Lease batches this shard stole after its *own* queue ran dry:
-    /// the most recently queued lease (`pop_back`) of the most-loaded
-    /// sibling. Attributed to the stealing shard, not the victim.
-    pub(crate) steals: Counter,
 }
 
 #[cfg(test)]

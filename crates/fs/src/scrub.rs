@@ -678,7 +678,7 @@ fn trace_health_change(agg: &Aggregate, before: HealthState) {
     let (from, to) = (before.as_gauge() as u8, agg.scrub.health.as_gauge() as u8);
     if from != to {
         agg.obs
-            .trace(agg.cp_count, None, TraceData::HealthChange { from, to });
+            .trace(agg.cp_count, TraceData::HealthChange { from, to });
     }
 }
 
@@ -809,8 +809,7 @@ pub(crate) fn run_step(
                 agg.obs.scrub_released.inc(released);
                 agg.obs.scrub_repairs_succeeded.inc(1);
                 if released > 0 {
-                    agg.obs
-                        .trace(cp, None, TraceData::Release { units: released });
+                    agg.obs.trace(cp, TraceData::Release { units: released });
                 }
                 // `i` stays: the next ticket shifted into this slot.
             }
@@ -855,7 +854,6 @@ pub(crate) fn run_step(
                 agg.obs.scrub_aas_quarantined.inc(quarantined);
                 agg.obs.trace(
                     cp,
-                    None,
                     TraceData::Quarantine {
                         units: quarantined.max(1), // structure quarantines fence 1 unit
                     },
@@ -874,12 +872,12 @@ pub(crate) fn run_step(
                     ScrubTarget::GroupCache(gi) if agg.groups[gi].cache_quarantined => {
                         agg.groups[gi].cache_quarantined = false;
                         agg.obs.scrub_released.inc(1);
-                        agg.obs.trace(cp, None, TraceData::Release { units: 1 });
+                        agg.obs.trace(cp, TraceData::Release { units: 1 });
                     }
                     ScrubTarget::VolCache(v) if agg.vols[v].cache_quarantined => {
                         agg.vols[v].cache_quarantined = false;
                         agg.obs.scrub_released.inc(1);
-                        agg.obs.trace(cp, None, TraceData::Release { units: 1 });
+                        agg.obs.trace(cp, TraceData::Release { units: 1 });
                     }
                     _ => {}
                 }

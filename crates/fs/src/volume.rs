@@ -223,7 +223,7 @@ impl FlexVol {
     /// freed *physical* VBNs for the aggregate's delayed-free path.
     /// Previous pairs that a snapshot pins detach instead and free when
     /// their last snapshot goes. Shaped as a batch so the CP engine can
-    /// fan whole volumes out across worker shards — every structure
+    /// fan whole volumes out across worker threads — every structure
     /// touched here belongs to this volume alone.
     ///
     /// Three passes instead of three dependent steps per block: a random

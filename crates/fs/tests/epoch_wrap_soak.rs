@@ -9,28 +9,21 @@
 //! array each time `cp_epoch` reaches a multiple of 255 — within any
 //! 255-epoch window. These tests soak the wrap: a stale stamp must
 //! never alias the current epoch byte and silently swallow a write.
-//!
-//! Run at one shard, an explicit multi-shard count, and the detected
-//! default — the stamp machinery sits upstream of the write pipeline,
-//! and must behave identically under all of them.
 
-use wafl_fs::{default_write_shards, Aggregate, AggregateConfig, FlexVolConfig, RaidGroupSpec};
+use wafl_fs::{Aggregate, AggregateConfig, FlexVolConfig, RaidGroupSpec};
 use wafl_media::MediaProfile;
 use wafl_types::VolumeId;
 
 const LOGICALS: u64 = 10_000;
 
-fn agg(shards: usize) -> Aggregate {
+fn agg() -> Aggregate {
     Aggregate::new(
-        AggregateConfig {
-            write_shards: shards,
-            ..AggregateConfig::single_group(RaidGroupSpec {
-                data_devices: 4,
-                parity_devices: 1,
-                device_blocks: 16 * 4096,
-                profile: MediaProfile::hdd(),
-            })
-        },
+        AggregateConfig::single_group(RaidGroupSpec {
+            data_devices: 4,
+            parity_devices: 1,
+            device_blocks: 16 * 4096,
+            profile: MediaProfile::hdd(),
+        }),
         &[(
             FlexVolConfig {
                 size_blocks: 4 * 32768,
@@ -50,8 +43,9 @@ fn agg(shards: usize) -> Aggregate {
 /// pass the stale stamp would equal the fresh epoch byte and the
 /// overwrite would be deduped away as "already dirty this CP"; with it,
 /// the write must queue and flush.
-fn gap_255_alias(shards: usize) {
-    let mut a = agg(shards);
+#[test]
+fn gap_255_alias() {
+    let mut a = agg();
     // Epoch 1 (stamp byte 2): write L and flush it.
     a.client_overwrite(VolumeId(0), 7).unwrap();
     let s = a.run_cp().unwrap();
@@ -69,12 +63,9 @@ fn gap_255_alias(shards: usize) {
     // the next CP must flush exactly it, moving the block's mapping.
     a.client_overwrite(VolumeId(0), 7).unwrap();
     let s = a.run_cp().unwrap();
-    assert_eq!(
-        s.ops, 1,
-        "shards {shards}: overwrite swallowed by a stale aliased stamp"
-    );
+    assert_eq!(s.ops, 1, "overwrite swallowed by a stale aliased stamp");
     let after = a.volumes()[0].lookup_logical(7).map(|v| v.get()).unwrap();
-    assert_ne!(before, after, "shards {shards}: COW must move the block");
+    assert_ne!(before, after, "COW must move the block");
 }
 
 /// Soak across >255 CPs: every round overwrites a fixed working set
@@ -82,10 +73,11 @@ fn gap_255_alias(shards: usize) {
 /// after stamp zeroing too) and the CP must flush exactly the distinct
 /// set — no round may lose writes to a stale stamp or double-queue
 /// after the wrap.
-fn soak(shards: usize) {
+#[test]
+fn soak() {
     const ROUNDS: u64 = 300; // > 255: crosses the zeroing epoch and beyond
     const SET: u64 = 64;
-    let mut a = agg(shards);
+    let mut a = agg();
     for round in 0..ROUNDS {
         // A sliding window of logicals; revisits earlier blocks often so
         // old stamps are plentiful when the epoch byte comes round.
@@ -95,40 +87,7 @@ fn soak(shards: usize) {
             a.client_overwrite(VolumeId(0), l).unwrap();
         }
         let s = a.run_cp().unwrap();
-        assert_eq!(
-            s.ops, SET,
-            "shards {shards} round {round}: CP flushed a wrong dirty set"
-        );
+        assert_eq!(s.ops, SET, "round {round}: CP flushed a wrong dirty set");
     }
     assert_eq!(a.cp_count(), ROUNDS);
-}
-
-#[test]
-fn gap_255_alias_one_shard() {
-    gap_255_alias(1);
-}
-
-#[test]
-fn gap_255_alias_multi_shard() {
-    gap_255_alias(4);
-}
-
-#[test]
-fn gap_255_alias_default_shards() {
-    gap_255_alias(default_write_shards());
-}
-
-#[test]
-fn soak_one_shard() {
-    soak(1);
-}
-
-#[test]
-fn soak_multi_shard() {
-    soak(4);
-}
-
-#[test]
-fn soak_default_shards() {
-    soak(default_write_shards());
 }

@@ -1,22 +1,22 @@
-//! Oracle parity: the sharded production pipeline versus the frozen
-//! sequential reference planner in `wafl-oracle`.
+//! Oracle parity: the production pipeline versus the frozen sequential
+//! reference planner in `wafl-oracle`.
 //!
-//! The oracle is a verbatim transcription of the retired legacy
-//! (`write_shards == 0`) pipeline — per-block bind, per-block frees,
-//! per-block costing — validated bit-for-bit against that code before
-//! it was deleted. These tests keep the production pipeline pinned to
-//! it at every shard count:
+//! The oracle is a verbatim transcription of the retired per-block
+//! pipeline — per-block bind, per-block frees, per-block costing —
+//! validated bit-for-bit against that code before it was deleted. These
+//! tests keep the production pipeline pinned to it:
 //!
-//! * physical and virtual layout match page for page (the lease
-//!   batches split the TopAA rank order, but their union is the same
-//!   rank-order drain prefix the sequential planner takes);
+//! * physical and virtual layout match page for page;
 //! * logical→virtual mappings are identical;
 //! * per-group media costing is f64-bit-identical (run-interval
-//!   analysis vs the oracle's per-block analysis).
+//!   analysis vs the oracle's per-block analysis);
+//! * the allocator's counters — blocks examined, replenish pages, cursor
+//!   hits and misses — and the modelled CPU time built on them are
+//!   identical, so the two cannot come to count the same work
+//!   differently.
 //!
 //! The `#[ignore]`d seed sweep is the `scripts/ci.sh --oracle-parity`
-//! gate: a release-mode sweep over seeds × shard counts with zero
-//! diffs allowed.
+//! gate: a release-mode sweep over seeds with zero diffs allowed.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -27,17 +27,14 @@ use wafl_types::VolumeId;
 
 const LOGICALS: u64 = 50_000;
 
-fn agg(shards: usize) -> Aggregate {
+fn agg() -> Aggregate {
     Aggregate::new(
-        AggregateConfig {
-            write_shards: shards,
-            ..AggregateConfig::single_group(RaidGroupSpec {
-                data_devices: 4,
-                parity_devices: 1,
-                device_blocks: 16 * 4096,
-                profile: MediaProfile::hdd(),
-            })
-        },
+        AggregateConfig::single_group(RaidGroupSpec {
+            data_devices: 4,
+            parity_devices: 1,
+            device_blocks: 16 * 4096,
+            profile: MediaProfile::hdd(),
+        }),
         &[(
             FlexVolConfig {
                 size_blocks: 8 * 32768,
@@ -70,7 +67,7 @@ fn oracle() -> OracleAggregate {
 }
 
 /// Drive both planners through the identical workload and assert full
-/// parity after every CP. Returns the number of CPs compared.
+/// parity after every CP.
 fn assert_parity(agg: &mut Aggregate, orc: &mut OracleAggregate, seed: u64, rounds: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     for round in 0..rounds {
@@ -167,25 +164,36 @@ fn assert_parity(agg: &mut Aggregate, orc: &mut OracleAggregate, seed: u64, roun
             so.media_us.to_bits(),
             "seed {seed} round {round}"
         );
+        // The allocator's counters and the modelled CPU time they feed.
+        assert_eq!(
+            sa.blocks_examined, so.blocks_examined,
+            "seed {seed} round {round}"
+        );
+        assert_eq!(
+            sa.replenish_pages, so.replenish_pages,
+            "seed {seed} round {round}"
+        );
+        assert_eq!(sa.cursor_hits, so.cursor_hits, "seed {seed} round {round}");
+        assert_eq!(
+            sa.cursor_misses, so.cursor_misses,
+            "seed {seed} round {round}"
+        );
+        assert_eq!(
+            sa.cache_maintenance_us.to_bits(),
+            so.cache_maintenance_us.to_bits(),
+            "seed {seed} round {round}"
+        );
+        assert_eq!(
+            sa.cpu_us.to_bits(),
+            so.cpu_us.to_bits(),
+            "seed {seed} round {round}"
+        );
     }
 }
 
 #[test]
-fn sharded_default_matches_oracle() {
-    // The detected-parallelism default — whatever this host resolves it
-    // to — must match the oracle exactly.
-    let shards = wafl_fs::default_write_shards();
-    assert_parity(&mut agg(shards), &mut oracle(), 7, 6);
-}
-
-#[test]
-fn one_shard_matches_oracle() {
-    assert_parity(&mut agg(1), &mut oracle(), 7, 6);
-}
-
-#[test]
-fn four_shards_match_oracle() {
-    assert_parity(&mut agg(4), &mut oracle(), 11, 6);
+fn single_group_matches_oracle() {
+    assert_parity(&mut agg(), &mut oracle(), 7, 6);
 }
 
 #[test]
@@ -206,7 +214,6 @@ fn multi_group_multi_vol_matches_oracle() {
     ];
     let mut cfg = AggregateConfig::single_group(groups[0].clone());
     cfg.raid_groups = groups.to_vec();
-    cfg.write_shards = 4;
     let vols = [(4u64 * 32768, 20_000u64), (2 * 32768, 10_000)];
     let mut agg = Aggregate::new(
         cfg,
@@ -287,20 +294,42 @@ fn multi_group_multi_vol_matches_oracle() {
             assert_eq!(a.per_device_chains, b.per_device_chains, "round {round}");
             assert_eq!(a.media_us.to_bits(), b.media_us.to_bits(), "round {round}");
         }
+        assert_eq!(sa.blocks_examined, so.blocks_examined, "round {round}");
+        assert_eq!(sa.cpu_us.to_bits(), so.cpu_us.to_bits(), "round {round}");
     }
 }
 
-/// The pick statistics behind every "picked AA free %" figure must not
-/// depend on the shard count. Geometry and aging of
-/// `tests/paper_claims.rs::caches_beat_average_on_aged_systems`, whose
-/// reported pick quality used to shift with the host's core count: the
-/// sharded planner counted the active AA it carried over from the last
-/// CP as a pick, at its depleted score, every CP.
+/// Same ops twice give the same file system and the same `CpStats`,
+/// every field but the measured `wall`: nothing in a CP depends on the
+/// host, the thread schedule or a per-process hash seed.
 #[test]
-fn pick_stats_do_not_depend_on_shard_count() {
-    const AGED_LOGICALS: u64 = 120_000;
-    let picks_per_cp = |shards: usize| {
-        let mut agg = Aggregate::new(
+fn same_ops_twice_give_identical_cp_stats() {
+    let drive = || {
+        let mut agg = agg();
+        let mut rng = StdRng::seed_from_u64(99);
+        let stats: Vec<_> = (0..4)
+            .map(|_| {
+                for _ in 0..2500 {
+                    agg.client_overwrite(VolumeId(0), rng.random_range(0..LOGICALS))
+                        .unwrap();
+                }
+                wafl_fs::CpStats {
+                    wall: Default::default(),
+                    ..agg.run_cp().unwrap()
+                }
+            })
+            .collect();
+        (stats, agg.bitmap().page_free_counts().to_vec())
+    };
+    assert_eq!(drive(), drive());
+}
+
+/// `write_shards` selected a planner once; there is one planner now and
+/// the field is fixed at 1 until the benchmark stops printing it.
+#[test]
+fn write_shards_other_than_one_is_rejected() {
+    for shards in [0, 2] {
+        let result = Aggregate::new(
             AggregateConfig {
                 write_shards: shards,
                 ..AggregateConfig::single_group(RaidGroupSpec {
@@ -310,74 +339,22 @@ fn pick_stats_do_not_depend_on_shard_count() {
                     profile: MediaProfile::hdd(),
                 })
             },
-            &[(
-                FlexVolConfig {
-                    size_blocks: 8 * 32768,
-                    aa_cache: true,
-                    aa_blocks: Some(4096),
-                },
-                AGED_LOGICALS,
-            )],
-            55,
-        )
-        .unwrap();
-        wafl_fs::aging::fill_volume(&mut agg, VolumeId(0), 4096).unwrap();
-        wafl_fs::aging::random_overwrite_churn(&mut agg, VolumeId(0), 240_000, 4096, 56).unwrap();
-        let mut rng = StdRng::seed_from_u64(57);
-        (0..10)
-            .map(|_| {
-                for _ in 0..4096 {
-                    agg.client_overwrite(VolumeId(0), rng.random_range(0..AGED_LOGICALS))
-                        .unwrap();
-                }
-                let s = agg.run_cp().unwrap();
-                (
-                    s.agg_picks,
-                    s.agg_pick_free_sum.to_bits(),
-                    s.vol_picks,
-                    s.vol_pick_free_sum.to_bits(),
-                )
-            })
-            .collect::<Vec<_>>()
-    };
-    let one = picks_per_cp(1);
-    assert!(one.iter().any(|&(agg_picks, ..)| agg_picks > 0));
-    for shards in [2, 4] {
-        assert_eq!(picks_per_cp(shards), one, "write_shards = {shards}");
+            &[(FlexVolConfig::default(), 1024)],
+            1,
+        );
+        assert!(matches!(
+            result,
+            Err(wafl_types::WaflError::InvalidConfig { .. })
+        ));
     }
 }
 
-#[test]
-fn legacy_shard_count_is_rejected() {
-    // write_shards == 0 used to select the in-tree legacy pipeline; the
-    // pipeline moved to wafl-oracle and the config value is now invalid.
-    let result = Aggregate::new(
-        AggregateConfig {
-            write_shards: 0,
-            ..AggregateConfig::single_group(RaidGroupSpec {
-                data_devices: 4,
-                parity_devices: 1,
-                device_blocks: 16 * 4096,
-                profile: MediaProfile::hdd(),
-            })
-        },
-        &[(FlexVolConfig::default(), 1024)],
-        1,
-    );
-    assert!(matches!(
-        result,
-        Err(wafl_types::WaflError::InvalidConfig { .. })
-    ));
-}
-
-/// The `scripts/ci.sh --oracle-parity` gate: seeds × shard counts, zero
-/// plan diffs allowed. Release-only (ignored by the default test run).
+/// The `scripts/ci.sh --oracle-parity` gate: a seed sweep, zero diffs
+/// allowed. Release-only (ignored by the default test run).
 #[test]
 #[ignore = "release-mode CI gate: run via scripts/ci.sh --oracle-parity"]
 fn oracle_parity_seed_sweep() {
     for seed in [1u64, 3, 17, 99, 123, 1024] {
-        for shards in [1usize, 2, 3, 4, 8] {
-            assert_parity(&mut agg(shards), &mut oracle(), seed, 4);
-        }
+        assert_parity(&mut agg(), &mut oracle(), seed, 4);
     }
 }

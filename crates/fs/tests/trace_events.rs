@@ -1,8 +1,8 @@
-//! End-to-end flight-recorder coverage: a sharded aggregate with tracing
-//! enabled journals CP phase spans, shard lease traffic, and allocator
-//! events; the Chrome-trace export validates (balanced spans, per-track
-//! CP ordering, the expected track set); and the per-CP series carries
-//! one row per completed CP.
+//! End-to-end flight-recorder coverage: an aggregate with tracing
+//! enabled journals CP phase spans and allocator events; the
+//! Chrome-trace export validates (balanced spans, CP ordering, the
+//! engine track); and the per-CP series carries one row per completed
+//! CP.
 
 use wafl_fs::{Aggregate, AggregateConfig, FlexVolConfig, RaidGroupSpec};
 use wafl_media::MediaProfile;
@@ -11,12 +11,9 @@ use wafl_obs::trace::{
 };
 use wafl_types::VolumeId;
 
-const SHARDS: usize = 4;
-
 fn traced_agg(trace_events: usize) -> Aggregate {
     Aggregate::new(
         AggregateConfig {
-            write_shards: SHARDS,
             trace_events,
             ..AggregateConfig::single_group(RaidGroupSpec {
                 data_devices: 4,
@@ -60,7 +57,7 @@ fn tracing_off_journals_nothing() {
 }
 
 #[test]
-fn sharded_cps_journal_phase_spans_and_lease_events() {
+fn cps_journal_phase_spans_and_allocator_instants() {
     let mut a = traced_agg(65_536);
     churn(&mut a, 4);
     let tracer = a.tracer().expect("tracing enabled");
@@ -68,7 +65,7 @@ fn sharded_cps_journal_phase_spans_and_lease_events() {
     let events = tracer.events();
     assert!(!events.is_empty());
 
-    // Every CP emitted its engine-track phase timeline...
+    // Every CP emitted its phase timeline...
     let phase_names = [
         "cp",
         "cp.plan_virtual",
@@ -82,38 +79,21 @@ fn sharded_cps_journal_phase_spans_and_lease_events() {
     for name in phase_names {
         let count = events
             .iter()
-            .filter(
-                |e| matches!(e.data, TraceData::Span { name: n, .. } if n == name && e.shard.is_none()),
-            )
+            .filter(|e| matches!(e.data, TraceData::Span { name: n, .. } if n == name))
             .count();
         assert_eq!(count, 4, "span {name} once per CP");
     }
-    // ...and the shard workers their lease grants and drain spans.
-    let leases = events
-        .iter()
-        .filter(|e| matches!(e.data, TraceData::Lease { .. }))
-        .count();
-    assert!(leases > 0, "sharded CPs must journal lease grants");
+    // ...and nothing but those spans and the allocator's instants (a
+    // healthy cache-guided run has no sweep fallback to report).
     for e in &events {
-        if let TraceData::Lease { take, .. } = e.data {
-            let shard = e.shard.expect("lease events ride shard tracks") as usize;
-            assert!(shard < SHARDS);
-            assert!(take > 0);
-        }
-    }
-    let drains = events
-        .iter()
-        .filter(|e| {
+        assert!(
             matches!(
                 e.data,
-                TraceData::Span {
-                    name: "shard.drain",
-                    ..
-                }
-            )
-        })
-        .count();
-    assert_eq!(drains, 4 * SHARDS, "one drain span per shard per CP");
+                TraceData::Span { .. } | TraceData::CursorInvalidated { .. }
+            ),
+            "unexpected event {e:?}"
+        );
+    }
 
     // CP sequence numbers cover exactly the completed CPs.
     let max_cp = events.iter().map(|e| e.cp).max().unwrap();
@@ -125,10 +105,9 @@ fn chrome_export_of_a_real_run_validates() {
     let mut a = traced_agg(65_536);
     churn(&mut a, 3);
     let events: Vec<TraceEvent> = a.tracer().unwrap().events();
-    let json = chrome_trace_json(&events, SHARDS);
+    let json = chrome_trace_json(&events);
     let parsed = parse_chrome_trace(&json).expect("exporter output parses");
-    let stats = validate_chrome_trace(&parsed, Some(SHARDS)).expect("trace validates");
-    assert_eq!(stats.shard_tracks, SHARDS);
+    let stats = validate_chrome_trace(&parsed).expect("trace validates");
     assert!(stats.engine_track);
     assert!(stats.spans > 0);
     assert_eq!(stats.max_cp, 2);
@@ -160,20 +139,6 @@ fn per_cp_series_has_one_row_per_cp() {
         );
         assert!(row.values[wall - 1] > 0.0, "wall time accrues every CP");
     }
-    // Per-shard lease counters are present and saw traffic overall.
-    let lease_cols: Vec<usize> = (0..SHARDS)
-        .map(|i| {
-            columns
-                .iter()
-                .position(|c| c == &format!("allocator.shard.{i}.leases"))
-                .expect("shard lease columns registered")
-        })
-        .collect();
-    let total: f64 = rows
-        .iter()
-        .flat_map(|r| lease_cols.iter().map(|&c| r.values[c - 1]))
-        .sum();
-    assert!(total > 0.0, "lease traffic shows up in the series");
 }
 
 #[test]
@@ -190,7 +155,7 @@ fn ring_overflow_drops_and_counts_but_cps_still_complete() {
     // Dropped spans never unbalance the export: spans are journaled
     // whole, so begin/end pairs are synthesized only for survivors.
     let events = tracer.events();
-    let json = chrome_trace_json(&events, SHARDS);
+    let json = chrome_trace_json(&events);
     let parsed = parse_chrome_trace(&json).unwrap();
-    validate_chrome_trace(&parsed, None).expect("partial journal still balances");
+    validate_chrome_trace(&parsed).expect("partial journal still balances");
 }

@@ -1,9 +1,8 @@
 //! Records the free-count-summary performance baseline: whole-bitmap
 //! score rebuild (summary versus the retained popcount walk) at 1 Mi
-//! blocks, summary-accelerated range counts, the CP overwrite workload,
-//! and the sharded-pipeline shard sweep — written as
-//! `BENCH_bitmap.json`, `BENCH_cp.json`, `BENCH_alloc.json`,
-//! `BENCH_parallel.json`, and `BENCH_obs.json` for the repo record (see
+//! blocks, summary-accelerated range counts, and the CP overwrite
+//! workload — written as `BENCH_bitmap.json`, `BENCH_cp.json`,
+//! `BENCH_alloc.json`, and `BENCH_obs.json` for the repo record (see
 //! `docs/perf.md`). `BENCH_obs.json` also records the flight recorder's
 //! tracing-on versus tracing-off throughput (the overhead target is
 //! < 2 %) and the traced run's per-CP time series.
@@ -20,7 +19,6 @@ use std::time::Instant;
 use wafl_bitmap::{scan, Bitmap};
 use wafl_fs::{Aggregate, AggregateConfig, FlexVolConfig, RaidGroupSpec};
 use wafl_media::MediaProfile;
-use wafl_oracle::{OracleAggregate, OracleRaidGroupSpec, OracleVolSpec};
 use wafl_types::{Vbn, VolumeId, BITS_PER_BITMAP_BLOCK};
 
 /// 1 Mi blocks = 32 bitmap pages = a 4 GiB space at 4 KiB blocks.
@@ -210,22 +208,15 @@ struct CpBaseline {
 /// re-measured here so CP latency is part of the recorded baseline.
 /// Also returns the aggregate's observability snapshot so the allocator
 /// pipeline's counters land in the baseline record (`BENCH_obs.json`).
-/// `shards` selects the CP pipeline fan-out: 1 = single-threaded, >1 =
-/// fanned out (the retired `shards == 0` legacy pipeline lives in
-/// `wafl-oracle`; see [`oracle_series`]). `trace_events > 0` switches on
-/// the flight recorder with that ring capacity; the third return is then
-/// the traced run's per-CP series JSON.
-fn cp_series(
-    caches: bool,
-    shards: usize,
-    trace_events: usize,
-) -> (CpSeries, String, Option<String>) {
+/// `trace_events > 0` switches on the flight recorder with that ring
+/// capacity; the third return is then the traced run's per-CP series
+/// JSON.
+fn cp_series(caches: bool, trace_events: usize) -> (CpSeries, String, Option<String>) {
     const ROUNDS: u64 = 24;
     const OPS: u64 = 8192;
     let mut agg = Aggregate::new(
         AggregateConfig {
             raid_aware_cache: caches,
-            write_shards: shards,
             trace_events,
             ..AggregateConfig::single_group(RaidGroupSpec {
                 data_devices: 4,
@@ -277,8 +268,8 @@ fn cp_series(
     (series, agg.obs().snapshot_json(), per_cp)
 }
 
-/// The flight recorder's cost on the sharded CP workload: the same
-/// caches-on 4-shard series with tracing off and on, best-of-5 trials
+/// The flight recorder's cost on the CP workload: the same caches-on
+/// series with tracing off and on, best-of-5 trials
 /// per arm with the arms interleaved (off, on, off, on, ...) so
 /// host-frequency drift hits both equally — run-to-run variance on a
 /// loaded host easily exceeds the effect being measured, which is one
@@ -291,138 +282,6 @@ struct TraceOverhead {
     ops_per_second_on: f64,
     /// `1 - on/off`; the acceptance target is < 0.02.
     overhead_fraction: f64,
-}
-
-/// One shard-count sample of the CP workload.
-#[derive(Serialize)]
-struct ParallelSeries {
-    /// Which planner produced this sample — pins the baseline to the
-    /// `wafl-oracle` crate by name, so a config mix-up can't silently
-    /// measure the candidate against itself.
-    planner: String,
-    write_shards: usize,
-    ops_per_second: f64,
-    mean_round_ms: f64,
-    mean_cp_flush_ms: f64,
-}
-
-/// The `cp_series(true, ..)` workload replayed on the `wafl-oracle`
-/// sequential planner — the frozen transcription of the retired
-/// `write_shards: 0` pipeline, which is the baseline arm of
-/// `BENCH_parallel.json`.
-fn oracle_series() -> ParallelSeries {
-    const ROUNDS: u64 = 24;
-    const OPS: u64 = 8192;
-    const LOGICAL: u64 = 200_000;
-    let mut orc = OracleAggregate::new(
-        &[OracleRaidGroupSpec {
-            data_devices: 4,
-            parity_devices: 1,
-            device_blocks: 64 * 4096,
-        }],
-        &[(
-            OracleVolSpec {
-                size_blocks: 16 * BITS_PER_BITMAP_BLOCK,
-                aa_blocks: None,
-            },
-            LOGICAL,
-        )],
-    )
-    .unwrap();
-    // Same prefill as `aging::fill_volume(.., 8192)`.
-    let mut l = 0u64;
-    while l < LOGICAL {
-        let end = (l + 8192).min(LOGICAL);
-        for b in l..end {
-            orc.client_overwrite(VolumeId(0), b).unwrap();
-        }
-        orc.run_cp().unwrap();
-        l = end;
-    }
-    let mut rng = StdRng::seed_from_u64(2);
-    let round = |orc: &mut OracleAggregate, rng: &mut StdRng| {
-        for _ in 0..OPS {
-            orc.client_overwrite(VolumeId(0), rng.random_range(0..LOGICAL))
-                .unwrap();
-        }
-        let cp = Instant::now();
-        orc.run_cp().unwrap();
-        cp.elapsed()
-    };
-    for _ in 0..4 {
-        round(&mut orc, &mut rng);
-    }
-    let start = Instant::now();
-    let mut cp_total = 0.0f64;
-    for _ in 0..ROUNDS {
-        cp_total += round(&mut orc, &mut rng).as_secs_f64();
-    }
-    let total = start.elapsed().as_secs_f64();
-    ParallelSeries {
-        planner: "wafl-oracle/sequential".into(),
-        write_shards: 0,
-        ops_per_second: (ROUNDS * OPS) as f64 / total,
-        mean_round_ms: total * 1e3 / ROUNDS as f64,
-        mean_cp_flush_ms: cp_total * 1e3 / ROUNDS as f64,
-    }
-}
-
-/// The sharded-pipeline record (`BENCH_parallel.json`): the caches-on CP
-/// workload across shard counts, against both the sequential reference
-/// planner (`wafl-oracle`) and the committed pre-sharding baseline.
-#[derive(Serialize)]
-struct ParallelBaseline {
-    /// `std::thread::available_parallelism()` of the measuring host —
-    /// the shard-count speedups only separate when this exceeds the
-    /// shard counts (see the multi-core caveat in `docs/perf.md`).
-    host_parallelism: usize,
-    /// The committed pre-sharding caches-on baseline (`BENCH_cp.json` as
-    /// recorded by the cache-guided allocation PR).
-    reference_ops_per_second: f64,
-    /// The retired sequential pipeline, replayed from its `wafl-oracle`
-    /// transcription on this host now.
-    baseline: ParallelSeries,
-    /// The sharded pipeline at increasing shard counts.
-    series: Vec<ParallelSeries>,
-    /// 4-shard ops/s over the committed reference — the acceptance gate
-    /// is >= 2.0.
-    speedup_4_shards_vs_reference: f64,
-    /// 4-shard ops/s over the live wafl-oracle baseline run.
-    speedup_4_shards_vs_baseline: f64,
-}
-
-/// Caches-on CP-round throughput of the wafl-oracle baseline and the
-/// sharded pipeline at 1/2/4/8 shards.
-fn parallel_baseline(reference_ops_per_second: f64) -> ParallelBaseline {
-    let sample = |shards: usize| {
-        let (s, _, _) = cp_series(true, shards, 0);
-        ParallelSeries {
-            planner: format!("wafl-fs/sharded({shards})"),
-            write_shards: shards,
-            ops_per_second: s.ops_per_second,
-            mean_round_ms: s.mean_round_ms,
-            mean_cp_flush_ms: s.mean_cp_flush_ms,
-        }
-    };
-    let baseline = oracle_series();
-    let series: Vec<ParallelSeries> = [1, 2, 4, 8].into_iter().map(sample).collect();
-    assert!(
-        series.iter().all(|s| s.planner != baseline.planner),
-        "baseline and candidate resolved to the same planner"
-    );
-    let at4 = series
-        .iter()
-        .find(|s| s.write_shards == 4)
-        .map(|s| s.ops_per_second)
-        .unwrap_or(0.0);
-    ParallelBaseline {
-        host_parallelism: wafl_fs::default_write_shards(),
-        reference_ops_per_second,
-        speedup_4_shards_vs_reference: at4 / reference_ops_per_second,
-        speedup_4_shards_vs_baseline: at4 / baseline.ops_per_second,
-        baseline,
-        series,
-    }
 }
 
 fn main() {
@@ -454,8 +313,8 @@ fn main() {
     );
 
     eprintln!("measuring CP overwrite workload...");
-    let (caches_on, obs_snapshot, _) = cp_series(true, 1, 0);
-    let (caches_off, obs_snapshot_off, _) = cp_series(false, 1, 0);
+    let (caches_on, obs_snapshot, _) = cp_series(true, 0);
+    let (caches_off, obs_snapshot_off, _) = cp_series(false, 0);
     let alloc = AllocBaseline {
         run_len,
         bulk_cycle_ns,
@@ -477,34 +336,15 @@ fn main() {
         cp.caches_off.ops_per_second, alloc.cache_on.cursor_hit_rate
     );
 
-    eprintln!("measuring sharded CP pipeline (wafl-oracle baseline + shards = 1/2/4/8)...");
-    // The committed pre-sharding caches-on baseline (BENCH_cp.json).
-    let parallel = parallel_baseline(1_839_272.0);
-    eprintln!(
-        "  {} {:.0} ops/s; 4 shards {:.0} ops/s \
-         ({:.2}x vs reference, {:.2}x vs baseline; host parallelism {})",
-        parallel.baseline.planner,
-        parallel.baseline.ops_per_second,
-        parallel
-            .series
-            .iter()
-            .find(|s| s.write_shards == 4)
-            .map(|s| s.ops_per_second)
-            .unwrap_or(0.0),
-        parallel.speedup_4_shards_vs_reference,
-        parallel.speedup_4_shards_vs_baseline,
-        parallel.host_parallelism,
-    );
-
-    eprintln!("measuring flight-recorder overhead (4 shards, tracing off/on, best of 5)...");
+    eprintln!("measuring flight-recorder overhead (tracing off/on, best of 5)...");
     const TRACE_CAPACITY: usize = 65_536;
     const TRIALS: u32 = 5;
     let mut off_best = 0.0f64;
     let mut on_best = 0.0f64;
     let mut per_cp = None;
     for _ in 0..TRIALS {
-        off_best = off_best.max(cp_series(true, 4, 0).0.ops_per_second);
-        let (s, _, p) = cp_series(true, 4, TRACE_CAPACITY);
+        off_best = off_best.max(cp_series(true, 0).0.ops_per_second);
+        let (s, _, p) = cp_series(true, TRACE_CAPACITY);
         if s.ops_per_second > on_best {
             on_best = s.ops_per_second;
             per_cp = p;
@@ -536,10 +376,6 @@ fn main() {
         ("BENCH_bitmap.json", serde_json::to_string_pretty(&bitmap)),
         ("BENCH_cp.json", serde_json::to_string_pretty(&cp)),
         ("BENCH_alloc.json", serde_json::to_string_pretty(&alloc)),
-        (
-            "BENCH_parallel.json",
-            serde_json::to_string_pretty(&parallel),
-        ),
         // Flight-recorder overhead + the traced run's per-CP series +
         // the caches-on run's registry snapshot (already JSON).
         ("BENCH_obs.json", Ok(obs_record)),

@@ -15,8 +15,8 @@
 //! cloned out of the registry once and bumped from hot paths without a
 //! lock; the registry mutex is touched only at registration and snapshot
 //! time. All updates are relaxed atomic read-modify-writes, so handles
-//! are safe to bump concurrently from the sharded CP pipeline's worker
-//! threads — no increment is ever lost, though cross-instrument
+//! are safe to bump concurrently from the CP's per-volume and per-group
+//! worker threads — no increment is ever lost, though cross-instrument
 //! ordering is unspecified mid-CP (snapshots are taken at CP
 //! boundaries, after the workers have joined). [`Registry::snapshot_json`] renders everything as one
 //! deterministic JSON object so harness reports and CI smoke checks can
@@ -518,8 +518,8 @@ mod tests {
         assert_send_sync::<Histogram>();
     }
 
-    /// Shard-safety: concurrent increments from worker threads (the
-    /// sharded CP pipeline's usage) lose nothing.
+    /// Concurrent increments from worker threads (the CP's per-volume
+    /// fan-out) lose nothing.
     #[test]
     fn counters_survive_contended_increments() {
         const THREADS: u64 = 4;

@@ -1,11 +1,11 @@
 //! Flight-recorder trace journal for the CP pipeline.
 //!
 //! The metrics registry answers "how much" at CP boundaries; this module
-//! answers "what happened, when, on which shard" *inside* a CP. A
-//! [`Tracer`] is a lock-light, bounded journal of typed [`TraceEvent`]s —
-//! CP phase spans, allocator lease/steal/cursor events, scrub and health
-//! transitions, mount phases — that worker threads append to without ever
-//! blocking the hot path:
+//! answers "what happened, and when" *inside* a CP. A [`Tracer`] is a
+//! lock-light, bounded journal of typed [`TraceEvent`]s — CP phase spans,
+//! allocator cursor and sweep events, scrub and health transitions, mount
+//! phases — that worker threads append to without ever blocking the hot
+//! path:
 //!
 //! * appending claims a slot with one relaxed `fetch_add` on the write
 //!   cursor; each slot is an uncontended per-slot mutex (no two writers
@@ -14,8 +14,8 @@
 //!   never blocked on — and counted in the registry's
 //!   `trace.dropped_events` counter;
 //! * every event carries the CP sequence number it belongs to, so events
-//!   are causally ordered per CP even when shard workers emit them
-//!   concurrently.
+//!   are causally ordered per CP even when the per-volume fan-out emits
+//!   them concurrently.
 //!
 //! Timestamps come from a monotonic clock anchored at tracer creation
 //! (`µs` since the epoch). This is the one place in `wafl-obs` that reads
@@ -25,8 +25,7 @@
 //! Two exporters render a journal:
 //!
 //! * [`chrome_trace_json`] — Chrome trace-event JSON loadable in
-//!   `chrome://tracing` or Perfetto, one track per write shard plus a
-//!   CP-engine track (`tid 0`);
+//!   `chrome://tracing` or Perfetto, on one CP-engine track;
 //! * [`PerCpSeries`] — a per-CP time-series table of registry counter
 //!   deltas, histogram-sum deltas, and gauge values, rendered as JSON or
 //!   CSV.
@@ -54,8 +53,6 @@ pub struct TraceEvent {
     /// CP sequence number the event belongs to (the value of the
     /// aggregate's CP counter when the event was emitted).
     pub cp: u64,
-    /// Originating write shard, or `None` for the CP-engine track.
-    pub shard: Option<u32>,
     /// The typed payload.
     pub data: TraceData,
 }
@@ -69,21 +66,12 @@ pub enum TraceData {
     /// Recording begin and end as one entry makes exported begin/end
     /// pairs balanced by construction even when the ring drops events.
     Span {
-        /// Span name, e.g. `"cp.plan_physical"` or `"shard.drain"`.
+        /// Span name, e.g. `"cp.plan_physical"` or `"mount.topaa"`.
         name: &'static str,
         /// Measured wall-clock duration in µs.
         dur_us: f64,
         /// Modeled duration in µs (0 when not modeled).
         model_us: f64,
-    },
-    /// A shard was granted an AA range lease by the lease manager.
-    Lease {
-        /// The leased allocation area.
-        aa: u32,
-        /// Blocks the lease was asked to supply.
-        take: u64,
-        /// Whether the lease was stolen from another shard's queue.
-        stolen: bool,
     },
     /// The allocator fell back to a bitmap sweep for `picks` picks.
     SweepFallback {
@@ -122,7 +110,6 @@ impl TraceData {
     pub fn name(&self) -> &'static str {
         match self {
             TraceData::Span { name, .. } => name,
-            TraceData::Lease { .. } => "alloc.lease",
             TraceData::SweepFallback { .. } => "alloc.sweep_fallback",
             TraceData::CursorInvalidated { .. } => "alloc.cursor_invalidated",
             TraceData::Quarantine { .. } => "scrub.quarantine",
@@ -184,15 +171,15 @@ impl Tracer {
     }
 
     /// Append an event stamped with the current time.
-    pub fn emit(&self, cp: u64, shard: Option<u32>, data: TraceData) {
-        self.emit_at(self.now_us(), cp, shard, data);
+    pub fn emit(&self, cp: u64, data: TraceData) {
+        self.emit_at(self.now_us(), cp, data);
     }
 
     /// Append an event with an explicit timestamp (used by the CP engine
     /// to journal a phase timeline reconstructed at the end of the CP).
     /// Claims a slot with one relaxed `fetch_add`; a full ring drops the
     /// event and bumps `trace.dropped_events` instead of blocking.
-    pub fn emit_at(&self, ts_us: f64, cp: u64, shard: Option<u32>, data: TraceData) {
+    pub fn emit_at(&self, ts_us: f64, cp: u64, data: TraceData) {
         let inner = &*self.inner;
         let idx = inner.head.fetch_add(1, Ordering::Relaxed);
         if idx >= inner.slots.len() {
@@ -200,12 +187,7 @@ impl Tracer {
             return;
         }
         let mut slot = inner.slots[idx].lock().expect("trace slot poisoned");
-        *slot = Some(TraceEvent {
-            ts_us,
-            cp,
-            shard,
-            data,
-        });
+        *slot = Some(TraceEvent { ts_us, cp, data });
     }
 
     /// Journal capacity in events.
@@ -242,14 +224,8 @@ impl Tracer {
 // Chrome trace-event exporter
 // ---------------------------------------------------------------------------
 
-/// Map an event to its Chrome `tid`: the CP-engine track is `tid 0`,
-/// shard `i` is `tid i + 1`.
-fn tid_of(ev: &TraceEvent) -> u64 {
-    match ev.shard {
-        None => 0,
-        Some(s) => s as u64 + 1,
-    }
-}
+/// The Chrome `tid` of the CP-engine track, the only one exported.
+const ENGINE_TID: u64 = 0;
 
 fn cat_of(name: &str) -> &str {
     name.split('.').next().unwrap_or(name)
@@ -269,16 +245,10 @@ fn push_event_header(out: &mut String, name: &str, ph: &str, ts: f64, tid: u64) 
 }
 
 fn push_instant(out: &mut String, ev: &TraceEvent) {
-    push_event_header(out, ev.data.name(), "i", ev.ts_us, tid_of(ev));
+    push_event_header(out, ev.data.name(), "i", ev.ts_us, ENGINE_TID);
     out.push_str(",\"s\":\"t\",\"args\":{\"cp\":");
     out.push_str(&ev.cp.to_string());
     match ev.data {
-        TraceData::Lease { aa, take, stolen } => {
-            out.push_str(&format!(
-                ",\"aa\":{aa},\"take\":{take},\"stolen\":{}",
-                stolen as u8
-            ));
-        }
         TraceData::SweepFallback { picks } => out.push_str(&format!(",\"picks\":{picks}")),
         TraceData::CursorInvalidated { vol, reason } => {
             out.push_str(&format!(",\"vol\":{vol},\"reason\":"));
@@ -310,17 +280,13 @@ fn push_metadata(out: &mut String, name: &str, tid: Option<u64>, value: &str) {
 /// Render a journal snapshot as Chrome trace-event JSON
 /// (`chrome://tracing` / Perfetto-loadable).
 ///
-/// Tracks: `tid 0` is the CP-engine track; shard `i` gets `tid i + 1`,
-/// with thread-name metadata emitted for all `shard_tracks` shards even
-/// when a shard recorded nothing (so the track count always matches the
-/// configured `write_shards`). Events are ordered CP-major — stable-sorted
-/// by `(cp, ts)` — and each [`TraceData::Span`] expands to a balanced
-/// `"B"`/`"E"` pair on its track. Spans on one track that overlap without
-/// nesting (same shard serving two RAID groups concurrently on a
-/// multi-core host) are clipped to the enclosing span's end so every
-/// track's begin/end sequence stays well-formed; the span's `wall_us` arg
-/// always carries the unclipped duration.
-pub fn chrome_trace_json(events: &[TraceEvent], shard_tracks: usize) -> String {
+/// Everything rides the CP-engine track (`tid 0`). Events are ordered
+/// CP-major — stable-sorted by `(cp, ts)` — and each [`TraceData::Span`]
+/// expands to a balanced `"B"`/`"E"` pair. Spans that overlap without
+/// nesting are clipped to the enclosing span's end so the begin/end
+/// sequence stays well-formed; the span's `wall_us` arg always carries
+/// the unclipped duration.
+pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     let mut sorted: Vec<&TraceEvent> = events.iter().collect();
     sorted.sort_by(|a, b| {
         (a.cp, a.ts_us)
@@ -332,35 +298,15 @@ pub fn chrome_trace_json(events: &[TraceEvent], shard_tracks: usize) -> String {
     out.push_str("{\"traceEvents\":[");
     push_metadata(&mut out, "process_name", None, "wafl-sim");
     out.push(',');
-    push_metadata(&mut out, "thread_name", Some(0), "cp-engine");
-    for s in 0..shard_tracks {
-        out.push(',');
-        push_metadata(
-            &mut out,
-            "thread_name",
-            Some(s as u64 + 1),
-            &format!("shard {s}"),
-        );
-    }
-
-    let mut tids: Vec<u64> = sorted.iter().map(|e| tid_of(e)).collect();
-    tids.sort_unstable();
-    tids.dedup();
-    for tid in tids {
-        let track: Vec<&TraceEvent> = sorted
-            .iter()
-            .copied()
-            .filter(|e| tid_of(e) == tid)
-            .collect();
-        push_track(&mut out, tid, &track);
-    }
+    push_metadata(&mut out, "thread_name", Some(ENGINE_TID), "cp-engine");
+    push_track(&mut out, &sorted);
     out.push_str("],\"displayTimeUnit\":\"ms\"}");
     out
 }
 
-/// Emit one track's events: spans as nested B/E pairs (clipping
+/// Emit the track's events: spans as nested B/E pairs (clipping
 /// non-nesting overlap), instants merged in by timestamp.
-fn push_track(out: &mut String, tid: u64, track: &[&TraceEvent]) {
+fn push_track(out: &mut String, track: &[&TraceEvent]) {
     struct OpenSpan {
         name: &'static str,
         cp: u64,
@@ -390,7 +336,7 @@ fn push_track(out: &mut String, tid: u64, track: &[&TraceEvent]) {
     let mut stack: Vec<OpenSpan> = Vec::new();
     let close = |entries: &mut Vec<(f64, String)>, open: OpenSpan| {
         let mut s = String::new();
-        push_event_header(&mut s, open.name, "E", open.end, tid);
+        push_event_header(&mut s, open.name, "E", open.end, ENGINE_TID);
         s.push_str(&format!(",\"args\":{{\"cp\":{},\"wall_us\":", open.cp));
         push_f64(&mut s, open.wall_us);
         s.push_str(",\"model_us\":");
@@ -421,7 +367,7 @@ fn push_track(out: &mut String, tid: u64, track: &[&TraceEvent]) {
             _ => unreachable!("spans vec only holds Span events"),
         };
         let mut s = String::new();
-        push_event_header(&mut s, name, "B", start, tid);
+        push_event_header(&mut s, name, "B", start, ENGINE_TID);
         s.push_str(&format!(",\"args\":{{\"cp\":{}}}}}", ev.cp));
         entries.push((start, s));
         stack.push(OpenSpan {
@@ -927,8 +873,6 @@ pub struct ChromeTraceStats {
     pub spans: usize,
     /// Instant events.
     pub instants: usize,
-    /// Shard tracks named by thread-name metadata (`"shard N"`).
-    pub shard_tracks: usize,
     /// Whether the CP-engine track metadata is present.
     pub engine_track: bool,
     /// Highest CP sequence number seen.
@@ -937,12 +881,8 @@ pub struct ChromeTraceStats {
 
 /// Validate a parsed trace: every `B` has a matching same-name `E` on its
 /// track (in file order), CP sequence numbers never decrease within a
-/// track, and — when `expect_shards` is given — the shard track count
-/// matches exactly.
-pub fn validate_chrome_trace(
-    events: &[ParsedEvent],
-    expect_shards: Option<usize>,
-) -> Result<ChromeTraceStats, String> {
+/// track, and the CP-engine track is named.
+pub fn validate_chrome_trace(events: &[ParsedEvent]) -> Result<ChromeTraceStats, String> {
     let mut stats = ChromeTraceStats {
         events: events.len(),
         ..ChromeTraceStats::default()
@@ -956,8 +896,6 @@ pub fn validate_chrome_trace(
                     let track = ev.args.get("name").and_then(|v| v.as_str()).unwrap_or("");
                     if track == "cp-engine" {
                         stats.engine_track = true;
-                    } else if track.starts_with("shard ") {
-                        stats.shard_tracks += 1;
                     }
                 }
                 continue;
@@ -1004,14 +942,6 @@ pub fn validate_chrome_trace(
     if !stats.engine_track {
         return Err("missing cp-engine track metadata".to_string());
     }
-    if let Some(expected) = expect_shards {
-        if stats.shard_tracks != expected {
-            return Err(format!(
-                "expected {expected} shard tracks, found {}",
-                stats.shard_tracks
-            ));
-        }
-    }
     Ok(stats)
 }
 
@@ -1032,7 +962,7 @@ mod tests {
         let reg = Registry::new();
         let t = Tracer::new(4, &reg);
         for i in 0..6u64 {
-            t.emit(i, None, TraceData::SweepFallback { picks: i });
+            t.emit(i, TraceData::SweepFallback { picks: i });
         }
         assert_eq!(t.capacity(), 4);
         assert_eq!(t.recorded(), 4);
@@ -1052,17 +982,15 @@ mod tests {
         let reg = Registry::new();
         let t = Tracer::new(THREADS * PER_THREAD, &reg);
         let workers: Vec<_> = (0..THREADS)
-            .map(|shard| {
+            .map(|thread| {
                 let t = t.clone();
                 std::thread::spawn(move || {
                     for i in 0..PER_THREAD {
                         t.emit(
                             i as u64,
-                            Some(shard as u32),
-                            TraceData::Lease {
-                                aa: i as u32,
-                                take: 1,
-                                stolen: false,
+                            TraceData::CursorInvalidated {
+                                vol: thread as u32,
+                                reason: "replenish",
                             },
                         );
                     }
@@ -1075,11 +1003,13 @@ mod tests {
         assert_eq!(t.dropped(), 0);
         let events = t.events();
         assert_eq!(events.len(), THREADS * PER_THREAD);
-        // Every (shard, i) pair arrived exactly once.
+        // Every (thread, i) pair arrived exactly once.
         let mut seen = vec![0u32; THREADS * PER_THREAD];
         for ev in &events {
-            let shard = ev.shard.expect("worker events carry a shard") as usize;
-            seen[shard * PER_THREAD + ev.cp as usize] += 1;
+            let TraceData::CursorInvalidated { vol, .. } = ev.data else {
+                panic!("only cursor events were emitted");
+            };
+            seen[vol as usize * PER_THREAD + ev.cp as usize] += 1;
         }
         assert!(seen.iter().all(|&n| n == 1));
     }
@@ -1092,11 +1022,11 @@ mod tests {
         let reg = Registry::new();
         let t = Tracer::new(CAPACITY, &reg);
         let workers: Vec<_> = (0..THREADS)
-            .map(|shard| {
+            .map(|_| {
                 let t = t.clone();
                 std::thread::spawn(move || {
                     for _ in 0..PER_THREAD {
-                        t.emit(0, Some(shard as u32), TraceData::SweepFallback { picks: 1 });
+                        t.emit(0, TraceData::SweepFallback { picks: 1 });
                     }
                 })
             })
@@ -1112,49 +1042,50 @@ mod tests {
     fn chrome_export_round_trips_and_validates() {
         let reg = Registry::new();
         let t = Tracer::new(64, &reg);
-        // CP 0: an engine-track cp span containing two phases, one shard
-        // drain with a lease, a quarantine instant.
-        t.emit_at(0.0, 0, None, span("cp.total", 10.0));
-        t.emit_at(0.0, 0, None, span("cp.plan_virtual", 4.0));
-        t.emit_at(4.0, 0, None, span("cp.bind", 5.0));
-        t.emit_at(1.0, 0, Some(0), span("shard.drain", 2.5));
+        // CP 0: a cp span containing two phases, a cursor instant inside
+        // the first, a quarantine instant.
+        t.emit_at(0.0, 0, span("cp.total", 10.0));
+        t.emit_at(0.0, 0, span("cp.plan_virtual", 4.0));
+        t.emit_at(4.0, 0, span("cp.bind", 5.0));
         t.emit_at(
             1.5,
             0,
-            Some(0),
-            TraceData::Lease {
-                aa: 7,
-                take: 64,
-                stolen: true,
+            TraceData::CursorInvalidated {
+                vol: 7,
+                reason: "replenish",
             },
         );
-        t.emit_at(9.0, 0, None, TraceData::Quarantine { units: 2 });
-        // CP 1 on the engine track.
-        t.emit_at(20.0, 1, None, span("cp.total", 3.0));
-        t.emit_at(21.0, 1, None, TraceData::HealthChange { from: 0, to: 1 });
+        t.emit_at(9.0, 0, TraceData::Quarantine { units: 2 });
+        // CP 1.
+        t.emit_at(20.0, 1, span("cp.total", 3.0));
+        t.emit_at(21.0, 1, TraceData::HealthChange { from: 0, to: 1 });
 
-        let json_text = chrome_trace_json(&t.events(), 2);
+        let json_text = chrome_trace_json(&t.events());
         let parsed = parse_chrome_trace(&json_text).expect("trace parses");
-        let stats = validate_chrome_trace(&parsed, Some(2)).expect("trace validates");
-        assert_eq!(stats.spans, 5);
+        let stats = validate_chrome_trace(&parsed).expect("trace validates");
+        assert_eq!(stats.spans, 4);
         assert_eq!(stats.instants, 3);
-        assert_eq!(stats.shard_tracks, 2);
         assert!(stats.engine_track);
         assert_eq!(stats.max_cp, 1);
-        assert!(validate_chrome_trace(&parsed, Some(3)).is_err());
+        // A file that never names the engine track is rejected.
+        let unnamed: Vec<ParsedEvent> = parsed
+            .iter()
+            .filter(|e| e.name != "thread_name")
+            .cloned()
+            .collect();
+        assert!(validate_chrome_trace(&unnamed).is_err());
     }
 
     #[test]
     fn overlapping_same_track_spans_are_clipped_not_broken() {
         let reg = Registry::new();
         let t = Tracer::new(8, &reg);
-        // Two spans on shard 0 that overlap without nesting (two RAID
-        // groups planned concurrently on one shard).
-        t.emit_at(0.0, 0, Some(0), span("shard.drain", 10.0));
-        t.emit_at(5.0, 0, Some(0), span("shard.drain", 10.0));
-        let json_text = chrome_trace_json(&t.events(), 1);
+        // Two spans that overlap without nesting.
+        t.emit_at(0.0, 0, span("mount.topaa", 10.0));
+        t.emit_at(5.0, 0, span("mount.cold", 10.0));
+        let json_text = chrome_trace_json(&t.events());
         let parsed = parse_chrome_trace(&json_text).expect("trace parses");
-        let stats = validate_chrome_trace(&parsed, Some(1)).expect("clipped trace validates");
+        let stats = validate_chrome_trace(&parsed).expect("clipped trace validates");
         assert_eq!(stats.spans, 2);
     }
 
@@ -1162,14 +1093,14 @@ mod tests {
     fn export_orders_events_cp_major() {
         let reg = Registry::new();
         let t = Tracer::new(16, &reg);
-        // Emit out of cp order (a late-arriving shard event from cp 0
-        // after cp 1 started).
-        t.emit_at(30.0, 1, None, span("cp.total", 5.0));
-        t.emit_at(10.0, 0, None, span("cp.total", 5.0));
-        t.emit_at(12.0, 0, Some(1), TraceData::SweepFallback { picks: 3 });
-        let json_text = chrome_trace_json(&t.events(), 2);
+        // Emit out of cp order (a late-arriving event from cp 0 after
+        // cp 1 started).
+        t.emit_at(30.0, 1, span("cp.total", 5.0));
+        t.emit_at(10.0, 0, span("cp.total", 5.0));
+        t.emit_at(12.0, 0, TraceData::SweepFallback { picks: 3 });
+        let json_text = chrome_trace_json(&t.events());
         let parsed = parse_chrome_trace(&json_text).expect("trace parses");
-        validate_chrome_trace(&parsed, None).expect("cp-major order validates");
+        validate_chrome_trace(&parsed).expect("cp-major order validates");
     }
 
     #[test]

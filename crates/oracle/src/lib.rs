@@ -1,18 +1,16 @@
 //! The frozen sequential reference implementation of the CP write
-//! pipeline — the planner that shipped before the sharded pipeline
-//! became the only production path.
+//! pipeline — the per-block pipeline that shipped before production
+//! `wafl-fs` batched its CP by run.
 //!
-//! Production `wafl-fs` used to keep this code alive behind
-//! `write_shards == 0` branches in `cp.rs`; every parity suite compared
-//! the sharded pipeline against that in-tree legacy mode. Retiring the
-//! branches moved the legacy planner here, verbatim in behavior:
-//! cache-guided AA selection from the max-heap / HBPS caches,
+//! Production `wafl-fs` used to keep this code alive behind a config
+//! branch in `cp.rs`; retiring the branch moved it here, verbatim in
+//! behavior: cache-guided AA selection from the max-heap / HBPS caches,
 //! per-run virtual drains, per-block physical apply, per-block binding,
-//! per-block delayed frees, and per-block media costing. The sharded
+//! per-block delayed frees, and per-block media costing. The production
 //! pipeline must leave an aggregate in the same observable state as
-//! this oracle at every shard count (and bit-identical physical layout
-//! at one shard) — `crates/fs/tests/oracle_parity.rs` and the in-crate
-//! `sharded.rs` tests enforce exactly that.
+//! this oracle — layout, mappings, per-group costing and the allocator's
+//! counters — and `crates/fs/tests/oracle_parity.rs` enforces exactly
+//! that.
 //!
 //! Deliberate scope cuts versus `wafl-fs` (none affect the parity
 //! workloads, which run cache-guided on clean HDD aggregates):
@@ -21,8 +19,8 @@
 //!   through the legacy pipeline's parity suites;
 //! * HDD media only, `Sector520` checksums, no TRIM;
 //! * no snapshots, scrub, quarantine, fault injection, or batched
-//!   frees — those subsystems sit outside the `shards == 0` branches
-//!   this crate preserves;
+//!   frees — those subsystems sit outside the pipeline this crate
+//!   preserves;
 //! * the sampled pick-quality audits are skipped: they only feed
 //!   statistics and never influence allocator state.
 //!
@@ -425,7 +423,9 @@ impl OracleVol {
 
 /// Plan `quota` physical allocations from one RAID group against a
 /// bitmap snapshot. Verbatim `wafl_fs::allocator::plan_raid_group`,
-/// cache-guided max-heap arm.
+/// cache-guided max-heap arm — except that takes go into the batch here
+/// rather than where the runs are applied: nothing reads a heap-cached
+/// group's batch before the CP boundary, so the two are the same.
 fn plan_raid_group(g: &mut OracleGroup, bitmap: &Bitmap, quota: usize) -> WaflResult<Plan> {
     let mut out = Plan::default();
     while out.vbns.len() < quota {
@@ -446,7 +446,10 @@ fn plan_raid_group(g: &mut OracleGroup, bitmap: &Bitmap, quota: usize) -> WaflRe
             },
         };
         let before = out.vbns.len();
-        let ranges = g.topology.aa_write_ranges(aa);
+        // Ranges with no free block are dropped by their summary count
+        // and not examined.
+        let mut ranges = g.topology.aa_write_ranges(aa);
+        ranges.retain(|&(start, len)| bitmap.free_count_range(start, len) > 0);
         let exhausted = drain_ranges(&ranges, bitmap, quota, &mut out);
         let taken = (out.vbns.len() - before) as u32;
         g.batch.record_allocated(aa, taken);
@@ -936,8 +939,8 @@ impl OracleAggregate {
 }
 
 /// Cost one CP's writes to a group per block — the legacy costing path
-/// (the sharded pipeline costs per run; equivalence between the two is
-/// what the costing parity test pins). HDD arm of
+/// (the production pipeline costs per run; equivalence between the two
+/// is what the costing parity test pins). HDD arm of
 /// `wafl_fs::cp::cost_raid_group`.
 fn cost_raid_group(g: &mut OracleGroup, vbns: &[Vbn]) -> WaflResult<OracleRgStats> {
     let analysis = analyze_cp_write(&g.geometry, vbns)?;

@@ -145,8 +145,8 @@ pub fn analyze_cp_write(geometry: &RaidGeometry, blocks: &[Vbn]) -> WaflResult<C
 ///
 /// Carries the per-device write chains and the union of written stripes
 /// as intervals so the media costing never has to materialize per-block
-/// lists (the sharded CP pipeline hands over a few hundred runs where
-/// the block list would be tens of thousands of VBNs).
+/// lists (the CP hands over a few hundred runs where the block list
+/// would be tens of thousands of VBNs).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunWriteAnalysis {
     /// The same classification [`analyze_cp_write`] produces.

@@ -1,11 +1,8 @@
 #!/usr/bin/env bash
 # Regenerate the recorded performance baseline (BENCH_bitmap.json,
-# BENCH_cp.json, BENCH_alloc.json, BENCH_parallel.json, and
-# BENCH_obs.json at the repo root). BENCH_parallel.json sweeps the
-# sharded CP pipeline at write_shards = 1/2/4/8 against the wafl-oracle
-# sequential baseline (the retired write_shards = 0 pipeline). Run on an
-# otherwise idle machine; numbers are means over fixed iteration counts,
-# see docs/perf.md.
+# BENCH_cp.json, BENCH_alloc.json, and BENCH_obs.json at the repo root).
+# Run on an otherwise idle machine; numbers are means over fixed
+# iteration counts, see docs/perf.md.
 #
 #   scripts/bench_baseline.sh
 set -euo pipefail

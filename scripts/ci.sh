@@ -13,7 +13,7 @@
 #   scripts/ci.sh --obs-smoke     # the observability smoke check alone
 #   scripts/ci.sh --scrub-smoke   # the scrub smoke check alone
 #   scripts/ci.sh --alloc-smoke   # the allocation-throughput gate alone
-#   scripts/ci.sh --par-smoke     # the sharded-pipeline gate alone
+#   scripts/ci.sh --batch-smoke   # the run-batching gate alone
 #   scripts/ci.sh --oracle-parity # the wafl-oracle parity sweep alone
 #   scripts/ci.sh --trace-smoke   # the flight-recorder export gate alone
 #   scripts/ci.sh --bench-check   # the benchmark package's smoke run and
@@ -46,35 +46,33 @@ alloc_smoke() {
   run cargo run --release -p wafl-harness --bin alloc_smoke
 }
 
-# Sharded-pipeline gate: the sharded CP front end (write_shards=4) must
-# run >= 1.3x the sequential reference planner (the test-only
-# wafl-oracle crate, which preserves the retired write_shards=0
-# pipeline) on the overwrite+CP workload with zero parity diffs against
-# it. The gate itself fails if both arms resolve to the same planner.
-par_smoke() {
-  run cargo run --release -p wafl-harness --example par_smoke
+# Run-batching gate: the production pipeline's run_cp time must be
+# >= 1.3x the per-block reference pipeline's (the test-only wafl-oracle
+# crate) on the overwrite+CP workload.
+batch_smoke() {
+  run cargo run --release -p wafl-harness --example batch_smoke
 }
 
-# Oracle-parity gate: the release-mode seed x shard-count sweep pinning
-# the sharded pipeline to the wafl-oracle sequential planner — physical
-# and virtual layout page-exact, mappings identical, per-group costing
-# f64-bit-identical. Zero plan diffs allowed.
+# Oracle-parity gate: the release-mode seed sweep pinning the production
+# pipeline to the wafl-oracle sequential planner — physical and virtual
+# layout page-exact, mappings identical, per-group costing and modelled
+# CPU time f64-bit-identical, allocator counters equal. Zero diffs
+# allowed.
 oracle_parity() {
   run cargo test --release -p wafl-fs --test oracle_parity -- --ignored
 }
 
-# Flight-recorder gate: a small sharded simulate with --trace must write
-# Chrome trace JSON that re-parses and validates — balanced begin/end
-# spans, CP-ordered tracks, one track per write shard — and trace-report
-# must render its quantile/utilization summary from the file.
+# Flight-recorder gate: a small simulate with --trace must write Chrome
+# trace JSON that re-parses and validates — balanced begin/end spans,
+# CP-ordered, the engine track named — and trace-report must render its
+# quantile summary from the file.
 trace_smoke() {
   local out
   out="$(mktemp -d)/trace.json"
   run cargo run --release -p wafl-cli --bin wafl-sim -- simulate \
-    --device-blocks 20480 --ops 5000 --churn 0.2 --write-shards 4 \
-    --trace "$out" >/dev/null
+    --device-blocks 20480 --ops 5000 --churn 0.2 --trace "$out" >/dev/null
   run cargo run --release -p wafl-cli --bin wafl-sim -- trace-report \
-    "$out" --expect-shards 4 >/dev/null
+    "$out" >/dev/null
 }
 
 # Benchmark-package gate: benchmark/ is a workspace of its own, so the
@@ -105,8 +103,8 @@ if [[ "${1:-}" == "--alloc-smoke" ]]; then
   exit 0
 fi
 
-if [[ "${1:-}" == "--par-smoke" ]]; then
-  par_smoke
+if [[ "${1:-}" == "--batch-smoke" ]]; then
+  batch_smoke
   echo "CI gates passed."
   exit 0
 fi
@@ -137,7 +135,7 @@ run cargo test -q
 obs_smoke
 scrub_smoke
 alloc_smoke
-par_smoke
+batch_smoke
 oracle_parity
 trace_smoke
 bench_check
