@@ -1,6 +1,6 @@
 //! Bitmap-metafile benchmarks: score computation ("consulting bitmap
 //! metafiles", §3.3) and the full cache-rebuild walk the TopAA metafile
-//! exists to avoid (§3.4), sequential versus rayon-parallel.
+//! exists to avoid (§3.4), raw popcount versus the free-count summaries.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -25,7 +25,7 @@ fn first_free(c: &mut Criterion) {
 fn full_walk(c: &mut Criterion) {
     // The mount-time rebuild walk over a 16 GiB (4 Mi-block) space.
     // `popcount` is the pre-summary implementation (raw word walk);
-    // `sequential`/`parallel` answer from the free-count summary, and
+    // `sequential` answers from the per-page free-count summary, and
     // `summary_per_aa` adds the per-AA counters volumes enable, turning
     // the whole rebuild into a counter copy.
     let space = 128 * 32_768u64;
@@ -39,9 +39,6 @@ fn full_walk(c: &mut Criterion) {
     });
     g.bench_function("sequential", |b| {
         b.iter(|| black_box(scan::scores_seq(&bitmap, 32_768)))
-    });
-    g.bench_function("parallel", |b| {
-        b.iter(|| black_box(scan::scores_par(&bitmap, 32_768)))
     });
     g.bench_function("summary_per_aa", |b| {
         b.iter(|| black_box(scan::scores_seq(&with_aa, 32_768)))

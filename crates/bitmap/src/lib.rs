@@ -16,8 +16,8 @@
 //!   popcount raw bits on hot paths; debug builds verify the counters
 //!   against popcount ground truth on every mutation and every CP.
 //! * [`scan`] — whole-bitmap scans used to (re)build AA caches (§3.4's
-//!   "background work can rebuild the entire cache"): summary-driven when
-//!   counters exist, rayon-parallel popcount otherwise.
+//!   "background work can rebuild the entire cache"): a counter copy when
+//!   a per-AA summary matches, per-page-accelerated range counts otherwise.
 //!
 //! A bit value of `1` means **allocated**; `0` means free. A fresh bitmap
 //! is entirely free.

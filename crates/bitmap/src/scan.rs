@@ -5,34 +5,27 @@
 //! expensive path the TopAA metafile exists to avoid, so the harness both
 //! uses them (for cold mounts and background rebuilds) and measures them.
 //!
-//! Scans are data-parallel over metafile pages via rayon: each AA's score
-//! only depends on a contiguous bit range, so the page array partitions
-//! cleanly.
+//! Each AA's score depends only on a contiguous bit range, and the
+//! free-count summaries answer most of it without touching bitmap words.
 
 use crate::bitmap::Bitmap;
-use rayon::prelude::*;
 use wafl_types::{AaId, AaScore};
 
-/// Minimum AA count before [`scores_par`] actually fans out over rayon.
-/// Below this the per-task dispatch overhead exceeds the range counts
-/// themselves (each AA is a handful of summary-counter reads), so
-/// [`scores_generic`] cuts over to the sequential walk and `scores_par`
-/// degenerates to [`scores_seq`]. Output is identical either way.
-pub const PAR_SCAN_MIN_AAS: u64 = 64;
-
-/// The one score-computation body behind [`scores_seq`] and
-/// [`scores_par`], so the fast paths can never diverge between them:
+/// Compute the score (free-block count) of every AA of `aa_blocks`
+/// consecutive VBNs, in AA order. The trailing partial AA, if any, is
+/// included; its score reflects only in-range blocks because the bitmap
+/// pads its tail with allocated bits.
 ///
 /// 1. a matching per-AA summary ([`Bitmap::aa_free_counts`]) turns the
-///    whole rebuild into a sequential counter copy — O(1) per AA, no
-///    bitmap words touched (parallelism would only add overhead, so the
-///    `parallel` flag is ignored here);
+///    whole rebuild into a counter copy — O(1) per AA, no bitmap words
+///    touched;
 /// 2. otherwise each AA is a [`Bitmap::free_count_range`], which answers
 ///    fully-covered pages from the per-page counters and popcounts only
-///    the partial edges — fanned out over rayon when `parallel` is set
-///    *and* there are at least [`PAR_SCAN_MIN_AAS`] AAs to amortise the
-///    dispatch; smaller scans run sequentially regardless.
-fn scores_generic(bitmap: &Bitmap, aa_blocks: u64, parallel: bool) -> Vec<(AaId, AaScore)> {
+///    the partial edges.
+///
+/// See [`scores_popcount`] for the raw-walk ground truth. (`_seq` is
+/// for the callers that import the name; there is no other variant.)
+pub fn scores_seq(bitmap: &Bitmap, aa_blocks: u64) -> Vec<(AaId, AaScore)> {
     assert!(aa_blocks > 0, "aa_blocks must be positive");
     if let Some(counts) = bitmap.aa_free_counts(aa_blocks) {
         return counts
@@ -42,45 +35,18 @@ fn scores_generic(bitmap: &Bitmap, aa_blocks: u64, parallel: bool) -> Vec<(AaId,
             .collect();
     }
     let aa_count = bitmap.space_len().div_ceil(aa_blocks);
-    let score_one = |aa: u64| {
-        let start = wafl_types::Vbn(aa * aa_blocks);
-        let score = bitmap.free_count_range(start, aa_blocks);
-        (AaId(aa as u32), AaScore(score))
-    };
-    if parallel && aa_count >= PAR_SCAN_MIN_AAS {
-        (0..aa_count).into_par_iter().map(score_one).collect()
-    } else {
-        (0..aa_count).map(score_one).collect()
-    }
-}
-
-/// Compute the score (free-block count) of every AA of `aa_blocks`
-/// consecutive VBNs, in AA order. The trailing partial AA, if any, is
-/// included; its score reflects only in-range blocks because the bitmap
-/// pads its tail with allocated bits.
-///
-/// Always runs sequentially; see [`scores_par`] for the variant that may
-/// fan out over rayon. Both answer from the free-count summary where one
-/// is available (see [`scores_popcount`] for the raw-walk ground truth).
-pub fn scores_seq(bitmap: &Bitmap, aa_blocks: u64) -> Vec<(AaId, AaScore)> {
-    scores_generic(bitmap, aa_blocks, false)
-}
-
-/// Parallel version of [`scores_seq`], used by background rebuilds.
-/// Identical output; both share [`scores_generic`], so the summary fast
-/// path and the [`PAR_SCAN_MIN_AAS`] cutover (below which this runs
-/// sequentially too) can never make the two disagree.
-///
-/// When it does fan out and `aa_blocks` is a multiple of the page size
-/// (the RAID-agnostic default is exactly one page), each task reduces
-/// whole pages and never shares a cache line with its neighbour.
-pub fn scores_par(bitmap: &Bitmap, aa_blocks: u64) -> Vec<(AaId, AaScore)> {
-    scores_generic(bitmap, aa_blocks, true)
+    (0..aa_count)
+        .map(|aa| {
+            let start = wafl_types::Vbn(aa * aa_blocks);
+            let score = bitmap.free_count_range(start, aa_blocks);
+            (AaId(aa as u32), AaScore(score))
+        })
+        .collect()
 }
 
 /// Every AA's score by raw popcount walk — the pre-summary
 /// implementation ("a linear walk of the bitmap metafiles", §3.4), never
-/// consulting a counter. Property tests pin [`scores_par`] to this, and
+/// consulting a counter. Property tests pin [`scores_seq`] to this, and
 /// the `BENCH_bitmap` baseline measures the summary's speedup against it.
 pub fn scores_popcount(bitmap: &Bitmap, aa_blocks: u64) -> Vec<(AaId, AaScore)> {
     assert!(aa_blocks > 0, "aa_blocks must be positive");
@@ -165,11 +131,10 @@ mod tests {
     }
 
     #[test]
-    fn seq_and_par_scores_agree() {
+    fn seq_scores_match_popcount_walk() {
         let b = aged_bitmap(10 * 32768, 0.4, 42);
         let seq = scores_seq(&b, 32768);
-        let par = scores_par(&b, 32768);
-        assert_eq!(seq, par);
+        assert_eq!(seq, scores_popcount(&b, 32768));
         assert_eq!(seq.len(), 10);
         let total: u64 = seq.iter().map(|&(_, s)| s.get() as u64).sum();
         assert_eq!(total, b.free_blocks());
@@ -179,20 +144,10 @@ mod tests {
     fn scores_with_non_page_aa_size() {
         let b = aged_bitmap(100_000, 0.3, 7);
         let seq = scores_seq(&b, 12_345);
-        let par = scores_par(&b, 12_345);
-        assert_eq!(seq, par);
+        assert_eq!(seq, scores_popcount(&b, 12_345));
         assert_eq!(seq.len(), 100_000_usize.div_ceil(12_345));
         let total: u64 = seq.iter().map(|&(_, s)| s.get() as u64).sum();
         assert_eq!(total, b.free_blocks());
-    }
-
-    #[test]
-    fn par_cutover_agrees_above_threshold() {
-        let b = aged_bitmap(100_000, 0.3, 11);
-        let aa_blocks = 1000;
-        // 100 AAs >= PAR_SCAN_MIN_AAS, so scores_par takes the rayon path.
-        assert!(100_000u64.div_ceil(aa_blocks) >= PAR_SCAN_MIN_AAS);
-        assert_eq!(scores_par(&b, aa_blocks), scores_seq(&b, aa_blocks));
     }
 
     #[test]

@@ -69,8 +69,6 @@ proptest! {
             bitmap.allocate(Vbn(v)).unwrap();
         }
         let seq = scan::scores_seq(&bitmap, aa_blocks);
-        let par = scan::scores_par(&bitmap, aa_blocks);
-        prop_assert_eq!(&seq, &par, "parallel scan must agree with sequential");
         let total: u64 = seq.iter().map(|&(_, s)| s.get() as u64).sum();
         prop_assert_eq!(total, bitmap.free_blocks());
         prop_assert_eq!(seq.len() as u64, space.div_ceil(aa_blocks));

@@ -269,8 +269,6 @@ impl AaTopology {
     /// TopAA metafile avoids at mount, §3.4). RAID-agnostic tilings reuse
     /// the summary-aware scan kernel; RAID-aware tilings walk their
     /// per-device ranges, each range a summary-accelerated count.
-    /// Sequential; the parallel variant lives in `wafl_bitmap::scan` and
-    /// is used by background rebuilds.
     pub fn all_scores(&self, bitmap: &Bitmap) -> Vec<(AaId, AaScore)> {
         if let AaTopology::RaidAgnostic { aa_blocks, .. } = self {
             return wafl_bitmap::scan::scores_seq(bitmap, *aa_blocks);

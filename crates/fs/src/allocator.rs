@@ -186,9 +186,8 @@ fn plan_group_quarantine_sweep(
 
 /// Plan `quota` physical allocations from one RAID group. Reads the
 /// shared physical bitmap; mutates only group-local state (cache, batch,
-/// active AA), so plans for different groups run in parallel. The
-/// returned runs are applied to the bitmap serially afterwards, and the
-/// per-AA takes recorded into the group's batch with them.
+/// active AA). The returned runs are applied to the bitmap afterwards,
+/// and the per-AA takes recorded into the group's batch with them.
 ///
 /// `g.batch` holds exactly the changes the bitmap already carries and the
 /// cache has not seen (the CP records takes and frees where it applies
@@ -379,8 +378,7 @@ pub(crate) fn plan_raid_group(
 }
 
 /// Allocate `n` virtual VBNs from a volume, updating its bitmap and batch
-/// in place (the volume owns both, so this runs in parallel across
-/// volumes).
+/// in place (the volume owns both).
 pub(crate) fn allocate_vvbns(
     vol: &mut FlexVol,
     n: usize,

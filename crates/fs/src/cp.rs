@@ -4,7 +4,6 @@
 
 use crate::aggregate::{pack_owner, Aggregate, DeviceMedia, DirtyBlock, GroupCache, OWNER_NONE};
 use crate::allocator::{allocate_vvbns, plan_raid_group, AllocOutcome, AllocatorMode};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use wafl_faults::{CrashSite, FaultSession};
 use wafl_obs::trace::TraceData;
@@ -459,37 +458,32 @@ impl Aggregate {
             per_vol[vol.index()].push(*logical);
         }
 
-        // ---- 2. virtual allocation, parallel across volumes -----------
+        // ---- 2. virtual allocation, volume by volume -------------------
         // Flight recorder epoch: the engine-track phase spans are
         // synthesized at step 10 from the wall-clock laps, anchored here.
-        // The tracer rides into the rebalance fan-out as a clone (the
-        // ring is shared behind an Arc), leaving `self` free for
-        // par_iter_mut.
         let trace_t0 = self.obs.trace_now_us();
-        let tracer = self.obs.tracer.clone();
-        let trace_cp = stats.cp_index;
         let cp_t0 = std::time::Instant::now();
         let mut mark = cp_t0;
         let mut wall = CpWallClock::default();
         let cp_seed = self.cp_count.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let vol_outcomes: Vec<WaflResult<AllocOutcome>> = self
-            .vols
-            .par_iter_mut()
-            .zip(per_vol.par_iter())
-            .enumerate()
-            .map(|(i, (vol, logicals))| {
-                if logicals.is_empty() {
-                    return Ok(AllocOutcome::default());
-                }
-                let mode = if vol.config().aa_cache {
-                    AllocatorMode::CacheGuided
-                } else {
-                    AllocatorMode::RandomAa
-                };
-                allocate_vvbns(vol, logicals.len(), cp_seed ^ i as u64, mode)
-            })
-            .collect();
-        let vol_outcomes = vol_outcomes.into_iter().collect::<WaflResult<Vec<_>>>()?;
+        let mut vol_outcomes: Vec<AllocOutcome> = Vec::with_capacity(self.vols.len());
+        for (i, (vol, logicals)) in self.vols.iter_mut().zip(&per_vol).enumerate() {
+            if logicals.is_empty() {
+                vol_outcomes.push(AllocOutcome::default());
+                continue;
+            }
+            let mode = if vol.config().aa_cache {
+                AllocatorMode::CacheGuided
+            } else {
+                AllocatorMode::RandomAa
+            };
+            vol_outcomes.push(allocate_vvbns(
+                vol,
+                logicals.len(),
+                cp_seed ^ i as u64,
+                mode,
+            )?);
+        }
         // Observability accumulators (exported after the CP commits).
         let mut pick_errors: Vec<(u32, u32)> = Vec::new();
         let mut sweep_picks = 0u64;
@@ -520,41 +514,38 @@ impl Aggregate {
 
         wall.plan_virtual_us += lap_us(&mut mark);
 
-        // ---- 3. physical allocation: quotas, then parallel plans ------
+        // ---- 3. physical allocation: quotas, then a plan per group ----
         let mode = if self.cfg.raid_aware_cache {
             AllocatorMode::CacheGuided
         } else {
             AllocatorMode::RandomAa
         };
         let quotas = self.rg_quotas(n);
-        let bitmap = &self.bitmap;
         let audit_sample = self.cfg.pick_audit_sample;
-        let plans: Vec<WaflResult<AllocOutcome>> = self
-            .groups
-            .par_iter_mut()
-            .zip(quotas.par_iter())
-            .enumerate()
-            .map(|(i, (g, &quota))| {
-                plan_raid_group(
-                    g,
-                    bitmap,
-                    quota,
-                    mode,
-                    cp_seed ^ (0xABCD + i as u64),
-                    audit_sample,
-                )
-            })
-            .collect();
-        let plans = plans.into_iter().collect::<WaflResult<Vec<_>>>()?;
+        // Every plan of this CP with its group's index, first round then
+        // shortfall rounds, in the order they were made. Their blocks,
+        // counters and drained AAs are folded in once, after the rounds.
+        let mut plans: Vec<(usize, AllocOutcome)> = Vec::with_capacity(self.groups.len());
+        for (i, (g, &quota)) in self.groups.iter_mut().zip(&quotas).enumerate() {
+            let plan = plan_raid_group(
+                g,
+                &self.bitmap,
+                quota,
+                mode,
+                cp_seed ^ (0xABCD + i as u64),
+                audit_sample,
+            )?;
+            plans.push((i, plan));
+        }
         wall.plan_physical_us += lap_us(&mut mark);
-        // Apply the plans to the shared bitmap (serial, cheap bit sets).
+        // Apply the plans to the shared bitmap (cheap bit sets).
         if let Some(site @ CrashSite::AfterBlockWrites(limit)) = crash {
             // Power loss after `limit` physical block writes hit stable
             // storage: their bitmap bits are set, but no logical binding
             // or ownership was ever recorded — allocated-but-unowned
             // leaks in both VBN spaces (the vvbn bits were set in step 2).
             let mut applied = 0u64;
-            'apply: for plan in &plans {
+            'apply: for (_, plan) in &plans {
                 for &vbn in &plan.vbns {
                     if applied >= limit {
                         break 'apply;
@@ -566,42 +557,27 @@ impl Aggregate {
             self.lose_volatile_state();
             return Ok(CpOutcome::Crashed(site));
         }
-        let mut pvbns: Vec<Vbn> = Vec::with_capacity(n);
-        // Media costing (step 7) works per run; carry each group's runs
-        // forward.
-        let mut per_rg_runs: Vec<Vec<(Vbn, u64)>> = Vec::with_capacity(self.groups.len());
         // Every group's runs are disjoint (groups own disjoint VBN
         // ranges; within a group, each AA is drained once), so the
         // whole CP applies as one sorted bulk mutation.
         // The runs arrive as one ascending stretch per drained AA and
         // device, a handful per CP: the stable sort merges such
         // stretches where the unstable one would start from scratch.
-        let mut all_runs: Vec<(Vbn, u64)> =
-            plans.iter().flat_map(|p| p.runs.iter().copied()).collect();
+        let mut all_runs: Vec<(Vbn, u64)> = plans
+            .iter()
+            .flat_map(|(_, p)| p.runs.iter().copied())
+            .collect();
         all_runs.sort_by_key(|&(start, _)| start.get());
         self.bitmap.mutate_runs_partitioned(&all_runs, true)?;
-        for plan in &plans {
-            pvbns.extend_from_slice(&plan.vbns);
-            per_rg_runs.push(plan.runs.clone());
-        }
-        for (g, plan) in self.groups.iter_mut().zip(&plans) {
+        for (i, plan) in &plans {
             for &(aa, taken) in &plan.takes {
-                g.batch.record_allocated(aa, taken);
-            }
-            stats.agg_picks += plan.picked.len() as u64;
-            stats.blocks_examined += plan.blocks_examined;
-            stats.replenish_pages += plan.replenish_pages;
-            pick_errors.extend_from_slice(&plan.pick_errors);
-            sweep_picks += plan.sweep_picks;
-            for &(aa, score) in &plan.picked {
-                let max = g.topology.aa_blocks(aa) as f64;
-                stats.agg_pick_free_sum += score.get() as f64 / max.max(1.0);
+                self.groups[*i].batch.record_allocated(aa, taken);
             }
         }
         wall.apply_us += lap_us(&mut mark);
-        // Shortfall: serial second round against the updated bitmap.
-        let mut drained_late: Vec<(usize, wafl_types::AaId)> = Vec::new();
-        let mut shortfall = n.saturating_sub(pvbns.len());
+        // Shortfall: further rounds against the updated bitmap.
+        let planned: usize = plans.iter().map(|(_, p)| p.vbns.len()).sum();
+        let mut shortfall = n.saturating_sub(planned);
         while shortfall > 0 {
             let mut progressed = false;
             for (i, g) in self.groups.iter_mut().enumerate() {
@@ -619,28 +595,15 @@ impl Aggregate {
                 for &(aa, taken) in &plan.takes {
                     g.batch.record_allocated(aa, taken);
                 }
-                if plan.vbns.is_empty() {
-                    continue;
-                }
-                progressed = true;
                 for &(start, len) in &plan.runs {
                     self.bitmap.allocate_run(start, len)?;
                 }
                 shortfall -= plan.vbns.len();
-                stats.agg_picks += plan.picked.len() as u64;
-                stats.blocks_examined += plan.blocks_examined;
-                stats.replenish_pages += plan.replenish_pages;
-                pick_errors.extend_from_slice(&plan.pick_errors);
-                sweep_picks += plan.sweep_picks;
-                for &(aa, score) in &plan.picked {
-                    let max = g.topology.aa_blocks(aa) as f64;
-                    stats.agg_pick_free_sum += score.get() as f64 / max.max(1.0);
-                }
-                pvbns.extend_from_slice(&plan.vbns);
-                per_rg_runs[i].extend_from_slice(&plan.runs);
-                for &aa in &plan.drained {
-                    drained_late.push((i, aa));
-                }
+                progressed |= !plan.vbns.is_empty();
+                // A plan that found no block is kept too: a full
+                // heap-cached group returns the score-0 AA `take_best`
+                // popped in `drained`, and only step 8 puts it back.
+                plans.push((i, plan));
             }
             if !progressed {
                 if self.free_log.pending() > 0 {
@@ -676,45 +639,38 @@ impl Aggregate {
             }
         }
 
+        let mut pvbns: Vec<Vbn> = Vec::with_capacity(n);
+        // Media costing (step 7) works per run; carry each group's runs
+        // forward.
+        let mut per_rg_runs: Vec<Vec<(Vbn, u64)>> = vec![Vec::new(); self.groups.len()];
+        for (i, plan) in &plans {
+            pvbns.extend_from_slice(&plan.vbns);
+            per_rg_runs[*i].extend_from_slice(&plan.runs);
+            stats.agg_picks += plan.picked.len() as u64;
+            stats.blocks_examined += plan.blocks_examined;
+            stats.replenish_pages += plan.replenish_pages;
+            pick_errors.extend_from_slice(&plan.pick_errors);
+            sweep_picks += plan.sweep_picks;
+            for &(aa, score) in &plan.picked {
+                let max = self.groups[*i].topology.aa_blocks(aa) as f64;
+                stats.agg_pick_free_sum += score.get() as f64 / max.max(1.0);
+            }
+        }
         wall.plan_physical_us += lap_us(&mut mark);
 
         // ---- 4. bind logical -> virtual -> physical; collect frees ----
         // Each volume's pvbns occupy one contiguous chunk (allocation
-        // filled `pvbns` in `per_vol` order), so the volume-local part
-        // of the bind — the logical and vvbn map updates — fans out
-        // over volumes with no shared state. The aggregate-side owner
-        // table and delayed-free list update serially after, in volume
-        // order (the same visit order a fully serial bind would use).
-        {
-            let mut chunks: Vec<&[Vbn]> = Vec::with_capacity(per_vol.len());
-            let mut off = 0usize;
-            for logicals in &per_vol {
-                chunks.push(&pvbns[off..off + logicals.len()]);
-                off += logicals.len();
+        // filled `pvbns` in `per_vol` order).
+        let mut off = 0usize;
+        for ((vol, logicals), outcome) in self.vols.iter_mut().zip(&per_vol).zip(&vol_outcomes) {
+            debug_assert_eq!(outcome.vbns.len(), logicals.len());
+            let chunk = &pvbns[off..off + logicals.len()];
+            off += logicals.len();
+            let freed = vol.remap_batch(logicals, &outcome.vbns, chunk);
+            for (&pvbn, &vvbn) in chunk.iter().zip(&outcome.vbns) {
+                self.pvbn_owner[pvbn.index()] = pack_owner(vol.id, vvbn);
             }
-            let items: Vec<(&Vec<u64>, &AllocOutcome, &[Vbn])> = per_vol
-                .iter()
-                .zip(vol_outcomes.iter())
-                .zip(chunks.iter())
-                .map(|((l, o), c)| (l, o, *c))
-                .collect();
-            let freed_per_vol: Vec<Vec<Vbn>> = self
-                .vols
-                .par_iter_mut()
-                .zip(items.into_par_iter())
-                .map(|(vol, (logicals, outcome, chunk))| {
-                    debug_assert_eq!(outcome.vbns.len(), logicals.len());
-                    vol.remap_batch(logicals, &outcome.vbns, chunk)
-                })
-                .collect();
-            for ((vol, chunk), outcome) in self.vols.iter().zip(&chunks).zip(&vol_outcomes) {
-                for (&pvbn, &vvbn) in chunk.iter().zip(&outcome.vbns) {
-                    self.pvbn_owner[pvbn.index()] = pack_owner(vol.id, vvbn);
-                }
-            }
-            for freed in freed_per_vol {
-                self.delayed_pvbn_frees.extend(freed);
-            }
+            self.delayed_pvbn_frees.extend(freed);
         }
 
         // ---- 4b. deletions queued since the last CP --------------------
@@ -739,13 +695,8 @@ impl Aggregate {
         wall.bind_us += lap_us(&mut mark);
 
         // ---- 5. delayed frees at the CP boundary (§3.3) ---------------
-        let flush_results: Vec<WaflResult<u64>> = self
-            .vols
-            .par_iter_mut()
-            .map(|vol| vol.flush_delayed_frees())
-            .collect();
-        for r in flush_results {
-            r?;
+        for vol in &mut self.vols {
+            vol.flush_delayed_frees()?;
         }
         if let Some(site @ CrashSite::MidFreeLogApply(k)) = crash {
             // The crash interrupts delayed-free application: `k` frees
@@ -871,20 +822,14 @@ impl Aggregate {
         stats.metafile_pages = pages;
         wall.apply_us += lap_us(&mut mark);
 
-        // ---- 7. media costing, parallel per group ----------------------
+        // ---- 7. media costing, group by group --------------------------
         // Run-interval analysis — same numbers as the per-block analysis
         // `wafl-oracle` preserves (equivalence is pinned by the parity
         // suites), a fraction of the work.
         let checksum = self.cfg.checksum;
-        let rg_stats: Vec<WaflResult<RgCpStats>> = self
-            .groups
-            .par_iter_mut()
-            .zip(per_rg_runs.par_iter())
-            .map(|(g, runs)| cost_raid_group_runs(g, runs, checksum))
-            .collect();
         let mut cache_ops = 0u64;
-        for rg in rg_stats {
-            let rg = rg?;
+        for (g, runs) in self.groups.iter_mut().zip(&per_rg_runs) {
+            let rg = cost_raid_group_runs(g, runs, checksum)?;
             stats.media_us = stats.media_us.max(rg.media_us);
             stats.media_us_total += rg.media_us;
             stats.per_rg.push(rg);
@@ -928,74 +873,53 @@ impl Aggregate {
         }
         // Re-insert AAs fully drained this CP with their post-batch scores
         // (frees during the same CP may have given them a head start).
-        for (g, plan) in self.groups.iter_mut().zip(&plans) {
-            if let Some(GroupCache::Heap(cache)) = g.cache.as_mut() {
+        // HBPS-cached ranges: drained AAs re-enter via the batched score
+        // change above (the histogram never stopped counting them).
+        for (i, plan) in &plans {
+            if let Some(GroupCache::Heap(cache)) = self.groups[*i].cache.as_mut() {
                 for &aa in &plan.drained {
                     let score = cache.score_of(aa);
                     cache.insert(aa, score)?;
                     cache_ops += 1;
                 }
             }
-            // HBPS-cached ranges: drained AAs re-enter via the batched
-            // score change above (the histogram never stopped counting
-            // them).
         }
-        for (i, aa) in drained_late {
-            if let Some(GroupCache::Heap(cache)) = self.groups[i].cache.as_mut() {
-                let score = cache.score_of(aa);
-                cache.insert(aa, score)?;
-                cache_ops += 1;
-            }
-        }
-        let vol_results: Vec<WaflResult<(u64, u64)>> = self
-            .vols
-            .par_iter_mut()
-            .map(|vol| {
-                if let Some(cache) = vol.cache.as_mut() {
-                    let touched = vol.batch.touched_aas() as u64;
-                    cache.apply_cp_batch(&mut vol.batch, &vol.bitmap)?;
-                    // §3.3.2's background scan: if takes have drained the
-                    // list faster than frees re-populate it — or quality
-                    // degraded — walk the bitmap and rebuild.
-                    let pages = if cache.maybe_replenish(&vol.bitmap, &mut vol.batch)? {
-                        // The rescan re-derived the AA scores; the drain
-                        // cursor's claim of "nothing free behind me" is no
-                        // longer backed by anything.
-                        vol.drain_cursor = None;
-                        if let Some(t) = &tracer {
-                            t.emit(
-                                trace_cp,
-                                TraceData::CursorInvalidated {
-                                    vol: vol.id.0,
-                                    reason: "replenish",
-                                },
-                            );
-                        }
-                        vol.bitmap.page_count() as u64
-                    } else {
-                        0
-                    };
-                    Ok((touched, pages))
-                } else {
-                    let _ = vol.batch.drain().count();
-                    Ok((0, 0))
-                }
-            })
-            .collect();
-        for r in vol_results {
-            let (touched, pages) = r?;
+        for vol in &mut self.vols {
+            let Some(cache) = vol.cache.as_mut() else {
+                let _ = vol.batch.drain().count();
+                continue;
+            };
+            let touched = vol.batch.touched_aas() as u64;
             cache_ops += touched;
-            stats.replenish_pages += pages;
             if touched > 0 {
                 batch_sizes.push(touched);
+            }
+            cache.apply_cp_batch(&mut vol.batch, &vol.bitmap)?;
+            // §3.3.2's background scan: if takes have drained the list
+            // faster than frees re-populate it — or quality degraded —
+            // walk the bitmap and rebuild.
+            if cache.maybe_replenish(&vol.bitmap, &mut vol.batch)? {
+                // The rescan re-derived the AA scores; the drain cursor's
+                // claim of "nothing free behind me" is no longer backed by
+                // anything.
+                vol.drain_cursor = None;
+                self.obs.trace(
+                    stats.cp_index,
+                    TraceData::CursorInvalidated {
+                        vol: vol.id.0,
+                        reason: "replenish",
+                    },
+                );
+                stats.replenish_pages += vol.bitmap.page_count() as u64;
             }
         }
         wall.rebalance_us += lap_us(&mut mark);
 
         // ---- 9. CPU model (§4.1.2) --------------------------------------
         // The per-phase terms below come from the simulated cost model
-        // only (no wall clocks in the CP path); they are summed into
-        // `cpu_us` and exported individually to the phase histograms.
+        // only — the measured laps live beside them in `stats.wall` and
+        // never feed it; they are summed into `cpu_us` and exported
+        // individually to the phase histograms.
         let cpu = self.cfg.cpu;
         let client_us = n as f64 * cpu.base_us_per_op;
         let metafile_us = pages as f64 * cpu.us_per_metafile_page;
@@ -1547,6 +1471,99 @@ mod tests {
             s.per_rg[1].blocks,
             s.per_rg[0].blocks
         );
+    }
+
+    /// A shortfall re-plan of a full heap-cached group finds no block
+    /// and returns only the score-0 AA `take_best` popped. That AA goes
+    /// back into the heap at the CP boundary like any other drained AA,
+    /// so blocks freed into it later are allocated again.
+    #[test]
+    fn full_group_keeps_every_aa_ranked_through_shortfall_rounds() {
+        const PER_CP: u64 = 4096;
+        let spec = RaidGroupSpec {
+            data_devices: 2,
+            parity_devices: 1,
+            device_blocks: 8 * 4096,
+            profile: MediaProfile::hdd(),
+        };
+        // Group 1 is half full everywhere, so it is under the back-off
+        // threshold from the start; group 0 takes every write until its
+        // last AA is, and from then on the quotas are an even split that
+        // group 0 cannot meet.
+        let cfg = AggregateConfig {
+            raid_groups: vec![spec.clone(), spec.clone()],
+            rg_backoff_threshold: 0.9,
+            ..AggregateConfig::single_group(spec)
+        };
+        let mut a = Aggregate::new(
+            cfg,
+            &[(
+                FlexVolConfig {
+                    size_blocks: 4 * 32768,
+                    aa_cache: true,
+                    aa_blocks: None,
+                },
+                120_000,
+            )],
+            7,
+        )
+        .unwrap();
+        crate::aging::seed_rg_random_occupancy(&mut a, 1, 0.5, 123).unwrap();
+        let group0_free = |a: &Aggregate| {
+            let geo = &a.groups()[0].geometry;
+            a.bitmap().free_count_range(geo.base_vbn, geo.data_blocks())
+        };
+        // Each CP writes the next `PER_CP` logical blocks.
+        fn write_cp(a: &mut Aggregate, written: &mut u64) -> CpStats {
+            for l in *written..*written + PER_CP {
+                a.client_overwrite(VolumeId(0), l).unwrap();
+            }
+            *written += PER_CP;
+            a.run_cp().unwrap()
+        }
+        let mut written = 0u64;
+        // Fill group 0, then two more CPs whose even split it cannot
+        // take: each re-plans it in a shortfall round.
+        while group0_free(&a) > 0 {
+            write_cp(&mut a, &mut written);
+        }
+        for _ in 0..2 {
+            let s = write_cp(&mut a, &mut written);
+            assert_eq!((s.per_rg[0].blocks, s.per_rg[1].blocks), (0, PER_CP));
+        }
+        let g = &a.groups()[0];
+        let Some(GroupCache::Heap(cache)) = g.cache.as_ref() else {
+            panic!("expected a heap cache");
+        };
+        for aa in (0..g.topology.aa_count()).map(wafl_types::AaId) {
+            assert!(
+                cache.contains(aa) || g.active_aa == Some(aa),
+                "{aa:?} fell out of the ranking"
+            );
+        }
+        // Free 100 blocks in every AA of group 0 and write again: the
+        // even split asks group 0 for more than that, so it hands out
+        // every one of them.
+        let mut freed = vec![0u32; g.topology.aa_count() as usize];
+        let mut deletes = Vec::new();
+        for l in 0..written {
+            let vvbn = a.volumes()[0].lookup_logical(l).unwrap();
+            let pvbn = a.volumes()[0].lookup_vvbn(vvbn).unwrap();
+            if g.geometry.contains(pvbn) {
+                let aa = g.topology.aa_of_vbn(pvbn).unwrap();
+                if freed[aa.get() as usize] < 100 {
+                    freed[aa.get() as usize] += 1;
+                    deletes.push(l);
+                }
+            }
+        }
+        for l in deletes {
+            a.client_delete(VolumeId(0), l).unwrap();
+        }
+        a.run_cp().unwrap();
+        assert_eq!(group0_free(&a), 100 * freed.len() as u32);
+        write_cp(&mut a, &mut written);
+        assert_eq!(group0_free(&a), 0, "freed blocks were not allocated");
     }
 
     #[test]

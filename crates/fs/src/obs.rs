@@ -173,8 +173,7 @@ pub struct FsObs {
     // ---- flight recorder (optional) -------------------------------------
     /// Trace journal, present when the aggregate was configured with
     /// `trace_events > 0`. Emission through [`FsObs::trace`] costs one
-    /// `Option` check when tracing is off; the handle itself is safe to
-    /// share with rayon workers.
+    /// `Option` check when tracing is off.
     pub(crate) tracer: Option<Tracer>,
     /// Per-CP time series sampled at the end of CP step 10, enabled
     /// together with the tracer.

@@ -222,9 +222,8 @@ impl FlexVol {
     /// old virtual VBNs on the volume's delayed-free list, and return the
     /// freed *physical* VBNs for the aggregate's delayed-free path.
     /// Previous pairs that a snapshot pins detach instead and free when
-    /// their last snapshot goes. Shaped as a batch so the CP engine can
-    /// fan whole volumes out across worker threads — every structure
-    /// touched here belongs to this volume alone.
+    /// their last snapshot goes. Every structure touched here belongs to
+    /// this volume alone.
     ///
     /// Three passes instead of three dependent steps per block: a random
     /// overwrite misses the cache on its `logical_map` slot and again on

@@ -304,13 +304,15 @@ fn multi_group_multi_vol_matches_oracle() {
 /// host, the thread schedule or a per-process hash seed.
 #[test]
 fn same_ops_twice_give_identical_cp_stats() {
-    let drive = || {
-        let mut agg = agg();
+    let drive = |make: fn() -> Aggregate| {
+        let mut agg = make();
+        let vols = agg.volumes().len() as u32;
         let mut rng = StdRng::seed_from_u64(99);
         let stats: Vec<_> = (0..4)
             .map(|_| {
                 for _ in 0..2500 {
-                    agg.client_overwrite(VolumeId(0), rng.random_range(0..LOGICALS))
+                    let vol = VolumeId(rng.random_range(0..vols));
+                    agg.client_overwrite(vol, rng.random_range(0..LOGICALS))
                         .unwrap();
                 }
                 wafl_fs::CpStats {
@@ -321,7 +323,37 @@ fn same_ops_twice_give_identical_cp_stats() {
             .collect();
         (stats, agg.bitmap().page_free_counts().to_vec())
     };
-    assert_eq!(drive(), drive());
+    for make in [agg, four_vols_two_groups] {
+        assert_eq!(drive(make), drive(make));
+    }
+}
+
+/// Four volumes over two unlike groups: every per-volume and per-group
+/// loop of the CP goes round more than once.
+fn four_vols_two_groups() -> Aggregate {
+    let group = |data_devices, parity_devices| RaidGroupSpec {
+        data_devices,
+        parity_devices,
+        device_blocks: 8 * 4096,
+        profile: MediaProfile::hdd(),
+    };
+    let vol = (
+        FlexVolConfig {
+            size_blocks: 2 * 32768,
+            aa_cache: true,
+            aa_blocks: None,
+        },
+        LOGICALS,
+    );
+    Aggregate::new(
+        AggregateConfig {
+            raid_groups: vec![group(4, 1), group(6, 2)],
+            ..AggregateConfig::single_group(group(4, 1))
+        },
+        &[vol; 4],
+        1,
+    )
+    .unwrap()
 }
 
 /// `write_shards` selected a planner once; there is one planner now and

@@ -178,26 +178,28 @@ fn run_arm(scale: Scale, raid_cache: bool, vol_cache: bool) -> WaflResult<(Arm, 
     Ok((arm, aggregate_free))
 }
 
-/// Run the Figure 6 experiment. The four arms are independent
-/// simulations and run in parallel (rayon).
+/// Run the Figure 6 experiment. The four arms are independent,
+/// seconds-long simulations: each runs on its own thread, joined in arm
+/// order.
 pub fn run(scale: Scale) -> WaflResult<Fig6Result> {
     let cores = 20.0;
     let clients = 4.0;
     let configs = [(true, true), (false, true), (true, false), (false, false)];
-    use rayon::prelude::*;
-    let results: Vec<WaflResult<(Arm, f64)>> = configs
-        .par_iter()
-        .enumerate()
-        .map(|(i, &(rc, vc))| {
-            let (mut arm, free) = run_arm(scale, rc, vc)?;
-            arm.name = ARMS[i].to_string();
-            Ok((arm, free))
-        })
-        .collect();
+    let results: Vec<WaflResult<(Arm, f64)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = configs
+            .iter()
+            .map(|&(rc, vc)| s.spawn(move || run_arm(scale, rc, vc)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("a Figure 6 arm panicked"))
+            .collect()
+    });
     let mut arms = Vec::new();
     let mut aggregate_free = 0.0;
-    for r in results {
-        let (arm, free) = r?;
+    for (r, name) in results.into_iter().zip(ARMS) {
+        let (mut arm, free) = r?;
+        arm.name = name.to_string();
         arms.push(arm);
         aggregate_free = free;
     }

@@ -15,10 +15,10 @@
 //! cloned out of the registry once and bumped from hot paths without a
 //! lock; the registry mutex is touched only at registration and snapshot
 //! time. All updates are relaxed atomic read-modify-writes, so handles
-//! are safe to bump concurrently from the CP's per-volume and per-group
-//! worker threads — no increment is ever lost, though cross-instrument
-//! ordering is unspecified mid-CP (snapshots are taken at CP
-//! boundaries, after the workers have joined). [`Registry::snapshot_json`] renders everything as one
+//! are safe to bump concurrently from several threads — no increment is
+//! ever lost, though cross-instrument ordering is unspecified while they
+//! run (the CP itself runs on its caller's thread; snapshots are taken
+//! at CP boundaries). [`Registry::snapshot_json`] renders everything as one
 //! deterministic JSON object so harness reports and CI smoke checks can
 //! embed or parse a metrics block.
 //!
@@ -46,7 +46,7 @@ pub const NAN_OBSERVATIONS: &str = "obs.nan_observations";
 ///
 /// Cloning shares the underlying cell; increments are relaxed atomics so a
 /// counter can be bumped from `&self` contexts (e.g. audits over an
-/// immutable aggregate) and from parallel CP phases.
+/// immutable aggregate) and from several threads at once.
 #[derive(Clone, Debug, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
@@ -518,8 +518,7 @@ mod tests {
         assert_send_sync::<Histogram>();
     }
 
-    /// Concurrent increments from worker threads (the CP's per-volume
-    /// fan-out) lose nothing.
+    /// Concurrent increments from several threads lose nothing.
     #[test]
     fn counters_survive_contended_increments() {
         const THREADS: u64 = 4;

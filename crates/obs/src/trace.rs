@@ -4,7 +4,7 @@
 //! answers "what happened, and when" *inside* a CP. A [`Tracer`] is a
 //! lock-light, bounded journal of typed [`TraceEvent`]s — CP phase spans,
 //! allocator cursor and sweep events, scrub and health transitions, mount
-//! phases — that worker threads append to without ever blocking the hot
+//! phases — that any thread can append to without ever blocking the hot
 //! path:
 //!
 //! * appending claims a slot with one relaxed `fetch_add` on the write
@@ -14,8 +14,8 @@
 //!   never blocked on — and counted in the registry's
 //!   `trace.dropped_events` counter;
 //! * every event carries the CP sequence number it belongs to, so events
-//!   are causally ordered per CP even when the per-volume fan-out emits
-//!   them concurrently.
+//!   are causally ordered per CP even when several threads emit them
+//!   concurrently (the CP itself runs on its caller's thread).
 //!
 //! Timestamps come from a monotonic clock anchored at tracer creation
 //! (`µs` since the epoch). This is the one place in `wafl-obs` that reads
@@ -132,8 +132,8 @@ struct TracerInner {
 }
 
 /// A bounded, lock-light trace journal. Cloning shares the journal, so
-/// one handle can be pre-registered per subsystem and bumped from rayon
-/// workers; all methods take `&self`.
+/// one handle can be pre-registered per subsystem and appended to from
+/// any thread; all methods take `&self`.
 #[derive(Clone)]
 pub struct Tracer {
     inner: Arc<TracerInner>,

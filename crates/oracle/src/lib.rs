@@ -811,10 +811,10 @@ impl OracleAggregate {
                     let OracleAggregate { bitmap, groups, .. } = self;
                     plan_raid_group(&mut groups[i], bitmap, shortfall)?
                 };
-                if plan.vbns.is_empty() {
-                    continue;
-                }
-                progressed = true;
+                // A plan that found no block is folded in too: a full
+                // group returns the score-0 AA `take_best` popped in
+                // `drained`, and only step 8 puts it back in the heap.
+                progressed |= !plan.vbns.is_empty();
                 for &(start, len) in &plan.runs {
                     self.bitmap.allocate_run(start, len)?;
                 }

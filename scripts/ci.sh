@@ -3,7 +3,8 @@
 # smoke checks — and optionally one of the release-mode torture loops or
 # a benchmark smoke run.
 #
-#   scripts/ci.sh                 # fast gates (fmt, clippy, tests, smokes)
+#   scripts/ci.sh                 # fast gates (no-threads guard, fmt,
+#                                 # clippy, tests, smokes)
 #   scripts/ci.sh --torture       # fast gates + 200-seed crash torture
 #   scripts/ci.sh --scrub-torture # fast gates + 200-seed runtime-scrub
 #                                 # torture (release: debug builds assert
@@ -85,6 +86,31 @@ bench_check() {
   run cargo test --release --offline --manifest-path benchmark/Cargo.toml
 }
 
+# No threads in the library (ROADMAP aim 1, "the same statistics under
+# any thread schedule", as a check): the crates a CP runs in neither
+# depend on a thread pool nor start a thread outside their `mod tests`.
+# wafl-obs (instruments shared across threads by design) and the harness
+# (fig6 runs its four arms on scoped threads) are not under the guard.
+no_threads() {
+  echo "==> no-threads guard"
+  if grep -n 'rayon' Cargo.lock; then
+    echo "Cargo.lock names rayon" >&2
+    return 1
+  fi
+  local hits
+  hits="$(find crates/{types,bitmap,core,raid,media,faults,fs,oracle,workloads}/src \
+    -name '*.rs' -exec awk '
+      FNR == 1 { tests = 0 }
+      /^mod tests/ { tests = 1 }
+      !tests && /rayon|thread::spawn|thread::scope/ { print FILENAME ":" FNR ": " $0 }
+    ' {} +)"
+  if [[ -n "$hits" ]]; then
+    echo "$hits"
+    echo "a library crate mentions rayon or starts a thread" >&2
+    return 1
+  fi
+}
+
 if [[ "${1:-}" == "--obs-smoke" ]]; then
   obs_smoke
   echo "CI gates passed."
@@ -127,6 +153,7 @@ if [[ "${1:-}" == "--bench-check" ]]; then
   exit 0
 fi
 
+no_threads
 run cargo fmt --all --check
 # or_fun_call is allow-by-default: an eager `ok_or(.. format!(..))` on
 # the op path costs a malloc + format + free per *successful* call.
