@@ -28,6 +28,39 @@ struct AaSummary {
     counts: Vec<u32>,
 }
 
+impl AaSummary {
+    /// Move the counters by the bits of `mask` in the 64-bit word whose
+    /// first VBN is `word_base`: down for a claim, up when `freed`.
+    #[inline]
+    fn bump_word(&mut self, word_base: u64, mask: u64, freed: bool) {
+        let mut bump = |vbn: u64, n: u32| {
+            let c = &mut self.counts[(vbn / self.aa_blocks) as usize];
+            *c = if freed { *c + n } else { *c - n };
+        };
+        if self.aa_blocks.is_multiple_of(64) {
+            // A word never straddles an AA boundary: one bump.
+            bump(word_base, mask.count_ones());
+        } else {
+            let mut m = mask;
+            while m != 0 {
+                bump(word_base + m.trailing_zeros() as u64, 1);
+                m &= m - 1;
+            }
+        }
+    }
+}
+
+/// What one [`Bitmap::claim_free_in_range`] call took.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Claim {
+    /// Blocks claimed, at most the quota.
+    pub taken: u64,
+    /// Highest VBN claimed; `None` if nothing was.
+    pub last_taken: Option<Vbn>,
+    /// The quota was reached with a free block still left in the range.
+    pub more_free: bool,
+}
+
 /// The activemap of one block-number space: one bit per VBN, grouped into
 /// 4 KiB pages exactly as the on-disk metafile would be.
 ///
@@ -398,11 +431,10 @@ impl Bitmap {
     /// word store per touched 64-bit word — the CP delayed-free fast
     /// path. Random overwrite traffic frees thousands of *isolated*
     /// blocks per CP; pushing each through [`Bitmap::free`] (or length-1
-    /// runs through [`Bitmap::mutate_runs_partitioned`]'s segment
-    /// machinery) pays per-call bookkeeping that dwarfs the single bit
-    /// flip. Here neighbours sharing a word collapse into one mask check
-    /// and one store, and every summary counter advances by a popcount
-    /// per word instead of once per block.
+    /// runs through [`Bitmap::free_run`]) pays per-call bookkeeping that
+    /// dwarfs the single bit flip. Here neighbours sharing a word
+    /// collapse into one mask check and one store, and every summary
+    /// counter advances by a popcount per word instead of once per block.
     ///
     /// Requirements: `vbns` strictly ascending (duplicates are rejected —
     /// a duplicate is a double free). Atomicity matches [`Bitmap::free`]
@@ -473,17 +505,7 @@ impl Bitmap {
             stats.bits_flipped += n as u64;
             freed += n as u64;
             if let Some(sm) = aa_summary.as_mut() {
-                if sm.aa_blocks.is_multiple_of(64) {
-                    // A word never straddles an AA boundary: one bump.
-                    sm.counts[((wg as u64 * 64) / sm.aa_blocks) as usize] += n;
-                } else {
-                    let mut m = mask;
-                    while m != 0 {
-                        let b = m.trailing_zeros() as u64;
-                        sm.counts[((wg as u64 * 64 + b) / sm.aa_blocks) as usize] += 1;
-                        m &= m - 1;
-                    }
-                }
+                sm.bump_word(wg as u64 * 64, mask, true);
             }
         });
         *free_blocks += freed;
@@ -514,143 +536,142 @@ impl Bitmap {
         }
     }
 
-    /// Apply a whole batch of disjoint runs — all allocations or all
-    /// frees — as one mutation: the CP's apply primitive. The runs are
-    /// split at metafile-page boundaries and stored page by page; the
-    /// scalar counters (`free_blocks`, the per-AA summary) advance once
-    /// per run, not once per block.
+    /// Claim the lowest `quota` free VBNs of `start .. start+len` (clamped
+    /// to the space): search and take in one walk. The range is read a
+    /// 64-bit word at a time — edge words masked, pages whose summary
+    /// counter reads full skipped unread — and the free bits of a word
+    /// are set in the word just read, so there is nothing to re-validate
+    /// between finding a block and owning it. The summary counters and
+    /// `DirtyStats` advance once per touched word or page, to exactly
+    /// what one [`Bitmap::allocate`] per claimed VBN would leave.
     ///
-    /// Requirements: `runs` must be sorted by start VBN and pairwise
-    /// disjoint (zero-length runs are allowed and skipped). Atomicity
-    /// matches [`Bitmap::allocate_run`]: the whole batch is verified to
-    /// be in the expected state before any bit changes, so an error
-    /// leaves the bitmap untouched.
-    ///
-    /// The result is bit-for-bit identical to applying each run with
-    /// [`Bitmap::allocate_run`]/[`Bitmap::free_run`] in order.
-    pub fn mutate_runs_partitioned(&mut self, runs: &[(Vbn, u64)], alloc: bool) -> WaflResult<()> {
-        // ---- validate shape + expected state (read-only) ---------------
-        let mut prev_end = 0u64;
-        let mut total = 0u64;
-        for (i, &(start, len)) in runs.iter().enumerate() {
-            if len == 0 {
-                continue;
-            }
-            let s = start.get();
-            let end = s.saturating_add(len);
-            if i > 0 && s < prev_end {
-                return Err(WaflError::InvalidConfig {
-                    reason: format!(
-                        "mutate_runs_partitioned: run {i} at {s} overlaps or \
-                         precedes the previous run ending at {prev_end}"
-                    ),
-                });
-            }
-            if s >= self.space_len || end > self.space_len {
-                let vbn = if s >= self.space_len {
-                    start
-                } else {
-                    Vbn(self.space_len)
-                };
-                return Err(WaflError::VbnOutOfRange {
-                    vbn,
-                    space_len: self.space_len,
-                });
-            }
-            prev_end = end;
-            total += len;
-        }
-        if total == 0 {
-            return Ok(());
-        }
-        // Per-page segments, in ascending page order (runs are sorted).
-        // Each segment is one run's overlap with one metafile page.
-        let mut segments: Vec<(usize, u64, u64)> = Vec::with_capacity(runs.len());
-        for &(start, len) in runs {
-            if len == 0 {
-                continue;
-            }
-            let s = start.get();
-            let end = s + len;
-            let mut pos = s;
-            while pos < end {
-                let p = (pos / BITS_PER_BITMAP_BLOCK) as usize;
-                let in_page = pos % BITS_PER_BITMAP_BLOCK;
-                let page_end = ((p as u64 + 1) * BITS_PER_BITMAP_BLOCK).min(end);
-                segments.push((p, in_page, in_page + (page_end - pos)));
-                pos = page_end;
-            }
-        }
-        // State check, so a mismatch mid-batch cannot half-apply it.
-        for &(p, a, b) in &segments {
-            let bad = if alloc {
-                self.pages[p].first_allocated_in(a, b)
-            } else {
-                self.pages[p].first_free_in(a, b)
+    /// The claimed VBNs are appended to `vbns` and their maximal runs
+    /// (merged across word and page boundaries within this call) to
+    /// `runs`, both ascending.
+    pub fn claim_free_in_range(
+        &mut self,
+        start: Vbn,
+        len: u64,
+        quota: u64,
+        runs: &mut Vec<(Vbn, u64)>,
+        vbns: &mut Vec<Vbn>,
+    ) -> Claim {
+        let end = start.get().saturating_add(len).min(self.space_len);
+        let first_run = runs.len();
+        let Bitmap {
+            pages,
+            dirty,
+            stats,
+            page_free,
+            aa_summary,
+            ..
+        } = self;
+        let mut left = quota;
+        // The run being extended, pushed to `runs` once a claimed bit does
+        // not continue it. (An empty run at 0 "continues" into VBN 0 and
+        // nowhere else, which is what a first run needs.) Its VBNs reach
+        // `vbns` one of two ways: the bits of a partly claimed word are
+        // pushed one by one, which is what a fragmented AA is made of;
+        // words claimed whole are left to one `extend` when the run ends
+        // or a partly claimed word follows, so a long run costs what its
+        // length does, not what its words do. Every claimed VBN below
+        // `listed` is in `vbns` already.
+        let (mut run_start, mut run_len, mut listed) = (0u64, 0u64, 0u64);
+        let list_rest = |vbns: &mut Vec<Vbn>, run_start: u64, run_len: u64, listed: u64| {
+            vbns.extend((run_start.max(listed)..run_start + run_len).map(Vbn));
+        };
+        let close_run =
+            |runs: &mut Vec<(Vbn, u64)>, vbns: &mut Vec<Vbn>, run_start, run_len, listed| {
+                if run_len > 0 {
+                    list_rest(vbns, run_start, run_len, listed);
+                    runs.push((Vbn(run_start), run_len));
+                }
             };
-            if let Some(i) = bad {
-                return Err(WaflError::BitmapStateMismatch {
-                    vbn: Vbn(p as u64 * BITS_PER_BITMAP_BLOCK + i),
-                    expected_free: alloc,
-                });
-            }
-        }
-
-        // ---- apply ------------------------------------------------------
-        for &(p, a, b) in &segments {
-            let touched = (b - a) as u16;
-            if alloc {
-                self.pages[p].set_range_allocated(a, b);
-                self.page_free[p] -= touched;
-            } else {
-                self.pages[p].set_range_free(a, b);
-                self.page_free[p] += touched;
-            }
-            if !self.dirty[p] {
-                self.dirty[p] = true;
-                self.stats.pages_dirtied += 1;
-            }
-        }
-
-        // ---- the counters that advance per run --------------------------
-        self.stats.bits_flipped += total;
-        if alloc {
-            self.free_blocks -= total;
-        } else {
-            self.free_blocks += total;
-        }
-        if let Some(sm) = self.aa_summary.as_mut() {
-            for &(start, len) in runs {
-                if len == 0 {
+        let mut pos = start.get();
+        while pos < end && left > 0 {
+            let p = (pos / BITS_PER_BITMAP_BLOCK) as usize;
+            let page_start = p as u64 * BITS_PER_BITMAP_BLOCK;
+            let page_end = (page_start + BITS_PER_BITMAP_BLOCK).min(end);
+            let mut page_taken = 0u16;
+            let words = (pos - page_start) / 64..(page_end - page_start).div_ceil(64);
+            for wi in words {
+                // The page has nothing (more) free, or the quota is met.
+                if page_taken == page_free[p] || left == 0 {
+                    break;
+                }
+                let base = page_start + wi * 64;
+                let mut mask = u64::MAX;
+                if base < pos {
+                    mask <<= pos - base;
+                }
+                if page_end - base < 64 {
+                    mask &= (1u64 << (page_end - base)) - 1;
+                }
+                let mut take = !pages[p].words()[wi as usize] & mask;
+                if take == 0 {
                     continue;
                 }
-                let s = start.get();
-                let end = s + len;
-                let first_aa = s / sm.aa_blocks;
-                let last_aa = (end - 1) / sm.aa_blocks;
-                for aa in first_aa..=last_aa {
-                    let aa_start = aa * sm.aa_blocks;
-                    let aa_end = aa_start + sm.aa_blocks;
-                    let overlap = (end.min(aa_end) - s.max(aa_start)) as u32;
-                    if alloc {
-                        sm.counts[aa as usize] -= overlap;
-                    } else {
-                        sm.counts[aa as usize] += overlap;
+                // Over quota: give back the highest free bits.
+                let mut n = take.count_ones() as u64;
+                while n > left {
+                    take &= !(1u64 << (63 - take.leading_zeros()));
+                    n -= 1;
+                }
+                pages[p].set_word_bits(wi as usize, take);
+                left -= n;
+                page_taken += n as u16;
+                if let Some(sm) = aa_summary.as_mut() {
+                    sm.bump_word(base, take, false);
+                }
+                if take != u64::MAX {
+                    list_rest(vbns, run_start, run_len, listed);
+                    let mut bits = take;
+                    while bits != 0 {
+                        vbns.push(Vbn(base + bits.trailing_zeros() as u64));
+                        bits &= bits - 1;
                     }
+                    listed = base + 64;
+                }
+                // Peel the word's runs of set bits off `take`, lowest first.
+                while take != 0 {
+                    let bit = take.trailing_zeros();
+                    let vbn = base + bit as u64;
+                    if run_start + run_len != vbn {
+                        close_run(runs, vbns, run_start, run_len, listed);
+                        (run_start, run_len) = (vbn, 0);
+                    }
+                    run_len += (!(take >> bit)).trailing_zeros() as u64;
+                    take &= take.wrapping_add(1u64 << bit);
                 }
             }
+            if page_taken > 0 {
+                page_free[p] -= page_taken;
+                if !dirty[p] {
+                    dirty[p] = true;
+                    stats.pages_dirtied += 1;
+                }
+            }
+            pos = page_end;
         }
+        close_run(runs, vbns, run_start, run_len, listed);
+        let taken = quota - left;
+        stats.bits_flipped += taken;
+        self.free_blocks -= taken;
+        let last_taken = (taken > 0).then(|| Vbn(run_start + run_len - 1));
         if cfg!(debug_assertions) {
-            for &(start, len) in runs.iter().filter(|&&(_, len)| len > 0) {
-                let end = start.get() + len;
-                self.debug_check_counters(start, (start.get() / BITS_PER_BITMAP_BLOCK) as usize);
-                self.debug_check_counters(
-                    Vbn(end - 1),
-                    ((end - 1) / BITS_PER_BITMAP_BLOCK) as usize,
-                );
+            for vbn in last_taken
+                .into_iter()
+                .chain(runs.get(first_run).map(|r| r.0))
+            {
+                self.debug_check_counters(vbn, (vbn.get() / BITS_PER_BITMAP_BLOCK) as usize);
             }
         }
-        Ok(())
+        let rest = last_taken.map_or(start, Vbn::next).get();
+        Claim {
+            taken,
+            last_taken,
+            more_free: left == 0 && self.first_free_between(rest, end).is_some(),
+        }
     }
 
     /// Debug-build parity check: the mutated page's (and AA's) summary
@@ -1174,7 +1195,7 @@ mod tests {
             // (isolated bits, same-word neighbours, word and page
             // boundaries all show up at this density).
             for b in [&mut bulk, &mut bit] {
-                b.mutate_runs_partitioned(&[(Vbn(0), space)], true).unwrap();
+                b.allocate_run(Vbn(0), space).unwrap();
             }
             let mut rng = StdRng::seed_from_u64(aa_blocks);
             let mut vbns: Vec<Vbn> = (0..space)

@@ -29,6 +29,6 @@ mod page;
 pub mod scan;
 mod sort;
 
-pub use bitmap::{Bitmap, DirtyStats};
+pub use bitmap::{Bitmap, Claim, DirtyStats};
 pub use page::BitmapPage;
 pub use sort::sort_vbns;

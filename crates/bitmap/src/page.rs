@@ -191,6 +191,13 @@ impl BitmapPage {
         self.words[wi] &= !mask;
     }
 
+    /// Set every bit of `mask` in word `wi`. The caller has just read
+    /// those bits free; this does not re-check.
+    #[inline]
+    pub fn set_word_bits(&mut self, wi: usize, mask: u64) {
+        self.words[wi] |= mask;
+    }
+
     /// Iterate maximal runs of consecutive free bits as `(start, len)`
     /// pairs, in ascending order.
     pub fn free_runs(&self) -> FreeRuns<'_> {

@@ -51,9 +51,8 @@ pub(crate) struct AllocOutcome {
     /// Picks served by the linear bitmap sweep instead of a cache (the
     /// cache-less degraded-mount fallback, or baseline-mode exhaustion).
     pub sweep_picks: u64,
-    /// The VBNs of `vbns` coalesced into maximal consecutive runs, in the
-    /// same order. The apply phase walks these through the bulk bitmap
-    /// mutators instead of flipping one bit at a time.
+    /// The VBNs of `vbns` as the consecutive runs they were claimed in,
+    /// in the same order. Media costing works per run.
     pub runs: Vec<(Vbn, u64)>,
     /// Drains that resumed from the volume's per-AA cursor instead of
     /// re-walking the AA's allocated prefix.
@@ -61,11 +60,6 @@ pub(crate) struct AllocOutcome {
     /// Drains that started from the AA's first VBN (no cursor, cursor on
     /// another AA, or cursor invalidated by frees/quarantine/replenish).
     pub cursor_misses: u64,
-    /// Physical plans only: blocks taken from each AA drained, in drain
-    /// order. The CP records them into the group's score batch where it
-    /// applies `runs`, so the batch never describes blocks the bitmap
-    /// does not hold yet.
-    pub takes: Vec<(AaId, u32)>,
 }
 
 impl AllocOutcome {
@@ -102,34 +96,25 @@ impl AaBitset {
     }
 }
 
-/// Drain free VBNs of `aa` from `bitmap` (read-only) in write order, up to
-/// `quota` total in `out`. Returns whether the AA was exhausted.
+/// Claim the free VBNs of `ranges` in `bitmap`, in write order, until
+/// `out` holds `quota` of them. Returns whether the ranges were exhausted.
 pub(crate) fn drain_ranges(
     ranges: &[(Vbn, u64)],
-    bitmap: &wafl_bitmap::Bitmap,
+    bitmap: &mut wafl_bitmap::Bitmap,
     quota: usize,
     out: &mut AllocOutcome,
 ) -> bool {
+    // Sized once: a fragmented AA hands its blocks over a few at a time.
+    out.vbns.reserve(quota - out.vbns.len());
     for &(start, len) in ranges {
-        let mut last_taken: Option<u64> = None;
-        for (run_start, run_len) in bitmap.free_runs_in_range(start, len) {
-            let remaining = (quota - out.vbns.len()) as u64;
-            if remaining == 0 {
-                // Quota hit mid-range: examined up to the previous take.
-                if let Some(last) = last_taken {
-                    out.blocks_examined += last - start.get() + 1;
-                }
-                return false;
+        let want = (quota - out.vbns.len()) as u64;
+        let claim = bitmap.claim_free_in_range(start, len, want, &mut out.runs, &mut out.vbns);
+        if claim.more_free {
+            // Quota hit mid-range: examined up to the last take.
+            if let Some(last) = claim.last_taken {
+                out.blocks_examined += last.get() - start.get() + 1;
             }
-            let take = run_len.min(remaining);
-            out.vbns.extend((0..take).map(|i| Vbn(run_start.get() + i)));
-            out.runs.push((run_start, take));
-            last_taken = Some(run_start.get() + take - 1);
-            if take < run_len {
-                // Quota hit mid-run.
-                out.blocks_examined += run_start.get() + take - start.get();
-                return false;
-            }
+            return false;
         }
         // Range fully consumed (or empty): every position was examined.
         out.blocks_examined += len;
@@ -153,13 +138,13 @@ pub(crate) fn popcount_score(
         .sum()
 }
 
-/// Plan physical allocations with the group's cache structure-quarantined:
-/// walk the AAs in order, skipping quarantined ones, scoring each by
-/// popcount. No AA becomes active — the sweep makes no claim the repaired
-/// cache would have to honor later.
+/// Allocate from a group whose cache is structure-quarantined: walk the
+/// AAs in order, skipping quarantined ones, scoring each by popcount. No
+/// AA becomes active — the sweep makes no claim the repaired cache would
+/// have to honor later.
 fn plan_group_quarantine_sweep(
     g: &mut RaidGroupState,
-    bitmap: &wafl_bitmap::Bitmap,
+    bitmap: &mut wafl_bitmap::Bitmap,
     quota: usize,
     out: &mut AllocOutcome,
 ) {
@@ -180,22 +165,22 @@ fn plan_group_quarantine_sweep(
         let before = out.vbns.len();
         let ranges = g.topology.aa_write_ranges(aa);
         drain_ranges(&ranges, bitmap, quota, out);
-        out.takes.push((aa, (out.vbns.len() - before) as u32));
+        let taken = (out.vbns.len() - before) as u32;
+        g.batch.record_allocated(aa, taken);
     }
 }
 
-/// Plan `quota` physical allocations from one RAID group. Reads the
-/// shared physical bitmap; mutates only group-local state (cache, batch,
-/// active AA). The returned runs are applied to the bitmap afterwards,
-/// and the per-AA takes recorded into the group's batch with them.
+/// Allocate `quota` physical blocks from one RAID group: pick AAs off the
+/// group's cache and claim their free VBNs in the shared physical bitmap,
+/// recording each AA's take into the group's score batch as it is made.
 ///
-/// `g.batch` holds exactly the changes the bitmap already carries and the
-/// cache has not seen (the CP records takes and frees where it applies
-/// them), so an HBPS replenish here spends it: the rescan has just read
-/// what it describes.
+/// `g.batch` therefore holds exactly the changes the bitmap carries and
+/// the cache has not seen — this call's earlier claims included — so an
+/// HBPS replenish here spends it: the rescan has just read what it
+/// describes.
 pub(crate) fn plan_raid_group(
     g: &mut RaidGroupState,
-    bitmap: &wafl_bitmap::Bitmap,
+    bitmap: &mut wafl_bitmap::Bitmap,
     quota: usize,
     mode: AllocatorMode,
     seed: u64,
@@ -207,8 +192,10 @@ pub(crate) fn plan_raid_group(
     let aa_count = g.topology.aa_count();
     let mut attempts = 0u32;
     // Exact ground-truth best score, computed at most once per plan call
-    // (the plan phase reads a bitmap snapshot, so it cannot change
-    // mid-plan). Only sampled picks pay for it; see the HBPS arm below.
+    // and before the pick it first audits is drained: a later sampled
+    // pick of the same call is held to a best this call may have taken
+    // since, which overstates its error and never hides one. Only
+    // sampled picks pay for it; see the HBPS arm below.
     let mut audited_best: Option<u32> = None;
     // Structure quarantine: the cache's scores are suspect, so don't
     // consult it at all — sweep the bitmap with popcount scoring instead.
@@ -218,10 +205,8 @@ pub(crate) fn plan_raid_group(
         return Ok(out);
     }
     while out.vbns.len() < quota {
-        // Continue the active AA, or claim a new one. The active AA joins
-        // `tried` so the random picker cannot re-pick it after this plan
-        // drains it — the plan phase reads a bitmap snapshot, so a fresh
-        // `score_from_bitmap` would be stale and cause double allocation.
+        // Continue the active AA, or claim a new one. Every AA this call
+        // drains joins `tried`: none is offered twice.
         let aa = match g.active_aa {
             // A quarantine landed on the active AA: stop draining it and
             // hand it back to the heap (popcount-scored — its summary
@@ -290,8 +275,8 @@ pub(crate) fn plan_raid_group(
                         }
                         match hbps.take_best() {
                             Some((aa, _bound)) => {
-                                // A replenish against the plan's snapshot
-                                // relists AAs this call has already drained.
+                                // A replenish relists every AA, those this
+                                // call has already drained included.
                                 if g.quarantined_aas.contains(&aa) || !tried.insert(aa) {
                                     continue; // attempts bound caps this
                                 }
@@ -352,7 +337,6 @@ pub(crate) fn plan_raid_group(
         };
         // Assign the AA's free VBNs in write order: tetris by tetris, one
         // chain per device — full stripes and long chains (§2.3–2.4).
-        // The plan phase must also skip VBNs it already took itself.
         // Ranges with no free block are dropped by their summary count
         // and not examined, like the prefix behind a volume's drain
         // cursor.
@@ -361,7 +345,7 @@ pub(crate) fn plan_raid_group(
         ranges.retain(|&(start, len)| bitmap.free_count_range(start, len) > 0);
         let exhausted = drain_ranges(&ranges, bitmap, quota, &mut out);
         let taken = (out.vbns.len() - before) as u32;
-        out.takes.push((aa, taken));
+        g.batch.record_allocated(aa, taken);
         if exhausted {
             out.drained.push(aa);
             g.active_aa = None;
@@ -526,10 +510,9 @@ pub(crate) fn allocate_vvbns(
                 }
             }
         };
-        // Drain (allocating as we go — the volume owns its bitmap). A
-        // valid cursor lets the walk resume just past the last run this
-        // AA handed out, instead of re-examining its allocated prefix on
-        // every re-entry.
+        // Drain. A valid cursor lets the walk resume just past the last
+        // run this AA handed out, instead of re-examining its allocated
+        // prefix on every re-entry.
         let mut ranges = vol.topology.aa_vbn_ranges(aa);
         match vol.drain_cursor {
             Some((cursor_aa, resume)) if cursor_aa == aa => {
@@ -549,19 +532,14 @@ pub(crate) fn allocate_vvbns(
             }
             _ => out.cursor_misses += 1,
         }
-        let mut plan = AllocOutcome::default();
-        let exhausted = drain_ranges(&ranges, &vol.bitmap, n - out.vbns.len(), &mut plan);
-        for &(start, len) in &plan.runs {
-            vol.bitmap.allocate_run(start, len)?;
-        }
-        vol.batch.record_allocated(aa, plan.vbns.len() as u32);
-        out.blocks_examined += plan.blocks_examined;
-        out.vbns.extend_from_slice(&plan.vbns);
-        out.runs.extend_from_slice(&plan.runs);
+        let before = out.vbns.len();
+        let exhausted = drain_ranges(&ranges, &mut vol.bitmap, n, &mut out);
+        let taken = out.vbns.len() - before;
+        vol.batch.record_allocated(aa, taken as u32);
         if exhausted {
             vol.active_aa = None;
             vol.drain_cursor = None;
-            if plan.vbns.is_empty() && out.vbns.len() < n && mode == AllocatorMode::CacheGuided {
+            if taken == 0 && out.vbns.len() < n && mode == AllocatorMode::CacheGuided {
                 // Stale pick with nothing free; loop to pick again. The
                 // linear-sweep fallback above bounds this.
                 continue;
@@ -569,7 +547,7 @@ pub(crate) fn allocate_vvbns(
         } else {
             // Quota met mid-AA: the next drain resumes one past the last
             // VBN taken (frees into this AA invalidate the cursor).
-            let last = plan.vbns.last().expect("quota>0 and not exhausted");
+            let last = out.vbns.last().expect("quota>0 and not exhausted");
             vol.drain_cursor = Some((aa, Vbn(last.get() + 1)));
         }
     }
@@ -652,8 +630,7 @@ mod tests {
         }
         v.active_aa = Some(AaId(0));
         let out = allocate_vvbns(&mut v, 10, 3, AllocatorMode::CacheGuided).unwrap();
-        // Every other block free: ten single-block runs, each applied as
-        // its own bulk mutation.
+        // Every other block free: ten single-block runs.
         assert_eq!(out.runs.len(), 10);
         assert!(out.runs.iter().all(|&(_, len)| len == 1));
         assert_eq!(out.vbns.len(), 10);

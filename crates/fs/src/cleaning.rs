@@ -73,21 +73,25 @@ pub fn clean_top_aas(
             }
         }
         // Destinations from the same group's remaining AAs (the cleaned AA
-        // is off the heap, so the planner cannot pick it).
-        let plan = {
-            let g = &mut agg.groups[rg_index];
-            plan_raid_group(
-                g,
-                &agg.bitmap,
-                live.len(),
-                AllocatorMode::CacheGuided,
-                0xC1EA_u64 ^ aa.get() as u64,
-                agg.cfg.pick_audit_sample,
-            )?
-        };
+        // is off the heap, so the planner cannot pick it), claimed in the
+        // bitmap and recorded in the group's batch as they are found.
+        let plan = plan_raid_group(
+            &mut agg.groups[rg_index],
+            &mut agg.bitmap,
+            live.len(),
+            AllocatorMode::CacheGuided,
+            0xC1EA_u64 ^ aa.get() as u64,
+            agg.cfg.pick_audit_sample,
+        )?;
         if plan.vbns.len() < live.len() {
-            // Not enough room elsewhere: put everything back and stop.
+            // Not enough room elsewhere: give the claimed blocks back, drop
+            // their batch entries, put every AA back and stop.
+            for &(start, len) in &plan.runs {
+                agg.bitmap.free_run(start, len)?;
+            }
+            agg.bitmap.take_dirty_stats();
             let g = &mut agg.groups[rg_index];
+            let _ = g.batch.drain().count();
             let score = g.topology.score_from_bitmap(&agg.bitmap, aa);
             if let Some(GroupCache::Heap(cache)) = g.cache.as_mut() {
                 cache.insert(aa, score)?;
@@ -95,15 +99,12 @@ pub fn clean_top_aas(
                     let s = g.topology.score_from_bitmap(&agg.bitmap, drained);
                     cache.insert(drained, s)?;
                 }
-                // Drop the planner's tentative batch: nothing was applied.
-                let _ = g.batch.drain().count();
             }
             break;
         }
-        // Relocate: free source, allocate destination, redirect the owner.
+        // Relocate: free the source, redirect the owner to the destination.
         for (&src, &dst) in live.iter().zip(&plan.vbns) {
             agg.bitmap.free(src)?;
-            agg.bitmap.allocate(dst)?;
             let owner = agg.pvbn_owner[src.index()];
             agg.pvbn_owner[src.index()] = OWNER_NONE;
             agg.pvbn_owner[dst.index()] = owner;
@@ -177,21 +178,7 @@ mod tests {
     fn cleaning_produces_empty_aas() {
         // Deterministic setup: every AA seeded to ~50 % random occupancy,
         // so the heap's best AA is never empty and cleaning must relocate.
-        let mut a = Aggregate::new(
-            AggregateConfig {
-                aa_policy_override: Some(wafl_types::AaSizingPolicy::Stripes { stripes: 256 }),
-                ..AggregateConfig::single_group(RaidGroupSpec {
-                    data_devices: 4,
-                    parity_devices: 1,
-                    device_blocks: 16 * 4096,
-                    profile: MediaProfile::hdd(),
-                })
-            },
-            &[],
-            2,
-        )
-        .unwrap();
-        aging::seed_rg_random_occupancy(&mut a, 0, 0.5, 77).unwrap();
+        let mut a = seeded(&[], 0.5);
         let occupied_before = a.bitmap().space_len() - a.bitmap().free_blocks();
         let aa_blocks = (a.groups()[0].stripes_per_aa * 4) as u32;
         let best_before = a.groups()[0].cache().unwrap().best().unwrap().1;
@@ -210,6 +197,74 @@ mod tests {
             a.bitmap().space_len() - a.bitmap().free_blocks(),
             occupied_before
         );
+    }
+
+    /// 4+1 HDD group of 16 Ki-block devices in 256-stripe AAs, hosting
+    /// `vols`, every AA seeded to `fraction` random occupancy.
+    fn seeded(vols: &[(FlexVolConfig, u64)], fraction: f64) -> Aggregate {
+        let mut a = Aggregate::new(
+            AggregateConfig {
+                aa_policy_override: Some(wafl_types::AaSizingPolicy::Stripes { stripes: 256 }),
+                ..AggregateConfig::single_group(RaidGroupSpec {
+                    data_devices: 4,
+                    parity_devices: 1,
+                    device_blocks: 16 * 4096,
+                    profile: MediaProfile::hdd(),
+                })
+            },
+            vols,
+            2,
+        )
+        .unwrap();
+        aging::seed_rg_random_occupancy(&mut a, 0, fraction, 77).unwrap();
+        a
+    }
+
+    #[test]
+    fn destination_takes_reach_the_heap() {
+        // The destination AA that stays active after a cleaning is out of
+        // the heap, so only the batch can tell the heap's score array
+        // about the relocated blocks; a CP that later drains and
+        // re-inserts it ranks it by that array.
+        let vol = FlexVolConfig {
+            size_blocks: 8 * 32768,
+            aa_cache: true,
+            aa_blocks: None,
+        };
+        let mut a = seeded(&[(vol, 60_000)], 0.5);
+        let stats = clean_top_aas(&mut a, 0, 2).unwrap();
+        assert!(stats.blocks_relocated > 0);
+        assert_eq!(crate::iron::check(&a).unwrap().stale_scores, 0);
+        for cp in 0..6u64 {
+            for l in 0..300 {
+                a.client_overwrite(VolumeId(0), cp * 300 + l).unwrap();
+            }
+            a.run_cp().unwrap();
+            let report = crate::iron::check(&a).unwrap();
+            assert_eq!(report.stale_scores, 0, "after CP {cp}");
+        }
+    }
+
+    #[test]
+    fn refused_cleaning_gives_back_what_it_claimed() {
+        // 99.7 % full: the best AA's live blocks outnumber every free block
+        // elsewhere in the group, so the cleaning claims what there is,
+        // comes up short and must leave no trace.
+        let mut a = seeded(&[], 0.997);
+        let free_before = a.bitmap().free_blocks();
+        let pages_before = a.bitmap().page_free_counts().to_vec();
+        let best_before = a.groups()[0].cache().unwrap().best();
+        let before = crate::iron::check(&a).unwrap();
+        let stats = clean_top_aas(&mut a, 0, 1).unwrap();
+        assert_eq!(stats, CleaningStats::default());
+        assert_eq!(a.bitmap().free_blocks(), free_before);
+        assert_eq!(a.bitmap().page_free_counts(), &pages_before[..]);
+        assert_eq!(a.bitmap().summary_divergences(), 0);
+        assert_eq!(a.groups()[0].cache().unwrap().best(), best_before);
+        assert!(a.groups()[0].batch.is_empty());
+        assert_eq!(crate::iron::check(&a).unwrap(), before);
+        // Nothing is charged to the next CP's metafile I/O either.
+        assert_eq!(a.bitmap.take_dirty_stats(), Default::default());
     }
 
     #[test]

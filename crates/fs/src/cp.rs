@@ -64,11 +64,12 @@ pub struct RgCpStats {
 pub struct CpWallClock {
     /// Virtual (per-volume) allocation planning.
     pub plan_virtual_us: f64,
-    /// Physical (per-group) allocation planning, including quota
-    /// computation and any shortfall re-planning rounds.
+    /// Physical (per-group) allocation, including quota computation and
+    /// any shortfall rounds.
     pub plan_physical_us: f64,
-    /// Applying planned allocation runs to the bitmaps, plus the
-    /// metafile dirty-page accounting.
+    /// The metafile dirty-page accounting (step 6). Allocations are
+    /// claimed in the bitmaps where the plans find them, so there is no
+    /// apply step to time; the field keeps its name for its readers.
     pub apply_us: f64,
     /// Logical→virtual→physical binding and queued deletions.
     pub bind_us: f64,
@@ -113,6 +114,17 @@ fn lap_us(mark: &mut std::time::Instant) -> f64 {
     let us = mark.elapsed().as_secs_f64() * 1e6;
     *mark = std::time::Instant::now();
     us
+}
+
+/// `dst.append(src)`, except that an empty `dst` takes `src`'s buffer
+/// instead of copying it into a new one. With one group and no shortfall
+/// round, that spares a CP the copy of every block and run it planned.
+fn append_or_take<T>(dst: &mut Vec<T>, src: &mut Vec<T>) {
+    if dst.is_empty() {
+        std::mem::swap(dst, src);
+    } else {
+        dst.append(src);
+    }
 }
 
 /// One phase's wall-vs-model comparison inside a [`WallClockOverlay`].
@@ -489,6 +501,7 @@ impl Aggregate {
         let mut sweep_picks = 0u64;
         let mut batch_sizes: Vec<u64> = Vec::new();
         let mut heap_batch_sizes: Vec<u64> = Vec::new();
+        let mut cache_ops = 0u64;
         // Per-volume cursor traffic, kept aside for the vol=<id> labelled
         // export in step 10 (the outcomes themselves are consumed by the
         // binding step below).
@@ -520,84 +533,39 @@ impl Aggregate {
         } else {
             AllocatorMode::RandomAa
         };
-        let quotas = self.rg_quotas(n);
         let audit_sample = self.cfg.pick_audit_sample;
-        // Every plan of this CP with its group's index, first round then
-        // shortfall rounds, in the order they were made. Their blocks,
-        // counters and drained AAs are folded in once, after the rounds.
-        let mut plans: Vec<(usize, AllocOutcome)> = Vec::with_capacity(self.groups.len());
-        for (i, (g, &quota)) in self.groups.iter_mut().zip(&quotas).enumerate() {
-            let plan = plan_raid_group(
-                g,
-                &self.bitmap,
-                quota,
-                mode,
-                cp_seed ^ (0xABCD + i as u64),
-                audit_sample,
-            )?;
-            plans.push((i, plan));
-        }
-        wall.plan_physical_us += lap_us(&mut mark);
-        // Apply the plans to the shared bitmap (cheap bit sets).
-        if let Some(site @ CrashSite::AfterBlockWrites(limit)) = crash {
+        // Round 0 offers each group its weighted share; whatever the
+        // groups could not find is the shortfall, which every later round
+        // offers whole to each group in turn.
+        let mut quotas = self.rg_quotas(n);
+        if let Some(CrashSite::AfterBlockWrites(limit)) = crash {
             // Power loss after `limit` physical block writes hit stable
-            // storage: their bitmap bits are set, but no logical binding
-            // or ownership was ever recorded — allocated-but-unowned
-            // leaks in both VBN spaces (the vvbn bits were set in step 2).
-            let mut applied = 0u64;
-            'apply: for (_, plan) in &plans {
-                for &vbn in &plan.vbns {
-                    if applied >= limit {
-                        break 'apply;
-                    }
-                    self.bitmap.allocate(vbn)?;
-                    applied += 1;
-                }
-            }
-            self.lose_volatile_state();
-            return Ok(CpOutcome::Crashed(site));
-        }
-        // Every group's runs are disjoint (groups own disjoint VBN
-        // ranges; within a group, each AA is drained once), so the
-        // whole CP applies as one sorted bulk mutation.
-        // The runs arrive as one ascending stretch per drained AA and
-        // device, a handful per CP: the stable sort merges such
-        // stretches where the unstable one would start from scratch.
-        let mut all_runs: Vec<(Vbn, u64)> = plans
-            .iter()
-            .flat_map(|(_, p)| p.runs.iter().copied())
-            .collect();
-        all_runs.sort_by_key(|&(start, _)| start.get());
-        self.bitmap.mutate_runs_partitioned(&all_runs, true)?;
-        for (i, plan) in &plans {
-            for &(aa, taken) in &plan.takes {
-                self.groups[*i].batch.record_allocated(aa, taken);
+            // storage: cap the quotas cumulatively. A capped claim is a
+            // prefix of the uncapped one, so exactly the first `limit`
+            // VBNs of this CP have their bits set.
+            let mut left = usize::try_from(limit).unwrap_or(usize::MAX);
+            for quota in &mut quotas {
+                *quota = left.min(*quota);
+                left -= *quota;
             }
         }
-        wall.apply_us += lap_us(&mut mark);
-        // Shortfall: further rounds against the updated bitmap.
-        let planned: usize = plans.iter().map(|(_, p)| p.vbns.len()).sum();
-        let mut shortfall = n.saturating_sub(planned);
-        while shortfall > 0 {
+        let mut salt = 0xABCD_u64;
+        let mut shortfall = n;
+        // Every plan of this CP with its group's index, in the order they
+        // were made. Their blocks, counters and drained AAs are folded in
+        // once, after the rounds.
+        let mut plans: Vec<(usize, AllocOutcome)> = Vec::with_capacity(self.groups.len());
+        loop {
             let mut progressed = false;
-            for (i, g) in self.groups.iter_mut().enumerate() {
-                if shortfall == 0 {
-                    break;
-                }
+            for (i, (g, &quota)) in self.groups.iter_mut().zip(&quotas).enumerate() {
                 let plan = plan_raid_group(
                     g,
-                    &self.bitmap,
-                    shortfall,
+                    &mut self.bitmap,
+                    quota.min(shortfall),
                     mode,
-                    cp_seed ^ (0xF00D + i as u64),
+                    cp_seed ^ (salt + i as u64),
                     audit_sample,
                 )?;
-                for &(aa, taken) in &plan.takes {
-                    g.batch.record_allocated(aa, taken);
-                }
-                for &(start, len) in &plan.runs {
-                    self.bitmap.allocate_run(start, len)?;
-                }
                 shortfall -= plan.vbns.len();
                 progressed |= !plan.vbns.is_empty();
                 // A plan that found no block is kept too: a full
@@ -605,47 +573,65 @@ impl Aggregate {
                 // popped in `drained`, and only step 8 puts it back.
                 plans.push((i, plan));
             }
-            if !progressed {
-                if self.free_log.pending() > 0 {
-                    // Space pressure: pull the logged frees forward (the
-                    // [18]-style reclamation path racing the allocator).
-                    let Aggregate {
-                        bitmap,
-                        groups,
-                        pvbn_owner,
-                        free_log,
-                        ..
-                    } = &mut *self;
-                    let dstats = free_log.force_drain(bitmap, |pvbn, _| {
-                        pvbn_owner[pvbn.index()] = OWNER_NONE;
-                        let g = groups
-                            .iter_mut()
-                            .find(|g| g.geometry.contains(pvbn))
-                            .expect("freed pvbn belongs to a group");
-                        let aa = g.topology.aa_of_vbn(pvbn)?;
-                        g.batch.record_freed(aa, 1);
-                        Ok(())
-                    })?;
-                    stats.delayed_frees_applied += dstats.frees_applied;
-                    stats.delayed_free_pages += dstats.pages_processed;
-                    // Retry the plans. A re-plan that scores AAs from the
-                    // bitmap (HBPS replenish, random-AA mode, the
-                    // quarantine sweep) finds the freed blocks; a heap
-                    // keeps its pre-free scores until the CP boundary
-                    // and does not (ROADMAP, open item 1).
-                    continue;
-                }
-                return Err(WaflError::SpaceExhausted);
+            if let Some(site @ CrashSite::AfterBlockWrites(_)) = crash {
+                // The claimed bits are on stable storage, but no logical
+                // binding or ownership was ever recorded —
+                // allocated-but-unowned leaks in both VBN spaces (the
+                // vvbn bits were set in step 2).
+                self.lose_volatile_state();
+                return Ok(CpOutcome::Crashed(site));
             }
+            if shortfall == 0 {
+                break;
+            }
+            if !progressed {
+                if self.free_log.pending() == 0 {
+                    return Err(WaflError::SpaceExhausted);
+                }
+                // Space pressure: pull the logged frees forward (the
+                // [18]-style reclamation path racing the allocator).
+                let Aggregate {
+                    bitmap,
+                    groups,
+                    pvbn_owner,
+                    free_log,
+                    ..
+                } = &mut *self;
+                let dstats = free_log.force_drain(bitmap, |pvbn, _| {
+                    pvbn_owner[pvbn.index()] = OWNER_NONE;
+                    let g = groups
+                        .iter_mut()
+                        .find(|g| g.geometry.contains(pvbn))
+                        .expect("freed pvbn belongs to a group");
+                    let aa = g.topology.aa_of_vbn(pvbn)?;
+                    g.batch.record_freed(aa, 1);
+                    Ok(())
+                })?;
+                stats.delayed_frees_applied += dstats.frees_applied;
+                stats.delayed_free_pages += dstats.pages_processed;
+                // A planner that scores AAs from the bitmap (HBPS
+                // replenish, random-AA mode, the quarantine sweep) finds
+                // the freed blocks there; a heap ranks by its own score
+                // array, so it gets the batch now — it holds exactly what
+                // the bitmap holds and the heap does not.
+                for g in groups.iter_mut() {
+                    if let Some(GroupCache::Heap(cache)) = g.cache.as_mut() {
+                        cache_ops += g.batch.touched_aas() as u64;
+                        cache.apply_batch(&mut g.batch);
+                    }
+                }
+            }
+            quotas.fill(usize::MAX);
+            salt = 0xF00D;
         }
 
-        let mut pvbns: Vec<Vbn> = Vec::with_capacity(n);
-        // Media costing (step 7) works per run; carry each group's runs
-        // forward.
+        // The plans' blocks in one list, and (media costing, step 7, works
+        // per run) each group's runs in another.
+        let mut pvbns: Vec<Vbn> = Vec::new();
         let mut per_rg_runs: Vec<Vec<(Vbn, u64)>> = vec![Vec::new(); self.groups.len()];
-        for (i, plan) in &plans {
-            pvbns.extend_from_slice(&plan.vbns);
-            per_rg_runs[*i].extend_from_slice(&plan.runs);
+        for (i, plan) in &mut plans {
+            append_or_take(&mut pvbns, &mut plan.vbns);
+            append_or_take(&mut per_rg_runs[*i], &mut plan.runs);
             stats.agg_picks += plan.picked.len() as u64;
             stats.blocks_examined += plan.blocks_examined;
             stats.replenish_pages += plan.replenish_pages;
@@ -827,7 +813,6 @@ impl Aggregate {
         // `wafl-oracle` preserves (equivalence is pinned by the parity
         // suites), a fraction of the work.
         let checksum = self.cfg.checksum;
-        let mut cache_ops = 0u64;
         for (g, runs) in self.groups.iter_mut().zip(&per_rg_runs) {
             let rg = cost_raid_group_runs(g, runs, checksum)?;
             stats.media_us = stats.media_us.max(rg.media_us);
@@ -1566,6 +1551,93 @@ mod tests {
         assert_eq!(group0_free(&a), 0, "freed blocks were not allocated");
     }
 
+    /// A CP cut short after `limit` block writes has claimed exactly the
+    /// first `limit` physical VBNs the uncut CP assigns — for limits on
+    /// both sides of the boundary between the two groups' shares.
+    #[test]
+    fn crash_after_block_writes_claims_a_prefix_of_the_plan() {
+        const OPS: u64 = 1000;
+        let spec = RaidGroupSpec {
+            data_devices: 2,
+            parity_devices: 1,
+            device_blocks: 8 * 4096,
+            profile: MediaProfile::hdd(),
+        };
+        // Two warm-up CPs, then `OPS` overwrites (half of them of mapped
+        // blocks) left queued for the CP under test.
+        let queued = || {
+            let mut a = Aggregate::new(
+                AggregateConfig {
+                    raid_groups: vec![spec.clone(), spec.clone()],
+                    ..AggregateConfig::single_group(spec.clone())
+                },
+                &[(
+                    FlexVolConfig {
+                        size_blocks: 4 * 32768,
+                        aa_cache: true,
+                        aa_blocks: None,
+                    },
+                    50_000,
+                )],
+                7,
+            )
+            .unwrap();
+            for cp in 0..3 {
+                for l in 0..OPS {
+                    a.client_overwrite(VolumeId(0), cp * OPS / 2 + l * 3 % 2500)
+                        .unwrap();
+                }
+                if cp < 2 {
+                    a.run_cp().unwrap();
+                }
+            }
+            a
+        };
+        let allocated = |a: &Aggregate| -> Vec<bool> {
+            (0..a.bitmap().space_len())
+                .map(|v| !a.bitmap().is_free(Vbn(v)).unwrap())
+                .collect()
+        };
+        let mut twin = queued();
+        let before = allocated(&twin);
+        let logicals: Vec<u64> = twin.dirty.iter().map(|d| d.logical).collect();
+        let stats = twin.run_cp().unwrap();
+        let vol = &twin.volumes()[0];
+        let plan: Vec<Vbn> = logicals
+            .iter()
+            .map(|&l| vol.lookup_vvbn(vol.lookup_logical(l).unwrap()).unwrap())
+            .collect();
+        let boundary = stats.per_rg[0].blocks;
+        assert!(
+            0 < boundary && boundary < plan.len() as u64,
+            "both groups write"
+        );
+        for limit in [
+            0,
+            1,
+            boundary - 3,
+            boundary,
+            boundary + 3,
+            plan.len() as u64,
+            u64::MAX,
+        ] {
+            let mut a = queued();
+            let outcome = a
+                .run_cp_with_faults(Some(CrashSite::AfterBlockWrites(limit)))
+                .unwrap();
+            assert!(matches!(outcome, CpOutcome::Crashed(_)));
+            let mut want = before.clone();
+            for pvbn in plan
+                .iter()
+                .take(usize::try_from(limit).unwrap_or(usize::MAX))
+            {
+                want[pvbn.index()] = true;
+            }
+            assert!(allocated(&a) == want, "limit {limit}");
+            assert_eq!(a.bitmap().summary_divergences(), 0);
+        }
+    }
+
     #[test]
     fn cp_allocates_each_block_once_and_accounts_for_space() {
         let mut a = agg(true, true);
@@ -1909,19 +1981,19 @@ mod batched_free_tests {
         );
     }
 
-    /// A CP that pulls the log forward under space pressure and then
-    /// runs its budgeted pass reports both: every free that left the log
-    /// is counted once.
-    #[test]
-    fn force_drained_frees_are_counted_with_the_budgeted_ones() {
+    /// Random overwrites of a volume that fills ~95 % of a 262,144-block
+    /// group, one free-log page per CP: every few CPs the allocator runs
+    /// dry and the log is force-drained. After every CP, what entered the
+    /// log and did not stay was reported applied — a CP that pulls the log
+    /// forward and then runs its budgeted pass counts every free once.
+    /// Returns the number of CPs that force-drained.
+    fn churn_under_pressure(raid_aware_cache: bool) -> u32 {
         const LOGICAL: u64 = 250_000;
-        // Without the RAID-aware cache the re-plan scores AAs from the
-        // bitmap, so it finds the blocks a force-drain has just freed.
         let mut a = Aggregate::new(
             AggregateConfig {
                 batched_frees: true,
                 free_pages_per_cp: 1,
-                raid_aware_cache: false,
+                raid_aware_cache,
                 ..AggregateConfig::single_group(RaidGroupSpec {
                     data_devices: 2,
                     parity_devices: 1,
@@ -1935,7 +2007,7 @@ mod batched_free_tests {
                     aa_cache: true,
                     aa_blocks: None,
                 },
-                LOGICAL, // ~95 % of the 262,144-block aggregate
+                LOGICAL,
             )],
             8,
         )
@@ -1950,9 +2022,11 @@ mod batched_free_tests {
                     .unwrap();
             }
             let before = a.free_log().pending();
-            let s = a.run_cp().unwrap();
+            let s = a
+                .run_cp()
+                .unwrap_or_else(|e| panic!("cp {cp}: {e} with {before} frees logged"));
             // The volume is full, so every op frees the block it
-            // overwrote: what entered the log and did not stay was applied.
+            // overwrote.
             assert_eq!(
                 s.delayed_frees_applied,
                 before + s.ops - a.free_log().pending(),
@@ -1961,7 +2035,23 @@ mod batched_free_tests {
             // More pages than the budget means the log was force-drained.
             force_drains += (s.delayed_free_pages > 1) as u32;
         }
-        assert!(force_drains > 0, "the run must force-drain the log");
+        assert_eq!(crate::iron::check(&a).unwrap().stale_scores, 0);
+        force_drains
+    }
+
+    /// Without the RAID-aware cache the re-plan scores AAs from the
+    /// bitmap, so it finds the blocks a force-drain has just freed.
+    #[test]
+    fn force_drained_frees_are_counted_with_the_budgeted_ones() {
+        assert!(churn_under_pressure(false) > 0, "the run must force-drain");
+    }
+
+    /// A max-heap ranks by its own score array, which the force-drain
+    /// has to update: otherwise the re-plan sees only score-0 AAs and
+    /// the CP fails with the freed blocks sitting in the bitmap.
+    #[test]
+    fn force_drain_reaches_a_heap_cached_group() {
+        assert!(churn_under_pressure(true) > 0, "the run must force-drain");
     }
 
     #[test]

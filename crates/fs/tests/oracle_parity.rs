@@ -155,6 +155,18 @@ fn assert_parity(agg: &mut Aggregate, orc: &mut OracleAggregate, seed: u64, roun
         // Pick statistics: fresh claims only, whichever planner ran.
         assert_eq!(sa.agg_picks, so.agg_picks, "seed {seed} round {round}");
         assert_eq!(sa.vol_picks, so.vol_picks, "seed {seed} round {round}");
+        // ... and the free fractions they were claimed at, summed in the
+        // same order.
+        assert_eq!(
+            sa.agg_pick_free_sum.to_bits(),
+            so.agg_pick_free_sum.to_bits(),
+            "seed {seed} round {round}"
+        );
+        assert_eq!(
+            sa.vol_pick_free_sum.to_bits(),
+            so.vol_pick_free_sum.to_bits(),
+            "seed {seed} round {round}"
+        );
         assert_eq!(
             sa.metafile_pages, so.metafile_pages,
             "seed {seed} round {round}"

@@ -120,8 +120,12 @@ pub struct OracleCpStats {
     pub blocks_examined: u64,
     /// AAs picked for physical allocation.
     pub agg_picks: u64,
+    /// Sum over picked physical AAs of (score / AA blocks).
+    pub agg_pick_free_sum: f64,
     /// AAs picked for virtual allocation.
     pub vol_picks: u64,
+    /// Sum over picked virtual AAs of (score / AA blocks).
+    pub vol_pick_free_sum: f64,
     /// Bitmap pages scanned by replenish walks during this CP.
     pub replenish_pages: u64,
     /// Volume drains resumed from a per-AA cursor.
@@ -194,6 +198,16 @@ fn popcount_score(topology: &AaTopology, bitmap: &Bitmap, aa: AaId) -> u32 {
         .iter()
         .map(|&(start, len)| bitmap.free_count_range_popcount(start, len))
         .sum()
+}
+
+/// Add each pick's free fraction at claim time (score / AA blocks) to
+/// `sum`, one pick at a time: the production CP adds them in this order,
+/// and f64 sums are compared bit for bit.
+fn add_pick_fractions(sum: &mut f64, topology: &AaTopology, picked: &[(AaId, AaScore)]) {
+    for &(aa, score) in picked {
+        let max = topology.aa_blocks(aa) as f64;
+        *sum += score.get() as f64 / max.max(1.0);
+    }
 }
 
 /// Runtime state of one RAID group.
@@ -773,6 +787,9 @@ impl OracleAggregate {
             stats.cursor_hits += out.cursor_hits;
             stats.cursor_misses += out.cursor_misses;
         }
+        for (vol, out) in self.vols.iter().zip(&vol_outcomes) {
+            add_pick_fractions(&mut stats.vol_pick_free_sum, &vol.topology, &out.picked);
+        }
 
         // ---- 3. physical allocation: quotas, plans, apply -------------
         let quotas = self.rg_quotas(n);
@@ -793,10 +810,11 @@ impl OracleAggregate {
             pvbns.extend_from_slice(&plan.vbns);
             per_rg_vbns.push(plan.vbns.clone());
         }
-        for plan in &plans {
+        for (g, plan) in self.groups.iter().zip(&plans) {
             stats.agg_picks += plan.picked.len() as u64;
             stats.blocks_examined += plan.blocks_examined;
             stats.replenish_pages += plan.replenish_pages;
+            add_pick_fractions(&mut stats.agg_pick_free_sum, &g.topology, &plan.picked);
         }
         // Shortfall: serial rounds against the updated bitmap.
         let mut drained_late: Vec<(usize, AaId)> = Vec::new();
@@ -822,6 +840,8 @@ impl OracleAggregate {
                 stats.agg_picks += plan.picked.len() as u64;
                 stats.blocks_examined += plan.blocks_examined;
                 stats.replenish_pages += plan.replenish_pages;
+                let topology = &self.groups[i].topology;
+                add_pick_fractions(&mut stats.agg_pick_free_sum, topology, &plan.picked);
                 pvbns.extend_from_slice(&plan.vbns);
                 per_rg_vbns[i].extend_from_slice(&plan.vbns);
                 for &aa in &plan.drained {
