@@ -53,8 +53,6 @@ impl AaSummary {
 /// What one [`Bitmap::claim_free_in_range`] call took.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Claim {
-    /// Blocks claimed, at most the quota.
-    pub taken: u64,
     /// Highest VBN claimed; `None` if nothing was.
     pub last_taken: Option<Vbn>,
     /// The quota was reached with a free block still left in the range.
@@ -567,26 +565,6 @@ impl Bitmap {
             ..
         } = self;
         let mut left = quota;
-        // The run being extended, pushed to `runs` once a claimed bit does
-        // not continue it. (An empty run at 0 "continues" into VBN 0 and
-        // nowhere else, which is what a first run needs.) Its VBNs reach
-        // `vbns` one of two ways: the bits of a partly claimed word are
-        // pushed one by one, which is what a fragmented AA is made of;
-        // words claimed whole are left to one `extend` when the run ends
-        // or a partly claimed word follows, so a long run costs what its
-        // length does, not what its words do. Every claimed VBN below
-        // `listed` is in `vbns` already.
-        let (mut run_start, mut run_len, mut listed) = (0u64, 0u64, 0u64);
-        let list_rest = |vbns: &mut Vec<Vbn>, run_start: u64, run_len: u64, listed: u64| {
-            vbns.extend((run_start.max(listed)..run_start + run_len).map(Vbn));
-        };
-        let close_run =
-            |runs: &mut Vec<(Vbn, u64)>, vbns: &mut Vec<Vbn>, run_start, run_len, listed| {
-                if run_len > 0 {
-                    list_rest(vbns, run_start, run_len, listed);
-                    runs.push((Vbn(run_start), run_len));
-                }
-            };
         let mut pos = start.get();
         while pos < end && left > 0 {
             let p = (pos / BITS_PER_BITMAP_BLOCK) as usize;
@@ -623,24 +601,29 @@ impl Bitmap {
                 if let Some(sm) = aa_summary.as_mut() {
                     sm.bump_word(base, take, false);
                 }
-                if take != u64::MAX {
-                    list_rest(vbns, run_start, run_len, listed);
+                // A word claimed whole is one `extend`, so a long run
+                // costs what its length does; a fragmented AA is made of
+                // partly claimed words, ten runs to a word, and a push per
+                // bit is cheaper there than an `extend` per run.
+                if take == u64::MAX {
+                    vbns.extend((base..base + 64).map(Vbn));
+                } else {
                     let mut bits = take;
                     while bits != 0 {
                         vbns.push(Vbn(base + bits.trailing_zeros() as u64));
                         bits &= bits - 1;
                     }
-                    listed = base + 64;
                 }
-                // Peel the word's runs of set bits off `take`, lowest first.
+                // Peel the word's runs of set bits off `take`, lowest first;
+                // one that continues this call's last run extends it.
                 while take != 0 {
                     let bit = take.trailing_zeros();
                     let vbn = base + bit as u64;
-                    if run_start + run_len != vbn {
-                        close_run(runs, vbns, run_start, run_len, listed);
-                        (run_start, run_len) = (vbn, 0);
+                    let n = (!(take >> bit)).trailing_zeros() as u64;
+                    match runs[first_run..].last_mut() {
+                        Some((s, l)) if s.get() + *l == vbn => *l += n,
+                        _ => runs.push((Vbn(vbn), n)),
                     }
-                    run_len += (!(take >> bit)).trailing_zeros() as u64;
                     take &= take.wrapping_add(1u64 << bit);
                 }
             }
@@ -653,11 +636,9 @@ impl Bitmap {
             }
             pos = page_end;
         }
-        close_run(runs, vbns, run_start, run_len, listed);
-        let taken = quota - left;
-        stats.bits_flipped += taken;
-        self.free_blocks -= taken;
-        let last_taken = (taken > 0).then(|| Vbn(run_start + run_len - 1));
+        stats.bits_flipped += quota - left;
+        self.free_blocks -= quota - left;
+        let last_taken = runs[first_run..].last().map(|&(s, l)| Vbn(s.get() + l - 1));
         if cfg!(debug_assertions) {
             for vbn in last_taken
                 .into_iter()
@@ -668,7 +649,6 @@ impl Bitmap {
         }
         let rest = last_taken.map_or(start, Vbn::next).get();
         Claim {
-            taken,
             last_taken,
             more_free: left == 0 && self.first_free_between(rest, end).is_some(),
         }

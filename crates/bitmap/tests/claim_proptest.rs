@@ -116,7 +116,6 @@ fn check(seed: u64) {
 
         assert_eq!(&runs[1..], &want_runs[..], "{ctx}: runs");
         assert_eq!(&vbns[1..], &want_vbns[..], "{ctx}: vbns");
-        assert_eq!(claim.taken, want_vbns.len() as u64, "{ctx}: taken");
         assert_eq!(
             claim.last_taken,
             want_vbns.last().copied(),
@@ -178,18 +177,18 @@ fn claim_corner_cases() {
     assert_eq!(runs, vec![(Vbn(BITS_PER_BITMAP_BLOCK - 10), 30)]);
     assert_eq!(vbns.len(), 30);
     assert_eq!(
-        (c.taken, c.last_taken, c.more_free),
-        (30, Some(Vbn(BITS_PER_BITMAP_BLOCK + 19)), true)
+        (c.last_taken, c.more_free),
+        (Some(Vbn(BITS_PER_BITMAP_BLOCK + 19)), true)
     );
     // Exactly the rest of the space: quota met, nothing left behind.
     let rest = b.free_blocks();
     let c = b.claim_free_in_range(Vbn(0), u64::MAX, rest, &mut runs, &mut vbns);
-    assert_eq!((c.taken, c.more_free), (rest, false));
+    assert_eq!((b.free_blocks(), c.more_free), (0, false));
     assert_eq!(c.last_taken, Some(Vbn(SPACE - 1)));
     // A full bitmap: nothing taken, range consumed, vectors untouched.
     let before = runs.len();
     let c = b.claim_free_in_range(Vbn(5), 1000, 8, &mut runs, &mut vbns);
-    assert_eq!((c.taken, c.last_taken, c.more_free), (0, None, false));
+    assert_eq!((c.last_taken, c.more_free), (None, false));
     assert_eq!(runs.len(), before);
     b.verify_summary();
 }

@@ -97,15 +97,17 @@ impl AaBitset {
 }
 
 /// Claim the free VBNs of `ranges` in `bitmap`, in write order, until
-/// `out` holds `quota` of them. Returns whether the ranges were exhausted.
+/// `out` holds `quota` of them. Returns how many it claimed and whether
+/// the ranges were exhausted.
 pub(crate) fn drain_ranges(
     ranges: &[(Vbn, u64)],
     bitmap: &mut wafl_bitmap::Bitmap,
     quota: usize,
     out: &mut AllocOutcome,
-) -> bool {
+) -> (u32, bool) {
+    let before = out.vbns.len();
     // Sized once: a fragmented AA hands its blocks over a few at a time.
-    out.vbns.reserve(quota - out.vbns.len());
+    out.vbns.reserve(quota - before);
     for &(start, len) in ranges {
         let want = (quota - out.vbns.len()) as u64;
         let claim = bitmap.claim_free_in_range(start, len, want, &mut out.runs, &mut out.vbns);
@@ -114,12 +116,12 @@ pub(crate) fn drain_ranges(
             if let Some(last) = claim.last_taken {
                 out.blocks_examined += last.get() - start.get() + 1;
             }
-            return false;
+            return ((out.vbns.len() - before) as u32, false);
         }
         // Range fully consumed (or empty): every position was examined.
         out.blocks_examined += len;
     }
-    true
+    ((out.vbns.len() - before) as u32, true)
 }
 
 /// Popcount an AA's free blocks directly from the raw bits, bypassing the
@@ -162,10 +164,8 @@ fn plan_group_quarantine_sweep(
         }
         out.sweep_picks += 1;
         out.record_pick(aa, AaScore(score));
-        let before = out.vbns.len();
         let ranges = g.topology.aa_write_ranges(aa);
-        drain_ranges(&ranges, bitmap, quota, out);
-        let taken = (out.vbns.len() - before) as u32;
+        let (taken, _) = drain_ranges(&ranges, bitmap, quota, out);
         g.batch.record_allocated(aa, taken);
     }
 }
@@ -340,11 +340,9 @@ pub(crate) fn plan_raid_group(
         // Ranges with no free block are dropped by their summary count
         // and not examined, like the prefix behind a volume's drain
         // cursor.
-        let before = out.vbns.len();
         let mut ranges = g.topology.aa_write_ranges(aa);
         ranges.retain(|&(start, len)| bitmap.free_count_range(start, len) > 0);
-        let exhausted = drain_ranges(&ranges, bitmap, quota, &mut out);
-        let taken = (out.vbns.len() - before) as u32;
+        let (taken, exhausted) = drain_ranges(&ranges, bitmap, quota, &mut out);
         g.batch.record_allocated(aa, taken);
         if exhausted {
             out.drained.push(aa);
@@ -532,10 +530,8 @@ pub(crate) fn allocate_vvbns(
             }
             _ => out.cursor_misses += 1,
         }
-        let before = out.vbns.len();
-        let exhausted = drain_ranges(&ranges, &mut vol.bitmap, n, &mut out);
-        let taken = out.vbns.len() - before;
-        vol.batch.record_allocated(aa, taken as u32);
+        let (taken, exhausted) = drain_ranges(&ranges, &mut vol.bitmap, n, &mut out);
+        vol.batch.record_allocated(aa, taken);
         if exhausted {
             vol.active_aa = None;
             vol.drain_cursor = None;

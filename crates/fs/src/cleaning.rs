@@ -74,7 +74,10 @@ pub fn clean_top_aas(
         }
         // Destinations from the same group's remaining AAs (the cleaned AA
         // is off the heap, so the planner cannot pick it), claimed in the
-        // bitmap and recorded in the group's batch as they are found.
+        // bitmap and recorded in the group's batch as they are found. The
+        // batch is empty here (a CP applies it at its boundary, this loop
+        // at the end of its body), so it holds this claim and nothing else.
+        debug_assert!(agg.groups[rg_index].batch.is_empty());
         let plan = plan_raid_group(
             &mut agg.groups[rg_index],
             &mut agg.bitmap,

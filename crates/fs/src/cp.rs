@@ -551,6 +551,10 @@ impl Aggregate {
         }
         let mut salt = 0xABCD_u64;
         let mut shortfall = n;
+        // Set once a round has offered every group the whole shortfall:
+        // only such a round can show that the aggregate is out of space
+        // (round 0's share is 0 for a backed-off group that has room).
+        let mut offered_all = false;
         // Every plan of this CP with its group's index, in the order they
         // were made. Their blocks, counters and drained AAs are folded in
         // once, after the rounds.
@@ -558,6 +562,9 @@ impl Aggregate {
         loop {
             let mut progressed = false;
             for (i, (g, &quota)) in self.groups.iter_mut().zip(&quotas).enumerate() {
+                if offered_all && shortfall == 0 {
+                    break;
+                }
                 let plan = plan_raid_group(
                     g,
                     &mut self.bitmap,
@@ -584,7 +591,7 @@ impl Aggregate {
             if shortfall == 0 {
                 break;
             }
-            if !progressed {
+            if offered_all && !progressed {
                 if self.free_log.pending() == 0 {
                     return Err(WaflError::SpaceExhausted);
                 }
@@ -623,6 +630,7 @@ impl Aggregate {
             }
             quotas.fill(usize::MAX);
             salt = 0xF00D;
+            offered_all = true;
         }
 
         // The plans' blocks in one list, and (media costing, step 7, works
@@ -1549,6 +1557,51 @@ mod tests {
         assert_eq!(group0_free(&a), 100 * freed.len() as u32);
         write_cp(&mut a, &mut written);
         assert_eq!(group0_free(&a), 0, "freed blocks were not allocated");
+    }
+
+    /// With every group under the back-off threshold a 1-block CP's
+    /// shares are `[1, 0]`. Group 0 is full, so round 0 finds nothing —
+    /// which says nothing about group 1, whose share was 0: the next
+    /// round offers it the block.
+    #[test]
+    fn a_zero_share_round_that_finds_nothing_is_not_exhaustion() {
+        let spec = RaidGroupSpec {
+            data_devices: 2,
+            parity_devices: 1,
+            device_blocks: 4 * 4096,
+            profile: MediaProfile::hdd(),
+        };
+        let cfg = AggregateConfig {
+            raid_groups: vec![spec.clone(), spec.clone()],
+            rg_backoff_threshold: 0.9,
+            ..AggregateConfig::single_group(spec)
+        };
+        let vol = FlexVolConfig {
+            size_blocks: 2 * 32768,
+            aa_cache: true,
+            aa_blocks: None,
+        };
+        let mut a = Aggregate::new(cfg, &[(vol, 60_000)], 7).unwrap();
+        crate::aging::seed_rg_random_occupancy(&mut a, 1, 0.5, 123).unwrap();
+        let free_in = |a: &Aggregate, rg: usize| {
+            let geo = &a.groups()[rg].geometry;
+            a.bitmap().free_count_range(geo.base_vbn, geo.data_blocks())
+        };
+        let mut written = 0u64;
+        while free_in(&a, 0) > 0 {
+            for l in written..written + 2048 {
+                a.client_overwrite(VolumeId(0), l).unwrap();
+            }
+            written += 2048;
+            a.run_cp().unwrap();
+        }
+        assert_eq!(a.rg_quotas(1), [1, 0]);
+        let group1_free = free_in(&a, 1);
+        assert!(group1_free > 0);
+        a.client_overwrite(VolumeId(0), written).unwrap();
+        let s = a.run_cp().unwrap();
+        assert_eq!((s.per_rg[0].blocks, s.per_rg[1].blocks), (0, 1));
+        assert_eq!(free_in(&a, 1), group1_free - 1);
     }
 
     /// A CP cut short after `limit` block writes has claimed exactly the

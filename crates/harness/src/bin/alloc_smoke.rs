@@ -23,38 +23,20 @@ const ROUNDS: u64 = 10;
 const OPS: u64 = 8192;
 const LOGICAL: u64 = 200_000;
 
-/// What one arm's measured rounds add up to.
-#[derive(Debug, PartialEq)]
-struct Counts {
-    blocks_written: u64,
-    blocks_examined: u64,
-    cursor_hits: u64,
-    replenish_pages: u64,
-    agg_pick_free_mean: f64,
-    vol_pick_free_mean: f64,
-}
-
-const CACHE_GUIDED: Counts = Counts {
-    blocks_written: 80_214,
-    blocks_examined: 332_458,
-    cursor_hits: 2,
-    replenish_pages: 0,
-    agg_pick_free_mean: 1.0,
-    vol_pick_free_mean: 1.0,
-};
-
-const CACHE_LESS: Counts = Counts {
-    blocks_written: 80_214,
-    blocks_examined: 364_511,
-    cursor_hits: 2,
-    replenish_pages: 0,
-    agg_pick_free_mean: 0.860_925_292_968_75,
-    vol_pick_free_mean: 0.599_525_451_660_156_3,
-};
+/// What an arm's counted rounds add up to: (counter, cache-guided,
+/// cache-less). The counts are far below 2^53, so f64 holds them exactly.
+const EXPECTED: [(&str, f64, f64); 6] = [
+    ("blocks_written", 80_214.0, 80_214.0),
+    ("blocks_examined", 332_458.0, 364_511.0),
+    ("cursor_hits", 2.0, 2.0),
+    ("replenish_pages", 0.0, 0.0),
+    ("agg_pick_free_mean", 1.0, 0.860_925_292_968_75),
+    ("vol_pick_free_mean", 1.0, 0.599_525_451_660_156_3),
+];
 
 /// Fill, two warm-up rounds, then `ROUNDS` counted overwrite+CP rounds
 /// (`bench_baseline`'s CP series, shortened), at a fixed seed.
-fn run(caches: bool) -> Counts {
+fn run(caches: bool) -> [f64; 6] {
     let mut agg = Aggregate::new(
         AggregateConfig {
             raid_aware_cache: caches,
@@ -89,36 +71,34 @@ fn run(caches: bool) -> Counts {
             sum.accumulate(&stats);
         }
     }
-    Counts {
-        blocks_written: sum.blocks_written,
-        blocks_examined: sum.blocks_examined,
-        cursor_hits: sum.cursor_hits,
-        replenish_pages: sum.replenish_pages,
-        agg_pick_free_mean: sum.agg_pick_free_mean(),
-        vol_pick_free_mean: sum.vol_pick_free_mean(),
-    }
+    [
+        sum.blocks_written as f64,
+        sum.blocks_examined as f64,
+        sum.cursor_hits as f64,
+        sum.replenish_pages as f64,
+        sum.agg_pick_free_mean(),
+        sum.vol_pick_free_mean(),
+    ]
 }
 
 fn main() {
-    let on = run(true);
-    let off = run(false);
-    let per_block = |c: &Counts| c.blocks_examined as f64 / c.blocks_written as f64;
+    let (on, off) = (run(true), run(false));
     eprintln!(
         "alloc smoke: blocks examined per block written: cache-guided {:.3}, cache-less {:.3}",
-        per_block(&on),
-        per_block(&off)
+        on[1] / on[0],
+        off[1] / off[0]
     );
     let mut ok = true;
-    for (arm, got, want) in [
-        ("cache-guided", &on, &CACHE_GUIDED),
-        ("cache-less", &off, &CACHE_LESS),
-    ] {
-        if got != want {
-            eprintln!("FAIL: {arm} arm counted\n  {got:?}\nexpected\n  {want:?}");
+    for (i, (counter, want_on, want_off)) in EXPECTED.into_iter().enumerate() {
+        if (on[i], off[i]) != (want_on, want_off) {
+            eprintln!(
+                "FAIL: {counter}: cache-guided {} (expected {want_on}), cache-less {} (expected {want_off})",
+                on[i], off[i]
+            );
             ok = false;
         }
     }
-    if on.blocks_examined >= off.blocks_examined {
+    if on[1] >= off[1] {
         eprintln!("FAIL: the cache-guided allocator examines no fewer positions than random picks");
         ok = false;
     }
