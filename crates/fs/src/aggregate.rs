@@ -1,5 +1,6 @@
 //! The aggregate: physical storage, RAID groups, hosted volumes.
 
+use crate::bitset::BitSet;
 use crate::config::{AggregateConfig, FlexVolConfig, RaidGroupSpec};
 use crate::delayed_free::DelayedFreeLog;
 use crate::obs::FsObs;
@@ -217,10 +218,11 @@ pub struct Aggregate {
     /// PVBNs freed by overwrites, applied at the CP boundary (§3.3's
     /// delayed frees).
     pub(crate) delayed_pvbn_frees: Vec<Vbn>,
-    /// Reverse ownership map: pvbn -> packed (volume, vvbn), or one of the
-    /// sentinels below. WAFL keeps equivalent owner metadata in container
-    /// files; segment cleaning needs it to redirect relocated blocks.
-    pub(crate) pvbn_owner: Vec<u64>,
+    /// Blocks allocated by an aging seed (`aging::seed_rg_*`): the one
+    /// kind of owner no volume map can give back. Every other "who owns
+    /// this pvbn" is derived from the volumes' vvbn → pvbn maps by the two
+    /// readers that ask, segment cleaning and Iron.
+    pub(crate) seeds: BitSet,
     /// Pending physical frees when `batched_frees` is configured.
     pub(crate) free_log: DelayedFreeLog,
     /// Completed CPs.
@@ -230,24 +232,6 @@ pub struct Aggregate {
     pub(crate) obs: FsObs,
     /// Runtime scrubber: cursor, repair tickets, health state machine.
     pub(crate) scrub: ScrubState,
-}
-
-/// Owner sentinel: block free / untracked.
-pub(crate) const OWNER_NONE: u64 = u64::MAX;
-/// Owner sentinel: block allocated by an aging seed with no volume owner.
-pub(crate) const OWNER_ORPHAN: u64 = u64::MAX - 1;
-
-/// Pack a (volume, vvbn) owner reference.
-pub(crate) fn pack_owner(vol: VolumeId, vvbn: Vbn) -> u64 {
-    ((vol.get() as u64) << 40) | vvbn.get()
-}
-
-/// Unpack an owner reference (must not be a sentinel).
-pub(crate) fn unpack_owner(packed: u64) -> (VolumeId, Vbn) {
-    (
-        VolumeId((packed >> 40) as u32),
-        Vbn(packed & ((1 << 40) - 1)),
-    )
 }
 
 /// Build the appropriate cache for a physical range from its bitmap state:
@@ -371,7 +355,6 @@ impl Aggregate {
             .enumerate()
             .map(|(i, &(vcfg, logical))| FlexVol::new(VolumeId(i as u32), vcfg, logical))
             .collect::<WaflResult<Vec<_>>>()?;
-        let space = bitmap.space_len() as usize;
         let scrub = ScrubState::new(cfg.scrub_pages_per_cp);
         let mut obs = FsObs::default();
         if cfg.trace_events > 0 {
@@ -386,7 +369,7 @@ impl Aggregate {
             cp_epoch: 1,
             pending_deletes: Vec::new(),
             delayed_pvbn_frees: Vec::new(),
-            pvbn_owner: vec![OWNER_NONE; space],
+            seeds: BitSet::default(),
             free_log: DelayedFreeLog::new(),
             cp_count: 0,
             obs,
@@ -451,8 +434,6 @@ impl Aggregate {
         }
         let device_count = (spec.data_devices + spec.parity_devices) as usize;
         self.bitmap.extend(base + spec.data_blocks())?;
-        self.pvbn_owner
-            .resize(self.bitmap.space_len() as usize, OWNER_NONE);
         let mut g = RaidGroupState {
             geometry,
             topology,

@@ -5,7 +5,7 @@
 //! time" — random overwrites in a COW file system free random blocks,
 //! fragmenting the free space (§2.2).
 
-use crate::aggregate::{build_group_cache, Aggregate, OWNER_ORPHAN};
+use crate::aggregate::{build_group_cache, Aggregate};
 use crate::cp::CpStats;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -97,7 +97,7 @@ pub fn seed_rg_random_occupancy(
     while placed < target {
         let vbn = Vbn(base + rng.random_range(0..len));
         if agg.bitmap.allocate(vbn).is_ok() {
-            agg.pvbn_owner[vbn.index()] = OWNER_ORPHAN;
+            agg.seeds.insert(vbn.index());
             placed += 1;
         }
     }

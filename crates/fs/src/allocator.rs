@@ -14,6 +14,7 @@
 //! into fuller regions.
 
 use crate::aggregate::{GroupCache, RaidGroupState};
+use crate::bitset::BitSet;
 use crate::volume::FlexVol;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -70,29 +71,6 @@ impl AllocOutcome {
     /// was claimed and is not a pick again.
     pub(crate) fn record_pick(&mut self, aa: AaId, score: AaScore) {
         self.picked.push((aa, score));
-    }
-}
-
-/// Dense "already tried" set over AA ids for one plan call — replaces a
-/// `HashSet` on the random-pick path so each membership test is a word
-/// index and a mask instead of a hash.
-struct AaBitset {
-    words: Vec<u64>,
-}
-
-impl AaBitset {
-    fn new(aa_count: u32) -> Self {
-        Self {
-            words: vec![0; aa_count.div_ceil(64) as usize],
-        }
-    }
-
-    /// Insert `aa`; returns `true` if it was not already present.
-    fn insert(&mut self, aa: AaId) -> bool {
-        let (w, bit) = ((aa.get() / 64) as usize, 1u64 << (aa.get() % 64));
-        let fresh = self.words[w] & bit == 0;
-        self.words[w] |= bit;
-        fresh
     }
 }
 
@@ -188,7 +166,9 @@ pub(crate) fn plan_raid_group(
 ) -> WaflResult<AllocOutcome> {
     let mut out = AllocOutcome::default();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut tried = AaBitset::new(g.topology.aa_count());
+    // AAs this call has tried: a dense set, so each membership test on
+    // the random-pick path is a word index and a mask instead of a hash.
+    let mut tried = BitSet::default();
     let aa_count = g.topology.aa_count();
     let mut attempts = 0u32;
     // Exact ground-truth best score, computed at most once per plan call
@@ -223,7 +203,7 @@ pub(crate) fn plan_raid_group(
                 continue;
             }
             Some(aa) => {
-                tried.insert(aa);
+                tried.insert(aa.index());
                 aa
             }
             None => match mode {
@@ -277,7 +257,7 @@ pub(crate) fn plan_raid_group(
                             Some((aa, _bound)) => {
                                 // A replenish relists every AA, those this
                                 // call has already drained included.
-                                if g.quarantined_aas.contains(&aa) || !tried.insert(aa) {
+                                if g.quarantined_aas.contains(&aa) || !tried.insert(aa.index()) {
                                     continue; // attempts bound caps this
                                 }
                                 let score = g.topology.score_from_bitmap(bitmap, aa);
@@ -322,7 +302,7 @@ pub(crate) fn plan_raid_group(
                         break; // group effectively full
                     }
                     let aa = AaId(rng.random_range(0..aa_count));
-                    if !tried.insert(aa) || g.quarantined_aas.contains(&aa) {
+                    if !tried.insert(aa.index()) || g.quarantined_aas.contains(&aa) {
                         continue;
                     }
                     let score = g.topology.score_from_bitmap(bitmap, aa);
@@ -369,7 +349,7 @@ pub(crate) fn allocate_vvbns(
 ) -> WaflResult<AllocOutcome> {
     let mut out = AllocOutcome::default();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut tried = AaBitset::new(vol.topology.aa_count());
+    let mut tried = BitSet::default();
     let aa_count = vol.topology.aa_count();
     let mut attempts = 0u32;
     while out.vbns.len() < n {
@@ -463,7 +443,7 @@ pub(crate) fn allocate_vvbns(
                             None
                         } else {
                             let aa = AaId(rng.random_range(0..aa_count));
-                            if !tried.insert(aa) || vol.quarantined_aas.contains(&aa) {
+                            if !tried.insert(aa.index()) || vol.quarantined_aas.contains(&aa) {
                                 continue;
                             }
                             let score = vol.topology.score_from_bitmap(&vol.bitmap, aa);

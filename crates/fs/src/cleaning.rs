@@ -12,16 +12,28 @@
 //! implements the described mechanism: take AAs from the top of the
 //! max-heap, move their live blocks into other AAs (updating the owning
 //! volume's virtual→physical map), and return them to the heap empty.
+//!
+//! Who owns a block is not recorded anywhere on the write path. A call
+//! finds out by walking every volume's vvbn → pvbn map once and keeping
+//! the pairs that point into its victim AAs — a cost proportional to the
+//! mapped blocks of the aggregate, paid once per call however many AAs it
+//! cleans. That is the right place to pay: cleaning is rare and
+//! just-in-time, while a reverse table costs a store at bind and another
+//! at free for every block of every CP, and 8 bytes per physical block,
+//! whether or not anything is ever cleaned (`docs/perf.md`, *No owner
+//! table on the write path*).
 
-use crate::aggregate::{pack_owner, unpack_owner, Aggregate, GroupCache, OWNER_NONE, OWNER_ORPHAN};
+use crate::aggregate::{Aggregate, GroupCache};
 use crate::allocator::{plan_raid_group, AllocatorMode};
 use serde::{Deserialize, Serialize};
-use wafl_types::{Vbn, WaflError, WaflResult};
+use std::collections::HashMap;
+use wafl_types::{AaId, Vbn, WaflError, WaflResult};
 
 /// Results of a cleaning pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct CleaningStats {
-    /// AAs emptied.
+    /// AAs whose live blocks were all relocated: empty, but for blocks
+    /// still awaiting their logged free.
     pub aas_cleaned: u64,
     /// Live blocks relocated (the cleaning cost the §3.3.1 best-score
     /// policy minimizes).
@@ -30,53 +42,67 @@ pub struct CleaningStats {
 
 /// Clean up to `count` AAs from the top of `rg_index`'s max-heap. Each
 /// cleaned AA has every live block relocated to other AAs of the same
-/// group and re-enters the heap completely empty.
+/// group and re-enters the heap with the score its bits give it. A live
+/// block is an allocated one that a volume map references or an aging
+/// seed placed; an allocated block nobody owns is awaiting its logged
+/// free (`batched_frees`) or leaked, has no content to move, and stays.
 ///
 /// Returns an error if the group has no AA cache (cleaning is driven by
-/// the heap) or not enough free space elsewhere to absorb the live blocks.
+/// the heap). With not enough free space elsewhere to absorb an AA's live
+/// blocks the pass stops there and leaves the remaining AAs as they were.
 pub fn clean_top_aas(
     agg: &mut Aggregate,
     rg_index: usize,
     count: usize,
 ) -> WaflResult<CleaningStats> {
     let mut stats = CleaningStats::default();
-    for _ in 0..count {
-        let (aa, ranges, aa_blocks) = {
-            let g = &mut agg.groups[rg_index];
-            let cache = match g.cache.as_mut() {
-                Some(GroupCache::Heap(h)) => h,
-                _ => {
-                    return Err(WaflError::InvalidConfig {
-                        reason: "segment cleaning requires the RAID-aware \
-                                 max-heap cache (object stores garbage-collect \
-                                 internally)"
-                            .into(),
-                    })
+    let g = &mut agg.groups[rg_index];
+    let Some(GroupCache::Heap(cache)) = g.cache.as_mut() else {
+        return Err(WaflError::InvalidConfig {
+            reason: "segment cleaning requires the RAID-aware \
+                     max-heap cache (object stores garbage-collect \
+                     internally)"
+                .into(),
+        });
+    };
+    // All the victims first, and none goes back before the last is done:
+    // an emptied AA in the heap has the best score there is, so it would
+    // be taken again as the next victim or filled again as the next
+    // destination. The owner walk wants the whole set too.
+    let victims: Vec<AaId> = std::iter::from_fn(|| cache.take_best())
+        .take(count)
+        .map(|(aa, _score)| aa)
+        .collect();
+    let mut owners: HashMap<Vbn, (usize, Vbn)> = HashMap::new();
+    for (vi, vol) in agg.vols.iter().enumerate() {
+        for (vvbn, pvbn) in vol.vvbn_entries() {
+            if g.geometry.contains(pvbn) && victims.contains(&g.topology.aa_of_vbn(pvbn)?) {
+                owners.insert(pvbn, (vi, vvbn));
+            }
+        }
+    }
+
+    for &aa in &victims {
+        // Live blocks of the AA, each with the (volume, vvbn) to redirect
+        // (`None`: an aging seed).
+        let mut live: Vec<(Vbn, Option<(usize, Vbn)>)> = Vec::new();
+        for (start, len) in agg.groups[rg_index].topology.aa_vbn_ranges(aa) {
+            for v in (start.get()..start.get() + len).map(Vbn) {
+                if agg.bitmap.is_free(v)? {
+                    continue;
                 }
-            };
-            let Some((aa, _score)) = cache.take_best() else {
-                break;
-            };
-            (
-                aa,
-                g.topology.aa_vbn_ranges(aa),
-                g.topology.aa_blocks(aa) as u32,
-            )
-        };
-        // Live blocks of the AA.
-        let mut live: Vec<Vbn> = Vec::new();
-        for (start, len) in &ranges {
-            for v in start.get()..start.get() + len {
-                if !agg.bitmap.is_free(Vbn(v))? {
-                    live.push(Vbn(v));
+                let owner = owners.get(&v).copied();
+                if owner.is_some() || agg.seeds.contains(v.index()) {
+                    live.push((v, owner));
                 }
             }
         }
-        // Destinations from the same group's remaining AAs (the cleaned AA
-        // is off the heap, so the planner cannot pick it), claimed in the
-        // bitmap and recorded in the group's batch as they are found. The
-        // batch is empty here (a CP applies it at its boundary, this loop
-        // at the end of its body), so it holds this claim and nothing else.
+        // Destinations from the same group's remaining AAs (the victims
+        // are off the heap, so the planner cannot pick them), claimed in
+        // the bitmap and recorded in the group's batch as they are found.
+        // The batch is empty here (a CP applies it at its boundary, this
+        // loop at the end of its body), so it holds this claim and nothing
+        // else.
         debug_assert!(agg.groups[rg_index].batch.is_empty());
         let plan = plan_raid_group(
             &mut agg.groups[rg_index],
@@ -86,61 +112,52 @@ pub fn clean_top_aas(
             0xC1EA_u64 ^ aa.get() as u64,
             agg.cfg.pick_audit_sample,
         )?;
-        if plan.vbns.len() < live.len() {
-            // Not enough room elsewhere: give the claimed blocks back, drop
-            // their batch entries, put every AA back and stop.
+        let refused = plan.vbns.len() < live.len();
+        if refused {
+            // Not enough room elsewhere: give the claimed blocks back and
+            // drop their batch entries.
             for &(start, len) in &plan.runs {
                 agg.bitmap.free_run(start, len)?;
             }
-            agg.bitmap.take_dirty_stats();
-            let g = &mut agg.groups[rg_index];
-            let _ = g.batch.drain().count();
-            let score = g.topology.score_from_bitmap(&agg.bitmap, aa);
-            if let Some(GroupCache::Heap(cache)) = g.cache.as_mut() {
-                cache.insert(aa, score)?;
-                for &drained in &plan.drained {
-                    let s = g.topology.score_from_bitmap(&agg.bitmap, drained);
-                    cache.insert(drained, s)?;
+            let _ = agg.groups[rg_index].batch.drain().count();
+        } else {
+            // Relocate: free the source, redirect the owner to the
+            // destination.
+            for (&(src, owner), &dst) in live.iter().zip(&plan.vbns) {
+                agg.bitmap.free(src)?;
+                match owner {
+                    Some((vi, vvbn)) => agg.vols[vi].redirect_vvbn(vvbn, dst),
+                    None => {
+                        agg.seeds.remove(src.index());
+                        agg.seeds.insert(dst.index());
+                    }
                 }
             }
-            break;
+            stats.blocks_relocated += live.len() as u64;
+            stats.aas_cleaned += 1;
         }
-        // Relocate: free the source, redirect the owner to the destination.
-        for (&src, &dst) in live.iter().zip(&plan.vbns) {
-            agg.bitmap.free(src)?;
-            let owner = agg.pvbn_owner[src.index()];
-            agg.pvbn_owner[src.index()] = OWNER_NONE;
-            agg.pvbn_owner[dst.index()] = owner;
-            match owner {
-                OWNER_NONE => {
-                    return Err(WaflError::BitmapStateMismatch {
-                        vbn: src,
-                        expected_free: false,
-                    });
-                }
-                OWNER_ORPHAN => {}
-                packed => {
-                    let (vol, vvbn) = unpack_owner(packed);
-                    let v = &mut agg.vols[vol.index()];
-                    debug_assert_eq!(v.lookup_vvbn(vvbn), Some(src));
-                    v.redirect_vvbn(vvbn, dst);
-                    debug_assert_eq!(agg.pvbn_owner[dst.index()], pack_owner(vol, vvbn));
-                }
-            }
-        }
-        stats.blocks_relocated += live.len() as u64;
-        stats.aas_cleaned += 1;
-        // Settle scores: the cleaned AA is empty; destination AAs changed.
+        // Settle scores: the destination AAs changed; the AAs the planner
+        // drained go back with what the bitmap says.
         let g = &mut agg.groups[rg_index];
         if let Some(GroupCache::Heap(cache)) = g.cache.as_mut() {
             cache.apply_batch(&mut g.batch);
-            cache.insert(aa, wafl_types::AaScore(aa_blocks))?;
             for &drained in &plan.drained {
-                let s = g.topology.score_from_bitmap(&agg.bitmap, drained);
-                cache.insert(drained, s)?;
+                cache.insert(drained, g.topology.score_from_bitmap(&agg.bitmap, drained))?;
             }
         }
         agg.bitmap.take_dirty_stats(); // cleaning I/O tracked via stats
+        if refused {
+            break;
+        }
+    }
+    // The victims go back with what the bitmap says: the cleaned ones
+    // empty (but for blocks awaiting a logged free), the ones a refusal
+    // left untouched as they came.
+    let g = &mut agg.groups[rg_index];
+    if let Some(GroupCache::Heap(cache)) = g.cache.as_mut() {
+        for &aa in &victims {
+            cache.insert(aa, g.topology.score_from_bitmap(&agg.bitmap, aa))?;
+        }
     }
     Ok(stats)
 }
@@ -192,8 +209,15 @@ mod tests {
         let stats = clean_top_aas(&mut a, 0, 2).unwrap();
         assert_eq!(stats.aas_cleaned, 2);
         assert!(stats.blocks_relocated > 0);
-        // Now the heap's best is a completely empty AA.
-        let best_after = a.groups()[0].cache().unwrap().best().unwrap().1;
+        // Two AAs are completely empty by their bits — not one AA emptied
+        // and then taken from the heap again.
+        let g = &a.groups()[0];
+        let empty = (0..g.topology.aa_count())
+            .filter(|&aa| g.topology.score_from_bitmap(a.bitmap(), AaId(aa)).get() == aa_blocks)
+            .count();
+        assert_eq!(empty, 2);
+        // ... and the heap's best is one of them.
+        let best_after = g.cache().unwrap().best().unwrap().1;
         assert_eq!(best_after, AaScore(aa_blocks));
         // Occupancy conserved: relocation moves blocks, frees nothing.
         assert_eq!(
@@ -268,6 +292,125 @@ mod tests {
         assert_eq!(crate::iron::check(&a).unwrap(), before);
         // Nothing is charged to the next CP's metafile I/O either.
         assert_eq!(a.bitmap.take_dirty_stats(), Default::default());
+    }
+
+    #[test]
+    fn blocks_awaiting_their_logged_free_stay_where_they_are() {
+        // With `batched_frees` an overwritten block keeps its bit until
+        // the free log reaches it, but no vvbn maps to it any more: it is
+        // not live, and cleaning must neither redirect its old vvbn (gone,
+        // or reused by another block) nor count the AA as empty.
+        const LOGICALS: u64 = 150_000;
+        let mut a = Aggregate::new(
+            AggregateConfig {
+                batched_frees: true,
+                free_pages_per_cp: 1,
+                ..AggregateConfig::single_group(RaidGroupSpec {
+                    data_devices: 4,
+                    parity_devices: 1,
+                    device_blocks: 16 * 4096,
+                    profile: MediaProfile::hdd(),
+                })
+            },
+            &[(
+                FlexVolConfig {
+                    size_blocks: 8 * 32768,
+                    aa_cache: true,
+                    aa_blocks: None,
+                },
+                LOGICALS,
+            )],
+            2,
+        )
+        .unwrap();
+        aging::fill_volume(&mut a, VolumeId(0), 8192).unwrap();
+        aging::random_overwrite_churn(&mut a, VolumeId(0), 600_000, 8192, 4).unwrap();
+        assert!(a.free_log().pending() > 10_000);
+        for round in 0..6u64 {
+            let stats = clean_top_aas(&mut a, 0, 1).unwrap();
+            assert_eq!(stats.aas_cleaned, 1, "round {round}");
+            for i in 0..8192 {
+                let l = (round * 8192 + i) * 7 % LOGICALS;
+                a.client_overwrite(VolumeId(0), l).unwrap();
+            }
+            a.run_cp().unwrap();
+            let report = crate::iron::check(&a).unwrap();
+            assert!(report.is_clean(), "round {round}: {report:?}");
+            let v = &a.volumes()[0];
+            for l in 0..LOGICALS {
+                let pvbn = v.lookup_vvbn(v.lookup_logical(l).unwrap()).unwrap();
+                assert!(!a.bitmap().is_free(pvbn).unwrap(), "round {round}: {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn seeds_and_snapshot_pinned_blocks_move_with_their_aa() {
+        // Neither kind of block is reachable from a logical block: a seed
+        // belongs to no volume, a detached vvbn only to its snapshot.
+        // Seeds in every AA, then a volume churned until its blocks are in
+        // every AA too, a snapshot, and overwrites that detach a seventh
+        // of what it pinned.
+        let vol = FlexVolConfig {
+            size_blocks: 8 * 32768,
+            aa_cache: true,
+            aa_blocks: None,
+        };
+        let mut a = seeded(&[(vol, 180_000)], 0.1);
+        aging::fill_volume(&mut a, VolumeId(0), 8192).unwrap();
+        aging::random_overwrite_churn(&mut a, VolumeId(0), 150_000, 8192, 4).unwrap();
+        a.snapshot_create(VolumeId(0)).unwrap();
+        aging::random_overwrite_churn(&mut a, VolumeId(0), 25_000, 8192, 5).unwrap();
+        let pinned = a.vols[0].snapshots[0].pinned.clone();
+        let homes = |a: &Aggregate| -> Vec<Vbn> {
+            pinned
+                .iter()
+                .map(|&vvbn| {
+                    a.vols[0]
+                        .lookup_vvbn(vvbn)
+                        .expect("pinned vvbn stays mapped")
+                })
+                .collect()
+        };
+        let (before, homes_before) = (crate::iron::check(&a).unwrap(), homes(&a));
+        assert!(
+            before.is_clean() && before.orphaned_blocks > 0,
+            "{before:?}"
+        );
+
+        // The victim holds at least one block of each kind.
+        let g = &a.groups()[0];
+        let victim = g.cache().unwrap().best().unwrap().0;
+        let in_victim = |v: Vbn| g.topology.aa_of_vbn(v).unwrap() == victim;
+        let detached_there = (a.vols[0].detached.iter())
+            .filter(|&&vvbn| in_victim(a.vols[0].lookup_vvbn(Vbn(vvbn)).unwrap()))
+            .count();
+        let seeds_there = (g.topology.aa_vbn_ranges(victim).iter())
+            .flat_map(|&(start, len)| (start.get()..start.get() + len).map(Vbn))
+            .filter(|&v| a.seeds.contains(v.index()))
+            .count();
+        assert!(detached_there > 0 && seeds_there > 0);
+
+        let stats = clean_top_aas(&mut a, 0, 1).unwrap();
+        assert_eq!(stats.aas_cleaned, 1);
+        let g = &a.groups()[0];
+        assert_eq!(
+            g.topology.score_from_bitmap(a.bitmap(), victim).get() as u64,
+            g.topology.aa_blocks(victim)
+        );
+        // Same report (orphans included), same snapshot: every pinned
+        // vvbn still resolves to an allocated block, and only those that
+        // lived in the victim moved.
+        assert_eq!(crate::iron::check(&a).unwrap(), before);
+        assert_eq!(a.vols[0].snapshots[0].pinned, pinned);
+        let mut moved = 0;
+        for (&was, &now) in homes_before.iter().zip(&homes(&a)) {
+            assert!(!a.bitmap().is_free(now).unwrap());
+            let was_there = g.topology.aa_of_vbn(was).unwrap() == victim;
+            assert_eq!(was != now, was_there);
+            moved += usize::from(was_there);
+        }
+        assert!(moved >= detached_there);
     }
 
     #[test]

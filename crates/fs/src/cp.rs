@@ -2,7 +2,7 @@
 //! one transaction (§2.1), allocating virtual + physical VBNs from the
 //! emptiest AAs and batching all score updates at the boundary (§3.3).
 
-use crate::aggregate::{pack_owner, Aggregate, DeviceMedia, DirtyBlock, GroupCache, OWNER_NONE};
+use crate::aggregate::{Aggregate, DeviceMedia, DirtyBlock, GroupCache};
 use crate::allocator::{allocate_vvbns, plan_raid_group, AllocOutcome, AllocatorMode};
 use serde::{Deserialize, Serialize};
 use wafl_faults::{CrashSite, FaultSession};
@@ -582,9 +582,9 @@ impl Aggregate {
             }
             if let Some(site @ CrashSite::AfterBlockWrites(_)) = crash {
                 // The claimed bits are on stable storage, but no logical
-                // binding or ownership was ever recorded —
-                // allocated-but-unowned leaks in both VBN spaces (the
-                // vvbn bits were set in step 2).
+                // binding was ever recorded — allocated-but-unreferenced
+                // leaks in both VBN spaces (the vvbn bits were set in
+                // step 2).
                 self.lose_volatile_state();
                 return Ok(CpOutcome::Crashed(site));
             }
@@ -600,12 +600,10 @@ impl Aggregate {
                 let Aggregate {
                     bitmap,
                     groups,
-                    pvbn_owner,
                     free_log,
                     ..
                 } = &mut *self;
                 let dstats = free_log.force_drain(bitmap, |pvbn, _| {
-                    pvbn_owner[pvbn.index()] = OWNER_NONE;
                     let g = groups
                         .iter_mut()
                         .find(|g| g.geometry.contains(pvbn))
@@ -660,11 +658,8 @@ impl Aggregate {
             debug_assert_eq!(outcome.vbns.len(), logicals.len());
             let chunk = &pvbns[off..off + logicals.len()];
             off += logicals.len();
-            let freed = vol.remap_batch(logicals, &outcome.vbns, chunk);
-            for (&pvbn, &vvbn) in chunk.iter().zip(&outcome.vbns) {
-                self.pvbn_owner[pvbn.index()] = pack_owner(vol.id, vvbn);
-            }
-            self.delayed_pvbn_frees.extend(freed);
+            self.delayed_pvbn_frees
+                .extend(vol.remap_batch(logicals, &outcome.vbns, chunk));
         }
 
         // ---- 4b. deletions queued since the last CP --------------------
@@ -677,11 +672,10 @@ impl Aggregate {
         }
 
         if let Some(site @ CrashSite::AfterBind) = crash {
-            // Power loss after the new mappings and owners committed but
-            // before any delayed free applied: the overwritten blocks'
-            // old versions stay allocated in both VBN spaces, the old
-            // pvbns with stale owner entries (their vvbns are gone from
-            // the volume maps).
+            // Power loss after the new mappings committed but before any
+            // delayed free applied: the overwritten blocks' old versions
+            // stay allocated in both VBN spaces and nothing references
+            // them (their vvbns are gone from the volume maps) — leaks.
             self.lose_volatile_state();
             return Ok(CpOutcome::Crashed(site));
         }
@@ -694,31 +688,18 @@ impl Aggregate {
         }
         if let Some(site @ CrashSite::MidFreeLogApply(k)) = crash {
             // The crash interrupts delayed-free application: `k` frees
-            // reach the bitmap, the last of them with its owner update
-            // torn off. The rest stay pending — in the persistent log
-            // when batched (replayed idempotently after remount), lost
-            // outright (leaked) when not.
+            // reach the bitmap. The rest stay pending — in the persistent
+            // log when batched (replayed idempotently after remount, the
+            // `k` applied ones skipped), lost outright (leaked) when not.
+            let mut frees = std::mem::take(&mut self.delayed_pvbn_frees);
             if self.cfg.batched_frees {
-                for pvbn in std::mem::take(&mut self.delayed_pvbn_frees) {
+                for pvbn in frees {
                     self.free_log.log_free(pvbn)?;
                 }
-                let pending = self.free_log.pending_vbns();
-                let k = (k as usize).min(pending.len());
-                for (idx, &pvbn) in pending[..k].iter().enumerate() {
-                    self.bitmap.free(pvbn)?;
-                    if idx + 1 < k {
-                        self.pvbn_owner[pvbn.index()] = OWNER_NONE;
-                    }
-                }
-            } else {
-                let frees = std::mem::take(&mut self.delayed_pvbn_frees);
-                let k = (k as usize).min(frees.len());
-                for (idx, &pvbn) in frees[..k].iter().enumerate() {
-                    self.bitmap.free(pvbn)?;
-                    if idx + 1 < k {
-                        self.pvbn_owner[pvbn.index()] = OWNER_NONE;
-                    }
-                }
+                frees = self.free_log.pending_vbns();
+            }
+            for &pvbn in frees.iter().take(k as usize) {
+                self.bitmap.free(pvbn)?;
             }
             self.lose_volatile_state();
             return Ok(CpOutcome::Crashed(site));
@@ -734,12 +715,10 @@ impl Aggregate {
             let Aggregate {
                 bitmap,
                 groups,
-                pvbn_owner,
                 free_log,
                 ..
             } = self;
             let dstats = free_log.process(bitmap, budget, |pvbn, _| {
-                pvbn_owner[pvbn.index()] = OWNER_NONE;
                 let g = groups
                     .iter_mut()
                     .find(|g| g.geometry.contains(pvbn))
@@ -757,7 +736,7 @@ impl Aggregate {
             stats.delayed_frees_applied += dstats.frees_applied;
             stats.delayed_free_pages += dstats.pages_processed;
         } else {
-            // Sort, walk the batch once for owner, trim, and per-AA
+            // Sort, walk the batch once for trim and per-AA
             // score accounting (the groups go by monotonically — they
             // are ordered by base VBN), then clear every bit with the
             // word-masked batch free instead of one bit flip per block.
@@ -778,7 +757,6 @@ impl Aggregate {
                 let mut span_gi = 0usize;
                 let mut span_freed: u32 = 0;
                 for &pvbn in &frees {
-                    self.pvbn_owner[pvbn.index()] = OWNER_NONE;
                     while !self.groups[gi].geometry.contains(pvbn) {
                         gi += 1;
                     }

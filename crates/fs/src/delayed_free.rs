@@ -113,7 +113,7 @@ impl DelayedFreeLog {
     /// Apply the pending frees of up to `page_budget` pages — best
     /// (fullest) pages first, so each metafile-page write retires the
     /// most frees. `record` runs once per applied VBN (the CP engine uses
-    /// it to update owner maps, AA-score batches, and TRIM).
+    /// it to update AA-score batches and TRIM).
     pub fn process(
         &mut self,
         bitmap: &mut Bitmap,

@@ -5,26 +5,29 @@
 //! repair tool — WAFL Iron — is used to recompute and recover them."
 //! This module is that tool for the simulated stack: it audits every
 //! cross-structure invariant the allocator depends on and recomputes
-//! derived state (AA caches, ownership) from the authoritative bitmaps
+//! derived state (AA caches, summaries) from the authoritative bitmaps
 //! and volume maps.
 //!
 //! Check phases:
 //! 1. **Mappings** — every logical→virtual→physical chain resolves to
 //!    allocated bits in both spaces, and no two virtual VBNs share a
 //!    physical block.
-//! 2. **Ownership** — the reverse `pvbn_owner` map agrees with the volume
-//!    maps in both directions.
-//! 3. **Space accounting** — per-volume and aggregate occupancy equals
-//!    live mappings (plus orphaned aging seeds and logged-but-unapplied
-//!    delayed frees).
+//! 2. **Ownership** — there is no owner table to audit: who owns a pvbn
+//!    is whichever vvbn the volume maps point at it, so the check marks
+//!    every referenced pvbn in a one-bit-per-pvbn set and compares that
+//!    with the activemap. A referenced pvbn must be allocated; an
+//!    allocated pvbn must be referenced, an aging seed, or awaiting its
+//!    logged free.
+//! 3. **Space accounting** — per-volume occupancy equals the volume's
+//!    referenced pairs.
 //! 4. **Caches** — every cached AA score equals the bitmap-derived score.
 //!
 //! [`check`] reports; [`repair`] additionally rebuilds what can be
-//! recomputed (caches, ownership) and reports what it fixed.
+//! recomputed (caches, summaries), reclaims leaks and reports what it
+//! fixed.
 
-use crate::aggregate::{
-    build_group_cache, pack_owner, Aggregate, GroupCache, OWNER_NONE, OWNER_ORPHAN,
-};
+use crate::aggregate::{build_group_cache, Aggregate, GroupCache};
+use crate::bitset::BitSet;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use wafl_core::RaidAgnosticCache;
@@ -36,16 +39,16 @@ pub struct IronReport {
     /// Logical blocks whose mapping chain is broken (dangling vvbn or
     /// pvbn, or bit not set where required).
     pub broken_mappings: u64,
-    /// Physical blocks whose owner entry disagrees with the volume maps.
+    /// Free physical blocks a volume map still references.
     pub owner_mismatches: u64,
-    /// Allocated physical blocks with no owner and no pending free —
-    /// leaked space.
+    /// Allocated physical blocks that no volume map references, no aging
+    /// seed placed and no logged free awaits — leaked space.
     pub leaked_blocks: u64,
     /// Allocated virtual VBNs no volume map references — leaked virtual
     /// space (the signature of a crash between vvbn allocation and
     /// binding, or of lost delayed vvbn frees).
     pub leaked_vvbns: u64,
-    /// Allocated physical blocks owned by an aging seed rather than any
+    /// Allocated physical blocks placed by an aging seed rather than any
     /// volume. Deliberate test-fixture state, not an inconsistency — but
     /// capacity planning wants the number, so it is surfaced instead of
     /// discarded.
@@ -79,11 +82,17 @@ impl IronReport {
 
 /// Audit the aggregate without modifying it.
 pub fn check(agg: &Aggregate) -> WaflResult<IronReport> {
+    audit(agg).map(|(report, _)| report)
+}
+
+/// The audit behind [`check`], with the leaked physical blocks it counted
+/// (what [`repair`] reclaims).
+fn audit(agg: &Aggregate) -> WaflResult<(IronReport, Vec<Vbn>)> {
     agg.obs.iron_audits.inc(1);
     let mut report = IronReport::default();
 
     // Phase 1: logical mapping chains resolve through allocated bits.
-    let mut expected_owner = vec![OWNER_NONE; agg.bitmap.space_len() as usize];
+    let mut referenced = BitSet::default();
     for vol in &agg.vols {
         for l in 0..vol.logical_blocks() {
             let Some(vvbn) = vol.lookup_logical(l) else {
@@ -100,18 +109,16 @@ pub fn check(agg: &Aggregate) -> WaflResult<IronReport> {
             }
         }
         // Phase 2 input: every *referenced* pair — active file system plus
-        // snapshot-pinned blocks — is what the owner map mirrors.
-        let mut referenced = 0u64;
-        for (vvbn, pvbn) in vol.vvbn_entries() {
-            referenced += 1;
-            let slot = &mut expected_owner[pvbn.index()];
-            if *slot != OWNER_NONE {
+        // snapshot-pinned blocks — owns its pvbn.
+        let mut pairs = 0u64;
+        for (_, pvbn) in vol.vvbn_entries() {
+            pairs += 1;
+            if !referenced.insert(pvbn.index()) {
                 // Two virtual blocks share one physical block.
                 report.broken_mappings += 1;
             }
-            *slot = pack_owner(vol.id, vvbn);
         }
-        if vol.size_blocks() - vol.free_blocks() != referenced {
+        if vol.size_blocks() - vol.free_blocks() != pairs {
             report.volume_accounting_errors += 1;
         }
         // Virtual leaks: an allocated vvbn bit nothing maps. Snapshot-
@@ -127,45 +134,24 @@ pub fn check(agg: &Aggregate) -> WaflResult<IronReport> {
         }
     }
 
-    // Phase 2+3: compare against the recorded owners; find leaks.
-    // Blocks in the delayed-free log are absolved precisely (by VBN, not
-    // by count): a logged free's bit stays set and its owner entry stays
-    // stale until a processing pass applies it — expected in-between
-    // state, not damage.
-    let pending: HashSet<u64> = agg
-        .free_log
-        .pending_vbns()
-        .iter()
-        .map(|v| v.get())
-        .collect();
+    // Phase 2: the referenced set against the activemap. Blocks in the
+    // delayed-free log are absolved precisely (by VBN, not by count): a
+    // logged free's bit stays set, with nothing referencing it, until a
+    // processing pass applies it — expected in-between state, not damage.
+    // (One already free yet still logged is a crash between the bitmap
+    // write and the log update; replay skips it.)
+    let pending: HashSet<Vbn> = agg.free_log.pending_vbns().into_iter().collect();
+    let mut leaked = Vec::new();
     for v in 0..agg.bitmap.space_len() {
         let vbn = Vbn(v);
-        let allocated = !agg.bitmap.is_free(vbn)?;
-        let recorded = agg.pvbn_owner[vbn.index()];
-        let expected = expected_owner[vbn.index()];
-        if pending.contains(&v) {
-            if allocated {
-                continue; // awaiting its logged free; any state is fine
-            }
-            // Already free yet still logged: a crash tore the bitmap
-            // write from the owner update. Replay skips the bit safely,
-            // but a surviving stale owner is damage.
-            if recorded != OWNER_NONE {
-                report.owner_mismatches += 1;
-            }
-            continue;
-        }
-        if allocated {
-            match (recorded, expected) {
-                (OWNER_ORPHAN, OWNER_NONE) => report.orphaned_blocks += 1,
-                (r, e) if r == e && r != OWNER_NONE => {}
-                (OWNER_NONE, OWNER_NONE) => report.leaked_blocks += 1,
-                _ => report.owner_mismatches += 1,
-            }
-        } else if recorded != OWNER_NONE {
-            report.owner_mismatches += 1;
+        match (!agg.bitmap.is_free(vbn)?, referenced.contains(vbn.index())) {
+            (true, false) if agg.seeds.contains(vbn.index()) => report.orphaned_blocks += 1,
+            (true, false) if !pending.contains(&vbn) => leaked.push(vbn),
+            (false, true) => report.owner_mismatches += 1,
+            _ => {}
         }
     }
+    report.leaked_blocks = leaked.len() as u64;
 
     // Phase 4: cached scores versus bitmap truth. Only AAs *present* in
     // the heap participate: the active AA legitimately lags until its
@@ -200,16 +186,16 @@ pub fn check(agg: &Aggregate) -> WaflResult<IronReport> {
     for vol in &agg.vols {
         report.stale_summary_counters += vol.bitmap().summary_divergences();
     }
-    Ok(report)
+    Ok((report, leaked))
 }
 
-/// Audit and repair: rebuilds AA caches from the bitmaps, the owner map
-/// from the volume maps, and reclaims leaked blocks in both VBN spaces
-/// (the residue of a torn CP). Broken mapping chains are reported but
-/// not invented (data loss cannot be repaired from metadata alone —
-/// matching the real tool's behaviour of flagging, not fabricating).
+/// Audit and repair: rebuilds AA caches from the bitmaps and reclaims
+/// leaked blocks in both VBN spaces (the residue of a torn CP). Broken
+/// mapping chains and free-but-referenced blocks are reported but not
+/// invented (data loss cannot be repaired from metadata alone — matching
+/// the real tool's behaviour of flagging, not fabricating).
 pub fn repair(agg: &mut Aggregate) -> WaflResult<IronReport> {
-    let mut report = check(agg)?;
+    let (mut report, leaked) = audit(agg)?;
     if report.is_clean() {
         return Ok(report);
     }
@@ -222,27 +208,6 @@ pub fn repair(agg: &mut Aggregate) -> WaflResult<IronReport> {
             vol.bitmap.rebuild_summary();
         }
         report.repairs += report.stale_summary_counters;
-    }
-    // Recompute ownership from the volume maps — every *referenced* pair
-    // (`vvbn_entries`: active plus snapshot-pinned), not just the live
-    // logical chains, or repair itself would orphan pinned blocks.
-    if report.owner_mismatches > 0 || report.leaked_blocks > 0 {
-        for slot in agg.pvbn_owner.iter_mut() {
-            if *slot != OWNER_ORPHAN {
-                *slot = OWNER_NONE;
-            }
-        }
-        for vi in 0..agg.vols.len() {
-            let id = agg.vols[vi].id;
-            let fixes: Vec<(usize, u64)> = agg.vols[vi]
-                .vvbn_entries()
-                .map(|(vvbn, pvbn)| (pvbn.index(), pack_owner(id, vvbn)))
-                .collect();
-            for (idx, owner) in fixes {
-                agg.pvbn_owner[idx] = owner;
-                report.repairs += 1;
-            }
-        }
     }
     // Reclaim leaked virtual blocks: allocated vvbn bits nothing maps.
     if report.leaked_vvbns > 0 || report.volume_accounting_errors > 0 {
@@ -261,34 +226,18 @@ pub fn repair(agg: &mut Aggregate) -> WaflResult<IronReport> {
             }
         }
     }
-    // Reclaim leaked physical blocks: allocated, unowned after the owner
-    // recompute above, and not awaiting a logged delayed free. (Orphaned
-    // aging seeds keep their OWNER_ORPHAN marker and are untouched.)
-    let mut freed_pvbns = 0u64;
-    if report.leaked_blocks > 0 || report.owner_mismatches > 0 {
-        let pending: HashSet<u64> = agg
-            .free_log
-            .pending_vbns()
-            .iter()
-            .map(|v| v.get())
-            .collect();
-        for v in 0..agg.bitmap.space_len() {
-            let vbn = Vbn(v);
-            if !agg.bitmap.is_free(vbn)?
-                && agg.pvbn_owner[vbn.index()] == OWNER_NONE
-                && !pending.contains(&v)
-            {
-                agg.bitmap.free(vbn)?;
-                freed_pvbns += 1;
-                report.repairs += 1;
-            }
-        }
+    // Reclaim leaked physical blocks: allocated, referenced by no volume
+    // map (active or snapshot-pinned), not an aging seed and not awaiting
+    // a logged delayed free.
+    for &vbn in &leaked {
+        agg.bitmap.free(vbn)?;
     }
+    report.repairs += report.leaked_blocks;
     // Rebuild every cache whose inputs changed (recomputing what the
     // paper says Iron recomputes: the TopAA-backed structures). Freeing
     // leaked pvbns invalidates cached group scores even when the check
     // found none stale.
-    if report.stale_scores > 0 || freed_pvbns > 0 {
+    if report.stale_scores > 0 || report.leaked_blocks > 0 {
         for i in 0..agg.groups.len() {
             if agg.groups[i].cache.is_some() {
                 let cache = build_group_cache(&agg.groups[i], &agg.bitmap)?;
@@ -395,23 +344,72 @@ mod tests {
         a.run_cp().unwrap();
     }
 
+    /// A mapped (vvbn, pvbn) pair of volume 0, found through logical `l`.
+    fn pair_of(a: &Aggregate, l: u64) -> (Vbn, Vbn) {
+        let v = &a.vols[0];
+        let vvbn = v.lookup_logical(l).expect("aged volume maps every block");
+        (vvbn, v.lookup_vvbn(vvbn).unwrap())
+    }
+
+    // With no owner table there is nothing to scribble; what can still
+    // disagree is the volume maps against the activemap. One test per form.
+
     #[test]
-    fn corrupted_owner_map_is_detected_and_repaired() {
+    fn free_but_referenced_block_is_detected() {
         let mut a = agg();
-        // Corrupt a few owner entries behind the allocator's back.
-        let victims: Vec<usize> = (0..a.pvbn_owner.len())
-            .filter(|&i| a.pvbn_owner[i] != super::OWNER_NONE)
+        let (_, pvbn) = pair_of(&a, 17);
+        a.bitmap.free(pvbn).unwrap();
+        let report = check(&a).unwrap();
+        assert_eq!(report.owner_mismatches, 1, "{report:?}");
+        assert_eq!(report.broken_mappings, 1, "logical 17's chain: {report:?}");
+        assert_eq!(report.leaked_blocks, 0, "{report:?}");
+        // The block's content may be gone: flagged, not papered over.
+        repair(&mut a).unwrap();
+        assert_eq!(check(&a).unwrap().owner_mismatches, 1);
+    }
+
+    #[test]
+    fn doubly_referenced_block_is_detected() {
+        let mut a = agg();
+        let (vvbn, was) = pair_of(&a, 17);
+        let (_, shared) = pair_of(&a, 18);
+        a.vols[0].redirect_vvbn(vvbn, shared);
+        let report = check(&a).unwrap();
+        assert_eq!(report.broken_mappings, 1, "{report:?}");
+        assert_eq!(report.owner_mismatches, 0, "{report:?}");
+        // ... and the block `vvbn` pointed at before is referenced by
+        // nothing now.
+        assert_eq!(report.leaked_blocks, 1, "{report:?}");
+        repair(&mut a).unwrap();
+        assert!(a.bitmap.is_free(was).unwrap());
+        let after = check(&a).unwrap();
+        assert_eq!((after.broken_mappings, after.leaked_blocks), (1, 0));
+    }
+
+    #[test]
+    fn allocated_unreferenced_block_is_detected_and_repaired() {
+        let mut a = agg();
+        let free_before = a.bitmap.free_blocks();
+        let stray: Vec<Vbn> = (0..a.bitmap.space_len())
+            .map(Vbn)
+            .filter(|&v| a.bitmap.is_free(v).unwrap())
+            .step_by(1000)
             .take(5)
             .collect();
-        for &i in &victims {
-            a.pvbn_owner[i] = pack_owner(VolumeId(7), Vbn(1));
+        for &v in &stray {
+            a.bitmap.allocate(v).unwrap();
         }
         let report = check(&a).unwrap();
-        assert!(report.owner_mismatches > 0, "{report:?}");
-        repair(&mut a).unwrap();
+        assert_eq!(report.leaked_blocks, 5, "{report:?}");
+        assert_eq!(report.owner_mismatches, 0, "{report:?}");
+        let fixed = repair(&mut a).unwrap();
+        assert!(fixed.repairs >= 5, "{fixed:?}");
+        assert_eq!(a.bitmap.free_blocks(), free_before);
         assert!(check(&a).unwrap().is_clean());
-        // Segment cleaning (the owner map's consumer) works again.
-        crate::cleaning::clean_top_aas(&mut a, 0, 1).unwrap();
+        // Segment cleaning (the other reader of derived ownership) works
+        // on the repaired aggregate.
+        let cleaned = crate::cleaning::clean_top_aas(&mut a, 0, 1).unwrap();
+        assert_eq!(cleaned.aas_cleaned, 1);
         assert!(check(&a).unwrap().is_clean());
     }
 

@@ -31,6 +31,7 @@
 mod aggregate;
 pub mod aging;
 mod allocator;
+mod bitset;
 pub mod cleaning;
 mod config;
 mod cp;

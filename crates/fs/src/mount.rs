@@ -138,8 +138,8 @@ pub fn save_topaa(agg: &Aggregate) -> TopAaImage {
 
 /// Simulate a crash/reboot: all in-memory AA caches, allocator context
 /// (active AAs, device stream state), queued client operations, and
-/// unapplied delayed frees are lost. Bitmaps, volume maps, the owner map,
-/// snapshots, and the delayed-free *log* — the persistent state — survive.
+/// unapplied delayed frees are lost. Bitmaps, volume maps, snapshots, and
+/// the delayed-free *log* — the persistent state — survive.
 pub fn crash(agg: &mut Aggregate) {
     for g in agg.groups.iter_mut() {
         g.cache = None;

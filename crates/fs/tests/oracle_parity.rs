@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use wafl_fs::{Aggregate, AggregateConfig, FlexVolConfig, RaidGroupSpec};
 use wafl_media::MediaProfile;
 use wafl_oracle::{OracleAggregate, OracleRaidGroupSpec, OracleVolSpec};
-use wafl_types::VolumeId;
+use wafl_types::{Vbn, VolumeId};
 
 const LOGICALS: u64 = 50_000;
 
@@ -64,6 +64,31 @@ fn oracle() -> OracleAggregate {
         )],
     )
     .unwrap()
+}
+
+/// Ownership: `wafl-fs` keeps no owner table; who owns a pvbn is the
+/// vvbn its volume maps point at it. That derived view must equal the
+/// table the oracle maintains per block, for every pvbn — an owner for
+/// every set bit, none for a free one.
+fn assert_owner_parity(agg: &Aggregate, orc: &OracleAggregate, ctx: &str) {
+    let mut derived = vec![None; agg.bitmap().space_len() as usize];
+    for vol in agg.volumes() {
+        for vvbn in (0..vol.size_blocks()).map(Vbn) {
+            if let Some(pvbn) = vol.lookup_vvbn(vvbn) {
+                let displaced = derived[pvbn.index()].replace((vol.id, vvbn));
+                assert_eq!(displaced, None, "{ctx}: two vvbns reference {pvbn}");
+            }
+        }
+    }
+    for (i, owner) in derived.iter().enumerate() {
+        let pvbn = Vbn(i as u64);
+        assert_eq!(*owner, orc.owner_of(pvbn), "{ctx}: owner of {pvbn}");
+        assert_eq!(
+            owner.is_some(),
+            !agg.bitmap().is_free(pvbn).unwrap(),
+            "{ctx}: {pvbn} allocated without an owner, or owned while free"
+        );
+    }
 }
 
 /// Drive both planners through the identical workload and assert full
@@ -152,6 +177,7 @@ fn assert_parity(agg: &mut Aggregate, orc: &mut OracleAggregate, seed: u64, roun
             );
         }
         assert_eq!(sa.ops, so.ops, "seed {seed} round {round}");
+        assert_owner_parity(agg, orc, &format!("seed {seed} round {round}"));
         // Pick statistics: fresh claims only, whichever planner ran.
         assert_eq!(sa.agg_picks, so.agg_picks, "seed {seed} round {round}");
         assert_eq!(sa.vol_picks, so.vol_picks, "seed {seed} round {round}");
@@ -308,6 +334,7 @@ fn multi_group_multi_vol_matches_oracle() {
         }
         assert_eq!(sa.blocks_examined, so.blocks_examined, "round {round}");
         assert_eq!(sa.cpu_us.to_bits(), so.cpu_us.to_bits(), "round {round}");
+        assert_owner_parity(&agg, &orc, &format!("two volumes, round {round}"));
     }
 }
 

@@ -44,7 +44,8 @@ const UNMAPPED: u64 = u64::MAX;
 /// Owner sentinel: block free / untracked.
 const OWNER_NONE: u64 = u64::MAX;
 
-/// Pack a (volume, vvbn) owner reference — same packing as `wafl-fs`.
+/// Pack a (volume, vvbn) owner reference: 24 bits of volume above 40 of
+/// vvbn ([`OracleAggregate::owner_of`] unpacks).
 fn pack_owner(vol: VolumeId, vvbn: Vbn) -> u64 {
     ((vol.get() as u64) << 40) | vvbn.get()
 }
@@ -669,6 +670,19 @@ impl OracleAggregate {
     /// Completed consistency points.
     pub fn cp_count(&self) -> u64 {
         self.cp_count
+    }
+
+    /// Who holds `pvbn` according to the per-block owner table the
+    /// oracle keeps maintaining at bind and at free — the independent
+    /// reference for the view `wafl-fs` derives from its volume maps.
+    /// `None` for a block nobody owns.
+    pub fn owner_of(&self, pvbn: Vbn) -> Option<(VolumeId, Vbn)> {
+        let packed = *self.pvbn_owner.get(pvbn.index())?;
+        let owner = (
+            VolumeId((packed >> 40) as u32),
+            Vbn(packed & ((1 << 40) - 1)),
+        );
+        (packed != OWNER_NONE).then_some(owner)
     }
 
     /// The aggregate's physical activemap.

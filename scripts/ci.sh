@@ -4,7 +4,8 @@
 # a benchmark smoke run.
 #
 #   scripts/ci.sh                 # fast gates (no-threads guard, fmt,
-#                                 # clippy, tests, smokes)
+#                                 # clippy, tests, smokes, frozen-paths
+#                                 # guard)
 #   scripts/ci.sh --torture       # fast gates + 200-seed crash torture
 #   scripts/ci.sh --scrub-torture # fast gates + 200-seed runtime-scrub
 #                                 # torture (release: debug builds assert
@@ -83,9 +84,33 @@ trace_smoke() {
 # smoke pass (every workload, every metric named in BENCHMARK.json, every
 # correctness check) and its unit tests, so a crate API change cannot
 # silently break it.
+#
+# Every cargo build of the package rewrites benchmark/Cargo.lock in the
+# working tree (it drops the committed file's stale `rayon` stanza), and
+# the file is frozen: a lock that matched HEAD before the gate is put
+# back after it, so the gate's own builds do not trip frozen_paths.
 bench_check() {
+  local lock_was_clean=0
+  git diff --quiet HEAD -- benchmark/Cargo.lock && lock_was_clean=1
   run benchmark/check.sh
   run cargo test --release --offline --manifest-path benchmark/Cargo.toml
+  if ((lock_was_clean)); then
+    git checkout -- benchmark/Cargo.lock
+  fi
+}
+
+# Frozen paths: the driver compares a PR against its parent with the
+# benchmark as committed, so BENCHMARK.json and benchmark/ must not
+# differ from HEAD when a change is committed. The usual offender is the
+# lock file a hand-run `cargo build` of the benchmark rewrote.
+frozen_paths() {
+  echo "==> frozen-paths guard"
+  if ! git diff --quiet HEAD -- BENCHMARK.json benchmark/; then
+    git diff --stat HEAD -- BENCHMARK.json benchmark/
+    echo "BENCHMARK.json or benchmark/ differs from HEAD; if it is only the" >&2
+    echo "lock file cargo rewrote:  git checkout -- benchmark/Cargo.lock" >&2
+    return 1
+  fi
 }
 
 # No threads in the library (ROADMAP aim 1, "the same statistics under
@@ -168,6 +193,7 @@ batch_smoke
 oracle_parity
 trace_smoke
 bench_check
+frozen_paths
 
 if [[ "${1:-}" == "--torture" ]]; then
   run cargo test --release -p wafl-fs --test crash_consistency -- --ignored

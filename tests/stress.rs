@@ -10,7 +10,7 @@ use wafl_repro::fs::{
     cleaning, iron, mount, Aggregate, AggregateConfig, FlexVolConfig, RaidGroupSpec,
 };
 use wafl_repro::media::MediaProfile;
-use wafl_repro::types::VolumeId;
+use wafl_repro::types::{VolumeId, WaflError};
 
 struct Driver {
     agg: Aggregate,
@@ -110,7 +110,11 @@ impl Driver {
             // Segment cleaning of a random group.
             8 => {
                 let g = self.rng.random_range(0..self.agg.groups().len());
-                let _ = cleaning::clean_top_aas(&mut self.agg, g, 1);
+                // The only refusal there is: a group with no heap cache.
+                match cleaning::clean_top_aas(&mut self.agg, g, 1) {
+                    Ok(_) | Err(WaflError::InvalidConfig { .. }) => {}
+                    Err(e) => panic!("cleaning group {g}: {e}"),
+                }
             }
             // Crash and remount (alternating paths).
             9 => {
