@@ -4,7 +4,12 @@
 use crate::batch::ScoreDeltaBatch;
 use wafl_types::{AaId, AaScore, WaflError, WaflResult};
 
-const ABSENT: usize = usize::MAX;
+/// `pos` of an AA the cache has no authoritative score for: left out of
+/// a partial TopAA seed and not yet reached by the background rebuild.
+const UNKNOWN: usize = usize::MAX;
+/// `pos` of an AA that is out of the ranking while the allocator drains
+/// it. Its score is authoritative and kept current by `apply_batch`.
+const OUT: usize = usize::MAX - 1;
 
 /// Deterministic id scramble for equal-score tie-breaking.
 #[inline]
@@ -77,18 +82,18 @@ impl HeapCacheStats {
 /// assert_eq!(cache.best(), Some((AaId(2), AaScore(977))));
 /// ```
 pub struct RaidAwareCache {
-    /// Current score per AA (`aa_count` entries). Meaningful only while
-    /// the AA is present in the heap; seeded caches leave absent AAs at 0.
+    /// Current score per AA (`aa_count` entries). A seeded cache leaves
+    /// the AAs it does not know at 0 plus the deltas seen since.
     scores: Vec<AaScore>,
     /// Maximum score (block count) per AA; the trailing AA may be short.
     max_scores: Vec<u32>,
     /// Binary max-heap of AA ids, ordered by `scores`.
     heap: Vec<AaId>,
-    /// Position of each AA in `heap`, or `ABSENT`.
+    /// Position of each AA in `heap`, or `OUT`, or `UNKNOWN`.
     pos: Vec<usize>,
-    /// Whether every AA of the group is present (false between a TopAA
-    /// seed and the completion of the background rebuild).
-    complete: bool,
+    /// AAs still `UNKNOWN` (nonzero between a partial TopAA seed and the
+    /// completion of the background rebuild).
+    unknown: usize,
     /// Volatile maintenance counters (not persisted).
     stats: HeapCacheStats,
 }
@@ -112,7 +117,7 @@ impl RaidAwareCache {
             max_scores,
             heap: (0..n as u32).map(AaId).collect(),
             pos: (0..n).collect(),
-            complete: true,
+            unknown: 0,
             stats: HeapCacheStats::default(),
         };
         // Floyd heapify: O(n).
@@ -132,8 +137,10 @@ impl RaidAwareCache {
             scores: vec![AaScore(0); n],
             max_scores,
             heap: Vec::with_capacity(entries.len()),
-            pos: vec![ABSENT; n],
-            complete: false,
+            pos: vec![UNKNOWN; n],
+            // Entries are checked distinct and in range below. A seed
+            // that happens to cover every AA (small groups) is complete.
+            unknown: n.saturating_sub(entries.len()),
             stats: HeapCacheStats::default(),
         };
         for &(aa, score) in entries {
@@ -143,46 +150,55 @@ impl RaidAwareCache {
                     aa_count: n as u32,
                 });
             }
-            if cache.pos[aa.index()] != ABSENT {
+            if cache.pos[aa.index()] != UNKNOWN {
                 return Err(WaflError::CorruptMetafile {
                     reason: format!("duplicate {aa} in TopAA seed"),
                 });
             }
-            cache.scores[aa.index()] = AaScore(score.get().min(cache.max_scores[aa.index()]));
+            cache.scores[aa.index()] = cache.clamped(aa, score);
             cache.pos[aa.index()] = cache.heap.len();
             cache.heap.push(aa);
         }
         for i in (0..cache.heap.len() / 2).rev() {
             cache.sift_down(i);
         }
-        // A seed that happens to cover every AA (small groups) is complete.
-        cache.complete = cache.heap.len() == n;
         Ok(cache)
     }
 
     /// Complete a seeded cache with authoritative scores from a background
-    /// bitmap walk. Present AAs are corrected; absent AAs are inserted.
+    /// bitmap walk. Ranked AAs are corrected and unknown ones ranked; an
+    /// AA that is out being drained takes its score and stays out — the
+    /// allocator holds it, and ranking it would hand it out twice.
     pub fn absorb_rebuild(&mut self, all_scores: &[(AaId, AaScore)]) -> WaflResult<()> {
         for &(aa, score) in all_scores {
-            if aa.index() >= self.scores.len() {
-                return Err(WaflError::AaOutOfRange {
-                    aa,
-                    aa_count: self.scores.len() as u32,
-                });
-            }
-            let clamped = AaScore(score.get().min(self.max_scores[aa.index()]));
-            if self.pos[aa.index()] == ABSENT {
-                self.scores[aa.index()] = clamped;
-                self.pos[aa.index()] = self.heap.len();
-                self.heap.push(aa);
-                self.sift_up(self.heap.len() - 1);
+            if self.pos.get(aa.index()) == Some(&OUT) {
+                self.scores[aa.index()] = self.clamped(aa, score);
             } else {
-                self.set_score(aa, clamped);
+                self.insert(aa, score)?;
             }
         }
-        if self.heap.len() == self.scores.len() {
-            self.complete = true;
+        Ok(())
+    }
+
+    /// Take `aa` out of the ranking at its authoritative `score`, to be
+    /// drained: what [`RaidAwareCache::take_best`] does for the best AA,
+    /// for the AA a mount finds the allocator was filling (§3.4). A
+    /// partial seed does not know that AA — it was out when the seed was
+    /// written.
+    pub fn take(&mut self, aa: AaId, score: AaScore) -> WaflResult<()> {
+        if aa.index() >= self.scores.len() {
+            return Err(WaflError::AaOutOfRange {
+                aa,
+                aa_count: self.scores.len() as u32,
+            });
         }
+        match self.pos[aa.index()] {
+            OUT => {}
+            UNKNOWN => self.unknown -= 1,
+            _ => self.remove(aa),
+        }
+        self.pos[aa.index()] = OUT;
+        self.scores[aa.index()] = self.clamped(aa, score);
         Ok(())
     }
 
@@ -196,9 +212,10 @@ impl RaidAwareCache {
         self.heap.is_empty()
     }
 
-    /// Whether every AA of the group is present.
+    /// Whether the cache has an authoritative score for every AA of the
+    /// group, ranked or out being drained.
     pub fn is_complete(&self) -> bool {
-        self.complete
+        self.unknown == 0
     }
 
     /// The best (emptiest) AA and its score — the write allocator's query
@@ -215,8 +232,8 @@ impl RaidAwareCache {
         Some((best, self.scores[best.index()]))
     }
 
-    /// Re-insert an AA removed via [`RaidAwareCache::take_best`], with a
-    /// (possibly new) score.
+    /// Rank `aa` at `score`: re-insert an AA removed via
+    /// [`RaidAwareCache::take_best`], or correct one already ranked.
     pub fn insert(&mut self, aa: AaId, score: AaScore) -> WaflResult<()> {
         if aa.index() >= self.scores.len() {
             return Err(WaflError::AaOutOfRange {
@@ -224,35 +241,37 @@ impl RaidAwareCache {
                 aa_count: self.scores.len() as u32,
             });
         }
-        if self.pos[aa.index()] != ABSENT {
-            self.set_score(aa, score);
-            return Ok(());
+        match self.pos[aa.index()] {
+            OUT => {}
+            UNKNOWN => self.unknown -= 1,
+            _ => {
+                self.set_score(aa, score);
+                return Ok(());
+            }
         }
-        self.scores[aa.index()] = AaScore(score.get().min(self.max_scores[aa.index()]));
+        self.scores[aa.index()] = self.clamped(aa, score);
         self.pos[aa.index()] = self.heap.len();
         self.heap.push(aa);
         self.sift_up(self.heap.len() - 1);
-        if self.heap.len() == self.scores.len() {
-            self.complete = true;
-        }
         Ok(())
     }
 
-    /// Whether `aa` is currently present in the heap (absent while being
-    /// actively drained, or before a seeded cache's background rebuild).
+    /// Whether `aa` is currently ranked in the heap (not while it is being
+    /// drained, nor before a seeded cache's background rebuild reaches it).
     pub fn contains(&self, aa: AaId) -> bool {
-        self.pos.get(aa.index()).is_some_and(|&p| p != ABSENT)
+        self.pos.get(aa.index()).is_some_and(|&p| p < OUT)
     }
 
-    /// Current score of `aa` (0 for AAs absent from a seeded cache).
+    /// Current score of `aa` (not authoritative for an AA a seeded cache
+    /// does not know yet).
     pub fn score_of(&self, aa: AaId) -> AaScore {
         self.scores.get(aa.index()).copied().unwrap_or(AaScore(0))
     }
 
     /// Apply one CP's batched deltas and rebalance (§3.3.1). Deltas for
-    /// AAs absent from a seeded cache update the stored score but do not
-    /// insert them — the background rebuild will, with authoritative
-    /// values.
+    /// unranked AAs update the stored score but do not insert them: one
+    /// being drained is reinserted by its holder, one a seeded cache does
+    /// not know by the background rebuild, with an authoritative value.
     pub fn apply_batch(&mut self, batch: &mut ScoreDeltaBatch) {
         self.stats.rebalances += 1;
         for (aa, delta) in batch.drain() {
@@ -261,10 +280,10 @@ impl RaidAwareCache {
             }
             self.stats.rebalance_updates += 1;
             let new = self.scores[aa.index()].apply(delta, self.max_scores[aa.index()]);
-            if self.pos[aa.index()] == ABSENT {
-                self.scores[aa.index()] = new;
-            } else {
+            if self.pos[aa.index()] < OUT {
                 self.set_score(aa, new);
+            } else {
+                self.scores[aa.index()] = new;
             }
         }
     }
@@ -297,6 +316,12 @@ impl RaidAwareCache {
             + self.pos.len() * std::mem::size_of::<usize>()
     }
 
+    /// `score` held to the AA's capacity.
+    #[inline]
+    fn clamped(&self, aa: AaId, score: AaScore) -> AaScore {
+        AaScore(score.get().min(self.max_scores[aa.index()]))
+    }
+
     #[inline]
     fn cmp_entries(a: &(AaId, AaScore), b: &(AaId, AaScore)) -> std::cmp::Ordering {
         // Score first; ties broken by a scrambled id. Real WAFL's heap
@@ -315,9 +340,9 @@ impl RaidAwareCache {
 
     fn set_score(&mut self, aa: AaId, score: AaScore) {
         let old = self.scores[aa.index()];
-        self.scores[aa.index()] = AaScore(score.get().min(self.max_scores[aa.index()]));
+        self.scores[aa.index()] = self.clamped(aa, score);
         let p = self.pos[aa.index()];
-        debug_assert_ne!(p, ABSENT);
+        debug_assert!(p < OUT);
         if self.scores[aa.index()] > old {
             self.sift_up(p);
         } else {
@@ -327,12 +352,11 @@ impl RaidAwareCache {
 
     fn remove(&mut self, aa: AaId) {
         let p = self.pos[aa.index()];
-        debug_assert_ne!(p, ABSENT);
+        debug_assert!(p < OUT);
         let last = self.heap.len() - 1;
         self.swap(p, last);
         self.heap.pop();
-        self.pos[aa.index()] = ABSENT;
-        self.complete = false;
+        self.pos[aa.index()] = OUT;
         if p < self.heap.len() {
             self.sift_down(p);
             self.sift_up(p.min(self.heap.len() - 1));
@@ -401,8 +425,10 @@ impl RaidAwareCache {
         for (i, &aa) in self.heap.iter().enumerate() {
             assert_eq!(self.pos[aa.index()], i, "pos index broken for {aa}");
         }
-        let present = self.pos.iter().filter(|&&p| p != ABSENT).count();
-        assert_eq!(present, self.heap.len());
+        let ranked = self.pos.iter().filter(|&&p| p < OUT).count();
+        assert_eq!(ranked, self.heap.len());
+        let unknown = self.pos.iter().filter(|&&p| p == UNKNOWN).count();
+        assert_eq!(unknown, self.unknown);
     }
 }
 
@@ -507,6 +533,47 @@ mod tests {
         assert!(c.is_complete());
         assert_eq!(c.len(), 1000);
         assert_eq!(c.best(), Some((AaId(500), AaScore(99))));
+    }
+
+    #[test]
+    fn rebuild_scores_an_aa_being_drained_without_ranking_it() {
+        let all: Vec<(AaId, AaScore)> = (0..10).map(|i| (AaId(i), AaScore(10 + i))).collect();
+        let seed = [(AaId(7), AaScore(90)), (AaId(3), AaScore(80))];
+        let mut c = RaidAwareCache::seeded(vec![100; 10], &seed).unwrap();
+        // The allocator holds two AAs: the best of the seed, and one the
+        // seed does not know (a mount resuming the AA it was filling).
+        assert_eq!(c.take_best(), Some((AaId(7), AaScore(90))));
+        c.take(AaId(5), AaScore(40)).unwrap();
+        assert_eq!(c.score_of(AaId(5)), AaScore(40));
+        assert!(!c.is_complete());
+        c.absorb_rebuild(&all).unwrap();
+        assert!(c.is_complete(), "every AA has an authoritative score");
+        assert_eq!(c.len(), 8);
+        for held in [AaId(7), AaId(5)] {
+            assert!(!c.contains(held), "{held} is held, not ranked");
+            assert_eq!(c.score_of(held), AaScore(10 + held.get()));
+        }
+        c.assert_heap_invariants();
+        // Handing them back ranks them; the cache stayed complete
+        // throughout, as a full one does across a take.
+        c.insert(AaId(7), AaScore(1)).unwrap();
+        c.insert(AaId(5), AaScore(2)).unwrap();
+        assert_eq!(c.len(), 10);
+        c.take_best().unwrap();
+        assert!(c.is_complete());
+        c.assert_heap_invariants();
+    }
+
+    #[test]
+    fn take_unranks_a_ranked_aa_and_rejects_one_out_of_range() {
+        let mut c = RaidAwareCache::new_full(scores(&[5, 9, 3]), vec![10; 3]).unwrap();
+        c.take(AaId(1), AaScore(99)).unwrap();
+        assert!(!c.contains(AaId(1)));
+        assert_eq!(c.score_of(AaId(1)), AaScore(10), "clamped to capacity");
+        assert_eq!(c.best(), Some((AaId(0), AaScore(5))));
+        assert!(c.is_complete());
+        assert!(c.take(AaId(3), AaScore(1)).is_err());
+        c.assert_heap_invariants();
     }
 
     #[test]

@@ -135,6 +135,12 @@ impl RaidGroupState {
         }
     }
 
+    /// The AA the allocator is filling, if any — out of the max-heap
+    /// until it is drained (§3.1).
+    pub fn active_aa(&self) -> Option<wafl_types::AaId> {
+        self.active_aa
+    }
+
     /// Physical AAs currently quarantined by the runtime scrubber.
     pub fn quarantined_aas(&self) -> Vec<wafl_types::AaId> {
         self.quarantined_aas.iter().copied().collect()

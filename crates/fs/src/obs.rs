@@ -125,6 +125,11 @@ pub struct FsObs {
     pub(crate) mount_cold_pages: Counter,
     /// Transient read failures absorbed by mount retries.
     pub(crate) mount_retries: Counter,
+    /// Active AAs named by a TopAA image that a mount reinstated.
+    pub(crate) mount_active_resumed: Counter,
+    /// Active AAs named by a TopAA image that a mount did not reinstate:
+    /// the hint failed validation, or its structure degraded.
+    pub(crate) mount_active_dropped: Counter,
 
     // ---- fs::iron -------------------------------------------------------
     /// Full `iron::check` audits run.
@@ -224,6 +229,8 @@ impl FsObs {
             mount_degradations: registry.counter("mount.degradation_events"),
             mount_cold_pages: registry.counter("mount.cold_scan_pages"),
             mount_retries: registry.counter("mount.transient_retries"),
+            mount_active_resumed: registry.counter("mount.active_resumed"),
+            mount_active_dropped: registry.counter("mount.active_dropped"),
             iron_audits: registry.counter("iron.audits_run"),
             iron_repairs: registry.counter("iron.counters_repaired"),
             scrub_pages_scanned: registry.counter("scrub.pages_scanned"),

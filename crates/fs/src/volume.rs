@@ -173,6 +173,11 @@ impl FlexVol {
         self.cfg.size_blocks
     }
 
+    /// The AA the allocator is filling, if any (§3.1).
+    pub fn active_aa(&self) -> Option<wafl_types::AaId> {
+        self.active_aa
+    }
+
     /// Virtual AAs currently quarantined by the runtime scrubber.
     pub fn quarantined_aas(&self) -> Vec<wafl_types::AaId> {
         self.quarantined_aas.iter().copied().collect()

@@ -9,6 +9,7 @@
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use std::collections::BTreeSet;
 use wafl_faults::{
     CrashSite, FaultPlan, FaultSession, PageSel, PlanShape, ReadErrorFault, ScribbleFault,
     StructureId, PERSISTENT,
@@ -16,16 +17,15 @@ use wafl_faults::{
 use wafl_fs::mount::{self, DegradedPart};
 use wafl_fs::{aging, iron, Aggregate, AggregateConfig, CpOutcome, FlexVolConfig, RaidGroupSpec};
 use wafl_media::MediaProfile;
-use wafl_types::{RetryPolicy, VolumeId};
+use wafl_types::{AaId, RetryPolicy, VolumeId};
 
 const GROUPS: usize = 2;
 const VOLS: usize = 2;
 const VOL_BLOCKS: u64 = 4 * 32768;
 const WRITTEN: u64 = 4096;
 
-/// Two RAID groups, two volumes, aged with enough churn that every cache
-/// has meaningful content and the delayed-free machinery carries state.
-fn aged_agg(batched_frees: bool) -> Aggregate {
+/// Two RAID groups and two volumes of `logical` client blocks, unwritten.
+fn new_agg(batched_frees: bool, logical: u64) -> Aggregate {
     let spec = RaidGroupSpec {
         data_devices: 4,
         parity_devices: 1,
@@ -46,11 +46,17 @@ fn aged_agg(batched_frees: bool) -> Aggregate {
                     aa_cache: true,
                     aa_blocks: None,
                 },
-                30_000,
+                logical,
             )
         })
         .collect();
-    let mut a = Aggregate::new(cfg, &vol_cfgs, 3).unwrap();
+    Aggregate::new(cfg, &vol_cfgs, 3).unwrap()
+}
+
+/// Two RAID groups, two volumes, aged with enough churn that every cache
+/// has meaningful content and the delayed-free machinery carries state.
+fn aged_agg(batched_frees: bool) -> Aggregate {
+    let mut a = new_agg(batched_frees, 30_000);
     for v in 0..VOLS {
         aging::fill_volume(&mut a, VolumeId(v as u32), WRITTEN as usize).unwrap();
         aging::random_overwrite_churn(
@@ -65,12 +71,60 @@ fn aged_agg(batched_frees: bool) -> Aggregate {
     a
 }
 
+/// Blocks of each volume [`half_written_agg`] has written: `write_fresh`
+/// goes on from here.
+const HALF: u64 = 30_000;
+
+/// Like [`aged_agg`], with the upper half of every volume never written.
+/// First writes there free nothing, so what a CP drains stays drained.
+fn half_written_agg() -> Aggregate {
+    let mut a = new_agg(false, 2 * HALF);
+    let mut rng = StdRng::seed_from_u64(11);
+    for v in 0..VOLS as u32 {
+        aging::fill_volume_fraction(&mut a, VolumeId(v), 0.5, WRITTEN as usize).unwrap();
+        for _ in 0..2 {
+            for _ in 0..3_000 {
+                a.client_overwrite(VolumeId(v), rng.random_range(0..HALF))
+                    .unwrap();
+            }
+            a.run_cp().unwrap();
+        }
+    }
+    a
+}
+
 /// Bitmap pages one RAID group's cold rebuild scans.
 fn group_pages(a: &Aggregate, i: usize) -> u64 {
     a.groups()[i]
         .geometry
         .data_blocks()
         .div_ceil(wafl_types::BITS_PER_BITMAP_BLOCK)
+}
+
+/// The active AA of every RAID group, then of every volume.
+fn actives(a: &Aggregate) -> Vec<Option<AaId>> {
+    let groups = a.groups().iter().map(|g| g.active_aa());
+    groups
+        .chain(a.volumes().iter().map(|v| v.active_aa()))
+        .collect()
+}
+
+/// What holds after any mount once the background rebuild has run: the
+/// heap has a score for every AA of its group, and ranks each one or has
+/// handed it to the allocator — never both, never neither.
+fn assert_ranked_xor_active(a: &Aggregate, ctx: &str) {
+    for (i, g) in a.groups().iter().enumerate() {
+        let cache = g.cache().expect("heap-cached group");
+        assert!(cache.is_complete(), "{ctx}: group {i} incomplete");
+        for aa in (0..g.topology().aa_count()).map(AaId) {
+            assert_ne!(
+                cache.contains(aa),
+                g.active_aa() == Some(aa),
+                "{ctx}: group {i} {aa:?} (active {:?})",
+                g.active_aa()
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -105,6 +159,8 @@ fn orphaned_aging_seeds_are_counted_not_flagged() {
 fn scribbled_group_degrades_alone_others_fast_path() {
     let mut a = aged_agg(false);
     let mut image = mount::save_topaa(&a);
+    let mut filling = actives(&a);
+    assert!(filling.iter().all(Option::is_some), "{filling:?}");
     mount::crash(&mut a);
 
     let plan = FaultPlan::scribble(StructureId::Group(0), PageSel::First, 42);
@@ -115,6 +171,14 @@ fn scribbled_group_degrades_alone_others_fast_path() {
     let ev = &stats.degraded[0];
     assert_eq!(ev.part, DegradedPart::Group(0));
     assert_eq!(ev.pages_scanned, group_pages(&a, 0));
+    // The cold-rebuilt cache ranks every AA, so the degraded group starts
+    // with none active; everything else goes on filling what it was.
+    filling[0] = None;
+    assert_eq!(actives(&a), filling);
+    assert!(a.groups()[0].cache_quarantined());
+    let counter = |name| a.obs().counter_value(name);
+    assert_eq!(counter("mount.active_resumed"), Some(3));
+    assert_eq!(counter("mount.active_dropped"), Some(1));
     // Mixed cost: more than an all-fast mount (1 block per heap group +
     // 2 per volume), less than an all-cold one (every bitmap page).
     let fast = (GROUPS + 2 * VOLS) as u64;
@@ -206,7 +270,11 @@ fn transient_read_errors_are_retried_not_degraded() {
     let stats = mount::mount_auto_with(&mut a, &image, &mut session, RetryPolicy::default());
     assert_eq!(stats.transient_retries, 2);
     assert!(stats.degraded.is_empty(), "{:?}", stats.degraded);
-    assert!(!a.groups()[0].cache().unwrap().is_complete(), "fast path");
+    assert_eq!(
+        a.obs().counter_value("mount.topaa_seed_hits"),
+        Some((GROUPS + VOLS) as u64),
+        "fast path"
+    );
 }
 
 #[test]
@@ -275,6 +343,134 @@ fn missing_image_structures_degrade_instead_of_erroring() {
         "{:?}",
         stats.degraded
     );
+}
+
+// ---------------------------------------------------------------------
+// The allocator context in the image: a hint, checked, never trusted.
+// ---------------------------------------------------------------------
+
+/// First writes of `n` logical blocks per volume from `*next` on.
+fn write_fresh(a: &mut Aggregate, next: &mut u64, n: u64) {
+    for v in 0..VOLS as u32 {
+        for l in *next..*next + n {
+            a.client_overwrite(VolumeId(v), l).unwrap();
+        }
+    }
+    *next += n;
+}
+
+#[test]
+fn a_stale_image_naming_an_aa_drained_since_drops_the_hint() {
+    let mut a = half_written_agg();
+    let mut next = HALF;
+    let left = |a: &Aggregate| {
+        let g = &a.groups()[0];
+        let aa = g.active_aa().expect("group 0 is mid-AA");
+        (aa, g.topology().score_from_bitmap(a.bitmap(), aa).get())
+    };
+    // Fill group 0's active AA down to its last few hundred blocks.
+    while left(&a).1 > 600 {
+        let n = (left(&a).1 / 4).clamp(50, 1000) as u64;
+        write_fresh(&mut a, &mut next, n);
+        a.run_cp().unwrap();
+    }
+    let (named, _) = left(&a);
+    let image = mount::save_topaa(&a);
+    // The next CP drains it and moves on, and dies before the TopAA
+    // persist: the surviving image is one CP stale.
+    write_fresh(&mut a, &mut next, 2000);
+    let outcome = a
+        .run_cp_with_faults(Some(CrashSite::BeforeTopAaPersist))
+        .unwrap();
+    assert!(matches!(outcome, CpOutcome::Crashed(_)));
+    assert_ne!(a.groups()[0].active_aa(), Some(named), "drained in that CP");
+    mount::crash(&mut a);
+    let stats = mount::mount_auto(&mut a, &image);
+    assert!(stats.degraded.is_empty(), "{:?}", stats.degraded);
+    assert_eq!(
+        a.groups()[0].active_aa(),
+        None,
+        "{named:?} has nothing left"
+    );
+    assert!(a.obs().counter_value("mount.active_dropped").unwrap() >= 1);
+    // Whatever was resumed can be filled, and the stale seed scores are
+    // Iron's to find, as before.
+    for (g, aa) in a.groups().iter().filter_map(|g| Some((g, g.active_aa()?))) {
+        assert!(g.topology().score_from_bitmap(a.bitmap(), aa).get() > 0);
+    }
+    if !iron::check(&a).unwrap().is_clean() {
+        iron::repair(&mut a).unwrap();
+    }
+    write_fresh(&mut a, &mut next, 300);
+    a.run_cp().unwrap();
+    mount::complete_background_rebuild(&mut a).unwrap();
+    assert_ranked_xor_active(&a, "stale image");
+    assert!(iron::check(&a).unwrap().is_clean());
+}
+
+/// Allocation decisions and write quality of one run.
+#[derive(Debug, Default)]
+struct Filling {
+    /// The AAs each structure (groups, then volumes) was seen filling.
+    filled: Vec<BTreeSet<AaId>>,
+    /// Picks the CPs counted, physical and virtual.
+    picks: u64,
+    full_stripes: u64,
+    partial_stripes: u64,
+}
+
+/// `cycles` CPs of first writes; with `crash`, every CP is followed by
+/// save → crash → mount → background rebuild.
+fn fill_in_cycles(cycles: usize, crash: bool) -> Filling {
+    let mut a = half_written_agg();
+    let mut next = HALF;
+    let mut out = Filling {
+        filled: vec![BTreeSet::new(); GROUPS + VOLS],
+        ..Filling::default()
+    };
+    for cycle in 0..cycles {
+        write_fresh(&mut a, &mut next, 800);
+        let s = a.run_cp().unwrap();
+        out.picks += s.agg_picks + s.vol_picks;
+        out.full_stripes += s.per_rg.iter().map(|r| r.full_stripes).sum::<u64>();
+        out.partial_stripes += s.per_rg.iter().map(|r| r.partial_stripes).sum::<u64>();
+        for (seen, aa) in out.filled.iter_mut().zip(actives(&a)) {
+            seen.extend(aa);
+        }
+        if crash {
+            let image = mount::save_topaa(&a);
+            mount::crash(&mut a);
+            let stats = mount::mount_auto(&mut a, &image);
+            assert!(stats.degraded.is_empty(), "cycle {cycle}: {stats:?}");
+            mount::complete_background_rebuild(&mut a).unwrap();
+            assert_ranked_xor_active(&a, "mount cycle");
+        }
+    }
+    assert!(iron::check(&a).unwrap().is_clean());
+    out
+}
+
+/// The gate: a mount after every CP fills no more AAs in any structure
+/// and writes no fewer full stripes than the same writes with no crash at
+/// all. (A mount that forgot what it was filling picked a new AA in every
+/// structure in every cycle: 92 picks here against 2.)
+#[test]
+fn mount_cycles_fill_the_same_aas_as_an_uninterrupted_run() {
+    const CYCLES: usize = 24;
+    let steady = fill_in_cycles(CYCLES, false);
+    let cycled = fill_in_cycles(CYCLES, true);
+    for (c, s) in cycled.filled.iter().zip(&steady.filled) {
+        assert!(c.len() <= s.len(), "{cycled:?} vs {steady:?}");
+    }
+    assert!(
+        cycled.picks <= steady.picks
+            && cycled.full_stripes >= steady.full_stripes
+            && cycled.partial_stripes <= steady.partial_stripes,
+        "{cycled:?} vs {steady:?}"
+    );
+    // The run crosses AA boundaries, yet picks far less often than once
+    // per structure per cycle — forgetting would show.
+    assert!((1..CYCLES as u64).contains(&steady.picks), "{steady:?}");
 }
 
 // ---------------------------------------------------------------------
@@ -358,6 +554,16 @@ fn torture_one(seed: u64) {
     assert!(
         iron::check(&agg).unwrap().is_clean(),
         "seed {seed}: dirty after post-remount CP"
+    );
+
+    // Invariant 4: the background rebuild leaves every heap complete and
+    // no AA both ranked and held by the allocator, whatever the mount
+    // resumed or dropped.
+    mount::complete_background_rebuild(&mut agg).unwrap();
+    assert_ranked_xor_active(&agg, &format!("seed {seed}"));
+    assert!(
+        iron::check(&agg).unwrap().is_clean(),
+        "seed {seed}: dirty after the background rebuild"
     );
 }
 

@@ -85,6 +85,8 @@ fn main() {
         "cp.wall.plan_physical_us",
         "cp.wall.rebalance_us",
         "mount.topaa_seed_hits",
+        "mount.active_resumed",
+        "mount.active_dropped",
         "iron.audits_run",
         "allocator.cursor_hits",
         "allocator.cursor_misses",
@@ -106,6 +108,10 @@ fn main() {
     nonzero("allocator.aas_claimed");
     nonzero("allocator.blocks_examined");
     nonzero("mount.topaa_seed_hits");
+    // The traffic left the group and the volume mid-AA, and the image is
+    // fresh: the mount resumes both and drops neither.
+    assert_eq!(nonzero("mount.active_resumed"), 2);
+    assert_eq!(obs.counter_value("mount.active_dropped"), Some(0));
     nonzero("iron.audits_run");
     // Every volume's first drain of an AA is a cursor miss, so traffic
     // guarantees this one; hits depend on drain interleaving and are

@@ -185,6 +185,10 @@ run cargo fmt --all --check
 # or_fun_call is allow-by-default: an eager `ok_or(.. format!(..))` on
 # the op path costs a malloc + format + free per *successful* call.
 run cargo clippy --workspace --all-targets -- -D warnings -D clippy::or_fun_call
+# Tier-1, the mount-resume gate included: crash_consistency.rs's
+# mount_cycles_fill_the_same_aas_as_an_uninterrupted_run (a mount after
+# every CP picks no more AAs and writes no fewer full stripes than no
+# crash at all) and the ranked-xor-active invariant after every rebuild.
 run cargo test -q
 obs_smoke
 scrub_smoke
