@@ -707,7 +707,7 @@ impl Bitmap {
     /// [`Bitmap::free_count_range`] computed by raw popcount only, never
     /// consulting the summary counters. This is the pre-summary
     /// implementation, kept as the ground truth the debug assertions,
-    /// property tests, and `BENCH_bitmap` before/after benches compare
+    /// property tests, and the `wafl-bench` bitmap benches compare
     /// against.
     pub fn free_count_range_popcount(&self, start: Vbn, len: u64) -> u32 {
         let start = start.get().min(self.space_len);

@@ -47,7 +47,8 @@ pub fn scores_seq(bitmap: &Bitmap, aa_blocks: u64) -> Vec<(AaId, AaScore)> {
 /// Every AA's score by raw popcount walk — the pre-summary
 /// implementation ("a linear walk of the bitmap metafiles", §3.4), never
 /// consulting a counter. Property tests pin [`scores_seq`] to this, and
-/// the `BENCH_bitmap` baseline measures the summary's speedup against it.
+/// the `wafl-bench` bitmap benches measure the summary's speedup against
+/// it.
 pub fn scores_popcount(bitmap: &Bitmap, aa_blocks: u64) -> Vec<(AaId, AaScore)> {
     assert!(aa_blocks > 0, "aa_blocks must be positive");
     let aa_count = bitmap.space_len().div_ceil(aa_blocks);

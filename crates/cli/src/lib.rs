@@ -918,7 +918,7 @@ mod tests {
             .expect("--check builds the wall overlay");
         assert!(overlay.wall_us_per_cp > 0.0);
         assert!(overlay.model_us_per_cp > 0.0);
-        assert_eq!(overlay.phases.len(), 5);
+        assert_eq!(overlay.phases.len(), 7, "one row per CP stage");
         let text = r.to_text();
         assert!(text.contains("write amplification"));
         assert!(text.contains("clean"));

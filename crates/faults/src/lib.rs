@@ -113,8 +113,9 @@ pub enum CrashSite {
     /// After `n` physical block allocations are written, before any
     /// logical→physical binding: leaks allocated-but-unowned pvbns.
     AfterBlockWrites(u64),
-    /// After binding and ownership updates, before delayed frees apply:
-    /// old block versions still allocated with stale owners.
+    /// After binding and the queued deletes, before delayed frees apply:
+    /// the overwritten and deleted blocks' old versions stay allocated in
+    /// both VBN spaces with no volume map referencing them — leaks.
     AfterBind,
     /// After `n` delayed-free log entries applied: the rest of the log
     /// is lost (absolved), possibly with one torn entry.

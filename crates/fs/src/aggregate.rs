@@ -113,6 +113,75 @@ pub struct RaidGroupState {
 }
 
 impl RaidGroupState {
+    /// Group `index` of the aggregate, built from `spec` with its PVBN
+    /// range starting at `base`. Its AA cache is left for the caller to
+    /// build once the bitmap covers the range.
+    fn new(
+        index: usize,
+        spec: &RaidGroupSpec,
+        base: u64,
+        cfg: &AggregateConfig,
+    ) -> WaflResult<RaidGroupState> {
+        // Saturating: a size whose product overflows is past the limit.
+        let blocks = u64::from(spec.data_devices).saturating_mul(spec.device_blocks);
+        check_block_space("aggregate physical space", base.saturating_add(blocks))?;
+        let geometry = RaidGeometry::new(
+            RaidGroupId(index as u32),
+            spec.data_devices,
+            spec.parity_devices,
+            spec.device_blocks,
+            Vbn(base),
+        )?;
+        if spec.profile.media == MediaType::ObjectStore
+            && (spec.parity_devices != 0 || spec.data_devices != 1)
+        {
+            return Err(WaflError::InvalidConfig {
+                reason: format!(
+                    "object-store range {index} provides native redundancy: \
+                     configure it as 1 data device, 0 parity"
+                ),
+            });
+        }
+        let policy = cfg.aa_policy_override.unwrap_or_else(|| {
+            AaSizingPolicy::for_media(
+                spec.profile.media,
+                cfg.checksum,
+                spec.profile.device_unit_blocks(),
+            )
+        });
+        // RAID-agnostic policies size AAs in consecutive blocks; with a
+        // single logical device, stripes == blocks, so the same
+        // stripe-based topology machinery serves both shapes.
+        let stripes_per_aa = policy
+            .stripes_per_aa()
+            .or_else(|| policy.blocks_per_aa())
+            .unwrap_or(DEFAULT_STRIPES_PER_AA)
+            .min(spec.device_blocks);
+        let topology = AaTopology::raid_aware(
+            geometry.clone(),
+            AaSizingPolicy::Stripes {
+                stripes: stripes_per_aa,
+            },
+        )?;
+        let media = (0..spec.data_devices + spec.parity_devices)
+            .map(|_| DeviceMedia::for_profile(&spec.profile, spec.device_blocks, cfg.checksum))
+            .collect::<WaflResult<Vec<_>>>()?;
+        Ok(RaidGroupState {
+            geometry,
+            topology,
+            cache: None,
+            profile: spec.profile.clone(),
+            azcs_next: vec![u64::MAX; media.len()],
+            media,
+            stripes_per_aa,
+            batch: ScoreDeltaBatch::new(),
+            active_aa: None,
+            quarantined_aas: std::collections::BTreeSet::new(),
+            cache_quarantined: false,
+            pick_audit_tick: 0,
+        })
+    }
+
     /// The group's AA topology.
     pub fn topology(&self) -> &AaTopology {
         &self.topology
@@ -155,19 +224,7 @@ impl RaidGroupState {
     /// Mean write amplification across this group's SSDs (1.0 for
     /// non-SSD groups or before any writes).
     pub fn mean_write_amplification(&self) -> f64 {
-        let was: Vec<f64> = self
-            .media
-            .iter()
-            .filter_map(|m| match m {
-                DeviceMedia::Ssd(ftl) => Some(ftl.write_amplification()),
-                _ => None,
-            })
-            .collect();
-        if was.is_empty() {
-            1.0
-        } else {
-            was.iter().sum::<f64>() / was.len() as f64
-        }
+        mean_ssd_write_amplification(&self.media)
     }
 
     /// Total SMR drive interventions across this group's devices.
@@ -190,6 +247,29 @@ impl RaidGroupState {
                 _ => {}
             }
         }
+    }
+}
+
+/// Mean write amplification of the SSDs among `media` (1.0 without one).
+fn mean_ssd_write_amplification<'a>(media: impl IntoIterator<Item = &'a DeviceMedia>) -> f64 {
+    let was: Vec<f64> = media
+        .into_iter()
+        .filter_map(|m| match m {
+            DeviceMedia::Ssd(ftl) => Some(ftl.write_amplification()),
+            _ => None,
+        })
+        .collect();
+    if was.is_empty() {
+        1.0
+    } else {
+        was.iter().sum::<f64>() / was.len() as f64
+    }
+}
+
+/// The error for a volume id the aggregate does not host.
+pub(crate) fn no_volume(vol: VolumeId) -> WaflError {
+    WaflError::InvalidConfig {
+        reason: format!("no volume {vol}"),
     }
 }
 
@@ -284,71 +364,9 @@ impl Aggregate {
         let mut groups = Vec::with_capacity(cfg.raid_groups.len());
         let mut base = 0u64;
         for (i, spec) in cfg.raid_groups.iter().enumerate() {
-            let geometry = RaidGeometry::new(
-                RaidGroupId(i as u32),
-                spec.data_devices,
-                spec.parity_devices,
-                spec.device_blocks,
-                Vbn(base),
-            )?;
-            // Saturating: a size whose product overflows is past the limit.
-            let blocks = u64::from(spec.data_devices).saturating_mul(spec.device_blocks);
-            base = base.saturating_add(blocks);
-            check_block_space("aggregate physical space", base)?;
-            let policy = cfg.aa_policy_override.unwrap_or_else(|| {
-                AaSizingPolicy::for_media(
-                    spec.profile.media,
-                    cfg.checksum,
-                    spec.profile.device_unit_blocks(),
-                )
-            });
-            if spec.profile.media == MediaType::ObjectStore
-                && (spec.parity_devices != 0 || spec.data_devices != 1)
-            {
-                return Err(WaflError::InvalidConfig {
-                    reason: format!(
-                        "object-store range {i} provides native redundancy: \
-                         configure it as 1 data device, 0 parity"
-                    ),
-                });
-            }
-            // RAID-agnostic policies size AAs in consecutive blocks; with
-            // a single logical device, stripes == blocks, so the same
-            // stripe-based topology machinery serves both shapes.
-            let stripes_per_aa = policy
-                .stripes_per_aa()
-                .or_else(|| policy.blocks_per_aa())
-                .unwrap_or(DEFAULT_STRIPES_PER_AA)
-                .min(spec.device_blocks);
-            let topology = AaTopology::raid_aware(
-                geometry.clone(),
-                AaSizingPolicy::Stripes {
-                    stripes: stripes_per_aa,
-                },
-            )?;
-            let mut media = Vec::new();
-            for _ in 0..spec.data_devices + spec.parity_devices {
-                media.push(DeviceMedia::for_profile(
-                    &spec.profile,
-                    spec.device_blocks,
-                    cfg.checksum,
-                )?);
-            }
-            let device_count = (spec.data_devices + spec.parity_devices) as usize;
-            groups.push(RaidGroupState {
-                geometry,
-                topology,
-                cache: None, // built below once the bitmap exists
-                profile: spec.profile.clone(),
-                media,
-                stripes_per_aa,
-                batch: ScoreDeltaBatch::new(),
-                active_aa: None,
-                azcs_next: vec![u64::MAX; device_count],
-                quarantined_aas: std::collections::BTreeSet::new(),
-                cache_quarantined: false,
-                pick_audit_tick: 0,
-            });
+            let g = RaidGroupState::new(i, spec, base, &cfg)?;
+            base += g.geometry.data_blocks();
+            groups.push(g);
         }
         let bitmap = Bitmap::new(base);
         if cfg.raid_aware_cache {
@@ -393,79 +411,24 @@ impl Aggregate {
     /// extended bitmap).
     pub fn add_raid_group(&mut self, spec: RaidGroupSpec) -> WaflResult<RaidGroupId> {
         let base = self.bitmap.space_len();
-        let blocks = u64::from(spec.data_devices).saturating_mul(spec.device_blocks);
-        check_block_space("aggregate physical space", base.saturating_add(blocks))?;
-        let id = RaidGroupId(self.groups.len() as u32);
-        let geometry = RaidGeometry::new(
-            id,
-            spec.data_devices,
-            spec.parity_devices,
-            spec.device_blocks,
-            Vbn(base),
-        )?;
-        if spec.profile.media == MediaType::ObjectStore
-            && (spec.parity_devices != 0 || spec.data_devices != 1)
-        {
-            return Err(WaflError::InvalidConfig {
-                reason: "object-store range provides native redundancy: \
-                         configure it as 1 data device, 0 parity"
-                    .into(),
-            });
-        }
-        let policy = self.cfg.aa_policy_override.unwrap_or_else(|| {
-            AaSizingPolicy::for_media(
-                spec.profile.media,
-                self.cfg.checksum,
-                spec.profile.device_unit_blocks(),
-            )
-        });
-        let stripes_per_aa = policy
-            .stripes_per_aa()
-            .or_else(|| policy.blocks_per_aa())
-            .unwrap_or(DEFAULT_STRIPES_PER_AA)
-            .min(spec.device_blocks);
-        let topology = AaTopology::raid_aware(
-            geometry.clone(),
-            AaSizingPolicy::Stripes {
-                stripes: stripes_per_aa,
-            },
-        )?;
-        let mut media = Vec::new();
-        for _ in 0..spec.data_devices + spec.parity_devices {
-            media.push(DeviceMedia::for_profile(
-                &spec.profile,
-                spec.device_blocks,
-                self.cfg.checksum,
-            )?);
-        }
-        let device_count = (spec.data_devices + spec.parity_devices) as usize;
+        let mut g = RaidGroupState::new(self.groups.len(), &spec, base, &self.cfg)?;
         self.bitmap.extend(base + spec.data_blocks())?;
-        let mut g = RaidGroupState {
-            geometry,
-            topology,
-            cache: None,
-            profile: spec.profile.clone(),
-            media,
-            stripes_per_aa,
-            batch: ScoreDeltaBatch::new(),
-            active_aa: None,
-            azcs_next: vec![u64::MAX; device_count],
-            quarantined_aas: std::collections::BTreeSet::new(),
-            cache_quarantined: false,
-            pick_audit_tick: 0,
-        };
         if self.cfg.raid_aware_cache {
             g.cache = Some(build_group_cache(&g, &self.bitmap)?);
         }
+        let id = g.geometry.id;
         self.groups.push(g);
         self.cfg.raid_groups.push(spec);
         Ok(id)
     }
 
-    /// Reject a client mutation while the scrubber has the aggregate in
-    /// [`HealthState::ReadOnly`] (a repair exhausted its retry budget;
-    /// allocation can no longer trust the free-space metadata).
-    fn check_writable(&self) -> WaflResult<()> {
+    /// Check a client mutation of `logical` in `vol`: the volume exists,
+    /// the block is in its range, and the scrubber does not have the
+    /// aggregate in [`HealthState::ReadOnly`] (a repair exhausted its
+    /// retry budget; allocation can no longer trust the free-space
+    /// metadata).
+    #[inline]
+    fn check_mutation(&self, vol: VolumeId, logical: u64) -> WaflResult<()> {
         if self.scrub.health() == HealthState::ReadOnly {
             return Err(WaflError::ReadOnly {
                 reason: self
@@ -475,25 +438,20 @@ impl Aggregate {
                     .to_string(),
             });
         }
-        Ok(())
-    }
-
-    /// Queue a client overwrite of `logical` in `vol` for the next CP.
-    /// Repeated writes to the same block within one CP coalesce (§2.1).
-    pub fn client_overwrite(&mut self, vol: VolumeId, logical: u64) -> WaflResult<()> {
-        self.check_writable()?;
-        let v = self
-            .vols
-            .get(vol.index())
-            .ok_or_else(|| WaflError::InvalidConfig {
-                reason: format!("no volume {vol}"),
-            })?;
+        let v = self.vols.get(vol.index()).ok_or_else(|| no_volume(vol))?;
         if logical >= v.logical_blocks() {
             return Err(WaflError::VbnOutOfRange {
                 vbn: Vbn(logical),
                 space_len: v.logical_blocks(),
             });
         }
+        Ok(())
+    }
+
+    /// Queue a client overwrite of `logical` in `vol` for the next CP.
+    /// Repeated writes to the same block within one CP coalesce (§2.1).
+    pub fn client_overwrite(&mut self, vol: VolumeId, logical: u64) -> WaflResult<()> {
+        self.check_mutation(vol, logical)?;
         let epoch = Self::epoch_stamp(self.cp_epoch);
         let stamp = &mut self.vols[vol.index()].dirty_stamp[logical as usize];
         if *stamp != epoch {
@@ -529,19 +487,7 @@ impl Aggregate {
     /// one of the §2.2 fragmentation sources). Deleting an unmapped block
     /// is a no-op, matching hole-punching semantics.
     pub fn client_delete(&mut self, vol: VolumeId, logical: u64) -> WaflResult<()> {
-        self.check_writable()?;
-        let v = self
-            .vols
-            .get(vol.index())
-            .ok_or_else(|| WaflError::InvalidConfig {
-                reason: format!("no volume {vol}"),
-            })?;
-        if logical >= v.logical_blocks() {
-            return Err(WaflError::VbnOutOfRange {
-                vbn: Vbn(logical),
-                space_len: v.logical_blocks(),
-            });
-        }
+        self.check_mutation(vol, logical)?;
         self.pending_deletes.push(DirtyBlock { vol, logical });
         Ok(())
     }
@@ -549,12 +495,7 @@ impl Aggregate {
     /// Cost (µs) of reading `logical` from `vol` at the media layer.
     /// Unmapped blocks read as zeroes for free.
     pub fn client_read(&self, vol: VolumeId, logical: u64) -> WaflResult<f64> {
-        let v = self
-            .vols
-            .get(vol.index())
-            .ok_or_else(|| WaflError::InvalidConfig {
-                reason: format!("no volume {vol}"),
-            })?;
+        let v = self.vols.get(vol.index()).ok_or_else(|| no_volume(vol))?;
         let Some(vvbn) = v.lookup_logical(logical) else {
             return Ok(0.0);
         };
@@ -598,11 +539,6 @@ impl Aggregate {
         &self.vols
     }
 
-    /// Mutable volume access (workload helpers).
-    pub fn volume_mut(&mut self, vol: VolumeId) -> Option<&mut FlexVol> {
-        self.vols.get_mut(vol.index())
-    }
-
     /// RAID groups.
     pub fn groups(&self) -> &[RaidGroupState] {
         &self.groups
@@ -625,20 +561,7 @@ impl Aggregate {
 
     /// Mean write amplification across all SSDs in the aggregate.
     pub fn mean_write_amplification(&self) -> f64 {
-        let was: Vec<f64> = self
-            .groups
-            .iter()
-            .flat_map(|g| g.media.iter())
-            .filter_map(|m| match m {
-                DeviceMedia::Ssd(ftl) => Some(ftl.write_amplification()),
-                _ => None,
-            })
-            .collect();
-        if was.is_empty() {
-            1.0
-        } else {
-            was.iter().sum::<f64>() / was.len() as f64
-        }
+        mean_ssd_write_amplification(self.groups.iter().flat_map(|g| &g.media))
     }
 
     /// Reset every media model's counters (post-aging).
@@ -671,12 +594,6 @@ impl Aggregate {
     /// quarantine census.
     pub fn scrub_status(&self) -> ScrubStatus {
         crate::scrub::status(self)
-    }
-
-    /// Replace the scrubber's repair retry/backoff policy (tests and
-    /// harness runs that need faster escalation or tighter backoff).
-    pub fn set_scrub_retry_policy(&mut self, policy: wafl_types::RetryPolicy) {
-        self.scrub.set_policy(policy);
     }
 
     /// Quarantine physical AAs of `group` directly (tests exercising the
@@ -727,7 +644,7 @@ impl Aggregate {
     /// Discard everything a power loss would: queued client writes and
     /// deletes, delayed frees not yet applied to the bitmaps, and the
     /// CP-in-progress score batches. Persistent state (bitmaps, volume
-    /// maps, owner map, the delayed-free *log*) survives.
+    /// maps, the delayed-free *log*) survives.
     pub(crate) fn lose_volatile_state(&mut self) {
         self.dirty.clear();
         self.bump_epoch();

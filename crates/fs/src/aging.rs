@@ -14,18 +14,7 @@ use wafl_types::{Vbn, VolumeId, WaflResult};
 /// Write every logical block of `vol` once (sequential fill), in CPs of
 /// `ops_per_cp` operations. Returns accumulated CP stats.
 pub fn fill_volume(agg: &mut Aggregate, vol: VolumeId, ops_per_cp: usize) -> WaflResult<CpStats> {
-    let blocks = agg.volumes()[vol.index()].logical_blocks();
-    let mut acc = CpStats::default();
-    let mut l = 0u64;
-    while l < blocks {
-        let end = (l + ops_per_cp as u64).min(blocks);
-        for b in l..end {
-            agg.client_overwrite(vol, b)?;
-        }
-        acc.accumulate(&agg.run_cp()?);
-        l = end;
-    }
-    Ok(acc)
+    fill_volume_fraction(agg, vol, 1.0, ops_per_cp)
 }
 
 /// Fill a fraction of `vol`'s logical space (from block 0 upward).

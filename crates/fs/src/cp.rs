@@ -1,10 +1,14 @@
 //! The consistency point: flush everything collected since the last CP as
 //! one transaction (§2.1), allocating virtual + physical VBNs from the
 //! emptiest AAs and batching all score updates at the boundary (§3.3).
+//! The transaction is a fixed sequence of [`Stage`]s run by one driver.
 
-use crate::aggregate::{Aggregate, DeviceMedia, DirtyBlock, GroupCache};
+use crate::aggregate::{Aggregate, DeviceMedia, DirtyBlock, GroupCache, RaidGroupState};
 use crate::allocator::{allocate_vvbns, plan_raid_group, AllocOutcome, AllocatorMode};
+use crate::config::CpuModel;
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
+use wafl_core::AaTopology;
 use wafl_faults::{CrashSite, FaultSession};
 use wafl_obs::trace::TraceData;
 use wafl_raid::analyze_cp_write_runs;
@@ -51,15 +55,82 @@ pub struct RgCpStats {
     pub media_us: f64,
 }
 
-/// Measured wall-clock time of one CP's pipeline phases, µs.
+/// The timed stages of a CP in execution order, and the one place a
+/// stage is named: `<name>` below is the `CpWallClock::<name>_us` field,
+/// the `cp.wall.<name>_us` histogram and the `cp.<name>` trace span.
+///
+/// Metafile accounting is named `apply` because the frozen benchmark reads
+/// `CpWallClock::apply_us`: the stage applied the planned runs to the
+/// bitmaps until the plans began claiming blocks where they find them
+/// (PR 21), and since then it only counts the pages the CP dirtied.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Stage {
+    /// Virtual (per-volume) allocation.
+    PlanVirtual,
+    /// Physical (per-group) allocation: shares, then shortfall rounds.
+    PlanPhysical,
+    /// Logical → virtual → physical binding, then the queued deletes.
+    Bind,
+    /// Delayed frees (§3.3): virtual, then physical.
+    Frees,
+    /// Metafile accounting (§2.5).
+    Apply,
+    /// Media costing.
+    Costing,
+    /// CP-boundary cache rebalance.
+    Rebalance,
+}
+
+impl Stage {
+    pub(crate) const COUNT: usize = 7;
+    pub(crate) const ALL: [Stage; Stage::COUNT] = [
+        Stage::PlanVirtual,
+        Stage::PlanPhysical,
+        Stage::Bind,
+        Stage::Frees,
+        Stage::Apply,
+        Stage::Costing,
+        Stage::Rebalance,
+    ];
+
+    /// The trace span, `cp.<name>`.
+    pub(crate) fn span(self) -> &'static str {
+        match self {
+            Stage::PlanVirtual => "cp.plan_virtual",
+            Stage::PlanPhysical => "cp.plan_physical",
+            Stage::Bind => "cp.bind",
+            Stage::Frees => "cp.frees",
+            Stage::Apply => "cp.apply",
+            Stage::Costing => "cp.costing",
+            Stage::Rebalance => "cp.rebalance",
+        }
+    }
+
+    pub(crate) fn name(self) -> &'static str {
+        &self.span()["cp.".len()..]
+    }
+
+    /// The stage at whose end a crash at `site` strikes; `None` for the
+    /// TopAA sites, which strike once the CP has committed.
+    fn cut_by(site: CrashSite) -> Option<Stage> {
+        match site {
+            CrashSite::AfterBlockWrites(_) => Some(Stage::PlanPhysical),
+            CrashSite::AfterBind => Some(Stage::Bind),
+            CrashSite::MidFreeLogApply(_) => Some(Stage::Frees),
+            CrashSite::BeforeTopAaPersist | CrashSite::AfterTopAaPersist => None,
+        }
+    }
+}
+
+/// Measured wall-clock time of one CP's stages, µs.
 ///
 /// Every completed CP records these from a monotonic clock around each
-/// pipeline section — the only real-time measurement below the harness
-/// layer (the simulated cost model behind [`CpStats::cpu_us`] never
-/// reads a clock). About ten `Instant` reads per multi-millisecond CP,
-/// so the overlay itself is measurement noise. `simulate --check`
-/// compares these against the cost model's per-phase terms and reports
-/// the ratio drift (see [`WallClockOverlay`]).
+/// [`Stage`] — the only real-time measurement below the harness layer
+/// (the simulated cost model behind [`CpStats::cpu_us`] never reads a
+/// clock). About ten `Instant` reads per multi-millisecond CP, so the
+/// overlay itself is measurement noise. `simulate --check` compares these
+/// against the cost model's per-stage terms and reports the ratio drift
+/// (see [`WallClockOverlay`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct CpWallClock {
     /// Virtual (per-volume) allocation planning.
@@ -67,9 +138,8 @@ pub struct CpWallClock {
     /// Physical (per-group) allocation, including quota computation and
     /// any shortfall rounds.
     pub plan_physical_us: f64,
-    /// The metafile dirty-page accounting (step 6). Allocations are
-    /// claimed in the bitmaps where the plans find them, so there is no
-    /// apply step to time; the field keeps its name for its readers.
+    /// Metafile accounting: counting the bitmap pages the CP dirtied (the
+    /// `apply` stage; [`Stage`] says why it has that name).
     pub apply_us: f64,
     /// Logical→virtual→physical binding and queued deletions.
     pub bind_us: f64,
@@ -79,74 +149,120 @@ pub struct CpWallClock {
     pub costing_us: f64,
     /// CP-boundary cache rebalance (batch application + replenish).
     pub rebalance_us: f64,
-    /// The whole CP pipeline, entry to completion.
+    /// The whole CP pipeline: the first stage's start to the CPU model.
     pub total_us: f64,
 }
 
 impl CpWallClock {
+    /// The field timing `stage`.
+    pub(crate) fn stage_mut(&mut self, stage: Stage) -> &mut f64 {
+        match stage {
+            Stage::PlanVirtual => &mut self.plan_virtual_us,
+            Stage::PlanPhysical => &mut self.plan_physical_us,
+            Stage::Bind => &mut self.bind_us,
+            Stage::Frees => &mut self.frees_us,
+            Stage::Apply => &mut self.apply_us,
+            Stage::Costing => &mut self.costing_us,
+            Stage::Rebalance => &mut self.rebalance_us,
+        }
+    }
+
+    pub(crate) fn stage_us(mut self, stage: Stage) -> f64 {
+        *self.stage_mut(stage)
+    }
+
     /// Merge another CP's wall clock into an accumulator.
     pub fn accumulate(&mut self, other: &CpWallClock) {
-        self.plan_virtual_us += other.plan_virtual_us;
-        self.plan_physical_us += other.plan_physical_us;
-        self.apply_us += other.apply_us;
-        self.bind_us += other.bind_us;
-        self.frees_us += other.frees_us;
-        self.costing_us += other.costing_us;
-        self.rebalance_us += other.rebalance_us;
+        for stage in Stage::ALL {
+            *self.stage_mut(stage) += other.stage_us(stage);
+        }
         self.total_us += other.total_us;
     }
 
-    /// Sum of the individually timed phases (excludes pipeline glue that
+    /// Sum of the individually timed stages (excludes pipeline glue that
     /// only `total_us` covers).
     pub fn phase_sum_us(&self) -> f64 {
-        self.plan_virtual_us
-            + self.plan_physical_us
-            + self.apply_us
-            + self.bind_us
-            + self.frees_us
-            + self.costing_us
-            + self.rebalance_us
+        Stage::ALL.iter().map(|&stage| self.stage_us(stage)).sum()
     }
 }
 
-/// Advance a lap timer: elapsed µs since the last mark, then re-mark.
-fn lap_us(mark: &mut std::time::Instant) -> f64 {
-    let us = mark.elapsed().as_secs_f64() * 1e6;
-    *mark = std::time::Instant::now();
-    us
+/// The simulated CPU cost of a CP, or of a window of them, term by term
+/// (§4.1.2). Computed only by [`CpuTerms::of`]: `CpStats::cpu_us` is the
+/// sum, and the `cp.phase.*` histograms, the stage spans and the
+/// [`WallClockOverlay`] read the terms. The measured laps never feed it.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct CpuTerms {
+    client_us: f64,
+    metafile_us: f64,
+    blocks_us: f64,
+    alloc_scan_us: f64,
+    cache_us: f64,
+    replenish_us: f64,
 }
 
-/// `dst.append(src)`, except that an empty `dst` takes `src`'s buffer
-/// instead of copying it into a new one. With one group and no shortfall
-/// round, that spares a CP the copy of every block and run it planned.
-fn append_or_take<T>(dst: &mut Vec<T>, src: &mut Vec<T>) {
-    if dst.is_empty() {
-        std::mem::swap(dst, src);
-    } else {
-        dst.append(src);
+/// Reads one term of a [`CpuTerms`].
+type CpuTerm = fn(&CpuTerms) -> f64;
+
+impl CpuTerms {
+    /// Each term with its `cp.phase.*` histogram.
+    pub(crate) const HISTOGRAMS: [(&'static str, CpuTerm); 6] = [
+        ("cp.phase.client_ops_us", |t| t.client_us),
+        ("cp.phase.metafile_us", |t| t.metafile_us),
+        ("cp.phase.block_writes_us", |t| t.blocks_us),
+        ("cp.phase.alloc_scan_us", |t| t.alloc_scan_us),
+        ("cp.phase.cache_maintenance_us", |t| t.cache_us),
+        ("cp.phase.replenish_scan_us", |t| t.replenish_us),
+    ];
+
+    /// The terms of `stats`' counters, whose `cache_maintenance_us` is
+    /// already priced from the cache operations the CP performed.
+    pub(crate) fn of(stats: &CpStats, cpu: &CpuModel) -> CpuTerms {
+        CpuTerms {
+            client_us: stats.ops as f64 * cpu.base_us_per_op,
+            metafile_us: stats.metafile_pages as f64 * cpu.us_per_metafile_page,
+            blocks_us: stats.blocks_written as f64 * cpu.us_per_block,
+            alloc_scan_us: stats.blocks_examined as f64 * cpu.us_per_alloc_candidate,
+            cache_us: stats.cache_maintenance_us,
+            replenish_us: stats.replenish_pages as f64 * cpu.us_per_scan_page,
+        }
+    }
+
+    /// The modelled CPU time: every term, summed in table order.
+    pub(crate) fn total_us(&self) -> f64 {
+        Self::HISTOGRAMS.iter().map(|(_, term)| term(self)).sum()
+    }
+
+    /// The terms charged to `stage`: each term to exactly one stage.
+    pub(crate) fn stage_us(&self, stage: Stage) -> f64 {
+        match stage {
+            Stage::PlanVirtual | Stage::Frees | Stage::Costing => 0.0,
+            Stage::PlanPhysical => self.alloc_scan_us,
+            Stage::Bind => self.client_us + self.blocks_us,
+            Stage::Apply => self.metafile_us,
+            Stage::Rebalance => self.cache_us + self.replenish_us,
+        }
     }
 }
 
-/// One phase's wall-vs-model comparison inside a [`WallClockOverlay`].
+/// One stage's wall-vs-model comparison inside a [`WallClockOverlay`].
 #[derive(Clone, Debug, Serialize)]
 pub struct PhaseDrift {
-    /// Phase label (see [`WallClockOverlay::from_window`] for the
-    /// wall↔model phase mapping).
+    /// Stage name (`plan_virtual`, `bind`, …).
     pub phase: String,
-    /// This phase's fraction of the measured wall-clock phase time.
+    /// This stage's fraction of the measured wall-clock stage time.
     pub wall_fraction: f64,
-    /// This phase's fraction of the modelled CPU time.
+    /// This stage's fraction of the modelled CPU time.
     pub model_fraction: f64,
     /// `wall_fraction - model_fraction`.
     pub drift: f64,
-    /// Measured wall time in this phase over the window, µs.
+    /// Measured wall time in this stage over the window, µs.
     pub wall_us: f64,
-    /// Modelled cost mapped to this phase over the window, µs.
+    /// Modelled cost charged to this stage over the window, µs.
     pub model_us: f64,
     /// `wall_us - model_us` — the absolute drift. This is the signal to
-    /// read for phases the model prices at zero (`costing` always; any
-    /// phase over a window of empty CPs), where a wall/model quotient
-    /// would be infinite or NaN.
+    /// read for stages the model prices at zero (`plan_virtual`, `frees`
+    /// and `costing` always; any stage over a window of empty CPs),
+    /// where a wall/model quotient would be infinite or NaN.
     pub drift_us: f64,
     /// `wall_us / model_us`, or `None` when the modelled cost is zero —
     /// never NaN/inf, so the JSON health report stays finite.
@@ -154,11 +270,9 @@ pub struct PhaseDrift {
 }
 
 /// Wall-clock overlay over a measurement window: how the CP pipeline's
-/// *measured* phase ratios compare with the simulated cost model's — the
+/// *measured* stage ratios compare with the simulated cost model's — the
 /// ROADMAP item "validate the model's phase ratios against real
-/// execution time". Built from an accumulated [`CpStats`] window; the
-/// model terms are re-derived from the window's counters and the
-/// [`CpuModel`](crate::CpuModel) exactly as the CP engine computed them.
+/// execution time". Built from an accumulated [`CpStats`] window.
 #[derive(Clone, Debug, Serialize)]
 pub struct WallClockOverlay {
     /// Mean measured pipeline time per CP, µs.
@@ -169,76 +283,37 @@ pub struct WallClockOverlay {
     /// modelled time took on this host (hardware-dependent; the *ratios*
     /// below are the portable signal).
     pub total_ratio: f64,
-    /// Per-phase fractions and their drift.
+    /// Per-stage fractions and their drift, in stage order.
     pub phases: Vec<PhaseDrift>,
-    /// Largest absolute per-phase drift.
+    /// Largest absolute per-stage drift.
     pub max_abs_drift: f64,
 }
 
 impl WallClockOverlay {
     /// Build the overlay from an accumulated window of `cps` consistency
-    /// points. Phase mapping (wall ↔ model):
-    ///
-    /// | label | wall phases | model terms |
-    /// |---|---|---|
-    /// | `allocation` | plan_virtual + plan_physical | alloc-candidate scan |
-    /// | `metafile_apply` | apply + frees | metafile page updates |
-    /// | `binding` | bind | per-op base + per-block |
-    /// | `cache_maintenance` | rebalance | cache ops + replenish scans |
-    /// | `costing` | costing | — (the model itself; no model term) |
-    ///
-    /// Returns `None` for an empty window (no completed CPs).
-    pub fn from_window(
-        stats: &CpStats,
-        cps: u64,
-        cpu: &crate::config::CpuModel,
-    ) -> Option<WallClockOverlay> {
-        if cps == 0 {
-            return None;
-        }
+    /// points: one row per stage, charged the model terms its trace span
+    /// carries ([`CpuTerms::stage_us`]). Returns `None` for an empty
+    /// window (no completed CPs).
+    pub fn from_window(stats: &CpStats, cps: u64, cpu: &CpuModel) -> Option<WallClockOverlay> {
         let w = &stats.wall;
         let wall_sum = w.phase_sum_us();
-        let model_client = stats.ops as f64 * cpu.base_us_per_op;
-        let model_metafile = stats.metafile_pages as f64 * cpu.us_per_metafile_page;
-        let model_blocks = stats.blocks_written as f64 * cpu.us_per_block;
-        let model_alloc = stats.blocks_examined as f64 * cpu.us_per_alloc_candidate;
-        let model_cache = stats.cache_maintenance_us;
-        let model_replenish = stats.replenish_pages as f64 * cpu.us_per_scan_page;
-        let model_sum = stats.cpu_us;
-        if wall_sum <= 0.0 {
+        if cps == 0 || wall_sum <= 0.0 {
             return None;
         }
-        let pairs = [
-            (
-                "allocation",
-                w.plan_virtual_us + w.plan_physical_us,
-                model_alloc,
-            ),
-            ("metafile_apply", w.apply_us + w.frees_us, model_metafile),
-            ("binding", w.bind_us, model_client + model_blocks),
-            (
-                "cache_maintenance",
-                w.rebalance_us,
-                model_cache + model_replenish,
-            ),
-            ("costing", w.costing_us, 0.0),
-        ];
-        let phases: Vec<PhaseDrift> = pairs
+        let terms = CpuTerms::of(stats, cpu);
+        let model_sum = stats.cpu_us;
+        // A window of empty CPs models zero cost everywhere; 0/0
+        // fractions must not poison the report with NaN.
+        let of_model = |us: f64| if model_sum > 0.0 { us / model_sum } else { 0.0 };
+        let phases: Vec<PhaseDrift> = Stage::ALL
             .iter()
-            .map(|&(name, wall, model)| {
-                let wall_fraction = wall / wall_sum;
-                // A window of empty CPs models zero cost everywhere;
-                // 0/0 fractions must not poison the report with NaN.
-                let model_fraction = if model_sum > 0.0 {
-                    model / model_sum
-                } else {
-                    0.0
-                };
+            .map(|&stage| {
+                let (wall, model) = (w.stage_us(stage), terms.stage_us(stage));
                 PhaseDrift {
-                    phase: name.to_string(),
-                    wall_fraction,
-                    model_fraction,
-                    drift: wall_fraction - model_fraction,
+                    phase: stage.name().to_string(),
+                    wall_fraction: wall / wall_sum,
+                    model_fraction: of_model(model),
+                    drift: wall / wall_sum - of_model(model),
                     wall_us: wall,
                     model_us: model,
                     drift_us: wall - model,
@@ -250,11 +325,7 @@ impl WallClockOverlay {
         Some(WallClockOverlay {
             wall_us_per_cp: w.total_us / cps as f64,
             model_us_per_cp: model_sum / cps as f64,
-            total_ratio: if model_sum > 0.0 {
-                w.total_us / model_sum
-            } else {
-                0.0
-            },
+            total_ratio: of_model(w.total_us),
             phases,
             max_abs_drift,
         })
@@ -389,11 +460,101 @@ impl CpStats {
     }
 }
 
+/// What a CP's stages tally for the CPU model and the export, beside (not
+/// in) its [`CpStats`].
+#[derive(Default)]
+struct CpTally {
+    /// `(true best − picked score, bin width)` of every audited pick.
+    pick_errors: Vec<(u32, u32)>,
+    /// Picks served by a linear bitmap sweep.
+    sweep_picks: u64,
+    /// Touched AAs per score batch applied at the boundary.
+    batch_sizes: Vec<u64>,
+    /// The same, for the max-heap batches alone.
+    heap_batch_sizes: Vec<u64>,
+    /// AA-cache operations, priced by the CPU model.
+    cache_ops: u64,
+    /// Drain-cursor hits and misses per volume.
+    vol_cursor: Vec<(u64, u64)>,
+}
+
+impl CpTally {
+    /// Count a score batch of `touched` AAs applied to a cache.
+    fn batch(&mut self, touched: u64) {
+        self.cache_ops += touched;
+        if touched > 0 {
+            self.batch_sizes.push(touched);
+        }
+    }
+}
+
+/// One CP in flight: what any stage may read or add to besides its typed
+/// inputs and outputs, and the clock the driver laps.
+struct CpRun {
+    crash: Option<CrashSite>,
+    /// Seeds the random AA picks of both planners.
+    seed: u64,
+    stats: CpStats,
+    tally: CpTally,
+    /// Start of the first stage, and end of the last one run.
+    t0: Instant,
+    mark: Instant,
+    stages_run: usize,
+    /// Flight-recorder time of `t0`, when tracing is on and stages ran.
+    trace_t0: Option<f64>,
+}
+
+impl CpRun {
+    /// Fold one allocation plan's counters into the CP's, its picks into
+    /// the volume (`virtual_space`) or aggregate pick statistics.
+    fn fold_plan(&mut self, plan: &AllocOutcome, topology: &AaTopology, virtual_space: bool) {
+        let s = &mut self.stats;
+        let (picks, free_sum) = if virtual_space {
+            (&mut s.vol_picks, &mut s.vol_pick_free_sum)
+        } else {
+            (&mut s.agg_picks, &mut s.agg_pick_free_sum)
+        };
+        *picks += plan.picked.len() as u64;
+        for &(aa, score) in &plan.picked {
+            *free_sum += score.get() as f64 / (topology.aa_blocks(aa) as f64).max(1.0);
+        }
+        s.blocks_examined += plan.blocks_examined;
+        s.replenish_pages += plan.replenish_pages;
+        s.cursor_hits += plan.cursor_hits;
+        s.cursor_misses += plan.cursor_misses;
+        self.tally.pick_errors.extend_from_slice(&plan.pick_errors);
+        self.tally.sweep_picks += plan.sweep_picks;
+    }
+}
+
+/// Why a CP stopped short of completing.
+enum Stop {
+    Crashed(CrashSite),
+    Failed(WaflError),
+}
+
+impl From<WaflError> for Stop {
+    fn from(e: WaflError) -> Stop {
+        Stop::Failed(e)
+    }
+}
+
+/// The physical plans of a CP.
+struct PhysicalPlan {
+    /// Every plan with its group's index, in the order made, its blocks
+    /// and runs moved out to the fields below.
+    plans: Vec<(usize, AllocOutcome)>,
+    /// Every pvbn claimed, in the volumes' order.
+    pvbns: Vec<Vbn>,
+    /// Each group's runs, for media costing.
+    per_rg_runs: Vec<Vec<(Vbn, u64)>>,
+}
+
 impl Aggregate {
     /// Run one consistency point over every operation collected since the
     /// last. Returns the CP's cost and layout statistics.
     pub fn run_cp(&mut self) -> WaflResult<CpStats> {
-        match self.run_cp_inner(None, None)? {
+        match self.run_cp_with_session(None, None)? {
             CpOutcome::Completed(stats) => Ok(stats),
             CpOutcome::Crashed(_) => unreachable!("no crash site was scheduled"),
         }
@@ -406,7 +567,7 @@ impl Aggregate {
     /// returns [`CpOutcome::Crashed`] — the torn state is then the
     /// recovery stack's problem, not an `Err`.
     pub fn run_cp_with_faults(&mut self, crash: Option<CrashSite>) -> WaflResult<CpOutcome> {
-        self.run_cp_inner(crash, None)
+        self.run_cp_with_session(crash, None)
     }
 
     /// [`Aggregate::run_cp_with_faults`] plus a live [`FaultSession`]: due
@@ -414,20 +575,40 @@ impl Aggregate {
     /// summary counters / cached scores while the aggregate serves
     /// traffic), and the runtime scrubber's verify reads go through the
     /// session's scrub read-error schedule.
+    ///
+    /// Every CP ends here: completed (exported and counted, empty CPs
+    /// included), crashed, or failed.
     pub fn run_cp_with_session(
         &mut self,
         crash: Option<CrashSite>,
         faults: Option<&mut FaultSession<'_>>,
     ) -> WaflResult<CpOutcome> {
-        self.run_cp_inner(crash, faults)
+        match (self.run_to_commit(crash, faults), crash) {
+            (Ok(cp), None) => {
+                self.export(&cp);
+                Ok(CpOutcome::Completed(cp.stats))
+            }
+            // A crash at the end of a stage, or after the commit
+            // (BeforeTopAaPersist / AfterTopAaPersist: whether the
+            // caller's TopAA image is one CP stale only the caller,
+            // holding the persisted image, can model). The process dies
+            // at the site, and the in-memory stats with it: a crashed CP
+            // exports no metrics.
+            (Err(Stop::Crashed(site)), _) | (Ok(_), Some(site)) => {
+                self.lose_volatile_state();
+                Ok(CpOutcome::Crashed(site))
+            }
+            (Err(Stop::Failed(e)), _) => Err(e),
+        }
     }
 
-    fn run_cp_inner(
+    /// A CP up to its commit: runtime faults and the scrub step, then the
+    /// stages — unless there is nothing to flush or free.
+    fn run_to_commit(
         &mut self,
         crash: Option<CrashSite>,
         mut faults: Option<&mut FaultSession<'_>>,
-    ) -> WaflResult<CpOutcome> {
-        // ---- 0. runtime fault injection + scrub step --------------------
+    ) -> Result<CpRun, Stop> {
         // Scribbles land first (memory corruption strikes at arbitrary
         // points; the CP boundary is where the simulation quantizes it),
         // then the scrubber gets its budgeted verification pass — before
@@ -442,46 +623,99 @@ impl Aggregate {
         // Invalidate every volume's dirty stamps in O(1): stamps from
         // earlier epochs read as clean.
         self.bump_epoch();
-        let n = dirty.len();
-        let mut stats = CpStats {
-            cp_index: self.cp_count,
-            ops: n as u64,
-            blocks_written: n as u64,
-            ..CpStats::default()
+        let now = Instant::now();
+        let mut cp = CpRun {
+            crash,
+            seed: self.cp_count.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            stats: CpStats {
+                cp_index: self.cp_count,
+                ops: dirty.len() as u64,
+                blocks_written: dirty.len() as u64,
+                ..CpStats::default()
+            },
+            tally: CpTally::default(),
+            t0: now,
+            mark: now,
+            stages_run: 0,
+            trace_t0: None,
         };
-        if n == 0
-            && self.pending_deletes.is_empty()
-            && self.free_log.pending() == 0
-            && self.delayed_pvbn_frees.is_empty()
-            && self.vols.iter().all(|v| v.delayed_vvbn_frees.is_empty())
+        if !dirty.is_empty()
+            || !self.pending_deletes.is_empty()
+            || self.free_log.pending() > 0
+            || !self.delayed_pvbn_frees.is_empty()
+            || self.vols.iter().any(|v| !v.delayed_vvbn_frees.is_empty())
         {
-            if let Some(site) = crash {
-                // Nothing to tear: the process still dies at the site.
-                self.lose_volatile_state();
-                return Ok(CpOutcome::Crashed(site));
-            }
-            self.cp_count += 1;
-            return Ok(CpOutcome::Completed(stats));
+            self.run_stages(&dirty, &mut cp)?;
+        } else if let Some(site) = crash {
+            // Nothing to tear: the process still dies at the site.
+            return Err(Stop::Crashed(site));
         }
+        self.cp_count += 1;
+        Ok(cp)
+    }
 
-        // ---- 1. group dirtied blocks by volume ------------------------
+    /// The [`Stage`]s in order, then the CPU model.
+    fn run_stages(&mut self, dirty: &[DirtyBlock], cp: &mut CpRun) -> Result<(), Stop> {
         let mut per_vol: Vec<Vec<u64>> = vec![Vec::new(); self.vols.len()];
-        for DirtyBlock { vol, logical } in &dirty {
+        for DirtyBlock { vol, logical } in dirty {
             per_vol[vol.index()].push(*logical);
         }
+        cp.trace_t0 = self.obs.trace_now_us();
+        cp.t0 = Instant::now();
+        cp.mark = cp.t0;
+        let vvbns = self.stage(cp, Stage::PlanVirtual, |a, cp| a.plan_virtual(&per_vol, cp))?;
+        let phys = self.stage(cp, Stage::PlanPhysical, |a, cp| {
+            a.plan_physical(dirty.len(), cp)
+        })?;
+        self.stage(cp, Stage::Bind, |a, _| {
+            a.bind(&per_vol, &vvbns, &phys.pvbns)
+        })?;
+        self.stage(cp, Stage::Frees, |a, cp| a.apply_delayed_frees(cp))?;
+        self.stage(cp, Stage::Apply, |a, cp| {
+            a.count_metafile_pages(&mut cp.stats)
+        })?;
+        self.stage(cp, Stage::Costing, |a, cp| {
+            a.cost_groups(&phys.per_rg_runs, &mut cp.stats)
+        })?;
+        self.stage(cp, Stage::Rebalance, |a, cp| a.rebalance(&phys.plans, cp))?;
+        // The CPU model (§4.1.2): the simulated counters only.
+        let stats = &mut cp.stats;
+        stats.cache_maintenance_us = cp.tally.cache_ops as f64 * self.cfg.cpu.us_per_cache_op;
+        stats.cpu_us = CpuTerms::of(stats, &self.cfg.cpu).total_us();
+        stats.wall.total_us = cp.t0.elapsed().as_secs_f64() * 1e6;
+        Ok(())
+    }
 
-        // ---- 2. virtual allocation, volume by volume -------------------
-        // Flight recorder epoch: the engine-track phase spans are
-        // synthesized at step 10 from the wall-clock laps, anchored here.
-        let trace_t0 = self.obs.trace_now_us();
-        let cp_t0 = std::time::Instant::now();
-        let mut mark = cp_t0;
-        let mut wall = CpWallClock::default();
-        let cp_seed = self.cp_count.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut vol_outcomes: Vec<AllocOutcome> = Vec::with_capacity(self.vols.len());
-        for (i, (vol, logicals)) in self.vols.iter_mut().zip(&per_vol).enumerate() {
+    /// Run one stage and lap the wall clock into its `CpWallClock` field;
+    /// a crash scheduled at the stage's end stops the CP there.
+    fn stage<T>(
+        &mut self,
+        cp: &mut CpRun,
+        stage: Stage,
+        run: impl FnOnce(&mut Aggregate, &mut CpRun) -> WaflResult<T>,
+    ) -> Result<T, Stop> {
+        debug_assert_eq!(Stage::ALL[cp.stages_run], stage, "stages run in order");
+        let out = run(self, cp)?;
+        let now = Instant::now();
+        *cp.stats.wall.stage_mut(stage) = (now - cp.mark).as_secs_f64() * 1e6;
+        cp.mark = now;
+        cp.stages_run += 1;
+        match cp.crash {
+            Some(site) if Stage::cut_by(site) == Some(stage) => Err(Stop::Crashed(site)),
+            _ => Ok(out),
+        }
+    }
+
+    /// Virtual allocation: one plan per volume, in volume order.
+    fn plan_virtual(
+        &mut self,
+        per_vol: &[Vec<u64>],
+        cp: &mut CpRun,
+    ) -> WaflResult<Vec<AllocOutcome>> {
+        let mut plans = Vec::with_capacity(self.vols.len());
+        for (i, (vol, logicals)) in self.vols.iter_mut().zip(per_vol).enumerate() {
             if logicals.is_empty() {
-                vol_outcomes.push(AllocOutcome::default());
+                plans.push(AllocOutcome::default());
                 continue;
             }
             let mode = if vol.config().aa_cache {
@@ -489,56 +723,39 @@ impl Aggregate {
             } else {
                 AllocatorMode::RandomAa
             };
-            vol_outcomes.push(allocate_vvbns(
+            plans.push(allocate_vvbns(
                 vol,
                 logicals.len(),
-                cp_seed ^ i as u64,
+                cp.seed ^ i as u64,
                 mode,
             )?);
         }
-        // Observability accumulators (exported after the CP commits).
-        let mut pick_errors: Vec<(u32, u32)> = Vec::new();
-        let mut sweep_picks = 0u64;
-        let mut batch_sizes: Vec<u64> = Vec::new();
-        let mut heap_batch_sizes: Vec<u64> = Vec::new();
-        let mut cache_ops = 0u64;
-        // Per-volume cursor traffic, kept aside for the vol=<id> labelled
-        // export in step 10 (the outcomes themselves are consumed by the
-        // binding step below).
-        let per_vol_cursor: Vec<(u64, u64)> = vol_outcomes
-            .iter()
-            .map(|out| (out.cursor_hits, out.cursor_misses))
-            .collect();
-        for out in &vol_outcomes {
-            stats.vol_picks += out.picked.len() as u64;
-            stats.replenish_pages += out.replenish_pages;
-            stats.blocks_examined += out.blocks_examined;
-            stats.cursor_hits += out.cursor_hits;
-            stats.cursor_misses += out.cursor_misses;
-            pick_errors.extend_from_slice(&out.pick_errors);
-            sweep_picks += out.sweep_picks;
+        for (vol, plan) in self.vols.iter().zip(&plans) {
+            cp.fold_plan(plan, &vol.topology, true);
+            cp.tally
+                .vol_cursor
+                .push((plan.cursor_hits, plan.cursor_misses));
         }
-        for (vol, out) in self.vols.iter().zip(&vol_outcomes) {
-            for &(aa, score) in &out.picked {
-                let max = vol.topology.aa_blocks(aa) as f64;
-                stats.vol_pick_free_sum += score.get() as f64 / max.max(1.0);
-            }
-        }
+        Ok(plans)
+    }
 
-        wall.plan_virtual_us += lap_us(&mut mark);
-
-        // ---- 3. physical allocation: quotas, then a plan per group ----
+    /// Physical allocation for `n` blocks: round 0 offers each group its
+    /// weighted share; whatever the groups could not find is the
+    /// shortfall, which every later round offers whole to each group in
+    /// turn.
+    fn plan_physical(&mut self, n: usize, cp: &mut CpRun) -> WaflResult<PhysicalPlan> {
         let mode = if self.cfg.raid_aware_cache {
             AllocatorMode::CacheGuided
         } else {
             AllocatorMode::RandomAa
         };
         let audit_sample = self.cfg.pick_audit_sample;
-        // Round 0 offers each group its weighted share; whatever the
-        // groups could not find is the shortfall, which every later round
-        // offers whole to each group in turn.
         let mut quotas = self.rg_quotas(n);
-        if let Some(CrashSite::AfterBlockWrites(limit)) = crash {
+        let block_writes = match cp.crash {
+            Some(CrashSite::AfterBlockWrites(limit)) => Some(limit),
+            _ => None,
+        };
+        if let Some(limit) = block_writes {
             // Power loss after `limit` physical block writes hit stable
             // storage: cap the quotas cumulatively. A capped claim is a
             // prefix of the uncapped one, so exactly the first `limit`
@@ -555,9 +772,6 @@ impl Aggregate {
         // only such a round can show that the aggregate is out of space
         // (round 0's share is 0 for a backed-off group that has room).
         let mut offered_all = false;
-        // Every plan of this CP with its group's index, in the order they
-        // were made. Their blocks, counters and drained AAs are folded in
-        // once, after the rounds.
         let mut plans: Vec<(usize, AllocOutcome)> = Vec::with_capacity(self.groups.len());
         loop {
             let mut progressed = false;
@@ -570,25 +784,20 @@ impl Aggregate {
                     &mut self.bitmap,
                     quota.min(shortfall),
                     mode,
-                    cp_seed ^ (salt + i as u64),
+                    cp.seed ^ (salt + i as u64),
                     audit_sample,
                 )?;
                 shortfall -= plan.vbns.len();
                 progressed |= !plan.vbns.is_empty();
                 // A plan that found no block is kept too: a full
                 // heap-cached group returns the score-0 AA `take_best`
-                // popped in `drained`, and only step 8 puts it back.
+                // popped in `drained`, and only the rebalance puts it back.
                 plans.push((i, plan));
             }
-            if let Some(site @ CrashSite::AfterBlockWrites(_)) = crash {
-                // The claimed bits are on stable storage, but no logical
-                // binding was ever recorded — allocated-but-unreferenced
-                // leaks in both VBN spaces (the vvbn bits were set in
-                // step 2).
-                self.lose_volatile_state();
-                return Ok(CpOutcome::Crashed(site));
-            }
-            if shortfall == 0 {
+            // A crash after block writes strikes at the end of round 0:
+            // the claimed bits are on stable storage, but no binding was
+            // ever recorded — leaks in both VBN spaces.
+            if block_writes.is_some() || shortfall == 0 {
                 break;
             }
             if offered_all && !progressed {
@@ -597,31 +806,15 @@ impl Aggregate {
                 }
                 // Space pressure: pull the logged frees forward (the
                 // [18]-style reclamation path racing the allocator).
-                let Aggregate {
-                    bitmap,
-                    groups,
-                    free_log,
-                    ..
-                } = &mut *self;
-                let dstats = free_log.force_drain(bitmap, |pvbn, _| {
-                    let g = groups
-                        .iter_mut()
-                        .find(|g| g.geometry.contains(pvbn))
-                        .expect("freed pvbn belongs to a group");
-                    let aa = g.topology.aa_of_vbn(pvbn)?;
-                    g.batch.record_freed(aa, 1);
-                    Ok(())
-                })?;
-                stats.delayed_frees_applied += dstats.frees_applied;
-                stats.delayed_free_pages += dstats.pages_processed;
+                self.apply_logged_frees(None, &mut cp.stats)?;
                 // A planner that scores AAs from the bitmap (HBPS
                 // replenish, random-AA mode, the quarantine sweep) finds
                 // the freed blocks there; a heap ranks by its own score
                 // array, so it gets the batch now — it holds exactly what
                 // the bitmap holds and the heap does not.
-                for g in groups.iter_mut() {
+                for g in &mut self.groups {
                     if let Some(GroupCache::Heap(cache)) = g.cache.as_mut() {
-                        cache_ops += g.batch.touched_aas() as u64;
+                        cp.tally.cache_ops += g.batch.touched_aas() as u64;
                         cache.apply_batch(&mut g.batch);
                     }
                 }
@@ -630,39 +823,39 @@ impl Aggregate {
             salt = 0xF00D;
             offered_all = true;
         }
-
-        // The plans' blocks in one list, and (media costing, step 7, works
-        // per run) each group's runs in another.
-        let mut pvbns: Vec<Vbn> = Vec::new();
-        let mut per_rg_runs: Vec<Vec<(Vbn, u64)>> = vec![Vec::new(); self.groups.len()];
+        let mut pvbns = Vec::new();
+        let mut per_rg_runs = vec![Vec::new(); self.groups.len()];
         for (i, plan) in &mut plans {
             append_or_take(&mut pvbns, &mut plan.vbns);
             append_or_take(&mut per_rg_runs[*i], &mut plan.runs);
-            stats.agg_picks += plan.picked.len() as u64;
-            stats.blocks_examined += plan.blocks_examined;
-            stats.replenish_pages += plan.replenish_pages;
-            pick_errors.extend_from_slice(&plan.pick_errors);
-            sweep_picks += plan.sweep_picks;
-            for &(aa, score) in &plan.picked {
-                let max = self.groups[*i].topology.aa_blocks(aa) as f64;
-                stats.agg_pick_free_sum += score.get() as f64 / max.max(1.0);
-            }
+            cp.fold_plan(plan, &self.groups[*i].topology, false);
         }
-        wall.plan_physical_us += lap_us(&mut mark);
+        Ok(PhysicalPlan {
+            plans,
+            pvbns,
+            per_rg_runs,
+        })
+    }
 
-        // ---- 4. bind logical -> virtual -> physical; collect frees ----
+    /// Bind logical → virtual → physical, then unmap the deletions queued
+    /// since the last CP; the blocks both leave behind become delayed
+    /// frees in both VBN spaces.
+    fn bind(
+        &mut self,
+        per_vol: &[Vec<u64>],
+        vvbns: &[AllocOutcome],
+        pvbns: &[Vbn],
+    ) -> WaflResult<()> {
         // Each volume's pvbns occupy one contiguous chunk (allocation
         // filled `pvbns` in `per_vol` order).
         let mut off = 0usize;
-        for ((vol, logicals), outcome) in self.vols.iter_mut().zip(&per_vol).zip(&vol_outcomes) {
-            debug_assert_eq!(outcome.vbns.len(), logicals.len());
+        for ((vol, logicals), plan) in self.vols.iter_mut().zip(per_vol).zip(vvbns) {
+            debug_assert_eq!(plan.vbns.len(), logicals.len());
             let chunk = &pvbns[off..off + logicals.len()];
             off += logicals.len();
             self.delayed_pvbn_frees
-                .extend(vol.remap_batch(logicals, &outcome.vbns, chunk));
+                .extend(vol.remap_batch(logicals, &plan.vbns, chunk));
         }
-
-        // ---- 4b. deletions queued since the last CP --------------------
         for DirtyBlock { vol, logical } in std::mem::take(&mut self.pending_deletes) {
             let v = &mut self.vols[vol.index()];
             if let Some((old_v, old_p)) = v.unmap(logical) {
@@ -670,153 +863,146 @@ impl Aggregate {
                 self.delayed_pvbn_frees.push(old_p);
             }
         }
+        Ok(())
+    }
 
-        if let Some(site @ CrashSite::AfterBind) = crash {
-            // Power loss after the new mappings committed but before any
-            // delayed free applied: the overwritten blocks' old versions
-            // stay allocated in both VBN spaces and nothing references
-            // them (their vvbns are gone from the volume maps) — leaks.
-            self.lose_volatile_state();
-            return Ok(CpOutcome::Crashed(site));
-        }
-
-        wall.bind_us += lap_us(&mut mark);
-
-        // ---- 5. delayed frees at the CP boundary (§3.3) ---------------
+    /// Delayed frees at the CP boundary (§3.3): every volume's, then the
+    /// physical ones — logged for the background processor under
+    /// `batched_frees`, else applied at once.
+    fn apply_delayed_frees(&mut self, cp: &mut CpRun) -> WaflResult<()> {
         for vol in &mut self.vols {
             vol.flush_delayed_frees()?;
         }
-        if let Some(site @ CrashSite::MidFreeLogApply(k)) = crash {
+        let mut frees = std::mem::take(&mut self.delayed_pvbn_frees);
+        if self.cfg.batched_frees {
+            // §3.3.2's second HBPS use: log the frees; the background
+            // processor applies a budgeted number of pages, fullest first.
+            for pvbn in frees.drain(..) {
+                self.free_log.log_free(pvbn)?;
+            }
+        }
+        if let Some(CrashSite::MidFreeLogApply(k)) = cp.crash {
             // The crash interrupts delayed-free application: `k` frees
             // reach the bitmap. The rest stay pending — in the persistent
             // log when batched (replayed idempotently after remount, the
             // `k` applied ones skipped), lost outright (leaked) when not.
-            let mut frees = std::mem::take(&mut self.delayed_pvbn_frees);
             if self.cfg.batched_frees {
-                for pvbn in frees {
-                    self.free_log.log_free(pvbn)?;
-                }
                 frees = self.free_log.pending_vbns();
             }
             for &pvbn in frees.iter().take(k as usize) {
                 self.bitmap.free(pvbn)?;
             }
-            self.lose_volatile_state();
-            return Ok(CpOutcome::Crashed(site));
+        } else if self.cfg.batched_frees {
+            self.apply_logged_frees(Some(self.cfg.free_pages_per_cp), &mut cp.stats)?;
+        } else if !frees.is_empty() {
+            self.free_sorted(frees)?;
         }
+        Ok(())
+    }
+
+    /// Apply logged frees — `pages` metafile pages of them, fullest first,
+    /// or under space pressure (`None`) all — each recorded on its group.
+    fn apply_logged_frees(&mut self, pages: Option<usize>, stats: &mut CpStats) -> WaflResult<()> {
         let trim = self.cfg.trim_on_free;
-        if self.cfg.batched_frees {
-            // §3.3.2's second HBPS use: log the frees; the background
-            // processor applies them below, fullest page first.
-            for pvbn in std::mem::take(&mut self.delayed_pvbn_frees) {
-                self.free_log.log_free(pvbn)?;
+        let Aggregate {
+            bitmap,
+            groups,
+            free_log,
+            ..
+        } = self;
+        let record = |pvbn, _: &mut wafl_bitmap::Bitmap| record_group_free(groups, pvbn, trim);
+        let applied = match pages {
+            Some(pages) => free_log.process(bitmap, pages, record)?,
+            None => free_log.force_drain(bitmap, record)?,
+        };
+        stats.delayed_frees_applied += applied.frees_applied;
+        stats.delayed_free_pages += applied.pages_processed;
+        Ok(())
+    }
+
+    /// Apply physical frees at once: sort, walk the batch once for trim
+    /// and per-AA score accounting (the groups go by monotonically — they
+    /// are ordered by base VBN), then clear every bit with the word-masked
+    /// batch free instead of one bit flip per block. The score deltas
+    /// commute, so the reordering is state-neutral.
+    fn free_sorted(&mut self, mut frees: Vec<Vbn>) -> WaflResult<()> {
+        wafl_bitmap::sort_vbns(&mut frees);
+        let trim = self.cfg.trim_on_free;
+        let mut gi = 0usize;
+        // Sorted input means whole AA spans go by between topology
+        // lookups: one aa_span_of_vbn call per span crossed, not one
+        // aa_of_vbn per block — and one record_freed per span rather than
+        // per block, so the score batch sees a handful of AA entries
+        // instead of thousands of single-block updates.
+        let mut span_aa = wafl_types::AaId(0);
+        let mut span_end = Vbn(0);
+        let mut span_gi = 0usize;
+        let mut span_freed: u32 = 0;
+        for &pvbn in &frees {
+            while !self.groups[gi].geometry.contains(pvbn) {
+                gi += 1;
             }
-            let budget = self.cfg.free_pages_per_cp;
-            let Aggregate {
-                bitmap,
-                groups,
-                free_log,
-                ..
-            } = self;
-            let dstats = free_log.process(bitmap, budget, |pvbn, _| {
-                let g = groups
-                    .iter_mut()
-                    .find(|g| g.geometry.contains(pvbn))
-                    .expect("freed pvbn belongs to a group");
-                let aa = g.topology.aa_of_vbn(pvbn)?;
-                g.batch.record_freed(aa, 1);
-                if trim {
-                    let loc = g.geometry.vbn_to_loc(pvbn)?;
-                    if let DeviceMedia::Ssd(ftl) = &mut g.media[loc.device.index()] {
-                        ftl.trim(loc.dbn.get() as u32)?;
-                    }
-                }
-                Ok(())
-            })?;
-            stats.delayed_frees_applied += dstats.frees_applied;
-            stats.delayed_free_pages += dstats.pages_processed;
-        } else {
-            // Sort, walk the batch once for trim and per-AA
-            // score accounting (the groups go by monotonically — they
-            // are ordered by base VBN), then clear every bit with the
-            // word-masked batch free instead of one bit flip per block.
-            // The score deltas commute, so the reordering is
-            // state-neutral.
-            let mut frees = std::mem::take(&mut self.delayed_pvbn_frees);
-            if !frees.is_empty() {
-                wafl_bitmap::sort_vbns(&mut frees);
-                let mut gi = 0usize;
-                // Sorted input means whole AA spans go by between
-                // topology lookups: one aa_span_of_vbn call per span
-                // crossed, not one aa_of_vbn per block — and one
-                // record_freed per span rather than per block, so the
-                // score batch sees a handful of AA entries instead of
-                // thousands of single-block updates.
-                let mut span_aa = wafl_types::AaId(0);
-                let mut span_end = Vbn(0);
-                let mut span_gi = 0usize;
-                let mut span_freed: u32 = 0;
-                for &pvbn in &frees {
-                    while !self.groups[gi].geometry.contains(pvbn) {
-                        gi += 1;
-                    }
-                    if pvbn >= span_end {
-                        if span_freed > 0 {
-                            self.groups[span_gi].batch.record_freed(span_aa, span_freed);
-                        }
-                        (span_aa, span_end) = self.groups[gi].topology.aa_span_of_vbn(pvbn)?;
-                        span_gi = gi;
-                        span_freed = 0;
-                    }
-                    span_freed += 1;
-                    if trim {
-                        let g = &mut self.groups[gi];
-                        let loc = g.geometry.vbn_to_loc(pvbn)?;
-                        if let DeviceMedia::Ssd(ftl) = &mut g.media[loc.device.index()] {
-                            ftl.trim(loc.dbn.get() as u32)?;
-                        }
-                    }
-                }
+            if pvbn >= span_end {
                 if span_freed > 0 {
                     self.groups[span_gi].batch.record_freed(span_aa, span_freed);
                 }
-                self.bitmap.free_sorted_blocks(&frees)?;
+                (span_aa, span_end) = self.groups[gi].topology.aa_span_of_vbn(pvbn)?;
+                span_gi = gi;
+                span_freed = 0;
+            }
+            span_freed += 1;
+            if trim {
+                trim_freed(&mut self.groups[gi], pvbn)?;
             }
         }
+        if span_freed > 0 {
+            self.groups[span_gi].batch.record_freed(span_aa, span_freed);
+        }
+        self.bitmap.free_sorted_blocks(&frees)
+    }
 
-        wall.frees_us += lap_us(&mut mark);
-
-        // ---- 6. metafile I/O accounting (§2.5) -------------------------
+    /// Metafile I/O accounting (§2.5): the distinct bitmap pages the CP
+    /// dirtied, aggregate and volumes.
+    fn count_metafile_pages(&mut self, stats: &mut CpStats) -> WaflResult<()> {
         let mut pages = self.bitmap.take_dirty_stats().pages_dirtied;
         for vol in &mut self.vols {
             pages += vol.bitmap.take_dirty_stats().pages_dirtied;
         }
         stats.metafile_pages = pages;
-        wall.apply_us += lap_us(&mut mark);
+        Ok(())
+    }
 
-        // ---- 7. media costing, group by group --------------------------
-        // Run-interval analysis — same numbers as the per-block analysis
-        // `wafl-oracle` preserves (equivalence is pinned by the parity
-        // suites), a fraction of the work.
+    /// Media costing, group by group. Run-interval analysis — same numbers
+    /// as the per-block analysis `wafl-oracle` preserves (equivalence is
+    /// pinned by the parity suites), a fraction of the work.
+    fn cost_groups(
+        &mut self,
+        per_rg_runs: &[Vec<(Vbn, u64)>],
+        stats: &mut CpStats,
+    ) -> WaflResult<()> {
         let checksum = self.cfg.checksum;
-        for (g, runs) in self.groups.iter_mut().zip(&per_rg_runs) {
+        for (g, runs) in self.groups.iter_mut().zip(per_rg_runs) {
             let rg = cost_raid_group_runs(g, runs, checksum)?;
             stats.media_us = stats.media_us.max(rg.media_us);
             stats.media_us_total += rg.media_us;
             stats.per_rg.push(rg);
         }
-        wall.costing_us += lap_us(&mut mark);
+        Ok(())
+    }
 
-        // ---- 8. CP-boundary cache rebalance (§3.3) ----------------------
+    /// CP-boundary cache rebalance (§3.3): each score batch applied to its
+    /// cache, the AAs the plans drained back into their heaps, and a
+    /// volume cache rebuilt from its bitmap when it ran low.
+    fn rebalance(&mut self, plans: &[(usize, AllocOutcome)], cp: &mut CpRun) -> WaflResult<()> {
+        let tally = &mut cp.tally;
         let bitmap_ref = &self.bitmap;
         for g in &mut self.groups {
+            let touched = g.batch.touched_aas() as u64;
             match g.cache.as_mut() {
                 Some(GroupCache::Heap(cache)) => {
-                    let touched = g.batch.touched_aas() as u64;
-                    cache_ops += touched;
+                    tally.batch(touched);
                     if touched > 0 {
-                        batch_sizes.push(touched);
-                        heap_batch_sizes.push(touched);
+                        tally.heap_batch_sizes.push(touched);
                     }
                     cache.apply_batch(&mut g.batch);
                     // Drained AAs are reinserted below, post-batch.
@@ -825,11 +1011,7 @@ impl Aggregate {
                     // Like the volume path: derive old scores from the
                     // post-CP bitmap and the batched delta; no per-AA
                     // score array exists (§3.3.2).
-                    let touched = g.batch.touched_aas() as u64;
-                    cache_ops += touched;
-                    if touched > 0 {
-                        batch_sizes.push(touched);
-                    }
+                    tally.batch(touched);
                     for (aa, delta) in g.batch.drain() {
                         let new = g.topology.score_from_bitmap(bitmap_ref, aa);
                         let max = g.topology.aa_blocks(aa) as u32;
@@ -846,12 +1028,12 @@ impl Aggregate {
         // (frees during the same CP may have given them a head start).
         // HBPS-cached ranges: drained AAs re-enter via the batched score
         // change above (the histogram never stopped counting them).
-        for (i, plan) in &plans {
+        for (i, plan) in plans {
             if let Some(GroupCache::Heap(cache)) = self.groups[*i].cache.as_mut() {
                 for &aa in &plan.drained {
                     let score = cache.score_of(aa);
                     cache.insert(aa, score)?;
-                    cache_ops += 1;
+                    tally.cache_ops += 1;
                 }
             }
         }
@@ -860,11 +1042,7 @@ impl Aggregate {
                 let _ = vol.batch.drain().count();
                 continue;
             };
-            let touched = vol.batch.touched_aas() as u64;
-            cache_ops += touched;
-            if touched > 0 {
-                batch_sizes.push(touched);
-            }
+            tally.batch(vol.batch.touched_aas() as u64);
             cache.apply_cp_batch(&mut vol.batch, &vol.bitmap)?;
             // §3.3.2's background scan: if takes have drained the list
             // faster than frees re-populate it — or quality degraded —
@@ -875,212 +1053,121 @@ impl Aggregate {
                 // anything.
                 vol.drain_cursor = None;
                 self.obs.trace(
-                    stats.cp_index,
+                    cp.stats.cp_index,
                     TraceData::CursorInvalidated {
                         vol: vol.id.0,
                         reason: "replenish",
                     },
                 );
-                stats.replenish_pages += vol.bitmap.page_count() as u64;
+                cp.stats.replenish_pages += vol.bitmap.page_count() as u64;
             }
         }
-        wall.rebalance_us += lap_us(&mut mark);
+        Ok(())
+    }
 
-        // ---- 9. CPU model (§4.1.2) --------------------------------------
-        // The per-phase terms below come from the simulated cost model
-        // only — the measured laps live beside them in `stats.wall` and
-        // never feed it; they are summed into `cpu_us` and exported
-        // individually to the phase histograms.
-        let cpu = self.cfg.cpu;
-        let client_us = n as f64 * cpu.base_us_per_op;
-        let metafile_us = pages as f64 * cpu.us_per_metafile_page;
-        let blocks_us = n as f64 * cpu.us_per_block;
-        let alloc_scan_us = stats.blocks_examined as f64 * cpu.us_per_alloc_candidate;
-        stats.cache_maintenance_us = cache_ops as f64 * cpu.us_per_cache_op;
-        let replenish_us = stats.replenish_pages as f64 * cpu.us_per_scan_page;
-        stats.cpu_us = client_us
-            + metafile_us
-            + blocks_us
-            + alloc_scan_us
-            + stats.cache_maintenance_us
-            + replenish_us;
-
-        wall.total_us = cp_t0.elapsed().as_secs_f64() * 1e6;
-
-        stats.wall = wall;
-
-        self.cp_count += 1;
-        stats.cp_index = self.cp_count - 1;
-        if let Some(site) = crash {
-            // BeforeTopAaPersist / AfterTopAaPersist: the CP itself
-            // committed; the difference is whether the caller's TopAA
-            // image is one CP stale, which only the caller (holding the
-            // persisted image) can model. Either way the process dies
-            // here and the in-memory stats die with it — a crashed CP
-            // exports no metrics, like a crashed host losing its RAM.
-            self.lose_volatile_state();
-            return Ok(CpOutcome::Crashed(site));
-        }
-
-        // ---- 10. observability export ----------------------------------
-        self.obs.cp_completed.inc(1);
-        self.obs.aas_claimed.inc(stats.vol_picks + stats.agg_picks);
-        self.obs.blocks_examined.inc(stats.blocks_examined);
-        self.obs.replenish_pages.inc(stats.replenish_pages);
-        self.obs.sweep_fallback_picks.inc(sweep_picks);
-        self.obs.cursor_hits.inc(stats.cursor_hits);
-        self.obs.cursor_misses.inc(stats.cursor_misses);
-        for (err, width) in pick_errors {
-            self.obs
-                .pick_score_error
+    /// Export a completed CP: its counters, its model terms and stage laps
+    /// as histograms and trace spans, the cache and space metrics, and
+    /// one per-CP series row.
+    fn export(&mut self, cp: &CpRun) {
+        let (s, tally, obs) = (&cp.stats, &cp.tally, &self.obs);
+        obs.cp_completed.inc(1);
+        obs.aas_claimed.inc(s.vol_picks + s.agg_picks);
+        obs.blocks_examined.inc(s.blocks_examined);
+        obs.replenish_pages.inc(s.replenish_pages);
+        obs.sweep_fallback_picks.inc(tally.sweep_picks);
+        obs.cursor_hits.inc(s.cursor_hits);
+        obs.cursor_misses.inc(s.cursor_misses);
+        for &(err, width) in &tally.pick_errors {
+            obs.pick_score_error
                 .observe(err as f64 / width.max(1) as f64);
         }
-        for &b in &batch_sizes {
-            self.obs.cp_batch_size.observe(b as f64);
+        for &b in &tally.batch_sizes {
+            obs.cp_batch_size.observe(b as f64);
         }
-        for &b in &heap_batch_sizes {
-            self.obs.heap_rebalance_batch.observe(b as f64);
+        for &b in &tally.heap_batch_sizes {
+            obs.heap_rebalance_batch.observe(b as f64);
         }
-        self.obs.cp_phase_client_us.observe(client_us);
-        self.obs.cp_phase_metafile_us.observe(metafile_us);
-        self.obs.cp_phase_blocks_us.observe(blocks_us);
-        self.obs.cp_phase_alloc_scan_us.observe(alloc_scan_us);
-        self.obs
-            .cp_phase_cache_us
-            .observe(stats.cache_maintenance_us);
-        self.obs.cp_phase_replenish_us.observe(replenish_us);
-        self.obs.cp_phase_media_us.observe(stats.media_us);
-        self.obs.cp_wall_total_us.observe(wall.total_us);
-        self.obs
-            .cp_wall_plan_virtual_us
-            .observe(wall.plan_virtual_us);
-        self.obs
-            .cp_wall_plan_physical_us
-            .observe(wall.plan_physical_us);
-        self.obs.cp_wall_apply_us.observe(wall.apply_us);
-        self.obs.cp_wall_bind_us.observe(wall.bind_us);
-        self.obs.cp_wall_frees_us.observe(wall.frees_us);
-        self.obs.cp_wall_costing_us.observe(wall.costing_us);
-        self.obs.cp_wall_rebalance_us.observe(wall.rebalance_us);
-        // Flight recorder: synthesize the CP-engine track from the wall
-        // laps. Spans are journaled whole (start + duration), so the
-        // exported begin/end pairs stay balanced even when the ring
-        // drops events. Phases are laid out sequentially from the CP's
-        // anchor — the same order the pipeline accumulates them — under
-        // one enclosing `cp` span; each carries the cost-model term the
-        // drift overlay maps to it.
-        if let Some(t0) = trace_t0 {
-            let cp = stats.cp_index;
-            self.obs.trace_at(
-                t0,
-                cp,
-                TraceData::Span {
-                    name: "cp",
-                    dur_us: wall.total_us,
-                    model_us: stats.cpu_us,
-                },
-            );
-            let phases = [
-                ("cp.plan_virtual", wall.plan_virtual_us, 0.0),
-                ("cp.plan_physical", wall.plan_physical_us, alloc_scan_us),
-                ("cp.apply", wall.apply_us, metafile_us),
-                ("cp.bind", wall.bind_us, client_us + blocks_us),
-                ("cp.frees", wall.frees_us, 0.0),
-                ("cp.costing", wall.costing_us, 0.0),
-                (
-                    "cp.rebalance",
-                    wall.rebalance_us,
-                    stats.cache_maintenance_us + replenish_us,
-                ),
-            ];
+        let terms = CpuTerms::of(s, &self.cfg.cpu);
+        for ((_, term), h) in CpuTerms::HISTOGRAMS.iter().zip(&obs.cp_phase_us) {
+            h.observe(term(&terms));
+        }
+        obs.cp_phase_media_us.observe(s.media_us);
+        obs.cp_wall_total_us.observe(s.wall.total_us);
+        for stage in Stage::ALL {
+            obs.cp_wall_us[stage as usize].observe(s.wall.stage_us(stage));
+        }
+        // Flight recorder: the CP-engine track, synthesized from the laps.
+        // Spans are journaled whole (start + duration), so the exported
+        // begin/end pairs stay balanced even when the ring drops events.
+        // The stages are laid end to end from the CP's anchor under one
+        // enclosing `cp` span, each with the model terms charged to it.
+        if let Some(t0) = cp.trace_t0 {
+            let span = |name, dur_us, model_us| TraceData::Span {
+                name,
+                dur_us,
+                model_us,
+            };
+            obs.trace_at(t0, s.cp_index, span("cp", s.wall.total_us, s.cpu_us));
             let mut ts = t0;
-            for (name, dur_us, model_us) in phases {
-                self.obs.trace_at(
+            for stage in Stage::ALL {
+                let dur_us = s.wall.stage_us(stage);
+                obs.trace_at(
                     ts,
-                    cp,
-                    TraceData::Span {
-                        name,
-                        dur_us,
-                        model_us,
-                    },
+                    s.cp_index,
+                    span(stage.span(), dur_us, terms.stage_us(stage)),
                 );
                 ts += dur_us;
             }
-            if sweep_picks > 0 {
-                self.obs
-                    .trace_at(t0, cp, TraceData::SweepFallback { picks: sweep_picks });
+            if tally.sweep_picks > 0 {
+                let picks = tally.sweep_picks;
+                obs.trace_at(t0, s.cp_index, TraceData::SweepFallback { picks });
             }
         }
         // Delta-scrape the maintenance counters of every cache structure
         // (plain u64s in wafl-core; this is their only reader).
-        let free_log_delta = self.free_log.take_hbps_stats();
-        self.obs.record_hbps_stats(free_log_delta);
+        obs.record_hbps_stats(self.free_log.take_hbps_stats());
         for g in &mut self.groups {
             match g.cache.as_mut() {
-                Some(GroupCache::Heap(cache)) => {
-                    let delta = cache.take_stats();
-                    self.obs.record_heap_stats(delta);
-                }
-                Some(GroupCache::Hbps(hbps)) => {
-                    let delta = hbps.take_stats();
-                    self.obs.record_hbps_stats(delta);
-                }
+                Some(GroupCache::Heap(cache)) => obs.record_heap_stats(cache.take_stats()),
+                Some(GroupCache::Hbps(hbps)) => obs.record_hbps_stats(hbps.take_stats()),
                 None => {}
             }
         }
         for vol in &mut self.vols {
             if let Some(cache) = vol.cache.as_mut() {
-                let delta = cache.take_hbps_stats();
-                self.obs.record_hbps_stats(delta);
+                obs.record_hbps_stats(cache.take_hbps_stats());
             }
         }
-        // Space gauges: cheap scalars from the summary counters. The
-        // per-group gauges are name-formatted (dynamic group count) —
-        // once per completed CP, not on any hot path.
-        self.obs
-            .gauge_free_fraction
-            .set(self.bitmap.free_fraction());
-        self.obs
-            .gauge_delayed_free_backlog
+        // Space gauges, and per-volume cursor traffic under the `vol=<id>`
+        // label prefix. The name-formatted handles (dynamic group and
+        // volume counts) are looked up once per CP, never on a hot path.
+        obs.gauge_free_fraction.set(self.bitmap.free_fraction());
+        obs.gauge_delayed_free_backlog
             .set(self.free_log.pending() as f64);
         for (i, g) in self.groups.iter().enumerate() {
             let data = g.geometry.data_blocks();
             let free = self.bitmap.free_count_range(g.geometry.base_vbn, data);
-            self.obs
-                .registry()
-                .gauge(&format!("group.{i}.free_fraction"))
-                .set(free as f64 / data.max(1) as f64);
+            let gauge = |name: &str| obs.registry().gauge(&format!("group.{i}.{name}"));
+            gauge("free_fraction").set(free as f64 / data.max(1) as f64);
             let active_score = g
                 .active_aa
                 .map(|aa| g.topology.score_from_bitmap(&self.bitmap, aa).get())
                 .unwrap_or(0);
-            self.obs
-                .registry()
-                .gauge(&format!("group.{i}.active_aa_score"))
-                .set(active_score as f64);
+            gauge("active_aa_score").set(active_score as f64);
         }
-        // Per-volume metrics under the vol=<id> label prefix: cursor
-        // traffic from this CP's drains plus the volume's space gauge.
-        // Name-formatted like the group gauges — CP-boundary only.
-        for (vol, &(hits, misses)) in self.vols.iter().zip(&per_vol_cursor) {
+        for (i, vol) in self.vols.iter().enumerate() {
+            let (hits, misses) = tally.vol_cursor.get(i).copied().unwrap_or_default();
             if hits > 0 {
-                self.obs
-                    .vol_counter(vol.id, "allocator.cursor_hits")
-                    .inc(hits);
+                obs.vol_counter(vol.id, "allocator.cursor_hits").inc(hits);
             }
             if misses > 0 {
-                self.obs
-                    .vol_counter(vol.id, "allocator.cursor_misses")
+                obs.vol_counter(vol.id, "allocator.cursor_misses")
                     .inc(misses);
             }
-            self.obs
-                .vol_gauge(vol.id, "space.free_fraction")
+            obs.vol_gauge(vol.id, "space.free_fraction")
                 .set(vol.bitmap.free_fraction());
         }
-        // One time-series row per completed CP (no-op when tracing is
-        // off): the registry deltas since the previous sample.
-        self.obs.sample_cp_series(stats.cp_index);
-        Ok(CpOutcome::Completed(stats))
+        self.obs.sample_cp_series(s.cp_index);
     }
 
     /// Physical-allocation quotas per RAID group for `n` blocks. With the
@@ -1149,6 +1236,43 @@ impl Aggregate {
             quotas[order[i % order.len()]] += 1;
         }
         quotas
+    }
+}
+
+/// Record one applied physical free on its group: the AA's score delta
+/// and, under `trim_on_free`, a TRIM to its SSD. The delayed-free log
+/// calls this for every free it applies, budgeted or force-drained.
+fn record_group_free(groups: &mut [RaidGroupState], pvbn: Vbn, trim: bool) -> WaflResult<()> {
+    let g = groups
+        .iter_mut()
+        .find(|g| g.geometry.contains(pvbn))
+        .expect("freed pvbn belongs to a group");
+    let aa = g.topology.aa_of_vbn(pvbn)?;
+    g.batch.record_freed(aa, 1);
+    if trim {
+        trim_freed(g, pvbn)?;
+    }
+    Ok(())
+}
+
+/// Tell the FTL of a freed block's SSD that the block is dead (a no-op
+/// on other media).
+fn trim_freed(g: &mut RaidGroupState, pvbn: Vbn) -> WaflResult<()> {
+    let loc = g.geometry.vbn_to_loc(pvbn)?;
+    if let DeviceMedia::Ssd(ftl) = &mut g.media[loc.device.index()] {
+        ftl.trim(loc.dbn.get() as u32)?;
+    }
+    Ok(())
+}
+
+/// `dst.append(src)`, except that an empty `dst` takes `src`'s buffer
+/// instead of copying it into a new one. With one group and no shortfall
+/// round, that spares a CP the copy of every block and run it planned.
+fn append_or_take<T>(dst: &mut Vec<T>, src: &mut Vec<T>) {
+    if dst.is_empty() {
+        std::mem::swap(dst, src);
+    } else {
+        dst.append(src);
     }
 }
 
@@ -1831,11 +1955,11 @@ mod tests {
         }
         acc.accumulate(&a.run_cp().unwrap());
         let overlay = WallClockOverlay::from_window(&acc, 1, &cpu).unwrap();
-        assert_eq!(overlay.phases.len(), 5);
+        assert_eq!(overlay.phases.len(), Stage::COUNT, "one row per stage");
         let costing = overlay
             .phases
             .iter()
-            .find(|p| p.phase == "costing")
+            .find(|p| p.phase == Stage::Costing.name())
             .unwrap();
         assert_eq!(costing.model_us, 0.0);
         assert!(costing.ratio.is_none(), "zero-model phase must not divide");
@@ -1932,7 +2056,7 @@ mod trim_tests {
 
 #[cfg(test)]
 mod batched_free_tests {
-    use crate::aggregate::Aggregate;
+    use crate::aggregate::{Aggregate, DeviceMedia};
     use crate::aging;
     use crate::config::{AggregateConfig, FlexVolConfig, RaidGroupSpec};
     use wafl_media::MediaProfile;
@@ -2016,20 +2140,26 @@ mod batched_free_tests {
     /// group, one free-log page per CP: every few CPs the allocator runs
     /// dry and the log is force-drained. After every CP, what entered the
     /// log and did not stay was reported applied — a CP that pulls the log
-    /// forward and then runs its budgeted pass counts every free once.
-    /// Returns the number of CPs that force-drained.
-    fn churn_under_pressure(raid_aware_cache: bool) -> u32 {
+    /// forward and then runs its budgeted pass counts every free once —
+    /// and, on SSDs under `trim_on_free` (`ssd_trim`), sent to the FTL as
+    /// a TRIM. Returns the number of CPs that force-drained.
+    fn churn_under_pressure(raid_aware_cache: bool, ssd_trim: bool) -> u32 {
         const LOGICAL: u64 = 250_000;
         let mut a = Aggregate::new(
             AggregateConfig {
                 batched_frees: true,
                 free_pages_per_cp: 1,
                 raid_aware_cache,
+                trim_on_free: ssd_trim,
                 ..AggregateConfig::single_group(RaidGroupSpec {
                     data_devices: 2,
                     parity_devices: 1,
                     device_blocks: 32 * 4096,
-                    profile: MediaProfile::hdd(),
+                    profile: if ssd_trim {
+                        MediaProfile::ssd()
+                    } else {
+                        MediaProfile::hdd()
+                    },
                 })
             },
             &[(
@@ -2046,13 +2176,22 @@ mod batched_free_tests {
         aging::fill_volume(&mut a, VolumeId(0), 4096).unwrap();
         use rand::prelude::*;
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let trims = |a: &Aggregate| -> u64 {
+            let media = a.groups.iter().flat_map(|g| &g.media);
+            media
+                .map(|m| match m {
+                    DeviceMedia::Ssd(ftl) => ftl.stats().trims,
+                    _ => 0,
+                })
+                .sum()
+        };
         let mut force_drains = 0;
         for cp in 0..35 {
             for _ in 0..4096 {
                 a.client_overwrite(VolumeId(0), rng.random_range(0..LOGICAL))
                     .unwrap();
             }
-            let before = a.free_log().pending();
+            let (before, trimmed) = (a.free_log().pending(), trims(&a));
             let s = a
                 .run_cp()
                 .unwrap_or_else(|e| panic!("cp {cp}: {e} with {before} frees logged"));
@@ -2063,6 +2202,9 @@ mod batched_free_tests {
                 before + s.ops - a.free_log().pending(),
                 "cp {cp}"
             );
+            if ssd_trim {
+                assert_eq!(trims(&a) - trimmed, s.delayed_frees_applied, "cp {cp}");
+            }
             // More pages than the budget means the log was force-drained.
             force_drains += (s.delayed_free_pages > 1) as u32;
         }
@@ -2074,7 +2216,10 @@ mod batched_free_tests {
     /// bitmap, so it finds the blocks a force-drain has just freed.
     #[test]
     fn force_drained_frees_are_counted_with_the_budgeted_ones() {
-        assert!(churn_under_pressure(false) > 0, "the run must force-drain");
+        assert!(
+            churn_under_pressure(false, false) > 0,
+            "the run must force-drain"
+        );
     }
 
     /// A max-heap ranks by its own score array, which the force-drain
@@ -2082,7 +2227,21 @@ mod batched_free_tests {
     /// the CP fails with the freed blocks sitting in the bitmap.
     #[test]
     fn force_drain_reaches_a_heap_cached_group() {
-        assert!(churn_under_pressure(true) > 0, "the run must force-drain");
+        assert!(
+            churn_under_pressure(true, false) > 0,
+            "the run must force-drain"
+        );
+    }
+
+    /// Under `trim_on_free` every applied free reaches its SSD's FTL as a
+    /// TRIM, the force-drained ones as much as the budgeted ones: a free
+    /// the FTL never hears about is still copied by its garbage collector.
+    #[test]
+    fn force_drained_frees_are_trimmed() {
+        assert!(
+            churn_under_pressure(true, true) > 0,
+            "the run must force-drain"
+        );
     }
 
     #[test]

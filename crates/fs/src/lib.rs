@@ -47,6 +47,6 @@ mod volume;
 pub use aggregate::{Aggregate, RaidGroupState};
 pub use allocator::AllocatorMode;
 pub use config::{AggregateConfig, CpuModel, FlexVolConfig, RaidGroupSpec};
-pub use cp::{CpOutcome, CpStats, CpWallClock, PhaseDrift, WallClockOverlay};
+pub use cp::{CpOutcome, CpStats, CpWallClock, PhaseDrift, RgCpStats, WallClockOverlay};
 pub use scrub::{HealthState, ScrubStatus};
 pub use volume::FlexVol;

@@ -13,6 +13,7 @@
 //! monotonic-clock overlay so `simulate --check` can report how far the
 //! model's phase ratios drift from real execution time.
 
+use crate::cp::{CpuTerms, Stage};
 use wafl_core::{HbpsStats, HeapCacheStats};
 use wafl_obs::trace::{PerCpSeries, TraceData, Tracer};
 use wafl_obs::{Counter, Gauge, Histogram, Registry};
@@ -85,36 +86,17 @@ pub struct FsObs {
     pub(crate) cp_completed: Counter,
     /// Touched AAs per score-delta batch (per structure per CP).
     pub(crate) cp_batch_size: Histogram,
-    /// Simulated CP CPU time: fixed per-op overheads.
-    pub(crate) cp_phase_client_us: Histogram,
-    /// Simulated CP CPU time: bitmap metafile page updates.
-    pub(crate) cp_phase_metafile_us: Histogram,
-    /// Simulated CP CPU time: per-block write processing.
-    pub(crate) cp_phase_blocks_us: Histogram,
-    /// Simulated CP CPU time: allocation candidate examination.
-    pub(crate) cp_phase_alloc_scan_us: Histogram,
-    /// Simulated CP CPU time: AA-cache maintenance.
-    pub(crate) cp_phase_cache_us: Histogram,
-    /// Simulated CP CPU time: replenish bitmap scans.
-    pub(crate) cp_phase_replenish_us: Histogram,
+    /// Simulated CP CPU time, one histogram per model term, indexed
+    /// like [`CpuTerms::HISTOGRAMS`].
+    pub(crate) cp_phase_us: [Histogram; 6],
     /// Simulated media time for the CP's device writes (slowest device).
     pub(crate) cp_phase_media_us: Histogram,
     /// Measured wall-clock time of the whole CP pipeline.
     pub(crate) cp_wall_total_us: Histogram,
-    /// Measured wall clock: virtual (per-volume) allocation planning.
-    pub(crate) cp_wall_plan_virtual_us: Histogram,
-    /// Measured wall clock: physical (per-group) allocation planning.
-    pub(crate) cp_wall_plan_physical_us: Histogram,
-    /// Measured wall clock: applying planned runs to the bitmaps.
-    pub(crate) cp_wall_apply_us: Histogram,
-    /// Measured wall clock: logical→virtual→physical binding.
-    pub(crate) cp_wall_bind_us: Histogram,
-    /// Measured wall clock: delayed-free flush (virtual + physical).
-    pub(crate) cp_wall_frees_us: Histogram,
-    /// Measured wall clock: per-group media costing.
-    pub(crate) cp_wall_costing_us: Histogram,
-    /// Measured wall clock: CP-boundary cache rebalance.
-    pub(crate) cp_wall_rebalance_us: Histogram,
+    /// Measured wall clock of each CP stage, `cp.wall.<stage>_us`,
+    /// indexed by [`Stage`] — `cp.wall.apply_us` times the metafile
+    /// accounting (the [`Stage`] doc says why it is called `apply`).
+    pub(crate) cp_wall_us: [Histogram; Stage::COUNT],
 
     // ---- fs::mount ------------------------------------------------------
     /// Structures (groups + volumes) fast-pathed from a TopAA seed.
@@ -180,8 +162,8 @@ pub struct FsObs {
     /// `trace_events > 0`. Emission through [`FsObs::trace`] costs one
     /// `Option` check when tracing is off.
     pub(crate) tracer: Option<Tracer>,
-    /// Per-CP time series sampled at the end of CP step 10, enabled
-    /// together with the tracer.
+    /// Per-CP time series sampled at the end of every completed CP's
+    /// export, enabled together with the tracer.
     pub(crate) cp_series: Option<PerCpSeries>,
 }
 
@@ -208,23 +190,13 @@ impl FsObs {
             heap_rebalance_batch: registry.histogram("heap.rebalance_batch_aas", BATCH_SIZE_BOUNDS),
             cp_completed: registry.counter("cp.completed"),
             cp_batch_size: registry.histogram("cp.score_delta_batch_aas", BATCH_SIZE_BOUNDS),
-            cp_phase_client_us: registry.histogram("cp.phase.client_ops_us", PHASE_US_BOUNDS),
-            cp_phase_metafile_us: registry.histogram("cp.phase.metafile_us", PHASE_US_BOUNDS),
-            cp_phase_blocks_us: registry.histogram("cp.phase.block_writes_us", PHASE_US_BOUNDS),
-            cp_phase_alloc_scan_us: registry.histogram("cp.phase.alloc_scan_us", PHASE_US_BOUNDS),
-            cp_phase_cache_us: registry.histogram("cp.phase.cache_maintenance_us", PHASE_US_BOUNDS),
-            cp_phase_replenish_us: registry
-                .histogram("cp.phase.replenish_scan_us", PHASE_US_BOUNDS),
+            cp_phase_us: CpuTerms::HISTOGRAMS
+                .map(|(name, _)| registry.histogram(name, PHASE_US_BOUNDS)),
             cp_phase_media_us: registry.histogram("cp.phase.media_us", PHASE_US_BOUNDS),
             cp_wall_total_us: registry.histogram("cp.wall.total_us", PHASE_US_BOUNDS),
-            cp_wall_plan_virtual_us: registry.histogram("cp.wall.plan_virtual_us", PHASE_US_BOUNDS),
-            cp_wall_plan_physical_us: registry
-                .histogram("cp.wall.plan_physical_us", PHASE_US_BOUNDS),
-            cp_wall_apply_us: registry.histogram("cp.wall.apply_us", PHASE_US_BOUNDS),
-            cp_wall_bind_us: registry.histogram("cp.wall.bind_us", PHASE_US_BOUNDS),
-            cp_wall_frees_us: registry.histogram("cp.wall.frees_us", PHASE_US_BOUNDS),
-            cp_wall_costing_us: registry.histogram("cp.wall.costing_us", PHASE_US_BOUNDS),
-            cp_wall_rebalance_us: registry.histogram("cp.wall.rebalance_us", PHASE_US_BOUNDS),
+            cp_wall_us: Stage::ALL.map(|stage| {
+                registry.histogram(&format!("cp.wall.{}_us", stage.name()), PHASE_US_BOUNDS)
+            }),
             mount_seed_hits: registry.counter("mount.topaa_seed_hits"),
             mount_degradations: registry.counter("mount.degradation_events"),
             mount_cold_pages: registry.counter("mount.cold_scan_pages"),

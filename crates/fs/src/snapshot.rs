@@ -18,7 +18,7 @@
 //! map at release time, so segment cleaning can relocate pinned blocks
 //! freely in the meantime.
 
-use crate::aggregate::Aggregate;
+use crate::aggregate::{no_volume, Aggregate};
 use crate::volume::FlexVol;
 use serde::{Deserialize, Serialize};
 use wafl_types::{Vbn, VolumeId, WaflError, WaflResult};
@@ -57,9 +57,7 @@ impl Aggregate {
         let v = self
             .vols
             .get_mut(vol.index())
-            .ok_or_else(|| WaflError::InvalidConfig {
-                reason: format!("no volume {vol}"),
-            })?;
+            .ok_or_else(|| no_volume(vol))?;
         Ok(v.snapshot_create())
     }
 
@@ -74,9 +72,7 @@ impl Aggregate {
         let v = self
             .vols
             .get_mut(vol.index())
-            .ok_or_else(|| WaflError::InvalidConfig {
-                reason: format!("no volume {vol}"),
-            })?;
+            .ok_or_else(|| no_volume(vol))?;
         let (released, stats) = v.snapshot_delete(id)?;
         for (vvbn, pvbn) in released {
             v.delayed_vvbn_frees.push(vvbn);

@@ -310,8 +310,8 @@ impl FlexVol {
     }
 
     /// All referenced (vvbn, pvbn) pairs: the active file system plus
-    /// snapshot-pinned blocks. This is what the aggregate's owner map
-    /// mirrors.
+    /// snapshot-pinned blocks — what segment cleaning and Iron derive
+    /// physical ownership from.
     pub(crate) fn vvbn_entries(&self) -> impl Iterator<Item = (Vbn, Vbn)> + '_ {
         self.vvbn_map.iter().map(|(v, p)| (Vbn(v), Vbn(p)))
     }
@@ -337,11 +337,6 @@ impl FlexVol {
     /// The volume's AA cache, if enabled.
     pub fn cache(&self) -> Option<&RaidAgnosticCache> {
         self.cache.as_ref()
-    }
-
-    /// Fraction of the virtual space in use.
-    pub fn used_fraction(&self) -> f64 {
-        1.0 - self.bitmap.free_fraction()
     }
 
     /// Drop the drain-cursor accelerator. Called whenever its resume

@@ -70,9 +70,9 @@ fn cps_journal_phase_spans_and_allocator_instants() {
         "cp",
         "cp.plan_virtual",
         "cp.plan_physical",
-        "cp.apply",
         "cp.bind",
         "cp.frees",
+        "cp.apply",
         "cp.costing",
         "cp.rebalance",
     ];
@@ -98,6 +98,28 @@ fn cps_journal_phase_spans_and_allocator_instants() {
     // CP sequence numbers cover exactly the completed CPs.
     let max_cp = events.iter().map(|e| e.cp).max().unwrap();
     assert_eq!(max_cp, 3);
+
+    // Within each CP the stage spans run in execution order, laid end to
+    // end from the enclosing `cp` span's start.
+    let stage_order = &phase_names[1..];
+    for cp in 0..=max_cp {
+        let spans: Vec<(&str, f64, f64)> = events
+            .iter()
+            .filter(|e| e.cp == cp)
+            .filter_map(|e| match e.data {
+                TraceData::Span { name, dur_us, .. } => Some((name, e.ts_us, dur_us)),
+                _ => None,
+            })
+            .collect();
+        let names: Vec<&str> = spans.iter().map(|s| s.0).collect();
+        assert_eq!(names[0], "cp", "cp {cp}");
+        assert_eq!(&names[1..], stage_order, "cp {cp}");
+        assert_eq!(spans[1].1, spans[0].1, "cp {cp}: first stage starts the CP");
+        for pair in spans[1..].windows(2) {
+            let ((_, ts, dur), (next, next_ts, _)) = (pair[0], pair[1]);
+            assert_eq!(next_ts, ts + dur, "cp {cp}: {next} does not follow on");
+        }
+    }
 }
 
 #[test]
@@ -117,9 +139,13 @@ fn chrome_export_of_a_real_run_validates() {
 fn per_cp_series_has_one_row_per_cp() {
     let mut a = traced_agg(65_536);
     churn(&mut a, 5);
+    // An empty CP completes too, and is counted and sampled like any.
+    let empty = a.run_cp().unwrap();
+    assert_eq!((empty.cp_index, empty.ops), (5, 0));
+    assert_eq!(a.obs().counter_value("cp.completed"), Some(a.cp_count()));
     let series = a.cp_series().expect("series sampled when tracing is on");
     let rows = series.rows();
-    assert_eq!(rows.len(), 5, "one sample per completed CP");
+    assert_eq!(rows.len(), 6, "one sample per completed CP");
     let columns = series.columns();
     let cp_completed = columns
         .iter()
@@ -137,7 +163,14 @@ fn per_cp_series_has_one_row_per_cp() {
             1.0,
             "each row is one CP's delta"
         );
-        assert!(row.values[wall - 1] > 0.0, "wall time accrues every CP");
+        // An empty CP runs no stage, so it clocks no time.
+        let busy = row.cp < 5;
+        assert_eq!(
+            row.values[wall - 1] > 0.0,
+            busy,
+            "wall time of cp {}",
+            row.cp
+        );
     }
 }
 

@@ -34,8 +34,8 @@ const EXPECTED: [(&str, f64, f64); 6] = [
     ("vol_pick_free_mean", 1.0, 0.599_525_451_660_156_3),
 ];
 
-/// Fill, two warm-up rounds, then `ROUNDS` counted overwrite+CP rounds
-/// (`bench_baseline`'s CP series, shortened), at a fixed seed.
+/// Fill, two warm-up rounds, then `ROUNDS` counted overwrite+CP rounds of
+/// 8 192 random overwrites each, at a fixed seed.
 fn run(caches: bool) -> [f64; 6] {
     let mut agg = Aggregate::new(
         AggregateConfig {

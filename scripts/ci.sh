@@ -188,7 +188,12 @@ run cargo clippy --workspace --all-targets -- -D warnings -D clippy::or_fun_call
 # Tier-1, the mount-resume gate included: crash_consistency.rs's
 # mount_cycles_fill_the_same_aas_as_an_uninterrupted_run (a mount after
 # every CP picks no more AAs and writes no fewer full stripes than no
-# crash at all) and the ranked-xor-active invariant after every rebuild.
+# crash at all) and the ranked-xor-active invariant after every rebuild;
+# and the CP-stats gate: crates/fs/tests/cp_digest.rs compares golden
+# digests of every CpStats field but `wall` (recorded before the CP was
+# split into stages) on the geometries wafl-oracle cannot check —
+# force-drained batched frees, rg back-off, an object-store group, a
+# cache-less volume, crash + mount_auto cycles.
 run cargo test -q
 obs_smoke
 scrub_smoke
