@@ -726,6 +726,22 @@ mod tests {
         assert!(Aggregate::new(cfg, &[], 1).is_err());
     }
 
+    /// `write_shards` selected a planner once; there is one planner now and
+    /// the field is fixed at 1 until the benchmark stops printing it.
+    #[test]
+    fn write_shards_other_than_one_is_rejected() {
+        for write_shards in [0, 2] {
+            let cfg = AggregateConfig {
+                write_shards,
+                ..small_cfg()
+            };
+            assert!(matches!(
+                Aggregate::new(cfg, &[(FlexVolConfig::default(), 1024)], 1),
+                Err(WaflError::InvalidConfig { .. })
+            ));
+        }
+    }
+
     #[test]
     fn physical_space_past_the_four_byte_limit_is_rejected() {
         let group = |data_devices, device_blocks| RaidGroupSpec {

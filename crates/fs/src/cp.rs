@@ -972,9 +972,10 @@ impl Aggregate {
         Ok(())
     }
 
-    /// Media costing, group by group. Run-interval analysis — same numbers
-    /// as the per-block analysis `wafl-oracle` preserves (equivalence is
-    /// pinned by the parity suites), a fraction of the work.
+    /// Media costing, group by group. Run-interval analysis — the numbers
+    /// `wafl_oracle::cost_raid_group` computes block by block from the
+    /// CP's new pvbns (`oracle_parity.rs` compares them after every CP),
+    /// for a fraction of the work.
     fn cost_groups(
         &mut self,
         per_rg_runs: &[Vec<(Vbn, u64)>],
@@ -1276,11 +1277,12 @@ fn append_or_take<T>(dst: &mut Vec<T>, src: &mut Vec<T>) {
     }
 }
 
-/// Cost one CP's writes to a group over allocation runs. The retired
-/// per-block costing path lives on in `wafl-oracle`; its numbers are
-/// identical (the run analyzer is equivalence-tested against the
-/// per-block one, and the media models see the same sorted chain/DBN
-/// sequences), but this hot path scales with run count, not block count.
+/// Cost one CP's writes to a group over allocation runs. Its per-block
+/// definition is `wafl_oracle::cost_raid_group` (HDD groups), and the
+/// numbers are identical: the run analyzer is equivalence-tested against
+/// the per-block one, the media models see the same sorted chain/DBN
+/// sequences, and `oracle_parity.rs` compares the two after every CP. But
+/// this hot path scales with run count, not block count.
 fn cost_raid_group_runs(
     g: &mut crate::aggregate::RaidGroupState,
     runs: &[(Vbn, u64)],

@@ -1,17 +1,27 @@
-//! Golden `CpStats` digests for the CP paths `wafl-oracle` cannot check.
+//! Golden `CpStats` digests: the CP's control flow, pinned.
 //!
-//! The oracle fixes `rg_backoff_threshold` at 0 and has no batched
-//! frees, object stores or mounts, so its parity sweep says nothing about
-//! the CP's control flow there. Each test below drives one small seeded
-//! geometry for a fixed number of CPs and folds every `CpStats` field but
-//! `wall` (measured time), every crash outcome and the end-state free
-//! counts into one FNV-1a digest. The constants were recorded at commit
-//! 41a84bb, before `run_cp_inner` was split into stages; a change that
-//! moves one is a change in what a CP does. No geometry sets
-//! `trim_on_free` (TRIMs do not feed `CpStats`, but keep it that way).
+//! `oracle_parity.rs` checks what each CP did block by block — layout,
+//! mappings, costing, cache scores — but not the allocator's own counters
+//! (blocks examined, picks and their free fractions, cursor hits and
+//! misses, replenish pages) or the `cpu_us` modelled from them: those
+//! count how the planner searched, which has no per-block definition.
+//! Each test below drives one small seeded geometry for a fixed number of
+//! CPs and folds every `CpStats` field but `wall` (measured time), every
+//! crash outcome and the end-state free counts into one FNV-1a digest.
+//! The first five cover paths the parity geometries never reach (force-
+//! drained batched frees, rg back-off, an object-store group, a
+//! cache-less volume, crash + `mount_auto` cycles); their constants were
+//! recorded at commit 41a84bb, before `run_cp_inner` was split into
+//! stages. The two `parity_*` tests run the parity geometries with the
+//! same seeds and rounds; their constants were recorded at commit
+//! 4166327, where the parity suite still compared these counters with a
+//! transcription of the planner. A change that moves a constant is a
+//! change in what a CP does. No geometry sets `trim_on_free` (TRIMs do
+//! not feed `CpStats`, but keep it that way).
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use std::collections::HashSet;
 use wafl_faults::CrashSite;
 use wafl_fs::mount;
 use wafl_fs::{
@@ -182,6 +192,125 @@ fn fill(a: &mut Aggregate, d: &mut Digest, vol: u32, logical: u64, per_cp: u64) 
         }
         d.cp(&a.run_cp().unwrap());
     }
+}
+
+/// Two unlike HDD groups, 4 + 1 and 6 + 2.
+fn two_unlike_groups() -> AggregateConfig {
+    AggregateConfig {
+        raid_groups: vec![
+            hdd_group(4, 8 * 4096),
+            RaidGroupSpec {
+                parity_devices: 2,
+                ..hdd_group(6, 8 * 4096)
+            },
+        ],
+        ..AggregateConfig::single_group(hdd_group(4, 8 * 4096))
+    }
+}
+
+/// Queue one parity-workload CP: `ops` are (volume, logical, delete?)
+/// draws, queued in draw order, less each delete of a logical the same
+/// CP writes (what a CP makes of such a pair is still to change).
+fn parity_cp(a: &mut Aggregate, ops: &[(u32, u64, bool)]) {
+    let written: HashSet<(u32, u64)> = ops
+        .iter()
+        .filter(|&&(_, _, del)| !del)
+        .map(|&(v, l, _)| (v, l))
+        .collect();
+    for &(v, l, del) in ops {
+        if !del {
+            a.client_overwrite(VolumeId(v), l).unwrap();
+        } else if !written.contains(&(v, l)) {
+            a.client_delete(VolumeId(v), l).unwrap();
+        }
+    }
+}
+
+/// `oracle_parity.rs`'s one group + one volume: `rounds` CPs of 2 500
+/// draws, one in ten a delete.
+fn parity_one_group(seed: u64, rounds: usize) -> (Aggregate, Digest) {
+    const LOGICAL: u64 = 50_000;
+    let mut a = Aggregate::new(
+        AggregateConfig::single_group(hdd_group(4, 16 * 4096)),
+        &[(vol(8 * 32768, true), LOGICAL)],
+        1,
+    )
+    .unwrap();
+    let mut d = Digest::new();
+    let mut rng = StdRng::seed_from_u64(seed);
+    for _ in 0..rounds {
+        let ops: Vec<_> = (0..2500)
+            .map(|_| {
+                let l = rng.random_range(0..LOGICAL);
+                (0, l, rng.random_range(0..10u32) == 0)
+            })
+            .collect();
+        parity_cp(&mut a, &ops);
+        d.cp(&a.run_cp().unwrap());
+    }
+    (a, d)
+}
+
+#[test]
+fn parity_one_group_one_volume() {
+    let (a, d) = parity_one_group(7, 6);
+    assert_eq!(d.finish(&a), 0x0e8d_2ed3_5906_5cb5);
+}
+
+/// `oracle_parity.rs`'s two unlike groups under two volumes: five CPs of
+/// 3 000 draws, one in twelve a delete.
+#[test]
+fn parity_two_groups_two_volumes() {
+    const VOLS: [(u64, u64); 2] = [(4 * 32768, 20_000), (2 * 32768, 10_000)];
+    let mut a = Aggregate::new(
+        two_unlike_groups(),
+        &VOLS.map(|(size, logical)| (vol(size, true), logical)),
+        1,
+    )
+    .unwrap();
+    let mut d = Digest::new();
+    let mut rng = StdRng::seed_from_u64(42);
+    for _ in 0..5 {
+        let ops: Vec<_> = (0..3000)
+            .map(|_| {
+                let v = rng.random_range(0..2u32);
+                let l = rng.random_range(0..VOLS[v as usize].1);
+                (v, l, rng.random_range(0..12u32) == 0)
+            })
+            .collect();
+        parity_cp(&mut a, &ops);
+        d.cp(&a.run_cp().unwrap());
+    }
+    assert_eq!(d.finish(&a), 0xade0_9cf7_d9c3_ff9c);
+}
+
+/// Same ops twice give the same digest, and the same physical page free
+/// counts: nothing in a CP depends on the host, the thread schedule or a
+/// per-process hash seed. Four volumes over two unlike groups, so every
+/// per-volume and per-group loop of the CP goes round more than once.
+#[test]
+fn same_ops_twice_give_the_same_digest() {
+    let drive = || {
+        let mut a =
+            Aggregate::new(two_unlike_groups(), &[(vol(2 * 32768, true), 50_000); 4], 1).unwrap();
+        let mut d = Digest::new();
+        let mut rng = StdRng::seed_from_u64(99);
+        for _ in 0..4 {
+            for _ in 0..2500 {
+                let v = rng.random_range(0..4u32);
+                overwrite(&mut a, &mut rng, v, 50_000, 1);
+            }
+            d.cp(&a.run_cp().unwrap());
+        }
+        for &c in a.bitmap().page_free_counts() {
+            d.u64(c.into());
+        }
+        d.finish(&a)
+    };
+    assert_eq!(drive(), drive());
+    let (a, d) = parity_one_group(99, 4);
+    let (b, e) = parity_one_group(99, 4);
+    assert_eq!(d.finish(&a), e.finish(&b));
 }
 
 /// One heap-cached group at ~95 % full with batched frees and one log page per CP:

@@ -15,8 +15,7 @@
 #   scripts/ci.sh --obs-smoke     # the observability smoke check alone
 #   scripts/ci.sh --scrub-smoke   # the scrub smoke check alone
 #   scripts/ci.sh --alloc-smoke   # the allocation-counters gate alone
-#   scripts/ci.sh --batch-smoke   # the run-batching gate alone
-#   scripts/ci.sh --oracle-parity # the wafl-oracle parity sweep alone
+#   scripts/ci.sh --oracle-parity # the per-block oracle parity sweep alone
 #   scripts/ci.sh --trace-smoke   # the flight-recorder export gate alone
 #   scripts/ci.sh --bench-check   # the benchmark package's smoke run and
 #                                 # unit tests alone
@@ -50,18 +49,11 @@ alloc_smoke() {
   run cargo run --release -p wafl-harness --bin alloc_smoke
 }
 
-# Run-batching gate: the production pipeline's run_cp time must be
-# >= 1.3x the per-block reference pipeline's (the test-only wafl-oracle
-# crate) on the overwrite+CP workload.
-batch_smoke() {
-  run cargo run --release -p wafl-harness --example batch_smoke
-}
-
-# Oracle-parity gate: the release-mode seed sweep pinning the production
-# pipeline to the wafl-oracle sequential planner — physical and virtual
-# layout page-exact, mappings identical, per-group costing and modelled
-# CPU time f64-bit-identical, allocator counters equal. Zero diffs
-# allowed.
+# Oracle-parity gate: the release-mode seed sweep checking every CP block
+# by block against the test-only wafl-oracle references — both bitmaps
+# bit-exact against per-bit shadows, every mapping and pvbn owner equal
+# to a per-block map model, per-group costing f64-bit-identical to
+# per-block costing, cache scores equal to popcounts. Zero diffs allowed.
 oracle_parity() {
   run cargo test --release -p wafl-fs --test oracle_parity -- --ignored
 }
@@ -156,12 +148,6 @@ if [[ "${1:-}" == "--alloc-smoke" ]]; then
   exit 0
 fi
 
-if [[ "${1:-}" == "--batch-smoke" ]]; then
-  batch_smoke
-  echo "CI gates passed."
-  exit 0
-fi
-
 if [[ "${1:-}" == "--oracle-parity" ]]; then
   oracle_parity
   echo "CI gates passed."
@@ -190,15 +176,15 @@ run cargo clippy --workspace --all-targets -- -D warnings -D clippy::or_fun_call
 # every CP picks no more AAs and writes no fewer full stripes than no
 # crash at all) and the ranked-xor-active invariant after every rebuild;
 # and the CP-stats gate: crates/fs/tests/cp_digest.rs compares golden
-# digests of every CpStats field but `wall` (recorded before the CP was
-# split into stages) on the geometries wafl-oracle cannot check —
-# force-drained batched frees, rg back-off, an object-store group, a
-# cache-less volume, crash + mount_auto cycles.
+# digests of every CpStats field but `wall` — the planner's counters,
+# which have no per-block definition for wafl-oracle to check — on the
+# two oracle-parity geometries and on force-drained batched frees, rg
+# back-off, an object-store group, a cache-less volume and crash +
+# mount_auto cycles.
 run cargo test -q
 obs_smoke
 scrub_smoke
 alloc_smoke
-batch_smoke
 oracle_parity
 trace_smoke
 bench_check
