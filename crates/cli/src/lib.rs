@@ -6,12 +6,12 @@
 //! * `simulate` — build an aggregate, age it, run a workload, and print
 //!   the §4-style measurements (pick quality, write amplification,
 //!   metafile pages per op, full-stripe fraction, per-op CPU). With
-//!   `--trace FILE` the measured window is journaled by the flight
-//!   recorder and exported as Chrome trace-event JSON plus a per-CP
-//!   time-series table.
-//! * `trace-report` — re-read an exported trace file, validate it, and
-//!   print per-phase latency quantiles and the quarantine/health
-//!   timeline.
+//!   `--trace FILE` the flight recorder journals every CP of the run —
+//!   the fill and churn CPs as well as the measured ones — and exports
+//!   the journal as Chrome trace-event JSON plus a per-CP time-series
+//!   CSV.
+//! * `trace-report` — read a per-CP series CSV and print per-stage wall
+//!   quantiles and the quarantine/health timeline.
 //! * `mount-bench` — the Figure 10 comparison for one configuration.
 //! * `help` — usage.
 //!
@@ -20,11 +20,10 @@
 
 #![warn(missing_docs)]
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use wafl_fs::{aging, iron, mount, Aggregate, AggregateConfig, FlexVolConfig, RaidGroupSpec};
 use wafl_media::MediaProfile;
-use wafl_obs::trace::{chrome_trace_json, parse_chrome_trace, validate_chrome_trace, ParsedEvent};
-use wafl_obs::Registry;
+use wafl_obs::trace::{chrome_events, render_chrome_trace, validate_chrome_trace};
 use wafl_types::{MediaType, VolumeId, WaflError, WaflResult};
 use wafl_workloads::{FileChurn, OltpMix, RandomOverwrite, SequentialWrite, Workload};
 
@@ -63,11 +62,11 @@ pub struct SimulateOpts {
     pub json: bool,
     /// Online-scrub budget: verification units per CP (0 disables).
     pub scrub: u64,
-    /// Write a Chrome trace-event journal of the measured window to this
-    /// path (plus `<path>.series.json` / `<path>.series.csv` for the
-    /// per-CP time series). Tracing stays off when absent.
+    /// Journal every CP of the run, from the fill on, and write it to
+    /// this path as Chrome trace-event JSON (plus `<path>.series.csv` for
+    /// the per-CP time series). Tracing stays off when absent.
     pub trace: Option<String>,
-    /// Flight-recorder ring capacity in events (only meaningful with
+    /// Flight-recorder journal capacity in events (only meaningful with
     /// `--trace`).
     pub trace_capacity: usize,
 }
@@ -121,7 +120,7 @@ impl Default for MountBenchOpts {
 /// Parsed options for `trace-report`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceReportOpts {
-    /// Path of the exported Chrome trace file to analyse.
+    /// Path of the per-CP series CSV (`FILE.series.csv`) to analyse.
     pub path: String,
 }
 
@@ -221,10 +220,10 @@ pub fn parse(args: &[String]) -> Command {
             }
             "trace-report" => {
                 let Some((path, flags)) = rest.split_first() else {
-                    return Err("trace-report needs a trace file path".to_string());
+                    return Err("trace-report needs a series CSV path".to_string());
                 };
                 if path.starts_with("--") {
-                    return Err("trace-report needs the trace file path first".to_string());
+                    return Err("trace-report needs the series CSV path first".to_string());
                 }
                 if let Some(extra) = flags.first() {
                     return Err(format!("unexpected argument '{extra}'"));
@@ -262,17 +261,18 @@ USAGE:
                     [--batched-frees] [--trim] [--check] [--json]
                     [--scrub UNITS_PER_CP]
                     [--trace FILE] [--trace-capacity EVENTS]
-  wafl-sim trace-report FILE
+  wafl-sim trace-report FILE.series.csv
   wafl-sim mount-bench [--vols N] [--vol-blocks N] [--device-blocks N]
   wafl-sim help
 
---trace journals the measured window in the flight recorder and writes
-Chrome trace-event JSON (chrome://tracing / Perfetto) to FILE, plus the
-per-CP time series to FILE.series.json and FILE.series.csv. The ring
-holds --trace-capacity events (default 65536); overflow drops events
-and counts them in trace.dropped_events. trace-report re-reads an
-exported FILE, validates it (balanced spans, CP-ordered tracks), and
-prints per-phase p50/p99 and the quarantine timeline.
+--trace journals every CP of the run in the flight recorder, the fill
+and churn CPs included, and writes Chrome trace-event JSON
+(chrome://tracing / Perfetto) to FILE, checked before it is written
+(balanced spans, CP-ordered), plus the per-CP time series to
+FILE.series.csv. The journal holds --trace-capacity events (default
+65536); overflow drops events and counts them in trace.dropped_events.
+trace-report reads a series CSV and prints the CP's and each stage's
+wall p50/p99 over the CPs that ran a stage, and the quarantine timeline.
 ";
 
 /// Results of a `simulate` run (also the JSON shape).
@@ -320,8 +320,6 @@ pub struct SimulateReport {
 pub struct TraceArtifacts {
     /// Chrome trace-event JSON path.
     pub path: String,
-    /// Per-CP time-series JSON path.
-    pub series_json: String,
     /// Per-CP time-series CSV path.
     pub series_csv: String,
     /// Events captured in the journal.
@@ -514,23 +512,24 @@ fn write_file(path: &str, contents: &str) -> WaflResult<()> {
 }
 
 /// Export the aggregate's trace journal: Chrome trace JSON to `path`,
-/// the per-CP series next to it.
+/// validated before it is written, the per-CP series next to it.
 fn write_trace_artifacts(agg: &Aggregate, path: &str) -> WaflResult<TraceArtifacts> {
     let tracer = agg
         .tracer()
         .expect("simulate enables tracing before the run when --trace is given");
     let events = tracer.events();
-    write_file(path, &chrome_trace_json(&events))?;
+    let list = chrome_events(&events);
+    if let Err(e) = validate_chrome_trace(&list) {
+        panic!("the Chrome exporter laid out an invalid trace: {e}");
+    }
+    write_file(path, &render_chrome_trace(&list))?;
     let series = agg
         .cp_series()
         .expect("the per-CP series is enabled together with the tracer");
-    let series_json = format!("{path}.series.json");
     let series_csv = format!("{path}.series.csv");
-    write_file(&series_json, &series.to_json())?;
     write_file(&series_csv, &series.to_csv())?;
     Ok(TraceArtifacts {
         path: path.to_string(),
-        series_json,
         series_csv,
         events: events.len(),
         dropped: tracer.dropped(),
@@ -608,7 +607,7 @@ impl SimulateReport {
             let _ = writeln!(s, "trace events           {:>12}", t.events);
             let _ = writeln!(s, "trace dropped          {:>12}", t.dropped);
             let _ = writeln!(s, "trace written          {}", t.path);
-            let _ = writeln!(s, "series written         {}", t.series_json);
+            let _ = writeln!(s, "series written         {}", t.series_csv);
         }
         if let Some(w) = &self.wall_overlay {
             let _ = writeln!(s, "wall µs / CP           {:>12.1}", w.wall_us_per_cp);
@@ -640,134 +639,135 @@ impl SimulateReport {
     }
 }
 
-/// Half-decade µs bucket ladder for `trace-report` latency quantiles.
-const REPORT_US_BOUNDS: &[f64] = &[
-    1.0,
-    2.5,
-    5.0,
-    10.0,
-    25.0,
-    50.0,
-    100.0,
-    250.0,
-    500.0,
-    1_000.0,
-    2_500.0,
-    5_000.0,
-    10_000.0,
-    25_000.0,
-    50_000.0,
-    100_000.0,
-    250_000.0,
-    500_000.0,
-    1_000_000.0,
-];
-
-/// Latency quantiles for one span name in a trace file.
+/// Wall-time order statistics of the whole CP or of one CP stage.
 #[derive(Debug, serde::Serialize)]
 pub struct PhaseQuantiles {
-    /// Span name, e.g. `cp.bind` or `mount.topaa`.
+    /// `cp` for the whole CP, else the stage's span name, e.g. `cp.bind`.
     pub phase: String,
-    /// Completed spans with this name.
+    /// CPs that ran a stage and have a value for this phase.
     pub count: u64,
-    /// Median wall duration, µs (bucket-interpolated).
+    /// Median wall time, µs (nearest rank over the per-CP values).
     pub p50_us: f64,
-    /// 99th-percentile wall duration, µs.
+    /// 99th-percentile wall time, µs (nearest rank).
     pub p99_us: f64,
 }
 
-/// Everything `trace-report` derives from an exported trace file.
+/// Everything `trace-report` derives from a per-CP series CSV.
 #[derive(Debug, serde::Serialize)]
 pub struct TraceReport {
-    /// Events in the file (including metadata).
-    pub events: usize,
-    /// Matched begin/end span pairs.
-    pub spans: usize,
-    /// Instant events.
-    pub instants: usize,
-    /// CPs covered (`max cp + 1`, 0 when the file has no CP-keyed events).
-    pub cps: u64,
-    /// Per-phase latency quantiles, sorted by name.
+    /// CPs in the series, one row each.
+    pub cps: usize,
+    /// CPs that ran no stage (`cp.wall.total_us.sum` is 0): the quantiles
+    /// leave them out.
+    pub empty_cps: usize,
+    /// Wall quantiles: `cp`, then the stages in execution order.
     pub phases: Vec<PhaseQuantiles>,
-    /// Quarantine / release / health-transition events, file order.
+    /// Quarantine / release / health-transition rows, in CP order.
     pub timeline: Vec<String>,
 }
 
-/// Run the `trace-report` subcommand over an exported trace file.
+/// Run the `trace-report` subcommand over a per-CP series CSV.
 pub fn run_trace_report(o: &TraceReportOpts) -> Result<TraceReport, String> {
     let text = std::fs::read_to_string(&o.path).map_err(|e| format!("read {}: {e}", o.path))?;
-    let parsed = parse_chrome_trace(&text)?;
-    let stats = validate_chrome_trace(&parsed)?;
-    Ok(analyze_trace(&parsed, &stats))
+    trace_report(&text).map_err(|e| format!("{}: {e}", o.path))
 }
 
-fn analyze_trace(parsed: &[ParsedEvent], stats: &wafl_obs::trace::ChromeTraceStats) -> TraceReport {
-    // Per-phase latency histograms over the end events' wall_us arg
-    // (span ends carry the unclipped duration).
-    let reg = Registry::new();
-    let mut phases: BTreeMap<String, wafl_obs::Histogram> = BTreeMap::new();
-    let mut timeline = Vec::new();
-    for ev in parsed {
-        match ev.ph.as_str() {
-            "E" => {
-                let wall = ev
-                    .args
-                    .get("wall_us")
-                    .and_then(|v| v.as_f64())
-                    .unwrap_or(0.0);
-                phases
-                    .entry(ev.name.clone())
-                    .or_insert_with(|| reg.histogram(&ev.name, REPORT_US_BOUNDS))
-                    .observe(wall);
-            }
-            "i" => match ev.name.as_str() {
-                "scrub.quarantine" | "scrub.release" => {
-                    let units = ev.args.get("units").and_then(|v| v.as_f64()).unwrap_or(0.0);
-                    timeline.push(format!(
-                        "cp {:>5}  ts {:>12.0}µs  {:<16} units={units}",
-                        ev.cp.unwrap_or(0),
-                        ev.ts,
-                        ev.name
-                    ));
-                }
-                "health.state" => {
-                    let get = |k| ev.args.get(k).and_then(|v| v.as_f64()).unwrap_or(-1.0);
-                    timeline.push(format!(
-                        "cp {:>5}  ts {:>12.0}µs  {:<16} {} -> {}",
-                        ev.cp.unwrap_or(0),
-                        ev.ts,
-                        ev.name,
-                        get("from"),
-                        get("to")
-                    ));
-                }
-                _ => {}
-            },
-            _ => {}
+/// Build the report from the text of a series CSV as
+/// [`wafl_obs::trace::PerCpSeries::to_csv`] writes it: a header, then one
+/// row per CP, `null` for a value that was not finite.
+fn trace_report(csv: &str) -> Result<TraceReport, String> {
+    let mut lines = csv.lines();
+    let columns: Vec<&str> = lines.next().ok_or("empty file")?.split(',').collect();
+    let mut rows = Vec::new();
+    for (i, line) in lines.enumerate() {
+        let line_no = i + 2;
+        let row = line
+            .split(',')
+            .map(|cell| match cell {
+                "null" => Ok(None),
+                _ => cell
+                    .parse()
+                    .map(Some)
+                    .map_err(|_| format!("line {line_no}: '{cell}' is not a number")),
+            })
+            .collect::<Result<Vec<Option<f64>>, String>>()?;
+        if row.len() != columns.len() {
+            let (cells, cols) = (row.len(), columns.len());
+            return Err(format!(
+                "line {line_no}: {cells} cells under {cols} columns"
+            ));
         }
+        rows.push(row);
     }
-    let phases: Vec<PhaseQuantiles> = phases
-        .into_iter()
-        .map(|(phase, h)| PhaseQuantiles {
-            phase,
-            count: h.count(),
-            p50_us: h.quantile(0.50),
-            p99_us: h.quantile(0.99),
+    let col = |name: &str| {
+        columns
+            .iter()
+            .position(|c| *c == name)
+            .ok_or_else(|| format!("no '{name}' column"))
+    };
+    let cp = col("cp")?;
+    let total = col("cp.wall.total_us.sum")?;
+    let (faults, quarantined) = (col("scrub.faults_detected")?, col("scrub.aas_quarantined")?);
+    let (released, health) = (col("scrub.released")?, col("health.state")?);
+
+    // An empty CP runs no stage, so it clocks no time.
+    let busy: Vec<&Vec<Option<f64>>> = rows.iter().filter(|r| r[total] != Some(0.0)).collect();
+    let phases = columns
+        .iter()
+        .enumerate()
+        .filter_map(|(i, c)| {
+            let stage = c.strip_prefix("cp.wall.")?.strip_suffix("_us.sum")?;
+            let mut values: Vec<f64> = busy.iter().filter_map(|r| r[i]).collect();
+            values.sort_by(f64::total_cmp);
+            Some(PhaseQuantiles {
+                phase: match stage {
+                    "total" => "cp".to_string(),
+                    _ => format!("cp.{stage}"),
+                },
+                count: values.len() as u64,
+                p50_us: nearest_rank(&values, 0.50),
+                p99_us: nearest_rank(&values, 0.99),
+            })
         })
         .collect();
-    TraceReport {
-        events: stats.events,
-        spans: stats.spans,
-        instants: stats.instants,
-        cps: parsed
-            .iter()
-            .filter_map(|e| e.cp)
-            .max()
-            .map(|m| m + 1)
-            .unwrap_or(0),
+
+    // The timeline reads every row: the scrub step runs in empty CPs too.
+    // Within a CP it follows the step's order: repairs release, the scan
+    // quarantines, then the health state settles.
+    let mut timeline = Vec::new();
+    let mut state = 0.0; // Healthy
+    for r in &rows {
+        let (n, value) = (r[cp].unwrap_or(f64::NAN), |i: usize| r[i].unwrap_or(0.0));
+        if value(released) > 0.0 {
+            timeline.push(format!(
+                "cp {n:>5}  scrub.release     units={}",
+                value(released)
+            ));
+        }
+        if value(faults) > 0.0 {
+            timeline.push(format!(
+                "cp {n:>5}  scrub.quarantine  faults={} aas={}",
+                value(faults),
+                value(quarantined)
+            ));
+        }
+        if let Some(to) = r[health].filter(|&to| to != state) {
+            timeline.push(format!("cp {n:>5}  health.state      {state} -> {to}"));
+            state = to;
+        }
+    }
+    Ok(TraceReport {
+        cps: rows.len(),
+        empty_cps: rows.len() - busy.len(),
         phases,
         timeline,
-    }
+    })
+}
+
+/// The nearest-rank `q` quantile of ascending `sorted` (NaN when empty).
+fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
+    sorted.get(rank - 1).copied().unwrap_or(f64::NAN)
 }
 
 impl TraceReport {
@@ -775,12 +775,8 @@ impl TraceReport {
     pub fn to_text(&self) -> String {
         let mut s = String::new();
         use std::fmt::Write;
-        let _ = writeln!(
-            s,
-            "events {}  spans {}  instants {}  CPs {}",
-            self.events, self.spans, self.instants, self.cps
-        );
-        let _ = writeln!(s, "\nphase latencies (wall µs)");
+        let _ = writeln!(s, "CPs {}  empty {}", self.cps, self.empty_cps);
+        let _ = writeln!(s, "\nphase latencies (wall µs, CPs that ran a stage)");
         let _ = writeln!(
             s,
             "  {:<20} {:>8} {:>12} {:>12}",
@@ -954,10 +950,10 @@ mod tests {
         };
         assert_eq!(o.trace.as_deref(), Some("/tmp/t.json"));
         assert_eq!(o.trace_capacity, 1024);
-        let Command::TraceReport(r) = parse(&args("trace-report /tmp/t.json")) else {
+        let Command::TraceReport(r) = parse(&args("trace-report /tmp/t.json.series.csv")) else {
             panic!("expected trace-report");
         };
-        assert_eq!(r.path, "/tmp/t.json");
+        assert_eq!(r.path, "/tmp/t.json.series.csv");
         assert!(matches!(
             parse(&args("trace-report")),
             Command::Help(Some(_))
@@ -988,28 +984,144 @@ mod tests {
         let r = run_simulate(&o).unwrap();
         let t = r.trace.as_ref().expect("--trace records artifacts");
         assert!(t.events > 0);
-        assert_eq!(t.dropped, 0, "default ring holds a small run");
+        assert_eq!(t.dropped, 0, "the default journal holds a small run");
         assert!(r.wall_p50_us.unwrap() > 0.0);
         assert!(r.wall_p99_us.unwrap() >= r.wall_p50_us.unwrap());
         let text = r.to_text();
         assert!(text.contains("CP wall p50"));
         assert!(text.contains("trace written"));
 
-        let report = run_trace_report(&TraceReportOpts { path: path.clone() })
-            .expect("exported trace validates");
-        assert!(report.cps > 0, "aging and measured CPs are journaled");
-        assert!(report
-            .phases
-            .iter()
-            .any(|p| p.phase == "cp.bind" && p.count > 0 && p.p99_us >= p.p50_us));
-        let rendered = report.to_text();
-        assert!(rendered.contains("phase latencies"));
-        // The series artifacts parse as JSON / start with the CSV header.
-        let sj = std::fs::read_to_string(&t.series_json).unwrap();
-        assert!(wafl_obs::trace::json::parse(&sj).is_ok());
-        assert!(std::fs::read_to_string(&t.series_csv)
+        assert!(std::fs::read_to_string(&t.path)
             .unwrap()
-            .starts_with("cp,"));
+            .starts_with("{\"traceEvents\":["));
+
+        let report = run_trace_report(&TraceReportOpts {
+            path: t.series_csv.clone(),
+        })
+        .expect("the series CSV reads back");
+        assert!(
+            report.cps as u64 > r.cps,
+            "the fill and churn CPs are journaled as well as the measured ones"
+        );
+        let phases: Vec<&str> = report.phases.iter().map(|p| p.phase.as_str()).collect();
+        assert_eq!(
+            phases,
+            [
+                "cp",
+                "cp.plan_virtual",
+                "cp.plan_physical",
+                "cp.bind",
+                "cp.frees",
+                "cp.apply",
+                "cp.costing",
+                "cp.rebalance"
+            ]
+        );
+        for p in &report.phases {
+            assert_eq!(
+                p.count as usize,
+                report.cps - report.empty_cps,
+                "{}",
+                p.phase
+            );
+            assert!(p.p99_us >= p.p50_us, "{}", p.phase);
+        }
+        assert!(report.to_text().contains("phase latencies"));
+    }
+
+    /// A series CSV with the columns `trace-report` reads, one row per
+    /// entry of `rows`: `cp`, the CP's and two stages' wall sums, the
+    /// three scrub deltas and the health gauge.
+    fn series_csv(rows: &[&str]) -> String {
+        let mut csv = "cp,scrub.faults_detected,scrub.aas_quarantined,scrub.released,\
+                       cp.wall.total_us.sum,cp.wall.bind_us.sum,cp.wall.frees_us.sum,health.state\n"
+            .to_string();
+        for row in rows {
+            csv.push_str(row);
+            csv.push('\n');
+        }
+        csv
+    }
+
+    #[test]
+    fn trace_report_takes_nearest_rank_quantiles_over_busy_cps() {
+        // Bind runs 10 CPs at 1..=10 µs, given out of order; CP 5 is empty.
+        let binds = [7, 3, 10, 1, 5, 0, 9, 2, 8, 4, 6];
+        let rows: Vec<String> = binds
+            .iter()
+            .enumerate()
+            .map(|(cp, &bind)| {
+                let total = if bind == 0 { 0 } else { 100 + bind };
+                format!("{cp},0,0,0,{total},{bind},1,0")
+            })
+            .collect();
+        let rows: Vec<&str> = rows.iter().map(String::as_str).collect();
+        let report = trace_report(&series_csv(&rows)).unwrap();
+        assert_eq!((report.cps, report.empty_cps), (11, 1));
+        let phase = |name: &str| report.phases.iter().find(|p| p.phase == name).unwrap();
+        let bind = phase("cp.bind");
+        assert_eq!((bind.count, bind.p50_us, bind.p99_us), (10, 5.0, 10.0));
+        let cp = phase("cp");
+        assert_eq!((cp.count, cp.p50_us, cp.p99_us), (10, 105.0, 110.0));
+        assert!(report.timeline.is_empty());
+    }
+
+    #[test]
+    fn trace_report_skips_null_cells() {
+        let report = trace_report(&series_csv(&[
+            "0,0,0,0,10,4,null,0",
+            "1,0,0,0,null,6,2,0",
+            "2,0,0,0,12,null,3,0",
+        ]))
+        .unwrap();
+        let count = |name: &str| {
+            report
+                .phases
+                .iter()
+                .find(|p| p.phase == name)
+                .unwrap()
+                .count
+        };
+        assert_eq!(
+            (count("cp"), count("cp.bind"), count("cp.frees")),
+            (2, 2, 2)
+        );
+        assert_eq!(report.empty_cps, 0, "a null total is not an empty CP");
+    }
+
+    #[test]
+    fn trace_report_timeline_has_one_row_per_quarantine_release_and_health_change() {
+        let report = trace_report(&series_csv(&[
+            "0,0,0,0,10,4,1,0",
+            "1,2,3,0,10,4,1,1",
+            "2,0,0,0,0,0,0,1",
+            "3,0,0,2,0,0,0,0",
+        ]))
+        .unwrap();
+        assert_eq!(
+            report.timeline,
+            [
+                "cp     1  scrub.quarantine  faults=2 aas=3",
+                "cp     1  health.state      0 -> 1",
+                "cp     3  scrub.release     units=2",
+                "cp     3  health.state      1 -> 0",
+            ]
+        );
+        assert!(report.to_text().contains("quarantine / health timeline"));
+    }
+
+    #[test]
+    fn trace_report_errs_on_bad_input() {
+        let missing = run_trace_report(&TraceReportOpts {
+            path: "/nonexistent/trace.json.series.csv".to_string(),
+        });
+        assert!(missing.unwrap_err().starts_with("read "));
+        let ragged = trace_report(&series_csv(&["0,0,0,0,10,4,1,0", "1,0,0,0,10,4"]));
+        assert!(ragged.unwrap_err().contains("line 3"));
+        let word = trace_report(&series_csv(&["0,0,0,0,10,four,1,0"]));
+        assert!(word.unwrap_err().contains("'four' is not a number"));
+        let no_cp = series_csv(&["0,0,0,0,10,4,1,0"]).replacen("cp,", "seq,", 1);
+        assert!(trace_report(&no_cp).unwrap_err().contains("no 'cp' column"));
     }
 
     #[test]

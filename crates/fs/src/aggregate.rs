@@ -620,8 +620,9 @@ impl Aggregate {
 
     /// The flight-recorder trace journal, when the aggregate was
     /// configured with `trace_events > 0`. Snapshot with
-    /// [`wafl_obs::trace::Tracer::events`] and export with
-    /// [`wafl_obs::trace::chrome_trace_json`].
+    /// [`wafl_obs::trace::Tracer::events`], lay out with
+    /// [`wafl_obs::trace::chrome_events`] and export with
+    /// [`wafl_obs::trace::render_chrome_trace`].
     pub fn tracer(&self) -> Option<&wafl_obs::trace::Tracer> {
         self.obs.tracer.as_ref()
     }

@@ -85,9 +85,9 @@ pub struct AggregateConfig {
     /// Flight-recorder journal capacity in events; `0` (the default)
     /// disables tracing entirely. When set, the aggregate journals CP
     /// phase spans, allocator events, scrub/health transitions, and
-    /// mount phases into a bounded ring (overflow drops events and bumps
-    /// `trace.dropped_events` — the hot path never blocks), and samples a
-    /// per-CP time series of registry deltas. See `docs/observability.md`
+    /// mount phases into a bounded journal (overflow drops events and
+    /// bumps `trace.dropped_events`), and samples a per-CP time series of
+    /// registry deltas and each CP's stage wall times. See `docs/observability.md`
     /// ("Flight recorder").
     pub trace_events: usize,
 }

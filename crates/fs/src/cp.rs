@@ -1099,7 +1099,7 @@ impl Aggregate {
         }
         // Flight recorder: the CP-engine track, synthesized from the laps.
         // Spans are journaled whole (start + duration), so the exported
-        // begin/end pairs stay balanced even when the ring drops events.
+        // begin/end pairs stay balanced even when the journal drops events.
         // The stages are laid end to end from the CP's anchor under one
         // enclosing `cp` span, each with the model terms charged to it.
         if let Some(t0) = cp.trace_t0 {

@@ -194,9 +194,8 @@ impl FsObs {
                 .map(|(name, _)| registry.histogram(name, PHASE_US_BOUNDS)),
             cp_phase_media_us: registry.histogram("cp.phase.media_us", PHASE_US_BOUNDS),
             cp_wall_total_us: registry.histogram("cp.wall.total_us", PHASE_US_BOUNDS),
-            cp_wall_us: Stage::ALL.map(|stage| {
-                registry.histogram(&format!("cp.wall.{}_us", stage.name()), PHASE_US_BOUNDS)
-            }),
+            cp_wall_us: Stage::ALL
+                .map(|stage| registry.histogram(&wall_histogram(stage), PHASE_US_BOUNDS)),
             mount_seed_hits: registry.counter("mount.topaa_seed_hits"),
             mount_degradations: registry.counter("mount.degradation_events"),
             mount_cold_pages: registry.counter("mount.cold_scan_pages"),
@@ -231,8 +230,9 @@ impl FsObs {
     }
 
     /// Switch on the flight recorder: a bounded trace journal with room
-    /// for `capacity` events plus the per-CP time series. Called once at
-    /// aggregate construction.
+    /// for `capacity` events plus the per-CP time series, whose rows carry
+    /// the CP's and each stage's wall time. Called once at aggregate
+    /// construction.
     pub(crate) fn enable_tracing(&mut self, capacity: usize) {
         let counters = [
             "cp.completed",
@@ -246,10 +246,14 @@ impl FsObs {
             "scrub.released",
             wafl_obs::trace::DROPPED_EVENTS,
         ];
+        let mut hist_sums = vec!["cp.wall.total_us".to_string()];
+        hist_sums.extend(Stage::ALL.map(wall_histogram));
+        hist_sums.push("cp.phase.media_us".to_string());
+        let hist_sums: Vec<&str> = hist_sums.iter().map(String::as_str).collect();
         self.cp_series = Some(PerCpSeries::new(
             &self.registry,
             &counters,
-            &["cp.wall.total_us", "cp.phase.media_us"],
+            &hist_sums,
             &[
                 "space.free_fraction",
                 "health.state",
@@ -325,6 +329,11 @@ impl FsObs {
         self.heap_rebalance_updates.inc(s.rebalance_updates);
         self.heap_sift_swaps.inc(s.sift_swaps);
     }
+}
+
+/// The `cp.wall.<stage>_us` histogram of a CP stage.
+fn wall_histogram(stage: Stage) -> String {
+    format!("cp.wall.{}_us", stage.name())
 }
 
 impl Default for FsObs {

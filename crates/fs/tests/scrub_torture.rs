@@ -13,11 +13,15 @@
 //! before the scrubber's budgeted scan can reach it. The full run is
 //! `scripts/ci.sh --scrub-torture`, i.e.
 //! `cargo test --release -p wafl-fs --test scrub_torture -- --ignored`.
-//! Any failure reproduces from its printed seed alone.
+//! Any failure reproduces from its printed seed alone. The quick
+//! two-scribble `scrub_smoke` below is release-only for the same reason.
 
+use rand::prelude::*;
+use rand::rngs::StdRng;
+use wafl_faults::{FaultPlan, FaultSession, RuntimeScribbleFault, RuntimeTarget};
 use wafl_fs::{aging, Aggregate, AggregateConfig, FlexVolConfig, HealthState, RaidGroupSpec};
 use wafl_media::MediaProfile;
-use wafl_types::{VolumeId, WaflError};
+use wafl_types::{VolumeId, WaflError, BITS_PER_BITMAP_BLOCK};
 use wafl_workloads::torture::scrub_torture_round;
 use wafl_workloads::OltpMix;
 
@@ -148,4 +152,144 @@ fn scrub_torture_full() {
     for seed in 0..200 {
         torture_one(seed);
     }
+}
+
+/// One cache-guided volume on one group, 8 scrub units per CP.
+fn scrub_smoke_agg() -> Aggregate {
+    Aggregate::new(
+        AggregateConfig {
+            raid_aware_cache: true,
+            scrub_pages_per_cp: 8,
+            ..AggregateConfig::single_group(RaidGroupSpec {
+                data_devices: 4,
+                parity_devices: 1,
+                device_blocks: 16 * 4096,
+                profile: MediaProfile::hdd(),
+            })
+        },
+        &[(
+            FlexVolConfig {
+                size_blocks: 4 * BITS_PER_BITMAP_BLOCK,
+                aa_cache: true,
+                aa_blocks: None,
+            },
+            60_000,
+        )],
+        1,
+    )
+    .expect("smoke aggregate")
+}
+
+/// The quick scrub gate: two counter scribbles land mid-run on a small
+/// cache-guided aggregate, and the detect → quarantine → repair →
+/// release → Healthy cycle completes, with the health and scrub gauge
+/// families exported at their settled values. Run by the default
+/// `scripts/ci.sh` path:
+/// `cargo test --release -p wafl-fs --test scrub_torture -- --ignored --exact scrub_smoke`.
+#[test]
+#[ignore = "release-only: debug bitmap assertions fire on the scribbles"]
+#[allow(clippy::assertions_on_constants)]
+fn scrub_smoke() {
+    assert!(
+        !cfg!(debug_assertions),
+        "run with --release: debug bitmap assertions fire on latent \
+         scribbles before the scrubber can repair them"
+    );
+    let mut agg = scrub_smoke_agg();
+    aging::fill_volume(&mut agg, VolumeId(0), 8_192).expect("fill");
+    assert_eq!(agg.health(), HealthState::Healthy);
+
+    // Two mid-run scribbles: one aggregate bitmap-page counter, one
+    // volume bitmap-page counter. Both are pure in-memory corruption —
+    // the raw bits stay true, so popcount repair must fully recover.
+    let at_cp = agg.cp_count() + 1;
+    let plan = FaultPlan {
+        runtime_scribbles: vec![
+            RuntimeScribbleFault {
+                target: RuntimeTarget::AggSummaryPage { page: 1 },
+                at_cp,
+                value_seed: 0xDEAD_BEEF_0001,
+            },
+            RuntimeScribbleFault {
+                target: RuntimeTarget::VolSummaryPage { vol: 0, page: 2 },
+                at_cp: at_cp + 1,
+                value_seed: 0xDEAD_BEEF_0002,
+            },
+        ],
+        ..FaultPlan::none()
+    };
+    let mut session = FaultSession::new(&plan);
+
+    // 14 verification units at 8/CP: a full scrub cycle is 2 CPs, so
+    // both faults must be detected within 4 traffic CPs of landing.
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut saw_quarantine = false;
+    let mut saw_degraded = false;
+    for _ in 0..8 {
+        for _ in 0..2_000 {
+            agg.client_overwrite(VolumeId(0), rng.random_range(0..60_000))
+                .expect("overwrite");
+        }
+        agg.run_cp_with_session(None, Some(&mut session))
+            .expect("cp");
+        let status = agg.scrub_status();
+        saw_quarantine |= status.quarantined_aas > 0;
+        saw_degraded |= matches!(status.health, HealthState::Degraded(_));
+    }
+
+    let obs = agg.obs();
+    let detected = obs.counter_value("scrub.faults_detected").unwrap_or(0);
+    assert!(
+        detected >= 2,
+        "expected both scribbles detected, saw {detected}"
+    );
+    assert!(saw_quarantine, "detection never quarantined an AA");
+    assert!(saw_degraded, "health never left Healthy under faults");
+
+    // Drain with empty CPs until repairs land and hysteresis closes.
+    let mut drained = 0;
+    while agg.health() != HealthState::Healthy {
+        assert!(drained < 20, "health wedged: {:?}", agg.scrub_status());
+        agg.run_cp_with_session(None, Some(&mut session))
+            .expect("drain cp");
+        drained += 1;
+    }
+
+    let status = agg.scrub_status();
+    assert_eq!(
+        status.quarantined_aas, 0,
+        "release left quarantine: {status:?}"
+    );
+    assert_eq!(status.pending_repairs, 0, "tickets left over: {status:?}");
+    assert_eq!(
+        agg.bitmap().summary_divergences(),
+        0,
+        "aggregate summaries still diverge after repair"
+    );
+    for vol in agg.volumes() {
+        assert_eq!(
+            vol.bitmap().summary_divergences(),
+            0,
+            "volume summaries still diverge after repair"
+        );
+    }
+
+    let obs = agg.obs();
+    let repaired = obs.counter_value("scrub.repairs_succeeded").unwrap_or(0);
+    assert!(repaired >= 2, "expected both repairs, saw {repaired}");
+
+    // Gauge families must be exported with settled values.
+    assert_eq!(obs.gauge_value("health.state"), Some(0.0));
+    assert_eq!(obs.gauge_value("health.quarantined_aas"), Some(0.0));
+    assert_eq!(obs.gauge_value("health.pending_repairs"), Some(0.0));
+    let free = obs.gauge_value("space.free_fraction").unwrap_or(-1.0);
+    assert!((0.0..=1.0).contains(&free), "free fraction gauge: {free}");
+    assert!(
+        obs.gauge_value("group.0.free_fraction").is_some(),
+        "per-group free-fraction gauge missing"
+    );
+    assert!(
+        obs.gauge_value("group.0.active_aa_score").is_some(),
+        "per-group active-AA score gauge missing"
+    );
 }

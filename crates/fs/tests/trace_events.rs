@@ -1,14 +1,12 @@
 //! End-to-end flight-recorder coverage: an aggregate with tracing
 //! enabled journals CP phase spans and allocator events; the
-//! Chrome-trace export validates (balanced spans, CP ordering, the
+//! Chrome trace-event list validates (balanced spans, CP ordering, the
 //! engine track); and the per-CP series carries one row per completed
-//! CP.
+//! CP, with the CP's and each stage's wall time.
 
 use wafl_fs::{Aggregate, AggregateConfig, FlexVolConfig, RaidGroupSpec};
 use wafl_media::MediaProfile;
-use wafl_obs::trace::{
-    chrome_trace_json, parse_chrome_trace, validate_chrome_trace, TraceData, TraceEvent,
-};
+use wafl_obs::trace::{chrome_events, validate_chrome_trace, TraceData, TraceEvent};
 use wafl_types::VolumeId;
 
 fn traced_agg(trace_events: usize) -> Aggregate {
@@ -61,7 +59,11 @@ fn cps_journal_phase_spans_and_allocator_instants() {
     let mut a = traced_agg(65_536);
     churn(&mut a, 4);
     let tracer = a.tracer().expect("tracing enabled");
-    assert_eq!(tracer.dropped(), 0, "ring sized well above the event count");
+    assert_eq!(
+        tracer.dropped(),
+        0,
+        "journal sized well above the event count"
+    );
     let events = tracer.events();
     assert!(!events.is_empty());
 
@@ -127,9 +129,7 @@ fn chrome_export_of_a_real_run_validates() {
     let mut a = traced_agg(65_536);
     churn(&mut a, 3);
     let events: Vec<TraceEvent> = a.tracer().unwrap().events();
-    let json = chrome_trace_json(&events);
-    let parsed = parse_chrome_trace(&json).expect("exporter output parses");
-    let stats = validate_chrome_trace(&parsed).expect("trace validates");
+    let stats = validate_chrome_trace(&chrome_events(&events)).expect("trace validates");
     assert!(stats.engine_track);
     assert!(stats.spans > 0);
     assert_eq!(stats.max_cp, 2);
@@ -155,6 +155,24 @@ fn per_cp_series_has_one_row_per_cp() {
         .iter()
         .position(|c| c == "cp.wall.total_us.sum")
         .expect("series tracks the wall histogram sum");
+    let stages: Vec<usize> = [
+        "plan_virtual",
+        "plan_physical",
+        "bind",
+        "frees",
+        "apply",
+        "costing",
+        "rebalance",
+    ]
+    .iter()
+    .map(|stage| {
+        let name = format!("cp.wall.{stage}_us.sum");
+        columns
+            .iter()
+            .position(|c| *c == name)
+            .unwrap_or_else(|| panic!("series tracks {name}"))
+    })
+    .collect();
     // Column 0 is "cp"; a row's `values` start at column 1.
     for (i, row) in rows.iter().enumerate() {
         assert_eq!(row.cp, i as u64, "cp column is the CP sequence");
@@ -171,12 +189,14 @@ fn per_cp_series_has_one_row_per_cp() {
             "wall time of cp {}",
             row.cp
         );
+        let stage_sum: f64 = stages.iter().map(|&i| row.values[i - 1]).sum();
+        assert_eq!(stage_sum > 0.0, busy, "stage wall time of cp {}", row.cp);
     }
 }
 
 #[test]
 fn ring_overflow_drops_and_counts_but_cps_still_complete() {
-    let mut a = traced_agg(8); // absurdly small ring
+    let mut a = traced_agg(8); // absurdly small journal
     churn(&mut a, 3);
     let tracer = a.tracer().unwrap();
     assert_eq!(tracer.recorded(), 8);
@@ -188,7 +208,5 @@ fn ring_overflow_drops_and_counts_but_cps_still_complete() {
     // Dropped spans never unbalance the export: spans are journaled
     // whole, so begin/end pairs are synthesized only for survivors.
     let events = tracer.events();
-    let json = chrome_trace_json(&events);
-    let parsed = parse_chrome_trace(&json).unwrap();
-    validate_chrome_trace(&parsed).expect("partial journal still balances");
+    validate_chrome_trace(&chrome_events(&events)).expect("partial journal still balances");
 }

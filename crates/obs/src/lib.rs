@@ -19,8 +19,8 @@
 //! ever lost, though cross-instrument ordering is unspecified while they
 //! run (the CP itself runs on its caller's thread; snapshots are taken
 //! at CP boundaries). [`Registry::snapshot_json`] renders everything as one
-//! deterministic JSON object so harness reports and CI smoke checks can
-//! embed or parse a metrics block.
+//! deterministic JSON object so harness reports can embed a metrics block
+//! and tests can look for a metric's name in it.
 //!
 //! Nothing in the metrics layer reads a clock: durations recorded through
 //! counters/gauges/histograms come from the workspace's simulated cost
@@ -99,8 +99,8 @@ struct HistogramInner {
 /// Buckets are cumulative-style upper bounds chosen at registration; an
 /// implicit unbounded bucket catches everything above the last bound. The
 /// running `sum`, `count`, and `max` make means and worst-cases readable
-/// without bucket arithmetic — `max` in particular is what the CI smoke
-/// check asserts against for the chosen-score error bound.
+/// without bucket arithmetic — `max` in particular is what the obs smoke
+/// test asserts against for the chosen-score error bound.
 #[derive(Clone, Debug)]
 pub struct Histogram(Arc<HistogramInner>);
 

@@ -2,20 +2,15 @@
 //!
 //! The metrics registry answers "how much" at CP boundaries; this module
 //! answers "what happened, and when" *inside* a CP. A [`Tracer`] is a
-//! lock-light, bounded journal of typed [`TraceEvent`]s — CP phase spans,
-//! allocator cursor and sweep events, scrub and health transitions, mount
-//! phases — that any thread can append to without ever blocking the hot
-//! path:
+//! bounded journal of typed [`TraceEvent`]s — CP phase spans, allocator
+//! cursor and sweep events, scrub and health transitions, mount phases:
 //!
-//! * appending claims a slot with one relaxed `fetch_add` on the write
-//!   cursor; each slot is an uncontended per-slot mutex (no two writers
-//!   ever claim the same slot, so the lock never waits);
+//! * the journal is one mutex-guarded `Vec`, appended to through `&self`
+//!   (the CP runs on its caller's thread, so the lock never waits);
 //! * when the journal is full, events are dropped — never overwritten,
 //!   never blocked on — and counted in the registry's
 //!   `trace.dropped_events` counter;
-//! * every event carries the CP sequence number it belongs to, so events
-//!   are causally ordered per CP even when several threads emit them
-//!   concurrently (the CP itself runs on its caller's thread).
+//! * every event carries the CP sequence number it belongs to.
 //!
 //! Timestamps come from a monotonic clock anchored at tracer creation
 //! (`µs` since the epoch). This is the one place in `wafl-obs` that reads
@@ -24,25 +19,21 @@
 //!
 //! Two exporters render a journal:
 //!
-//! * [`chrome_trace_json`] — Chrome trace-event JSON loadable in
-//!   `chrome://tracing` or Perfetto, on one CP-engine track;
+//! * Chrome trace events, on one CP-engine track: [`chrome_events`] lays
+//!   the journal out as a typed list of span begins and ends, instants
+//!   and track metadata ([`ChromeEvent`]); [`validate_chrome_trace`]
+//!   checks that list before it is written, and [`render_chrome_trace`]
+//!   writes it as JSON loadable in `chrome://tracing` or Perfetto;
 //! * [`PerCpSeries`] — a per-CP time-series table of registry counter
-//!   deltas, histogram-sum deltas, and gauge values, rendered as JSON or
-//!   CSV.
-//!
-//! The matching [`parse_chrome_trace`] / [`validate_chrome_trace`] pair
-//! (plus the minimal [`json`] parser underneath them — the workspace's
-//! serde shim is serialize-only) lets `wafl-cli trace-report` and the CI
-//! trace smoke re-read an exported file and prove every span begin has a
-//! matching end on its track.
+//!   deltas, histogram-sum deltas, and gauge values, rendered as CSV.
+//!   `wafl-sim trace-report` reads that CSV.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::{push_f64, push_json_string, Counter, Gauge, Histogram, Registry};
 
-/// Name of the registry counter tracking events dropped by a full ring.
+/// Name of the registry counter tracking events dropped by a full journal.
 pub const DROPPED_EVENTS: &str = "trace.dropped_events";
 
 /// One typed journal entry.
@@ -64,7 +55,7 @@ pub enum TraceData {
     /// measured wall duration, `model_us` the simulated cost model's
     /// duration for the same work (0 when the phase has no model term).
     /// Recording begin and end as one entry makes exported begin/end
-    /// pairs balanced by construction even when the ring drops events.
+    /// pairs balanced by construction even when the journal drops events.
     Span {
         /// Span name, e.g. `"cp.plan_physical"` or `"mount.topaa"`.
         name: &'static str,
@@ -121,19 +112,14 @@ impl TraceData {
 
 struct TracerInner {
     epoch: Instant,
-    /// Next slot to claim. May run past `slots.len()`; the excess is the
-    /// number of dropped events.
-    head: AtomicUsize,
-    /// Pre-allocated journal slots. Each slot is written exactly once by
-    /// the claiming thread, so its mutex never contends; `None` marks a
-    /// claimed-but-not-yet-written slot during a racing snapshot.
-    slots: Vec<Mutex<Option<TraceEvent>>>,
+    capacity: usize,
+    /// The journal in append order, never longer than `capacity`.
+    events: Mutex<Vec<TraceEvent>>,
     dropped: Counter,
 }
 
-/// A bounded, lock-light trace journal. Cloning shares the journal, so
-/// one handle can be pre-registered per subsystem and appended to from
-/// any thread; all methods take `&self`.
+/// A bounded trace journal. Cloning shares the journal, so one handle
+/// can be pre-registered per subsystem; all methods take `&self`.
 #[derive(Clone)]
 pub struct Tracer {
     inner: Arc<TracerInner>,
@@ -158,8 +144,8 @@ impl Tracer {
         Tracer {
             inner: Arc::new(TracerInner {
                 epoch: Instant::now(),
-                head: AtomicUsize::new(0),
-                slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
+                capacity,
+                events: Mutex::new(Vec::new()),
                 dropped: registry.counter(DROPPED_EVENTS),
             }),
         }
@@ -177,46 +163,38 @@ impl Tracer {
 
     /// Append an event with an explicit timestamp (used by the CP engine
     /// to journal a phase timeline reconstructed at the end of the CP).
-    /// Claims a slot with one relaxed `fetch_add`; a full ring drops the
-    /// event and bumps `trace.dropped_events` instead of blocking.
+    /// A full journal drops the event and bumps `trace.dropped_events`.
     pub fn emit_at(&self, ts_us: f64, cp: u64, data: TraceData) {
-        let inner = &*self.inner;
-        let idx = inner.head.fetch_add(1, Ordering::Relaxed);
-        if idx >= inner.slots.len() {
-            inner.dropped.inc(1);
-            return;
+        let mut events = self.journal();
+        if events.len() < self.inner.capacity {
+            events.push(TraceEvent { ts_us, cp, data });
+        } else {
+            self.inner.dropped.inc(1);
         }
-        let mut slot = inner.slots[idx].lock().expect("trace slot poisoned");
-        *slot = Some(TraceEvent { ts_us, cp, data });
     }
 
     /// Journal capacity in events.
     pub fn capacity(&self) -> usize {
-        self.inner.slots.len()
+        self.inner.capacity
     }
 
     /// Events recorded so far (at most `capacity`).
     pub fn recorded(&self) -> usize {
-        self.inner.head.load(Ordering::Relaxed).min(self.capacity())
+        self.journal().len()
     }
 
-    /// Events dropped because the ring was full.
+    /// Events dropped because the journal was full.
     pub fn dropped(&self) -> u64 {
         self.inner.dropped.get()
     }
 
-    /// Snapshot the journal in claim order, skipping any slot a racing
-    /// writer has claimed but not yet written. Intended for quiescent
-    /// points (CP boundaries, end of run).
+    /// Snapshot the journal in append order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let n = self.recorded();
-        let mut out = Vec::with_capacity(n);
-        for slot in &self.inner.slots[..n] {
-            if let Some(ev) = *slot.lock().expect("trace slot poisoned") {
-                out.push(ev);
-            }
-        }
-        out
+        self.journal().clone()
+    }
+
+    fn journal(&self) -> std::sync::MutexGuard<'_, Vec<TraceEvent>> {
+        self.inner.events.lock().expect("trace journal poisoned")
     }
 }
 
@@ -227,25 +205,173 @@ impl Tracer {
 /// The Chrome `tid` of the CP-engine track, the only one exported.
 const ENGINE_TID: u64 = 0;
 
-fn cat_of(name: &str) -> &str {
-    name.split('.').next().unwrap_or(name)
+/// One Chrome trace-event record, as [`chrome_events`] lays a journal
+/// out. Spans and instants all ride the CP-engine track (`tid 0`).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum ChromeEvent {
+    /// `"ph":"M"`: names the process (`tid: None`) or a track.
+    Meta {
+        /// `process_name` or `thread_name`.
+        name: &'static str,
+        /// The named track, `None` for the process.
+        tid: Option<u64>,
+        /// The name given.
+        value: &'static str,
+    },
+    /// `"ph":"B"`: a journaled [`TraceData::Span`] opens at its `ts_us`.
+    Begin(TraceEvent),
+    /// `"ph":"E"`: the span closes.
+    End {
+        /// End, µs: the span's end, clipped to the enclosing span's.
+        ts: f64,
+        /// The journaled [`TraceData::Span`], whose `dur_us` is exported
+        /// unclipped as `wall_us`.
+        span: TraceEvent,
+    },
+    /// `"ph":"i"`: a journaled instant (any payload but a span).
+    Instant(TraceEvent),
 }
 
-fn push_event_header(out: &mut String, name: &str, ph: &str, ts: f64, tid: u64) {
+impl ChromeEvent {
+    fn ts(&self) -> f64 {
+        match *self {
+            ChromeEvent::Meta { .. } => 0.0,
+            ChromeEvent::End { ts, .. } => ts,
+            ChromeEvent::Begin(ev) | ChromeEvent::Instant(ev) => ev.ts_us,
+        }
+    }
+}
+
+/// Lay a journal snapshot out as Chrome trace events: the process and
+/// CP-engine track names, then the track.
+///
+/// Events are ordered CP-major — stable-sorted by `(cp, ts)` — and each
+/// [`TraceData::Span`] expands to a balanced [`ChromeEvent::Begin`] /
+/// [`ChromeEvent::End`] pair. Spans that overlap without nesting are
+/// clipped to the enclosing span's end so the begin/end sequence stays
+/// well-formed. Instants are merged in by timestamp.
+pub fn chrome_events(events: &[TraceEvent]) -> Vec<ChromeEvent> {
+    let mut sorted: Vec<TraceEvent> = events.to_vec();
+    sorted.sort_by(|a, b| {
+        (a.cp, a.ts_us)
+            .partial_cmp(&(b.cp, b.ts_us))
+            .expect("trace timestamps are finite")
+    });
+    let (mut spans, mut instants) = (Vec::new(), Vec::new());
+    for ev in sorted {
+        match ev.data {
+            TraceData::Span { dur_us, .. } => spans.push((ev.ts_us + dur_us.max(0.0), ev)),
+            _ => instants.push(ev),
+        }
+    }
+    spans.sort_by(|(a_end, a), (b_end, b)| {
+        (a.ts_us, -a_end)
+            .partial_cmp(&(b.ts_us, -b_end))
+            .expect("trace timestamps are finite")
+    });
+
+    // The B/E stream, by a stack walk: ordered by timestamp, validly
+    // nested. The stack holds the ends of the open spans.
+    let mut stream = Vec::with_capacity(2 * spans.len());
+    let mut open: Vec<ChromeEvent> = Vec::new();
+    for (end, span) in spans {
+        let start = span.ts_us;
+        while let Some(top) = open.pop_if(|top| top.ts() <= start) {
+            stream.push(top);
+        }
+        let ts = open.last().map_or(end, |top| end.min(top.ts())).max(start);
+        stream.push(ChromeEvent::Begin(span));
+        open.push(ChromeEvent::End { ts, span });
+    }
+    stream.extend(open.into_iter().rev());
+
+    let mut out = vec![
+        ChromeEvent::Meta {
+            name: "process_name",
+            tid: None,
+            value: "wafl-sim",
+        },
+        ChromeEvent::Meta {
+            name: "thread_name",
+            tid: Some(ENGINE_TID),
+            value: "cp-engine",
+        },
+    ];
+    let mut instants = instants.into_iter().peekable();
+    for ev in stream {
+        while let Some(instant) = instants.next_if(|i| i.ts_us < ev.ts()) {
+            out.push(ChromeEvent::Instant(instant));
+        }
+        out.push(ev);
+    }
+    out.extend(instants.map(ChromeEvent::Instant));
+    out
+}
+
+/// Render a Chrome trace-event list as JSON (`chrome://tracing` /
+/// Perfetto-loadable).
+pub fn render_chrome_trace(list: &[ChromeEvent]) -> String {
+    let mut out = String::with_capacity(list.len() * 96 + 256);
+    out.push_str("{\"traceEvents\":[");
+    for (i, ev) in list.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match *ev {
+            ChromeEvent::Meta { name, tid, value } => {
+                out.push_str("{\"name\":");
+                push_json_string(&mut out, name);
+                out.push_str(",\"ph\":\"M\",\"pid\":1");
+                if let Some(tid) = tid {
+                    out.push_str(&format!(",\"tid\":{tid}"));
+                }
+                out.push_str(",\"args\":{\"name\":");
+                push_json_string(&mut out, value);
+                out.push_str("}}");
+            }
+            ChromeEvent::Begin(span) => {
+                push_event_header(&mut out, span.data.name(), "B", span.ts_us);
+                out.push_str(&format!(",\"args\":{{\"cp\":{}}}}}", span.cp));
+            }
+            ChromeEvent::End { ts, span } => {
+                let TraceData::Span {
+                    name,
+                    dur_us,
+                    model_us,
+                } = span.data
+                else {
+                    unreachable!("only spans end")
+                };
+                push_event_header(&mut out, name, "E", ts);
+                out.push_str(&format!(",\"args\":{{\"cp\":{},\"wall_us\":", span.cp));
+                push_f64(&mut out, dur_us);
+                out.push_str(",\"model_us\":");
+                push_f64(&mut out, model_us);
+                out.push_str("}}");
+            }
+            ChromeEvent::Instant(ev) => push_instant(&mut out, &ev),
+        }
+    }
+    out.push_str("],\"displayTimeUnit\":\"ms\"}");
+    out
+}
+
+/// `{"name":..,"cat":..,"ph":..,"ts":..,"pid":1,"tid":0` — the category
+/// is the name up to its first dot.
+fn push_event_header(out: &mut String, name: &str, ph: &str, ts: f64) {
     out.push_str("{\"name\":");
     push_json_string(out, name);
     out.push_str(",\"cat\":");
-    push_json_string(out, cat_of(name));
+    push_json_string(out, name.split('.').next().unwrap_or(name));
     out.push_str(",\"ph\":\"");
     out.push_str(ph);
     out.push_str("\",\"ts\":");
     push_f64(out, ts);
-    out.push_str(",\"pid\":1,\"tid\":");
-    out.push_str(&tid.to_string());
+    out.push_str(&format!(",\"pid\":1,\"tid\":{ENGINE_TID}"));
 }
 
 fn push_instant(out: &mut String, ev: &TraceEvent) {
-    push_event_header(out, ev.data.name(), "i", ev.ts_us, ENGINE_TID);
+    push_event_header(out, ev.data.name(), "i", ev.ts_us);
     out.push_str(",\"s\":\"t\",\"args\":{\"cp\":");
     out.push_str(&ev.cp.to_string());
     match ev.data {
@@ -265,138 +391,74 @@ fn push_instant(out: &mut String, ev: &TraceEvent) {
     out.push_str("}}");
 }
 
-fn push_metadata(out: &mut String, name: &str, tid: Option<u64>, value: &str) {
-    out.push_str("{\"name\":");
-    push_json_string(out, name);
-    out.push_str(",\"ph\":\"M\",\"pid\":1");
-    if let Some(tid) = tid {
-        out.push_str(&format!(",\"tid\":{tid}"));
-    }
-    out.push_str(",\"args\":{\"name\":");
-    push_json_string(out, value);
-    out.push_str("}}");
+/// Summary facts [`validate_chrome_trace`] proves about a trace-event
+/// list.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ChromeTraceStats {
+    /// Matched begin/end span pairs.
+    pub spans: usize,
+    /// Instant events.
+    pub instants: usize,
+    /// Whether the CP-engine track metadata is present.
+    pub engine_track: bool,
+    /// Highest CP sequence number seen.
+    pub max_cp: u64,
 }
 
-/// Render a journal snapshot as Chrome trace-event JSON
-/// (`chrome://tracing` / Perfetto-loadable).
-///
-/// Everything rides the CP-engine track (`tid 0`). Events are ordered
-/// CP-major — stable-sorted by `(cp, ts)` — and each [`TraceData::Span`]
-/// expands to a balanced `"B"`/`"E"` pair. Spans that overlap without
-/// nesting are clipped to the enclosing span's end so the begin/end
-/// sequence stays well-formed; the span's `wall_us` arg always carries
-/// the unclipped duration.
-pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let mut sorted: Vec<&TraceEvent> = events.iter().collect();
-    sorted.sort_by(|a, b| {
-        (a.cp, a.ts_us)
-            .partial_cmp(&(b.cp, b.ts_us))
-            .expect("trace timestamps are finite")
-    });
-
-    let mut out = String::with_capacity(events.len() * 96 + 256);
-    out.push_str("{\"traceEvents\":[");
-    push_metadata(&mut out, "process_name", None, "wafl-sim");
-    out.push(',');
-    push_metadata(&mut out, "thread_name", Some(ENGINE_TID), "cp-engine");
-    push_track(&mut out, &sorted);
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
-}
-
-/// Emit the track's events: spans as nested B/E pairs (clipping
-/// non-nesting overlap), instants merged in by timestamp.
-fn push_track(out: &mut String, track: &[&TraceEvent]) {
-    struct OpenSpan {
-        name: &'static str,
-        cp: u64,
-        end: f64,
-        wall_us: f64,
-        model_us: f64,
-    }
-    let mut spans: Vec<(f64, f64, &TraceEvent)> = Vec::new();
-    let mut instants: Vec<&TraceEvent> = Vec::new();
-    for ev in track {
-        match ev.data {
-            TraceData::Span { dur_us, .. } => {
-                spans.push((ev.ts_us, ev.ts_us + dur_us.max(0.0), ev))
+/// Validate a trace-event list before it is written: every begin has a
+/// matching same-name end on the track (in list order), CP sequence
+/// numbers never decrease, and the CP-engine track is named.
+pub fn validate_chrome_trace(list: &[ChromeEvent]) -> Result<ChromeTraceStats, String> {
+    let mut stats = ChromeTraceStats::default();
+    let mut open: Vec<&str> = Vec::new();
+    for (i, ev) in list.iter().enumerate() {
+        let cp = match *ev {
+            ChromeEvent::Meta {
+                name: "thread_name",
+                value: "cp-engine",
+                ..
+            } => {
+                stats.engine_track = true;
+                continue;
             }
-            _ => instants.push(ev),
-        }
-    }
-    spans.sort_by(|a, b| {
-        (a.0, -a.1)
-            .partial_cmp(&(b.0, -b.1))
-            .expect("trace timestamps are finite")
-    });
-
-    // Build the B/E stream with a stack walk; entries come out ordered by
-    // timestamp with valid per-track nesting.
-    let mut entries: Vec<(f64, String)> = Vec::new();
-    let mut stack: Vec<OpenSpan> = Vec::new();
-    let close = |entries: &mut Vec<(f64, String)>, open: OpenSpan| {
-        let mut s = String::new();
-        push_event_header(&mut s, open.name, "E", open.end, ENGINE_TID);
-        s.push_str(&format!(",\"args\":{{\"cp\":{},\"wall_us\":", open.cp));
-        push_f64(&mut s, open.wall_us);
-        s.push_str(",\"model_us\":");
-        push_f64(&mut s, open.model_us);
-        s.push_str("}}");
-        entries.push((open.end, s));
-    };
-    for (start, end, ev) in spans {
-        while let Some(top) = stack.last() {
-            if top.end <= start {
-                let open = stack.pop().expect("non-empty stack");
-                close(&mut entries, open);
-            } else {
-                break;
+            ChromeEvent::Meta { .. } => continue,
+            ChromeEvent::Begin(span) => {
+                open.push(span.data.name());
+                span.cp
             }
-        }
-        let mut end = end;
-        if let Some(top) = stack.last() {
-            end = end.min(top.end);
-        }
-        let end = end.max(start);
-        let (name, wall_us, model_us) = match ev.data {
-            TraceData::Span {
-                name,
-                dur_us,
-                model_us,
-            } => (name, dur_us, model_us),
-            _ => unreachable!("spans vec only holds Span events"),
+            ChromeEvent::End { span, .. } => {
+                let name = span.data.name();
+                match open.pop() {
+                    Some(top) if top == name => stats.spans += 1,
+                    Some(top) => {
+                        return Err(format!(
+                            "event {i}: end '{name}' does not match open span '{top}'"
+                        ))
+                    }
+                    None => return Err(format!("event {i}: end '{name}' with no open span")),
+                }
+                span.cp
+            }
+            ChromeEvent::Instant(ev) => {
+                stats.instants += 1;
+                ev.cp
+            }
         };
-        let mut s = String::new();
-        push_event_header(&mut s, name, "B", start, ENGINE_TID);
-        s.push_str(&format!(",\"args\":{{\"cp\":{}}}}}", ev.cp));
-        entries.push((start, s));
-        stack.push(OpenSpan {
-            name,
-            cp: ev.cp,
-            end,
-            wall_us,
-            model_us,
-        });
-    }
-    while let Some(open) = stack.pop() {
-        close(&mut entries, open);
-    }
-
-    // Merge instants into the fixed B/E stream by timestamp.
-    let mut next_instant = 0usize;
-    for (ts, rendered) in entries {
-        while next_instant < instants.len() && instants[next_instant].ts_us < ts {
-            out.push(',');
-            push_instant(out, instants[next_instant]);
-            next_instant += 1;
+        if cp < stats.max_cp {
+            return Err(format!(
+                "event {i}: cp {cp} after cp {} — not CP-ordered",
+                stats.max_cp
+            ));
         }
-        out.push(',');
-        out.push_str(&rendered);
+        stats.max_cp = cp;
     }
-    for ev in &instants[next_instant..] {
-        out.push(',');
-        push_instant(out, ev);
+    if let Some(top) = open.last() {
+        return Err(format!("unclosed span '{top}'"));
     }
+    if !stats.engine_track {
+        return Err("missing cp-engine track metadata".to_string());
+    }
+    Ok(stats)
 }
 
 // ---------------------------------------------------------------------------
@@ -498,34 +560,7 @@ impl PerCpSeries {
         &self.rows
     }
 
-    /// Render as `{"columns":[..],"rows":[[cp, ..], ..]}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(self.rows.len() * 64 + 128);
-        out.push_str("{\"columns\":[");
-        for (i, col) in self.columns().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_string(&mut out, col);
-        }
-        out.push_str("],\"rows\":[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            out.push_str(&row.cp.to_string());
-            for v in &row.values {
-                out.push(',');
-                push_f64(&mut out, *v);
-            }
-            out.push(']');
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Render as CSV with a header row.
+    /// Render as CSV with a header row; a non-finite value is `null`.
     pub fn to_csv(&self) -> String {
         let mut out = String::with_capacity(self.rows.len() * 48 + 128);
         out.push_str(&self.columns().join(","));
@@ -544,405 +579,6 @@ impl PerCpSeries {
         }
         out
     }
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON parser (the serde shim is serialize-only) + trace validation
-// ---------------------------------------------------------------------------
-
-/// A minimal recursive-descent JSON parser, just enough for
-/// `trace-report` and the CI trace smoke to re-read exported trace files
-/// (the workspace's offline serde shim cannot parse).
-pub mod json {
-    /// A parsed JSON value. Object keys keep file order.
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any JSON number, as `f64`.
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, in file order.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// Member lookup on an object (first match), else `None`.
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        /// The number, if this is a number.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// The string, if this is a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The elements, if this is an array.
-        pub fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    /// Parse one JSON document (trailing whitespace allowed).
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-        }
-
-        fn peek(&mut self) -> Result<u8, String> {
-            self.skip_ws();
-            self.bytes
-                .get(self.pos)
-                .copied()
-                .ok_or_else(|| "unexpected end of input".to_string())
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek()? == b {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected '{}' at byte {}", b as char, self.pos))
-            }
-        }
-
-        fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-                self.pos += lit.len();
-                Ok(v)
-            } else {
-                Err(format!("invalid literal at byte {}", self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek()? {
-                b'{' => self.object(),
-                b'[' => self.array(),
-                b'"' => Ok(Value::Str(self.string()?)),
-                b't' => self.literal("true", Value::Bool(true)),
-                b'f' => self.literal("false", Value::Bool(false)),
-                b'n' => self.literal("null", Value::Null),
-                _ => self.number(),
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut members = Vec::new();
-            if self.peek()? == b'}' {
-                self.pos += 1;
-                return Ok(Value::Obj(members));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.expect(b':')?;
-                members.push((key, self.value()?));
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b'}' => {
-                        self.pos += 1;
-                        return Ok(Value::Obj(members));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            if self.peek()? == b']' {
-                self.pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                match self.peek()? {
-                    b',' => self.pos += 1,
-                    b']' => {
-                        self.pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            if self.bytes.get(self.pos) != Some(&b'"') {
-                return Err(format!("expected string at byte {}", self.pos));
-            }
-            self.pos += 1;
-            let mut out = String::new();
-            loop {
-                let b = *self.bytes.get(self.pos).ok_or("unterminated string")?;
-                self.pos += 1;
-                match b {
-                    b'"' => return Ok(out),
-                    b'\\' => {
-                        let esc = *self.bytes.get(self.pos).ok_or("unterminated escape")?;
-                        self.pos += 1;
-                        match esc {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'b' => out.push('\u{8}'),
-                            b'f' => out.push('\u{c}'),
-                            b'n' => out.push('\n'),
-                            b'r' => out.push('\r'),
-                            b't' => out.push('\t'),
-                            b'u' => {
-                                let cp = self.hex4()?;
-                                // Surrogate pairs: read the low half if present.
-                                let c = if (0xD800..0xDC00).contains(&cp) {
-                                    if self.bytes[self.pos..].starts_with(b"\\u") {
-                                        self.pos += 2;
-                                        let lo = self.hex4()?;
-                                        let combined = 0x10000
-                                            + ((cp - 0xD800) << 10)
-                                            + (lo.wrapping_sub(0xDC00) & 0x3FF);
-                                        char::from_u32(combined)
-                                    } else {
-                                        None
-                                    }
-                                } else {
-                                    char::from_u32(cp)
-                                };
-                                out.push(c.unwrap_or('\u{FFFD}'));
-                            }
-                            _ => return Err(format!("bad escape at byte {}", self.pos)),
-                        }
-                    }
-                    _ => {
-                        // Re-sync to char boundaries for multi-byte UTF-8.
-                        let start = self.pos - 1;
-                        let mut end = self.pos;
-                        while end < self.bytes.len() && self.bytes[end] & 0xC0 == 0x80 {
-                            end += 1;
-                        }
-                        let chunk = std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                        out.push_str(chunk);
-                        self.pos = end;
-                    }
-                }
-            }
-        }
-
-        fn hex4(&mut self) -> Result<u32, String> {
-            let chunk = self
-                .bytes
-                .get(self.pos..self.pos + 4)
-                .ok_or("truncated \\u escape")?;
-            self.pos += 4;
-            let s = std::str::from_utf8(chunk).map_err(|_| "bad \\u escape".to_string())?;
-            u32::from_str_radix(s, 16).map_err(|_| "bad \\u escape".to_string())
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.pos;
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                    self.pos += 1;
-                } else {
-                    break;
-                }
-            }
-            let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                .map_err(|_| "bad number".to_string())?;
-            s.parse::<f64>()
-                .map(Value::Num)
-                .map_err(|_| format!("bad number '{s}' at byte {start}"))
-        }
-    }
-}
-
-/// One event re-read from an exported Chrome trace file.
-#[derive(Clone, Debug)]
-pub struct ParsedEvent {
-    /// Event name.
-    pub name: String,
-    /// Event category.
-    pub cat: String,
-    /// Phase: `"B"`, `"E"`, `"i"`, or `"M"`.
-    pub ph: String,
-    /// Timestamp in µs (0 for metadata).
-    pub ts: f64,
-    /// Track id.
-    pub tid: u64,
-    /// The CP sequence number from `args.cp`, when present.
-    pub cp: Option<u64>,
-    /// The raw `args` object.
-    pub args: json::Value,
-}
-
-/// Parse an exported Chrome trace file into its event list.
-pub fn parse_chrome_trace(text: &str) -> Result<Vec<ParsedEvent>, String> {
-    let doc = json::parse(text)?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(|v| v.as_arr())
-        .ok_or("missing traceEvents array")?;
-    let mut out = Vec::with_capacity(events.len());
-    for (i, ev) in events.iter().enumerate() {
-        let name = ev
-            .get("name")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| format!("event {i}: missing name"))?
-            .to_string();
-        let ph = ev
-            .get("ph")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| format!("event {i}: missing ph"))?
-            .to_string();
-        let args = ev
-            .get("args")
-            .cloned()
-            .unwrap_or(json::Value::Obj(Vec::new()));
-        out.push(ParsedEvent {
-            name,
-            cat: ev
-                .get("cat")
-                .and_then(|v| v.as_str())
-                .unwrap_or("")
-                .to_string(),
-            ph,
-            ts: ev.get("ts").and_then(|v| v.as_f64()).unwrap_or(0.0),
-            tid: ev.get("tid").and_then(|v| v.as_f64()).unwrap_or(0.0) as u64,
-            cp: args.get("cp").and_then(|v| v.as_f64()).map(|v| v as u64),
-            args,
-        });
-    }
-    Ok(out)
-}
-
-/// Summary facts [`validate_chrome_trace`] proves about a trace file.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ChromeTraceStats {
-    /// Total events including metadata.
-    pub events: usize,
-    /// Matched begin/end span pairs.
-    pub spans: usize,
-    /// Instant events.
-    pub instants: usize,
-    /// Whether the CP-engine track metadata is present.
-    pub engine_track: bool,
-    /// Highest CP sequence number seen.
-    pub max_cp: u64,
-}
-
-/// Validate a parsed trace: every `B` has a matching same-name `E` on its
-/// track (in file order), CP sequence numbers never decrease within a
-/// track, and the CP-engine track is named.
-pub fn validate_chrome_trace(events: &[ParsedEvent]) -> Result<ChromeTraceStats, String> {
-    let mut stats = ChromeTraceStats {
-        events: events.len(),
-        ..ChromeTraceStats::default()
-    };
-    let mut stacks: std::collections::BTreeMap<u64, Vec<&str>> = std::collections::BTreeMap::new();
-    let mut last_cp: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-    for (i, ev) in events.iter().enumerate() {
-        match ev.ph.as_str() {
-            "M" => {
-                if ev.name == "thread_name" {
-                    let track = ev.args.get("name").and_then(|v| v.as_str()).unwrap_or("");
-                    if track == "cp-engine" {
-                        stats.engine_track = true;
-                    }
-                }
-                continue;
-            }
-            "B" => stacks.entry(ev.tid).or_default().push(&ev.name),
-            "E" => {
-                let stack = stacks.entry(ev.tid).or_default();
-                match stack.pop() {
-                    Some(open) if open == ev.name => stats.spans += 1,
-                    Some(open) => {
-                        return Err(format!(
-                            "event {i}: end '{}' does not match open span '{open}' on tid {}",
-                            ev.name, ev.tid
-                        ))
-                    }
-                    None => {
-                        return Err(format!(
-                            "event {i}: end '{}' with no open span on tid {}",
-                            ev.name, ev.tid
-                        ))
-                    }
-                }
-            }
-            "i" => stats.instants += 1,
-            other => return Err(format!("event {i}: unexpected phase '{other}'")),
-        }
-        if let Some(cp) = ev.cp {
-            let last = last_cp.entry(ev.tid).or_insert(cp);
-            if cp < *last {
-                return Err(format!(
-                    "event {i}: cp {cp} after cp {last} on tid {} — not CP-ordered",
-                    ev.tid
-                ));
-            }
-            *last = cp;
-            stats.max_cp = stats.max_cp.max(cp);
-        }
-    }
-    for (tid, stack) in &stacks {
-        if let Some(open) = stack.last() {
-            return Err(format!("unclosed span '{open}' on tid {tid}"));
-        }
-    }
-    if !stats.engine_track {
-        return Err("missing cp-engine track metadata".to_string());
-    }
-    Ok(stats)
 }
 
 #[cfg(test)]
@@ -1039,7 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn chrome_export_round_trips_and_validates() {
+    fn chrome_export_validates_and_rejects_a_broken_list() {
         let reg = Registry::new();
         let t = Tracer::new(64, &reg);
         // CP 0: a cp span containing two phases, a cursor instant inside
@@ -1060,20 +696,37 @@ mod tests {
         t.emit_at(20.0, 1, span("cp.total", 3.0));
         t.emit_at(21.0, 1, TraceData::HealthChange { from: 0, to: 1 });
 
-        let json_text = chrome_trace_json(&t.events());
-        let parsed = parse_chrome_trace(&json_text).expect("trace parses");
-        let stats = validate_chrome_trace(&parsed).expect("trace validates");
+        let list = chrome_events(&t.events());
+        let stats = validate_chrome_trace(&list).expect("trace validates");
         assert_eq!(stats.spans, 4);
         assert_eq!(stats.instants, 3);
         assert!(stats.engine_track);
         assert_eq!(stats.max_cp, 1);
-        // A file that never names the engine track is rejected.
-        let unnamed: Vec<ParsedEvent> = parsed
+        // A list that never names the engine track is rejected.
+        let unnamed: Vec<ChromeEvent> = list
             .iter()
-            .filter(|e| e.name != "thread_name")
-            .cloned()
+            .filter(|e| !matches!(e, ChromeEvent::Meta { tid: Some(_), .. }))
+            .copied()
             .collect();
         assert!(validate_chrome_trace(&unnamed).is_err());
+        // So is one missing an end, or with a CP out of order.
+        let last_end = list
+            .iter()
+            .rposition(|e| matches!(e, ChromeEvent::End { .. }))
+            .unwrap();
+        let mut unbalanced = list.clone();
+        unbalanced.remove(last_end);
+        let err = validate_chrome_trace(&unbalanced).unwrap_err();
+        assert!(err.contains("unclosed"), "{err}");
+        let mut reordered = list.clone();
+        let health = reordered
+            .iter()
+            .position(|e| matches!(e, ChromeEvent::Instant(ev) if ev.cp == 1))
+            .unwrap();
+        let cp1 = reordered.remove(health);
+        reordered.insert(2, cp1);
+        let err = validate_chrome_trace(&reordered).unwrap_err();
+        assert!(err.contains("not CP-ordered"), "{err}");
     }
 
     #[test]
@@ -1083,10 +736,21 @@ mod tests {
         // Two spans that overlap without nesting.
         t.emit_at(0.0, 0, span("mount.topaa", 10.0));
         t.emit_at(5.0, 0, span("mount.cold", 10.0));
-        let json_text = chrome_trace_json(&t.events());
-        let parsed = parse_chrome_trace(&json_text).expect("trace parses");
-        let stats = validate_chrome_trace(&parsed).expect("clipped trace validates");
+        let list = chrome_events(&t.events());
+        let stats = validate_chrome_trace(&list).expect("clipped trace validates");
         assert_eq!(stats.spans, 2);
+        // The inner end is clipped to 10 and keeps its wall time.
+        assert_eq!(
+            render_chrome_trace(&list),
+            "{\"traceEvents\":[\
+             {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"wafl-sim\"}},\
+             {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"cp-engine\"}},\
+             {\"name\":\"mount.topaa\",\"cat\":\"mount\",\"ph\":\"B\",\"ts\":0,\"pid\":1,\"tid\":0,\"args\":{\"cp\":0}},\
+             {\"name\":\"mount.cold\",\"cat\":\"mount\",\"ph\":\"B\",\"ts\":5,\"pid\":1,\"tid\":0,\"args\":{\"cp\":0}},\
+             {\"name\":\"mount.cold\",\"cat\":\"mount\",\"ph\":\"E\",\"ts\":10,\"pid\":1,\"tid\":0,\"args\":{\"cp\":0,\"wall_us\":10,\"model_us\":0}},\
+             {\"name\":\"mount.topaa\",\"cat\":\"mount\",\"ph\":\"E\",\"ts\":10,\"pid\":1,\"tid\":0,\"args\":{\"cp\":0,\"wall_us\":10,\"model_us\":0}}\
+             ],\"displayTimeUnit\":\"ms\"}"
+        );
     }
 
     #[test]
@@ -1098,9 +762,8 @@ mod tests {
         t.emit_at(30.0, 1, span("cp.total", 5.0));
         t.emit_at(10.0, 0, span("cp.total", 5.0));
         t.emit_at(12.0, 0, TraceData::SweepFallback { picks: 3 });
-        let json_text = chrome_trace_json(&t.events());
-        let parsed = parse_chrome_trace(&json_text).expect("trace parses");
-        validate_chrome_trace(&parsed).expect("cp-major order validates");
+        let list = chrome_events(&t.events());
+        validate_chrome_trace(&list).expect("cp-major order validates");
     }
 
     #[test]
@@ -1125,30 +788,8 @@ mod tests {
         assert_eq!(rows[0].values, vec![3.0, 2.0, 0.5]);
         assert_eq!(rows[1].values, vec![4.0, 1.0, 0.25]);
         assert_eq!(
-            series.to_json(),
-            "{\"columns\":[\"cp\",\"ops\",\"lat.sum\",\"free\"],\
-             \"rows\":[[0,3,2,0.5],[1,4,1,0.25]]}"
-        );
-        assert_eq!(
             series.to_csv(),
             "cp,ops,lat.sum,free\n0,3,2,0.5\n1,4,1,0.25\n"
         );
-    }
-
-    #[test]
-    fn json_parser_handles_the_exporter_grammar() {
-        let v =
-            json::parse("{\"a\":[1,2.5,-3e2],\"s\":\"he\\\"llo\\u0041\",\"b\":true,\"n\":null}")
-                .expect("parses");
-        assert_eq!(
-            v.get("a").unwrap().as_arr().unwrap()[2].as_f64(),
-            Some(-300.0)
-        );
-        assert_eq!(v.get("s").unwrap().as_str(), Some("he\"lloA"));
-        assert_eq!(v.get("b"), Some(&json::Value::Bool(true)));
-        assert_eq!(v.get("n"), Some(&json::Value::Null));
-        assert!(json::parse("{\"a\":}").is_err());
-        assert!(json::parse("[1,2").is_err());
-        assert!(json::parse("[] trailing").is_err());
     }
 }

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, tests, the observability and scrub
-# smoke checks — and optionally one of the release-mode torture loops or
-# a benchmark smoke run.
+# Local CI gate: formatting, lints, tests, the release-only scrub smoke
+# test — and optionally one of the release-mode torture loops or a
+# benchmark smoke run.
 #
 #   scripts/ci.sh                 # fast gates (no-threads guard, fmt,
-#                                 # clippy, tests, smokes, frozen-paths
+#                                 # clippy, tests, scrub smoke, oracle
+#                                 # parity, benchmark check, frozen-paths
 #                                 # guard)
 #   scripts/ci.sh --torture       # fast gates + 200-seed crash torture
 #   scripts/ci.sh --scrub-torture # fast gates + 200-seed runtime-scrub
@@ -12,11 +13,7 @@
 #                                 # on latent counter scribbles)
 #   scripts/ci.sh --bench-smoke   # fast gates + one untimed iteration of
 #                                 # every criterion bench (compile + run)
-#   scripts/ci.sh --obs-smoke     # the observability smoke check alone
-#   scripts/ci.sh --scrub-smoke   # the scrub smoke check alone
-#   scripts/ci.sh --alloc-smoke   # the allocation-counters gate alone
 #   scripts/ci.sh --oracle-parity # the per-block oracle parity sweep alone
-#   scripts/ci.sh --trace-smoke   # the flight-recorder export gate alone
 #   scripts/ci.sh --bench-check   # the benchmark package's smoke run and
 #                                 # unit tests alone
 set -euo pipefail
@@ -27,28 +24,6 @@ run() {
   "$@"
 }
 
-# Metrics invariants on a small cache-guided volume: snapshot covers the
-# allocator/HBPS/CP/mount families and every cache-guided pick stays
-# within one bin width of the true best score.
-obs_smoke() {
-  run cargo run --release -p wafl-harness --bin obs_smoke >/dev/null
-}
-
-# Online-scrub invariants: two injected counter scribbles are detected,
-# quarantined, repaired, and released, and health returns to Healthy.
-scrub_smoke() {
-  run cargo run --release -p wafl-harness --bin scrub_smoke >/dev/null
-}
-
-# Allocation gate: on the overwrite+CP workload, one run per arm at a
-# fixed seed, the allocator's counters (blocks examined per block
-# written, cursor hits, replenish pages, both pick means) read exactly
-# what the binary records, and the cache-guided arm examines fewer
-# positions than cache-less random picks. Counts, not wall time.
-alloc_smoke() {
-  run cargo run --release -p wafl-harness --bin alloc_smoke
-}
-
 # Oracle-parity gate: the release-mode seed sweep checking every CP block
 # by block against the test-only wafl-oracle references — both bitmaps
 # bit-exact against per-bit shadows, every mapping and pvbn owner equal
@@ -56,19 +31,6 @@ alloc_smoke() {
 # per-block costing, cache scores equal to popcounts. Zero diffs allowed.
 oracle_parity() {
   run cargo test --release -p wafl-fs --test oracle_parity -- --ignored
-}
-
-# Flight-recorder gate: a small simulate with --trace must write Chrome
-# trace JSON that re-parses and validates — balanced begin/end spans,
-# CP-ordered, the engine track named — and trace-report must render its
-# quantile summary from the file.
-trace_smoke() {
-  local out
-  out="$(mktemp -d)/trace.json"
-  run cargo run --release -p wafl-cli --bin wafl-sim -- simulate \
-    --device-blocks 20480 --ops 5000 --churn 0.2 --trace "$out" >/dev/null
-  run cargo run --release -p wafl-cli --bin wafl-sim -- trace-report \
-    "$out" >/dev/null
 }
 
 # Benchmark-package gate: benchmark/ is a workspace of its own, so the
@@ -130,32 +92,8 @@ no_threads() {
   fi
 }
 
-if [[ "${1:-}" == "--obs-smoke" ]]; then
-  obs_smoke
-  echo "CI gates passed."
-  exit 0
-fi
-
-if [[ "${1:-}" == "--scrub-smoke" ]]; then
-  scrub_smoke
-  echo "CI gates passed."
-  exit 0
-fi
-
-if [[ "${1:-}" == "--alloc-smoke" ]]; then
-  alloc_smoke
-  echo "CI gates passed."
-  exit 0
-fi
-
 if [[ "${1:-}" == "--oracle-parity" ]]; then
   oracle_parity
-  echo "CI gates passed."
-  exit 0
-fi
-
-if [[ "${1:-}" == "--trace-smoke" ]]; then
-  trace_smoke
   echo "CI gates passed."
   exit 0
 fi
@@ -180,13 +118,17 @@ run cargo clippy --workspace --all-targets -- -D warnings -D clippy::or_fun_call
 # which have no per-block definition for wafl-oracle to check — on the
 # two oracle-parity geometries and on force-drained batched frees, rg
 # back-off, an object-store group, a cache-less volume and crash +
-# mount_auto cycles.
+# mount_auto cycles. Tier-1 also runs the smoke gates:
+# crates/harness/tests/obs_smoke.rs (metric families, the one-bin-width
+# pick bound), crates/harness/tests/alloc_smoke.rs (exact allocator
+# counters per arm) and wafl-cli's simulate_trace_exports_and_reports
+# (simulate --trace, then trace-report on the series CSV).
 run cargo test -q
-obs_smoke
-scrub_smoke
-alloc_smoke
+# Online-scrub invariants, release-only (debug bitmap asserts fire on the
+# scribbles): two injected counter scribbles are detected, quarantined,
+# repaired and released, and health returns to Healthy.
+run cargo test --release -p wafl-fs --test scrub_torture -- --ignored --exact scrub_smoke
 oracle_parity
-trace_smoke
 bench_check
 frozen_paths
 
