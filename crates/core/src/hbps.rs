@@ -18,6 +18,7 @@
 //! boundary-rotation trick enabled by in-bin disorder ("only one AA needs
 //! to be moved down from each bin present in the list").
 
+use crate::topology::AaTopology;
 use bytes::{Buf, BufMut};
 use wafl_types::{
     crc64, AaId, AaScore, WaflError, WaflResult, BLOCK_SIZE, HBPS_BINS, HBPS_LIST_CAPACITY,
@@ -505,9 +506,11 @@ impl Hbps {
     }
 
     /// Deserialize from the two TopAA block images, checking each page's
-    /// CRC and then validating every structural invariant (a damaged
-    /// metafile must fail loudly and fall back to the bitmap walk, per
-    /// §3.4's corruption discussion).
+    /// CRC and then validating every structural invariant, a list that
+    /// names no AA twice included (a damaged metafile must fail loudly
+    /// and fall back to the bitmap walk, per §3.4's corruption
+    /// discussion). [`Hbps::from_pages_for`] adds the checks that need
+    /// the range's topology.
     pub fn from_pages(hist: &[u8; BLOCK_SIZE], list: &[u8; BLOCK_SIZE]) -> WaflResult<Hbps> {
         let corrupt = |reason: String| WaflError::CorruptMetafile { reason };
         if !crc64::verify_page(hist) {
@@ -558,6 +561,35 @@ impl Hbps {
         for _ in 0..list_len {
             h.list.push(AaId(r.get_u32_le()));
         }
+        if let Some(aa) = first_repeat(&h.list) {
+            return Err(corrupt(format!("list page names {aa} twice")));
+        }
+        Ok(h)
+    }
+
+    /// [`Hbps::from_pages`] for the range `topology` describes: the image
+    /// must also be one this range could have written, its score space
+    /// the topology's and every listed AA inside it.
+    pub fn from_pages_for(
+        topology: &AaTopology,
+        hist: &[u8; BLOCK_SIZE],
+        list: &[u8; BLOCK_SIZE],
+    ) -> WaflResult<Hbps> {
+        let corrupt = |reason: String| WaflError::CorruptMetafile { reason };
+        let h = Hbps::from_pages(hist, list)?;
+        if h.cfg.max_score != topology.max_score() {
+            return Err(corrupt(format!(
+                "TopAA max score {} does not match topology {}",
+                h.cfg.max_score,
+                topology.max_score()
+            )));
+        }
+        if let Some(aa) = h.list.iter().find(|aa| aa.get() >= topology.aa_count()) {
+            return Err(corrupt(format!(
+                "list page names {aa}, beyond the range's {} AAs",
+                topology.aa_count()
+            )));
+        }
         Ok(h)
     }
 
@@ -581,6 +613,27 @@ impl Hbps {
         seen.dedup();
         assert_eq!(before, seen.len(), "duplicate AA in list");
     }
+}
+
+/// The first AA `list` names a second time, if any. Linear probing in a
+/// table of at least twice the list's length: linear in the list, and as
+/// cheap for the arbitrary ids of a damaged page as for valid ones.
+fn first_repeat(list: &[AaId]) -> Option<AaId> {
+    let slots = (2 * list.len()).next_power_of_two().max(2);
+    let shift = 64 - slots.trailing_zeros();
+    let mut table = vec![0u64; slots]; // AA id + 1; 0 marks a free slot
+    for &aa in list {
+        let key = u64::from(aa.get()) + 1;
+        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        while table[i] != 0 {
+            if table[i] == key {
+                return Some(aa);
+            }
+            i = (i + 1) & (slots - 1);
+        }
+        table[i] = key;
+    }
+    None
 }
 
 #[cfg(test)]
@@ -897,6 +950,62 @@ mod tests {
         p1[20] = 0xff; // absurd list length
         p1[21] = 0xff;
         assert!(Hbps::from_pages(&p1, &p2).is_err());
+    }
+
+    #[test]
+    fn structural_corruption_detected_even_with_valid_crc() {
+        // Re-seal after each scribble so the CRC passes and only the
+        // structural checks can catch the damage.
+        fn resealed(page: &[u8; BLOCK_SIZE], at: usize, value: u32) -> [u8; BLOCK_SIZE] {
+            let mut page = *page;
+            page[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            crc64::seal_page(&mut page);
+            page
+        }
+        let blocks = 1024;
+        let topology = AaTopology::raid_agnostic(
+            100 * blocks,
+            wafl_types::AaSizingPolicy::ConsecutiveVbns { blocks },
+        )
+        .unwrap();
+        let cfg = HbpsConfig {
+            max_score: topology.max_score(),
+            ..HbpsConfig::default()
+        };
+        let h = Hbps::build(cfg, (0..100u32).map(|i| (AaId(i), AaScore(i * 10)))).unwrap();
+        let (hist, list) = h.to_pages();
+        assert!(Hbps::from_pages_for(&topology, &hist, &list).is_ok());
+        let corrupt = |r: WaflResult<Hbps>| matches!(r, Err(WaflError::CorruptMetafile { .. }));
+        // One AA listed twice.
+        let first = u32::from_le_bytes(list[..4].try_into().unwrap());
+        let twice = resealed(&list, 4, first);
+        assert!(corrupt(Hbps::from_pages(&hist, &twice)));
+        // A listed AA beyond the range: only the topology can tell.
+        let beyond = resealed(&list, 0, topology.aa_count());
+        assert!(Hbps::from_pages(&hist, &beyond).is_ok());
+        assert!(corrupt(Hbps::from_pages_for(&topology, &hist, &beyond)));
+        // Another range's score space (offset 8: max_score).
+        let other = resealed(&hist, 8, 2 * topology.max_score());
+        assert!(Hbps::from_pages(&other, &list).is_ok());
+        assert!(corrupt(Hbps::from_pages_for(&topology, &other, &list)));
+    }
+
+    #[test]
+    fn first_repeat_finds_the_second_naming_of_any_id() {
+        let ids = |v: &[u32]| v.iter().map(|&i| AaId(i)).collect::<Vec<_>>();
+        assert_eq!(first_repeat(&[]), None);
+        assert_eq!(first_repeat(&ids(&[0, u32::MAX, 7])), None);
+        assert_eq!(
+            first_repeat(&ids(&[u32::MAX, 3, u32::MAX])),
+            Some(AaId(u32::MAX))
+        );
+        // A full list of ids spread over the whole space, then a repeat.
+        let mut list: Vec<AaId> = (0..1000u32)
+            .map(|i| AaId(i.wrapping_mul(0x9E37_79B9)))
+            .collect();
+        assert_eq!(first_repeat(&list), None);
+        list.push(list[500]);
+        assert_eq!(first_repeat(&list), Some(list[500]));
     }
 
     #[test]

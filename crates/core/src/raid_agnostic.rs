@@ -77,16 +77,7 @@ impl RaidAgnosticCache {
         hist: &[u8; BLOCK_SIZE],
         list: &[u8; BLOCK_SIZE],
     ) -> WaflResult<RaidAgnosticCache> {
-        let hbps = Hbps::from_pages(hist, list)?;
-        if hbps.config().max_score != topology.max_score() {
-            return Err(WaflError::CorruptMetafile {
-                reason: format!(
-                    "TopAA max score {} does not match topology {}",
-                    hbps.config().max_score,
-                    topology.max_score()
-                ),
-            });
-        }
+        let hbps = Hbps::from_pages_for(&topology, hist, list)?;
         Ok(RaidAgnosticCache {
             hbps,
             topology,

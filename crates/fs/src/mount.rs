@@ -266,7 +266,7 @@ fn seed_group(
         Some(RgTopAa::Hbps(hist, list)) => {
             seeding.blocks_read += 2;
             // HBPS restores complete — like a volume cache.
-            GroupCache::Hbps(Box::new(Hbps::from_pages(hist, list)?))
+            GroupCache::Hbps(Box::new(Hbps::from_pages_for(&g.topology, hist, list)?))
         }
     };
     let hint = image.rg_active.get(i).copied().flatten();
@@ -854,6 +854,51 @@ mod tests {
             assert!(s.agg_picks >= 1 && s.vol_picks >= 1, "{case}");
             complete_background_rebuild(&mut a).unwrap();
             assert_ranked_xor_active(&a, case);
+        }
+    }
+
+    #[test]
+    fn a_resealed_hbps_image_that_breaks_an_invariant_degrades_that_structure() {
+        // Re-seal after each scribble so the CRC passes and only the
+        // structural checks can catch the damage.
+        fn scribble(page: &mut [u8; BLOCK_SIZE], at: usize, value: u32) {
+            page[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            wafl_types::crc64::seal_page(page);
+        }
+        let mut a = mid_aa_agg();
+        let saved = save_topaa(&a);
+        let (g, v) = (&a.groups[1].topology, &a.vols[0].topology);
+        let (g_aas, g_max, v_aas) = (g.aa_count(), g.max_score(), v.aa_count());
+        for reason in ["twice", "beyond the range", "does not match topology"] {
+            let mut image = saved.clone();
+            let Some(RgTopAa::Hbps(hist, list)) = &mut image.rg_blocks[1] else {
+                unreachable!("the object-store range ranks by HBPS")
+            };
+            let parts: &[DegradedPart] = match reason {
+                "twice" => {
+                    let first = u32::from_le_bytes(list[..4].try_into().unwrap());
+                    scribble(list, 4, first);
+                    &[DegradedPart::Group(1)]
+                }
+                "beyond the range" => {
+                    scribble(list, 0, g_aas);
+                    let (_, list) = image.vol_pages[0].as_mut().unwrap();
+                    scribble(list, 0, v_aas);
+                    &[DegradedPart::Group(1), DegradedPart::Volume(0)]
+                }
+                _ => {
+                    scribble(hist, 8, 2 * g_max); // another score space
+                    &[DegradedPart::Group(1)]
+                }
+            };
+            crash(&mut a);
+            let stats = mount_auto(&mut a, &image);
+            let got: Vec<_> = stats.degraded.iter().map(|d| d.part).collect();
+            assert_eq!(got, parts, "{reason}");
+            for d in &stats.degraded {
+                assert!(d.reason.contains(reason), "{reason}: {}", d.reason);
+            }
+            assert!(crate::iron::check(&a).unwrap().is_clean(), "{reason}");
         }
     }
 
