@@ -896,39 +896,6 @@ impl Bitmap {
         }
     }
 
-    /// Iterate free VBNs in `start .. start+len` in ascending order.
-    pub fn iter_free_in_range(&self, start: Vbn, len: u64) -> impl Iterator<Item = Vbn> + '_ {
-        let end = (start.get() + len).min(self.space_len);
-        FreeIter {
-            bitmap: self,
-            next: start,
-            end,
-        }
-    }
-
-    /// Longest run of consecutive free VBNs in `start .. start+len`.
-    /// Used by fragmentation diagnostics and the write-chain model.
-    pub fn longest_free_run_in_range(&self, start: Vbn, len: u64) -> u64 {
-        let end = (start.get() + len).min(self.space_len);
-        let mut best = 0u64;
-        let mut run = 0u64;
-        let mut pos = start.get();
-        while pos < end {
-            // Word-grained fast path via first_free_from would complicate
-            // this; ranges here are AA-sized (<= a few MiB of bits), fine.
-            let page = (pos / BITS_PER_BITMAP_BLOCK) as usize;
-            let in_page = pos % BITS_PER_BITMAP_BLOCK;
-            if self.pages[page].is_free(in_page) {
-                run += 1;
-                best = best.max(run);
-            } else {
-                run = 0;
-            }
-            pos += 1;
-        }
-        best
-    }
-
     /// Take and reset the dirty-page statistics. Called once per CP by the
     /// consistency-point engine; the returned counts model that CP's
     /// metafile-block I/O. Debug builds verify the whole free-count
@@ -1011,25 +978,6 @@ impl Bitmap {
     /// `None` if `page` is out of range.
     pub fn page(&self, page: usize) -> Option<&BitmapPage> {
         self.pages.get(page)
-    }
-}
-
-struct FreeIter<'a> {
-    bitmap: &'a Bitmap,
-    next: Vbn,
-    end: u64,
-}
-
-impl Iterator for FreeIter<'_> {
-    type Item = Vbn;
-
-    fn next(&mut self) -> Option<Vbn> {
-        let vbn = self.bitmap.first_free_from(self.next)?;
-        if vbn.get() >= self.end {
-            return None;
-        }
-        self.next = vbn.next();
-        Some(vbn)
     }
 }
 
@@ -1346,16 +1294,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_free_in_range_respects_bounds() {
-        let mut b = Bitmap::new(100);
-        for v in [3u64, 5, 7] {
-            b.allocate(Vbn(v)).unwrap();
-        }
-        let free: Vec<u64> = b.iter_free_in_range(Vbn(2), 8).map(Vbn::get).collect();
-        assert_eq!(free, vec![2, 4, 6, 8, 9]);
-    }
-
-    #[test]
     fn dirty_stats_count_distinct_pages_once() {
         let mut b = Bitmap::new(4 * 32768);
         // Two flips in page 0, one in page 2.
@@ -1393,17 +1331,6 @@ mod tests {
             "scattered dirtied {}",
             s.pages_dirtied
         );
-    }
-
-    #[test]
-    fn longest_free_run() {
-        let mut b = Bitmap::new(1000);
-        for v in [100u64, 300, 301, 302] {
-            b.allocate(Vbn(v)).unwrap();
-        }
-        assert_eq!(b.longest_free_run_in_range(Vbn(0), 1000), 1000 - 303);
-        assert_eq!(b.longest_free_run_in_range(Vbn(0), 100), 100);
-        assert_eq!(b.longest_free_run_in_range(Vbn(99), 4), 2); // 101,102
     }
 
     #[test]

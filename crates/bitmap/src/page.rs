@@ -198,49 +198,9 @@ impl BitmapPage {
         self.words[wi] |= mask;
     }
 
-    /// Iterate maximal runs of consecutive free bits as `(start, len)`
-    /// pairs, in ascending order.
-    pub fn free_runs(&self) -> FreeRuns<'_> {
-        FreeRuns { page: self, pos: 0 }
-    }
-
-    /// Length of the longest run of consecutive free bits.
-    pub fn longest_free_run(&self) -> u64 {
-        self.free_runs().map(|(_, len)| len).max().unwrap_or(0)
-    }
-
     /// Raw words, for serialization.
     pub fn words(&self) -> &[u64] {
         &self.words[..]
-    }
-}
-
-/// Iterator over maximal free runs of a page. See [`BitmapPage::free_runs`].
-pub struct FreeRuns<'a> {
-    page: &'a BitmapPage,
-    pos: u64,
-}
-
-impl Iterator for FreeRuns<'_> {
-    type Item = (u64, u64);
-
-    fn next(&mut self) -> Option<(u64, u64)> {
-        let start = self.page.first_free_from(self.pos)?;
-        // Scan forward for the end of the run, word-at-a-time.
-        let mut end = start;
-        while end < BitmapPage::bits() && self.page.is_free(end) {
-            // Fast-path whole free words.
-            if end % 64 == 0 {
-                let wi = (end / 64) as usize;
-                if wi < WORDS_PER_PAGE && self.page.words[wi] == 0 {
-                    end += 64;
-                    continue;
-                }
-            }
-            end += 1;
-        }
-        self.pos = end + 1;
-        Some((start, end - start))
     }
 }
 
@@ -255,7 +215,6 @@ mod tests {
         assert!(p.is_free(0));
         assert!(p.is_free(32767));
         assert_eq!(p.first_free_from(0), Some(0));
-        assert_eq!(p.longest_free_run(), 32768);
     }
 
     #[test]
@@ -263,7 +222,6 @@ mod tests {
         let p = BitmapPage::new_full();
         assert_eq!(p.free_count(), 0);
         assert_eq!(p.first_free_from(0), None);
-        assert_eq!(p.free_runs().count(), 0);
     }
 
     #[test]
@@ -307,28 +265,6 @@ mod tests {
         let p = BitmapPage::new_free();
         assert_eq!(p.first_free_from(32768), None);
         assert_eq!(p.first_free_from(32767), Some(32767));
-    }
-
-    #[test]
-    fn free_runs_partition_free_space() {
-        let mut p = BitmapPage::new_free();
-        // Allocate 1000..2000 and 5000..5001.
-        for i in 1000..2000 {
-            p.set_allocated(i);
-        }
-        p.set_allocated(5000);
-        let runs: Vec<_> = p.free_runs().collect();
-        assert_eq!(runs, vec![(0, 1000), (2000, 3000), (5001, 32768 - 5001)]);
-        let total: u64 = runs.iter().map(|&(_, l)| l).sum();
-        assert_eq!(total as u32, p.free_count());
-        assert_eq!(p.longest_free_run(), 32768 - 5001);
-    }
-
-    #[test]
-    fn free_runs_single_trailing_bit() {
-        let mut p = BitmapPage::new_full();
-        p.set_free(32767);
-        assert_eq!(p.free_runs().collect::<Vec<_>>(), vec![(32767, 1)]);
     }
 
     #[test]

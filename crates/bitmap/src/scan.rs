@@ -73,11 +73,6 @@ pub fn page_free_counts(bitmap: &Bitmap) -> Vec<u32> {
         .collect()
 }
 
-/// Number of metafile pages a full cache-rebuild walk must read.
-pub fn walk_pages(bitmap: &Bitmap) -> u64 {
-    bitmap.page_count() as u64
-}
-
 /// Fragmentation summary of a VBN range: (free blocks, free runs, longest
 /// run). Used by the experiments to characterise aged file systems.
 pub fn fragmentation_in_range(

@@ -81,27 +81,6 @@ proptest! {
     }
 
     #[test]
-    fn free_iteration_agrees_with_membership(
-        allocs in proptest::collection::hash_set(0u64..40_000, 0..500),
-        start in 0u64..40_000,
-        len in 0u64..40_000,
-    ) {
-        let space = 40_000u64;
-        let mut bitmap = Bitmap::new(space);
-        for &v in &allocs {
-            bitmap.allocate(Vbn(v)).unwrap();
-        }
-        let got: Vec<u64> = bitmap
-            .iter_free_in_range(Vbn(start), len)
-            .map(Vbn::get)
-            .collect();
-        let expected: Vec<u64> = (start..(start + len).min(space))
-            .filter(|v| !allocs.contains(v))
-            .collect();
-        prop_assert_eq!(got, expected);
-    }
-
-    #[test]
     fn dirty_pages_bounded_by_flips_and_pages(
         allocs in proptest::collection::vec(0u64..300_000, 1..300),
     ) {

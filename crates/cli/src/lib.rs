@@ -445,7 +445,6 @@ pub fn run_simulate(o: &SimulateOpts) -> WaflResult<SimulateReport> {
         )?;
     }
     agg.reset_media_stats();
-    agg.reset_cache_stats();
 
     let mut workload: Box<dyn Workload> = match o.workload.as_str() {
         "overwrite" => Box::new(RandomOverwrite::new(VolumeId(0), working, 11)),

@@ -98,37 +98,6 @@ impl HbpsConfig {
     }
 }
 
-/// Cumulative maintenance counters for one [`Hbps`] instance.
-///
-/// Volatile observability state: never persisted to the TopAA pages, and
-/// reset by [`Hbps::take_stats`] so callers can scrape deltas into an
-/// external metrics registry at CP boundaries.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HbpsStats {
-    /// Score changes that moved an AA between histogram bins.
-    pub bin_moves: u64,
-    /// Single-element boundary moves performed while walking a list hole
-    /// across deeper segments (the §3.3.2 rotation trick).
-    pub boundary_rotations: u64,
-    /// Entries actually inserted into the list page.
-    pub list_inserts: u64,
-    /// Entries evicted from the deepest segment to admit a better AA.
-    pub list_evictions: u64,
-    /// Full list rebuilds via [`Hbps::replenish`].
-    pub refills: u64,
-}
-
-impl HbpsStats {
-    /// Accumulate another instance's counters into this one.
-    pub fn merge(&mut self, other: HbpsStats) {
-        self.bin_moves += other.bin_moves;
-        self.boundary_rotations += other.boundary_rotations;
-        self.list_inserts += other.list_inserts;
-        self.list_evictions += other.list_evictions;
-        self.refills += other.refills;
-    }
-}
-
 /// The two-page histogram-based partial sort. See the module docs.
 ///
 /// ```
@@ -161,8 +130,6 @@ pub struct Hbps {
     list: Vec<AaId>,
     /// Entries in `list` belonging to each bin.
     seg_len: Vec<u32>,
-    /// Volatile maintenance counters (not persisted).
-    stats: HbpsStats,
 }
 
 impl Hbps {
@@ -174,7 +141,6 @@ impl Hbps {
             list: Vec::with_capacity(cfg.list_capacity),
             seg_len: vec![0; cfg.bins],
             cfg,
-            stats: HbpsStats::default(),
         })
     }
 
@@ -235,17 +201,6 @@ impl Hbps {
         )
     }
 
-    /// Maintenance counters accumulated since construction or the last
-    /// [`Hbps::take_stats`] call.
-    pub fn stats(&self) -> HbpsStats {
-        self.stats
-    }
-
-    /// Return and reset the maintenance counters (delta scrape).
-    pub fn take_stats(&mut self) -> HbpsStats {
-        std::mem::take(&mut self.stats)
-    }
-
     /// Total AAs tracked by the histogram.
     pub fn tracked(&self) -> u64 {
         self.counts.iter().map(|&c| c as u64).sum()
@@ -289,7 +244,6 @@ impl Hbps {
         if ob == nb {
             return Ok(()); // same bin: counts unchanged, in-bin order irrelevant
         }
-        self.stats.bin_moves += 1;
         // Saturate rather than assert: a TopAA image written less often
         // than every CP restores counts that lag the bitmaps. Histogram
         // drift degrades pick quality, never allocation correctness (the
@@ -375,7 +329,6 @@ impl Hbps {
         self.counts.iter_mut().for_each(|c| *c = 0);
         self.seg_len.iter_mut().for_each(|l| *l = 0);
         self.list.clear();
-        self.stats.refills += 1;
         for (aa, score) in scores {
             self.track_new(aa, score)?;
         }
@@ -401,7 +354,6 @@ impl Hbps {
                     // Evict the last entry (end of the deepest segment).
                     self.list.pop();
                     self.seg_len[deepest] -= 1;
-                    self.stats.list_evictions += 1;
                 }
                 _ => return, // not better than anything listed
             }
@@ -421,11 +373,9 @@ impl Hbps {
             }
             self.list[hole] = self.list[start];
             hole = start;
-            self.stats.boundary_rotations += 1;
         }
         self.list[hole] = aa;
         self.seg_len[bin] += 1;
-        self.stats.list_inserts += 1;
     }
 
     /// Remove `aa` from `bin`'s segment if present. Returns whether it was.
@@ -465,7 +415,6 @@ impl Hbps {
             self.list[hole] = self.list[last];
             hole = last;
             next_seg_start = last + 1;
-            self.stats.boundary_rotations += 1;
         }
         debug_assert_eq!(hole, self.list.len() - 1);
         self.list.pop();
@@ -766,21 +715,19 @@ mod tests {
         h.track_new(AaId(2), AaScore(309)).unwrap(); // bin 1
         h.track_new(AaId(3), AaScore(300)).unwrap(); // bin 2
         h.assert_invariants();
-        let before = h.stats();
         // Crossing a single edge (309 -> 311) moves the AA from bin 1 to
-        // bin 0: one bin move, and the insert rotates one boundary element
-        // per deeper nonempty segment it passes.
+        // bin 0; the insert rotates one boundary element per deeper
+        // nonempty segment it passes.
+        assert_eq!(&h.bin_counts()[..3], &[1, 2, 1]);
         h.on_score_change(AaId(2), AaScore(309), AaScore(311))
             .unwrap();
-        let after = h.stats();
-        assert_eq!(after.bin_moves - before.bin_moves, 1);
-        assert!(after.boundary_rotations > before.boundary_rotations);
+        assert_eq!(&h.bin_counts()[..3], &[2, 1, 1]);
         h.assert_invariants();
         // Same-bin edge movement (311 -> 320 within bin 0) is a no-op.
-        let before = h.stats();
+        let before = h.to_pages();
         h.on_score_change(AaId(2), AaScore(311), AaScore(320))
             .unwrap();
-        assert_eq!(h.stats(), before);
+        assert!(h.to_pages() == before);
         // Drain in bin order: the rotated structure still yields bin 0
         // entries first.
         let order: Vec<AaId> = std::iter::from_fn(|| h.take_best().map(|(aa, _)| aa)).collect();
@@ -789,24 +736,6 @@ mod tests {
         assert_eq!(order[2], AaId(1));
         assert_eq!(order[3], AaId(3));
         h.assert_invariants();
-    }
-
-    #[test]
-    fn stats_track_maintenance_and_reset() {
-        let mut h = Hbps::new(small_cfg()).unwrap();
-        for i in 0..12 {
-            h.track_new(AaId(i), AaScore(100 + i.min(5))).unwrap();
-        }
-        h.on_score_change(AaId(0), AaScore(100), AaScore(319))
-            .unwrap();
-        h.replenish((0..12).map(|i| (AaId(i), AaScore(100))))
-            .unwrap();
-        let s = h.take_stats();
-        assert!(s.list_inserts >= 10);
-        assert!(s.list_evictions >= 1, "insert into a full list evicts");
-        assert_eq!(s.bin_moves, 1);
-        assert_eq!(s.refills, 1);
-        assert_eq!(h.take_stats(), HbpsStats::default(), "take resets");
     }
 
     #[test]

@@ -23,30 +23,6 @@ fn scramble(id: u32) -> u32 {
     x ^ (x >> 16)
 }
 
-/// Cumulative maintenance counters for one [`RaidAwareCache`].
-///
-/// Volatile observability state: never persisted, and reset by
-/// [`RaidAwareCache::take_stats`] so callers can scrape deltas into an
-/// external metrics registry at CP boundaries.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HeapCacheStats {
-    /// CP-boundary rebalances ([`RaidAwareCache::apply_batch`] calls).
-    pub rebalances: u64,
-    /// Per-AA score updates applied across all rebalances.
-    pub rebalance_updates: u64,
-    /// Element swaps performed while restoring heap order.
-    pub sift_swaps: u64,
-}
-
-impl HeapCacheStats {
-    /// Accumulate another instance's counters into this one.
-    pub fn merge(&mut self, other: HeapCacheStats) {
-        self.rebalances += other.rebalances;
-        self.rebalance_updates += other.rebalance_updates;
-        self.sift_swaps += other.sift_swaps;
-    }
-}
-
 /// An in-memory max-heap of all allocation areas of one RAID group,
 /// ordered by score (§3.3.1).
 ///
@@ -94,8 +70,6 @@ pub struct RaidAwareCache {
     /// AAs still `UNKNOWN` (nonzero between a partial TopAA seed and the
     /// completion of the background rebuild).
     unknown: usize,
-    /// Volatile maintenance counters (not persisted).
-    stats: HeapCacheStats,
 }
 
 impl RaidAwareCache {
@@ -118,7 +92,6 @@ impl RaidAwareCache {
             heap: (0..n as u32).map(AaId).collect(),
             pos: (0..n).collect(),
             unknown: 0,
-            stats: HeapCacheStats::default(),
         };
         // Floyd heapify: O(n).
         for i in (0..n / 2).rev() {
@@ -141,7 +114,6 @@ impl RaidAwareCache {
             // Entries are checked distinct and in range below. A seed
             // that happens to cover every AA (small groups) is complete.
             unknown: n.saturating_sub(entries.len()),
-            stats: HeapCacheStats::default(),
         };
         for &(aa, score) in entries {
             if aa.index() >= n {
@@ -273,12 +245,10 @@ impl RaidAwareCache {
     /// being drained is reinserted by its holder, one a seeded cache does
     /// not know by the background rebuild, with an authoritative value.
     pub fn apply_batch(&mut self, batch: &mut ScoreDeltaBatch) {
-        self.stats.rebalances += 1;
         for (aa, delta) in batch.drain() {
             if aa.index() >= self.scores.len() {
                 continue; // stale delta from a grown/regrown group; ignore
             }
-            self.stats.rebalance_updates += 1;
             let new = self.scores[aa.index()].apply(delta, self.max_scores[aa.index()]);
             if self.pos[aa.index()] < OUT {
                 self.set_score(aa, new);
@@ -363,23 +333,11 @@ impl RaidAwareCache {
         }
     }
 
-    /// Maintenance counters accumulated since construction or the last
-    /// [`RaidAwareCache::take_stats`] call.
-    pub fn stats(&self) -> HeapCacheStats {
-        self.stats
-    }
-
-    /// Return and reset the maintenance counters (delta scrape).
-    pub fn take_stats(&mut self) -> HeapCacheStats {
-        std::mem::take(&mut self.stats)
-    }
-
     #[inline]
     fn swap(&mut self, a: usize, b: usize) {
         self.heap.swap(a, b);
         self.pos[self.heap[a].index()] = a;
         self.pos[self.heap[b].index()] = b;
-        self.stats.sift_swaps += 1;
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -469,22 +427,6 @@ mod tests {
         assert_eq!(c.best(), Some((AaId(2), AaScore(9))));
         assert_eq!(c.score_of(AaId(1)), AaScore(1));
         c.assert_heap_invariants();
-    }
-
-    #[test]
-    fn stats_count_rebalances_and_reset() {
-        let mut c = RaidAwareCache::new_full(scores(&[5, 9, 3, 1]), vec![10; 4]).unwrap();
-        let _ = c.take_stats(); // discard heapify swaps
-        let mut b = ScoreDeltaBatch::new();
-        b.record_allocated(AaId(1), 8);
-        b.record_freed(AaId(3), 9);
-        c.apply_batch(&mut b);
-        let s = c.stats();
-        assert_eq!(s.rebalances, 1);
-        assert_eq!(s.rebalance_updates, 2);
-        assert!(s.sift_swaps >= 1, "reordering must swap");
-        assert_eq!(c.take_stats(), s);
-        assert_eq!(c.stats(), HeapCacheStats::default(), "take resets");
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod topaa;
 mod topology;
 
 pub use batch::ScoreDeltaBatch;
-pub use hbps::{Hbps, HbpsConfig, HbpsStats};
-pub use heap_cache::{HeapCacheStats, RaidAwareCache};
+pub use hbps::{Hbps, HbpsConfig};
+pub use heap_cache::RaidAwareCache;
 pub use raid_agnostic::RaidAgnosticCache;
 pub use topology::AaTopology;

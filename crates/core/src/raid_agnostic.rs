@@ -2,33 +2,10 @@
 //! bitmap (§3.3.2).
 
 use crate::batch::ScoreDeltaBatch;
-use crate::hbps::{Hbps, HbpsConfig, HbpsStats};
+use crate::hbps::{Hbps, HbpsConfig};
 use crate::topology::AaTopology;
 use wafl_bitmap::Bitmap;
 use wafl_types::{AaId, AaScore, ScoreDelta, WaflError, WaflResult, BLOCK_SIZE};
-
-/// Statistics describing the quality of AA picks — the §4.1.2 measurement
-/// ("average free space available in the chosen AAs").
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct PickStats {
-    /// AAs handed to the write allocator.
-    pub picks: u64,
-    /// Sum of the picked AAs' exact scores at pick time.
-    pub score_sum: u64,
-    /// Background replenish scans performed.
-    pub replenish_scans: u64,
-}
-
-impl PickStats {
-    /// Mean free fraction of the picked AAs given the per-AA block count.
-    pub fn mean_free_fraction(&self, aa_blocks: u32) -> f64 {
-        if self.picks == 0 || aa_blocks == 0 {
-            0.0
-        } else {
-            self.score_sum as f64 / (self.picks as f64 * aa_blocks as f64)
-        }
-    }
-}
 
 /// The RAID-agnostic allocation-area cache for one FlexVol or natively
 /// redundant physical range.
@@ -41,7 +18,6 @@ pub struct RaidAgnosticCache {
     topology: AaTopology,
     /// Replenish trigger: scan when the list drains below this.
     low_water: usize,
-    stats: PickStats,
 }
 
 impl RaidAgnosticCache {
@@ -65,7 +41,6 @@ impl RaidAgnosticCache {
             hbps,
             topology,
             low_water: Self::DEFAULT_LOW_WATER,
-            stats: PickStats::default(),
         })
     }
 
@@ -82,7 +57,6 @@ impl RaidAgnosticCache {
             hbps,
             topology,
             low_water: Self::DEFAULT_LOW_WATER,
-            stats: PickStats::default(),
         })
     }
 
@@ -99,8 +73,6 @@ impl RaidAgnosticCache {
     pub fn pick_best(&mut self, bitmap: &Bitmap) -> Option<(AaId, AaScore)> {
         let (aa, _bound) = self.hbps.take_best()?;
         let exact = self.topology.score_from_bitmap(bitmap, aa);
-        self.stats.picks += 1;
-        self.stats.score_sum += exact.get() as u64;
         Some((aa, exact))
     }
 
@@ -149,18 +121,7 @@ impl RaidAgnosticCache {
         }
         self.hbps.replenish(self.topology.all_scores(bitmap))?;
         let _ = batch.drain().count();
-        self.stats.replenish_scans += 1;
         Ok(true)
-    }
-
-    /// Pick-quality statistics.
-    pub fn stats(&self) -> PickStats {
-        self.stats
-    }
-
-    /// Reset statistics (after aging, before measurement).
-    pub fn reset_stats(&mut self) {
-        self.stats = PickStats::default();
     }
 
     /// Memory footprint: two pages, always.
@@ -176,12 +137,6 @@ impl RaidAgnosticCache {
     /// Access to the embedded HBPS (read-only; for diagnostics/benches).
     pub fn hbps(&self) -> &Hbps {
         &self.hbps
-    }
-
-    /// Return and reset the embedded HBPS's maintenance counters (delta
-    /// scrape for an external metrics registry).
-    pub fn take_hbps_stats(&mut self) -> HbpsStats {
-        self.hbps.take_stats()
     }
 }
 
@@ -215,8 +170,6 @@ mod tests {
         let (aa, score) = cache.pick_best(&bitmap).unwrap();
         assert!(aa.get() >= 8, "picked a full AA {aa}");
         assert_eq!(score, AaScore(1024));
-        assert_eq!(cache.stats().picks, 1);
-        assert_eq!(cache.stats().mean_free_fraction(1024), 1.0);
     }
 
     #[test]
@@ -253,7 +206,6 @@ mod tests {
         let mut batch = ScoreDeltaBatch::new();
         assert!(cache.maybe_replenish(&bitmap, &mut batch).unwrap());
         assert!(cache.pick_best(&bitmap).is_some());
-        assert_eq!(cache.stats().replenish_scans, 1);
         // A full list does not replenish again.
         assert!(!cache.maybe_replenish(&bitmap, &mut batch).unwrap());
     }

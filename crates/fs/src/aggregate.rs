@@ -108,7 +108,8 @@ pub struct RaidGroupState {
     /// it and sweeps the bitmap until the quarantine lifts.
     pub(crate) cache_quarantined: bool,
     /// HBPS picks seen by this group, for the sampled pick-error audit
-    /// (1 in `pick_audit_sample` picks pays for a ground-truth scan).
+    /// (1 in `allocator::PICK_AUDIT_SAMPLE` picks pays for a ground-truth
+    /// scan).
     pub(crate) pick_audit_tick: u64,
 }
 
@@ -631,15 +632,6 @@ impl Aggregate {
     /// tracing is enabled.
     pub fn cp_series(&self) -> Option<&wafl_obs::trace::PerCpSeries> {
         self.obs.cp_series.as_ref()
-    }
-
-    /// Reset AA-cache pick statistics on all volumes (post-aging).
-    pub fn reset_cache_stats(&mut self) {
-        for v in &mut self.vols {
-            if let Some(c) = v.cache.as_mut() {
-                c.reset_stats();
-            }
-        }
     }
 
     /// Discard everything a power loss would: queued client writes and

@@ -148,6 +148,15 @@ fn plan_group_quarantine_sweep(
     }
 }
 
+/// Audit 1 in this many HBPS-guided RAID-group picks against the exact
+/// ground-truth best score (the `allocator.pick_score_error_bin_widths`
+/// histogram). The exact audit is a full-group score scan, so it must not
+/// ride every pick; the sampled scan is additionally memoized per plan
+/// call, amortizing to at most one scan per group per CP. Volume picks
+/// answer the audit from their O(aa_count) free-count summary and are
+/// always audited.
+pub(crate) const PICK_AUDIT_SAMPLE: u64 = 64;
+
 /// Allocate `quota` physical blocks from one RAID group: pick AAs off the
 /// group's cache and claim their free VBNs in the shared physical bitmap,
 /// recording each AA's take into the group's score batch as it is made.
@@ -162,7 +171,6 @@ pub(crate) fn plan_raid_group(
     quota: usize,
     mode: AllocatorMode,
     seed: u64,
-    pick_audit_sample: u32,
 ) -> WaflResult<AllocOutcome> {
     let mut out = AllocOutcome::default();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -266,14 +274,12 @@ pub(crate) fn plan_raid_group(
                                 }
                                 // The exact audit costs a full-group score
                                 // scan, so it no longer rides every pick:
-                                // sample 1-in-N picks (N from config), and
+                                // sample 1 in `PICK_AUDIT_SAMPLE` picks, and
                                 // amortize even those through a per-plan
                                 // memo — one scan per group per CP at most,
                                 // the §3.3 CP-boundary discipline.
                                 g.pick_audit_tick = g.pick_audit_tick.wrapping_add(1);
-                                if pick_audit_sample > 0
-                                    && g.pick_audit_tick.is_multiple_of(pick_audit_sample as u64)
-                                {
+                                if g.pick_audit_tick.is_multiple_of(PICK_AUDIT_SAMPLE) {
                                     let true_best = *audited_best.get_or_insert_with(|| {
                                         g.topology
                                             .all_scores(bitmap)

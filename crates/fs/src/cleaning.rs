@@ -110,7 +110,6 @@ pub fn clean_top_aas(
             live.len(),
             AllocatorMode::CacheGuided,
             0xC1EA_u64 ^ aa.get() as u64,
-            agg.cfg.pick_audit_sample,
         )?;
         let refused = plan.vbns.len() < live.len();
         if refused {

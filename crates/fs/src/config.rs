@@ -65,15 +65,6 @@ pub struct AggregateConfig {
     /// corruption is then only caught at remount, as before. See
     /// `docs/recovery.md` ("Runtime scrub & quarantine").
     pub scrub_pages_per_cp: u64,
-    /// Audit 1 in this many HBPS-guided RAID-group picks against the
-    /// exact ground-truth best score (the `pick_score_error` histogram).
-    /// The exact audit is a full-group score scan, so it must not ride
-    /// every pick; the sampled scan is additionally memoized per plan
-    /// call, amortizing to at most one scan per group per CP. `0`
-    /// disables the group-path audit entirely. Volume picks answer the
-    /// audit from their O(aa_count) free-count summary and are always
-    /// audited regardless of this knob.
-    pub pick_audit_sample: u32,
     /// CPU cost model for the per-op overhead accounting (§4.1.2).
     pub cpu: CpuModel,
     /// Vestigial: always `1`, and [`Aggregate::new`](crate::Aggregate::new)
@@ -107,7 +98,6 @@ impl AggregateConfig {
             batched_frees: false,
             free_pages_per_cp: 4,
             scrub_pages_per_cp: 0,
-            pick_audit_sample: 64,
             cpu: CpuModel::default(),
             write_shards: 1,
             trace_events: 0,

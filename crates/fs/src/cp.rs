@@ -468,24 +468,10 @@ struct CpTally {
     pick_errors: Vec<(u32, u32)>,
     /// Picks served by a linear bitmap sweep.
     sweep_picks: u64,
-    /// Touched AAs per score batch applied at the boundary.
-    batch_sizes: Vec<u64>,
-    /// The same, for the max-heap batches alone.
-    heap_batch_sizes: Vec<u64>,
     /// AA-cache operations, priced by the CPU model.
     cache_ops: u64,
     /// Drain-cursor hits and misses per volume.
     vol_cursor: Vec<(u64, u64)>,
-}
-
-impl CpTally {
-    /// Count a score batch of `touched` AAs applied to a cache.
-    fn batch(&mut self, touched: u64) {
-        self.cache_ops += touched;
-        if touched > 0 {
-            self.batch_sizes.push(touched);
-        }
-    }
 }
 
 /// One CP in flight: what any stage may read or add to besides its typed
@@ -749,7 +735,6 @@ impl Aggregate {
         } else {
             AllocatorMode::RandomAa
         };
-        let audit_sample = self.cfg.pick_audit_sample;
         let mut quotas = self.rg_quotas(n);
         let block_writes = match cp.crash {
             Some(CrashSite::AfterBlockWrites(limit)) => Some(limit),
@@ -785,7 +770,6 @@ impl Aggregate {
                     quota.min(shortfall),
                     mode,
                     cp.seed ^ (salt + i as u64),
-                    audit_sample,
                 )?;
                 shortfall -= plan.vbns.len();
                 progressed |= !plan.vbns.is_empty();
@@ -998,13 +982,9 @@ impl Aggregate {
         let tally = &mut cp.tally;
         let bitmap_ref = &self.bitmap;
         for g in &mut self.groups {
-            let touched = g.batch.touched_aas() as u64;
             match g.cache.as_mut() {
                 Some(GroupCache::Heap(cache)) => {
-                    tally.batch(touched);
-                    if touched > 0 {
-                        tally.heap_batch_sizes.push(touched);
-                    }
+                    tally.cache_ops += g.batch.touched_aas() as u64;
                     cache.apply_batch(&mut g.batch);
                     // Drained AAs are reinserted below, post-batch.
                 }
@@ -1012,7 +992,7 @@ impl Aggregate {
                     // Like the volume path: derive old scores from the
                     // post-CP bitmap and the batched delta; no per-AA
                     // score array exists (§3.3.2).
-                    tally.batch(touched);
+                    tally.cache_ops += g.batch.touched_aas() as u64;
                     for (aa, delta) in g.batch.drain() {
                         let new = g.topology.score_from_bitmap(bitmap_ref, aa);
                         let max = g.topology.aa_blocks(aa) as u32;
@@ -1043,7 +1023,7 @@ impl Aggregate {
                 let _ = vol.batch.drain().count();
                 continue;
             };
-            tally.batch(vol.batch.touched_aas() as u64);
+            tally.cache_ops += vol.batch.touched_aas() as u64;
             cache.apply_cp_batch(&mut vol.batch, &vol.bitmap)?;
             // §3.3.2's background scan: if takes have drained the list
             // faster than frees re-populate it — or quality degraded —
@@ -1067,26 +1047,19 @@ impl Aggregate {
     }
 
     /// Export a completed CP: its counters, its model terms and stage laps
-    /// as histograms and trace spans, the cache and space metrics, and
-    /// one per-CP series row.
+    /// as histograms and trace spans, the space metrics, and one per-CP
+    /// series row.
     fn export(&mut self, cp: &CpRun) {
         let (s, tally, obs) = (&cp.stats, &cp.tally, &self.obs);
         obs.cp_completed.inc(1);
         obs.aas_claimed.inc(s.vol_picks + s.agg_picks);
         obs.blocks_examined.inc(s.blocks_examined);
-        obs.replenish_pages.inc(s.replenish_pages);
         obs.sweep_fallback_picks.inc(tally.sweep_picks);
         obs.cursor_hits.inc(s.cursor_hits);
         obs.cursor_misses.inc(s.cursor_misses);
         for &(err, width) in &tally.pick_errors {
             obs.pick_score_error
                 .observe(err as f64 / width.max(1) as f64);
-        }
-        for &b in &tally.batch_sizes {
-            obs.cp_batch_size.observe(b as f64);
-        }
-        for &b in &tally.heap_batch_sizes {
-            obs.heap_rebalance_batch.observe(b as f64);
         }
         let terms = CpuTerms::of(s, &self.cfg.cpu);
         for ((_, term), h) in CpuTerms::HISTOGRAMS.iter().zip(&obs.cp_phase_us) {
@@ -1124,38 +1097,12 @@ impl Aggregate {
                 obs.trace_at(t0, s.cp_index, TraceData::SweepFallback { picks });
             }
         }
-        // Delta-scrape the maintenance counters of every cache structure
-        // (plain u64s in wafl-core; this is their only reader).
-        obs.record_hbps_stats(self.free_log.take_hbps_stats());
-        for g in &mut self.groups {
-            match g.cache.as_mut() {
-                Some(GroupCache::Heap(cache)) => obs.record_heap_stats(cache.take_stats()),
-                Some(GroupCache::Hbps(hbps)) => obs.record_hbps_stats(hbps.take_stats()),
-                None => {}
-            }
-        }
-        for vol in &mut self.vols {
-            if let Some(cache) = vol.cache.as_mut() {
-                obs.record_hbps_stats(cache.take_hbps_stats());
-            }
-        }
         // Space gauges, and per-volume cursor traffic under the `vol=<id>`
-        // label prefix. The name-formatted handles (dynamic group and
-        // volume counts) are looked up once per CP, never on a hot path.
+        // label prefix. The name-formatted handles (dynamic volume count)
+        // are looked up once per CP, never on a hot path.
         obs.gauge_free_fraction.set(self.bitmap.free_fraction());
         obs.gauge_delayed_free_backlog
             .set(self.free_log.pending() as f64);
-        for (i, g) in self.groups.iter().enumerate() {
-            let data = g.geometry.data_blocks();
-            let free = self.bitmap.free_count_range(g.geometry.base_vbn, data);
-            let gauge = |name: &str| obs.registry().gauge(&format!("group.{i}.{name}"));
-            gauge("free_fraction").set(free as f64 / data.max(1) as f64);
-            let active_score = g
-                .active_aa
-                .map(|aa| g.topology.score_from_bitmap(&self.bitmap, aa).get())
-                .unwrap_or(0);
-            gauge("active_aa_score").set(active_score as f64);
-        }
         for (i, vol) in self.vols.iter().enumerate() {
             let (hits, misses) = tally.vol_cursor.get(i).copied().unwrap_or_default();
             if hits > 0 {

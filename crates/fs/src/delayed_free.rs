@@ -20,7 +20,7 @@
 
 use std::collections::HashMap;
 use wafl_bitmap::Bitmap;
-use wafl_core::{Hbps, HbpsConfig, HbpsStats};
+use wafl_core::{Hbps, HbpsConfig};
 use wafl_types::{AaId, AaScore, Vbn, WaflResult, BITS_PER_BITMAP_BLOCK};
 
 /// Results of one processing pass.
@@ -194,12 +194,6 @@ impl DelayedFreeLog {
     /// themselves model the on-disk delayed-free metafiles of \[18\].)
     pub fn ranking_memory_bytes(&self) -> usize {
         self.hbps.memory_bytes()
-    }
-
-    /// Return and reset the ranking HBPS's maintenance counters (delta
-    /// scrape for an external metrics registry).
-    pub fn take_hbps_stats(&mut self) -> HbpsStats {
-        self.hbps.take_stats()
     }
 }
 

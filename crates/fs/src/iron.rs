@@ -255,7 +255,6 @@ pub fn repair(agg: &mut Aggregate) -> WaflResult<IronReport> {
             report.repairs += 1;
         }
     }
-    agg.obs.iron_repairs.inc(report.repairs);
     // A full repair rebuilt every summary and cache from the raw bits:
     // nothing remains suspect, so all runtime quarantines and pending
     // scrub tickets are settled and the aggregate returns to Healthy.

@@ -467,11 +467,9 @@ pub fn mount_auto_with(
         stats.metafile_blocks_read as f64 * (cpu.us_per_metafile_read + cpu.us_per_scan_page);
     stats.background_pages_remaining = seeding.background_pages(agg);
     seeding.record(agg, image);
-    agg.obs.mount_degradations.inc(stats.degraded.len() as u64);
     agg.obs
         .mount_cold_pages
         .inc(stats.degraded.iter().map(|d| d.pages_scanned).sum());
-    agg.obs.mount_retries.inc(stats.transient_retries);
     // Reflect the mount's degradations in the health state machine (the
     // scrub-state fix: a degraded mount used to report Healthy until the
     // first scrub step happened to run).
@@ -525,35 +523,49 @@ pub fn mount_cold(agg: &mut Aggregate) -> WaflResult<MountStats> {
 }
 
 /// Finish a TopAA-seeded mount: the background walk that completes every
-/// RAID-aware max-heap with authoritative scores. Returns the pages
-/// scanned (its cost runs behind client traffic, not in front of it).
-/// The *modelled* cost stays a full metafile walk — the paper's §3.4
-/// I/O — but the in-memory recomputation is summary-driven: each AA's
-/// score comes from the free-count counters, not a popcount over raw
-/// bits, so the rebuild no longer competes with client CPs for CPU.
+/// RAID-aware max-heap with authoritative scores, and rebuilds from its
+/// bitmap every cache a degraded mount left quarantined. Returns the
+/// pages scanned (its cost runs behind client traffic, not in front of
+/// it). The *modelled* cost stays a full metafile walk — the paper's
+/// §3.4 I/O — but the in-memory recomputation is summary-driven: each
+/// AA's score comes from the free-count counters, not a popcount over
+/// raw bits, so the rebuild no longer competes with client CPs for CPU.
 pub fn complete_background_rebuild(agg: &mut Aggregate) -> WaflResult<u64> {
     let bitmap = &agg.bitmap;
     let mut scanned = 0u64;
     let mut released = false;
     for g in agg.groups.iter_mut() {
-        let Some(GroupCache::Heap(cache)) = g.cache.as_mut() else {
-            continue; // HBPS ranges restore complete from their two pages
-        };
-        // Complete and trusted: nothing to do. A quarantined heap is
-        // recomputed even when complete (a degraded mount cold-rebuilt
-        // it, but only an authoritative pass lifts the quarantine).
-        if cache.is_complete() && !g.cache_quarantined {
+        match g.cache.as_mut() {
+            // Complete and trusted: nothing to do. A quarantined heap is
+            // recomputed even when complete (a degraded mount cold-rebuilt
+            // it, but only an authoritative pass lifts the quarantine).
+            Some(GroupCache::Heap(cache)) if !cache.is_complete() || g.cache_quarantined => {
+                cache.absorb_rebuild(&g.topology.all_scores(bitmap))?;
+            }
+            // An HBPS range restores complete from its two pages; a
+            // quarantined one is rescanned. The rescan lists AAs by score
+            // alone, so none stays active beside it.
+            Some(GroupCache::Hbps(hbps)) if g.cache_quarantined => {
+                hbps.replenish(g.topology.all_scores(bitmap))?;
+                g.active_aa = None;
+            }
+            _ => continue,
+        }
+        scanned += bitmap.page_count() as u64;
+        // The cache now carries authoritative scores for every AA: a
+        // mount-time structure quarantine on this group is settled.
+        released |= std::mem::take(&mut g.cache_quarantined);
+    }
+    for vol in agg.vols.iter_mut() {
+        if !vol.cache_quarantined || !vol.config().aa_cache {
             continue;
         }
-        let scores = g.topology.all_scores(bitmap);
-        cache.absorb_rebuild(&scores)?;
-        scanned += bitmap.page_count() as u64;
-        // The heap now carries authoritative scores for every AA: a
-        // mount-time structure quarantine on this group is settled.
-        if g.cache_quarantined {
-            g.cache_quarantined = false;
-            released = true;
-        }
+        vol.cache = Some(RaidAgnosticCache::build(vol.topology.clone(), &vol.bitmap)?);
+        vol.active_aa = None;
+        vol.invalidate_drain_cursor();
+        scanned += vol.bitmap.page_count() as u64;
+        vol.cache_quarantined = false;
+        released = true;
     }
     if released {
         crate::scrub::refresh_health(agg);
@@ -902,6 +914,24 @@ mod tests {
         }
     }
 
+    /// The background rebuild settled every cache a degraded mount
+    /// quarantined: the aggregate is healthy, and the next CP allocates
+    /// from the caches instead of sweeping the bitmap.
+    fn assert_rebuild_released_the_caches(a: &mut Aggregate) {
+        assert!(a.groups.iter().all(|g| !g.cache_quarantined));
+        assert!(a.vols.iter().all(|v| !v.cache_quarantined));
+        assert_eq!(a.health(), crate::scrub::HealthState::Healthy);
+        let sweeps = |a: &Aggregate| {
+            a.obs()
+                .counter_value("allocator.sweep_fallback_picks")
+                .unwrap()
+        };
+        let before = sweeps(a);
+        let s = overwrite_cp(a, 0, 30_000..30_500);
+        assert_eq!(s.blocks_written, 500);
+        assert_eq!(sweeps(a), before, "a released cache is swept past");
+    }
+
     #[test]
     fn a_structure_the_image_does_not_cover_resumes_nothing() {
         // Missing pages: the structure degrades to a cold rebuild, whose
@@ -919,6 +949,20 @@ mod tests {
         assert_eq!(resume_counters(&a), (1, 2));
         complete_background_rebuild(&mut a).unwrap();
         assert_ranked_xor_active(&a, "degraded group");
+        assert_rebuild_released_the_caches(&mut a);
+
+        // The same for an object-store range, whose cache is an HBPS.
+        let mut a = mid_aa_agg();
+        let before = actives(&a);
+        let mut image = save_topaa(&a);
+        image.rg_blocks[1] = None;
+        crash(&mut a);
+        let stats = mount_auto(&mut a, &image);
+        assert_eq!(stats.degraded.len(), 1);
+        assert_eq!(actives(&a), (vec![before.0[0], None], before.1));
+        assert!(a.groups[1].cache_quarantined);
+        complete_background_rebuild(&mut a).unwrap();
+        assert_rebuild_released_the_caches(&mut a);
 
         // An image older than a structure: the group added after the save
         // has neither pages nor a hint in it.

@@ -4,7 +4,8 @@
 //! shared [`wafl_obs::Registry`]. The hot paths never format metric names
 //! or touch the registry lock: each emitting site clones its handle once at
 //! construction and bumps an atomic. `docs/observability.md` catalogs every
-//! metric, its unit, and its emitting site.
+//! metric, its unit, its emitting site and what reads it; a family lands
+//! with its reader or not at all.
 //!
 //! Durations under `cp.phase.*` come exclusively from the CP engine's
 //! simulated cost model ([`CpuModel`](crate::CpuModel) and the media
@@ -14,7 +15,6 @@
 //! model's phase ratios drift from real execution time.
 
 use crate::cp::{CpuTerms, Stage};
-use wafl_core::{HbpsStats, HeapCacheStats};
 use wafl_obs::trace::{PerCpSeries, TraceData, Tracer};
 use wafl_obs::{Counter, Gauge, Histogram, Registry};
 
@@ -22,10 +22,6 @@ use wafl_obs::{Counter, Gauge, Histogram, Registry};
 /// guarantee is error < 1 bin width, so everything should land in the
 /// first two buckets; the tail exists to make violations visible.
 const PICK_ERROR_BOUNDS: &[f64] = &[0.25, 0.5, 1.0, 2.0, 4.0];
-
-/// Bucket bounds for score-delta batch sizes (touched AAs per structure
-/// per CP).
-const BATCH_SIZE_BOUNDS: &[f64] = &[1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0];
 
 /// Bucket bounds for simulated per-phase CP latencies, in microseconds.
 const PHASE_US_BOUNDS: &[f64] = &[10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0];
@@ -44,8 +40,6 @@ pub struct FsObs {
     pub(crate) aas_claimed: Counter,
     /// Candidate blocks examined while draining active AAs.
     pub(crate) blocks_examined: Counter,
-    /// Bitmap pages charged to HBPS replenish scans.
-    pub(crate) replenish_pages: Counter,
     /// Picks served by the linear bitmap sweep (cache-less or stale-cache
     /// fallback — e.g. a degraded-mount volume running without its cache).
     pub(crate) sweep_fallback_picks: Counter,
@@ -59,33 +53,9 @@ pub struct FsObs {
     /// the cursor was invalidated by frees/quarantine/replenish).
     pub(crate) cursor_misses: Counter,
 
-    // ---- core::hbps (scraped at CP boundaries) --------------------------
-    /// HBPS score changes that crossed a bin boundary.
-    pub(crate) hbps_bin_moves: Counter,
-    /// HBPS single-element boundary rotations in the list page.
-    pub(crate) hbps_boundary_rotations: Counter,
-    /// HBPS list-page insertions.
-    pub(crate) hbps_list_inserts: Counter,
-    /// HBPS list-page evictions (deepest segment displaced).
-    pub(crate) hbps_list_evictions: Counter,
-    /// HBPS full list refills (replenish scans).
-    pub(crate) hbps_list_refills: Counter,
-
-    // ---- core::heap_cache (scraped at CP boundaries) --------------------
-    /// RAID-aware heap CP-boundary rebalances.
-    pub(crate) heap_rebalances: Counter,
-    /// Per-AA score updates applied across heap rebalances.
-    pub(crate) heap_rebalance_updates: Counter,
-    /// Heap element swaps while restoring order.
-    pub(crate) heap_sift_swaps: Counter,
-    /// Touched AAs per heap rebalance batch.
-    pub(crate) heap_rebalance_batch: Histogram,
-
     // ---- fs::cp ---------------------------------------------------------
     /// Consistency points completed (crashed CPs are not counted).
     pub(crate) cp_completed: Counter,
-    /// Touched AAs per score-delta batch (per structure per CP).
-    pub(crate) cp_batch_size: Histogram,
     /// Simulated CP CPU time, one histogram per model term, indexed
     /// like [`CpuTerms::HISTOGRAMS`].
     pub(crate) cp_phase_us: [Histogram; 6],
@@ -101,12 +71,8 @@ pub struct FsObs {
     // ---- fs::mount ------------------------------------------------------
     /// Structures (groups + volumes) fast-pathed from a TopAA seed.
     pub(crate) mount_seed_hits: Counter,
-    /// DegradationEvents: structures that fell back to a cold scan.
-    pub(crate) mount_degradations: Counter,
     /// Bitmap pages walked by cold-scan cache rebuilds.
     pub(crate) mount_cold_pages: Counter,
-    /// Transient read failures absorbed by mount retries.
-    pub(crate) mount_retries: Counter,
     /// Active AAs named by a TopAA image that a mount reinstated.
     pub(crate) mount_active_resumed: Counter,
     /// Active AAs named by a TopAA image that a mount did not reinstate:
@@ -116,8 +82,6 @@ pub struct FsObs {
     // ---- fs::iron -------------------------------------------------------
     /// Full `iron::check` audits run.
     pub(crate) iron_audits: Counter,
-    /// Repairs performed by `iron::repair`.
-    pub(crate) iron_repairs: Counter,
 
     // ---- fs::scrub ------------------------------------------------------
     /// Verification units checked by the runtime scrubber (budgeted, so
@@ -131,23 +95,15 @@ pub struct FsObs {
     /// AAs and structure flags released after successful repairs (or
     /// clean passes over mount-quarantined structures).
     pub(crate) scrub_released: Counter,
-    /// Repair tickets scheduled by scrub detections.
-    pub(crate) scrub_repairs_scheduled: Counter,
     /// Repair tickets that completed (repair applied and re-verified
     /// clean).
     pub(crate) scrub_repairs_succeeded: Counter,
-    /// Transient read failures absorbed by scrub repair retries.
-    pub(crate) scrub_read_retries: Counter,
-    /// Summary counters rewritten by structure-scoped scrub repairs.
-    pub(crate) scrub_counters_repaired: Counter,
 
     // ---- health gauges --------------------------------------------------
     /// Health state machine position: 0 healthy, 1 degraded, 2 read-only.
     pub(crate) gauge_health_state: Gauge,
     /// AAs currently quarantined across all groups and volumes.
     pub(crate) gauge_quarantined_aas: Gauge,
-    /// Cache structures currently under structure quarantine.
-    pub(crate) gauge_quarantined_structures: Gauge,
     /// Repair tickets awaiting processing.
     pub(crate) gauge_pending_repairs: Gauge,
 
@@ -173,23 +129,12 @@ impl FsObs {
         FsObs {
             aas_claimed: registry.counter("allocator.aas_claimed"),
             blocks_examined: registry.counter("allocator.blocks_examined"),
-            replenish_pages: registry.counter("allocator.replenish_pages"),
             sweep_fallback_picks: registry.counter("allocator.sweep_fallback_picks"),
             pick_score_error: registry
                 .histogram("allocator.pick_score_error_bin_widths", PICK_ERROR_BOUNDS),
             cursor_hits: registry.counter("allocator.cursor_hits"),
             cursor_misses: registry.counter("allocator.cursor_misses"),
-            hbps_bin_moves: registry.counter("hbps.bin_moves"),
-            hbps_boundary_rotations: registry.counter("hbps.boundary_rotations"),
-            hbps_list_inserts: registry.counter("hbps.list_inserts"),
-            hbps_list_evictions: registry.counter("hbps.list_evictions"),
-            hbps_list_refills: registry.counter("hbps.list_refills"),
-            heap_rebalances: registry.counter("heap.rebalances"),
-            heap_rebalance_updates: registry.counter("heap.rebalance_updates"),
-            heap_sift_swaps: registry.counter("heap.sift_swaps"),
-            heap_rebalance_batch: registry.histogram("heap.rebalance_batch_aas", BATCH_SIZE_BOUNDS),
             cp_completed: registry.counter("cp.completed"),
-            cp_batch_size: registry.histogram("cp.score_delta_batch_aas", BATCH_SIZE_BOUNDS),
             cp_phase_us: CpuTerms::HISTOGRAMS
                 .map(|(name, _)| registry.histogram(name, PHASE_US_BOUNDS)),
             cp_phase_media_us: registry.histogram("cp.phase.media_us", PHASE_US_BOUNDS),
@@ -197,24 +142,17 @@ impl FsObs {
             cp_wall_us: Stage::ALL
                 .map(|stage| registry.histogram(&wall_histogram(stage), PHASE_US_BOUNDS)),
             mount_seed_hits: registry.counter("mount.topaa_seed_hits"),
-            mount_degradations: registry.counter("mount.degradation_events"),
             mount_cold_pages: registry.counter("mount.cold_scan_pages"),
-            mount_retries: registry.counter("mount.transient_retries"),
             mount_active_resumed: registry.counter("mount.active_resumed"),
             mount_active_dropped: registry.counter("mount.active_dropped"),
             iron_audits: registry.counter("iron.audits_run"),
-            iron_repairs: registry.counter("iron.counters_repaired"),
             scrub_pages_scanned: registry.counter("scrub.pages_scanned"),
             scrub_faults_detected: registry.counter("scrub.faults_detected"),
             scrub_aas_quarantined: registry.counter("scrub.aas_quarantined"),
             scrub_released: registry.counter("scrub.released"),
-            scrub_repairs_scheduled: registry.counter("scrub.repairs_scheduled"),
             scrub_repairs_succeeded: registry.counter("scrub.repairs_succeeded"),
-            scrub_read_retries: registry.counter("scrub.read_retries"),
-            scrub_counters_repaired: registry.counter("scrub.counters_repaired"),
             gauge_health_state: registry.gauge("health.state"),
             gauge_quarantined_aas: registry.gauge("health.quarantined_aas"),
-            gauge_quarantined_structures: registry.gauge("health.quarantined_structures"),
             gauge_pending_repairs: registry.gauge("health.pending_repairs"),
             gauge_free_fraction: registry.gauge("space.free_fraction"),
             gauge_delayed_free_backlog: registry.gauge("delayed_free.backlog_blocks"),
@@ -313,22 +251,6 @@ impl FsObs {
     pub(crate) fn vol_gauge(&self, vol: wafl_types::VolumeId, name: &str) -> Gauge {
         self.registry.gauge(&Self::vol_metric_name(vol, name))
     }
-
-    /// Fold one HBPS maintenance-stats delta into the counters.
-    pub(crate) fn record_hbps_stats(&self, s: HbpsStats) {
-        self.hbps_bin_moves.inc(s.bin_moves);
-        self.hbps_boundary_rotations.inc(s.boundary_rotations);
-        self.hbps_list_inserts.inc(s.list_inserts);
-        self.hbps_list_evictions.inc(s.list_evictions);
-        self.hbps_list_refills.inc(s.refills);
-    }
-
-    /// Fold one heap-cache maintenance-stats delta into the counters.
-    pub(crate) fn record_heap_stats(&self, s: HeapCacheStats) {
-        self.heap_rebalances.inc(s.rebalances);
-        self.heap_rebalance_updates.inc(s.rebalance_updates);
-        self.heap_sift_swaps.inc(s.sift_swaps);
-    }
 }
 
 /// The `cp.wall.<stage>_us` histogram of a CP stage.
@@ -350,41 +272,61 @@ mod tests {
     fn handles_share_one_registry() {
         let obs = FsObs::default();
         obs.aas_claimed.inc(4);
-        obs.record_hbps_stats(HbpsStats {
-            bin_moves: 2,
-            ..Default::default()
-        });
-        obs.record_heap_stats(HeapCacheStats {
-            rebalances: 1,
-            ..Default::default()
-        });
-        let reg = obs.registry();
-        assert_eq!(reg.counter_value("allocator.aas_claimed"), Some(4));
-        assert_eq!(reg.counter_value("hbps.bin_moves"), Some(2));
-        assert_eq!(reg.counter_value("heap.rebalances"), Some(1));
+        assert_eq!(
+            obs.registry().counter_value("allocator.aas_claimed"),
+            Some(4)
+        );
     }
 
+    /// `docs/observability.md`'s catalog is the list of families and of
+    /// what reads each: every fixed-name row is registered on a fresh
+    /// `FsObs` with its row's type and names a reader, and every family
+    /// `FsObs` registers has a row.
     #[test]
-    fn snapshot_mentions_every_subsystem() {
+    fn catalog_rows_are_registered_and_read() {
+        let doc = include_str!("../../../docs/observability.md");
+        let catalog = doc
+            .split_once("\n## Metric catalog\n")
+            .and_then(|(_, rest)| rest.split("\n## ").next())
+            .expect("the doc has a metric catalog section");
         let obs = FsObs::default();
-        let json = obs.registry().snapshot_json();
-        for key in [
-            "allocator.aas_claimed",
-            "allocator.pick_score_error_bin_widths",
-            "hbps.bin_moves",
-            "heap.rebalances",
-            "cp.completed",
-            "cp.phase.media_us",
-            "mount.topaa_seed_hits",
-            "iron.audits_run",
-            "scrub.pages_scanned",
-            "scrub.faults_detected",
-            "health.state",
-            "health.quarantined_aas",
-            "space.free_fraction",
-            "delayed_free.backlog_blocks",
-        ] {
-            assert!(json.contains(key), "snapshot missing {key}");
+        let reg = obs.registry();
+        let mut rows = Vec::new();
+        for line in catalog.lines().filter(|l| l.starts_with("| `")) {
+            let cells: Vec<&str> = line.trim_matches('|').split('|').map(str::trim).collect();
+            let [name, kind, _unit, _site, read_by] = cells[..] else {
+                panic!("catalog row is not name | type | unit | site | read by: {line}");
+            };
+            let name = name.trim_matches('`');
+            assert!(!read_by.is_empty(), "{name} names no reader");
+            if name.contains('<') {
+                continue; // a labelled family, formatted per structure
+            }
+            let registered = match kind {
+                "counter" => reg.counter_value(name).is_some(),
+                "gauge" => reg.gauge_value(name).is_some(),
+                "histogram" => reg.histogram_handle(name).is_some(),
+                _ => panic!("{name}: unknown type {kind}"),
+            };
+            assert!(
+                registered,
+                "{name} is catalogued as a {kind} but not registered"
+            );
+            rows.push(name);
         }
+        // The other way round: every name `FsObs::new` registers.
+        let src = include_str!("obs.rs");
+        let src = &src[..src.find("#[cfg(test)]").expect("obs.rs has tests")];
+        let mut names: Vec<String> = [".counter(\"", ".gauge(\"", ".histogram(\""]
+            .iter()
+            .flat_map(|call| src.split(call).skip(1))
+            .map(|rest| rest[..rest.find('"').expect("a closing quote")].to_string())
+            .collect();
+        names.extend(CpuTerms::HISTOGRAMS.map(|(name, _)| name.to_string()));
+        names.extend(Stage::ALL.map(wall_histogram));
+        for name in &names {
+            assert!(rows.contains(&name.as_str()), "{name} has no catalog row");
+        }
+        assert_eq!(rows.len(), names.len(), "catalog rows {rows:?}");
     }
 }

@@ -564,19 +564,21 @@ fn gated_read(
     faults: &mut Option<&mut FaultSession<'_>>,
     target: StructureId,
     policy: RetryPolicy,
-) -> (WaflResult<()>, u32) {
+) -> WaflResult<()> {
     let Some(session) = faults.as_deref_mut() else {
-        return (Ok(()), 0);
+        return Ok(());
     };
-    policy.run(|| match session.on_scrub_read(target) {
-        ReadOutcome::Ok => Ok(()),
-        ReadOutcome::Transient => Err(WaflError::TransientIo {
-            reason: format!("scrub read failed for {target:?}"),
-        }),
-        ReadOutcome::Persistent => Err(WaflError::CorruptMetafile {
-            reason: format!("metafile persistently unreadable for {target:?}"),
-        }),
-    })
+    policy
+        .run(|| match session.on_scrub_read(target) {
+            ReadOutcome::Ok => Ok(()),
+            ReadOutcome::Transient => Err(WaflError::TransientIo {
+                reason: format!("scrub read failed for {target:?}"),
+            }),
+            ReadOutcome::Persistent => Err(WaflError::CorruptMetafile {
+                reason: format!("metafile persistently unreadable for {target:?}"),
+            }),
+        })
+        .0
 }
 
 /// Quarantined state not covered by any pending ticket, plus the tickets
@@ -623,9 +625,6 @@ fn export_gauges(agg: &Aggregate) {
     agg.obs
         .gauge_quarantined_aas
         .set(status.quarantined_aas as f64);
-    agg.obs
-        .gauge_quarantined_structures
-        .set(status.quarantined_structures as f64);
     agg.obs
         .gauge_pending_repairs
         .set(status.pending_repairs as f64);
@@ -786,12 +785,9 @@ pub(crate) fn run_step(
         }
         let target = tickets[i].target;
         let sid = structure_of(agg, target);
-        let (read, retries) = gated_read(&mut faults, sid, policy);
-        agg.obs.scrub_read_retries.inc(retries as u64);
-        let outcome = match read {
+        let outcome = match gated_read(&mut faults, sid, policy) {
             Ok(()) => {
-                let fixed = repair(agg, target)?;
-                agg.obs.scrub_counters_repaired.inc(fixed);
+                repair(agg, target)?;
                 if verify(agg, target) == 0 {
                     Ok(())
                 } else {
@@ -863,7 +859,6 @@ pub(crate) fn run_step(
                     attempts: 0,
                     not_before_cp: cp + policy.backoff_cps(0),
                 });
-                agg.obs.scrub_repairs_scheduled.inc(1);
             } else {
                 // A clean pass over a mount-quarantined structure (no
                 // ticket — mount degradations quarantine directly) lifts

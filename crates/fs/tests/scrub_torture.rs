@@ -284,12 +284,4 @@ fn scrub_smoke() {
     assert_eq!(obs.gauge_value("health.pending_repairs"), Some(0.0));
     let free = obs.gauge_value("space.free_fraction").unwrap_or(-1.0);
     assert!((0.0..=1.0).contains(&free), "free fraction gauge: {free}");
-    assert!(
-        obs.gauge_value("group.0.free_fraction").is_some(),
-        "per-group free-fraction gauge missing"
-    );
-    assert!(
-        obs.gauge_value("group.0.active_aa_score").is_some(),
-        "per-group active-AA score gauge missing"
-    );
 }

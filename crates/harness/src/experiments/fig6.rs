@@ -153,7 +153,6 @@ fn run_arm(scale: Scale, raid_cache: bool, vol_cache: bool) -> WaflResult<(Arm, 
         17,
     )?;
     agg.reset_media_stats();
-    agg.reset_cache_stats();
     let aggregate_free = agg.free_fraction();
 
     // Measurement window: the paper's 8 KiB random overwrites.

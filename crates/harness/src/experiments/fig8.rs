@@ -81,7 +81,6 @@ fn run_arm(scale: Scale, name: &str, policy: AaSizingPolicy) -> WaflResult<Arm> 
     aging::fill_volume(&mut agg, VolumeId(0), ops_per_cp)?;
     aging::random_overwrite_churn(&mut agg, VolumeId(0), working_set * 3 / 2, ops_per_cp, 19)?;
     agg.reset_media_stats();
-    agg.reset_cache_stats();
 
     // 4 KiB random reads and writes.
     let mut w = OltpMix::new(vec![(VolumeId(0), working_set)], 0.5, 29);

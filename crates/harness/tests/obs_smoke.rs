@@ -4,9 +4,11 @@
 //!
 //! Invariants checked:
 //!
-//! - the snapshot covers allocator, HBPS, CP (model and `cp.wall.*`
+//! - the snapshot covers allocator, CP (model and `cp.wall.*`
 //!   measured), and mount metric families;
 //! - the headline counters are nonzero after real work;
+//! - the `cp.phase.*` histograms sum to the CPs' modelled CPU and media
+//!   time;
 //! - every cache-guided pick's score error stays within one HBPS bin
 //!   width of the true best AA (the paper's 3.125 % bound, §2.3).
 //!
@@ -47,14 +49,48 @@ fn metrics_cover_the_pipeline_and_picks_stay_within_one_bin_width() {
     let mut agg = smoke_aggregate();
     wafl_fs::aging::fill_volume(&mut agg, VolumeId(0), 8_192).expect("fill");
 
+    // The six CPU-model terms' histograms, then the media one: their
+    // sums over the measured CPs must add up to those CPs' `CpStats`.
+    let phase_sums = |agg: &Aggregate| {
+        let sum = |name: &str| {
+            let h = agg.obs().histogram_handle(name);
+            h.unwrap_or_else(|| panic!("{name} registered")).sum()
+        };
+        let cpu = [
+            "cp.phase.client_ops_us",
+            "cp.phase.metafile_us",
+            "cp.phase.block_writes_us",
+            "cp.phase.alloc_scan_us",
+            "cp.phase.cache_maintenance_us",
+            "cp.phase.replenish_scan_us",
+        ];
+        (cpu.map(sum).iter().sum::<f64>(), sum("cp.phase.media_us"))
+    };
+    let (cpu_before, media_before) = phase_sums(&agg);
+    let (mut cpu_us, mut media_us) = (0.0, 0.0);
     let mut rng = StdRng::seed_from_u64(7);
     for _ in 0..6 {
         for _ in 0..2_000 {
             agg.client_overwrite(VolumeId(0), rng.random_range(0..60_000))
                 .expect("overwrite");
         }
-        agg.run_cp().expect("cp");
+        let stats = agg.run_cp().expect("cp");
+        cpu_us += stats.cpu_us;
+        media_us += stats.media_us;
     }
+    let (cpu_after, media_after) = phase_sums(&agg);
+    let close = |got: f64, want: f64| (got - want).abs() <= 1e-9 * want.abs().max(1.0);
+    assert!(cpu_us > 0.0 && media_us > 0.0);
+    assert!(
+        close(cpu_after - cpu_before, cpu_us),
+        "cp.phase CPU terms sum to {} µs, the CPs' cpu_us to {cpu_us}",
+        cpu_after - cpu_before
+    );
+    assert!(
+        close(media_after - media_before, media_us),
+        "cp.phase.media_us sums to {} µs, the CPs' media_us to {media_us}",
+        media_after - media_before
+    );
 
     // Crash and remount from a saved TopAA image so the mount metrics
     // fire, then audit so the iron metrics fire.
@@ -75,8 +111,6 @@ fn metrics_cover_the_pipeline_and_picks_stay_within_one_bin_width() {
         "allocator.aas_claimed",
         "allocator.blocks_examined",
         "allocator.pick_score_error_bin_widths",
-        "hbps.bin_moves",
-        "heap.rebalances",
         "cp.completed",
         "cp.phase.client_ops_us",
         "cp.phase.media_us",
