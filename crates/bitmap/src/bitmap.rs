@@ -2,6 +2,8 @@
 //! accounting.
 
 use crate::page::{BitmapPage, WORDS_PER_PAGE};
+use std::fmt::Display;
+use std::ops::Range;
 use wafl_types::{Vbn, WaflError, WaflResult, BITS_PER_BITMAP_BLOCK};
 
 /// Per-consistency-point accounting of bitmap-metafile I/O.
@@ -269,7 +271,7 @@ impl Bitmap {
             s.counts[(vbn.get() / s.aa_blocks) as usize] -= 1;
         }
         self.mark_dirty(p);
-        self.debug_check_counters(vbn, p);
+        self.debug_check_counters(vbn);
         Ok(())
     }
 
@@ -288,7 +290,7 @@ impl Bitmap {
             s.counts[(vbn.get() / s.aa_blocks) as usize] += 1;
         }
         self.mark_dirty(p);
-        self.debug_check_counters(vbn, p);
+        self.debug_check_counters(vbn);
         Ok(())
     }
 
@@ -396,8 +398,8 @@ impl Bitmap {
             }
         }
         if cfg!(debug_assertions) {
-            self.debug_check_counters(start, (s / BITS_PER_BITMAP_BLOCK) as usize);
-            self.debug_check_counters(Vbn(end - 1), ((end - 1) / BITS_PER_BITMAP_BLOCK) as usize);
+            self.debug_check_counters(start);
+            self.debug_check_counters(Vbn(end - 1));
         }
         Ok(())
     }
@@ -510,8 +512,8 @@ impl Bitmap {
         if cfg!(debug_assertions) {
             let first = vbns[0];
             let last = *vbns.last().expect("non-empty");
-            self.debug_check_counters(first, (first.get() / BITS_PER_BITMAP_BLOCK) as usize);
-            self.debug_check_counters(last, (last.get() / BITS_PER_BITMAP_BLOCK) as usize);
+            self.debug_check_counters(first);
+            self.debug_check_counters(last);
         }
         Ok(())
     }
@@ -644,7 +646,7 @@ impl Bitmap {
                 .into_iter()
                 .chain(runs.get(first_run).map(|r| r.0))
             {
-                self.debug_check_counters(vbn, (vbn.get() / BITS_PER_BITMAP_BLOCK) as usize);
+                self.debug_check_counters(vbn);
             }
         }
         let rest = last_taken.map_or(start, Vbn::next).get();
@@ -654,25 +656,13 @@ impl Bitmap {
         }
     }
 
-    /// Debug-build parity check: the mutated page's (and AA's) summary
-    /// counter must equal the popcount ground truth. Compiled out of
-    /// release builds.
+    /// Debug-build parity check: the summary audit of the mutated `vbn`
+    /// (its page's and its AA's counters). Compiled out of release builds.
     #[inline]
-    fn debug_check_counters(&self, vbn: Vbn, page: usize) {
+    fn debug_check_counters(&self, vbn: Vbn) {
         if cfg!(debug_assertions) {
-            debug_assert_eq!(
-                self.page_free[page] as u32,
-                self.pages[page].free_count(),
-                "page {page} summary counter diverged from popcount"
-            );
-            if let Some(s) = self.aa_summary.as_ref() {
-                let aa = vbn.get() / s.aa_blocks;
-                debug_assert_eq!(
-                    s.counts[aa as usize],
-                    self.free_count_range_popcount(Vbn(aa * s.aa_blocks), s.aa_blocks),
-                    "AA {aa} summary counter diverged from popcount"
-                );
-            }
+            let range = vbn.get()..vbn.get() + 1;
+            self.audit_range(range, &mut |c| panic!("{c}"));
         }
     }
 
@@ -767,31 +757,67 @@ impl Bitmap {
         &self.page_free
     }
 
-    /// Count summary counters (per-page, per-AA, plus the top-level
-    /// free-block total) that disagree with the popcount ground truth.
-    /// Zero on a healthy bitmap; nonzero only if memory damage (or a bug)
-    /// corrupted the summary. Iron audits consume this and repair with
-    /// [`Bitmap::rebuild_summary`].
-    pub fn summary_divergences(&self) -> u64 {
-        let mut bad = 0u64;
+    /// The summary audit over VBNs `vbns`: describes to `diverged` every
+    /// per-page and per-AA counter whose page or AA intersects the range
+    /// and disagrees with a popcount of the raw bits. Returns the
+    /// popcount free total of those pages.
+    fn audit_range(&self, vbns: Range<u64>, diverged: &mut impl FnMut(&dyn Display)) -> u64 {
         let mut total = 0u64;
-        for (p, page) in self.pages.iter().enumerate() {
-            let truth = page.free_count();
-            if self.page_free[p] as u32 != truth {
-                bad += 1;
+        let pages = vbns.start / BITS_PER_BITMAP_BLOCK..vbns.end.div_ceil(BITS_PER_BITMAP_BLOCK);
+        for p in pages.map(|p| p as usize) {
+            let truth = self.pages[p].free_count();
+            if u32::from(self.page_free[p]) != truth {
+                diverged(&format_args!(
+                    "page {p} summary counter diverged from popcount"
+                ));
             }
-            total += truth as u64;
+            total += u64::from(truth);
         }
-        if self.free_blocks != total {
-            bad += 1;
-        }
-        if let Some(s) = self.aa_summary.as_ref() {
-            for (aa, &count) in s.counts.iter().enumerate() {
-                let start = Vbn(aa as u64 * s.aa_blocks);
-                if count != self.free_count_range_popcount(start, s.aa_blocks) {
-                    bad += 1;
+        if let Some(s) = self.aa_summary.as_ref().filter(|_| !vbns.is_empty()) {
+            for aa in vbns.start / s.aa_blocks..=(vbns.end - 1) / s.aa_blocks {
+                let truth = self.free_count_range_popcount(Vbn(aa * s.aa_blocks), s.aa_blocks);
+                if s.counts.get(aa as usize) != Some(&truth) {
+                    diverged(&format_args!(
+                        "AA {aa} summary counter diverged from popcount"
+                    ));
                 }
             }
+        }
+        total
+    }
+
+    /// The whole summary audit: every page, the top-level free-block
+    /// total, and the per-AA summary's length against its tiling.
+    fn audit(&self, diverged: &mut impl FnMut(&dyn Display)) {
+        if let Some(s) = self.aa_summary.as_ref() {
+            if s.counts.len() as u64 != self.space_len.div_ceil(s.aa_blocks) {
+                diverged(&"AA summary length diverged from the tiling");
+            }
+        }
+        if self.audit_range(0..self.space_len, diverged) != self.free_blocks {
+            diverged(&"free_blocks counter diverged from popcount total");
+        }
+    }
+
+    /// Summary counters (per-page, per-AA, the free-block total and the
+    /// per-AA tiling) that disagree with the popcount ground truth: zero
+    /// unless memory damage or a bug corrupted the summary. Iron repairs
+    /// them with [`Bitmap::rebuild_summary`].
+    pub fn summary_divergences(&self) -> u64 {
+        let mut bad = 0u64;
+        self.audit(&mut |_| bad += 1);
+        bad
+    }
+
+    /// [`Bitmap::summary_divergences`] for one page's counter and every
+    /// per-AA counter intersecting the page: the unit the scrubber checks
+    /// and [`Bitmap::rebuild_page_summary`] repairs.
+    pub fn page_summary_divergences(&self, page: usize) -> u64 {
+        let mut bad = 0u64;
+        if page < self.pages.len() {
+            let start = page as u64 * BITS_PER_BITMAP_BLOCK;
+            let end = (start + BITS_PER_BITMAP_BLOCK).min(self.space_len);
+            self.audit_range(start..end, &mut |_| bad += 1);
         }
         bad
     }
@@ -818,32 +844,20 @@ impl Bitmap {
         let Some(pg) = self.pages.get(page) else {
             return 0;
         };
-        let mut fixed = 0u64;
-        let truth = pg.free_count() as u16;
-        if self.page_free[page] != truth {
-            self.page_free[page] = truth;
-            fixed += 1;
-        }
-        let total: u64 = self.page_free.iter().map(|&c| c as u64).sum();
-        if self.free_blocks != total {
-            self.free_blocks = total;
-            fixed += 1;
-        }
-        let page_start = page as u64 * BITS_PER_BITMAP_BLOCK;
-        let page_end = (page_start + BITS_PER_BITMAP_BLOCK).min(self.space_len);
-        if let Some(aa_blocks) = self.aa_summary_blocks() {
-            let first_aa = (page_start / aa_blocks) as usize;
-            let last_aa = (page_end.saturating_sub(1) / aa_blocks) as usize;
-            for aa in first_aa..=last_aa {
-                let truth = self.free_count_range_popcount(Vbn(aa as u64 * aa_blocks), aa_blocks);
-                let s = self.aa_summary.as_mut().expect("aa summary present");
-                if s.counts[aa] != truth {
-                    s.counts[aa] = truth;
-                    fixed += 1;
-                }
+        let fixed = self.page_summary_divergences(page);
+        self.page_free[page] = pg.free_count() as u16;
+        let total = self.page_free.iter().map(|&c| u64::from(c)).sum();
+        let total_fixed = std::mem::replace(&mut self.free_blocks, total) != total;
+        if let Some(mut s) = self.aa_summary.take() {
+            let start = page as u64 * BITS_PER_BITMAP_BLOCK;
+            let end = (start + BITS_PER_BITMAP_BLOCK).min(self.space_len);
+            for aa in start / s.aa_blocks..=(end - 1) / s.aa_blocks {
+                let (aa_start, len) = (Vbn(aa * s.aa_blocks), s.aa_blocks);
+                s.counts[aa as usize] = self.free_count_range_popcount(aa_start, len);
             }
+            self.aa_summary = Some(s);
         }
-        fixed
+        fixed + u64::from(total_fixed)
     }
 
     /// Recompute every summary counter from the raw bits — what WAFL Iron
@@ -859,41 +873,11 @@ impl Bitmap {
         }
     }
 
-    /// Verify every summary counter (per-page, per-AA, and the top-level
-    /// free-block total) against the popcount ground truth. Panics on the
-    /// first divergence. Debug builds run this at every
-    /// [`Bitmap::take_dirty_stats`] — i.e. every consistency point — so a
-    /// crash/remount cycle can never carry a stale summary forward
-    /// unnoticed; tests and Iron audits may call it directly.
+    /// [`Bitmap::summary_divergences`] as an assertion naming the first
+    /// counter that diverged. Debug builds run it at every CP
+    /// ([`Bitmap::take_dirty_stats`]).
     pub fn verify_summary(&self) {
-        let mut total = 0u64;
-        for (p, page) in self.pages.iter().enumerate() {
-            let truth = page.free_count();
-            assert_eq!(
-                self.page_free[p] as u32, truth,
-                "page {p} summary counter diverged from popcount"
-            );
-            total += truth as u64;
-        }
-        assert_eq!(
-            self.free_blocks, total,
-            "free_blocks counter diverged from popcount total"
-        );
-        if let Some(s) = self.aa_summary.as_ref() {
-            assert_eq!(
-                s.counts.len() as u64,
-                self.space_len.div_ceil(s.aa_blocks),
-                "AA summary length diverged from the tiling"
-            );
-            for (aa, &count) in s.counts.iter().enumerate() {
-                let start = Vbn(aa as u64 * s.aa_blocks);
-                assert_eq!(
-                    count,
-                    self.free_count_range_popcount(start, s.aa_blocks),
-                    "AA {aa} summary counter diverged from popcount"
-                );
-            }
-        }
+        self.audit(&mut |c| panic!("{c}"));
     }
 
     /// Take and reset the dirty-page statistics. Called once per CP by the
@@ -1058,13 +1042,28 @@ mod tests {
         }
         b.scribble_page_counter(1, 7);
         // The scribble hit page 1's counter only; the tracked total, AA
-        // counters, and other pages are still exact, so the repair fixes
-        // exactly one counter.
+        // counters, and other pages are still exact, so the audit finds
+        // and the repair fixes exactly one counter.
+        assert_eq!(b.summary_divergences(), 1);
+        assert_eq!(
+            (0..4)
+                .map(|p| b.page_summary_divergences(p))
+                .collect::<Vec<_>>(),
+            [0, 1, 0, 0]
+        );
         assert_eq!(b.rebuild_page_summary(1), 1);
         b.verify_summary();
         // Repairing a clean page is a no-op, as is an out-of-range page.
         assert_eq!(b.rebuild_page_summary(0), 0);
         assert_eq!(b.rebuild_page_summary(999), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "page 1 summary counter diverged from popcount")]
+    fn verify_summary_names_the_counter_that_diverged() {
+        let mut b = Bitmap::new(2 * BITS_PER_BITMAP_BLOCK);
+        b.scribble_page_counter(1, 7);
+        b.verify_summary();
     }
 
     #[test]

@@ -493,27 +493,15 @@ impl Hbps {
         for b in 0..cfg.bins {
             h.counts[b] = r.get_u32_le();
             h.seg_len[b] = r.get_u32_le();
-            if h.seg_len[b] > h.counts[b] {
-                return Err(corrupt(format!(
-                    "bin {b} lists {} entries but counts {}",
-                    h.seg_len[b], h.counts[b]
-                )));
-            }
-        }
-        let seg_total: usize = h.seg_len.iter().map(|&l| l as usize).sum();
-        if seg_total != list_len {
-            return Err(corrupt(format!(
-                "segment lengths sum to {seg_total}, header says {list_len}"
-            )));
         }
         let mut r = &list[..];
         for _ in 0..list_len {
             h.list.push(AaId(r.get_u32_le()));
         }
-        if let Some(aa) = first_repeat(&h.list) {
-            return Err(corrupt(format!("list page names {aa} twice")));
+        match h.structural_fault() {
+            Some(fault) => Err(corrupt(fault)),
+            None => Ok(h),
         }
-        Ok(h)
     }
 
     /// [`Hbps::from_pages`] for the range `topology` describes: the image
@@ -542,25 +530,79 @@ impl Hbps {
         Ok(h)
     }
 
-    #[cfg(test)]
-    pub(crate) fn assert_invariants(&self) {
-        assert!(self.list.len() <= self.cfg.list_capacity);
-        let seg_total: usize = self.seg_len.iter().map(|&l| l as usize).sum();
-        assert_eq!(seg_total, self.list.len(), "segments must tile the list");
-        for b in 0..self.cfg.bins {
-            assert!(
-                self.seg_len[b] <= self.counts[b],
-                "bin {b}: listed {} > counted {}",
-                self.seg_len[b],
-                self.counts[b]
-            );
+    /// Divergences from `truth`, the true score of every id this HBPS
+    /// should track; 0 = exact. Counts each bin whose count is not the
+    /// histogram of `truth`, each list entry outside its true score's bin
+    /// (or unknown to `truth`), and a broken structural rule. Iron, the
+    /// scrubber and the tests each pass the truth they trust.
+    pub fn audit(&self, truth: impl IntoIterator<Item = (AaId, AaScore)>) -> u64 {
+        let mut hist = vec![0u32; self.cfg.bins];
+        let mut true_bin = std::collections::HashMap::new();
+        let mut bad = 0u64;
+        for (aa, score) in truth {
+            match self.try_bin_of(score) {
+                Ok(bin) => {
+                    hist[bin] += 1;
+                    true_bin.insert(aa, bin);
+                }
+                Err(_) => bad += 1,
+            }
         }
-        // No duplicate AAs in the list.
-        let mut seen: Vec<u32> = self.list.iter().map(|a| a.get()).collect();
-        seen.sort_unstable();
-        let before = seen.len();
-        seen.dedup();
-        assert_eq!(before, seen.len(), "duplicate AA in list");
+        bad += hist
+            .iter()
+            .zip(&self.counts)
+            .filter(|(h, c)| h != c)
+            .count() as u64;
+        let mut entries = self.list.iter();
+        for (bin, &len) in self.seg_len.iter().enumerate() {
+            let misfiled = entries.by_ref().take(len as usize);
+            bad += misfiled.filter(|aa| true_bin.get(aa) != Some(&bin)).count() as u64;
+        }
+        bad + u64::from(self.structural_fault().is_some())
+    }
+
+    /// The first rule this HBPS breaks that needs no truth to see: the
+    /// list must fit its capacity, the segments must tile it, no bin may
+    /// list more ids than it counts, and no id may be listed twice.
+    /// [`Hbps::from_pages`] rejects an image that breaks one.
+    fn structural_fault(&self) -> Option<String> {
+        if self.list.len() > self.cfg.list_capacity {
+            return Some(format!(
+                "list length {} exceeds capacity {}",
+                self.list.len(),
+                self.cfg.list_capacity
+            ));
+        }
+        let seg_total: usize = self.seg_len.iter().map(|&l| l as usize).sum();
+        if seg_total != self.list.len() {
+            return Some(format!(
+                "segment lengths sum to {seg_total}, the list holds {}",
+                self.list.len()
+            ));
+        }
+        if let Some(b) = (0..self.cfg.bins).find(|&b| self.seg_len[b] > self.counts[b]) {
+            return Some(format!(
+                "bin {b} lists {} entries but counts {}",
+                self.seg_len[b], self.counts[b]
+            ));
+        }
+        first_repeat(&self.list).map(|aa| format!("list page names {aa} twice"))
+    }
+
+    /// Fault-injection hook: a memory scribble on bin `bin`'s count.
+    #[doc(hidden)]
+    pub fn scribble_bin_count(&mut self, bin: usize, value: u32) {
+        if let Some(c) = self.counts.get_mut(bin) {
+            *c = value;
+        }
+    }
+
+    /// Fault-injection hook: a memory scribble on list entry `index`.
+    #[doc(hidden)]
+    pub fn scribble_list_entry(&mut self, index: usize, aa: AaId) {
+        if let Some(e) = self.list.get_mut(index) {
+            *e = aa;
+        }
     }
 }
 
@@ -661,7 +703,48 @@ mod tests {
         assert_eq!(h.tracked(), 1, "failed mutations must not disturb state");
         assert!(Hbps::build(small_cfg(), [(AaId(9), too_big)]).is_err());
         assert!(h.replenish([(AaId(9), too_big)]).is_err());
-        h.assert_invariants();
+        assert_eq!(h.structural_fault(), None);
+    }
+
+    #[test]
+    fn audit_flags_one_corruption_at_a_time() {
+        let truth: Vec<(AaId, AaScore)> = [315, 305, 305, 100]
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| (AaId(i as u32), AaScore(s)))
+            .collect();
+        let fresh = || Hbps::build(small_cfg(), truth.clone()).unwrap();
+        assert_eq!(fresh().audit(truth.clone()), 0);
+        // A bin count off by one.
+        let mut h = fresh();
+        h.scribble_bin_count(1, 3);
+        assert_eq!(h.audit(truth.clone()), 1);
+        // An entry filed in the wrong bin: AA 0 (bin 0) swapped for AA 3
+        // (bin 22), which the list already holds.
+        let mut h = fresh();
+        h.scribble_list_entry(0, AaId(3));
+        assert_eq!(h.list[0], AaId(3));
+        assert_eq!(h.audit(truth.clone()), 2, "misfiled, and listed twice");
+        // The same AA listed twice in its own bin.
+        let mut h = fresh();
+        h.scribble_list_entry(2, AaId(1));
+        assert_eq!(
+            h.structural_fault().unwrap(),
+            "list page names AaId(1) twice"
+        );
+        assert_eq!(h.audit(truth.clone()), 1);
+        // An id the truth does not have, and one truth has that the
+        // histogram never counted.
+        assert_eq!(fresh().audit(truth[..3].to_vec()), 2);
+        // A bin listing more than it counts, and a list its segments do
+        // not tile.
+        let mut h = fresh();
+        h.scribble_bin_count(0, 0);
+        assert!(h.structural_fault().unwrap().contains("bin 0 lists 1"));
+        let mut h = fresh();
+        h.seg_len[22] = 0;
+        assert!(h.structural_fault().unwrap().contains("segment lengths"));
+        assert_eq!(h.audit(truth), 1);
     }
 
     #[test]
@@ -703,7 +786,7 @@ mod tests {
         // bin's upper edge (one width), not zero.
         h.track_new(AaId(3), AaScore(0)).unwrap();
         assert_eq!(h.peek_best().unwrap(), (AaId(3), AaScore(10)));
-        h.assert_invariants();
+        assert_eq!(h.structural_fault(), None);
     }
 
     #[test]
@@ -714,7 +797,7 @@ mod tests {
         h.track_new(AaId(1), AaScore(310)).unwrap(); // bin 1
         h.track_new(AaId(2), AaScore(309)).unwrap(); // bin 1
         h.track_new(AaId(3), AaScore(300)).unwrap(); // bin 2
-        h.assert_invariants();
+        assert_eq!(h.structural_fault(), None);
         // Crossing a single edge (309 -> 311) moves the AA from bin 1 to
         // bin 0; the insert rotates one boundary element per deeper
         // nonempty segment it passes.
@@ -722,7 +805,7 @@ mod tests {
         h.on_score_change(AaId(2), AaScore(309), AaScore(311))
             .unwrap();
         assert_eq!(&h.bin_counts()[..3], &[2, 1, 1]);
-        h.assert_invariants();
+        assert_eq!(h.structural_fault(), None);
         // Same-bin edge movement (311 -> 320 within bin 0) is a no-op.
         let before = h.to_pages();
         h.on_score_change(AaId(2), AaScore(311), AaScore(320))
@@ -735,7 +818,7 @@ mod tests {
         assert!(order[..2].contains(&AaId(0)) && order[..2].contains(&AaId(2)));
         assert_eq!(order[2], AaId(1));
         assert_eq!(order[3], AaId(3));
-        h.assert_invariants();
+        assert_eq!(h.structural_fault(), None);
     }
 
     #[test]
@@ -747,7 +830,7 @@ mod tests {
         let (aa, bound) = h.peek_best().unwrap();
         assert_eq!(aa, AaId(2));
         assert_eq!(bound, AaScore(320));
-        h.assert_invariants();
+        assert_eq!(h.structural_fault(), None);
     }
 
     #[test]
@@ -765,7 +848,7 @@ mod tests {
         assert!(h.take_best().is_none());
         // Counts were never touched by take.
         assert_eq!(h.tracked(), 3);
-        h.assert_invariants();
+        assert_eq!(h.structural_fault(), None);
     }
 
     #[test]
@@ -779,7 +862,7 @@ mod tests {
         for i in 20..30 {
             h.track_new(AaId(i), AaScore(315)).unwrap(); // bin 0 evicts mediocre
         }
-        h.assert_invariants();
+        assert_eq!(h.structural_fault(), None);
         assert_eq!(h.list_len(), 10);
         assert_eq!(h.tracked(), 30);
         // All ten listed entries are now the great ones.
@@ -803,7 +886,7 @@ mod tests {
         h.on_score_change(AaId(1), AaScore(320), AaScore(0))
             .unwrap();
         assert_eq!(h.peek_best().unwrap().0, AaId(2));
-        h.assert_invariants();
+        assert_eq!(h.structural_fault(), None);
         // Same-bin movement is a no-op (bin width 10: 200 and 199 share
         // the (190, 200] bin).
         let counts_before = h.bin_counts().to_vec();
@@ -825,7 +908,7 @@ mod tests {
         h.on_score_change(AaId(100), AaScore(10), AaScore(319))
             .unwrap();
         assert_eq!(h.peek_best().unwrap().0, AaId(100));
-        h.assert_invariants();
+        assert_eq!(h.structural_fault(), None);
     }
 
     #[test]
@@ -844,7 +927,7 @@ mod tests {
             .unwrap();
         assert_eq!(h.list_len(), 5);
         assert!(!h.needs_replenish(3));
-        h.assert_invariants();
+        assert_eq!(h.structural_fault(), None);
     }
 
     #[test]
@@ -859,7 +942,7 @@ mod tests {
         assert_eq!(h.list, h2.list);
         assert_eq!(h.seg_len, h2.seg_len);
         assert_eq!(h.config(), h2.config());
-        h2.assert_invariants();
+        assert_eq!(h2.structural_fault(), None);
     }
 
     #[test]
@@ -962,6 +1045,6 @@ mod tests {
         h.untrack(AaId(1), AaScore(300)).unwrap();
         assert_eq!(h.tracked(), 1);
         assert_eq!(h.peek_best().unwrap().0, AaId(2));
-        h.assert_invariants();
+        assert_eq!(h.structural_fault(), None);
     }
 }

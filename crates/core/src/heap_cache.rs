@@ -371,22 +371,31 @@ impl RaidAwareCache {
         }
     }
 
-    #[cfg(test)]
-    fn assert_heap_invariants(&self) {
-        for i in 1..self.heap.len() {
-            let parent = (i - 1) / 2;
-            assert!(
-                !self.greater(self.heap[i], self.heap[parent]),
-                "heap order violated at {i}"
-            );
+    /// Divergences from `truth` (each AA's true score), `active` being the
+    /// AA the allocator drains; 0 = exact. Counts each known score, ranked
+    /// or held out, that is not true, each break in heap order or `pos`,
+    /// and each AA held out xor active: a complete cache ranks every AA
+    /// but the active one. Each caller passes the truth it trusts.
+    pub fn audit(&self, truth: impl Fn(AaId) -> AaScore, active: Option<AaId>) -> u64 {
+        let mut bad = self.structure_divergences();
+        for (i, &p) in self.pos.iter().enumerate() {
+            let aa = AaId(i as u32);
+            bad += u64::from(p != UNKNOWN && self.scores[i] != truth(aa));
+            bad += u64::from((p == OUT) != (active == Some(aa)));
         }
+        bad
+    }
+
+    /// The half of [`RaidAwareCache::audit`] that needs no truth: heap
+    /// order, `pos`, and the ranked and unknown counts.
+    fn structure_divergences(&self) -> u64 {
+        let mut bad = 0u64;
         for (i, &aa) in self.heap.iter().enumerate() {
-            assert_eq!(self.pos[aa.index()], i, "pos index broken for {aa}");
+            bad += u64::from(i > 0 && self.greater(aa, self.heap[(i - 1) / 2]));
+            bad += u64::from(self.pos[aa.index()] != i);
         }
-        let ranked = self.pos.iter().filter(|&&p| p < OUT).count();
-        assert_eq!(ranked, self.heap.len());
-        let unknown = self.pos.iter().filter(|&&p| p == UNKNOWN).count();
-        assert_eq!(unknown, self.unknown);
+        bad += u64::from(self.pos.iter().filter(|&&p| p < OUT).count() != self.heap.len());
+        bad + u64::from(self.pos.iter().filter(|&&p| p == UNKNOWN).count() != self.unknown)
     }
 }
 
@@ -397,6 +406,10 @@ mod tests {
 
     fn scores(v: &[u32]) -> Vec<AaScore> {
         v.iter().map(|&s| AaScore(s)).collect()
+    }
+
+    fn assert_heap_invariants(c: &RaidAwareCache) {
+        assert_eq!(c.structure_divergences(), 0);
     }
 
     #[test]
@@ -413,6 +426,26 @@ mod tests {
     }
 
     #[test]
+    fn audit_flags_one_corruption_at_a_time() {
+        let truth = |aa: AaId| AaScore([5, 9, 3, 7][aa.index()]);
+        let mut c = RaidAwareCache::new_full(scores(&[5, 9, 3, 7]), vec![10; 4]).unwrap();
+        assert_eq!(c.audit(truth, None), 0);
+        assert_eq!(c.audit(truth, Some(AaId(2))), 1, "ranked and active");
+        assert_eq!(c.take_best(), Some((AaId(1), AaScore(9))));
+        assert_eq!(c.audit(truth, Some(AaId(1))), 0);
+        assert_eq!(c.audit(truth, None), 1, "held out, not active");
+        c.scores[2] = AaScore(4);
+        assert_eq!(c.audit(truth, Some(AaId(1))), 1, "a stale score");
+        c.scores[2] = AaScore(3);
+        let (top, leaf) = (c.heap[0], c.heap[2]);
+        c.pos.swap(top.index(), leaf.index());
+        assert_eq!(c.audit(truth, Some(AaId(1))), 2, "pos of two AAs");
+        c.pos.swap(top.index(), leaf.index());
+        c.heap.swap(0, 2);
+        assert!(c.audit(truth, Some(AaId(1))) > 0, "heap order");
+    }
+
+    #[test]
     fn mismatched_lengths_rejected() {
         assert!(RaidAwareCache::new_full(scores(&[1, 2]), vec![10]).is_err());
     }
@@ -426,7 +459,7 @@ mod tests {
         c.apply_batch(&mut b);
         assert_eq!(c.best(), Some((AaId(2), AaScore(9))));
         assert_eq!(c.score_of(AaId(1)), AaScore(1));
-        c.assert_heap_invariants();
+        assert_heap_invariants(&c);
     }
 
     #[test]
@@ -439,7 +472,7 @@ mod tests {
         // Cleaned AA comes back empty (max score).
         c.insert(AaId(1), AaScore(10)).unwrap();
         assert_eq!(c.best(), Some((AaId(1), AaScore(10))));
-        c.assert_heap_invariants();
+        assert_heap_invariants(&c);
     }
 
     #[test]
@@ -495,7 +528,7 @@ mod tests {
             assert!(!c.contains(held), "{held} is held, not ranked");
             assert_eq!(c.score_of(held), AaScore(10 + held.get()));
         }
-        c.assert_heap_invariants();
+        assert_heap_invariants(&c);
         // Handing them back ranks them; the cache stayed complete
         // throughout, as a full one does across a take.
         c.insert(AaId(7), AaScore(1)).unwrap();
@@ -503,7 +536,7 @@ mod tests {
         assert_eq!(c.len(), 10);
         c.take_best().unwrap();
         assert!(c.is_complete());
-        c.assert_heap_invariants();
+        assert_heap_invariants(&c);
     }
 
     #[test]
@@ -515,7 +548,7 @@ mod tests {
         assert_eq!(c.best(), Some((AaId(0), AaScore(5))));
         assert!(c.is_complete());
         assert!(c.take(AaId(3), AaScore(1)).is_err());
-        c.assert_heap_invariants();
+        assert_heap_invariants(&c);
     }
 
     #[test]
@@ -578,7 +611,7 @@ mod tests {
             }
             c.apply_batch(&mut b);
         }
-        c.assert_heap_invariants();
+        assert_eq!(c.audit(|aa| AaScore(shadow[aa.index()]), None), 0);
         let best_shadow = shadow.iter().copied().max().unwrap();
         assert_eq!(c.best().unwrap().1, AaScore(best_shadow));
         for (i, &s) in shadow.iter().enumerate() {

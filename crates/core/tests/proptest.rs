@@ -64,10 +64,9 @@ proptest! {
             let max_shadow = shadow.iter().copied().max().unwrap();
             prop_assert_eq!(best.1.get(), max_shadow);
         }
-        // Every score agrees.
-        for (i, &s) in shadow.iter().enumerate() {
-            prop_assert_eq!(cache.score_of(AaId(i as u32)).get(), s);
-        }
+        // Every score agrees, and the heap is complete and sound.
+        prop_assert!(cache.is_complete());
+        prop_assert_eq!(cache.audit(|aa| AaScore(shadow[aa.index()]), None), 0);
     }
 
     #[test]

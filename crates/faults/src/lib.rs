@@ -151,6 +151,16 @@ pub enum RuntimeTarget {
         /// Group index (reduced modulo the group count on apply).
         group: usize,
     },
+    /// One histogram bin count of a FlexVol's HBPS.
+    HbpsBinCount {
+        /// Volume index (reduced modulo the volume count on apply).
+        vol: usize,
+    },
+    /// One list entry of a FlexVol's HBPS, made to name another listed AA.
+    HbpsListEntry {
+        /// Volume index (reduced modulo the volume count on apply).
+        vol: usize,
+    },
 }
 
 /// A scheduled in-memory corruption: at the start of the consistency
@@ -555,6 +565,11 @@ mod tests {
                     RuntimeTarget::VolSummaryPage { vol, .. } => assert!(vol < 3),
                     RuntimeTarget::GroupCacheScore { group } => assert!(group < 2),
                     RuntimeTarget::AggSummaryPage { .. } => {}
+                    // Random plans keep their draws from before the HBPS
+                    // targets existed; those are aimed by hand.
+                    RuntimeTarget::HbpsBinCount { .. } | RuntimeTarget::HbpsListEntry { .. } => {
+                        panic!("seed {seed} draws an HBPS target")
+                    }
                 }
             }
             for f in &a.scrub_read_errors {

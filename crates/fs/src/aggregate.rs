@@ -183,6 +183,29 @@ impl RaidGroupState {
         })
     }
 
+    /// Rebuild the AA cache from `bitmap`: a max-heap for a RAID group,
+    /// an HBPS for natively redundant storage. The rebuilt cache ranks
+    /// every AA, so none stays active beside it.
+    pub(crate) fn rebuild_cache(&mut self, bitmap: &Bitmap) -> WaflResult<()> {
+        let scores = self.topology.all_scores(bitmap);
+        let cache = if self.profile.media == MediaType::ObjectStore {
+            let cfg = HbpsConfig {
+                max_score: self.topology.max_score(),
+                ..HbpsConfig::default()
+            };
+            GroupCache::Hbps(Box::new(Hbps::build(cfg, scores)?))
+        } else {
+            let max = (0..self.topology.aa_count())
+                .map(|a| self.topology.aa_blocks(wafl_types::AaId(a)) as u32)
+                .collect();
+            let scores = scores.into_iter().map(|(_, s)| s).collect();
+            GroupCache::Heap(RaidAwareCache::new_full(scores, max)?)
+        };
+        self.cache = Some(cache);
+        self.active_aa = None;
+        Ok(())
+    }
+
     /// The group's AA topology.
     pub fn topology(&self) -> &AaTopology {
         &self.topology
@@ -321,29 +344,6 @@ pub struct Aggregate {
     pub(crate) scrub: ScrubState,
 }
 
-/// Build the appropriate cache for a physical range from its bitmap state:
-/// max-heap for RAID groups, HBPS for natively redundant storage.
-pub(crate) fn build_group_cache(g: &RaidGroupState, bitmap: &Bitmap) -> WaflResult<GroupCache> {
-    if g.profile.media == MediaType::ObjectStore {
-        let max_score = g.topology.max_score();
-        let cfg = HbpsConfig {
-            max_score,
-            ..HbpsConfig::default()
-        };
-        let hbps = Hbps::build(cfg, g.topology.all_scores(bitmap))?;
-        Ok(GroupCache::Hbps(Box::new(hbps)))
-    } else {
-        let scores = g.topology.all_scores(bitmap);
-        let max: Vec<u32> = (0..g.topology.aa_count())
-            .map(|a| g.topology.aa_blocks(wafl_types::AaId(a)) as u32)
-            .collect();
-        Ok(GroupCache::Heap(RaidAwareCache::new_full(
-            scores.into_iter().map(|(_, s)| s).collect(),
-            max,
-        )?))
-    }
-}
-
 impl Aggregate {
     /// Build an aggregate and its volumes. `vols` pairs each volume's
     /// config with its client-addressable (logical) size.
@@ -372,7 +372,7 @@ impl Aggregate {
         let bitmap = Bitmap::new(base);
         if cfg.raid_aware_cache {
             for g in &mut groups {
-                g.cache = Some(build_group_cache(g, &bitmap)?);
+                g.rebuild_cache(&bitmap)?;
             }
         }
         let vols = vols
@@ -415,7 +415,7 @@ impl Aggregate {
         let mut g = RaidGroupState::new(self.groups.len(), &spec, base, &self.cfg)?;
         self.bitmap.extend(base + spec.data_blocks())?;
         if self.cfg.raid_aware_cache {
-            g.cache = Some(build_group_cache(&g, &self.bitmap)?);
+            g.rebuild_cache(&self.bitmap)?;
         }
         let id = g.geometry.id;
         self.groups.push(g);

@@ -5,7 +5,7 @@
 //! time" — random overwrites in a COW file system free random blocks,
 //! fragmenting the free space (§2.2).
 
-use crate::aggregate::{build_group_cache, Aggregate};
+use crate::aggregate::Aggregate;
 use crate::cp::CpStats;
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -101,11 +101,7 @@ pub fn rebuild_rg_cache(agg: &mut Aggregate, rg_index: usize) -> WaflResult<()> 
     if !agg.cfg.raid_aware_cache {
         return Ok(());
     }
-    let bitmap = &agg.bitmap;
-    let g = &mut agg.groups[rg_index];
-    let cache = build_group_cache(g, bitmap)?;
-    g.cache = Some(cache);
-    Ok(())
+    agg.groups[rg_index].rebuild_cache(&agg.bitmap)
 }
 
 #[cfg(test)]

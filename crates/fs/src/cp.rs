@@ -1576,15 +1576,8 @@ mod tests {
             assert_eq!((s.per_rg[0].blocks, s.per_rg[1].blocks), (0, PER_CP));
         }
         let g = &a.groups()[0];
-        let Some(GroupCache::Heap(cache)) = g.cache.as_ref() else {
-            panic!("expected a heap cache");
-        };
-        for aa in (0..g.topology.aa_count()).map(wafl_types::AaId) {
-            assert!(
-                cache.contains(aa) || g.active_aa == Some(aa),
-                "{aa:?} fell out of the ranking"
-            );
-        }
+        assert!(g.cache().is_some_and(|c| c.is_complete()));
+        assert_eq!(crate::iron::group_cache_divergences(g, a.bitmap()), 0);
         // Free 100 blocks in every AA of group 0 and write again: the
         // even split asks group 0 for more than that, so it hands out
         // every one of them.

@@ -124,15 +124,7 @@ impl DelayedFreeLog {
         for _ in 0..page_budget {
             // If the list drained while pages remain, rebuild it.
             if self.hbps.needs_replenish(1) {
-                let mut scores: Vec<(AaId, AaScore)> = self
-                    .per_page
-                    .iter()
-                    .map(|(&p, v)| (AaId(p as u32), AaScore(v.len() as u32)))
-                    .collect();
-                // The ranking breaks score ties by arrival, and the
-                // map's order is its per-process hash seed's.
-                scores.sort_unstable_by_key(|&(page, _)| page);
-                self.hbps.replenish(scores)?;
+                self.rebuild_ranking()?;
             }
             let Some((page, _bound)) = self.hbps.take_best() else {
                 break;
@@ -176,6 +168,31 @@ impl DelayedFreeLog {
             stats.pages_processed += 1;
         }
         Ok(stats)
+    }
+
+    /// Each logged page with its pending count — the truth the ranking
+    /// indexes — in page order: the ranking breaks score ties by
+    /// arrival, and the map's order is its per-process hash seed's.
+    fn page_scores(&self) -> Vec<(AaId, AaScore)> {
+        let mut scores: Vec<(AaId, AaScore)> = self
+            .per_page
+            .iter()
+            .map(|(&p, v)| (AaId(p as u32), AaScore(v.len() as u32)))
+            .collect();
+        scores.sort_unstable_by_key(|&(page, _)| page);
+        scores
+    }
+
+    /// Rebuild the ranking from the log itself: the replenish scan, and
+    /// what WAFL Iron repairs a divergent ranking with.
+    pub(crate) fn rebuild_ranking(&mut self) -> WaflResult<()> {
+        self.hbps.replenish(self.page_scores())
+    }
+
+    /// Divergences of the ranking from the log ([`Hbps::audit`] against
+    /// each page's pending count); 0 = exact.
+    pub fn audit(&self) -> u64 {
+        self.hbps.audit(self.page_scores())
     }
 
     /// Drain everything regardless of budget (space pressure: the
@@ -246,6 +263,25 @@ mod tests {
             order
         };
         assert_eq!(order(), order());
+    }
+
+    #[test]
+    fn audit_holds_the_ranking_to_the_log() {
+        let mut log = DelayedFreeLog::new();
+        for v in [0, 1, 2, BITS_PER_BITMAP_BLOCK] {
+            log.log_free(Vbn(v)).unwrap();
+        }
+        assert_eq!(log.audit(), 0);
+        // Page 0's pending count grows from 3 to 203 behind the ranking's
+        // back: two bin counts and page 0's list entry now disagree.
+        let page0 = log.per_page.get_mut(&0).unwrap();
+        page0.extend((3..203).map(Vbn));
+        assert_eq!(log.audit(), 3);
+        log.rebuild_ranking().unwrap();
+        assert_eq!(log.audit(), 0);
+        // A page that leaves the log without leaving the ranking.
+        log.per_page.remove(&1);
+        assert_eq!(log.audit(), 2, "its bin count and its list entry");
     }
 
     #[test]

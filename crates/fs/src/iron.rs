@@ -20,18 +20,26 @@
 //!    logged free.
 //! 3. **Space accounting** — per-volume occupancy equals the volume's
 //!    referenced pairs.
-//! 4. **Caches** — every cached AA score equals the bitmap-derived score.
+//! 4. **Derived structures** — each by its own audit, against popcounts:
+//!    every max-heap ([`wafl_core::RaidAwareCache::audit`]), every HBPS
+//!    ([`wafl_core::Hbps::audit`]) and the delayed-free ranking
+//!    ([`crate::delayed_free::DelayedFreeLog::audit`]).
+//! 5. **Summaries** — [`wafl_bitmap::Bitmap::summary_divergences`].
 //!
 //! [`check`] reports; [`repair`] additionally rebuilds what can be
-//! recomputed (caches, summaries), reclaims leaks and reports what it
-//! fixed.
+//! recomputed (caches, the delayed-free ranking, summaries), reclaims
+//! leaks and reports what it fixed. The scrubber ([`crate::scrub`]) runs
+//! phases 4 and 5 one structure or bitmap page at a time.
 
-use crate::aggregate::{build_group_cache, Aggregate, GroupCache};
+use crate::aggregate::{Aggregate, GroupCache, RaidGroupState};
+use crate::allocator::popcount_score;
 use crate::bitset::BitSet;
+use crate::volume::FlexVol;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
-use wafl_core::RaidAgnosticCache;
-use wafl_types::{AaId, Vbn, WaflResult};
+use wafl_bitmap::Bitmap;
+use wafl_core::AaTopology;
+use wafl_types::{AaId, AaScore, Vbn, WaflResult};
 
 /// Findings of a consistency check.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -53,8 +61,10 @@ pub struct IronReport {
     /// capacity planning wants the number, so it is surfaced instead of
     /// discarded.
     pub orphaned_blocks: u64,
-    /// Cached AA scores that disagree with the bitmaps (active AAs are
-    /// exempt — they legitimately lag until their drain completes).
+    /// Divergences the derived-structure audits found (phase 4): heap
+    /// scores, heap order and ranked-xor-active breaks, HBPS bin counts
+    /// and list entries of every cache, and the delayed-free ranking
+    /// against its log. Repair rebuilds all of them.
     pub stale_scores: u64,
     /// Bitmap free-count summary counters (per-page, per-AA, or the
     /// top-level total) that disagree with the popcount ground truth of
@@ -153,40 +163,53 @@ fn audit(agg: &Aggregate) -> WaflResult<(IronReport, Vec<Vbn>)> {
     }
     report.leaked_blocks = leaked.len() as u64;
 
-    // Phase 4: cached scores versus bitmap truth. Only AAs *present* in
-    // the heap participate: the active AA legitimately lags until its
-    // drain completes, and a TopAA-seeded cache (§3.4) holds only its
-    // seed until the background rebuild supplies the rest.
+    // Phase 4: every derived structure against its truth, through the
+    // structure's own audit: the AA caches against a popcount of the
+    // bitmap, the delayed-free ranking against the log. Phase 5: the
+    // bitmap free-count summaries, against a popcount of the raw bits.
     for g in &agg.groups {
-        match g.cache.as_ref() {
-            Some(GroupCache::Heap(cache)) => {
-                for aa in 0..g.topology.aa_count() {
-                    let aa = AaId(aa);
-                    if !cache.contains(aa) {
-                        continue;
-                    }
-                    let truth = g.topology.score_from_bitmap(&agg.bitmap, aa);
-                    if cache.score_of(aa) != truth {
-                        report.stale_scores += 1;
-                    }
-                }
-            }
-            Some(GroupCache::Hbps(_)) | None => {
-                // HBPS stores no per-AA scores to compare; histogram
-                // drift is self-healing via replenish.
-            }
-        }
+        report.stale_scores += group_cache_divergences(g, &agg.bitmap);
     }
-
-    // Phase 5: the bitmap free-count summaries are derived state exactly
-    // like the caches — every counter must match a popcount of the raw
-    // bits. (This is the audit that makes "crash/remount never leaves a
-    // stale summary" a checked invariant rather than a hope.)
+    report.stale_scores += agg.free_log.audit();
     report.stale_summary_counters += agg.bitmap.summary_divergences();
     for vol in &agg.vols {
+        report.stale_scores += vol_cache_divergences(vol);
         report.stale_summary_counters += vol.bitmap().summary_divergences();
     }
     Ok((report, leaked))
+}
+
+/// Divergences of group `g`'s AA cache from a popcount of `bitmap`: the
+/// max-heap's audit or the HBPS's (0 without a cache).
+pub(crate) fn group_cache_divergences(g: &RaidGroupState, bitmap: &Bitmap) -> u64 {
+    match g.cache.as_ref() {
+        Some(GroupCache::Heap(cache)) => cache.audit(
+            |aa| AaScore(popcount_score(&g.topology, bitmap, aa)),
+            g.active_aa,
+        ),
+        Some(GroupCache::Hbps(hbps)) => hbps.audit(popcount_scores(&g.topology, bitmap)),
+        None => 0,
+    }
+}
+
+/// Divergences of `vol`'s HBPS from a popcount of its bitmap (0 without
+/// a cache).
+pub(crate) fn vol_cache_divergences(vol: &FlexVol) -> u64 {
+    vol.cache().map_or(0, |cache| {
+        cache
+            .hbps()
+            .audit(popcount_scores(&vol.topology, &vol.bitmap))
+    })
+}
+
+/// Every AA of `topology` with its popcount score.
+fn popcount_scores<'a>(
+    topology: &'a AaTopology,
+    bitmap: &'a Bitmap,
+) -> impl Iterator<Item = (AaId, AaScore)> + 'a {
+    (0..topology.aa_count())
+        .map(AaId)
+        .map(|aa| (aa, AaScore(popcount_score(topology, bitmap, aa))))
 }
 
 /// Audit and repair: rebuilds AA caches from the bitmaps and reclaims
@@ -238,22 +261,17 @@ pub fn repair(agg: &mut Aggregate) -> WaflResult<IronReport> {
     // leaked pvbns invalidates cached group scores even when the check
     // found none stale.
     if report.stale_scores > 0 || report.leaked_blocks > 0 {
-        for i in 0..agg.groups.len() {
-            if agg.groups[i].cache.is_some() {
-                let cache = build_group_cache(&agg.groups[i], &agg.bitmap)?;
-                agg.groups[i].cache = Some(cache);
-                agg.groups[i].active_aa = None;
-                report.repairs += 1;
-            }
-        }
-    }
-    for vol in &mut agg.vols {
-        if vol.cache.is_some() {
-            vol.cache = Some(RaidAgnosticCache::build(vol.topology.clone(), &vol.bitmap)?);
-            vol.active_aa = None;
-            vol.invalidate_drain_cursor();
+        for g in agg.groups.iter_mut().filter(|g| g.cache.is_some()) {
+            g.rebuild_cache(&agg.bitmap)?;
             report.repairs += 1;
         }
+    }
+    if report.stale_scores > 0 {
+        agg.free_log.rebuild_ranking()?;
+    }
+    for vol in agg.vols.iter_mut().filter(|v| v.cache.is_some()) {
+        vol.rebuild_cache()?;
+        report.repairs += 1;
     }
     // A full repair rebuilt every summary and cache from the raw bits:
     // nothing remains suspect, so all runtime quarantines and pending

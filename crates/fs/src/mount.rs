@@ -447,10 +447,8 @@ pub fn mount_auto_with(
         let seeded = read.and_then(|()| seed_volume(agg, i, image, &mut seeding));
         if let Err(e) = seeded {
             let v = &mut agg.vols[i];
-            v.cache = Some(
-                RaidAgnosticCache::build(v.topology.clone(), &v.bitmap)
-                    .expect("cold cache rebuild from the authoritative bitmap"),
-            );
+            v.rebuild_cache()
+                .expect("cold cache rebuild from the authoritative bitmap");
             let pages = v.bitmap.page_count() as u64;
             stats.metafile_blocks_read += pages;
             stats.degraded.push(DegradationEvent {
@@ -508,7 +506,7 @@ pub fn mount_cold(agg: &mut Aggregate) -> WaflResult<MountStats> {
     }
     for v in agg.vols.iter_mut() {
         pages += v.bitmap.page_count() as u64;
-        v.cache = Some(RaidAgnosticCache::build(v.topology.clone(), &v.bitmap)?);
+        v.rebuild_cache()?;
     }
     agg.obs.mount_cold_pages.inc(pages);
     let stats = MountStats {
@@ -560,9 +558,7 @@ pub fn complete_background_rebuild(agg: &mut Aggregate) -> WaflResult<u64> {
         if !vol.cache_quarantined || !vol.config().aa_cache {
             continue;
         }
-        vol.cache = Some(RaidAgnosticCache::build(vol.topology.clone(), &vol.bitmap)?);
-        vol.active_aa = None;
-        vol.invalidate_drain_cursor();
+        vol.rebuild_cache()?;
         scanned += vol.bitmap.page_count() as u64;
         vol.cache_quarantined = false;
         released = true;
@@ -645,18 +641,15 @@ mod tests {
         assert!(a.groups()[0].cache().unwrap().is_complete());
     }
 
-    /// Every AA of a heap-cached group is ranked or active, never both.
+    /// Every group's cache passes its audit, and every heap is complete:
+    /// it ranks every AA but the active one, which it holds out.
     fn assert_ranked_xor_active(a: &Aggregate, ctx: &str) {
         for (i, g) in a.groups().iter().enumerate() {
-            let Some(cache) = g.cache() else { continue };
-            for aa in (0..g.topology.aa_count()).map(AaId) {
-                assert_ne!(
-                    cache.contains(aa),
-                    g.active_aa == Some(aa),
-                    "{ctx}: group {i} {aa:?} (active {:?})",
-                    g.active_aa
-                );
+            if let Some(cache) = g.cache() {
+                assert!(cache.is_complete(), "{ctx}: group {i} incomplete");
             }
+            let bad = crate::iron::group_cache_divergences(g, &a.bitmap);
+            assert_eq!(bad, 0, "{ctx}: group {i} (active {:?})", g.active_aa);
         }
     }
 

@@ -13,9 +13,10 @@
 //! This module closes that gap with an **incremental scrubber** wired
 //! into the CP engine: every consistency point, a budget of
 //! [`AggregateConfig::scrub_pages_per_cp`](crate::AggregateConfig)
-//! verification units is checked against popcount ground truth — bitmap
-//! summary pages (per-page and per-AA free counters) and TopAA cache
-//! structures (per-AA heap scores). On a mismatch:
+//! verification units is checked against popcount ground truth. A unit
+//! is one structure's own audit, as [`crate::iron::check`] runs it: a
+//! bitmap page's ([`wafl_bitmap::Bitmap::page_summary_divergences`]), a
+//! max-heap's or an HBPS's. On a mismatch:
 //!
 //! 1. the affected scope is **quarantined**: the allocator skips
 //!    quarantined AAs entirely and bypasses quarantined cache structures
@@ -42,10 +43,11 @@
 //! diagram, the escalation table, and seed-reproduction instructions for
 //! the runtime torture suite.
 
-use crate::aggregate::{build_group_cache, Aggregate, GroupCache};
+use crate::aggregate::{Aggregate, GroupCache};
+use crate::iron;
 use std::collections::BTreeSet;
 use std::fmt;
-use wafl_core::RaidAgnosticCache;
+use wafl_core::Hbps;
 use wafl_faults::{FaultSession, ReadOutcome, RuntimeTarget, StructureId};
 use wafl_obs::trace::TraceData;
 use wafl_types::{AaId, AaScore, RetryPolicy, Vbn, WaflError, WaflResult, BITS_PER_BITMAP_BLOCK};
@@ -93,9 +95,9 @@ pub(crate) enum ScrubTarget {
     /// One per-page summary counter of the aggregate bitmap (plus any
     /// per-AA counters whose tiling intersects the page).
     AggPage(usize),
-    /// A RAID group's in-memory TopAA cache (heap scores vs popcount).
+    /// A RAID group's in-memory TopAA cache (max-heap or HBPS audit).
     GroupCache(usize),
-    /// A FlexVol's AA cache structure.
+    /// A FlexVol's HBPS (its audit), or its absence when configured.
     VolCache(usize),
     /// One per-page summary counter of a volume bitmap (plus intersecting
     /// per-AA counters).
@@ -306,87 +308,26 @@ fn vol_page_aas(agg: &Aggregate, v: usize, p: usize) -> Vec<AaId> {
     (first.get()..=last.get()).map(AaId).collect()
 }
 
-/// Divergent counters in one bitmap page's summary scope: the per-page
-/// free counter plus any per-AA counters intersecting the page, each
-/// checked against a popcount of the raw bits.
-fn verify_bitmap_page(bitmap: &wafl_bitmap::Bitmap, p: usize) -> u64 {
-    let Some(page) = bitmap.page(p) else {
-        return 0;
-    };
-    let mut bad = 0u64;
-    if bitmap.page_free_count(p).unwrap_or(0) != page.free_count() {
-        bad += 1;
-    }
-    if let Some(aa_blocks) = bitmap.aa_summary_blocks() {
-        if let Some(counts) = bitmap.aa_free_counts(aa_blocks) {
-            let page_start = p as u64 * BITS_PER_BITMAP_BLOCK;
-            let page_end = (page_start + BITS_PER_BITMAP_BLOCK).min(bitmap.space_len());
-            if page_start < page_end {
-                let first = (page_start / aa_blocks) as usize;
-                let last = ((page_end - 1) / aa_blocks) as usize;
-                for (aa, &count) in counts.iter().enumerate().take(last + 1).skip(first) {
-                    let start = Vbn(aa as u64 * aa_blocks);
-                    if count != bitmap.free_count_range_popcount(start, aa_blocks) {
-                        bad += 1;
-                    }
-                }
-            }
-        }
-    }
-    bad
-}
-
-/// Divergences in one verification unit; 0 = clean. All comparisons run
-/// against popcount ground truth — never the summary-accelerated paths.
+/// Divergences in one verification unit; 0 = clean. Each unit is one
+/// structure's own audit against popcount ground truth — never the
+/// summary-accelerated paths — the same audits [`crate::iron::check`]
+/// runs over the whole aggregate.
 fn verify(agg: &Aggregate, target: ScrubTarget) -> u64 {
     match target {
-        ScrubTarget::AggPage(p) => verify_bitmap_page(&agg.bitmap, p),
+        ScrubTarget::AggPage(p) => agg.bitmap.page_summary_divergences(p),
         ScrubTarget::VolPage(v, p) => agg
             .vols
             .get(v)
-            .map(|vol| verify_bitmap_page(vol.bitmap(), p))
-            .unwrap_or(0),
-        ScrubTarget::GroupCache(gi) => {
-            let Some(g) = agg.groups.get(gi) else {
-                return 0;
-            };
-            match g.cache.as_ref() {
-                Some(GroupCache::Heap(cache)) => {
-                    let mut bad = 0u64;
-                    for aa in 0..g.topology.aa_count() {
-                        let aa = AaId(aa);
-                        // Absent AAs are legitimate: actively draining, or
-                        // awaiting a seeded cache's background rebuild.
-                        if !cache.contains(aa) {
-                            continue;
-                        }
-                        let truth: u32 = g
-                            .topology
-                            .aa_vbn_ranges(aa)
-                            .iter()
-                            .map(|&(s, l)| agg.bitmap.free_count_range_popcount(s, l))
-                            .sum();
-                        if cache.score_of(aa).get() != truth {
-                            bad += 1;
-                        }
-                    }
-                    bad
-                }
-                // HBPS holds no falsifiable per-AA scores (bin drift is
-                // self-healing via replenish); a disabled cache has no
-                // derived state at all.
-                Some(GroupCache::Hbps(_)) | None => 0,
-            }
-        }
-        ScrubTarget::VolCache(v) => {
-            // The volume cache is HBPS-backed: nothing per-AA to falsify.
-            // The only detectable damage is the cache being gone while
-            // the volume is configured to have one.
-            agg.vols
-                .get(v)
-                .map(|vol| u64::from(vol.config().aa_cache && vol.cache().is_none()))
-                .unwrap_or(0)
-        }
+            .map_or(0, |vol| vol.bitmap().page_summary_divergences(p)),
+        ScrubTarget::GroupCache(gi) => agg
+            .groups
+            .get(gi)
+            .map_or(0, |g| iron::group_cache_divergences(g, &agg.bitmap)),
+        // A configured cache that is gone counts as one divergence.
+        ScrubTarget::VolCache(v) => agg.vols.get(v).map_or(0, |vol| {
+            iron::vol_cache_divergences(vol)
+                + u64::from(vol.config().aa_cache && vol.cache().is_none())
+        }),
     }
 }
 
@@ -534,27 +475,14 @@ fn repair(agg: &mut Aggregate, target: ScrubTarget) -> WaflResult<u64> {
             .get_mut(v)
             .map(|vol| vol.bitmap.rebuild_page_summary(p))
             .unwrap_or(0)),
-        ScrubTarget::GroupCache(gi) => {
-            if agg.cfg.raid_aware_cache && gi < agg.groups.len() {
-                let cache = build_group_cache(&agg.groups[gi], &agg.bitmap)?;
-                agg.groups[gi].cache = Some(cache);
-                agg.groups[gi].active_aa = None;
-            }
-            Ok(0)
-        }
-        ScrubTarget::VolCache(v) => {
-            if let Some(vol) = agg.vols.get_mut(v) {
-                if vol.config().aa_cache {
-                    vol.cache = Some(RaidAgnosticCache::build(
-                        vol.topology().clone(),
-                        &vol.bitmap,
-                    )?);
-                    vol.active_aa = None;
-                    vol.invalidate_drain_cursor();
-                }
-            }
-            Ok(0)
-        }
+        ScrubTarget::GroupCache(gi) => match agg.groups.get_mut(gi) {
+            Some(g) if agg.cfg.raid_aware_cache => g.rebuild_cache(&agg.bitmap).map(|()| 0),
+            _ => Ok(0),
+        },
+        ScrubTarget::VolCache(v) => match agg.vols.get_mut(v) {
+            Some(vol) if vol.config().aa_cache => vol.rebuild_cache().map(|()| 0),
+            _ => Ok(0),
+        },
     }
 }
 
@@ -699,6 +627,16 @@ pub(crate) fn clear_all(agg: &mut Aggregate) {
     export_gauges(agg);
 }
 
+/// The HBPS of volume `vol` (modulo the volume count), if it has a cache.
+fn vol_hbps(agg: &mut Aggregate, vol: usize) -> Option<&mut Hbps> {
+    let n = agg.vols.len().max(1);
+    agg.vols
+        .get_mut(vol % n)?
+        .cache
+        .as_mut()
+        .map(|c| c.hbps_mut())
+}
+
 /// Fire every runtime scribble due at the current CP count: in-memory
 /// corruption of live summary counters / cached scores, applied while
 /// the aggregate serves traffic. Returns the number that actually changed
@@ -731,6 +669,29 @@ pub fn apply_due_runtime_scribbles(agg: &mut Aggregate, session: &mut FaultSessi
                 let cur = agg.vols[v].bitmap.page_free_count(p).unwrap_or(0) as u16;
                 let xor = ((fault.value_seed >> 16) as u16) | 1;
                 agg.vols[v].bitmap.scribble_page_counter(p, cur ^ xor);
+                applied += 1;
+            }
+            RuntimeTarget::HbpsBinCount { vol } => {
+                let Some(hbps) = vol_hbps(agg, vol) else {
+                    continue;
+                };
+                // A bin count off by a few AAs, in a bin the seed picks.
+                let bin = (fault.value_seed % hbps.bin_counts().len() as u64) as usize;
+                let off = ((fault.value_seed >> 16) as u32 & 0xF) | 1;
+                hbps.scribble_bin_count(bin, hbps.bin_counts()[bin] ^ off);
+                applied += 1;
+            }
+            RuntimeTarget::HbpsListEntry { vol } => {
+                let Some(hbps) = vol_hbps(agg, vol) else {
+                    continue;
+                };
+                // A later list entry names the first one's AA, as a torn
+                // list update would.
+                let Some((first, _)) = hbps.peek_best().filter(|_| hbps.list_len() > 1) else {
+                    continue;
+                };
+                let index = 1 + (fault.value_seed % (hbps.list_len() as u64 - 1)) as usize;
+                hbps.scribble_list_entry(index, first);
                 applied += 1;
             }
             RuntimeTarget::GroupCacheScore { group } => {

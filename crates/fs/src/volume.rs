@@ -339,6 +339,19 @@ impl FlexVol {
         self.cache.as_ref()
     }
 
+    /// Rebuild the AA cache from the bitmap — the cold-mount scan, and
+    /// what Iron and the scrubber repair with. The rebuilt cache lists
+    /// every AA, so none stays active beside it.
+    pub(crate) fn rebuild_cache(&mut self) -> WaflResult<()> {
+        self.cache = Some(RaidAgnosticCache::build(
+            self.topology.clone(),
+            &self.bitmap,
+        )?);
+        self.active_aa = None;
+        self.invalidate_drain_cursor();
+        Ok(())
+    }
+
     /// Drop the drain-cursor accelerator. Called whenever its resume
     /// point can no longer be trusted to sit ahead of every free block in
     /// its AA: quarantine events, cache replenish rescans, repairs.

@@ -17,7 +17,8 @@ use wafl_faults::{
 use wafl_fs::mount::{self, DegradedPart};
 use wafl_fs::{aging, iron, Aggregate, AggregateConfig, CpOutcome, FlexVolConfig, RaidGroupSpec};
 use wafl_media::MediaProfile;
-use wafl_types::{AaId, RetryPolicy, VolumeId};
+use wafl_oracle::popcount_score;
+use wafl_types::{AaId, AaScore, RetryPolicy, VolumeId};
 
 const GROUPS: usize = 2;
 const VOLS: usize = 2;
@@ -116,14 +117,9 @@ fn assert_ranked_xor_active(a: &Aggregate, ctx: &str) {
     for (i, g) in a.groups().iter().enumerate() {
         let cache = g.cache().expect("heap-cached group");
         assert!(cache.is_complete(), "{ctx}: group {i} incomplete");
-        for aa in (0..g.topology().aa_count()).map(AaId) {
-            assert_ne!(
-                cache.contains(aa),
-                g.active_aa() == Some(aa),
-                "{ctx}: group {i} {aa:?} (active {:?})",
-                g.active_aa()
-            );
-        }
+        let truth = |aa| AaScore(popcount_score(g.topology(), a.bitmap(), aa));
+        let bad = cache.audit(truth, g.active_aa());
+        assert_eq!(bad, 0, "{ctx}: group {i} (active {:?})", g.active_aa());
     }
 }
 

@@ -20,7 +20,7 @@ use wafl_bitmap::Bitmap;
 use wafl_core::{AaTopology, Hbps};
 use wafl_fs::{aging, mount, Aggregate, AggregateConfig, FlexVolConfig, RaidGroupSpec};
 use wafl_media::MediaProfile;
-use wafl_types::{AaId, VolumeId};
+use wafl_types::VolumeId;
 use wafl_workloads::{Op, RandomOverwrite, Workload};
 
 const OPS_PER_CP: usize = 8192;
@@ -49,19 +49,10 @@ fn aged_volume(seed: u64) -> (Aggregate, u64) {
     (agg, logical)
 }
 
-/// What `Hbps::assert_invariants` checks, from outside the crate, plus
-/// the one thing it cannot: that the histogram is the bitmap's.
+/// The HBPS passes its audit against the bitmap's scores, and the image
+/// it writes reads back.
 fn check_hbps(hbps: &Hbps, topology: &AaTopology, bitmap: &Bitmap, ctx: &str) {
-    let mut from_bitmap = vec![0u32; hbps.bin_counts().len()];
-    for aa in 0..topology.aa_count() {
-        let score = topology.score_from_bitmap(bitmap, AaId(aa));
-        from_bitmap[hbps.bin_of(score)] += 1;
-    }
-    assert_eq!(
-        hbps.bin_counts(),
-        &from_bitmap[..],
-        "{ctx}: histogram drifted"
-    );
+    assert_eq!(hbps.audit(topology.all_scores(bitmap)), 0, "{ctx}: drifted");
 
     // `from_pages_for` also rejects a list that names an AA twice or
     // one outside the space.

@@ -16,8 +16,10 @@
 //! * **costing:** the per-block cost of each group's new pvbns equals
 //!   `CpStats::per_rg` field for field (`media_us` f64-bit-exact), and
 //!   `media_us` / `media_us_total` are their max and sum;
-//! * **scores:** every heap-cached group's `score_of` and every volume's
-//!   HBPS histogram equal a popcount of the bitmap.
+//! * **scores:** every heap-cached group's `RaidAwareCache::audit` and
+//!   every volume's `Hbps::audit` are clean against the test-only
+//!   `popcount_score`: scores, heap order, ranked xor active, bin counts
+//!   and list entries.
 //!
 //! Which AAs the planner picks, and its counters of how it searched, have
 //! no per-block definition: `cp_digest.rs` pins them on these geometries.
@@ -200,22 +202,17 @@ impl Parity {
         let bitmap = self.agg.bitmap();
         for (i, g) in self.agg.groups().iter().enumerate() {
             let cache = g.cache().expect("parity groups are heap-cached");
-            for aa in (0..g.topology().aa_count()).map(AaId) {
-                assert_eq!(
-                    cache.score_of(aa).get(),
-                    popcount_score(g.topology(), bitmap, aa),
-                    "{ctx}: group {i} {aa:?}"
-                );
-            }
+            assert!(cache.is_complete(), "{ctx}: group {i} incomplete");
+            let truth = |aa| AaScore(popcount_score(g.topology(), bitmap, aa));
+            assert_eq!(cache.audit(truth, g.active_aa()), 0, "{ctx}: group {i}");
         }
         for vol in self.agg.volumes() {
             let hbps = vol.cache().expect("parity volumes are cached").hbps();
-            let mut want = vec![0u32; hbps.bin_counts().len()];
-            for aa in (0..vol.topology().aa_count()).map(AaId) {
-                let score = popcount_score(vol.topology(), vol.bitmap(), aa);
-                want[hbps.bin_of(AaScore(score))] += 1;
-            }
-            assert_eq!(hbps.bin_counts(), &want[..], "{ctx}: {} histogram", vol.id);
+            let (topology, bitmap) = (vol.topology(), vol.bitmap());
+            let truth = (0..topology.aa_count())
+                .map(AaId)
+                .map(|aa| (aa, AaScore(popcount_score(topology, bitmap, aa))));
+            assert_eq!(hbps.audit(truth), 0, "{ctx}: {} HBPS", vol.id);
         }
     }
 }

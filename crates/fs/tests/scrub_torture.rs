@@ -15,11 +15,12 @@
 //! `cargo test --release -p wafl-fs --test scrub_torture -- --ignored`.
 //! Any failure reproduces from its printed seed alone. The quick
 //! two-scribble `scrub_smoke` below is release-only for the same reason.
+//! The HBPS arm touches no bitmap summary, so it runs in every build.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
 use wafl_faults::{FaultPlan, FaultSession, RuntimeScribbleFault, RuntimeTarget};
-use wafl_fs::{aging, Aggregate, AggregateConfig, FlexVolConfig, HealthState, RaidGroupSpec};
+use wafl_fs::{aging, iron, Aggregate, AggregateConfig, FlexVolConfig, HealthState, RaidGroupSpec};
 use wafl_media::MediaProfile;
 use wafl_types::{VolumeId, WaflError, BITS_PER_BITMAP_BLOCK};
 use wafl_workloads::torture::scrub_torture_round;
@@ -154,12 +155,12 @@ fn scrub_torture_full() {
     }
 }
 
-/// One cache-guided volume on one group, 8 scrub units per CP.
-fn scrub_smoke_agg() -> Aggregate {
+/// One cache-guided volume on one group, `scrub_budget` units per CP.
+fn scrub_smoke_agg(scrub_budget: u64) -> Aggregate {
     Aggregate::new(
         AggregateConfig {
             raid_aware_cache: true,
-            scrub_pages_per_cp: 8,
+            scrub_pages_per_cp: scrub_budget,
             ..AggregateConfig::single_group(RaidGroupSpec {
                 data_devices: 4,
                 parity_devices: 1,
@@ -195,7 +196,7 @@ fn scrub_smoke() {
         "run with --release: debug bitmap assertions fire on latent \
          scribbles before the scrubber can repair them"
     );
-    let mut agg = scrub_smoke_agg();
+    let mut agg = scrub_smoke_agg(8);
     aging::fill_volume(&mut agg, VolumeId(0), 8_192).expect("fill");
     assert_eq!(agg.health(), HealthState::Healthy);
 
@@ -284,4 +285,53 @@ fn scrub_smoke() {
     assert_eq!(obs.gauge_value("health.pending_repairs"), Some(0.0));
     let free = obs.gauge_value("space.free_fraction").unwrap_or(-1.0);
     assert!((0.0..=1.0).contains(&free), "free fraction gauge: {free}");
+}
+
+/// The HBPS arm: a scribbled bin count, then a list entry naming another
+/// listed AA, on the volume's HBPS. Each is caught by the scrub step of
+/// the CP it lands in (the budget covers all 14 units), the volume cache
+/// is quarantined — allocation sweeps past it — then rebuilt and
+/// released, and the aggregate is Healthy with a clean Iron audit.
+#[test]
+fn hbps_scribbles_are_detected_quarantined_and_repaired() {
+    let counter = |agg: &Aggregate, name| agg.obs().counter_value(name).unwrap_or(0);
+    for target in [
+        RuntimeTarget::HbpsBinCount { vol: 0 },
+        RuntimeTarget::HbpsListEntry { vol: 0 },
+    ] {
+        let mut agg = scrub_smoke_agg(32);
+        aging::fill_volume(&mut agg, VolumeId(0), 8_192).expect("fill");
+        let plan = FaultPlan {
+            runtime_scribbles: vec![RuntimeScribbleFault {
+                target,
+                at_cp: agg.cp_count() + 1,
+                value_seed: 0x5EED_0003,
+            }],
+            ..FaultPlan::none()
+        };
+        let mut session = FaultSession::new(&plan);
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut cp = |agg: &mut Aggregate| {
+            for _ in 0..2_000 {
+                agg.client_overwrite(VolumeId(0), rng.random_range(0..60_000))
+                    .expect("overwrite");
+            }
+            agg.run_cp_with_session(None, Some(&mut session))
+                .expect("cp");
+        };
+        cp(&mut agg);
+        assert_eq!(counter(&agg, "scrub.faults_detected"), 0, "{target:?}");
+        cp(&mut agg);
+        assert_eq!(counter(&agg, "scrub.faults_detected"), 1, "{target:?}");
+        assert!(agg.volumes()[0].cache_quarantined(), "{target:?}");
+        assert!(matches!(agg.health(), HealthState::Degraded(_)));
+        for _ in 0..4 {
+            cp(&mut agg);
+        }
+        assert_eq!(counter(&agg, "scrub.repairs_succeeded"), 1, "{target:?}");
+        assert!(!agg.volumes()[0].cache_quarantined(), "{target:?}");
+        assert_eq!(agg.health(), HealthState::Healthy, "{target:?}");
+        let report = iron::check(&agg).unwrap();
+        assert!(report.is_clean(), "{target:?}: {report:?}");
+    }
 }

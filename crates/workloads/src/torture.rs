@@ -177,9 +177,10 @@ fn quarantined_free_counts(agg: &Aggregate) -> BTreeMap<(bool, usize, u32), u64>
 /// every CP; any decrease is reported as a `quarantine_violation`.
 ///
 /// Debug-build note: summary-counter scribbles trip the bitmap's debug
-/// `verify_summary` assertion when a *non-empty* CP flushes before the
-/// repair lands, so callers driving `ops_per_cp > 0` should run in
-/// release mode (`scripts/ci.sh --scrub-torture` does).
+/// per-CP summary audit (`Bitmap::take_dirty_stats` asserts
+/// `Bitmap::summary_divergences` clean) when a *non-empty* CP flushes
+/// before the repair lands, so callers driving `ops_per_cp > 0` should
+/// run in release mode (`scripts/ci.sh --scrub-torture` does).
 pub fn scrub_torture_round(
     agg: &mut Aggregate,
     workload: &mut dyn Workload,

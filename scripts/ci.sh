@@ -28,7 +28,9 @@ run() {
 # by block against the test-only wafl-oracle references — both bitmaps
 # bit-exact against per-bit shadows, every mapping and pvbn owner equal
 # to a per-block map model, per-group costing f64-bit-identical to
-# per-block costing, cache scores equal to popcounts. Zero diffs allowed.
+# per-block costing, and every heap and volume HBPS clean under its own
+# audit (RaidAwareCache::audit, Hbps::audit) against the test-only
+# popcount_score. Zero diffs allowed.
 oracle_parity() {
   run cargo test --release -p wafl-fs --test oracle_parity -- --ignored
 }

@@ -50,15 +50,12 @@ fn stale_topaa_image_is_safe() {
     run(&mut agg, &mut w, 30_000, 2048).unwrap();
     assert_eq!(agg.bitmap().free_blocks(), free_before);
     mount::complete_background_rebuild(&mut agg).unwrap();
-    // After the rebuild, cached scores agree with the bitmap everywhere.
+    // After the rebuild, the heap agrees with the bitmap everywhere.
     let g = &agg.groups()[0];
     let cache = g.cache().unwrap();
-    for aa in 0..g.topology().aa_count() {
-        let aa = wafl_repro::types::AaId(aa);
-        let truth = g.topology().score_from_bitmap(agg.bitmap(), aa);
-        let cached = cache.score_of(aa);
-        assert_eq!(cached, truth, "post-rebuild score mismatch at {aa}");
-    }
+    assert!(cache.is_complete(), "post-rebuild heap incomplete");
+    let truth = |aa| g.topology().score_from_bitmap(agg.bitmap(), aa);
+    assert_eq!(cache.audit(truth, g.active_aa()), 0);
 }
 
 #[test]
