@@ -6,7 +6,7 @@ use crate::delayed_free::DelayedFreeLog;
 use crate::obs::FsObs;
 use crate::paged_map::check_block_space;
 use crate::scrub::{HealthState, ScrubState, ScrubStatus};
-use crate::volume::FlexVol;
+use crate::volume::{FlexVol, QueuedOp};
 use wafl_bitmap::Bitmap;
 use wafl_core::{AaTopology, Hbps, HbpsConfig, RaidAwareCache, ScoreDeltaBatch};
 use wafl_media::{HddModel, MediaProfile, ObjectStoreModel, SmrModel, SsdFtl};
@@ -297,34 +297,14 @@ pub(crate) fn no_volume(vol: VolumeId) -> WaflError {
     }
 }
 
-/// A client write queued for the next CP.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) struct DirtyBlock {
-    pub vol: VolumeId,
-    pub logical: u64,
-}
-
 /// The aggregate: the physical WAFL instance hosting FlexVols (§2.1).
 pub struct Aggregate {
     pub(crate) cfg: AggregateConfig,
     /// Physical activemap over the whole PVBN space.
     pub(crate) bitmap: Bitmap,
     pub(crate) groups: Vec<RaidGroupState>,
+    /// Hosted volumes, each with its queue of client ops (`FlexVol::queued`).
     pub(crate) vols: Vec<FlexVol>,
-    /// Client writes since the last CP, in arrival order, deduplicated
-    /// (WAFL coalesces repeated overwrites of a block within one CP).
-    /// Dedup rides per-volume epoch stamps (`FlexVol::dirty_stamp` vs
-    /// `cp_epoch`), not a hash set: one indexed load per overwrite, and
-    /// the CP boundary invalidates every stamp by bumping the epoch.
-    pub(crate) dirty: Vec<DirtyBlock>,
-    /// Current dirty epoch; a logical block is dirty iff its stamp
-    /// equals this epoch's byte ([`Aggregate::epoch_stamp`]). Bumped at
-    /// every CP start and on volatile-state loss via
-    /// [`Aggregate::bump_epoch`], which also zeroes every stamp array
-    /// each time the byte wraps.
-    pub(crate) cp_epoch: u64,
-    /// Deletions queued for the next CP (logical blocks to unmap).
-    pub(crate) pending_deletes: Vec<DirtyBlock>,
     /// PVBNs freed by overwrites, applied at the CP boundary (§3.3's
     /// delayed frees).
     pub(crate) delayed_pvbn_frees: Vec<Vbn>,
@@ -390,9 +370,6 @@ impl Aggregate {
             bitmap,
             groups,
             vols,
-            dirty: Vec::new(),
-            cp_epoch: 1,
-            pending_deletes: Vec::new(),
             delayed_pvbn_frees: Vec::new(),
             seeds: BitSet::default(),
             free_log: DelayedFreeLog::new(),
@@ -450,46 +427,22 @@ impl Aggregate {
     }
 
     /// Queue a client overwrite of `logical` in `vol` for the next CP.
-    /// Repeated writes to the same block within one CP coalesce (§2.1).
+    /// Ops on one block within one CP coalesce, and the last one wins
+    /// (§2.1): a write after a delete maps the block again.
     pub fn client_overwrite(&mut self, vol: VolumeId, logical: u64) -> WaflResult<()> {
         self.check_mutation(vol, logical)?;
-        let epoch = Self::epoch_stamp(self.cp_epoch);
-        let stamp = &mut self.vols[vol.index()].dirty_stamp[logical as usize];
-        if *stamp != epoch {
-            *stamp = epoch;
-            self.dirty.push(DirtyBlock { vol, logical });
-        }
+        self.vols[vol.index()].queue(logical, QueuedOp::Write);
         Ok(())
-    }
-
-    /// The one-byte stamp value marking a block dirty in `epoch`: `0` is
-    /// reserved for "cleared", so the byte cycles through `1..=255`.
-    #[inline]
-    pub(crate) fn epoch_stamp(epoch: u64) -> u8 {
-        1 + (epoch % 255) as u8
-    }
-
-    /// Advance the dirty epoch. Stamps from earlier epochs read as clean
-    /// immediately; each time the epoch byte completes a cycle, every
-    /// volume's stamp array is zeroed so a 255-epoch-old stamp cannot
-    /// alias the fresh epoch byte (a 200k-block volume zeroes 200 KB
-    /// every 255 CPs — noise next to one CP, let alone 255).
-    pub(crate) fn bump_epoch(&mut self) {
-        self.cp_epoch += 1;
-        if self.cp_epoch.is_multiple_of(255) {
-            for v in &mut self.vols {
-                v.dirty_stamp.fill(0);
-            }
-        }
     }
 
     /// Queue a deletion of `logical` in `vol`: the block's virtual and
     /// physical VBNs are freed at the next CP boundary (file deletions are
     /// one of the §2.2 fragmentation sources). Deleting an unmapped block
-    /// is a no-op, matching hole-punching semantics.
+    /// is a no-op, matching hole-punching semantics; a delete after a
+    /// write in the same CP cancels the write.
     pub fn client_delete(&mut self, vol: VolumeId, logical: u64) -> WaflResult<()> {
         self.check_mutation(vol, logical)?;
-        self.pending_deletes.push(DirtyBlock { vol, logical });
+        self.vols[vol.index()].queue(logical, QueuedOp::Delete);
         Ok(())
     }
 
@@ -520,9 +473,10 @@ impl Aggregate {
         })
     }
 
-    /// Number of client writes waiting for the next CP.
+    /// Number of blocks with a client op waiting for the next CP: one per
+    /// block, whether its last op is a write or a delete.
     pub fn pending_ops(&self) -> usize {
-        self.dirty.len()
+        self.vols.iter().map(|v| v.queued.len()).sum()
     }
 
     /// Completed consistency points.
@@ -639,11 +593,9 @@ impl Aggregate {
     /// CP-in-progress score batches. Persistent state (bitmaps, volume
     /// maps, the delayed-free *log*) survives.
     pub(crate) fn lose_volatile_state(&mut self) {
-        self.dirty.clear();
-        self.bump_epoch();
-        self.pending_deletes.clear();
         self.delayed_pvbn_frees.clear();
         for v in &mut self.vols {
+            v.take_queued();
             v.delayed_vvbn_frees.clear();
             let _ = v.batch.drain().count();
         }
@@ -788,6 +740,12 @@ mod tests {
         agg.client_overwrite(VolumeId(0), 5).unwrap();
         agg.client_overwrite(VolumeId(0), 6).unwrap();
         assert_eq!(agg.pending_ops(), 2);
+        // A delete queues its block like a write, once, whatever came
+        // before it.
+        agg.client_delete(VolumeId(0), 6).unwrap();
+        agg.client_delete(VolumeId(0), 7).unwrap();
+        agg.client_delete(VolumeId(0), 7).unwrap();
+        assert_eq!(agg.pending_ops(), 3);
         assert!(agg.client_overwrite(VolumeId(0), 1000).is_err());
         assert!(agg.client_overwrite(VolumeId(9), 0).is_err());
     }

@@ -3,9 +3,10 @@
 //! emptiest AAs and batching all score updates at the boundary (§3.3).
 //! The transaction is a fixed sequence of [`Stage`]s run by one driver.
 
-use crate::aggregate::{Aggregate, DeviceMedia, DirtyBlock, GroupCache, RaidGroupState};
+use crate::aggregate::{Aggregate, DeviceMedia, GroupCache, RaidGroupState};
 use crate::allocator::{allocate_vvbns, plan_raid_group, AllocOutcome, AllocatorMode};
 use crate::config::CpuModel;
+use crate::volume::{FlexVol, QueuedOp};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use wafl_core::AaTopology;
@@ -605,18 +606,16 @@ impl Aggregate {
         if self.scrub.enabled() {
             crate::scrub::run_step(self, faults)?;
         }
-        let dirty = std::mem::take(&mut self.dirty);
-        // Invalidate every volume's dirty stamps in O(1): stamps from
-        // earlier epochs read as clean.
-        self.bump_epoch();
+        let queued: Vec<_> = self.vols.iter_mut().map(FlexVol::take_queued).collect();
+        let n = queued.iter().map(|(writes, _)| writes.len() as u64).sum();
         let now = Instant::now();
         let mut cp = CpRun {
             crash,
             seed: self.cp_count.wrapping_mul(0x9E37_79B9_7F4A_7C15),
             stats: CpStats {
                 cp_index: self.cp_count,
-                ops: dirty.len() as u64,
-                blocks_written: dirty.len() as u64,
+                ops: n,
+                blocks_written: n,
                 ..CpStats::default()
             },
             tally: CpTally::default(),
@@ -625,13 +624,20 @@ impl Aggregate {
             stages_run: 0,
             trace_t0: None,
         };
-        if !dirty.is_empty()
-            || !self.pending_deletes.is_empty()
+        if queued.iter().any(|(w, d)| !w.is_empty() || !d.is_empty())
             || self.free_log.pending() > 0
             || !self.delayed_pvbn_frees.is_empty()
             || self.vols.iter().any(|v| !v.delayed_vvbn_frees.is_empty())
         {
-            self.run_stages(&dirty, &mut cp)?;
+            if let Err(stop) = self.run_stages(&queued, &mut cp) {
+                // A failed CP drops its writes; its deletes wait for the
+                // next CP, where one this CP already applied is a no-op
+                // (and a crash loses them with the rest of the queue).
+                for (vol, (_, deletes)) in self.vols.iter_mut().zip(&queued) {
+                    deletes.iter().for_each(|&l| vol.queue(l, QueuedOp::Delete));
+                }
+                return Err(stop);
+            }
         } else if let Some(site) = crash {
             // Nothing to tear: the process still dies at the site.
             return Err(Stop::Crashed(site));
@@ -641,21 +647,15 @@ impl Aggregate {
     }
 
     /// The [`Stage`]s in order, then the CPU model.
-    fn run_stages(&mut self, dirty: &[DirtyBlock], cp: &mut CpRun) -> Result<(), Stop> {
-        let mut per_vol: Vec<Vec<u64>> = vec![Vec::new(); self.vols.len()];
-        for DirtyBlock { vol, logical } in dirty {
-            per_vol[vol.index()].push(*logical);
-        }
+    fn run_stages(&mut self, queued: &[(Vec<u64>, Vec<u64>)], cp: &mut CpRun) -> Result<(), Stop> {
         cp.trace_t0 = self.obs.trace_now_us();
         cp.t0 = Instant::now();
         cp.mark = cp.t0;
-        let vvbns = self.stage(cp, Stage::PlanVirtual, |a, cp| a.plan_virtual(&per_vol, cp))?;
+        let vvbns = self.stage(cp, Stage::PlanVirtual, |a, cp| a.plan_virtual(queued, cp))?;
         let phys = self.stage(cp, Stage::PlanPhysical, |a, cp| {
-            a.plan_physical(dirty.len(), cp)
+            a.plan_physical(cp.stats.blocks_written as usize, cp)
         })?;
-        self.stage(cp, Stage::Bind, |a, _| {
-            a.bind(&per_vol, &vvbns, &phys.pvbns)
-        })?;
+        self.stage(cp, Stage::Bind, |a, _| a.bind(queued, &vvbns, &phys.pvbns))?;
         self.stage(cp, Stage::Frees, |a, cp| a.apply_delayed_frees(cp))?;
         self.stage(cp, Stage::Apply, |a, cp| {
             a.count_metafile_pages(&mut cp.stats)
@@ -695,11 +695,11 @@ impl Aggregate {
     /// Virtual allocation: one plan per volume, in volume order.
     fn plan_virtual(
         &mut self,
-        per_vol: &[Vec<u64>],
+        queued: &[(Vec<u64>, Vec<u64>)],
         cp: &mut CpRun,
     ) -> WaflResult<Vec<AllocOutcome>> {
         let mut plans = Vec::with_capacity(self.vols.len());
-        for (i, (vol, logicals)) in self.vols.iter_mut().zip(per_vol).enumerate() {
+        for (i, (vol, (logicals, _))) in self.vols.iter_mut().zip(queued).enumerate() {
             if logicals.is_empty() {
                 plans.push(AllocOutcome::default());
                 continue;
@@ -775,7 +775,7 @@ impl Aggregate {
                 progressed |= !plan.vbns.is_empty();
                 // A plan that found no block is kept too: a full
                 // heap-cached group returns the score-0 AA `take_best`
-                // popped in `drained`, and only the rebalance puts it back.
+                // popped in `drained`, for `rerank_drained` to put back.
                 plans.push((i, plan));
             }
             // A crash after block writes strikes at the end of round 0:
@@ -794,14 +794,18 @@ impl Aggregate {
                 // A planner that scores AAs from the bitmap (HBPS
                 // replenish, random-AA mode, the quarantine sweep) finds
                 // the freed blocks there; a heap ranks by its own score
-                // array, so it gets the batch now — it holds exactly what
-                // the bitmap holds and the heap does not.
+                // array, so it gets the batch now. The AAs earlier rounds
+                // drained are ranked again now and leave their `drained`
+                // lists: the retry may leave one of them active, and the
+                // rebalance must not rank that one.
                 for g in &mut self.groups {
                     if let Some(GroupCache::Heap(cache)) = g.cache.as_mut() {
                         cp.tally.cache_ops += g.batch.touched_aas() as u64;
                         cache.apply_batch(&mut g.batch);
                     }
                 }
+                cp.tally.cache_ops += self.rerank_drained(&plans)?;
+                plans.iter_mut().for_each(|(_, plan)| plan.drained.clear());
             }
             quotas.fill(usize::MAX);
             salt = 0xF00D;
@@ -826,26 +830,21 @@ impl Aggregate {
     /// frees in both VBN spaces.
     fn bind(
         &mut self,
-        per_vol: &[Vec<u64>],
+        queued: &[(Vec<u64>, Vec<u64>)],
         vvbns: &[AllocOutcome],
         pvbns: &[Vbn],
     ) -> WaflResult<()> {
         // Each volume's pvbns occupy one contiguous chunk (allocation
-        // filled `pvbns` in `per_vol` order).
+        // filled `pvbns` in `queued` order).
         let mut off = 0usize;
-        for ((vol, logicals), plan) in self.vols.iter_mut().zip(per_vol).zip(vvbns) {
+        for ((vol, (logicals, deletes)), plan) in self.vols.iter_mut().zip(queued).zip(vvbns) {
             debug_assert_eq!(plan.vbns.len(), logicals.len());
             let chunk = &pvbns[off..off + logicals.len()];
             off += logicals.len();
             self.delayed_pvbn_frees
                 .extend(vol.remap_batch(logicals, &plan.vbns, chunk));
-        }
-        for DirtyBlock { vol, logical } in std::mem::take(&mut self.pending_deletes) {
-            let v = &mut self.vols[vol.index()];
-            if let Some((old_v, old_p)) = v.unmap(logical) {
-                v.delayed_vvbn_frees.push(old_v);
-                self.delayed_pvbn_frees.push(old_p);
-            }
+            self.delayed_pvbn_frees
+                .extend(deletes.iter().filter_map(|&logical| vol.unmap(logical)));
         }
         Ok(())
     }
@@ -1009,15 +1008,7 @@ impl Aggregate {
         // (frees during the same CP may have given them a head start).
         // HBPS-cached ranges: drained AAs re-enter via the batched score
         // change above (the histogram never stopped counting them).
-        for (i, plan) in plans {
-            if let Some(GroupCache::Heap(cache)) = self.groups[*i].cache.as_mut() {
-                for &aa in &plan.drained {
-                    let score = cache.score_of(aa);
-                    cache.insert(aa, score)?;
-                    tally.cache_ops += 1;
-                }
-            }
-        }
+        tally.cache_ops += self.rerank_drained(plans)?;
         for vol in &mut self.vols {
             let Some(cache) = vol.cache.as_mut() else {
                 let _ = vol.batch.drain().count();
@@ -1044,6 +1035,21 @@ impl Aggregate {
             }
         }
         Ok(())
+    }
+
+    /// Rank again, at their current scores, the AAs `plans` drained from
+    /// heap-cached groups. Returns the number of cache ops.
+    fn rerank_drained(&mut self, plans: &[(usize, AllocOutcome)]) -> WaflResult<u64> {
+        let mut ops = 0;
+        for (i, plan) in plans {
+            if let Some(GroupCache::Heap(cache)) = self.groups[*i].cache.as_mut() {
+                for &aa in &plan.drained {
+                    cache.insert(aa, cache.score_of(aa))?;
+                }
+                ops += plan.drained.len() as u64;
+            }
+        }
+        Ok(ops)
     }
 
     /// Export a completed CP: its counters, its model terms and stage laps
@@ -1436,6 +1442,91 @@ mod tests {
         assert_eq!(a.bitmap().free_blocks(), free_p);
     }
 
+    /// Ops on one block within one CP coalesce to the client's last one,
+    /// on a block mapped before the CP and on one never written: a write
+    /// after a delete maps the block again, and a delete after a write
+    /// cancels it without allocating a block only to free it.
+    #[test]
+    fn a_cp_does_each_blocks_last_client_op() {
+        type Op = fn(&mut Aggregate, VolumeId, u64) -> WaflResult<()>;
+        let (write, delete): (Op, Op) = (Aggregate::client_overwrite, Aggregate::client_delete);
+        for (ops, writes) in [
+            (vec![delete, write], true),
+            (vec![write, delete], false),
+            (vec![write, delete, write], true),
+            (vec![delete, write, delete], false),
+        ] {
+            for mapped in [true, false] {
+                let ctx = format!("{} ops, mapped before: {mapped}", ops.len());
+                let mut a = agg(true, true);
+                if mapped {
+                    a.client_overwrite(VolumeId(0), 7).unwrap();
+                    a.run_cp().unwrap();
+                }
+                let free = |a: &Aggregate| (a.bitmap().free_blocks(), a.volumes()[0].free_blocks());
+                let (old, (pfree, vfree)) = (a.volumes()[0].lookup_logical(7), free(&a));
+                for op in &ops {
+                    op(&mut a, VolumeId(0), 7).unwrap();
+                }
+                assert_eq!(a.pending_ops(), 1, "{ctx}");
+                let s = a.run_cp().unwrap();
+                let now = a.volumes()[0].lookup_logical(7);
+                assert_eq!(s.blocks_written, u64::from(writes), "{ctx}");
+                assert_eq!(now.is_some(), writes, "{ctx}");
+                assert!(now.is_none() || now != old, "{ctx}: COW moves the block");
+                // Each VBN space gets the old block back, if there was one,
+                // and gives up the new one, if there is one.
+                let after = |n: u64| n + u64::from(mapped) - u64::from(writes);
+                assert_eq!(free(&a), (after(pfree), after(vfree)), "{ctx}");
+            }
+        }
+    }
+
+    /// A CP that fails drops its queued writes, as it always did, and
+    /// keeps its queued deletes: the next CP unmaps them.
+    #[test]
+    fn a_failed_cp_keeps_the_queued_deletes() {
+        let mut a = agg(true, true);
+        a.client_overwrite(VolumeId(0), 7).unwrap();
+        a.run_cp().unwrap();
+        let all: Vec<_> = (0..a.groups[0].topology.aa_count())
+            .map(wafl_types::AaId)
+            .collect();
+        a.quarantine_physical_aas(0, &all);
+        a.client_overwrite(VolumeId(0), 8).unwrap();
+        a.client_delete(VolumeId(0), 7).unwrap();
+        assert!(matches!(a.run_cp(), Err(WaflError::SpaceExhausted)));
+        assert_eq!(a.pending_ops(), 1, "only the delete stays queued");
+        a.groups[0].quarantined_aas.clear();
+        let s = a.run_cp().unwrap();
+        assert_eq!(s.blocks_written, 0);
+        assert_eq!(a.volumes()[0].lookup_logical(7), None);
+        assert_eq!(a.volumes()[0].lookup_logical(8), None);
+    }
+
+    /// A crash loses the queued ops and leaves no mark on their blocks:
+    /// the same ops queued after the remount reach the next CP.
+    #[test]
+    fn ops_queued_again_after_a_crash_reach_the_next_cp() {
+        let mut a = agg(true, true);
+        a.client_overwrite(VolumeId(0), 7).unwrap();
+        a.client_overwrite(VolumeId(0), 8).unwrap();
+        a.run_cp().unwrap();
+        a.client_overwrite(VolumeId(0), 7).unwrap();
+        a.client_delete(VolumeId(0), 8).unwrap();
+        let mapped = a.volumes()[0].lookup_logical(7);
+        crate::mount::crash(&mut a);
+        crate::mount::mount_cold(&mut a).unwrap();
+        assert_eq!(a.pending_ops(), 0);
+        a.client_overwrite(VolumeId(0), 7).unwrap();
+        a.client_delete(VolumeId(0), 8).unwrap();
+        assert_eq!(a.pending_ops(), 2);
+        let s = a.run_cp().unwrap();
+        assert_eq!(s.blocks_written, 1);
+        assert_ne!(a.volumes()[0].lookup_logical(7), mapped);
+        assert_eq!(a.volumes()[0].lookup_logical(8), None);
+    }
+
     #[test]
     fn fresh_fs_writes_full_stripes() {
         let mut a = agg(true, true);
@@ -1697,7 +1788,7 @@ mod tests {
         };
         let mut twin = queued();
         let before = allocated(&twin);
-        let logicals: Vec<u64> = twin.dirty.iter().map(|d| d.logical).collect();
+        let logicals = twin.volumes()[0].queued.clone();
         let stats = twin.run_cp().unwrap();
         let vol = &twin.volumes()[0];
         let plan: Vec<Vbn> = logicals
@@ -2078,15 +2169,43 @@ mod batched_free_tests {
         );
     }
 
-    /// Random overwrites of a volume that fills ~95 % of a 262,144-block
-    /// group, one free-log page per CP: every few CPs the allocator runs
-    /// dry and the log is force-drained. After every CP, what entered the
-    /// log and did not stay was reported applied — a CP that pulls the log
-    /// forward and then runs its budgeted pass counts every free once —
-    /// and, on SSDs under `trim_on_free` (`ssd_trim`), sent to the FTL as
-    /// a TRIM. Returns the number of CPs that force-drained.
-    fn churn_under_pressure(raid_aware_cache: bool, ssd_trim: bool) -> u32 {
-        const LOGICAL: u64 = 250_000;
+    /// A near-full aggregate: one 2 + 1 group of `device_blocks` per
+    /// device under one volume of `vol_aas` virtual AAs holding `logical`
+    /// blocks.
+    struct NearFull {
+        device_blocks: u64,
+        vol_aas: u64,
+        logical: u64,
+    }
+
+    /// ~95 % of a 262,144-block group.
+    const LARGE: NearFull = NearFull {
+        device_blocks: 32 * 4096,
+        vol_aas: 8,
+        logical: 250_000,
+    };
+
+    /// ~95 % of a 131,072-block group, where the heap ranks only 16 AAs
+    /// and one CP's rounds can drain every one of them.
+    const SMALL: NearFull = NearFull {
+        device_blocks: 16 * 4096,
+        vol_aas: 4,
+        logical: 124_000,
+    };
+
+    /// Random overwrites of a volume that fills `at`, one free-log page
+    /// per CP: every few CPs the allocator runs dry and the log is
+    /// force-drained. After every CP, what entered the log and did not
+    /// stay was reported applied — a CP that pulls the log forward and
+    /// then runs its budgeted pass counts every free once — and, on SSDs
+    /// under `trim_on_free` (`ssd_trim`), sent to the FTL as a TRIM.
+    /// Returns the number of CPs that force-drained.
+    fn churn_under_pressure(at: NearFull, raid_aware_cache: bool, ssd_trim: bool) -> u32 {
+        let NearFull {
+            device_blocks,
+            vol_aas,
+            logical,
+        } = at;
         let mut a = Aggregate::new(
             AggregateConfig {
                 batched_frees: true,
@@ -2096,7 +2215,7 @@ mod batched_free_tests {
                 ..AggregateConfig::single_group(RaidGroupSpec {
                     data_devices: 2,
                     parity_devices: 1,
-                    device_blocks: 32 * 4096,
+                    device_blocks,
                     profile: if ssd_trim {
                         MediaProfile::ssd()
                     } else {
@@ -2106,11 +2225,11 @@ mod batched_free_tests {
             },
             &[(
                 FlexVolConfig {
-                    size_blocks: 8 * 32768,
+                    size_blocks: vol_aas * 32768,
                     aa_cache: true,
                     aa_blocks: None,
                 },
-                LOGICAL,
+                logical,
             )],
             8,
         )
@@ -2130,7 +2249,7 @@ mod batched_free_tests {
         let mut force_drains = 0;
         for cp in 0..35 {
             for _ in 0..4096 {
-                a.client_overwrite(VolumeId(0), rng.random_range(0..LOGICAL))
+                a.client_overwrite(VolumeId(0), rng.random_range(0..logical))
                     .unwrap();
             }
             let (before, trimmed) = (a.free_log().pending(), trims(&a));
@@ -2149,8 +2268,9 @@ mod batched_free_tests {
             }
             // More pages than the budget means the log was force-drained.
             force_drains += (s.delayed_free_pages > 1) as u32;
+            // Every cache ranks each AA but the active one, at its score.
+            assert_eq!(crate::iron::check(&a).unwrap().stale_scores, 0, "cp {cp}");
         }
-        assert_eq!(crate::iron::check(&a).unwrap().stale_scores, 0);
         force_drains
     }
 
@@ -2159,7 +2279,7 @@ mod batched_free_tests {
     #[test]
     fn force_drained_frees_are_counted_with_the_budgeted_ones() {
         assert!(
-            churn_under_pressure(false, false) > 0,
+            churn_under_pressure(LARGE, false, false) > 0,
             "the run must force-drain"
         );
     }
@@ -2170,7 +2290,19 @@ mod batched_free_tests {
     #[test]
     fn force_drain_reaches_a_heap_cached_group() {
         assert!(
-            churn_under_pressure(true, false) > 0,
+            churn_under_pressure(LARGE, true, false) > 0,
+            "the run must force-drain"
+        );
+    }
+
+    /// On the small geometry a CP's first rounds can drain every AA the
+    /// heap ranks. The retry after the force-drain finds the blocks it
+    /// freed only if those AAs are ranked again before it: the rebalance,
+    /// which ranks them otherwise, never runs once the CP has failed.
+    #[test]
+    fn shortfall_retry_ranks_the_aas_earlier_rounds_drained() {
+        assert!(
+            churn_under_pressure(SMALL, true, false) > 0,
             "the run must force-drain"
         );
     }
@@ -2181,7 +2313,7 @@ mod batched_free_tests {
     #[test]
     fn force_drained_frees_are_trimmed() {
         assert!(
-            churn_under_pressure(true, true) > 0,
+            churn_under_pressure(LARGE, true, true) > 0,
             "the run must force-drain"
         );
     }

@@ -9,8 +9,8 @@
 //! * [`Aggregate`] — the physical layer: RAID groups with per-device media
 //!   models, the physical activemap, RAID-aware AA caches, and hosted
 //!   [`FlexVol`]s with their virtual activemaps and HBPS caches.
-//! * [`CpStats`] / [`Aggregate::run_cp`] — the consistency point: collect
-//!   dirtied logical blocks, allocate virtual + physical VBNs from the
+//! * [`CpStats`] / [`Aggregate::run_cp`] — the consistency point: take
+//!   each volume's queued blocks, allocate virtual + physical VBNs from the
 //!   emptiest AAs, apply the delayed frees of overwritten blocks, dirty
 //!   bitmap-metafile pages, cost the resulting RAID tetrises against the
 //!   media models, and batch-update every AA cache (§3.3).
@@ -23,8 +23,9 @@
 //!   (§3.3.1), the paper's defragmentation hook.
 //!
 //! Client operations arrive via [`Aggregate::client_overwrite`] /
-//! [`Aggregate::client_read`]; a CP flushes everything collected since the
-//! previous one, exactly like WAFL's delayed batched flushing (§2.1).
+//! [`Aggregate::client_delete`] / [`Aggregate::client_read`]; each volume
+//! queues its writes and deletes, the client's last op on a block wins, and
+//! a CP flushes the queues, like WAFL's delayed batched flushing (§2.1).
 
 #![warn(missing_docs)]
 

@@ -20,6 +20,16 @@ fn index(logical: u64) -> usize {
     usize::try_from(logical).unwrap_or(usize::MAX)
 }
 
+/// A logical block's queued client op: what the next CP does with it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum QueuedOp {
+    None,
+    /// Bind the block to a fresh (vvbn, pvbn) pair.
+    Write,
+    /// Unmap the block.
+    Delete,
+}
+
 /// One FlexVol volume hosted in the aggregate.
 ///
 /// Three layers of numbering meet here (§2.1):
@@ -48,16 +58,14 @@ pub struct FlexVol {
     /// that touch it deny `clippy::cast_possible_truncation`: block
     /// numbers go in through [`slot`] and come out through `u64::from`.
     logical_map: Vec<u32>,
-    /// Dirty-epoch stamp per logical block: the block is queued for the
-    /// next CP iff its stamp equals the aggregate's current epoch byte
-    /// (`1 + cp_epoch % 255`; `0` = never stamped). Replaces a
-    /// per-overwrite hash-set membership test with an indexed load; the
-    /// CP boundary "clears" every stamp by bumping the epoch. One byte
-    /// per block keeps the whole array cache-resident on the overwrite
-    /// hot path (a `u64` stamp array is 8x the footprint for the same
-    /// information); the aggregate zeroes it every 255 epochs so a stale
-    /// stamp can never alias the current epoch byte after wraparound.
-    pub(crate) dirty_stamp: Vec<u8>,
+    /// Client ops queued for the next CP: each logical block once, in
+    /// the order of its first op since the last CP. What the CP does with
+    /// it is its entry in `queued_op`.
+    pub(crate) queued: Vec<u64>,
+    /// The client's last op on each logical block since the last CP, one
+    /// byte a block: `None` unless the block is in `queued`. The last op
+    /// wins, so one write and one delete never both reach a CP.
+    pub(crate) queued_op: Vec<QueuedOp>,
     /// Virtual VBN → physical VBN. Paged and direct-indexed: virtual
     /// spaces are thin-provisioned and can dwarf the live data, so the
     /// map faults in fixed-size pages on first touch (memory proportional
@@ -142,7 +150,8 @@ impl FlexVol {
             topology,
             cache,
             logical_map: vec![UNMAPPED; logical_blocks as usize],
-            dirty_stamp: vec![0; logical_blocks as usize],
+            queued: Vec::new(),
+            queued_op: vec![QueuedOp::None; logical_blocks as usize],
             vvbn_map: PagedMap::new(cfg.size_blocks),
             batch: ScoreDeltaBatch::new(),
             delayed_vvbn_frees: Vec::new(),
@@ -199,6 +208,30 @@ impl FlexVol {
     pub fn lookup_logical(&self, logical: u64) -> Option<Vbn> {
         let v = *self.logical_map.get(index(logical))?;
         (v != UNMAPPED).then_some(Vbn(u64::from(v)))
+    }
+
+    /// Queue `op` on `logical` for the next CP. The block joins the queue
+    /// on its first op since the last CP; every later op replaces the
+    /// kind, so the client's last op on a block wins.
+    pub(crate) fn queue(&mut self, logical: u64, op: QueuedOp) {
+        if std::mem::replace(&mut self.queued_op[index(logical)], op) == QueuedOp::None {
+            self.queued.push(logical);
+        }
+    }
+
+    /// Empty the queue: the logicals to bind and the logicals to unmap,
+    /// each in queue order.
+    pub(crate) fn take_queued(&mut self) -> (Vec<u64>, Vec<u64>) {
+        let mut writes = std::mem::take(&mut self.queued);
+        let mut deletes = Vec::new();
+        writes.retain(|&logical| {
+            let op = std::mem::replace(&mut self.queued_op[index(logical)], QueuedOp::None);
+            if op == QueuedOp::Delete {
+                deletes.push(logical);
+            }
+            op == QueuedOp::Write
+        });
+        (writes, deletes)
     }
 
     /// Physical VBN backing a virtual VBN.
@@ -275,16 +308,19 @@ impl FlexVol {
         freed_pvbns
     }
 
-    /// Remove `logical`'s mapping entirely (file deletion / hole punch),
-    /// returning the freed (vvbn, pvbn) pair for the delayed-free path
-    /// (or `None` when a snapshot pins it).
+    /// Remove `logical`'s mapping entirely (file deletion / hole punch).
+    /// Like [`FlexVol::remap_batch`], queue the freed vvbn as a delayed
+    /// free and return the freed pvbn (`None` if the block was unmapped
+    /// or a snapshot pins it).
     #[deny(clippy::cast_possible_truncation)]
-    pub(crate) fn unmap(&mut self, logical: u64) -> Option<(Vbn, Vbn)> {
+    pub(crate) fn unmap(&mut self, logical: u64) -> Option<Vbn> {
         let old_v = std::mem::replace(&mut self.logical_map[index(logical)], UNMAPPED);
         if old_v == UNMAPPED {
             return None;
         }
-        self.release_or_detach(Vbn(u64::from(old_v)))
+        let (old_v, old_p) = self.release_or_detach(Vbn(u64::from(old_v)))?;
+        self.delayed_vvbn_frees.push(old_v);
+        Some(old_p)
     }
 
     /// The active file system no longer references `old_v`: free it now,
@@ -499,7 +535,7 @@ mod tests {
                 batched.snapshot_create();
                 looped.snapshot_create();
             }
-            // Distinct logicals in scrambled order, as the dirty list
+            // Distinct logicals in scrambled order, as the op queue
             // delivers them.
             let mut logicals: Vec<u64> = (0..1000).filter(|l| (l + cp) % 3 != 0).collect();
             for i in (1..logicals.len()).rev() {

@@ -1,14 +1,11 @@
-//! Dirty-epoch stamp wraparound soak.
+//! Op-queue soak across many CPs.
 //!
-//! Overwrite dedup rides a one-byte stamp per logical block: a block is
-//! queued for the next CP iff its stamp equals the current epoch byte
-//! `1 + cp_epoch % 255` (`0` = never stamped), and the CP boundary
-//! "clears" every stamp in O(1) by bumping the epoch. The byte cycles,
-//! so a stamp written at epoch `e` reads identical to the byte of epoch
-//! `e + 255`; the aggregate defends against that by zeroing every stamp
-//! array each time `cp_epoch` reaches a multiple of 255 — within any
-//! 255-epoch window. These tests soak the wrap: a stale stamp must
-//! never alias the current epoch byte and silently swallow a write.
+//! Each volume queues a logical block on its first client op since the
+//! last CP and keeps one byte per block for the kind of its last op; the
+//! CP resets each byte it takes. A byte left behind would swallow the
+//! block's next write. These tests run past 255 CPs, the cycle of the
+//! one-byte epoch stamp the queue replaced, and check that no write is
+//! lost and that repeated writes within a CP queue the block once.
 
 use wafl_fs::{Aggregate, AggregateConfig, FlexVolConfig, RaidGroupSpec};
 use wafl_media::MediaProfile;
@@ -37,57 +34,52 @@ fn agg() -> Aggregate {
     .unwrap()
 }
 
-/// The targeted 255-gap scenario: write a block, advance the epoch until
-/// its byte value comes round again (epoch `e` and epoch `e + 255` share
-/// the same stamp byte), then overwrite the block. Without the zeroing
-/// pass the stale stamp would equal the fresh epoch byte and the
-/// overwrite would be deduped away as "already dirty this CP"; with it,
-/// the write must queue and flush.
+/// Write a block, run 255 empty CPs (once the gap after which an epoch
+/// stamp aliased the current epoch), then overwrite the block: the write
+/// must queue and flush.
 #[test]
 fn gap_255_alias() {
     let mut a = agg();
-    // Epoch 1 (stamp byte 2): write L and flush it.
+    // Write L and flush it.
     a.client_overwrite(VolumeId(0), 7).unwrap();
     let s = a.run_cp().unwrap();
     assert_eq!(s.ops, 1);
     let before = a.volumes()[0].lookup_logical(7).map(|v| v.get()).unwrap();
 
-    // 254 empty CPs carry cp_epoch from 2 to 256 — past the zeroing at
-    // 255 and onto the epoch whose byte (2) aliases the original stamp.
+    // 254 empty CPs: 255 CPs after the write, its byte long reset.
     for _ in 0..254 {
         let s = a.run_cp().unwrap();
         assert_eq!(s.ops, 0);
     }
 
-    // The overwrite must queue (stale stamp zeroed, not aliasing) and
-    // the next CP must flush exactly it, moving the block's mapping.
+    // The overwrite must queue and the next CP must flush exactly it,
+    // moving the block's mapping.
     a.client_overwrite(VolumeId(0), 7).unwrap();
     let s = a.run_cp().unwrap();
-    assert_eq!(s.ops, 1, "overwrite swallowed by a stale aliased stamp");
+    assert_eq!(s.ops, 1, "overwrite swallowed by a stale queue byte");
     let after = a.volumes()[0].lookup_logical(7).map(|v| v.get()).unwrap();
     assert_ne!(before, after, "COW must move the block");
 }
 
 /// Soak across >255 CPs: every round overwrites a fixed working set
-/// twice (the double write checks within-CP coalescing keeps working
-/// after stamp zeroing too) and the CP must flush exactly the distinct
-/// set — no round may lose writes to a stale stamp or double-queue
-/// after the wrap.
+/// twice (the double write checks within-CP coalescing) and the CP must
+/// flush exactly the distinct set — no round may lose writes to a stale
+/// queue byte or queue a block twice.
 #[test]
 fn soak() {
-    const ROUNDS: u64 = 300; // > 255: crosses the zeroing epoch and beyond
+    const ROUNDS: u64 = 300; // > 255, the old epoch stamp's cycle
     const SET: u64 = 64;
     let mut a = agg();
     for round in 0..ROUNDS {
-        // A sliding window of logicals; revisits earlier blocks often so
-        // old stamps are plentiful when the epoch byte comes round.
+        // A sliding window of logicals that revisits earlier blocks often,
+        // so most writes land on a byte some earlier CP reset.
         let base = (round * 17) % (LOGICALS - SET);
         for l in base..base + SET {
             a.client_overwrite(VolumeId(0), l).unwrap();
             a.client_overwrite(VolumeId(0), l).unwrap();
         }
         let s = a.run_cp().unwrap();
-        assert_eq!(s.ops, SET, "round {round}: CP flushed a wrong dirty set");
+        assert_eq!(s.ops, SET, "round {round}: CP flushed a wrong write set");
     }
     assert_eq!(a.cp_count(), ROUNDS);
 }

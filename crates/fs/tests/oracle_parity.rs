@@ -23,15 +23,16 @@
 //!
 //! Which AAs the planner picks, and its counters of how it searched, have
 //! no per-block definition: `cp_digest.rs` pins them on these geometries.
-//! A CP deletes only logicals it does not also write, since what a CP
-//! makes of such a pair is still to change.
+//! A CP's draws may write and delete one logical in either order; the
+//! model takes the last op drawn on each block, as the client's last op
+//! must win.
 //!
 //! The `#[ignore]`d seed sweep is the `scripts/ci.sh --oracle-parity`
 //! gate: a release-mode sweep over seeds with zero diffs allowed.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use wafl_bitmap::Bitmap;
 use wafl_fs::{Aggregate, AggregateConfig, CpStats, FlexVolConfig, RaidGroupSpec};
 use wafl_media::{HddModel, MediaProfile};
@@ -83,23 +84,25 @@ impl Parity {
         }
     }
 
-    /// Queue `ops` — (volume, logical, delete?) draws, less each delete
-    /// of a logical the CP also writes — run the CP, and check it.
+    /// Queue `ops` — (volume, logical, delete?) draws, in draw order —
+    /// run the CP, and check it against each block's last drawn op.
     fn cp(&mut self, ops: &[(u32, u64, bool)], ctx: &str) {
-        let writes: BTreeSet<(u32, u64)> = ops
-            .iter()
-            .filter(|&&(_, _, del)| !del)
-            .map(|&(v, l, _)| (v, l))
-            .collect();
-        let mut deletes = BTreeSet::new();
+        let mut last = BTreeMap::new();
         for &(v, l, del) in ops {
-            if !del {
-                self.agg.client_overwrite(VolumeId(v), l).unwrap();
-            } else if !writes.contains(&(v, l)) {
+            if del {
                 self.agg.client_delete(VolumeId(v), l).unwrap();
-                deletes.insert((v, l));
+            } else {
+                self.agg.client_overwrite(VolumeId(v), l).unwrap();
             }
+            last.insert((v, l), del);
         }
+        let last_is = |delete: bool| -> BTreeSet<(u32, u64)> {
+            last.iter()
+                .filter(|&(_, &del)| del == delete)
+                .map(|(&k, _)| k)
+                .collect()
+        };
+        let (writes, deletes) = (last_is(false), last_is(true));
         let stats = self.agg.run_cp().unwrap();
         let new_pvbns = self.check_plans_and_frees(&writes, &deletes, ctx);
         self.check_bind(ctx);

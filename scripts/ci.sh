@@ -8,6 +8,8 @@
 #                                 # parity, benchmark check, frozen-paths
 #                                 # guard)
 #   scripts/ci.sh --torture       # fast gates + 200-seed crash torture
+#                                 # + 64-seed stress sweep checked
+#                                 # against a model of the live blocks
 #   scripts/ci.sh --scrub-torture # fast gates + 200-seed runtime-scrub
 #                                 # torture (release: debug builds assert
 #                                 # on latent counter scribbles)
@@ -136,6 +138,7 @@ frozen_paths
 
 if [[ "${1:-}" == "--torture" ]]; then
   run cargo test --release -p wafl-fs --test crash_consistency -- --ignored
+  run cargo test --release --test stress -- --ignored
 fi
 
 if [[ "${1:-}" == "--scrub-torture" ]]; then

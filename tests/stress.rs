@@ -2,9 +2,14 @@
 //! the stack supports — overwrites, deletes, snapshots, segment cleaning,
 //! aggregate growth, crash/remount, delayed-free draining — and audits
 //! the cross-structure invariants with `iron::check` after every phase.
+//! A model of the live logicals per volume, advanced by each client op,
+//! must agree with `lookup_logical` after every CP: the structures
+//! agreeing with each other does not show that the client's last op on
+//! a block is what the CP kept.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use std::collections::BTreeSet;
 use wafl_repro::fs::snapshot::SnapshotId;
 use wafl_repro::fs::{
     cleaning, iron, mount, Aggregate, AggregateConfig, FlexVolConfig, RaidGroupSpec,
@@ -17,6 +22,9 @@ struct Driver {
     rng: StdRng,
     snaps: Vec<(VolumeId, SnapshotId)>,
     image: Option<wafl_repro::fs::mount::TopAaImage>,
+    /// The logicals each volume's client has written and not deleted
+    /// since.
+    live: Vec<BTreeSet<u64>>,
 }
 
 impl Driver {
@@ -59,6 +67,7 @@ impl Driver {
             rng: StdRng::seed_from_u64(seed ^ 0x5EED),
             snaps: Vec::new(),
             image: None,
+            live: vec![BTreeSet::new(); 2],
         }
     }
 
@@ -70,25 +79,54 @@ impl Driver {
         }
     }
 
+    fn overwrite(&mut self, vol: VolumeId, l: u64) {
+        self.agg.client_overwrite(vol, l).unwrap();
+        self.live[vol.index()].insert(l);
+    }
+
+    fn delete(&mut self, vol: VolumeId, l: u64) {
+        self.agg.client_delete(vol, l).unwrap();
+        self.live[vol.index()].remove(&l);
+    }
+
+    /// Run a CP, then hold every logical's mapping to the model.
+    fn cp(&mut self, step: u32) {
+        self.agg.run_cp().unwrap();
+        for (vol, live) in self.agg.volumes().iter().zip(&self.live) {
+            for l in 0..vol.logical_blocks() {
+                assert_eq!(
+                    vol.lookup_logical(l).is_some(),
+                    live.contains(&l),
+                    "step {step}: {} logical {l}",
+                    vol.id
+                );
+            }
+        }
+    }
+
     fn phase(&mut self, step: u32) {
         match step % 11 {
-            // Bursts of overwrites, CP'd.
+            // Bursts of overwrites with a delete in twenty, CP'd.
             0..=4 => {
                 for _ in 0..self.rng.random_range(500..3000) {
                     let (vol, ws) = self.random_vol();
                     let l = self.rng.random_range(0..ws);
-                    self.agg.client_overwrite(vol, l).unwrap();
+                    if self.rng.random_range(0..20) == 0 {
+                        self.delete(vol, l);
+                    } else {
+                        self.overwrite(vol, l);
+                    }
                 }
-                self.agg.run_cp().unwrap();
+                self.cp(step);
             }
             // Deletions.
             5 => {
                 for _ in 0..self.rng.random_range(100..1000) {
                     let (vol, ws) = self.random_vol();
                     let l = self.rng.random_range(0..ws);
-                    self.agg.client_delete(vol, l).unwrap();
+                    self.delete(vol, l);
                 }
-                self.agg.run_cp().unwrap();
+                self.cp(step);
             }
             // Snapshot create (bounded count to keep occupancy in range).
             6 => {
@@ -104,7 +142,7 @@ impl Driver {
                     let i = self.rng.random_range(0..self.snaps.len());
                     let (vol, id) = self.snaps.swap_remove(i);
                     self.agg.snapshot_delete(vol, id).unwrap();
-                    self.agg.run_cp().unwrap();
+                    self.cp(step);
                 }
             }
             // Segment cleaning of a random group.
@@ -156,7 +194,7 @@ impl Driver {
         // Drain pending reclamation so iron's leak accounting is exact,
         // then audit everything.
         while self.agg.free_log().pending() > 0 {
-            self.agg.run_cp().unwrap();
+            self.cp(step);
         }
         // A stale TopAA mount can leave heap scores lagging until the
         // background rebuild runs; finish it before auditing.
@@ -179,23 +217,9 @@ impl Driver {
     }
 }
 
-#[test]
-fn randomized_lifecycle_keeps_every_invariant() {
-    for seed in [1u64, 2, 3] {
-        let mut d = Driver::new(seed, false);
-        for step in 0..44 {
-            d.phase(step);
-            if step % 11 == 10 {
-                d.audit(step);
-            }
-        }
-        d.audit(u32::MAX);
-    }
-}
-
-#[test]
-fn randomized_lifecycle_with_batched_frees() {
-    let mut d = Driver::new(7, true);
+/// 44 phases of one seed, audited every 11.
+fn lifecycle(seed: u64, batched_frees: bool) {
+    let mut d = Driver::new(seed, batched_frees);
     for step in 0..44 {
         d.phase(step);
         if step % 11 == 10 {
@@ -203,4 +227,28 @@ fn randomized_lifecycle_with_batched_frees() {
         }
     }
     d.audit(u32::MAX);
+}
+
+#[test]
+fn randomized_lifecycle_keeps_every_invariant() {
+    for seed in [1u64, 2, 3] {
+        lifecycle(seed, false);
+    }
+}
+
+#[test]
+fn randomized_lifecycle_with_batched_frees() {
+    lifecycle(7, true);
+}
+
+/// The `scripts/ci.sh --torture` sweep: many seeds, each with frees
+/// applied at once and batched. Release-only (ignored by the default
+/// test run).
+#[test]
+#[ignore = "release-mode sweep: run via scripts/ci.sh --torture"]
+fn randomized_lifecycle_seed_sweep() {
+    for seed in 0..64 {
+        lifecycle(seed, false);
+        lifecycle(seed, true);
+    }
 }
