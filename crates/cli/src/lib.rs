@@ -11,7 +11,7 @@
 //!   the journal as Chrome trace-event JSON plus a per-CP time-series
 //!   CSV.
 //! * `trace-report` — read a per-CP series CSV and print per-stage wall
-//!   quantiles and the quarantine/health timeline.
+//!   quantiles and the scrub/health timeline.
 //! * `mount-bench` — the Figure 10 comparison for one configuration.
 //! * `help` — usage.
 //!
@@ -272,7 +272,7 @@ and churn CPs included, and writes Chrome trace-event JSON
 FILE.series.csv. The journal holds --trace-capacity events (default
 65536); overflow drops events and counts them in trace.dropped_events.
 trace-report reads a series CSV and prints the CP's and each stage's
-wall p50/p99 over the CPs that ran a stage, and the quarantine timeline.
+wall p50/p99 over the CPs that ran a stage, and the scrub timeline.
 ";
 
 /// Results of a `simulate` run (also the JSON shape).
@@ -334,9 +334,7 @@ pub struct TraceArtifacts {
 pub struct HealthReport {
     /// Health state: `healthy`, `degraded(n)`, or `read-only`.
     pub state: String,
-    /// AAs the allocator is currently avoiding.
-    pub quarantined_aas: u64,
-    /// Cache structures under structure quarantine.
+    /// Cache structures fenced until their repair ticket settles.
     pub quarantined_structures: u64,
     /// Repair tickets awaiting processing.
     pub pending_repairs: usize,
@@ -373,7 +371,6 @@ fn health_report(agg: &Aggregate) -> HealthReport {
     }
     HealthReport {
         state: status.health.to_string(),
-        quarantined_aas: status.quarantined_aas,
         quarantined_structures: status.quarantined_structures,
         pending_repairs: status.pending_repairs,
         scrub_pages_scanned: reg.counter_value("scrub.pages_scanned").unwrap_or(0),
@@ -583,7 +580,6 @@ impl SimulateReport {
         }
         if let Some(h) = &self.health {
             let _ = writeln!(s, "health                 {:>12}", h.state);
-            let _ = writeln!(s, "quarantined AAs        {:>12}", h.quarantined_aas);
             let _ = writeln!(s, "pending repairs        {:>12}", h.pending_repairs);
             let _ = writeln!(s, "scrub units scanned    {:>12}", h.scrub_pages_scanned);
             let _ = writeln!(s, "scrub faults detected  {:>12}", h.scrub_faults_detected);
@@ -706,8 +702,8 @@ fn trace_report(csv: &str) -> Result<TraceReport, String> {
     };
     let cp = col("cp")?;
     let total = col("cp.wall.total_us.sum")?;
-    let (faults, quarantined) = (col("scrub.faults_detected")?, col("scrub.aas_quarantined")?);
-    let (released, health) = (col("scrub.released")?, col("health.state")?);
+    let (faults, released) = (col("scrub.faults_detected")?, col("scrub.released")?);
+    let health = col("health.state")?;
 
     // An empty CP runs no stage, so it clocks no time.
     let busy: Vec<&Vec<Option<f64>>> = rows.iter().filter(|r| r[total] != Some(0.0)).collect();
@@ -732,7 +728,7 @@ fn trace_report(csv: &str) -> Result<TraceReport, String> {
 
     // The timeline reads every row: the scrub step runs in empty CPs too.
     // Within a CP it follows the step's order: repairs release, the scan
-    // quarantines, then the health state settles.
+    // detects, then the health state settles.
     let mut timeline = Vec::new();
     let mut state = 0.0; // Healthy
     for r in &rows {
@@ -745,9 +741,8 @@ fn trace_report(csv: &str) -> Result<TraceReport, String> {
         }
         if value(faults) > 0.0 {
             timeline.push(format!(
-                "cp {n:>5}  scrub.quarantine  faults={} aas={}",
-                value(faults),
-                value(quarantined)
+                "cp {n:>5}  scrub.detect      faults={}",
+                value(faults)
             ));
         }
         if let Some(to) = r[health].filter(|&to| to != state) {
@@ -789,7 +784,7 @@ impl TraceReport {
             );
         }
         if !self.timeline.is_empty() {
-            let _ = writeln!(s, "\nquarantine / health timeline");
+            let _ = writeln!(s, "\nscrub / health timeline");
             for line in &self.timeline {
                 let _ = writeln!(s, "  {line}");
             }
@@ -899,7 +894,6 @@ mod tests {
         assert!(r.iron.as_ref().unwrap().is_clean());
         let health = r.health.as_ref().unwrap();
         assert_eq!(health.state, "healthy");
-        assert_eq!(health.quarantined_aas, 0);
         assert!(health.scrub_pages_scanned > 0, "scrub budget ran");
         let json = serde_json::to_string_pretty(&r).unwrap();
         assert!(
@@ -1030,9 +1024,9 @@ mod tests {
 
     /// A series CSV with the columns `trace-report` reads, one row per
     /// entry of `rows`: `cp`, the CP's and two stages' wall sums, the
-    /// three scrub deltas and the health gauge.
+    /// two scrub deltas and the health gauge.
     fn series_csv(rows: &[&str]) -> String {
-        let mut csv = "cp,scrub.faults_detected,scrub.aas_quarantined,scrub.released,\
+        let mut csv = "cp,scrub.faults_detected,scrub.released,\
                        cp.wall.total_us.sum,cp.wall.bind_us.sum,cp.wall.frees_us.sum,health.state\n"
             .to_string();
         for row in rows {
@@ -1051,7 +1045,7 @@ mod tests {
             .enumerate()
             .map(|(cp, &bind)| {
                 let total = if bind == 0 { 0 } else { 100 + bind };
-                format!("{cp},0,0,0,{total},{bind},1,0")
+                format!("{cp},0,0,{total},{bind},1,0")
             })
             .collect();
         let rows: Vec<&str> = rows.iter().map(String::as_str).collect();
@@ -1068,9 +1062,9 @@ mod tests {
     #[test]
     fn trace_report_skips_null_cells() {
         let report = trace_report(&series_csv(&[
-            "0,0,0,0,10,4,null,0",
-            "1,0,0,0,null,6,2,0",
-            "2,0,0,0,12,null,3,0",
+            "0,0,0,10,4,null,0",
+            "1,0,0,null,6,2,0",
+            "2,0,0,12,null,3,0",
         ]))
         .unwrap();
         let count = |name: &str| {
@@ -1091,22 +1085,22 @@ mod tests {
     #[test]
     fn trace_report_timeline_has_one_row_per_quarantine_release_and_health_change() {
         let report = trace_report(&series_csv(&[
-            "0,0,0,0,10,4,1,0",
-            "1,2,3,0,10,4,1,1",
-            "2,0,0,0,0,0,0,1",
-            "3,0,0,2,0,0,0,0",
+            "0,0,0,10,4,1,0",
+            "1,2,0,10,4,1,1",
+            "2,0,0,0,0,0,1",
+            "3,0,2,0,0,0,0",
         ]))
         .unwrap();
         assert_eq!(
             report.timeline,
             [
-                "cp     1  scrub.quarantine  faults=2 aas=3",
+                "cp     1  scrub.detect      faults=2",
                 "cp     1  health.state      0 -> 1",
                 "cp     3  scrub.release     units=2",
                 "cp     3  health.state      1 -> 0",
             ]
         );
-        assert!(report.to_text().contains("quarantine / health timeline"));
+        assert!(report.to_text().contains("scrub / health timeline"));
     }
 
     #[test]
@@ -1115,11 +1109,11 @@ mod tests {
             path: "/nonexistent/trace.json.series.csv".to_string(),
         });
         assert!(missing.unwrap_err().starts_with("read "));
-        let ragged = trace_report(&series_csv(&["0,0,0,0,10,4,1,0", "1,0,0,0,10,4"]));
+        let ragged = trace_report(&series_csv(&["0,0,0,10,4,1,0", "1,0,0,10,4"]));
         assert!(ragged.unwrap_err().contains("line 3"));
-        let word = trace_report(&series_csv(&["0,0,0,0,10,four,1,0"]));
+        let word = trace_report(&series_csv(&["0,0,0,10,four,1,0"]));
         assert!(word.unwrap_err().contains("'four' is not a number"));
-        let no_cp = series_csv(&["0,0,0,0,10,4,1,0"]).replacen("cp,", "seq,", 1);
+        let no_cp = series_csv(&["0,0,0,10,4,1,0"]).replacen("cp,", "seq,", 1);
         assert!(trace_report(&no_cp).unwrap_err().contains("no 'cp' column"));
     }
 

@@ -291,9 +291,9 @@ impl FaultPlan {
     /// scribbles at CP counts in `[1, cps)` plus occasionally a transient
     /// scrub-read error, and (30% of seeds) a crash site to tear a CP
     /// while repairs may be pending. Scrub-read errors here are always
-    /// transient — a persistent verify failure pins its structure in
-    /// quarantine forever, which is its own (deliberate, non-random)
-    /// test scenario.
+    /// transient — a persistent read failure pins its structure's ticket
+    /// (and the aggregate in `ReadOnly`) forever, which is its own
+    /// (deliberate, non-random) test scenario.
     pub fn random_runtime(seed: u64, shape: PlanShape, cps: u64) -> FaultPlan {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5C0B_5C0B_5C0B_5C0B);
         let mut plan = FaultPlan::default();

@@ -99,13 +99,9 @@ pub struct RaidGroupState {
     /// each device's open checksum region (`u64::MAX` = no open stream).
     /// Indexed like `media` (data devices then parity).
     pub(crate) azcs_next: Vec<u64>,
-    /// Physical AAs the runtime scrubber has quarantined: their summary
-    /// counters disagreed with the popcount ground truth, so allocation
-    /// must not land on them until the scheduled repair clears.
-    pub(crate) quarantined_aas: std::collections::BTreeSet<wafl_types::AaId>,
     /// Structure-level quarantine: the group's TopAA cache is suspect
-    /// (degraded at mount, or a scrub verify failed). Allocation bypasses
-    /// it and sweeps the bitmap until the quarantine lifts.
+    /// (degraded at mount, or a scrub read of it failed). Allocation
+    /// bypasses it and sweeps the bitmap until its repair ticket settles.
     pub(crate) cache_quarantined: bool,
     /// HBPS picks seen by this group, for the sampled pick-error audit
     /// (1 in `allocator::PICK_AUDIT_SAMPLE` picks pays for a ground-truth
@@ -177,7 +173,6 @@ impl RaidGroupState {
             stripes_per_aa,
             batch: ScoreDeltaBatch::new(),
             active_aa: None,
-            quarantined_aas: std::collections::BTreeSet::new(),
             cache_quarantined: false,
             pick_audit_tick: 0,
         })
@@ -232,11 +227,6 @@ impl RaidGroupState {
     /// until it is drained (§3.1).
     pub fn active_aa(&self) -> Option<wafl_types::AaId> {
         self.active_aa
-    }
-
-    /// Physical AAs currently quarantined by the runtime scrubber.
-    pub fn quarantined_aas(&self) -> Vec<wafl_types::AaId> {
-        self.quarantined_aas.iter().copied().collect()
     }
 
     /// Whether the group's TopAA cache is structure-quarantined
@@ -545,25 +535,10 @@ impl Aggregate {
         self.scrub.health()
     }
 
-    /// Snapshot of the runtime scrubber: health, pending repairs,
-    /// quarantine census.
+    /// Snapshot of the runtime scrubber: health, pending repairs, fenced
+    /// cache structures.
     pub fn scrub_status(&self) -> ScrubStatus {
         crate::scrub::status(self)
-    }
-
-    /// Quarantine physical AAs of `group` directly (tests exercising the
-    /// allocator's avoidance paths without staging real corruption).
-    pub fn quarantine_physical_aas(&mut self, group: usize, aas: &[wafl_types::AaId]) {
-        if let Some(g) = self.groups.get_mut(group) {
-            g.quarantined_aas.extend(aas.iter().copied());
-        }
-    }
-
-    /// Quarantine virtual AAs of volume `vol` directly (test hook).
-    pub fn quarantine_virtual_aas(&mut self, vol: VolumeId, aas: &[wafl_types::AaId]) {
-        if let Some(v) = self.vols.get_mut(vol.index()) {
-            v.quarantined_aas.extend(aas.iter().copied());
-        }
     }
 
     /// The metrics registry observing this aggregate's allocator pipeline.

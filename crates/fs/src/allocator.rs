@@ -59,7 +59,7 @@ pub(crate) struct AllocOutcome {
     /// re-walking the AA's allocated prefix.
     pub cursor_hits: u64,
     /// Drains that started from the AA's first VBN (no cursor, cursor on
-    /// another AA, or cursor invalidated by frees/quarantine/replenish).
+    /// another AA, or cursor invalidated by frees, a replenish or a rebuild).
     pub cursor_misses: u64,
 }
 
@@ -103,9 +103,9 @@ pub(crate) fn drain_ranges(
 }
 
 /// Popcount an AA's free blocks directly from the raw bits, bypassing the
-/// summary-accelerated score paths. The quarantine machinery uses this:
-/// when summaries (or the cache built from them) are suspect, the raw
-/// bitmap words are the only state still trusted.
+/// summary-accelerated score paths. The sweeps use this: when the cache
+/// (or the summaries it is built from) is suspect, the raw bitmap words
+/// are the only state still trusted.
 pub(crate) fn popcount_score(
     topology: &wafl_core::AaTopology,
     bitmap: &wafl_bitmap::Bitmap,
@@ -119,8 +119,7 @@ pub(crate) fn popcount_score(
 }
 
 /// Allocate from a group whose cache is structure-quarantined: walk the
-/// AAs in order, skipping quarantined ones, scoring each by popcount. No
-/// AA becomes active — the sweep makes no claim the repaired cache would
+/// AAs in order, scoring each by popcount. No AA becomes active — the sweep makes no claim the repaired cache would
 /// have to honor later.
 fn plan_group_quarantine_sweep(
     g: &mut RaidGroupState,
@@ -133,9 +132,6 @@ fn plan_group_quarantine_sweep(
             break;
         }
         let aa = AaId(aa);
-        if g.quarantined_aas.contains(&aa) {
-            continue;
-        }
         let score = popcount_score(&g.topology, bitmap, aa);
         if score == 0 {
             continue;
@@ -196,56 +192,25 @@ pub(crate) fn plan_raid_group(
         // Continue the active AA, or claim a new one. Every AA this call
         // drains joins `tried`: none is offered twice.
         let aa = match g.active_aa {
-            // A quarantine landed on the active AA: stop draining it and
-            // hand it back to the heap (popcount-scored — its summary
-            // counters are exactly what is suspect) so it returns to
-            // rotation once the repair releases it.
-            Some(aa) if g.quarantined_aas.contains(&aa) => {
-                g.active_aa = None;
-                let score = popcount_score(&g.topology, bitmap, aa);
-                if let Some(GroupCache::Heap(cache)) = g.cache.as_mut() {
-                    if !cache.contains(aa) {
-                        cache.insert(aa, AaScore(score))?;
-                    }
-                }
-                continue;
-            }
             Some(aa) => {
                 tried.insert(aa.index());
                 aa
             }
             None => match mode {
                 AllocatorMode::CacheGuided => match g.cache.as_mut() {
-                    Some(GroupCache::Heap(cache)) => {
-                        // Set quarantined AAs aside while claiming, then
-                        // put every one of them back — they must neither
-                        // be picked nor leak out of the heap.
-                        let mut set_aside: Vec<(AaId, AaScore)> = Vec::new();
-                        let claimed = loop {
-                            match cache.take_best() {
-                                Some((aa, score)) if g.quarantined_aas.contains(&aa) => {
-                                    set_aside.push((aa, score));
-                                }
-                                other => break other,
-                            }
-                        };
-                        for (aa, score) in set_aside {
-                            cache.insert(aa, score)?;
+                    Some(GroupCache::Heap(cache)) => match cache.take_best() {
+                        Some((aa, score)) if score.get() > 0 => {
+                            out.record_pick(aa, score);
+                            g.active_aa = Some(aa);
+                            aa
                         }
-                        match claimed {
-                            Some((aa, score)) if score.get() > 0 => {
-                                out.record_pick(aa, score);
-                                g.active_aa = Some(aa);
-                                aa
-                            }
-                            Some((aa, _)) => {
-                                // Best AA is full: the group is exhausted.
-                                out.drained.push(aa);
-                                break;
-                            }
-                            None => break,
+                        Some((aa, _)) => {
+                            // Best AA is full: the group is exhausted.
+                            out.drained.push(aa);
+                            break;
                         }
-                    }
+                        None => break,
+                    },
                     Some(GroupCache::Hbps(hbps)) => {
                         // The HBPS bound is a bin edge; the exact score
                         // comes from the bitmap, as in §3.3. An empty or
@@ -265,7 +230,7 @@ pub(crate) fn plan_raid_group(
                             Some((aa, _bound)) => {
                                 // A replenish relists every AA, those this
                                 // call has already drained included.
-                                if g.quarantined_aas.contains(&aa) || !tried.insert(aa.index()) {
+                                if !tried.insert(aa.index()) {
                                     continue; // attempts bound caps this
                                 }
                                 let score = g.topology.score_from_bitmap(bitmap, aa);
@@ -308,7 +273,7 @@ pub(crate) fn plan_raid_group(
                         break; // group effectively full
                     }
                     let aa = AaId(rng.random_range(0..aa_count));
-                    if !tried.insert(aa.index()) || g.quarantined_aas.contains(&aa) {
+                    if !tried.insert(aa.index()) {
                         continue;
                     }
                     let score = g.topology.score_from_bitmap(bitmap, aa);
@@ -360,14 +325,6 @@ pub(crate) fn allocate_vvbns(
     let mut attempts = 0u32;
     while out.vbns.len() < n {
         let aa = match vol.active_aa {
-            // A quarantine landed on the active AA: stop draining it and
-            // pick elsewhere (the pick paths below skip quarantined AAs,
-            // so this cannot loop).
-            Some(aa) if vol.quarantined_aas.contains(&aa) => {
-                vol.active_aa = None;
-                vol.invalidate_drain_cursor();
-                continue;
-            }
             Some(aa) => aa,
             None => {
                 let picked = match mode {
@@ -396,18 +353,6 @@ pub(crate) fn allocate_vvbns(
                                         None
                                     }
                                 }
-                            };
-                            let pick = match pick {
-                                Some((aa, _)) if vol.quarantined_aas.contains(&aa) => {
-                                    // Quarantined pick: retry within the
-                                    // attempts bound, then sweep.
-                                    attempts += 1;
-                                    if attempts <= 4 * aa_count.max(8) {
-                                        continue;
-                                    }
-                                    None
-                                }
-                                p => p,
                             };
                             if let Some((_, score)) = pick {
                                 // True-best from the per-AA free-count
@@ -449,7 +394,7 @@ pub(crate) fn allocate_vvbns(
                             None
                         } else {
                             let aa = AaId(rng.random_range(0..aa_count));
-                            if !tried.insert(aa.index()) || vol.quarantined_aas.contains(&aa) {
+                            if !tried.insert(aa.index()) {
                                 continue;
                             }
                             let score = vol.topology.score_from_bitmap(&vol.bitmap, aa);
@@ -468,21 +413,13 @@ pub(crate) fn allocate_vvbns(
                     }
                     None => {
                         // Fall back to a linear sweep before declaring the
-                        // space full: first non-quarantined AA with free
-                        // blocks, scored by popcount (a quarantined
-                        // volume's summaries are exactly what is suspect).
-                        let mut found = None;
-                        for aa in 0..aa_count {
-                            let aa = AaId(aa);
-                            if vol.quarantined_aas.contains(&aa) {
-                                continue;
-                            }
+                        // space full: first AA with free blocks, scored by
+                        // popcount (a quarantined cache's scores are
+                        // exactly what is suspect).
+                        let found = (0..aa_count).map(AaId).find_map(|aa| {
                             let score = popcount_score(&vol.topology, &vol.bitmap, aa);
-                            if score > 0 {
-                                found = Some((aa, AaScore(score)));
-                                break;
-                            }
-                        }
+                            (score > 0).then_some((aa, AaScore(score)))
+                        });
                         let Some((aa, score)) = found else {
                             return Err(WaflError::SpaceExhausted);
                         };

@@ -63,7 +63,8 @@ pub struct AggregateConfig {
     /// Scrub units (bitmap summary pages / TopAA cache structures) the
     /// runtime scrubber verifies per CP. `0` disables online scrub —
     /// corruption is then only caught at remount, as before. See
-    /// `docs/recovery.md` ("Runtime scrub & quarantine").
+    /// `docs/recovery.md` ("Runtime scrub"). Repair tickets (a degraded
+    /// mount's included) are processed every CP either way.
     pub scrub_pages_per_cp: u64,
     /// CPU cost model for the per-op overhead accounting (§4.1.2).
     pub cpu: CpuModel,

@@ -598,13 +598,14 @@ impl Aggregate {
     ) -> Result<CpRun, Stop> {
         // Scribbles land first (memory corruption strikes at arbitrary
         // points; the CP boundary is where the simulation quantizes it),
-        // then the scrubber gets its budgeted verification pass — before
-        // any allocation of this CP trusts the summary counters.
+        // then the scrubber settles its due tickets and gets its budgeted
+        // verification pass — before any allocation of this CP trusts
+        // the summary counters.
         if let Some(session) = faults.as_deref_mut() {
             crate::scrub::apply_due_runtime_scribbles(self, session);
         }
-        if self.scrub.enabled() {
-            crate::scrub::run_step(self, faults)?;
+        if self.scrub.due() {
+            crate::scrub::run_step(self, faults);
         }
         let queued: Vec<_> = self.vols.iter_mut().map(FlexVol::take_queued).collect();
         let n = queued.iter().map(|(writes, _)| writes.len() as u64).sum();
@@ -1483,25 +1484,48 @@ mod tests {
     }
 
     /// A CP that fails drops its queued writes, as it always did, and
-    /// keeps its queued deletes: the next CP unmaps them.
+    /// keeps its queued deletes: the next CP unmaps them. The failure is
+    /// real exhaustion: 4 096 fresh writes a CP into 2 × 17 384 physical
+    /// blocks run out at the ninth CP.
     #[test]
     fn a_failed_cp_keeps_the_queued_deletes() {
-        let mut a = agg(true, true);
-        a.client_overwrite(VolumeId(0), 7).unwrap();
-        a.run_cp().unwrap();
-        let all: Vec<_> = (0..a.groups[0].topology.aa_count())
-            .map(wafl_types::AaId)
-            .collect();
-        a.quarantine_physical_aas(0, &all);
-        a.client_overwrite(VolumeId(0), 8).unwrap();
-        a.client_delete(VolumeId(0), 7).unwrap();
+        let mut a = Aggregate::new(
+            AggregateConfig::single_group(RaidGroupSpec {
+                data_devices: 2,
+                parity_devices: 1,
+                device_blocks: 4 * 4096 + 1000,
+                profile: MediaProfile::hdd(),
+            }),
+            &[(
+                FlexVolConfig {
+                    size_blocks: 4 * 32768,
+                    aa_cache: true,
+                    aa_blocks: None,
+                },
+                100_000,
+            )],
+            42,
+        )
+        .unwrap();
+        let mut fresh = 0..100_000u64;
+        let failed = loop {
+            let first = fresh.start;
+            for l in fresh.by_ref().take(4096) {
+                a.client_overwrite(VolumeId(0), l).unwrap();
+            }
+            if a.bitmap().free_blocks() < 4096 {
+                a.client_delete(VolumeId(0), 7).unwrap();
+                break first;
+            }
+            a.run_cp().unwrap();
+        };
+        assert_eq!(a.cp_count(), 8);
         assert!(matches!(a.run_cp(), Err(WaflError::SpaceExhausted)));
         assert_eq!(a.pending_ops(), 1, "only the delete stays queued");
-        a.groups[0].quarantined_aas.clear();
         let s = a.run_cp().unwrap();
         assert_eq!(s.blocks_written, 0);
         assert_eq!(a.volumes()[0].lookup_logical(7), None);
-        assert_eq!(a.volumes()[0].lookup_logical(8), None);
+        assert_eq!(a.volumes()[0].lookup_logical(failed), None);
     }
 
     /// A crash loses the queued ops and leaves no mark on their blocks:
@@ -1851,42 +1875,6 @@ mod tests {
             a.bitmap().space_len(),
             "every live logical block occupies exactly one pvbn"
         );
-    }
-
-    #[test]
-    fn quarantined_aas_are_never_allocated() {
-        let mut a = agg(true, true);
-        // Quarantine a few physical AAs, then allocate heavily.
-        {
-            let g = &mut a.groups_mut()[0];
-            g.quarantined_aas.insert(wafl_types::AaId(0));
-            g.quarantined_aas.insert(wafl_types::AaId(1));
-        }
-        use rand::prelude::*;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        for _ in 0..4 {
-            for _ in 0..2000 {
-                a.client_overwrite(VolumeId(0), rng.random_range(0..50_000))
-                    .unwrap();
-            }
-            a.run_cp().unwrap();
-        }
-        let g = &a.groups()[0];
-        for aa in [wafl_types::AaId(0), wafl_types::AaId(1)] {
-            for &(start, len) in &g.topology().aa_vbn_ranges(aa) {
-                assert_eq!(
-                    a.bitmap().free_count_range(start, len) as u64,
-                    len,
-                    "quarantined AA {aa:?} must never be drained"
-                );
-            }
-            match g.cache.as_ref() {
-                Some(GroupCache::Heap(cache)) => {
-                    assert!(cache.contains(aa), "quarantined AAs stay ranked")
-                }
-                _ => panic!("expected a heap cache"),
-            }
-        }
     }
 
     #[test]

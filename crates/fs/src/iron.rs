@@ -274,8 +274,8 @@ pub fn repair(agg: &mut Aggregate) -> WaflResult<IronReport> {
         report.repairs += 1;
     }
     // A full repair rebuilt every summary and cache from the raw bits:
-    // nothing remains suspect, so all runtime quarantines and pending
-    // scrub tickets are settled and the aggregate returns to Healthy.
+    // nothing remains suspect, so every fenced cache and pending scrub
+    // ticket is settled and the aggregate returns to Healthy.
     crate::scrub::clear_all(agg);
     Ok(report)
 }

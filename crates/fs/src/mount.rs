@@ -14,8 +14,8 @@
 //! next instead of being abandoned for another AA's fragmented head.
 
 use crate::aggregate::{Aggregate, GroupCache};
+use crate::scrub::ScrubTarget;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use wafl_bitmap::Bitmap;
 use wafl_core::{topaa, AaTopology, Hbps, RaidAgnosticCache, RaidAwareCache};
 use wafl_faults::{FaultPlan, FaultSession, PageSel, ReadOutcome, StructureId};
@@ -167,14 +167,12 @@ pub fn crash(agg: &mut Aggregate) {
         g.cache = None;
         g.active_aa = None;
         g.azcs_next.iter_mut().for_each(|n| *n = u64::MAX);
-        g.quarantined_aas.clear();
         g.cache_quarantined = false;
     }
     for v in agg.vols.iter_mut() {
         v.cache = None;
         v.active_aa = None;
         v.drain_cursor = None;
-        v.quarantined_aas.clear();
         v.cache_quarantined = false;
     }
     // The scrubber's cursor, tickets, and health are volatile too: the
@@ -224,17 +222,16 @@ impl Seeding {
 }
 
 /// The AA an image says a structure was filling, with its score, if it
-/// can still be filled: in range, not quarantined, and holding a free
-/// block by the authoritative bitmap. The hint says only *where to
-/// allocate next*, so a wrong one costs pick quality, never correctness:
-/// it carries no seal, and one that fails a check is dropped.
+/// can still be filled: in range and holding a free block by the
+/// authoritative bitmap. The hint says only *where to allocate next*, so
+/// a wrong one costs pick quality, never correctness: it carries no
+/// seal, and one that fails a check is dropped.
 fn resumable(
     hint: Option<AaId>,
     topology: &AaTopology,
     bitmap: &Bitmap,
-    quarantined: &BTreeSet<AaId>,
 ) -> Option<(AaId, AaScore)> {
-    let aa = hint.filter(|aa| aa.get() < topology.aa_count() && !quarantined.contains(aa))?;
+    let aa = hint.filter(|aa| aa.get() < topology.aa_count())?;
     let score = topology.score_from_bitmap(bitmap, aa);
     (score.get() > 0).then_some((aa, score))
 }
@@ -270,7 +267,7 @@ fn seed_group(
         }
     };
     let hint = image.rg_active.get(i).copied().flatten();
-    let resumed = resumable(hint, &g.topology, &agg.bitmap, &g.quarantined_aas);
+    let resumed = resumable(hint, &g.topology, &agg.bitmap);
     // The active AA was taken before the save, so a heap seed does not
     // list it: the heap holds it out at its score. An HBPS never stopped
     // counting it.
@@ -309,7 +306,7 @@ fn seed_volume(
         list,
     )?);
     let hint = image.vol_active.get(i).copied().flatten();
-    v.active_aa = resumable(hint, &v.topology, &v.bitmap, &v.quarantined_aas).map(|(aa, _)| aa);
+    v.active_aa = resumable(hint, &v.topology, &v.bitmap).map(|(aa, _)| aa);
     seeding.seed_hits += 1;
     seeding.resumed += v.active_aa.is_some() as u64;
     Ok(())
@@ -431,10 +428,11 @@ pub fn mount_auto_with(
                 reason: e.to_string(),
                 pages_scanned: pages,
             });
-            // A degraded-at-mount structure starts quarantined: its cold-
-            // rebuilt cache is trusted only after the first clean scrub
-            // pass over it (or `complete_background_rebuild`) releases it.
-            agg.groups[i].cache_quarantined = true;
+            // A degraded-at-mount structure starts fenced, with a repair
+            // ticket: its cold-rebuilt cache is trusted only once the
+            // ticket's rebuild (or `complete_background_rebuild`) settles
+            // it.
+            crate::scrub::ticket(agg, ScrubTarget::GroupCache(i));
         }
     }
 
@@ -456,7 +454,7 @@ pub fn mount_auto_with(
                 reason: e.to_string(),
                 pages_scanned: pages,
             });
-            agg.vols[i].cache_quarantined = true;
+            crate::scrub::ticket(agg, ScrubTarget::VolCache(i));
         }
     }
 
@@ -522,26 +520,27 @@ pub fn mount_cold(agg: &mut Aggregate) -> WaflResult<MountStats> {
 
 /// Finish a TopAA-seeded mount: the background walk that completes every
 /// RAID-aware max-heap with authoritative scores, and rebuilds from its
-/// bitmap every cache a degraded mount left quarantined. Returns the
-/// pages scanned (its cost runs behind client traffic, not in front of
-/// it). The *modelled* cost stays a full metafile walk — the paper's
-/// §3.4 I/O — but the in-memory recomputation is summary-driven: each
-/// AA's score comes from the free-count counters, not a popcount over
-/// raw bits, so the rebuild no longer competes with client CPs for CPU.
+/// bitmap every cache a degraded mount left fenced, settling its repair
+/// ticket. Returns the pages scanned (its cost runs behind client
+/// traffic, not in front of it). The *modelled* cost stays a full
+/// metafile walk — the paper's §3.4 I/O — but the in-memory
+/// recomputation is summary-driven: each AA's score comes from the
+/// free-count counters, not a popcount over raw bits, so the rebuild no
+/// longer competes with client CPs for CPU.
 pub fn complete_background_rebuild(agg: &mut Aggregate) -> WaflResult<u64> {
     let bitmap = &agg.bitmap;
     let mut scanned = 0u64;
-    let mut released = false;
-    for g in agg.groups.iter_mut() {
+    let mut settled = Vec::new();
+    for (i, g) in agg.groups.iter_mut().enumerate() {
         match g.cache.as_mut() {
-            // Complete and trusted: nothing to do. A quarantined heap is
+            // Complete and trusted: nothing to do. A fenced heap is
             // recomputed even when complete (a degraded mount cold-rebuilt
-            // it, but only an authoritative pass lifts the quarantine).
+            // it, but only an authoritative pass settles its ticket).
             Some(GroupCache::Heap(cache)) if !cache.is_complete() || g.cache_quarantined => {
                 cache.absorb_rebuild(&g.topology.all_scores(bitmap))?;
             }
             // An HBPS range restores complete from its two pages; a
-            // quarantined one is rescanned. The rescan lists AAs by score
+            // fenced one is rescanned. The rescan lists AAs by score
             // alone, so none stays active beside it.
             Some(GroupCache::Hbps(hbps)) if g.cache_quarantined => {
                 hbps.replenish(g.topology.all_scores(bitmap))?;
@@ -550,21 +549,20 @@ pub fn complete_background_rebuild(agg: &mut Aggregate) -> WaflResult<u64> {
             _ => continue,
         }
         scanned += bitmap.page_count() as u64;
-        // The cache now carries authoritative scores for every AA: a
-        // mount-time structure quarantine on this group is settled.
-        released |= std::mem::take(&mut g.cache_quarantined);
+        if g.cache_quarantined {
+            settled.push(ScrubTarget::GroupCache(i));
+        }
     }
-    for vol in agg.vols.iter_mut() {
+    for (i, vol) in agg.vols.iter_mut().enumerate() {
         if !vol.cache_quarantined || !vol.config().aa_cache {
             continue;
         }
         vol.rebuild_cache()?;
         scanned += vol.bitmap.page_count() as u64;
-        vol.cache_quarantined = false;
-        released = true;
+        settled.push(ScrubTarget::VolCache(i));
     }
-    if released {
-        crate::scrub::refresh_health(agg);
+    if !settled.is_empty() {
+        crate::scrub::settle(agg, &settled);
     }
     Ok(scanned)
 }
@@ -824,7 +822,7 @@ mod tests {
         }
         // The heap group's and the volume's hint fail; the object-store
         // range's is good in all cases but the first.
-        for case in ["out of range", "drained since the save", "quarantined"] {
+        for case in ["out of range", "drained since the save"] {
             let mut a = mid_aa_agg();
             let mut image = save_topaa(&a);
             let (g_aa, v_aa) = (a.groups[0].active_aa.unwrap(), a.vols[0].active_aa.unwrap());
@@ -835,15 +833,10 @@ mod tests {
                     image.rg_active[1] = Some(AaId(u32::MAX));
                     image.vol_active[0] = Some(AaId(a.vols[0].topology.aa_count()));
                 }
-                "drained since the save" => {
+                _ => {
                     drain(&a.groups[0].topology, &mut a.bitmap, g_aa);
                     let v = &mut a.vols[0];
                     drain(&v.topology, &mut v.bitmap, v_aa);
-                }
-                _ => {
-                    // A scrub quarantine that lands before the mount.
-                    a.quarantine_physical_aas(0, &[g_aa]);
-                    a.quarantine_virtual_aas(VolumeId(0), &[v_aa]);
                 }
             }
             let stats = mount_auto(&mut a, &image);
@@ -908,7 +901,7 @@ mod tests {
     }
 
     /// The background rebuild settled every cache a degraded mount
-    /// quarantined: the aggregate is healthy, and the next CP allocates
+    /// fenced: the aggregate is healthy, and the next CP allocates
     /// from the caches instead of sweeping the bitmap.
     fn assert_rebuild_released_the_caches(a: &mut Aggregate) {
         assert!(a.groups.iter().all(|g| !g.cache_quarantined));
@@ -983,6 +976,44 @@ mod tests {
         assert_eq!(resume_counters(&a), (2, 0));
         let s = overwrite_cp(&mut a, 0, 30_000..30_500);
         assert_eq!(s.blocks_written, 500);
+    }
+
+    /// With scrub off and no call to the background rebuild, a degraded
+    /// mount's tickets still settle: the CPs stop sweeping the bitmap
+    /// once the first ticket is due, and health returns to Healthy.
+    #[test]
+    fn a_degraded_mount_recovers_with_scrub_off() {
+        let mut a = mid_aa_agg();
+        assert!(!a.scrub.due(), "scrub is off");
+        let mut image = save_topaa(&a);
+        image.rg_blocks[0] = None;
+        image.vol_pages[0] = None;
+        crash(&mut a);
+        assert_eq!(mount_auto(&mut a, &image).degraded.len(), 2);
+        assert_eq!(a.health(), crate::scrub::HealthState::Degraded(2));
+        let sweeps = |a: &Aggregate| {
+            a.obs()
+                .counter_value("allocator.sweep_fallback_picks")
+                .unwrap()
+        };
+        let due = RetryPolicy::default().backoff_cps(0) + 1;
+        let mut logical = 30_000;
+        let mut cp = |a: &mut Aggregate| {
+            overwrite_cp(a, 0, logical..logical + 500);
+            logical += 500;
+        };
+        for _ in 0..due {
+            cp(&mut a);
+        }
+        let settled = sweeps(&a);
+        for _ in 0..4 {
+            cp(&mut a);
+        }
+        assert_eq!(sweeps(&a), settled, "a settled cache is swept past");
+        assert!(a.groups.iter().all(|g| !g.cache_quarantined));
+        assert!(a.vols.iter().all(|v| !v.cache_quarantined));
+        assert_eq!(a.health(), crate::scrub::HealthState::Healthy);
+        assert!(crate::iron::check(&a).unwrap().is_clean());
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub struct FsObs {
     pub(crate) aas_claimed: Counter,
     /// Candidate blocks examined while draining active AAs.
     pub(crate) blocks_examined: Counter,
-    /// Picks served by the linear bitmap sweep (cache-less or stale-cache
-    /// fallback — e.g. a degraded-mount volume running without its cache).
+    /// Picks served by the linear bitmap sweep (cache-less or fenced-cache
+    /// fallback — e.g. a degraded mount's cache until its ticket settles).
     pub(crate) sweep_fallback_picks: Counter,
     /// Chosen-AA score error vs. the true best at pick time, in bin
     /// widths. The §3.3.2 guarantee bounds this below 1.0.
@@ -50,7 +50,7 @@ pub struct FsObs {
     /// re-walking the AA's allocated prefix.
     pub(crate) cursor_hits: Counter,
     /// Volume drains that started from the AA's first VBN (no cursor, or
-    /// the cursor was invalidated by frees/quarantine/replenish).
+    /// the cursor was invalidated by frees, a replenish or a rebuild).
     pub(crate) cursor_misses: Counter,
 
     // ---- fs::cp ---------------------------------------------------------
@@ -90,20 +90,15 @@ pub struct FsObs {
     /// Scrub verifies that found a divergence (or an unreadable
     /// structure) in a previously unticketed unit.
     pub(crate) scrub_faults_detected: Counter,
-    /// AAs newly quarantined by scrub detections.
-    pub(crate) scrub_aas_quarantined: Counter,
-    /// AAs and structure flags released after successful repairs (or
-    /// clean passes over mount-quarantined structures).
+    /// Fenced cache structures released after their ticket's repair.
     pub(crate) scrub_released: Counter,
-    /// Repair tickets that completed (repair applied and re-verified
-    /// clean).
+    /// Repairs applied and re-verified clean: in the scan step that
+    /// proved a unit wrong, or by a ticket.
     pub(crate) scrub_repairs_succeeded: Counter,
 
     // ---- health gauges --------------------------------------------------
     /// Health state machine position: 0 healthy, 1 degraded, 2 read-only.
     pub(crate) gauge_health_state: Gauge,
-    /// AAs currently quarantined across all groups and volumes.
-    pub(crate) gauge_quarantined_aas: Gauge,
     /// Repair tickets awaiting processing.
     pub(crate) gauge_pending_repairs: Gauge,
 
@@ -148,11 +143,9 @@ impl FsObs {
             iron_audits: registry.counter("iron.audits_run"),
             scrub_pages_scanned: registry.counter("scrub.pages_scanned"),
             scrub_faults_detected: registry.counter("scrub.faults_detected"),
-            scrub_aas_quarantined: registry.counter("scrub.aas_quarantined"),
             scrub_released: registry.counter("scrub.released"),
             scrub_repairs_succeeded: registry.counter("scrub.repairs_succeeded"),
             gauge_health_state: registry.gauge("health.state"),
-            gauge_quarantined_aas: registry.gauge("health.quarantined_aas"),
             gauge_pending_repairs: registry.gauge("health.pending_repairs"),
             gauge_free_fraction: registry.gauge("space.free_fraction"),
             gauge_delayed_free_backlog: registry.gauge("delayed_free.backlog_blocks"),
@@ -180,7 +173,6 @@ impl FsObs {
             "allocator.cursor_misses",
             "allocator.sweep_fallback_picks",
             "scrub.faults_detected",
-            "scrub.aas_quarantined",
             "scrub.released",
             wafl_obs::trace::DROPPED_EVENTS,
         ];
@@ -195,7 +187,6 @@ impl FsObs {
             &[
                 "space.free_fraction",
                 "health.state",
-                "health.quarantined_aas",
                 "delayed_free.backlog_blocks",
             ],
         ));

@@ -1,6 +1,5 @@
-//! Online scrub & quarantine: continuous integrity verification of the
-//! free-space metadata, with a per-aggregate health state machine and
-//! allocator avoidance of suspect regions.
+//! Online scrub: continuous integrity verification of the free-space
+//! metadata, with a per-aggregate health state machine.
 //!
 //! The mount/Iron stack (§3.4) catches damage *at remount*: scribbled
 //! TopAA blocks degrade to cold scans, and `iron::check` audits the whole
@@ -16,20 +15,24 @@
 //! verification units is checked against popcount ground truth. A unit
 //! is one structure's own audit, as [`crate::iron::check`] runs it: a
 //! bitmap page's ([`wafl_bitmap::Bitmap::page_summary_divergences`]), a
-//! max-heap's or an HBPS's. On a mismatch:
+//! max-heap's or an HBPS's. Every one of them is derived from the bitmap,
+//! the only truth, so:
 //!
-//! 1. the affected scope is **quarantined**: the allocator skips
-//!    quarantined AAs entirely and bypasses quarantined cache structures
-//!    (falling back to a popcount-guided sweep), so no write ever lands
-//!    on free-space metadata that is known to be lying;
-//! 2. a **repair ticket** is scheduled, reusing the structure-scoped
-//!    Iron machinery ([`wafl_bitmap::Bitmap::rebuild_page_summary`], cache
-//!    rebuilds) with capped exponential backoff measured in CP counts
-//!    ([`RetryPolicy::backoff_cps`]);
-//! 3. the per-aggregate **health state machine** advances:
+//! 1. a unit the scan has read and **proved wrong** is repaired and
+//!    re-verified in the same step, before the CP allocates
+//!    ([`wafl_bitmap::Bitmap::rebuild_page_summary`], cache rebuilds) —
+//!    nothing is fenced and health does not move;
+//! 2. a unit the scan could **not read** is unknown, not known-bad: it
+//!    gets a **repair ticket**, retried with capped exponential backoff
+//!    measured in CP counts ([`RetryPolicy::backoff_cps`]). A ticketed
+//!    cache structure is fenced meanwhile — the allocator bypasses it
+//!    for a popcount-guided sweep — and a ticketed bitmap page fences
+//!    nothing. A degraded mount tickets the structures it cold-rebuilt
+//!    the same way, and tickets are processed every CP, scan or no scan;
+//! 3. the per-aggregate **health state machine** follows the tickets:
 //!    `Healthy → Degraded(n) → ReadOnly`, with hysteresis on the way
 //!    back — the aggregate returns to `Healthy` only after
-//!    [`ScrubState::hysteresis_cps`] consecutive fault-free scrub steps.
+//!    [`ScrubState::hysteresis_cps`] consecutive steps with no ticket.
 //!    `ReadOnly` (entered when a repair exhausts its retry budget, e.g.
 //!    a persistently unreadable metafile) rejects new client mutations
 //!    while still running CPs, so repairs keep being attempted.
@@ -39,26 +42,25 @@
 //! accelerated paths — the summaries are exactly the state under
 //! suspicion.
 //!
-//! See `docs/recovery.md` ("Runtime scrub & quarantine") for the state
-//! diagram, the escalation table, and seed-reproduction instructions for
-//! the runtime torture suite.
+//! See `docs/recovery.md` ("Runtime scrub") for the state diagram, the
+//! escalation table, and seed-reproduction instructions for the runtime
+//! torture suite.
 
 use crate::aggregate::{Aggregate, GroupCache};
 use crate::iron;
-use std::collections::BTreeSet;
 use std::fmt;
 use wafl_core::Hbps;
 use wafl_faults::{FaultSession, ReadOutcome, RuntimeTarget, StructureId};
 use wafl_obs::trace::TraceData;
-use wafl_types::{AaId, AaScore, RetryPolicy, Vbn, WaflError, WaflResult, BITS_PER_BITMAP_BLOCK};
+use wafl_types::{AaScore, RetryPolicy, Vbn, WaflError, WaflResult, BITS_PER_BITMAP_BLOCK};
 
 /// Aggregate health as driven by the runtime scrubber.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HealthState {
-    /// No quarantined state and no pending repairs.
+    /// No pending repairs.
     Healthy,
-    /// `n` structures/regions are quarantined or awaiting repair; the
-    /// allocator routes around them and traffic continues.
+    /// `n` repair tickets are pending; the allocator sweeps past the
+    /// fenced cache structures among them and traffic continues.
     Degraded(u32),
     /// A repair exhausted its retry budget (persistent metafile damage):
     /// new client mutations are rejected until repairs succeed and the
@@ -104,7 +106,8 @@ pub(crate) enum ScrubTarget {
     VolPage(usize, usize),
 }
 
-/// A scheduled structure-scoped repair, produced by a failed verify.
+/// A scheduled structure-scoped repair: a unit the scan could not read,
+/// or a cache a degraded mount cold-rebuilt. At most one per unit.
 #[derive(Clone, Copy, Debug)]
 struct RepairTicket {
     target: ScrubTarget,
@@ -121,13 +124,13 @@ struct RepairTicket {
 /// its own degradation events via [`refresh_health`]).
 #[derive(Debug)]
 pub struct ScrubState {
-    /// Verification units checked per CP (0 disables the scrubber).
+    /// Verification units checked per CP (0 disables the scan).
     pages_per_cp: u64,
     /// Next unit index (modulo the current unit count).
     cursor: u64,
     /// Read-retry budget and deferred backoff schedule for repairs.
     policy: RetryPolicy,
-    /// Consecutive fault-free scrub steps required to return to
+    /// Consecutive steps without a ticket required to return to
     /// [`HealthState::Healthy`].
     hysteresis_cps: u64,
     tickets: Vec<RepairTicket>,
@@ -166,13 +169,14 @@ impl ScrubState {
         self.policy = policy;
     }
 
-    /// Whether the scrubber runs at CP boundaries.
-    pub fn enabled(&self) -> bool {
-        self.pages_per_cp > 0
+    /// Whether a CP boundary has a scrub step to run: the scan is on, or
+    /// a ticket or the way back to `Healthy` is still open.
+    pub(crate) fn due(&self) -> bool {
+        self.pages_per_cp > 0 || !self.tickets.is_empty() || self.health != HealthState::Healthy
     }
 
     /// Drop everything a power loss would: cursor, tickets, hysteresis,
-    /// health. The quarantine flags live on the groups/volumes and are
+    /// health. The cache fences live on the groups/volumes and are
     /// cleared by [`crate::mount::crash`] alongside the caches.
     pub(crate) fn reset_volatile(&mut self) {
         self.cursor = 0;
@@ -190,11 +194,9 @@ pub struct ScrubStatus {
     pub health: HealthState,
     /// Repair tickets awaiting processing.
     pub pending_repairs: usize,
-    /// Quarantined AAs across all groups and volumes.
-    pub quarantined_aas: u64,
-    /// Cache structures (groups + volumes) under structure quarantine.
+    /// Cache structures (groups + volumes) the allocator sweeps past.
     pub quarantined_structures: u64,
-    /// Consecutive fault-free scrub steps (hysteresis progress).
+    /// Consecutive steps without a ticket (hysteresis progress).
     pub clean_cps: u64,
     /// Why the aggregate is read-only, if it is.
     pub read_only_reason: Option<String>,
@@ -259,55 +261,6 @@ fn structure_of(agg: &Aggregate, target: ScrubTarget) -> StructureId {
     }
 }
 
-/// Physical AAs whose tiling intersects aggregate bitmap page `p`, as
-/// `(group index, AA)` pairs. A page can span a group boundary.
-fn agg_page_aas(agg: &Aggregate, p: usize) -> Vec<(usize, AaId)> {
-    let page_start = p as u64 * BITS_PER_BITMAP_BLOCK;
-    let page_end = (page_start + BITS_PER_BITMAP_BLOCK).min(agg.bitmap.space_len());
-    let mut out = Vec::new();
-    if page_start >= page_end {
-        return out;
-    }
-    for (gi, g) in agg.groups.iter().enumerate() {
-        let base = g.geometry.base_vbn.get();
-        let end = g.geometry.end_vbn().get();
-        let s = page_start.max(base);
-        let e = page_end.min(end);
-        if s >= e {
-            continue;
-        }
-        let (Ok(first), Ok(last)) = (
-            g.topology.aa_of_vbn(Vbn(s)),
-            g.topology.aa_of_vbn(Vbn(e - 1)),
-        ) else {
-            continue;
-        };
-        for aa in first.get()..=last.get() {
-            out.push((gi, AaId(aa)));
-        }
-    }
-    out
-}
-
-/// Virtual AAs whose tiling intersects volume `v`'s bitmap page `p`.
-fn vol_page_aas(agg: &Aggregate, v: usize, p: usize) -> Vec<AaId> {
-    let Some(vol) = agg.vols.get(v) else {
-        return Vec::new();
-    };
-    let page_start = p as u64 * BITS_PER_BITMAP_BLOCK;
-    let page_end = (page_start + BITS_PER_BITMAP_BLOCK).min(vol.bitmap().space_len());
-    if page_start >= page_end {
-        return Vec::new();
-    }
-    let (Ok(first), Ok(last)) = (
-        vol.topology().aa_of_vbn(Vbn(page_start)),
-        vol.topology().aa_of_vbn(Vbn(page_end - 1)),
-    ) else {
-        return Vec::new();
-    };
-    (first.get()..=last.get()).map(AaId).collect()
-}
-
 /// Divergences in one verification unit; 0 = clean. Each unit is one
 /// structure's own audit against popcount ground truth — never the
 /// summary-accelerated paths — the same audits [`crate::iron::check`]
@@ -331,158 +284,67 @@ fn verify(agg: &Aggregate, target: ScrubTarget) -> u64 {
     }
 }
 
-/// Quarantine the scope of a failed unit so allocation avoids it.
-/// Returns the number of AAs newly quarantined (structure flags count 0).
-///
-/// `diverged` is the evidence gate for the page arms: a unit the scrubber
-/// could not *read* is unknown, not known-bad, and a bitmap page's AA
-/// scope is large (device-major layout puts half a device column — half
-/// the group's AAs — under one page). Quarantining that scope on a mere
-/// read failure lets a burst of transient IO errors fence off every AA
-/// and fail CPs with free space on hand, so AAs are quarantined only
-/// when a popcount comparison proved the counters wrong. Cache
-/// structures quarantine on any fault either way — their fallback is the
-/// popcount-guided sweep, which keeps serving writes.
-fn quarantine(agg: &mut Aggregate, target: ScrubTarget, diverged: bool) -> u64 {
+/// The fence flag of a cache unit. A bitmap page has none: a page that
+/// could not be read is not known to be wrong, and fencing its AA scope
+/// (half a group's AAs, under device-major layout) on IO noise could
+/// fail CPs with free space on hand.
+fn fence_flag(agg: &mut Aggregate, target: ScrubTarget) -> Option<&mut bool> {
     match target {
-        ScrubTarget::GroupCache(gi) => {
-            if let Some(g) = agg.groups.get_mut(gi) {
-                g.cache_quarantined = true;
-            }
-            0
-        }
-        ScrubTarget::VolCache(v) => {
-            if let Some(vol) = agg.vols.get_mut(v) {
-                vol.cache_quarantined = true;
-            }
-            0
-        }
-        ScrubTarget::AggPage(_) | ScrubTarget::VolPage(..) if !diverged => 0,
-        ScrubTarget::AggPage(p) => {
-            let mut n = 0u64;
-            for (gi, aa) in agg_page_aas(agg, p) {
-                if agg.groups[gi].quarantined_aas.insert(aa) {
-                    n += 1;
-                }
-            }
-            n
-        }
-        ScrubTarget::VolPage(v, p) => {
-            let aas = vol_page_aas(agg, v, p);
-            let mut n = 0u64;
-            if let Some(vol) = agg.vols.get_mut(v) {
-                for aa in aas {
-                    if vol.quarantined_aas.insert(aa) {
-                        // The quarantined AA may be the cursor's: the
-                        // allocator must not resume into (or trust) it.
-                        if vol.drain_cursor.map(|(c, _)| c) == Some(aa) {
-                            vol.invalidate_drain_cursor();
-                        }
-                        n += 1;
-                    }
-                }
-            }
-            n
-        }
+        ScrubTarget::GroupCache(gi) => agg.groups.get_mut(gi).map(|g| &mut g.cache_quarantined),
+        ScrubTarget::VolCache(v) => agg.vols.get_mut(v).map(|v| &mut v.cache_quarantined),
+        ScrubTarget::AggPage(_) | ScrubTarget::VolPage(..) => None,
     }
 }
 
-/// Lift the quarantine of a repaired unit, keeping anything still covered
-/// by another pending ticket. Returns AAs + structure flags released.
-fn release(agg: &mut Aggregate, target: ScrubTarget, remaining: &[RepairTicket]) -> u64 {
-    match target {
-        ScrubTarget::GroupCache(gi) => {
-            let still = remaining
-                .iter()
-                .any(|t| t.target == ScrubTarget::GroupCache(gi));
-            match agg.groups.get_mut(gi) {
-                Some(g) if !still && g.cache_quarantined => {
-                    g.cache_quarantined = false;
-                    1
-                }
-                _ => 0,
-            }
-        }
-        ScrubTarget::VolCache(v) => {
-            let still = remaining
-                .iter()
-                .any(|t| t.target == ScrubTarget::VolCache(v));
-            match agg.vols.get_mut(v) {
-                Some(vol) if !still && vol.cache_quarantined => {
-                    vol.cache_quarantined = false;
-                    1
-                }
-                _ => 0,
-            }
-        }
-        ScrubTarget::AggPage(p) => {
-            let keep: BTreeSet<(usize, AaId)> = remaining
-                .iter()
-                .filter_map(|t| match t.target {
-                    ScrubTarget::AggPage(q) => Some(agg_page_aas(agg, q)),
-                    _ => None,
-                })
-                .flatten()
-                .collect();
-            let scope = agg_page_aas(agg, p);
-            let mut released = 0u64;
-            for (gi, aa) in scope {
-                if keep.contains(&(gi, aa)) {
-                    continue;
-                }
-                if agg.groups[gi].quarantined_aas.remove(&aa) {
-                    released += 1;
-                }
-            }
-            released
-        }
-        ScrubTarget::VolPage(v, p) => {
-            let keep: BTreeSet<AaId> = remaining
-                .iter()
-                .filter_map(|t| match t.target {
-                    ScrubTarget::VolPage(w, q) if w == v => Some(vol_page_aas(agg, w, q)),
-                    _ => None,
-                })
-                .flatten()
-                .collect();
-            let scope = vol_page_aas(agg, v, p);
-            let mut released = 0u64;
-            if let Some(vol) = agg.vols.get_mut(v) {
-                for aa in scope {
-                    if keep.contains(&aa) {
-                        continue;
-                    }
-                    if vol.quarantined_aas.remove(&aa) {
-                        released += 1;
-                    }
-                }
-            }
-            released
-        }
+/// Schedule the repair of `target`, fencing it first if it is a cache
+/// structure: the allocator sweeps the bitmap past a fenced cache until
+/// the ticket settles. A unit already ticketed keeps its ticket.
+pub(crate) fn ticket(agg: &mut Aggregate, target: ScrubTarget) {
+    if let Some(fenced) = fence_flag(agg, target) {
+        *fenced = true;
     }
+    if agg.scrub.tickets.iter().all(|t| t.target != target) {
+        agg.scrub.tickets.push(RepairTicket {
+            target,
+            attempts: 0,
+            not_before_cp: agg.cp_count + agg.scrub.policy.backoff_cps(0),
+        });
+    }
+}
+
+/// Lift the fence of a repaired unit. Returns the structures released.
+fn release(agg: &mut Aggregate, target: ScrubTarget) -> u64 {
+    fence_flag(agg, target).map_or(0, |fenced| u64::from(std::mem::take(fenced)))
 }
 
 /// Structure-scoped repair: recompute exactly the damaged unit from the
 /// authoritative raw bits (the Iron machinery, scoped down from the
-/// whole-aggregate [`crate::iron::repair`]). Returns counters rewritten
-/// (bitmap-page repairs; cache rebuilds return 0 and are counted as
-/// repairs by the caller).
-fn repair(agg: &mut Aggregate, target: ScrubTarget) -> WaflResult<u64> {
+/// whole-aggregate [`crate::iron::repair`]), then re-verify it.
+fn repair(agg: &mut Aggregate, target: ScrubTarget) -> WaflResult<()> {
     match target {
-        ScrubTarget::AggPage(p) => Ok(agg.bitmap.rebuild_page_summary(p)),
-        ScrubTarget::VolPage(v, p) => Ok(agg
-            .vols
-            .get_mut(v)
-            .map(|vol| vol.bitmap.rebuild_page_summary(p))
-            .unwrap_or(0)),
+        ScrubTarget::AggPage(p) => {
+            agg.bitmap.rebuild_page_summary(p);
+        }
+        ScrubTarget::VolPage(v, p) => {
+            if let Some(vol) = agg.vols.get_mut(v) {
+                vol.bitmap.rebuild_page_summary(p);
+            }
+        }
         ScrubTarget::GroupCache(gi) => match agg.groups.get_mut(gi) {
-            Some(g) if agg.cfg.raid_aware_cache => g.rebuild_cache(&agg.bitmap).map(|()| 0),
-            _ => Ok(0),
+            Some(g) if agg.cfg.raid_aware_cache => g.rebuild_cache(&agg.bitmap)?,
+            _ => {}
         },
         ScrubTarget::VolCache(v) => match agg.vols.get_mut(v) {
-            Some(vol) if vol.config().aa_cache => vol.rebuild_cache().map(|()| 0),
-            _ => Ok(0),
+            Some(vol) if vol.config().aa_cache => vol.rebuild_cache()?,
+            _ => {}
         },
+    }
+    if verify(agg, target) == 0 {
+        Ok(())
+    } else {
+        Err(WaflError::CorruptMetafile {
+            reason: format!("scrub repair did not converge for {target:?}"),
+        })
     }
 }
 
@@ -509,84 +371,34 @@ fn gated_read(
         .0
 }
 
-/// Quarantined state not covered by any pending ticket, plus the tickets
-/// themselves — the "pending" count the health state machine keys on.
-fn pending_count(agg: &Aggregate) -> u32 {
-    let tickets = &agg.scrub.tickets;
-    let mut pending = tickets.len() as u32;
-    let any_agg_page = tickets
-        .iter()
-        .any(|t| matches!(t.target, ScrubTarget::AggPage(_)));
-    for (gi, g) in agg.groups.iter().enumerate() {
-        if g.cache_quarantined
-            && !tickets
-                .iter()
-                .any(|t| t.target == ScrubTarget::GroupCache(gi))
-        {
-            pending += 1;
-        }
-        // Coarse: quarantined AAs are normally ticket-covered; unticketed
-        // ones (should not happen) still hold the aggregate out of
-        // Healthy, which is the safe direction.
-        if !g.quarantined_aas.is_empty() && !any_agg_page {
-            pending += 1;
-        }
-    }
-    for (v, vol) in agg.vols.iter().enumerate() {
-        if vol.cache_quarantined && !tickets.iter().any(|t| t.target == ScrubTarget::VolCache(v)) {
-            pending += 1;
-        }
-        let vol_page_ticketed = tickets
-            .iter()
-            .any(|t| matches!(t.target, ScrubTarget::VolPage(w, _) if w == v));
-        if !vol.quarantined_aas.is_empty() && !vol_page_ticketed {
-            pending += 1;
-        }
-    }
-    pending
-}
-
 /// Export the health gauges from the current state.
 fn export_gauges(agg: &Aggregate) {
-    let status = status(agg);
-    agg.obs.gauge_health_state.set(status.health.as_gauge());
-    agg.obs
-        .gauge_quarantined_aas
-        .set(status.quarantined_aas as f64);
+    agg.obs.gauge_health_state.set(agg.scrub.health.as_gauge());
     agg.obs
         .gauge_pending_repairs
-        .set(status.pending_repairs as f64);
+        .set(agg.scrub.tickets.len() as f64);
 }
 
 /// Snapshot the scrubber for callers outside the CP engine.
 pub(crate) fn status(agg: &Aggregate) -> ScrubStatus {
-    let mut quarantined_aas = 0u64;
-    let mut quarantined_structures = 0u64;
-    for g in &agg.groups {
-        quarantined_aas += g.quarantined_aas.len() as u64;
-        quarantined_structures += u64::from(g.cache_quarantined);
-    }
-    for v in &agg.vols {
-        quarantined_aas += v.quarantined_aas.len() as u64;
-        quarantined_structures += u64::from(v.cache_quarantined);
-    }
+    let fenced = agg.groups.iter().map(|g| g.cache_quarantined);
+    let fenced = fenced.chain(agg.vols.iter().map(|v| v.cache_quarantined));
     ScrubStatus {
         health: agg.scrub.health,
         pending_repairs: agg.scrub.tickets.len(),
-        quarantined_aas,
-        quarantined_structures,
+        quarantined_structures: fenced.map(u64::from).sum(),
         clean_cps: agg.scrub.clean_cps,
         read_only_reason: agg.scrub.read_only_reason.clone(),
         total_units: total_units(agg),
     }
 }
 
-/// Recompute health directly from the quarantine/ticket state, without
-/// hysteresis — used at mount (degradations quarantine structures before
-/// any scrub step runs) and after a full Iron repair.
+/// Recompute health directly from the tickets, without hysteresis — used
+/// at mount (degradations ticket structures before any scrub step runs),
+/// after the background rebuild and after a full Iron repair.
 pub(crate) fn refresh_health(agg: &mut Aggregate) {
     let before = agg.scrub.health;
-    let pending = pending_count(agg);
+    let pending = agg.scrub.tickets.len() as u32;
     if pending == 0 {
         agg.scrub.health = HealthState::Healthy;
         agg.scrub.read_only_reason = None;
@@ -609,15 +421,23 @@ fn trace_health_change(agg: &Aggregate, before: HealthState) {
     }
 }
 
-/// Clear every quarantine and ticket (a full Iron repair rebuilt all the
+/// Settle the tickets of `targets`, whose caches the caller has just
+/// rebuilt from the bitmap, lift their fences and refresh health.
+pub(crate) fn settle(agg: &mut Aggregate, targets: &[ScrubTarget]) {
+    agg.scrub.tickets.retain(|t| !targets.contains(&t.target));
+    for &target in targets {
+        release(agg, target);
+    }
+    refresh_health(agg);
+}
+
+/// Clear every fence and ticket (a full Iron repair rebuilt all the
 /// derived state, so nothing remains suspect) and return to Healthy.
 pub(crate) fn clear_all(agg: &mut Aggregate) {
     for g in &mut agg.groups {
-        g.quarantined_aas.clear();
         g.cache_quarantined = false;
     }
     for v in &mut agg.vols {
-        v.quarantined_aas.clear();
         v.cache_quarantined = false;
     }
     agg.scrub.tickets.clear();
@@ -718,20 +538,18 @@ pub fn apply_due_runtime_scribbles(agg: &mut Aggregate, session: &mut FaultSessi
     applied
 }
 
-/// One scrub step, run by the CP engine at the start of every CP (before
-/// any allocation of the CP touches the bitmaps):
+/// One scrub step, run by the CP engine at the start of every CP that
+/// has one ([`ScrubState::due`]), before any allocation of the CP
+/// touches the bitmaps:
 ///
 /// 1. process due repair tickets (gated read → repair → re-verify →
-///    release, with escalation on failure);
-/// 2. scan exactly `pages_per_cp` verification units from the cursor,
-///    ticketing every fault; a verified counter divergence additionally
-///    quarantines the page's AA scope (an unreadable unit only tickets —
-///    see [`quarantine`]);
+///    release, with escalation on failure) — with or without a scan;
+/// 2. scan exactly `pages_per_cp` verification units from the cursor. A
+///    unit proved wrong is repaired and re-verified on the spot; a unit
+///    that could not be read (or whose repair did not converge) is
+///    ticketed — see [`ticket`];
 /// 3. advance the health state machine and export the gauges.
-pub(crate) fn run_step(
-    agg: &mut Aggregate,
-    mut faults: Option<&mut FaultSession<'_>>,
-) -> WaflResult<()> {
+pub(crate) fn run_step(agg: &mut Aggregate, mut faults: Option<&mut FaultSession<'_>>) {
     let cp = agg.cp_count;
     let policy = agg.scrub.policy;
     let health_before = agg.scrub.health;
@@ -746,23 +564,10 @@ pub(crate) fn run_step(
         }
         let target = tickets[i].target;
         let sid = structure_of(agg, target);
-        let outcome = match gated_read(&mut faults, sid, policy) {
+        match gated_read(&mut faults, sid, policy).and_then(|()| repair(agg, target)) {
             Ok(()) => {
-                repair(agg, target)?;
-                if verify(agg, target) == 0 {
-                    Ok(())
-                } else {
-                    Err(WaflError::CorruptMetafile {
-                        reason: format!("scrub repair did not converge for {target:?}"),
-                    })
-                }
-            }
-            Err(e) => Err(e),
-        };
-        match outcome {
-            Ok(()) => {
-                let ticket = tickets.remove(i);
-                let released = release(agg, ticket.target, &tickets);
+                tickets.remove(i);
+                let released = release(agg, target);
                 agg.obs.scrub_released.inc(released);
                 agg.obs.scrub_repairs_succeeded.inc(1);
                 if released > 0 {
@@ -803,46 +608,23 @@ pub(crate) fn run_step(
                 Some(session) => session.on_scrub_read(sid) == ReadOutcome::Ok,
                 None => true,
             };
-            let diverged = read_ok && verify(agg, target) > 0;
-            let faulty = !read_ok || diverged;
-            if faulty {
-                agg.obs.scrub_faults_detected.inc(1);
-                let quarantined = quarantine(agg, target, diverged);
-                agg.obs.scrub_aas_quarantined.inc(quarantined);
-                agg.obs.trace(
-                    cp,
-                    TraceData::Quarantine {
-                        units: quarantined.max(1), // structure quarantines fence 1 unit
-                    },
-                );
-                agg.scrub.tickets.push(RepairTicket {
-                    target,
-                    attempts: 0,
-                    not_before_cp: cp + policy.backoff_cps(0),
-                });
-            } else {
-                // A clean pass over a mount-quarantined structure (no
-                // ticket — mount degradations quarantine directly) lifts
-                // the quarantine: the cold-rebuilt cache verified fine.
-                match target {
-                    ScrubTarget::GroupCache(gi) if agg.groups[gi].cache_quarantined => {
-                        agg.groups[gi].cache_quarantined = false;
-                        agg.obs.scrub_released.inc(1);
-                        agg.obs.trace(cp, TraceData::Release { units: 1 });
-                    }
-                    ScrubTarget::VolCache(v) if agg.vols[v].cache_quarantined => {
-                        agg.vols[v].cache_quarantined = false;
-                        agg.obs.scrub_released.inc(1);
-                        agg.obs.trace(cp, TraceData::Release { units: 1 });
-                    }
-                    _ => {}
-                }
+            if read_ok && verify(agg, target) == 0 {
+                continue;
             }
+            agg.obs.scrub_faults_detected.inc(1);
+            // Read and proved wrong: the bits the unit derives from are
+            // in memory, so repair it before this CP allocates.
+            if read_ok && repair(agg, target).is_ok() {
+                agg.obs.scrub_repairs_succeeded.inc(1);
+                continue;
+            }
+            ticket(agg, target);
+            agg.obs.trace(cp, TraceData::Quarantine { units: 1 });
         }
     }
 
     // ---- 3. health state machine + gauges --------------------------
-    let pending = pending_count(agg);
+    let pending = agg.scrub.tickets.len() as u32;
     if pending == 0 {
         agg.scrub.clean_cps += 1;
         if agg.scrub.clean_cps >= agg.scrub.hysteresis_cps {
@@ -857,7 +639,6 @@ pub(crate) fn run_step(
     }
     trace_health_change(agg, health_before);
     export_gauges(agg);
-    Ok(())
 }
 
 #[cfg(test)]
@@ -921,48 +702,70 @@ mod tests {
         }
     }
 
+    /// A counter proved wrong is repaired by the very step whose scan
+    /// reads it: the aggregate page at the first step, the volume page
+    /// at the fourth (4 units a step). Nothing is ticketed or fenced, and
+    /// health never leaves Healthy.
     #[test]
-    fn scribbled_page_counter_is_detected_quarantined_and_repaired() {
-        let mut a = agg(0);
+    fn scribbled_page_counters_are_repaired_by_the_step_that_scans_them() {
+        let mut a = agg(4);
+        a.bitmap.scribble_page_counter(1, 12_345);
         a.vols[0].bitmap.scribble_page_counter(2, u16::MAX);
-        let t = ScrubTarget::VolPage(0, 2);
-        assert!(verify(&a, t) > 0);
-        let q = quarantine(&mut a, t, true);
-        assert!(q > 0, "page quarantine must cover at least one AA");
-        assert!(!a.vols[0].quarantined_aas.is_empty());
-        let fixed = repair(&mut a, t).unwrap();
-        assert!(fixed > 0);
-        assert_eq!(verify(&a, t), 0);
-        let released = release(&mut a, t, &[]);
-        assert_eq!(released, q);
-        assert!(a.vols[0].quarantined_aas.is_empty());
+        let (agg_page, vol_page) = (ScrubTarget::AggPage(1), ScrubTarget::VolPage(0, 2));
+        let index = |t| (0..total_units(&a)).position(|i| target_at(&a, i) == t);
+        assert_eq!((index(agg_page), index(vol_page)), (Some(2), Some(12)));
+        for step in 1..=4 {
+            run_step(&mut a, None);
+            a.cp_count += 1;
+            assert_eq!(a.bitmap.page_summary_divergences(1), 0, "step {step}");
+            let vol = a.vols[0].bitmap.page_summary_divergences(2);
+            assert_eq!(vol == 0, step == 4, "step {step}: {vol} divergences");
+            assert!(a.scrub.tickets.is_empty(), "step {step}");
+            assert_eq!(a.scrub.health, HealthState::Healthy, "step {step}");
+        }
+        assert!(!a.groups[0].cache_quarantined && !a.vols[0].cache_quarantined);
+        let counter = |name| a.obs.registry().counter_value(name);
+        assert_eq!(counter("scrub.faults_detected"), Some(2));
+        assert_eq!(counter("scrub.repairs_succeeded"), Some(2));
+        assert_eq!(a.bitmap.summary_divergences(), 0);
+        assert_eq!(a.vols[0].bitmap.summary_divergences(), 0);
     }
 
+    /// One scrub read error tickets the group cache and fences it; the
+    /// next step's repair releases it, and two steps without a ticket
+    /// bring the aggregate back to Healthy.
     #[test]
     fn health_degrades_on_fault_and_recovers_with_hysteresis() {
+        use wafl_faults::{FaultPlan, ReadErrorFault};
         let mut a = agg(64); // budget covers everything each step
-        a.bitmap.scribble_page_counter(1, 12_345);
-        run_step(&mut a, None).unwrap();
-        assert!(matches!(a.scrub.health, HealthState::Degraded(_)));
-        assert!(!a.groups[0].quarantined_aas.is_empty());
+        let plan = FaultPlan {
+            scrub_read_errors: vec![ReadErrorFault {
+                target: StructureId::Group(0),
+                failures: 1, // the scan's read of GroupCache(0)
+            }],
+            ..FaultPlan::none()
+        };
+        let mut session = FaultSession::new(&plan);
+        run_step(&mut a, Some(&mut session));
+        assert_eq!(a.scrub.health, HealthState::Degraded(1));
+        assert!(a.groups[0].cache_quarantined);
         // Ticket processes next CP (backoff base 1); then hysteresis.
         a.cp_count += 1;
-        run_step(&mut a, None).unwrap();
-        assert!(a.groups[0].quarantined_aas.is_empty(), "repair releases");
-        assert!(
-            matches!(
-                a.scrub.health,
-                HealthState::Degraded(_) | HealthState::Healthy
-            ),
-            "one clean step is not enough for Healthy: {:?}",
-            a.scrub.health
+        run_step(&mut a, Some(&mut session));
+        assert!(!a.groups[0].cache_quarantined, "repair releases");
+        assert_eq!(
+            a.scrub.health,
+            HealthState::Degraded(1),
+            "one clean step is not enough for Healthy"
         );
         a.cp_count += 1;
-        run_step(&mut a, None).unwrap();
-        a.cp_count += 1;
-        run_step(&mut a, None).unwrap();
+        run_step(&mut a, Some(&mut session));
         assert_eq!(a.scrub.health, HealthState::Healthy);
-        assert_eq!(a.bitmap.summary_divergences(), 0);
+        assert_eq!(
+            a.obs.registry().counter_value("scrub.released"),
+            Some(1),
+            "one structure released"
+        );
     }
 
     #[test]
@@ -984,12 +787,12 @@ mod tests {
         };
         let mut session = FaultSession::new(&plan);
         // Detection: the scan itself hits the read error -> ticket.
-        run_step(&mut a, Some(&mut session)).unwrap();
+        run_step(&mut a, Some(&mut session));
         assert!(matches!(a.scrub.health, HealthState::Degraded(_)));
         // Repair attempts exhaust against the persistent error.
         for _ in 0..8 {
             a.cp_count += 1;
-            run_step(&mut a, Some(&mut session)).unwrap();
+            run_step(&mut a, Some(&mut session));
         }
         assert_eq!(a.scrub.health, HealthState::ReadOnly);
         assert!(a.scrub.read_only_reason().is_some());
@@ -1013,19 +816,14 @@ mod tests {
             ..FaultPlan::none()
         };
         let mut session = FaultSession::new(&plan);
-        run_step(&mut a, Some(&mut session)).unwrap();
+        run_step(&mut a, Some(&mut session));
         assert!(matches!(a.scrub.health, HealthState::Degraded(_)));
         assert_eq!(a.scrub.tickets.len(), 2);
         assert!(a.groups[0].cache_quarantined, "cache falls back to sweep");
-        assert!(
-            a.groups[0].quarantined_aas.is_empty(),
-            "a failed read is not divergence evidence: the page's AA \
-             scope (half the group) must stay allocatable"
-        );
         // Failures exhausted: the next ticket pass re-reads, repairs,
         // and releases everything.
         a.cp_count += 1;
-        run_step(&mut a, Some(&mut session)).unwrap();
+        run_step(&mut a, Some(&mut session));
         assert!(a.scrub.tickets.is_empty());
         assert!(!a.groups[0].cache_quarantined);
     }
@@ -1034,7 +832,7 @@ mod tests {
     fn scan_budget_is_exact() {
         let mut a = agg(3);
         for step in 1..=6u64 {
-            run_step(&mut a, None).unwrap();
+            run_step(&mut a, None);
             a.cp_count += 1;
             assert_eq!(
                 a.obs.registry().counter_value("scrub.pages_scanned"),
@@ -1062,11 +860,40 @@ mod tests {
         let applied = apply_due_runtime_scribbles(&mut a, &mut session);
         assert_eq!(applied, 1);
         assert!(verify(&a, ScrubTarget::GroupCache(0)) > 0);
-        run_step(&mut a, Some(&mut session)).unwrap();
-        assert!(a.groups[0].cache_quarantined, "structure quarantined");
+        run_step(&mut a, Some(&mut session));
+        assert_eq!(
+            verify(&a, ScrubTarget::GroupCache(0)),
+            0,
+            "rebuilt in the step"
+        );
+        assert!(!a.groups[0].cache_quarantined, "nothing to fence");
+        assert_eq!(a.scrub.health, HealthState::Healthy);
+        assert_eq!(
+            a.obs.registry().counter_value("scrub.repairs_succeeded"),
+            Some(1)
+        );
+
+        // The same scribble under a scrub read error: the scan cannot
+        // read the cache, so it fences it, and the ticket rebuilds it.
+        let plan = wafl_faults::FaultPlan {
+            scrub_read_errors: vec![wafl_faults::ReadErrorFault {
+                target: StructureId::Group(0),
+                failures: 1,
+            }],
+            ..plan
+        };
+        let mut session = FaultSession::new(&plan);
+        assert_eq!(apply_due_runtime_scribbles(&mut a, &mut session), 1);
+        run_step(&mut a, Some(&mut session));
+        assert!(
+            verify(&a, ScrubTarget::GroupCache(0)) > 0,
+            "not read, not repaired"
+        );
+        assert!(a.groups[0].cache_quarantined, "structure fenced");
+        assert_eq!(a.scrub.health, HealthState::Degraded(1));
         a.cp_count += 1;
-        run_step(&mut a, Some(&mut session)).unwrap();
-        assert!(!a.groups[0].cache_quarantined, "repair lifts quarantine");
+        run_step(&mut a, Some(&mut session));
+        assert!(!a.groups[0].cache_quarantined, "repair lifts the fence");
         assert_eq!(verify(&a, ScrubTarget::GroupCache(0)), 0);
     }
 }

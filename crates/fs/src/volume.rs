@@ -83,16 +83,13 @@ pub struct FlexVol {
     /// Resume point for draining the active AA: `(aa, first VBN not yet
     /// walked)`. Lets repeated drains skip the AA's allocated prefix.
     /// Purely an accelerator — it must be invalidated (set to `None`)
-    /// whenever a free lands in its AA, the AA is quarantined, or a cache
-    /// replenish rescans the space; a stale cursor would skip free blocks.
+    /// whenever a free lands in its AA or a cache replenish or rebuild
+    /// rescans the space; a stale cursor would skip free blocks.
     pub(crate) drain_cursor: Option<(wafl_types::AaId, Vbn)>,
-    /// Virtual AAs the runtime scrubber has quarantined: their summary
-    /// counters disagreed with the popcount ground truth, so allocation
-    /// must not trust (or land on) them until the scheduled repair clears.
-    pub(crate) quarantined_aas: std::collections::BTreeSet<wafl_types::AaId>,
     /// Structure-level quarantine: the volume's AA cache is suspect
-    /// (degraded at mount, or a scrub verify failed). Allocation bypasses
-    /// the cache and sweeps the bitmap until the quarantine lifts.
+    /// (degraded at mount, or a scrub read of it failed). Allocation
+    /// bypasses the cache and sweeps the bitmap until its repair ticket
+    /// settles.
     pub(crate) cache_quarantined: bool,
     /// Snapshots pinning old block versions (see [`crate::snapshot`]).
     pub(crate) snapshots: Vec<Snapshot>,
@@ -157,7 +154,6 @@ impl FlexVol {
             delayed_vvbn_frees: Vec::new(),
             active_aa: None,
             drain_cursor: None,
-            quarantined_aas: std::collections::BTreeSet::new(),
             cache_quarantined: false,
             snapshots: Vec::new(),
             snap_refs: HashMap::new(),
@@ -185,11 +181,6 @@ impl FlexVol {
     /// The AA the allocator is filling, if any (§3.1).
     pub fn active_aa(&self) -> Option<wafl_types::AaId> {
         self.active_aa
-    }
-
-    /// Virtual AAs currently quarantined by the runtime scrubber.
-    pub fn quarantined_aas(&self) -> Vec<wafl_types::AaId> {
-        self.quarantined_aas.iter().copied().collect()
     }
 
     /// Whether the volume's AA cache is structure-quarantined (allocation
@@ -384,15 +375,8 @@ impl FlexVol {
             &self.bitmap,
         )?);
         self.active_aa = None;
-        self.invalidate_drain_cursor();
-        Ok(())
-    }
-
-    /// Drop the drain-cursor accelerator. Called whenever its resume
-    /// point can no longer be trusted to sit ahead of every free block in
-    /// its AA: quarantine events, cache replenish rescans, repairs.
-    pub(crate) fn invalidate_drain_cursor(&mut self) {
         self.drain_cursor = None;
+        Ok(())
     }
 
     /// A block was freed at `vvbn` outside the delayed-free path (Iron

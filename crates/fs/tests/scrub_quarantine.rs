@@ -1,28 +1,22 @@
-//! Quarantine-avoidance and scrub-budget integration tests.
+//! Scrub-budget integration test: exactly `scrub_pages_per_cp`
+//! verification units per CP, so full coverage lands within
+//! `ceil(units / budget)` CPs, and a fault is detected within one cycle
+//! of landing.
 //!
-//! The allocator contract under quarantine: a quarantined AA receives
-//! zero allocations — under any quarantine set, in any allocator mode —
-//! and an aggregate whose every AA is quarantined fails allocation with
-//! a clean [`WaflError::SpaceExhausted`], never a hang or panic. The
-//! scrubber contract: exactly `scrub_pages_per_cp` verification units
-//! per CP, so full coverage lands within `ceil(units / budget)` CPs.
-//!
-//! These drive only public API (fault plans, empty CPs, test quarantine
-//! hooks), so they are debug-safe: no scribbled counter survives to a
-//! non-empty CP's summary assertion.
+//! It drives only public API (fault plans, empty CPs), so it is
+//! debug-safe: no scribbled counter survives to a non-empty CP's summary
+//! assertion.
 
-use proptest::prelude::*;
 use wafl_faults::{FaultPlan, FaultSession, RuntimeScribbleFault, RuntimeTarget};
 use wafl_fs::{aging, Aggregate, AggregateConfig, FlexVolConfig, RaidGroupSpec};
 use wafl_media::MediaProfile;
-use wafl_types::{AaId, VolumeId, WaflError, BITS_PER_BITMAP_BLOCK};
+use wafl_types::{VolumeId, BITS_PER_BITMAP_BLOCK};
 
 const WRITTEN: u64 = 4096;
 
 /// One group, one cache-guided volume, aged just enough that both cache
-/// layers carry real scores. Scrub stays off unless a test enables it —
-/// quarantine release must come only from the hooks under test.
-fn quarantine_agg(scrub_budget: u64) -> Aggregate {
+/// layers carry real scores.
+fn scrub_agg(scrub_budget: u64) -> Aggregate {
     let mut agg = Aggregate::new(
         AggregateConfig {
             raid_aware_cache: true,
@@ -49,128 +43,13 @@ fn quarantine_agg(scrub_budget: u64) -> Aggregate {
     agg
 }
 
-/// Popcount free counts of the given physical AAs (ground truth — does
-/// not consult the summaries the allocator is told to distrust).
-fn phys_free(agg: &Aggregate, aas: &[AaId]) -> Vec<u64> {
-    let g = &agg.groups()[0];
-    aas.iter()
-        .map(|&aa| {
-            g.topology()
-                .aa_vbn_ranges(aa)
-                .into_iter()
-                .map(|(s, l)| agg.bitmap().free_count_range_popcount(s, l) as u64)
-                .sum()
-        })
-        .collect()
-}
-
-/// Popcount free counts of the given virtual AAs of volume 0.
-fn virt_free(agg: &Aggregate, aas: &[AaId]) -> Vec<u64> {
-    let v = &agg.volumes()[0];
-    aas.iter()
-        .map(|&aa| {
-            v.topology()
-                .aa_vbn_ranges(aa)
-                .into_iter()
-                .map(|(s, l)| v.bitmap().free_count_range_popcount(s, l) as u64)
-                .sum()
-        })
-        .collect()
-}
-
-/// Subset of `0..count` selected by the bits of `mask` (wrapping past 64).
-fn masked_aas(mask: u64, count: u32) -> Vec<AaId> {
-    (0..count)
-        .filter(|i| mask >> (i % 64) & 1 == 1)
-        .map(AaId)
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Under an arbitrary quarantine set, a quarantined AA's popcount
-    /// free count never decreases across CPs of real overwrite traffic:
-    /// frees may land there, allocations must not.
-    #[test]
-    fn allocation_avoids_arbitrary_quarantine_sets(
-        phys_mask in 0u64..u64::MAX,
-        virt_mask in 0u64..u64::MAX,
-        ops in 50u64..400,
-    ) {
-        let mut agg = quarantine_agg(0);
-        let phys = masked_aas(phys_mask, agg.groups()[0].topology().aa_count());
-        let virt = masked_aas(virt_mask, agg.volumes()[0].topology().aa_count());
-        agg.quarantine_physical_aas(0, &phys);
-        agg.quarantine_virtual_aas(VolumeId(0), &virt);
-
-        let phys_before = phys_free(&agg, &phys);
-        let virt_before = virt_free(&agg, &virt);
-        use rand::prelude::*;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(phys_mask ^ virt_mask);
-        for _ in 0..ops {
-            agg.client_overwrite(VolumeId(0), rng.random_range(0..WRITTEN)).unwrap();
-        }
-        match agg.run_cp() {
-            Ok(_) => {
-                prop_assert!(
-                    phys_free(&agg, &phys)
-                        .iter()
-                        .zip(&phys_before)
-                        .all(|(now, before)| now >= before),
-                    "allocation landed in a quarantined physical AA"
-                );
-                prop_assert!(
-                    virt_free(&agg, &virt)
-                        .iter()
-                        .zip(&virt_before)
-                        .all(|(now, before)| now >= before),
-                    "allocation landed in a quarantined virtual AA"
-                );
-            }
-            // Dense quarantine sets can legitimately exhaust space; the
-            // contract is a clean error, not success.
-            Err(WaflError::SpaceExhausted) => {}
-            Err(other) => prop_assert!(false, "unexpected error: {other}"),
-        }
-    }
-}
-
-#[test]
-fn fully_quarantined_aggregate_fails_cleanly() {
-    let mut agg = quarantine_agg(0);
-    let all: Vec<AaId> = (0..agg.groups()[0].topology().aa_count())
-        .map(AaId)
-        .collect();
-    agg.quarantine_physical_aas(0, &all);
-    agg.client_overwrite(VolumeId(0), 1).unwrap();
-    match agg.run_cp() {
-        Err(WaflError::SpaceExhausted) => {}
-        other => panic!("expected SpaceExhausted, got {other:?}"),
-    }
-}
-
-#[test]
-fn fully_quarantined_volume_fails_cleanly() {
-    let mut agg = quarantine_agg(0);
-    let all: Vec<AaId> = (0..agg.volumes()[0].topology().aa_count())
-        .map(AaId)
-        .collect();
-    agg.quarantine_virtual_aas(VolumeId(0), &all);
-    agg.client_overwrite(VolumeId(0), 1).unwrap();
-    match agg.run_cp() {
-        Err(WaflError::SpaceExhausted) => {}
-        other => panic!("expected SpaceExhausted, got {other:?}"),
-    }
-}
-
 /// The scan budget is exact — `scrub_pages_per_cp` units per CP, no
 /// more, no fewer — and a fault is therefore detected within one full
 /// cycle (`ceil(total_units / budget)` CPs) of landing.
 #[test]
 fn scrub_budget_is_exact_and_covers_in_ceil_cps() {
     const BUDGET: u64 = 5;
-    let mut agg = quarantine_agg(BUDGET);
+    let mut agg = scrub_agg(BUDGET);
     let total = agg.scrub_status().total_units;
     assert!(total > BUDGET, "fixture too small to exercise the cursor");
     let cycle = total.div_ceil(BUDGET);

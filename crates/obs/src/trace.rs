@@ -73,15 +73,16 @@ pub enum TraceData {
     CursorInvalidated {
         /// The owning volume id.
         vol: u32,
-        /// Why, e.g. `"replenish"` or `"quarantine"`.
+        /// Why, e.g. `"replenish"`.
         reason: &'static str,
     },
-    /// The scrubber quarantined structures after verified divergence.
+    /// The scrubber ticketed a unit its scan could not read or repair,
+    /// fencing it if it is a cache structure.
     Quarantine {
-        /// Structures quarantined by this event.
+        /// Units ticketed by this event.
         units: u64,
     },
-    /// The scrubber released repaired structures from quarantine.
+    /// The scrubber released repaired cache structures from their fence.
     Release {
         /// Structures released by this event.
         units: u64,

@@ -13,7 +13,6 @@
 
 use crate::{Op, Workload};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use wafl_faults::{CrashSite, FaultPlan, FaultSession, PlanShape};
 use wafl_fs::{iron, mount, Aggregate, CpOutcome, HealthState};
 use wafl_types::{RetryPolicy, WaflResult};
@@ -110,7 +109,7 @@ pub fn torture_round(
 ///
 /// Unlike [`TortureRound`], which tears down and remounts, this round
 /// keeps the aggregate online while in-memory corruption lands mid-run
-/// and the CP-budgeted scrubber detects, quarantines, and repairs it.
+/// and the CP-budgeted scrubber detects and repairs it.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ScrubTortureRound {
     /// The seed the round's runtime fault plan was generated from.
@@ -121,46 +120,12 @@ pub struct ScrubTortureRound {
     pub faults_detected: u64,
     /// Repairs that completed and re-verified clean.
     pub repairs_succeeded: u64,
-    /// AAs whose popcount free count *dropped* across a CP while they
-    /// were continuously quarantined — i.e. allocations the avoidance
-    /// logic should have made impossible. Must be zero.
-    pub quarantine_violations: u64,
     /// Where a CP was torn mid-round, if the plan scheduled a crash.
     pub crashed: Option<String>,
     /// Structures the post-crash remount degraded (0 when no crash).
     pub remount_degraded: usize,
     /// Health state after the drain phase, as displayed.
     pub final_health: String,
-}
-
-/// Popcount-ground-truth free counts of every currently quarantined AA,
-/// keyed so physical (group) and virtual (volume) AAs cannot collide.
-/// Popcounts are immune to the very counter scribbles the round injects.
-fn quarantined_free_counts(agg: &Aggregate) -> BTreeMap<(bool, usize, u32), u64> {
-    let mut map = BTreeMap::new();
-    for (gi, g) in agg.groups().iter().enumerate() {
-        for aa in g.quarantined_aas() {
-            let free: u64 = g
-                .topology()
-                .aa_vbn_ranges(aa)
-                .into_iter()
-                .map(|(start, len)| agg.bitmap().free_count_range_popcount(start, len) as u64)
-                .sum();
-            map.insert((false, gi, aa.get()), free);
-        }
-    }
-    for (vi, v) in agg.volumes().iter().enumerate() {
-        for aa in v.quarantined_aas() {
-            let free: u64 = v
-                .topology()
-                .aa_vbn_ranges(aa)
-                .into_iter()
-                .map(|(start, len)| v.bitmap().free_count_range_popcount(start, len) as u64)
-                .sum();
-            map.insert((true, vi, aa.get()), free);
-        }
-    }
-    map
 }
 
 /// Run one seeded runtime-scrub torture round against `agg`.
@@ -172,9 +137,6 @@ fn quarantined_free_counts(agg: &Aggregate) -> BTreeMap<(bool, usize, u32), u64>
 /// machine settles. If the plan tears a CP, the aggregate is remounted
 /// with [`mount::mount_auto`] from the last persisted TopAA image and
 /// the round continues — crash-mid-repair must recover too.
-///
-/// Free-count deltas of continuously quarantined AAs are audited after
-/// every CP; any decrease is reported as a `quarantine_violation`.
 ///
 /// Debug-build note: summary-counter scribbles trip the bitmap's debug
 /// per-CP summary audit (`Bitmap::take_dirty_stats` asserts
@@ -209,21 +171,6 @@ pub fn scrub_torture_round(
     let mut image = mount::save_topaa(agg);
     let mut crashed = None;
     let mut remount_degraded = 0usize;
-    let mut quarantine_violations = 0u64;
-    let mut watched = quarantined_free_counts(agg);
-
-    let mut check_violations =
-        |agg: &Aggregate, watched: &mut BTreeMap<(bool, usize, u32), u64>| {
-            let now = quarantined_free_counts(agg);
-            for (key, free_now) in &now {
-                if let Some(free_before) = watched.get(key) {
-                    if free_now < free_before {
-                        quarantine_violations += 1;
-                    }
-                }
-            }
-            *watched = now;
-        };
 
     for cp in 0..cps {
         for _ in 0..ops_per_cp {
@@ -243,10 +190,7 @@ pub fn scrub_torture_round(
             None
         };
         match agg.run_cp_with_session(crash, Some(&mut session))? {
-            CpOutcome::Completed(_) => {
-                check_violations(agg, &mut watched);
-                image = mount::save_topaa(agg);
-            }
+            CpOutcome::Completed(_) => image = mount::save_topaa(agg),
             CpOutcome::Crashed(site) => {
                 if site == CrashSite::AfterTopAaPersist {
                     image = mount::save_topaa(agg);
@@ -255,9 +199,6 @@ pub fn scrub_torture_round(
                 mount::crash(agg);
                 let stats = mount::mount_auto(agg, &image);
                 remount_degraded = stats.degraded.len();
-                // The crash dropped all volatile state, quarantines
-                // included; restart the watch from the remounted truth.
-                watched = quarantined_free_counts(agg);
             }
         }
     }
@@ -266,10 +207,7 @@ pub fn scrub_torture_round(
     // hysteresis window closes, bounded so a wedged state still returns.
     let mut drain = 0u64;
     while agg.health() != HealthState::Healthy && drain < cps + 64 {
-        match agg.run_cp_with_session(None, Some(&mut session))? {
-            CpOutcome::Completed(_) | CpOutcome::Crashed(_) => {}
-        }
-        check_violations(agg, &mut watched);
+        agg.run_cp_with_session(None, Some(&mut session))?;
         drain += 1;
     }
 
@@ -285,7 +223,6 @@ pub fn scrub_torture_round(
             .counter_value("scrub.repairs_succeeded")
             .unwrap_or(0)
             .saturating_sub(repaired_base),
-        quarantine_violations,
         crashed,
         remount_degraded,
         final_health: agg.health().to_string(),
@@ -328,7 +265,6 @@ mod tests {
         let mut w = RandomOverwrite::new(VolumeId(0), 1024, 3);
         for seed in 0..8u64 {
             let round = scrub_torture_round(&mut agg, &mut w, 12, 0, seed).unwrap();
-            assert_eq!(round.quarantine_violations, 0, "seed {seed}");
             assert_eq!(round.final_health, "healthy", "seed {seed}: {round:?}");
             assert!(round.scribbles_scheduled >= 1, "seed {seed}");
         }

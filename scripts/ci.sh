@@ -129,8 +129,8 @@ run cargo clippy --workspace --all-targets -- -D warnings -D clippy::or_fun_call
 # (simulate --trace, then trace-report on the series CSV).
 run cargo test -q
 # Online-scrub invariants, release-only (debug bitmap asserts fire on the
-# scribbles): two injected counter scribbles are detected, quarantined,
-# repaired and released, and health returns to Healthy.
+# scribbles): two injected counter scribbles are each detected and
+# repaired by the scan step that reads them, and health stays Healthy.
 run cargo test --release -p wafl-fs --test scrub_torture -- --ignored --exact scrub_smoke
 oracle_parity
 bench_check
