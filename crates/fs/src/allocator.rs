@@ -50,7 +50,7 @@ pub(crate) struct AllocOutcome {
     /// width; heap picks are exact and record nothing.
     pub pick_errors: Vec<(u32, u32)>,
     /// Picks served by the linear bitmap sweep instead of a cache (the
-    /// cache-less degraded-mount fallback, or baseline-mode exhaustion).
+    /// cache-less fallback, baseline-mode exhaustion, a CP's last round).
     pub sweep_picks: u64,
     /// The VBNs of `vbns` as the consecutive runs they were claimed in,
     /// in the same order. Media costing works per run.
@@ -118,15 +118,15 @@ pub(crate) fn popcount_score(
         .sum()
 }
 
-/// Allocate from a group whose cache is structure-quarantined: walk the
-/// AAs in order, scoring each by popcount. No AA becomes active — the sweep makes no claim the repaired cache would
-/// have to honor later.
-fn plan_group_quarantine_sweep(
+/// Allocate from a group without its cache, AA by AA in order, scored by
+/// popcount: a quarantined cache's path, and a CP's last round. No AA
+/// becomes active — the sweep makes no claim a cache must honor later.
+pub(crate) fn plan_group_sweep(
     g: &mut RaidGroupState,
     bitmap: &mut wafl_bitmap::Bitmap,
     quota: usize,
-    out: &mut AllocOutcome,
-) {
+) -> AllocOutcome {
+    let mut out = AllocOutcome::default();
     for aa in 0..g.topology.aa_count() {
         if out.vbns.len() >= quota {
             break;
@@ -139,9 +139,10 @@ fn plan_group_quarantine_sweep(
         out.sweep_picks += 1;
         out.record_pick(aa, AaScore(score));
         let ranges = g.topology.aa_write_ranges(aa);
-        let (taken, _) = drain_ranges(&ranges, bitmap, quota, out);
+        let (taken, _) = drain_ranges(&ranges, bitmap, quota, &mut out);
         g.batch.record_allocated(aa, taken);
     }
+    out
 }
 
 /// Audit 1 in this many HBPS-guided RAID-group picks against the exact
@@ -168,6 +169,12 @@ pub(crate) fn plan_raid_group(
     mode: AllocatorMode,
     seed: u64,
 ) -> WaflResult<AllocOutcome> {
+    // Structure quarantine: the cache's scores are suspect, so don't
+    // consult it at all — sweep the bitmap with popcount scoring instead.
+    if mode == AllocatorMode::CacheGuided && g.cache_quarantined {
+        g.active_aa = None;
+        return Ok(plan_group_sweep(g, bitmap, quota));
+    }
     let mut out = AllocOutcome::default();
     let mut rng = StdRng::seed_from_u64(seed);
     // AAs this call has tried: a dense set, so each membership test on
@@ -181,13 +188,6 @@ pub(crate) fn plan_raid_group(
     // since, which overstates its error and never hides one. Only
     // sampled picks pay for it; see the HBPS arm below.
     let mut audited_best: Option<u32> = None;
-    // Structure quarantine: the cache's scores are suspect, so don't
-    // consult it at all — sweep the bitmap with popcount scoring instead.
-    if mode == AllocatorMode::CacheGuided && g.cache_quarantined {
-        g.active_aa = None;
-        plan_group_quarantine_sweep(g, bitmap, quota, &mut out);
-        return Ok(out);
-    }
     while out.vbns.len() < quota {
         // Continue the active AA, or claim a new one. Every AA this call
         // drains joins `tried`: none is offered twice.

@@ -4,7 +4,9 @@
 //! The transaction is a fixed sequence of [`Stage`]s run by one driver.
 
 use crate::aggregate::{Aggregate, DeviceMedia, GroupCache, RaidGroupState};
-use crate::allocator::{allocate_vvbns, plan_raid_group, AllocOutcome, AllocatorMode};
+use crate::allocator::{
+    allocate_vvbns, plan_group_sweep, plan_raid_group, AllocOutcome, AllocatorMode,
+};
 use crate::config::CpuModel;
 use crate::volume::{FlexVol, QueuedOp};
 use serde::{Deserialize, Serialize};
@@ -68,7 +70,7 @@ pub struct RgCpStats {
 pub(crate) enum Stage {
     /// Virtual (per-volume) allocation.
     PlanVirtual,
-    /// Physical (per-group) allocation: shares, then shortfall rounds.
+    /// Physical (per-group) allocation: shares, the shortfall, a sweep.
     PlanPhysical,
     /// Logical → virtual → physical binding, then the queued deletes.
     Bind,
@@ -136,8 +138,8 @@ impl Stage {
 pub struct CpWallClock {
     /// Virtual (per-volume) allocation planning.
     pub plan_virtual_us: f64,
-    /// Physical (per-group) allocation, including quota computation and
-    /// any shortfall rounds.
+    /// Physical (per-group) allocation, including quota computation, any
+    /// force-drain of the delayed-free log and the later rounds.
     pub plan_physical_us: f64,
     /// Metafile accounting: counting the bitmap pages the CP dirtied (the
     /// `apply` stage; [`Stage`] says why it has that name).
@@ -538,8 +540,9 @@ struct PhysicalPlan {
 }
 
 impl Aggregate {
-    /// Run one consistency point over every operation collected since the
-    /// last. Returns the CP's cost and layout statistics.
+    /// Run one consistency point over every op queued since the last, and
+    /// return its cost and layout statistics. A CP whose writes do not fit
+    /// is refused with `SpaceExhausted`: it changes nothing, ops included.
     pub fn run_cp(&mut self) -> WaflResult<CpStats> {
         match self.run_cp_with_session(None, None)? {
             CpOutcome::Completed(stats) => Ok(stats),
@@ -609,6 +612,16 @@ impl Aggregate {
         }
         let queued: Vec<_> = self.vols.iter_mut().map(FlexVol::take_queued).collect();
         let n = queued.iter().map(|(writes, _)| writes.len() as u64).sum();
+        if !self.fits(&queued, n) {
+            // Refused whole, before any stage claims a bit: the ops wait
+            // in their queues for the client to free space or cancel.
+            for (vol, (writes, deletes)) in self.vols.iter_mut().zip(queued) {
+                let mut requeue = |ls: Vec<u64>, op| ls.into_iter().for_each(|l| vol.queue(l, op));
+                requeue(writes, QueuedOp::Write);
+                requeue(deletes, QueuedOp::Delete);
+            }
+            return Err(Stop::Failed(WaflError::SpaceExhausted));
+        }
         let now = Instant::now();
         let mut cp = CpRun {
             crash,
@@ -630,21 +643,28 @@ impl Aggregate {
             || !self.delayed_pvbn_frees.is_empty()
             || self.vols.iter().any(|v| !v.delayed_vvbn_frees.is_empty())
         {
-            if let Err(stop) = self.run_stages(&queued, &mut cp) {
-                // A failed CP drops its writes; its deletes wait for the
-                // next CP, where one this CP already applied is a no-op
-                // (and a crash loses them with the rest of the queue).
-                for (vol, (_, deletes)) in self.vols.iter_mut().zip(&queued) {
-                    deletes.iter().for_each(|&l| vol.queue(l, QueuedOp::Delete));
-                }
-                return Err(stop);
-            }
+            self.run_stages(&queued, &mut cp)?;
         } else if let Some(site) = crash {
             // Nothing to tear: the process still dies at the site.
             return Err(Stop::Crashed(site));
         }
         self.cp_count += 1;
         Ok(cp)
+    }
+
+    /// Admission: `n` queued writes fit if each volume's fit its free
+    /// blocks and all fit the aggregate's free and logged blocks. A CP's
+    /// own overwrites and deletes free blocks only after [`Stage::Bind`],
+    /// so every write counts in full. AZCS checksum blocks need no room:
+    /// they are only costed (`azcs_physical_chains`), never allocated.
+    fn fits(&self, queued: &[(Vec<u64>, Vec<u64>)], n: u64) -> bool {
+        let free = self.bitmap.free_blocks();
+        // A crash mid-apply can leave logged frees whose bits are clear.
+        let live = |v: &&Vbn| self.bitmap.is_free(**v) == Ok(false);
+        let logged = || self.free_log.pending_vbns().iter().filter(live).count() as u64;
+        let vol_fits =
+            |(v, (w, _)): (&FlexVol, &(Vec<u64>, _))| w.len() as u64 <= v.bitmap.free_blocks();
+        (n <= free || n <= free + logged()) && self.vols.iter().zip(queued).all(vol_fits)
     }
 
     /// The [`Stage`]s in order, then the CPU model.
@@ -726,11 +746,27 @@ impl Aggregate {
         Ok(plans)
     }
 
-    /// Physical allocation for `n` blocks: round 0 offers each group its
-    /// weighted share; whatever the groups could not find is the
-    /// shortfall, which every later round offers whole to each group in
-    /// turn.
+    /// Physical allocation for `n` blocks, which admission found room
+    /// for. If the bitmap's free blocks are short of `n`, the delayed-free
+    /// log is force-drained first. Then three rounds: round 0 offers each
+    /// group its weighted share; round 1 offers each group in turn the
+    /// whole shortfall; round 2 sweeps each group by popcount for the
+    /// blocks a cache missed.
     fn plan_physical(&mut self, n: usize, cp: &mut CpRun) -> WaflResult<PhysicalPlan> {
+        if n as u64 > self.bitmap.free_blocks() {
+            // Space pressure: pull the logged frees forward (the
+            // [18]-style reclamation path racing the allocator). A planner
+            // that scores AAs from the bitmap (HBPS replenish, random-AA
+            // mode, the sweep) finds the freed blocks there; a heap ranks
+            // by its own score array, so it gets the batch now.
+            self.apply_logged_frees(None, &mut cp.stats)?;
+            for g in &mut self.groups {
+                if let Some(GroupCache::Heap(cache)) = g.cache.as_mut() {
+                    cp.tally.cache_ops += g.batch.touched_aas() as u64;
+                    cache.apply_batch(&mut g.batch);
+                }
+            }
+        }
         let mode = if self.cfg.raid_aware_cache {
             AllocatorMode::CacheGuided
         } else {
@@ -752,65 +788,36 @@ impl Aggregate {
                 left -= *quota;
             }
         }
-        let mut salt = 0xABCD_u64;
         let mut shortfall = n;
-        // Set once a round has offered every group the whole shortfall:
-        // only such a round can show that the aggregate is out of space
-        // (round 0's share is 0 for a backed-off group that has room).
-        let mut offered_all = false;
         let mut plans: Vec<(usize, AllocOutcome)> = Vec::with_capacity(self.groups.len());
-        loop {
-            let mut progressed = false;
-            for (i, (g, &quota)) in self.groups.iter_mut().zip(&quotas).enumerate() {
-                if offered_all && shortfall == 0 {
-                    break;
-                }
-                let plan = plan_raid_group(
-                    g,
-                    &mut self.bitmap,
-                    quota.min(shortfall),
-                    mode,
-                    cp.seed ^ (salt + i as u64),
-                )?;
+        // A crash after block writes strikes at the end of round 0: the
+        // claimed bits are on stable storage, but no binding was ever
+        // recorded — leaks in both VBN spaces.
+        let rounds = if block_writes.is_some() { 1 } else { 3 };
+        for round in 0..rounds {
+            let salt = if round == 0 { 0xABCD_u64 } else { 0xF00D };
+            for (i, g) in self.groups.iter_mut().enumerate() {
+                // Round 0 offers every group its share, 0 included.
+                let quota = match round {
+                    0 => quotas[i],
+                    _ if shortfall == 0 => break,
+                    _ => shortfall,
+                };
+                let seed = cp.seed ^ (salt + i as u64);
+                let plan = match round {
+                    2 => plan_group_sweep(g, &mut self.bitmap, quota),
+                    _ => plan_raid_group(g, &mut self.bitmap, quota, mode, seed)?,
+                };
                 shortfall -= plan.vbns.len();
-                progressed |= !plan.vbns.is_empty();
                 // A plan that found no block is kept too: a full
                 // heap-cached group returns the score-0 AA `take_best`
-                // popped in `drained`, for `rerank_drained` to put back.
+                // popped in `drained`, for the rebalance to put back.
                 plans.push((i, plan));
             }
-            // A crash after block writes strikes at the end of round 0:
-            // the claimed bits are on stable storage, but no binding was
-            // ever recorded — leaks in both VBN spaces.
-            if block_writes.is_some() || shortfall == 0 {
-                break;
-            }
-            if offered_all && !progressed {
-                if self.free_log.pending() == 0 {
-                    return Err(WaflError::SpaceExhausted);
-                }
-                // Space pressure: pull the logged frees forward (the
-                // [18]-style reclamation path racing the allocator).
-                self.apply_logged_frees(None, &mut cp.stats)?;
-                // A planner that scores AAs from the bitmap (HBPS
-                // replenish, random-AA mode, the quarantine sweep) finds
-                // the freed blocks there; a heap ranks by its own score
-                // array, so it gets the batch now. The AAs earlier rounds
-                // drained are ranked again now and leave their `drained`
-                // lists: the retry may leave one of them active, and the
-                // rebalance must not rank that one.
-                for g in &mut self.groups {
-                    if let Some(GroupCache::Heap(cache)) = g.cache.as_mut() {
-                        cp.tally.cache_ops += g.batch.touched_aas() as u64;
-                        cache.apply_batch(&mut g.batch);
-                    }
-                }
-                cp.tally.cache_ops += self.rerank_drained(&plans)?;
-                plans.iter_mut().for_each(|(_, plan)| plan.drained.clear());
-            }
-            quotas.fill(usize::MAX);
-            salt = 0xF00D;
-            offered_all = true;
+        }
+        if shortfall > 0 && block_writes.is_none() {
+            debug_assert!(false, "admitted {n} writes; {shortfall} found no block");
+            return Err(WaflError::SpaceExhausted);
         }
         let mut pvbns = Vec::new();
         let mut per_rg_runs = vec![Vec::new(); self.groups.len()];
@@ -1009,7 +1016,14 @@ impl Aggregate {
         // (frees during the same CP may have given them a head start).
         // HBPS-cached ranges: drained AAs re-enter via the batched score
         // change above (the histogram never stopped counting them).
-        tally.cache_ops += self.rerank_drained(plans)?;
+        for (i, plan) in plans {
+            if let Some(GroupCache::Heap(cache)) = self.groups[*i].cache.as_mut() {
+                for &aa in &plan.drained {
+                    cache.insert(aa, cache.score_of(aa))?;
+                }
+                tally.cache_ops += plan.drained.len() as u64;
+            }
+        }
         for vol in &mut self.vols {
             let Some(cache) = vol.cache.as_mut() else {
                 let _ = vol.batch.drain().count();
@@ -1036,21 +1050,6 @@ impl Aggregate {
             }
         }
         Ok(())
-    }
-
-    /// Rank again, at their current scores, the AAs `plans` drained from
-    /// heap-cached groups. Returns the number of cache ops.
-    fn rerank_drained(&mut self, plans: &[(usize, AllocOutcome)]) -> WaflResult<u64> {
-        let mut ops = 0;
-        for (i, plan) in plans {
-            if let Some(GroupCache::Heap(cache)) = self.groups[*i].cache.as_mut() {
-                for &aa in &plan.drained {
-                    cache.insert(aa, cache.score_of(aa))?;
-                }
-                ops += plan.drained.len() as u64;
-            }
-        }
-        Ok(ops)
     }
 
     /// Export a completed CP: its counters, its model terms and stage laps
@@ -1170,8 +1169,8 @@ impl Aggregate {
             .collect();
         let total: f64 = weights.iter().sum();
         if total <= 0.0 {
-            // Everything backed off or empty: spread evenly; the shortfall
-            // loop in run_cp deals with reality.
+            // Everything backed off or empty: spread evenly; the later
+            // planning rounds offer each group the shortfall.
             let per = n / self.groups.len().max(1);
             let mut q = vec![per; self.groups.len()];
             if let Some(first) = q.first_mut() {
@@ -1483,32 +1482,54 @@ mod tests {
         }
     }
 
-    /// A CP that fails drops its queued writes, as it always did, and
-    /// keeps its queued deletes: the next CP unmaps them. The failure is
-    /// real exhaustion: 4 096 fresh writes a CP into 2 × 17 384 physical
-    /// blocks run out at the ninth CP.
+    /// A 2 + 1 HDD aggregate of `device_blocks` per device under one
+    /// cache-guided volume of `vol_aas` AAs holding `logical` blocks.
+    fn small_agg(device_blocks: u64, vol_aas: u64, logical: u64) -> Aggregate {
+        let group = RaidGroupSpec {
+            data_devices: 2,
+            parity_devices: 1,
+            device_blocks,
+            profile: MediaProfile::hdd(),
+        };
+        let vol = FlexVolConfig {
+            size_blocks: vol_aas * 32768,
+            aa_cache: true,
+            aa_blocks: None,
+        };
+        Aggregate::new(AggregateConfig::single_group(group), &[(vol, logical)], 42).unwrap()
+    }
+
+    fn free_counts(a: &Aggregate) -> (u64, Vec<u64>) {
+        let vols = a.volumes().iter().map(FlexVol::free_blocks).collect();
+        (a.bitmap().free_blocks(), vols)
+    }
+
+    /// The CP is refused and has changed nothing: its queue of `pending`
+    /// ops, `cp_count`, both bitmaps' free counts, and Iron's clean bill.
+    fn assert_refused(a: &mut Aggregate, pending: usize) {
+        let before = (a.cp_count(), free_counts(a));
+        assert!(matches!(a.run_cp(), Err(WaflError::SpaceExhausted)));
+        assert_eq!(a.pending_ops(), pending);
+        assert_eq!((a.cp_count(), free_counts(a)), before);
+        assert_iron_clean(a);
+    }
+
+    fn assert_iron_clean(a: &Aggregate) {
+        let report = crate::iron::check(a).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+    }
+
+    /// A CP whose writes do not fit is refused whole, before any stage
+    /// claims a block: 4 096 fresh writes a CP into 2 × 17 384 physical
+    /// blocks run out at the ninth CP, which leaves its 4 096 writes and
+    /// one delete queued. Once the client cancels the writes that do not
+    /// fit (a delete after a write cancels it), the next CP commits the
+    /// rest and fills the aggregate to its last block.
     #[test]
-    fn a_failed_cp_keeps_the_queued_deletes() {
-        let mut a = Aggregate::new(
-            AggregateConfig::single_group(RaidGroupSpec {
-                data_devices: 2,
-                parity_devices: 1,
-                device_blocks: 4 * 4096 + 1000,
-                profile: MediaProfile::hdd(),
-            }),
-            &[(
-                FlexVolConfig {
-                    size_blocks: 4 * 32768,
-                    aa_cache: true,
-                    aa_blocks: None,
-                },
-                100_000,
-            )],
-            42,
-        )
-        .unwrap();
+    fn a_refused_cp_changes_nothing() {
+        let mut a = small_agg(4 * 4096 + 1000, 4, 100_000);
         let mut fresh = 0..100_000u64;
-        let failed = loop {
+        let first = loop {
             let first = fresh.start;
             for l in fresh.by_ref().take(4096) {
                 a.client_overwrite(VolumeId(0), l).unwrap();
@@ -1520,12 +1541,116 @@ mod tests {
             a.run_cp().unwrap();
         };
         assert_eq!(a.cp_count(), 8);
-        assert!(matches!(a.run_cp(), Err(WaflError::SpaceExhausted)));
-        assert_eq!(a.pending_ops(), 1, "only the delete stays queued");
+        assert_refused(&mut a, 4097);
+        let fit = first + a.bitmap().free_blocks();
+        for l in fit..first + 4096 {
+            a.client_delete(VolumeId(0), l).unwrap();
+        }
         let s = a.run_cp().unwrap();
-        assert_eq!(s.blocks_written, 0);
-        assert_eq!(a.volumes()[0].lookup_logical(7), None);
-        assert_eq!(a.volumes()[0].lookup_logical(failed), None);
+        assert_eq!(s.blocks_written, fit - first);
+        assert_eq!(a.bitmap().free_blocks(), 1, "block 7's");
+        let vol = &a.volumes()[0];
+        assert_eq!(vol.lookup_logical(7), None);
+        assert!(vol.lookup_logical(fit - 1).is_some());
+        assert_eq!(vol.lookup_logical(fit), None);
+        assert_iron_clean(&a);
+    }
+
+    /// Admission counts a copy-on-write overwrite of a mapped block in
+    /// full, since its old block frees only after Bind: one overwrite more
+    /// than the free blocks is refused, and a delete in place of one of
+    /// them makes the CP fit.
+    #[test]
+    fn a_cow_overwrite_counts_in_full() {
+        let mut a = small_agg(4 * 4096, 2, 30_000);
+        crate::aging::fill_volume(&mut a, VolumeId(0), 4096).unwrap();
+        let free = a.bitmap().free_blocks();
+        for l in 0..=free {
+            a.client_overwrite(VolumeId(0), l).unwrap();
+        }
+        assert_refused(&mut a, free as usize + 1);
+        a.client_delete(VolumeId(0), free).unwrap();
+        let s = a.run_cp().unwrap();
+        assert_eq!(s.blocks_written, free);
+        assert_eq!(a.bitmap().free_blocks(), free + 1);
+        assert_iron_clean(&a);
+    }
+
+    /// A snapshot pins the blocks an overwrite leaves behind, so they do
+    /// not free even after Bind: the CP that overwrites as many blocks as
+    /// are free fills the aggregate, and one overwrite more is refused.
+    #[test]
+    fn a_snapshot_pinned_overwrite_counts_in_full() {
+        let mut a = small_agg(4 * 4096, 2, 30_000);
+        crate::aging::fill_volume(&mut a, VolumeId(0), 4096).unwrap();
+        a.snapshot_create(VolumeId(0)).unwrap();
+        let free = a.bitmap().free_blocks();
+        for l in 0..free {
+            a.client_overwrite(VolumeId(0), l).unwrap();
+        }
+        assert_eq!(a.run_cp().unwrap().blocks_written, free);
+        assert_eq!(a.bitmap().free_blocks(), 0);
+        a.client_overwrite(VolumeId(0), free).unwrap();
+        assert_refused(&mut a, 1);
+    }
+
+    /// Two volumes, and only the second is short of virtual blocks: the
+    /// whole CP is refused, and the first volume gets no vvbn either. The
+    /// lowest of the second volume's writes overwrites a mapped block, so
+    /// cancelling it with a delete also frees that block's vvbn.
+    #[test]
+    fn one_short_volume_refuses_the_whole_cp() {
+        let vol = |aas: u64| FlexVolConfig {
+            size_blocks: aas * 32768,
+            aa_cache: true,
+            aa_blocks: None,
+        };
+        let group = RaidGroupSpec {
+            data_devices: 4,
+            parity_devices: 1,
+            device_blocks: 16 * 4096,
+            profile: MediaProfile::hdd(),
+        };
+        let cfg = AggregateConfig::single_group(group);
+        let mut a = Aggregate::new(cfg, &[(vol(4), 50_000), (vol(1), 32_768)], 42).unwrap();
+        crate::aging::fill_volume_fraction(&mut a, VolumeId(1), 0.9, 4096).unwrap();
+        let short = a.volumes()[1].free_blocks();
+        for l in 0..1000 {
+            a.client_overwrite(VolumeId(0), l).unwrap();
+        }
+        for l in 0..=short {
+            a.client_overwrite(VolumeId(1), 32_767 - l).unwrap();
+        }
+        assert_refused(&mut a, 1000 + short as usize + 1);
+        a.client_delete(VolumeId(1), 32_767 - short).unwrap();
+        let s = a.run_cp().unwrap();
+        assert_eq!(s.blocks_written, 1000 + short);
+        assert_eq!(free_counts(&a).1, [4 * 32768 - 1000, 1]);
+        assert_iron_clean(&a);
+    }
+
+    /// A crash after `limit` block writes, in an admitted CP that fills
+    /// the aggregate to its last block, leaks exactly `limit` physical
+    /// blocks and every vvbn the CP claimed, as in a roomy CP
+    /// (`crash_after_block_writes_claims_a_prefix_of_the_plan` checks
+    /// that the blocks are the plan's prefix).
+    #[test]
+    fn a_crash_in_an_admitted_cp_leaks_its_prefix() {
+        for limit in [0, 1000, u64::MAX] {
+            let mut a = small_agg(4 * 4096, 2, 40_000);
+            crate::aging::fill_volume_fraction(&mut a, VolumeId(0), 0.5, 4096).unwrap();
+            let free = a.bitmap().free_blocks();
+            for l in 20_000..20_000 + free {
+                a.client_overwrite(VolumeId(0), l).unwrap();
+            }
+            let outcome = a
+                .run_cp_with_faults(Some(CrashSite::AfterBlockWrites(limit)))
+                .unwrap();
+            assert!(matches!(outcome, CpOutcome::Crashed(_)));
+            let report = crate::iron::check(&a).unwrap();
+            assert_eq!(report.leaked_blocks, limit.min(free), "limit {limit}");
+            assert_eq!(report.leaked_vvbns, free, "limit {limit}");
+        }
     }
 
     /// A crash loses the queued ops and leaves no mark on their blocks:
@@ -1761,6 +1886,143 @@ mod tests {
         let s = a.run_cp().unwrap();
         assert_eq!((s.per_rg[0].blocks, s.per_rg[1].blocks), (0, 1));
         assert_eq!(free_in(&a, 1), group1_free - 1);
+    }
+
+    /// A crash part-way through applying logged frees leaves entries
+    /// whose bits are already clear; the force-drain skips them, so
+    /// admission counts only the logged frees still to apply. Near full,
+    /// one write more than the free and still-logged blocks is refused
+    /// (counting every logged entry would admit it and leave the planner
+    /// one block short), and a delete in place of one write fits.
+    #[test]
+    fn admission_counts_only_the_logged_frees_still_to_apply() {
+        const LOGICAL: u64 = 124_000;
+        let group = RaidGroupSpec {
+            data_devices: 2,
+            parity_devices: 1,
+            device_blocks: 16 * 4096,
+            profile: MediaProfile::hdd(),
+        };
+        let cfg = AggregateConfig {
+            batched_frees: true,
+            free_pages_per_cp: 1,
+            ..AggregateConfig::single_group(group)
+        };
+        let vol = FlexVolConfig {
+            size_blocks: 8 * 32768,
+            aa_cache: true,
+            aa_blocks: None,
+        };
+        let mut a = Aggregate::new(cfg, &[(vol, LOGICAL)], 8).unwrap();
+        crate::aging::fill_volume(&mut a, VolumeId(0), 4096).unwrap();
+        crate::aging::random_overwrite_churn(&mut a, VolumeId(0), 4 * 4096, 4096, 5).unwrap();
+        for l in 0..100 {
+            a.client_overwrite(VolumeId(0), l).unwrap();
+        }
+        let crash = Some(CrashSite::MidFreeLogApply(10));
+        let outcome = a.run_cp_with_faults(crash).unwrap();
+        assert!(matches!(outcome, CpOutcome::Crashed(_)));
+        crate::mount::mount_cold(&mut a).unwrap();
+        let logged = a.free_log().pending_vbns();
+        let live = logged.iter().filter(|&&v| !a.bitmap().is_free(v).unwrap());
+        let fit = a.bitmap().free_blocks() + live.count() as u64;
+        assert!(fit < a.bitmap().free_blocks() + logged.len() as u64);
+        assert!(fit < a.volumes()[0].free_blocks(), "the volume has room");
+        for l in 0..=fit {
+            a.client_overwrite(VolumeId(0), l).unwrap();
+        }
+        assert_refused(&mut a, fit as usize + 1);
+        a.client_delete(VolumeId(0), fit).unwrap();
+        assert_eq!(a.run_cp().unwrap().blocks_written, fit);
+        assert_iron_clean(&a);
+    }
+
+    /// Near full under `rg_backoff_threshold`, every group's score is
+    /// under the threshold, so round 0 splits the CP evenly and full group
+    /// 0 takes none of its half. Round 1 offers group 1 the shortfall, and
+    /// it takes every last free block without the sweep.
+    #[test]
+    fn round_1_fills_a_backed_off_group_to_its_last_block() {
+        let spec = RaidGroupSpec {
+            data_devices: 2,
+            parity_devices: 1,
+            device_blocks: 4 * 4096,
+            profile: MediaProfile::hdd(),
+        };
+        let cfg = AggregateConfig {
+            raid_groups: vec![spec.clone(), spec.clone()],
+            rg_backoff_threshold: 0.9,
+            ..AggregateConfig::single_group(spec)
+        };
+        let vol = FlexVolConfig {
+            size_blocks: 2 * 32768,
+            aa_cache: true,
+            aa_blocks: None,
+        };
+        let mut a = Aggregate::new(cfg, &[(vol, 60_000)], 7).unwrap();
+        crate::aging::seed_rg_random_occupancy(&mut a, 1, 0.5, 123).unwrap();
+        let geo = a.groups()[0].geometry.clone();
+        let mut written = 0u64;
+        while a.bitmap().free_count_range(geo.base_vbn, geo.data_blocks()) > 0 {
+            for l in written..written + 2048 {
+                a.client_overwrite(VolumeId(0), l).unwrap();
+            }
+            written += 2048;
+            a.run_cp().unwrap();
+        }
+        let free = a.bitmap().free_blocks();
+        let sweeps = |a: &Aggregate| {
+            a.obs()
+                .counter_value("allocator.sweep_fallback_picks")
+                .unwrap()
+        };
+        let swept = sweeps(&a);
+        assert!(a.rg_quotas(free as usize)[1] < free as usize);
+        for l in written..written + free {
+            a.client_overwrite(VolumeId(0), l).unwrap();
+        }
+        let s = a.run_cp().unwrap();
+        assert_eq!((s.per_rg[0].blocks, s.per_rg[1].blocks), (0, free));
+        assert_eq!(a.bitmap().free_blocks(), 0);
+        assert_eq!(sweeps(&a), swept, "round 2 swept");
+        assert_iron_clean(&a);
+    }
+
+    /// One object-store group of 8 AAs with 258 000 of its 262 144 blocks
+    /// live and immediate frees. Each churn CP's ~4 060 distinct writes
+    /// fit the 4 144 free blocks, but the HBPS planner gives up while AAs
+    /// are still listed: its attempt cap runs out as replenishes list
+    /// again the AAs the same call drained. Round 2's sweep finds the
+    /// blocks it missed, so every CP commits with Iron clean.
+    #[test]
+    fn round_2_finds_what_the_hbps_planner_gave_up_on() {
+        const LOGICAL: u64 = 258_000;
+        let group = RaidGroupSpec {
+            data_devices: 1,
+            parity_devices: 0,
+            device_blocks: 8 * 32768,
+            profile: MediaProfile::object_store(),
+        };
+        let vol = FlexVolConfig {
+            size_blocks: 8 * 32768,
+            aa_cache: true,
+            aa_blocks: None,
+        };
+        let cfg = AggregateConfig::single_group(group);
+        let mut a = Aggregate::new(cfg, &[(vol, LOGICAL)], 0).unwrap();
+        crate::aging::fill_volume(&mut a, VolumeId(0), 4096).unwrap();
+        use rand::prelude::*;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        for cp in 0..4 {
+            for _ in 0..4096 {
+                a.client_overwrite(VolumeId(0), rng.random_range(0..LOGICAL))
+                    .unwrap();
+            }
+            a.run_cp().unwrap_or_else(|e| panic!("cp {cp}: {e}"));
+            assert_iron_clean(&a);
+        }
+        let sweeps = a.obs().counter_value("allocator.sweep_fallback_picks");
+        assert!(sweeps.unwrap() > 0, "round 2 never ran");
     }
 
     /// A CP cut short after `limit` block writes has claimed exactly the
@@ -2283,10 +2545,10 @@ mod batched_free_tests {
         );
     }
 
-    /// On the small geometry a CP's first rounds can drain every AA the
-    /// heap ranks. The retry after the force-drain finds the blocks it
-    /// freed only if those AAs are ranked again before it: the rebalance,
-    /// which ranks them otherwise, never runs once the CP has failed.
+    /// On the small geometry one CP's rounds can drain every AA the heap
+    /// ranks. A force-drain frees blocks into those AAs, so it runs
+    /// before round 0, with the heap ranking every AA but the active one:
+    /// no round needs an AA that an earlier round drained ranked again.
     #[test]
     fn shortfall_retry_ranks_the_aas_earlier_rounds_drained() {
         assert!(

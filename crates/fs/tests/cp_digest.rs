@@ -19,9 +19,11 @@
 //! keeping the client's last op on a block: the `parity_*` draws and
 //! `volume_without_aa_cache`'s deletes hit logicals the same CP writes.
 //! `batched_frees_near_full_force_drain` was re-pinned when a shortfall
-//! retry began ranking again the AAs earlier rounds drained. A change
-//! that moves a constant is a change in what a CP does. No geometry sets `trim_on_free` (TRIMs do
-//! not feed `CpStats`, but keep it that way).
+//! retry began ranking again the AAs earlier rounds drained, and again
+//! when the force-drain moved ahead of the CP's first planning round
+//! (round 0 now plans with the blocks the drain freed). A change that
+//! moves a constant is a change in what a CP does. No geometry sets
+//! `trim_on_free` (TRIMs do not feed `CpStats`, but keep it that way).
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -336,12 +338,14 @@ fn batched_frees_near_full_force_drain() {
         d.cp(&s);
     }
     assert!(force_drains > 0, "the run must force-drain");
-    assert_eq!(d.finish(&a), 0x25e8_e1e5_a247_b469);
+    assert_eq!(d.finish(&a), 0x1086_70e1_6830_2cc4);
 }
 
 /// Two groups under `rg_backoff_threshold = 0.9`, one of them half full
-/// from the start: the quotas back off from it until the other fills,
-/// then every CP's shares come up short and shortfall rounds make it up.
+/// from the start: the quotas back off from it until the other's best AA
+/// falls under the threshold too, and from then on each CP splits its
+/// writes evenly between them. Both groups meet their shares: no CP of
+/// this run needs a planning round past round 0.
 #[test]
 fn two_groups_under_backoff() {
     const LOGICAL: u64 = 60_000;

@@ -10,9 +10,9 @@
 //! duplicates, and sooner or later a bin listed more entries than it
 //! counted — an image `from_pages` rejects, so the next mount degraded.
 //!
-//! The group path had the same hazard where a CP re-plans: a shortfall
-//! round's replenish reads a bitmap that holds the first round's
-//! allocations (and any force-drained frees) while the group's batch
+//! The group path had the same hazard: a replenish in the middle of a
+//! CP's planning reads a bitmap that holds the CP's earlier claims (and
+//! the frees of a force-drain ahead of round 0) while the group's batch
 //! still carried them. Takes and frees now enter the batch where they
 //! are applied, and a replenish spends it.
 
@@ -106,10 +106,10 @@ fn aged_volume_hbps_round_trips_after_every_cp() {
 }
 
 /// An object-store group (HBPS-cached) at 95 % full with batched frees:
-/// every few CPs the first plan round comes up short, the delayed-free
-/// log is force-drained, and the shortfall rounds replenish the group's
-/// HBPS against a bitmap that already holds this CP's allocations and
-/// frees.
+/// every few CPs the writes exceed the free blocks, the delayed-free log
+/// is force-drained before the first planning round, and the rounds
+/// replenish the group's HBPS against a bitmap that already holds the
+/// drained frees and this CP's earlier claims.
 #[test]
 fn near_full_object_store_group_hbps_round_trips_after_every_cp() {
     const LOGICAL: u64 = 250_000;
@@ -144,7 +144,7 @@ fn near_full_object_store_group_hbps_round_trips_after_every_cp() {
     };
     check_group(&agg, "after fill");
     let mut ops = RandomOverwrite::new(VolumeId(0), LOGICAL, 5);
-    let mut shortfall_cps = 0;
+    let mut force_drain_cps = 0;
     for cp in 0..30 {
         for _ in 0..4096 {
             let Op::Write { vol, logical } = ops.next_op() else {
@@ -153,13 +153,13 @@ fn near_full_object_store_group_hbps_round_trips_after_every_cp() {
             agg.client_overwrite(vol, logical).unwrap();
         }
         let stats = agg.run_cp().unwrap();
-        // Only a shortfall round's force-drain writes more free pages
-        // than the per-CP budget.
-        shortfall_cps += (stats.delayed_free_pages > FREE_PAGES_PER_CP as u64) as u32;
+        // Only a force-drain writes more free pages than the per-CP
+        // budget.
+        force_drain_cps += (stats.delayed_free_pages > FREE_PAGES_PER_CP as u64) as u32;
         check_group(&agg, &format!("cp {cp}"));
     }
     assert!(
-        shortfall_cps > 0,
-        "the run must take the shortfall rounds it guards"
+        force_drain_cps > 0,
+        "the run must force-drain the log, as the replenishes it guards need"
     );
 }

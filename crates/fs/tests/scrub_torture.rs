@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use wafl_faults::{FaultPlan, FaultSession, RuntimeScribbleFault, RuntimeTarget};
 use wafl_fs::{aging, iron, Aggregate, AggregateConfig, FlexVolConfig, HealthState, RaidGroupSpec};
 use wafl_media::MediaProfile;
-use wafl_types::{VolumeId, WaflError, BITS_PER_BITMAP_BLOCK};
+use wafl_types::{VolumeId, BITS_PER_BITMAP_BLOCK};
 use wafl_workloads::torture::scrub_torture_round;
 use wafl_workloads::OltpMix;
 
@@ -139,10 +139,8 @@ fn torture_one(seed: u64) {
 
     // Invariant 3: the recovered aggregate keeps serving traffic.
     for i in 0..300u64 {
-        match agg.client_overwrite(VolumeId((i % VOLS as u64) as u32), i % WRITTEN) {
-            Ok(()) | Err(WaflError::SpaceExhausted) => {}
-            Err(e) => panic!("seed {seed}: post-recovery write failed: {e}"),
-        }
+        agg.client_overwrite(VolumeId((i % VOLS as u64) as u32), i % WRITTEN)
+            .unwrap_or_else(|e| panic!("seed {seed}: post-recovery write failed: {e}"));
     }
     agg.run_cp()
         .unwrap_or_else(|e| panic!("seed {seed}: post-recovery CP failed: {e}"));
