@@ -5,10 +5,12 @@ use crate::batch::ScoreDeltaBatch;
 use crate::hbps::{Hbps, HbpsConfig};
 use crate::topology::AaTopology;
 use wafl_bitmap::Bitmap;
-use wafl_types::{AaId, AaScore, ScoreDelta, WaflError, WaflResult, BLOCK_SIZE};
+use wafl_types::{AaId, AaScore, ScoreDelta, WaflResult, BLOCK_SIZE};
 
 /// The RAID-agnostic allocation-area cache for one FlexVol or natively
-/// redundant physical range.
+/// redundant physical range. An object-store group's topology is
+/// RAID-aware in form only: one data device, so each AA is one VBN run,
+/// as a volume's is.
 ///
 /// Two pages of state (the embedded HBPS), regardless of volume size
 /// (§3.3.2: "a finite amount of memory even when tracking millions of
@@ -16,32 +18,22 @@ use wafl_types::{AaId, AaScore, ScoreDelta, WaflError, WaflResult, BLOCK_SIZE};
 pub struct RaidAgnosticCache {
     hbps: Hbps,
     topology: AaTopology,
-    /// Replenish trigger: scan when the list drains below this.
-    low_water: usize,
 }
 
 impl RaidAgnosticCache {
-    /// Default list low-water mark before a replenish scan is requested.
+    /// The list low-water mark: a replenish scan runs once the list
+    /// drains below it (or its quality degrades).
     pub const DEFAULT_LOW_WATER: usize = 16;
 
     /// Build by scanning the bitmap — the expensive cold-mount path the
     /// TopAA metafile exists to avoid (§3.4).
     pub fn build(topology: AaTopology, bitmap: &Bitmap) -> WaflResult<RaidAgnosticCache> {
-        if topology.is_raid_aware() {
-            return Err(WaflError::InvalidConfig {
-                reason: "RaidAgnosticCache needs a RAID-agnostic topology".into(),
-            });
-        }
         let cfg = HbpsConfig {
             max_score: topology.max_score(),
             ..HbpsConfig::default()
         };
         let hbps = Hbps::build(cfg, topology.all_scores(bitmap))?;
-        Ok(RaidAgnosticCache {
-            hbps,
-            topology,
-            low_water: Self::DEFAULT_LOW_WATER,
-        })
+        Ok(RaidAgnosticCache { hbps, topology })
     }
 
     /// Restore from the two TopAA metafile blocks — the fast mount path.
@@ -53,11 +45,7 @@ impl RaidAgnosticCache {
         list: &[u8; BLOCK_SIZE],
     ) -> WaflResult<RaidAgnosticCache> {
         let hbps = Hbps::from_pages_for(&topology, hist, list)?;
-        Ok(RaidAgnosticCache {
-            hbps,
-            topology,
-            low_water: Self::DEFAULT_LOW_WATER,
-        })
+        Ok(RaidAgnosticCache { hbps, topology })
     }
 
     /// The two TopAA metafile blocks to persist at CP time.
@@ -116,7 +104,7 @@ impl RaidAgnosticCache {
         bitmap: &Bitmap,
         batch: &mut ScoreDeltaBatch,
     ) -> WaflResult<bool> {
-        if !self.hbps.needs_replenish(self.low_water) {
+        if !self.hbps.needs_replenish(Self::DEFAULT_LOW_WATER) {
             return Ok(false);
         }
         self.hbps.replenish(self.topology.all_scores(bitmap))?;
@@ -155,13 +143,28 @@ mod tests {
         AaTopology::raid_agnostic(space, AaSizingPolicy::ConsecutiveVbns { blocks: 1024 }).unwrap()
     }
 
+    /// An object-store group's one-device stripe topology: the cache
+    /// builds over it, its TopAA image restores, and the restored cache
+    /// picks what the built one does, at the same exact scores.
     #[test]
-    fn build_rejects_raid_aware_topology() {
-        let g =
-            wafl_raid::RaidGeometry::new(wafl_types::RaidGroupId(0), 3, 1, 4096, Vbn(0)).unwrap();
+    fn an_object_store_groups_cache_restores_its_picks() {
+        let g = wafl_raid::RaidGeometry::new(wafl_types::RaidGroupId(0), 1, 0, 16 * 1024, Vbn(0))
+            .unwrap();
         let t = AaTopology::raid_aware(g, AaSizingPolicy::Stripes { stripes: 1024 }).unwrap();
-        let b = Bitmap::new(3 * 4096);
-        assert!(RaidAgnosticCache::build(t, &b).is_err());
+        let mut bitmap = Bitmap::new(16 * 1024);
+        for aa in 0..16u64 {
+            bitmap.allocate_run(Vbn(aa * 1024), aa * 60).unwrap();
+        }
+        let mut built = RaidAgnosticCache::build(t.clone(), &bitmap).unwrap();
+        let (hist, list) = built.to_topaa();
+        let mut restored = RaidAgnosticCache::from_topaa(t, &hist, &list).unwrap();
+        let picks = |c: &mut RaidAgnosticCache| {
+            std::iter::from_fn(|| c.pick_best(&bitmap)).collect::<Vec<_>>()
+        };
+        // Every AA in a bin of its own: emptiest first.
+        let expect: Vec<_> = (0..16).map(|a| (AaId(a), AaScore(1024 - a * 60))).collect();
+        assert_eq!(picks(&mut built), expect);
+        assert_eq!(picks(&mut restored), expect);
     }
 
     #[test]

@@ -277,11 +277,6 @@ impl AaTopology {
             .map(|a| (AaId(a), self.score_from_bitmap(bitmap, AaId(a))))
             .collect()
     }
-
-    /// Whether this topology is RAID-aware.
-    pub fn is_raid_aware(&self) -> bool {
-        matches!(self, AaTopology::RaidAware { .. })
-    }
 }
 
 #[cfg(test)]
@@ -346,7 +341,7 @@ mod tests {
         assert_eq!(t.aa_count(), 4);
         assert_eq!(t.max_score(), 3 * 1024);
         assert_eq!(t.aa_blocks(AaId(0)), 3 * 1024);
-        assert!(t.is_raid_aware());
+        assert!(matches!(t, AaTopology::RaidAware { .. }));
         // 3 devices -> 3 VBN runs per AA.
         assert_eq!(t.aa_vbn_ranges(AaId(2)).len(), 3);
     }
@@ -365,7 +360,7 @@ mod tests {
                 100_000 - 3 * RAID_AGNOSTIC_AA_BLOCKS
             )]
         );
-        assert!(!t.is_raid_aware());
+        assert!(matches!(t, AaTopology::RaidAgnostic { .. }));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::paged_map::check_block_space;
 use crate::scrub::{HealthState, ScrubState, ScrubStatus};
 use crate::volume::{FlexVol, QueuedOp};
 use wafl_bitmap::Bitmap;
-use wafl_core::{AaTopology, Hbps, HbpsConfig, RaidAwareCache, ScoreDeltaBatch};
+use wafl_core::{AaTopology, Hbps, RaidAgnosticCache, RaidAwareCache, ScoreDeltaBatch};
 use wafl_media::{HddModel, MediaProfile, ObjectStoreModel, SmrModel, SsdFtl};
 use wafl_raid::RaidGeometry;
 use wafl_types::{
@@ -63,14 +63,15 @@ impl DeviceMedia {
 }
 
 /// The AA cache guiding a physical VBN range (§3.3): RAID groups get the
-/// max-heap; natively redundant storage (object stores) gets the
-/// two-page HBPS, exactly like FlexVols.
+/// max-heap; natively redundant storage (object stores) gets a FlexVol's
+/// cache, the two-page HBPS, and the allocator, the CP and the mount
+/// drive it through the same methods as a volume's.
 pub(crate) enum GroupCache {
     /// §3.3.1: max-heap over all AAs of a RAID group.
     Heap(RaidAwareCache),
     /// §3.3.2: histogram-based partial sort for storage with built-in
     /// redundancy, where tracking every AA "is not worth the memory".
-    Hbps(Box<Hbps>),
+    Hbps(Box<RaidAgnosticCache>),
 }
 
 /// Runtime state of one RAID group (or natively redundant range).
@@ -182,23 +183,26 @@ impl RaidGroupState {
     /// an HBPS for natively redundant storage. The rebuilt cache ranks
     /// every AA, so none stays active beside it.
     pub(crate) fn rebuild_cache(&mut self, bitmap: &Bitmap) -> WaflResult<()> {
-        let scores = self.topology.all_scores(bitmap);
         let cache = if self.profile.media == MediaType::ObjectStore {
-            let cfg = HbpsConfig {
-                max_score: self.topology.max_score(),
-                ..HbpsConfig::default()
-            };
-            GroupCache::Hbps(Box::new(Hbps::build(cfg, scores)?))
+            let cache = RaidAgnosticCache::build(self.topology.clone(), bitmap)?;
+            GroupCache::Hbps(Box::new(cache))
         } else {
             let max = (0..self.topology.aa_count())
                 .map(|a| self.topology.aa_blocks(wafl_types::AaId(a)) as u32)
                 .collect();
-            let scores = scores.into_iter().map(|(_, s)| s).collect();
+            let scores = self.topology.all_scores(bitmap).into_iter();
+            let scores = scores.map(|(_, s)| s).collect();
             GroupCache::Heap(RaidAwareCache::new_full(scores, max)?)
         };
         self.cache = Some(cache);
         self.active_aa = None;
         Ok(())
+    }
+
+    /// Bitmap pages a scan of the group's range reads: what a replenish
+    /// of its HBPS is charged.
+    pub(crate) fn scan_pages(&self) -> u64 {
+        (self.geometry.data_blocks() / wafl_types::BITS_PER_BITMAP_BLOCK).max(1)
     }
 
     /// The group's AA topology.
@@ -218,7 +222,7 @@ impl RaidGroupState {
     /// The group's HBPS cache, if enabled and natively redundant.
     pub fn hbps_cache(&self) -> Option<&Hbps> {
         match self.cache.as_ref() {
-            Some(GroupCache::Hbps(h)) => Some(h),
+            Some(GroupCache::Hbps(c)) => Some(c.hbps()),
             _ => None,
         }
     }

@@ -18,6 +18,8 @@ use crate::bitset::BitSet;
 use crate::volume::FlexVol;
 use rand::prelude::*;
 use rand::rngs::StdRng;
+use wafl_bitmap::Bitmap;
+use wafl_core::{AaTopology, RaidAgnosticCache, ScoreDeltaBatch};
 use wafl_types::{AaId, AaScore, Vbn, WaflError, WaflResult};
 
 /// How AAs are selected for writing.
@@ -79,7 +81,7 @@ impl AllocOutcome {
 /// the ranges were exhausted.
 pub(crate) fn drain_ranges(
     ranges: &[(Vbn, u64)],
-    bitmap: &mut wafl_bitmap::Bitmap,
+    bitmap: &mut Bitmap,
     quota: usize,
     out: &mut AllocOutcome,
 ) -> (u32, bool) {
@@ -106,11 +108,7 @@ pub(crate) fn drain_ranges(
 /// summary-accelerated score paths. The sweeps use this: when the cache
 /// (or the summaries it is built from) is suspect, the raw bitmap words
 /// are the only state still trusted.
-pub(crate) fn popcount_score(
-    topology: &wafl_core::AaTopology,
-    bitmap: &wafl_bitmap::Bitmap,
-    aa: AaId,
-) -> u32 {
+pub(crate) fn popcount_score(topology: &AaTopology, bitmap: &Bitmap, aa: AaId) -> u32 {
     topology
         .aa_vbn_ranges(aa)
         .iter()
@@ -123,7 +121,7 @@ pub(crate) fn popcount_score(
 /// becomes active — the sweep makes no claim a cache must honor later.
 pub(crate) fn plan_group_sweep(
     g: &mut RaidGroupState,
-    bitmap: &mut wafl_bitmap::Bitmap,
+    bitmap: &mut Bitmap,
     quota: usize,
 ) -> AllocOutcome {
     let mut out = AllocOutcome::default();
@@ -154,17 +152,79 @@ pub(crate) fn plan_group_sweep(
 /// always audited.
 pub(crate) const PICK_AUDIT_SAMPLE: u64 = 64;
 
+/// Pick an AA off an HBPS cache, a volume's or an object-store group's
+/// alike: the best listed AA at its exact score (the HBPS bound is a bin
+/// edge; the score comes from the bitmap, as in §3.3). On a miss — the
+/// list is empty, or its best AA has nothing free — the cache replenishes
+/// from a scan if it needs to (§3.3.2's background scan), and picks once
+/// more. Returns the pick and whether a scan ran: the caller charges its
+/// pages.
+///
+/// `batch` holds exactly the changes the bitmap carries and the cache
+/// has not seen — this CP's earlier claims included — so a replenish
+/// here spends it: the rescan has just read what it describes.
+pub(crate) fn hbps_pick(
+    cache: &mut RaidAgnosticCache,
+    bitmap: &Bitmap,
+    batch: &mut ScoreDeltaBatch,
+) -> WaflResult<(Option<(AaId, AaScore)>, bool)> {
+    let nonzero = |pick: Option<(AaId, AaScore)>| pick.filter(|(_, s)| s.get() > 0);
+    if let Some(pick) = nonzero(cache.pick_best(bitmap)) {
+        return Ok((Some(pick), false));
+    }
+    if !cache.maybe_replenish(bitmap, batch)? {
+        return Ok((None, false));
+    }
+    Ok((nonzero(cache.pick_best(bitmap)), true))
+}
+
+/// The §4.1 baseline's draws within one plan call: AAs uniformly at
+/// random, none twice, full ones skipped, at most `4 × max(aa_count, 8)`
+/// draws in all.
+struct RandomDraw {
+    rng: StdRng,
+    /// AAs drawn so far: a dense set, so each membership test is a word
+    /// index and a mask instead of a hash.
+    tried: BitSet,
+    draws: u32,
+}
+
+impl RandomDraw {
+    fn new(seed: u64) -> RandomDraw {
+        RandomDraw {
+            rng: StdRng::seed_from_u64(seed),
+            tried: BitSet::default(),
+            draws: 0,
+        }
+    }
+
+    /// The next AA drawn that has a free block, at its score; `None` once
+    /// the draws run out (the space is effectively full).
+    fn pick(&mut self, topology: &AaTopology, bitmap: &Bitmap) -> Option<(AaId, AaScore)> {
+        let aa_count = topology.aa_count();
+        while self.draws < 4 * aa_count.max(8) {
+            self.draws += 1;
+            let aa = AaId(self.rng.random_range(0..aa_count));
+            if !self.tried.insert(aa.index()) {
+                continue;
+            }
+            let score = topology.score_from_bitmap(bitmap, aa);
+            if score.get() > 0 {
+                return Some((aa, score));
+            }
+        }
+        None
+    }
+}
+
 /// Allocate `quota` physical blocks from one RAID group: pick AAs off the
 /// group's cache and claim their free VBNs in the shared physical bitmap,
 /// recording each AA's take into the group's score batch as it is made.
-///
-/// `g.batch` therefore holds exactly the changes the bitmap carries and
-/// the cache has not seen — this call's earlier claims included — so an
-/// HBPS replenish here spends it: the rescan has just read what it
-/// describes.
+/// The plan stops when the cache (or the random draws) has no AA left to
+/// offer; the CP's later rounds offer the shortfall again.
 pub(crate) fn plan_raid_group(
     g: &mut RaidGroupState,
-    bitmap: &mut wafl_bitmap::Bitmap,
+    bitmap: &mut Bitmap,
     quota: usize,
     mode: AllocatorMode,
     seed: u64,
@@ -176,12 +236,8 @@ pub(crate) fn plan_raid_group(
         return Ok(plan_group_sweep(g, bitmap, quota));
     }
     let mut out = AllocOutcome::default();
-    let mut rng = StdRng::seed_from_u64(seed);
-    // AAs this call has tried: a dense set, so each membership test on
-    // the random-pick path is a word index and a mask instead of a hash.
-    let mut tried = BitSet::default();
-    let aa_count = g.topology.aa_count();
-    let mut attempts = 0u32;
+    let mut draw = RandomDraw::new(seed);
+    let scan_pages = g.scan_pages();
     // Exact ground-truth best score, computed at most once per plan call
     // and before the pick it first audits is drained: a later sampled
     // pick of the same call is held to a best this call may have taken
@@ -189,102 +245,58 @@ pub(crate) fn plan_raid_group(
     // sampled picks pay for it; see the HBPS arm below.
     let mut audited_best: Option<u32> = None;
     while out.vbns.len() < quota {
-        // Continue the active AA, or claim a new one. Every AA this call
-        // drains joins `tried`: none is offered twice.
+        // Continue the active AA, or claim a new one.
         let aa = match g.active_aa {
-            Some(aa) => {
-                tried.insert(aa.index());
-                aa
-            }
-            None => match mode {
-                AllocatorMode::CacheGuided => match g.cache.as_mut() {
-                    Some(GroupCache::Heap(cache)) => match cache.take_best() {
-                        Some((aa, score)) if score.get() > 0 => {
-                            out.record_pick(aa, score);
-                            g.active_aa = Some(aa);
-                            aa
-                        }
+            Some(aa) => aa,
+            None => {
+                let pick = match (mode, g.cache.as_mut()) {
+                    (AllocatorMode::RandomAa, _) => draw.pick(&g.topology, bitmap),
+                    (_, Some(GroupCache::Heap(cache))) => match cache.take_best() {
+                        Some((aa, score)) if score.get() > 0 => Some((aa, score)),
                         Some((aa, _)) => {
                             // Best AA is full: the group is exhausted.
                             out.drained.push(aa);
-                            break;
+                            None
                         }
-                        None => break,
+                        None => None,
                     },
-                    Some(GroupCache::Hbps(hbps)) => {
-                        // The HBPS bound is a bin edge; the exact score
-                        // comes from the bitmap, as in §3.3. An empty or
-                        // degraded list replenishes from a scan first.
-                        // Bound the retry loop: a full range would
-                        // otherwise cycle take -> stale -> replenish.
-                        attempts += 1;
-                        if attempts > 2 * aa_count.max(8) {
-                            break;
+                    (_, Some(GroupCache::Hbps(cache))) => {
+                        let (pick, scanned) = hbps_pick(cache, bitmap, &mut g.batch)?;
+                        if scanned {
+                            out.replenish_pages += scan_pages;
                         }
-                        if hbps.needs_replenish(4) {
-                            hbps.replenish(g.topology.all_scores(bitmap))?;
-                            let _ = g.batch.drain().count();
-                            out.replenish_pages += (g.geometry.data_blocks() / 32_768).max(1);
-                        }
-                        match hbps.take_best() {
-                            Some((aa, _bound)) => {
-                                // A replenish relists every AA, those this
-                                // call has already drained included.
-                                if !tried.insert(aa.index()) {
-                                    continue; // attempts bound caps this
-                                }
-                                let score = g.topology.score_from_bitmap(bitmap, aa);
-                                if score.get() == 0 {
-                                    continue; // stale entry; pick again
-                                }
-                                // The exact audit costs a full-group score
-                                // scan, so it no longer rides every pick:
-                                // sample 1 in `PICK_AUDIT_SAMPLE` picks, and
-                                // amortize even those through a per-plan
-                                // memo — one scan per group per CP at most,
-                                // the §3.3 CP-boundary discipline.
-                                g.pick_audit_tick = g.pick_audit_tick.wrapping_add(1);
-                                if g.pick_audit_tick.is_multiple_of(PICK_AUDIT_SAMPLE) {
-                                    let true_best = *audited_best.get_or_insert_with(|| {
-                                        g.topology
-                                            .all_scores(bitmap)
-                                            .into_iter()
-                                            .map(|(_, s)| s.get())
-                                            .max()
-                                            .unwrap_or_else(|| score.get())
-                                    });
-                                    out.pick_errors.push((
-                                        true_best.saturating_sub(score.get()),
-                                        hbps.config().bin_width(),
-                                    ));
-                                }
-                                out.record_pick(aa, score);
-                                g.active_aa = Some(aa);
-                                aa
+                        // The exact audit costs a full-group score scan,
+                        // so it does not ride every pick: sample 1 in
+                        // `PICK_AUDIT_SAMPLE` picks, and amortize even
+                        // those through a per-plan memo — one scan per
+                        // group per CP at most, the §3.3 CP-boundary
+                        // discipline.
+                        if let Some((_, score)) = pick {
+                            g.pick_audit_tick = g.pick_audit_tick.wrapping_add(1);
+                            if g.pick_audit_tick.is_multiple_of(PICK_AUDIT_SAMPLE) {
+                                let true_best = *audited_best.get_or_insert_with(|| {
+                                    g.topology
+                                        .all_scores(bitmap)
+                                        .into_iter()
+                                        .map(|(_, s)| s.get())
+                                        .max()
+                                        .unwrap_or_else(|| score.get())
+                                });
+                                out.pick_errors.push((
+                                    true_best.saturating_sub(score.get()),
+                                    cache.hbps().config().bin_width(),
+                                ));
                             }
-                            None => break,
                         }
+                        pick
                     }
-                    None => break,
-                },
-                AllocatorMode::RandomAa => {
-                    attempts += 1;
-                    if attempts > 4 * aa_count.max(8) {
-                        break; // group effectively full
-                    }
-                    let aa = AaId(rng.random_range(0..aa_count));
-                    if !tried.insert(aa.index()) {
-                        continue;
-                    }
-                    let score = g.topology.score_from_bitmap(bitmap, aa);
-                    if score.get() == 0 {
-                        continue;
-                    }
-                    out.record_pick(aa, score);
-                    g.active_aa = Some(aa);
-                    aa
-                }
-            },
+                    (_, None) => None,
+                };
+                let Some((aa, score)) = pick else { break };
+                out.record_pick(aa, score);
+                g.active_aa = Some(aa);
+                aa
+            }
         };
         // Assign the AA's free VBNs in write order: tetris by tetris, one
         // chain per device — full stripes and long chains (§2.3–2.4).
@@ -298,11 +310,6 @@ pub(crate) fn plan_raid_group(
         if exhausted {
             out.drained.push(aa);
             g.active_aa = None;
-            if taken == 0 && mode == AllocatorMode::CacheGuided {
-                // Claimed a stale-score AA with nothing actually free —
-                // move on (its post-batch reinsert will carry score 0).
-                continue;
-            }
         } else {
             break; // quota met mid-AA; stays active for the next CP
         }
@@ -319,10 +326,7 @@ pub(crate) fn allocate_vvbns(
     mode: AllocatorMode,
 ) -> WaflResult<AllocOutcome> {
     let mut out = AllocOutcome::default();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut tried = BitSet::default();
-    let aa_count = vol.topology.aa_count();
-    let mut attempts = 0u32;
+    let mut draw = RandomDraw::new(seed);
     while out.vbns.len() < n {
         let aa = match vol.active_aa {
             Some(aa) => aa,
@@ -334,26 +338,15 @@ pub(crate) fn allocate_vvbns(
                     AllocatorMode::CacheGuided if vol.cache_quarantined => None,
                     AllocatorMode::CacheGuided => match vol.cache.as_mut() {
                         Some(cache) => {
-                            let pick = match cache.pick_best(&vol.bitmap) {
-                                Some((aa, score)) if score.get() > 0 => Some((aa, score)),
-                                _ => {
-                                    // List drained: replenish from a scan
-                                    // and retry once; the scan cost is
-                                    // charged to the CP (§3.3.2's
-                                    // background scan).
-                                    if cache.maybe_replenish(&vol.bitmap, &mut vol.batch)? {
-                                        out.replenish_pages += vol.bitmap.page_count() as u64;
-                                        // The replenish scan re-derives AA
-                                        // scores from scratch; the cursor's
-                                        // resume point is no longer known
-                                        // to be ahead of every free block.
-                                        vol.drain_cursor = None;
-                                        cache.pick_best(&vol.bitmap).filter(|(_, s)| s.get() > 0)
-                                    } else {
-                                        None
-                                    }
-                                }
-                            };
+                            let (pick, scanned) = hbps_pick(cache, &vol.bitmap, &mut vol.batch)?;
+                            if scanned {
+                                out.replenish_pages += vol.bitmap.page_count() as u64;
+                                // The replenish scan re-derives AA scores
+                                // from scratch; the cursor's resume point
+                                // is no longer known to be ahead of every
+                                // free block.
+                                vol.drain_cursor = None;
+                            }
                             if let Some((_, score)) = pick {
                                 // True-best from the per-AA free-count
                                 // summary: O(aa_count) counter reads, not a
@@ -388,22 +381,7 @@ pub(crate) fn allocate_vvbns(
                         // rebuilt at the next clean mount.
                         None => None,
                     },
-                    AllocatorMode::RandomAa => {
-                        attempts += 1;
-                        if attempts > 4 * aa_count.max(8) {
-                            None
-                        } else {
-                            let aa = AaId(rng.random_range(0..aa_count));
-                            if !tried.insert(aa.index()) {
-                                continue;
-                            }
-                            let score = vol.topology.score_from_bitmap(&vol.bitmap, aa);
-                            if score.get() == 0 {
-                                continue;
-                            }
-                            Some((aa, score))
-                        }
-                    }
+                    AllocatorMode::RandomAa => draw.pick(&vol.topology, &vol.bitmap),
                 };
                 match picked {
                     Some((aa, score)) => {
@@ -416,7 +394,7 @@ pub(crate) fn allocate_vvbns(
                         // space full: first AA with free blocks, scored by
                         // popcount (a quarantined cache's scores are
                         // exactly what is suspect).
-                        let found = (0..aa_count).map(AaId).find_map(|aa| {
+                        let found = (0..vol.topology.aa_count()).map(AaId).find_map(|aa| {
                             let score = popcount_score(&vol.topology, &vol.bitmap, aa);
                             (score > 0).then_some((aa, AaScore(score)))
                         });
@@ -458,11 +436,6 @@ pub(crate) fn allocate_vvbns(
         if exhausted {
             vol.active_aa = None;
             vol.drain_cursor = None;
-            if taken == 0 && out.vbns.len() < n && mode == AllocatorMode::CacheGuided {
-                // Stale pick with nothing free; loop to pick again. The
-                // linear-sweep fallback above bounds this.
-                continue;
-            }
         } else {
             // Quota met mid-AA: the next drain resumes one past the last
             // VBN taken (frees into this AA invalidate the cursor).

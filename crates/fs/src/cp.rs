@@ -653,18 +653,24 @@ impl Aggregate {
     }
 
     /// Admission: `n` queued writes fit if each volume's fit its free
-    /// blocks and all fit the aggregate's free and logged blocks. A CP's
-    /// own overwrites and deletes free blocks only after [`Stage::Bind`],
-    /// so every write counts in full. AZCS checksum blocks need no room:
-    /// they are only costed (`azcs_physical_chains`), never allocated.
+    /// blocks and the frees this CP owes it, and all fit the aggregate's
+    /// free blocks and the frees owed to it: the delayed ones (a snapshot
+    /// delete's) and the logged ones. The planners land what they need of
+    /// those first. A CP's own overwrites and deletes free blocks only
+    /// after [`Stage::Bind`], so every write counts in full. AZCS checksum
+    /// blocks need no room: they are only costed (`azcs_physical_chains`),
+    /// never allocated.
     fn fits(&self, queued: &[(Vec<u64>, Vec<u64>)], n: u64) -> bool {
         let free = self.bitmap.free_blocks();
         // A crash mid-apply can leave logged frees whose bits are clear.
         let live = |v: &&Vbn| self.bitmap.is_free(**v) == Ok(false);
         let logged = || self.free_log.pending_vbns().iter().filter(live).count() as u64;
-        let vol_fits =
-            |(v, (w, _)): (&FlexVol, &(Vec<u64>, _))| w.len() as u64 <= v.bitmap.free_blocks();
-        (n <= free || n <= free + logged()) && self.vols.iter().zip(queued).all(vol_fits)
+        let delayed = || self.delayed_pvbn_frees.iter().filter(live).count() as u64;
+        let vol_fits = |(v, (w, _)): (&FlexVol, &(Vec<u64>, _))| {
+            w.len() <= v.bitmap.free_blocks() as usize + v.delayed_vvbn_frees.len()
+        };
+        (n <= free || n <= free + delayed() + logged())
+            && self.vols.iter().zip(queued).all(vol_fits)
     }
 
     /// The [`Stage`]s in order, then the CPU model.
@@ -725,6 +731,10 @@ impl Aggregate {
                 plans.push(AllocOutcome::default());
                 continue;
             }
+            if logicals.len() as u64 > vol.bitmap.free_blocks() {
+                // Admission counted the frees this CP owes the volume.
+                vol.flush_delayed_frees()?;
+            }
             let mode = if vol.config().aa_cache {
                 AllocatorMode::CacheGuided
             } else {
@@ -754,11 +764,20 @@ impl Aggregate {
     /// blocks a cache missed.
     fn plan_physical(&mut self, n: usize, cp: &mut CpRun) -> WaflResult<PhysicalPlan> {
         if n as u64 > self.bitmap.free_blocks() {
-            // Space pressure: pull the logged frees forward (the
-            // [18]-style reclamation path racing the allocator). A planner
-            // that scores AAs from the bitmap (HBPS replenish, random-AA
-            // mode, the sweep) finds the freed blocks there; a heap ranks
-            // by its own score array, so it gets the batch now.
+            // Space pressure: pull the frees this CP owes forward, the
+            // delayed ones (logged, or applied at once) and the logged
+            // ones (the [18]-style reclamation path racing the allocator).
+            // A planner that scores AAs from the bitmap (HBPS replenish,
+            // random-AA mode, the sweep) finds the freed blocks there; a
+            // heap ranks by its own score array, so it gets the batch now.
+            let owed = std::mem::take(&mut self.delayed_pvbn_frees);
+            if self.cfg.batched_frees {
+                for pvbn in owed {
+                    self.free_log.log_free(pvbn)?;
+                }
+            } else if !owed.is_empty() {
+                self.free_sorted(owed)?;
+            }
             self.apply_logged_frees(None, &mut cp.stats)?;
             for g in &mut self.groups {
                 if let Some(GroupCache::Heap(cache)) = g.cache.as_mut() {
@@ -983,8 +1002,9 @@ impl Aggregate {
     }
 
     /// CP-boundary cache rebalance (§3.3): each score batch applied to its
-    /// cache, the AAs the plans drained back into their heaps, and a
-    /// volume cache rebuilt from its bitmap when it ran low.
+    /// cache, the AAs the plans drained back into their heaps, and an
+    /// HBPS — a volume's or an object-store group's — rescanned from its
+    /// bitmap when its list ran low or its quality degraded.
     fn rebalance(&mut self, plans: &[(usize, AllocOutcome)], cp: &mut CpRun) -> WaflResult<()> {
         let tally = &mut cp.tally;
         let bitmap_ref = &self.bitmap;
@@ -995,16 +1015,11 @@ impl Aggregate {
                     cache.apply_batch(&mut g.batch);
                     // Drained AAs are reinserted below, post-batch.
                 }
-                Some(GroupCache::Hbps(hbps)) => {
-                    // Like the volume path: derive old scores from the
-                    // post-CP bitmap and the batched delta; no per-AA
-                    // score array exists (§3.3.2).
+                Some(GroupCache::Hbps(cache)) => {
                     tally.cache_ops += g.batch.touched_aas() as u64;
-                    for (aa, delta) in g.batch.drain() {
-                        let new = g.topology.score_from_bitmap(bitmap_ref, aa);
-                        let max = g.topology.aa_blocks(aa) as u32;
-                        let old = new.apply(wafl_types::ScoreDelta(-delta.0), max);
-                        hbps.on_score_change(aa, old, new)?;
+                    cache.apply_cp_batch(&mut g.batch, bitmap_ref)?;
+                    if cache.maybe_replenish(bitmap_ref, &mut g.batch)? {
+                        cp.stats.replenish_pages += g.scan_pages();
                     }
                 }
                 None => {
@@ -1139,7 +1154,9 @@ impl Aggregate {
                     // cache's best.
                     let cache_best = match cache {
                         GroupCache::Heap(h) => h.best().map(|(_, s)| s.get()).unwrap_or(0),
-                        GroupCache::Hbps(h) => h.peek_best().map(|(_, s)| s.get()).unwrap_or(0),
+                        GroupCache::Hbps(c) => {
+                            c.hbps().peek_best().map(|(_, s)| s.get()).unwrap_or(0)
+                        }
                     };
                     let active = g
                         .active_aa
@@ -1594,6 +1611,38 @@ mod tests {
         assert_refused(&mut a, 1);
     }
 
+    /// A snapshot delete's frees wait for a CP boundary, and admission
+    /// counts them. The aggregate is the short space (its frees applied
+    /// at once, then logged), then the volume: the snapshot pins the
+    /// blocks that overwrites of every free one left behind, and once it
+    /// is deleted, the next CP lands those frees before it plans and
+    /// writes the one queued block.
+    #[test]
+    fn a_snapshot_delete_makes_room_for_the_next_cp() {
+        for (device_blocks, vol_aas, batched) in [
+            (4 * 4096, 2, false),
+            (4 * 4096, 2, true),
+            (16 * 4096, 1, false),
+        ] {
+            let mut a = small_agg(device_blocks, vol_aas, 30_000);
+            a.cfg.batched_frees = batched;
+            crate::aging::fill_volume(&mut a, VolumeId(0), 4096).unwrap();
+            let snap = a.snapshot_create(VolumeId(0)).unwrap();
+            let short = |a: &Aggregate| a.bitmap().free_blocks().min(a.volumes()[0].free_blocks());
+            let free = short(&a);
+            for l in 0..free {
+                a.client_overwrite(VolumeId(0), l).unwrap();
+            }
+            assert_eq!(a.run_cp().unwrap().blocks_written, free);
+            assert_eq!(short(&a), 0);
+            a.snapshot_delete(VolumeId(0), snap).unwrap();
+            a.client_overwrite(VolumeId(0), free).unwrap();
+            let ctx = format!("{vol_aas} volume AAs, batched frees: {batched}");
+            assert_eq!(a.run_cp().unwrap().blocks_written, 1, "{ctx}");
+            assert_iron_clean(&a);
+        }
+    }
+
     /// Two volumes, and only the second is short of virtual blocks: the
     /// whole CP is refused, and the first volume gets no vvbn either. The
     /// lowest of the second volume's writes overwrites a mapped block, so
@@ -1990,12 +2039,13 @@ mod tests {
 
     /// One object-store group of 8 AAs with 258 000 of its 262 144 blocks
     /// live and immediate frees. Each churn CP's ~4 060 distinct writes
-    /// fit the 4 144 free blocks, but the HBPS planner gives up while AAs
-    /// are still listed: its attempt cap runs out as replenishes list
-    /// again the AAs the same call drained. Round 2's sweep finds the
-    /// blocks it missed, so every CP commits with Iron clean.
+    /// fit the 4 144 free blocks. So near full, every AA scores in the
+    /// HBPS's last bin, and the list cannot tell a full AA from one with
+    /// free blocks: a pick can draw a full AA even after the replenish a
+    /// miss runs, and the HBPS planner then stops. Round 2's sweep finds
+    /// the blocks it left, so every CP commits with Iron clean.
     #[test]
-    fn round_2_finds_what_the_hbps_planner_gave_up_on() {
+    fn round_2_finds_what_an_hbps_miss_in_the_last_bin_leaves() {
         const LOGICAL: u64 = 258_000;
         let group = RaidGroupSpec {
             data_devices: 1,

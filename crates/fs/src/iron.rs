@@ -38,7 +38,7 @@ use crate::volume::FlexVol;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use wafl_bitmap::Bitmap;
-use wafl_core::AaTopology;
+use wafl_core::{AaTopology, RaidAgnosticCache};
 use wafl_types::{AaId, AaScore, Vbn, WaflResult};
 
 /// Findings of a consistency check.
@@ -187,7 +187,7 @@ pub(crate) fn group_cache_divergences(g: &RaidGroupState, bitmap: &Bitmap) -> u6
             |aa| AaScore(popcount_score(&g.topology, bitmap, aa)),
             g.active_aa,
         ),
-        Some(GroupCache::Hbps(hbps)) => hbps.audit(popcount_scores(&g.topology, bitmap)),
+        Some(GroupCache::Hbps(cache)) => hbps_divergences(cache, bitmap),
         None => 0,
     }
 }
@@ -195,11 +195,16 @@ pub(crate) fn group_cache_divergences(g: &RaidGroupState, bitmap: &Bitmap) -> u6
 /// Divergences of `vol`'s HBPS from a popcount of its bitmap (0 without
 /// a cache).
 pub(crate) fn vol_cache_divergences(vol: &FlexVol) -> u64 {
-    vol.cache().map_or(0, |cache| {
-        cache
-            .hbps()
-            .audit(popcount_scores(&vol.topology, &vol.bitmap))
-    })
+    vol.cache()
+        .map_or(0, |cache| hbps_divergences(cache, &vol.bitmap))
+}
+
+/// Divergences of an HBPS cache, a volume's or a group's, from a
+/// popcount of the bitmap its topology tiles.
+fn hbps_divergences(cache: &RaidAgnosticCache, bitmap: &Bitmap) -> u64 {
+    cache
+        .hbps()
+        .audit(popcount_scores(cache.topology(), bitmap))
 }
 
 /// Every AA of `topology` with its popcount score.

@@ -17,7 +17,7 @@ use crate::aggregate::{Aggregate, GroupCache};
 use crate::scrub::ScrubTarget;
 use serde::{Deserialize, Serialize};
 use wafl_bitmap::Bitmap;
-use wafl_core::{topaa, AaTopology, Hbps, RaidAgnosticCache, RaidAwareCache};
+use wafl_core::{topaa, AaTopology, RaidAgnosticCache, RaidAwareCache};
 use wafl_faults::{FaultPlan, FaultSession, PageSel, ReadOutcome, StructureId};
 use wafl_obs::trace::TraceData;
 use wafl_types::{
@@ -140,8 +140,8 @@ pub fn save_topaa(agg: &Aggregate) -> TopAaImage {
             .map(|g| {
                 g.cache.as_ref().map(|c| match c {
                     GroupCache::Heap(h) => RgTopAa::Heap(topaa::serialize_raid_aware(h)),
-                    GroupCache::Hbps(h) => {
-                        let (a, b) = h.to_pages();
+                    GroupCache::Hbps(c) => {
+                        let (a, b) = c.to_topaa();
                         RgTopAa::Hbps(a, b)
                     }
                 })
@@ -263,7 +263,8 @@ fn seed_group(
         Some(RgTopAa::Hbps(hist, list)) => {
             seeding.blocks_read += 2;
             // HBPS restores complete — like a volume cache.
-            GroupCache::Hbps(Box::new(Hbps::from_pages_for(&g.topology, hist, list)?))
+            let cache = RaidAgnosticCache::from_topaa(g.topology.clone(), hist, list)?;
+            GroupCache::Hbps(Box::new(cache))
         }
     };
     let hint = image.rg_active.get(i).copied().flatten();
@@ -540,12 +541,8 @@ pub fn complete_background_rebuild(agg: &mut Aggregate) -> WaflResult<u64> {
                 cache.absorb_rebuild(&g.topology.all_scores(bitmap))?;
             }
             // An HBPS range restores complete from its two pages; a
-            // fenced one is rescanned. The rescan lists AAs by score
-            // alone, so none stays active beside it.
-            Some(GroupCache::Hbps(hbps)) if g.cache_quarantined => {
-                hbps.replenish(g.topology.all_scores(bitmap))?;
-                g.active_aa = None;
-            }
+            // fenced one is rebuilt.
+            Some(GroupCache::Hbps(_)) if g.cache_quarantined => g.rebuild_cache(bitmap)?,
             _ => continue,
         }
         scanned += bitmap.page_count() as u64;

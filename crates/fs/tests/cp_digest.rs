@@ -373,7 +373,8 @@ fn two_groups_under_backoff() {
 }
 
 /// A natively redundant (object-store) range: the group ranks its AAs
-/// with the two-page HBPS, replenished from the bitmap.
+/// with a volume's cache, the two-page HBPS, replenished from the bitmap
+/// on a pick miss and at the CP boundary.
 #[test]
 fn object_store_group() {
     const LOGICAL: u64 = 50_000;
@@ -395,7 +396,7 @@ fn object_store_group() {
         overwrite(&mut a, &mut rng, 0, LOGICAL, 4096);
         d.cp(&a.run_cp().unwrap());
     }
-    assert_eq!(d.finish(&a), 0xcef8_4111_97dc_e8bd);
+    assert_eq!(d.finish(&a), 0xb8fd_8c70_e73e_7f07);
 }
 
 /// A cache-less volume (random virtual AA picks) beside a cache-guided

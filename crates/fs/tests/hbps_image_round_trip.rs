@@ -15,10 +15,17 @@
 //! the frees of a force-drain ahead of round 0) while the group's batch
 //! still carried them. Takes and frees now enter the batch where they
 //! are applied, and a replenish spends it.
+//!
+//! An object-store group's HBPS is a volume's cache and takes the same
+//! steps, the CP-boundary replenish included: it is never left with its
+//! best counted bin unlisted, the state in which picks come from a worse
+//! bin than the error margin allows.
 
+use rand::prelude::*;
+use rand::rngs::StdRng;
 use wafl_bitmap::Bitmap;
 use wafl_core::{AaTopology, Hbps};
-use wafl_fs::{aging, mount, Aggregate, AggregateConfig, FlexVolConfig, RaidGroupSpec};
+use wafl_fs::{aging, iron, mount, Aggregate, AggregateConfig, FlexVolConfig, RaidGroupSpec};
 use wafl_media::MediaProfile;
 use wafl_types::VolumeId;
 use wafl_workloads::{Op, RandomOverwrite, Workload};
@@ -105,15 +112,13 @@ fn aged_volume_hbps_round_trips_after_every_cp() {
     );
 }
 
-/// An object-store group (HBPS-cached) at 95 % full with batched frees:
-/// every few CPs the writes exceed the free blocks, the delayed-free log
-/// is force-drained before the first planning round, and the rounds
-/// replenish the group's HBPS against a bitmap that already holds the
-/// drained frees and this CP's earlier claims.
-#[test]
-fn near_full_object_store_group_hbps_round_trips_after_every_cp() {
-    const LOGICAL: u64 = 250_000;
-    const FREE_PAGES_PER_CP: usize = 1;
+const NEAR_FULL_LOGICAL: u64 = 250_000;
+const FREE_PAGES_PER_CP: usize = 1;
+
+/// A 95 %-full aggregate on one object-store group of 64 × 4 096 blocks
+/// with batched frees, one page of them applied a CP, under one volume of
+/// 8 virtual AAs; `aa_cache` says whether the volume has its HBPS.
+fn near_full_object_store(aa_cache: bool) -> Aggregate {
     let mut agg = Aggregate::new(
         AggregateConfig {
             batched_frees: true,
@@ -128,22 +133,37 @@ fn near_full_object_store_group_hbps_round_trips_after_every_cp() {
         &[(
             FlexVolConfig {
                 size_blocks: 8 * 32768,
-                aa_cache: true,
+                aa_cache,
                 aa_blocks: None,
             },
-            LOGICAL,
+            NEAR_FULL_LOGICAL,
         )],
         0,
     )
     .unwrap();
     aging::fill_volume(&mut agg, VolumeId(0), 4096).unwrap();
-    let check_group = |agg: &Aggregate, ctx: &str| {
-        let g = &agg.groups()[0];
-        let hbps = g.hbps_cache().expect("object-store groups rank by HBPS");
-        check_hbps(hbps, g.topology(), agg.bitmap(), ctx);
-    };
+    agg
+}
+
+/// The group's HBPS passes its audit, writes an image that reads back,
+/// and lists an AA of its best counted bin.
+fn check_group(agg: &Aggregate, ctx: &str) {
+    let g = &agg.groups()[0];
+    let hbps = g.hbps_cache().expect("object-store groups rank by HBPS");
+    check_hbps(hbps, g.topology(), agg.bitmap(), ctx);
+    assert!(!hbps.needs_replenish(0), "{ctx}: best counted bin unlisted");
+}
+
+/// An object-store group (HBPS-cached) at 95 % full with batched frees:
+/// every few CPs the writes exceed the free blocks, the delayed-free log
+/// is force-drained before the first planning round, and the rounds
+/// replenish the group's HBPS against a bitmap that already holds the
+/// drained frees and this CP's earlier claims.
+#[test]
+fn near_full_object_store_group_hbps_round_trips_after_every_cp() {
+    let mut agg = near_full_object_store(true);
     check_group(&agg, "after fill");
-    let mut ops = RandomOverwrite::new(VolumeId(0), LOGICAL, 5);
+    let mut ops = RandomOverwrite::new(VolumeId(0), NEAR_FULL_LOGICAL, 5);
     let mut force_drain_cps = 0;
     for cp in 0..30 {
         for _ in 0..4096 {
@@ -162,4 +182,24 @@ fn near_full_object_store_group_hbps_round_trips_after_every_cp() {
         force_drain_cps > 0,
         "the run must force-drain the log, as the replenishes it guards need"
     );
+}
+
+/// The same near-full group under a volume without a cache, so that the
+/// group's HBPS is the only one picked from: after every CP it lists an
+/// AA of its best counted bin, because the CP boundary replenishes it as
+/// it does a volume's.
+#[test]
+fn a_near_full_object_store_groups_hbps_keeps_its_best_bin_listed() {
+    let mut agg = near_full_object_store(false);
+    let mut rng = StdRng::seed_from_u64(5);
+    for cp in 0..50 {
+        for _ in 0..4096 {
+            let logical = rng.random_range(0..NEAR_FULL_LOGICAL);
+            agg.client_overwrite(VolumeId(0), logical).unwrap();
+        }
+        agg.run_cp().unwrap();
+        let report = iron::check(&agg).unwrap();
+        assert!(report.is_clean(), "cp {cp}: {report:?}");
+        check_group(&agg, &format!("cp {cp}"));
+    }
 }

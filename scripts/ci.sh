@@ -127,10 +127,13 @@ run cargo clippy --workspace --all-targets -- -D warnings -D clippy::or_fun_call
 # pick bound), crates/harness/tests/alloc_smoke.rs (exact allocator
 # counters per arm) and wafl-cli's simulate_trace_exports_and_reports
 # (simulate --trace, then trace-report on the series CSV). The step's
-# wall time is printed: tier-1 is meant to stay under a minute warm.
+# wall time is printed: tier-1 is meant to stay under a minute warm. So
+# are the non-test lines per crate (scripts/loc.sh), the measure of a
+# change that means to shrink the code.
 test_start=$SECONDS
 run cargo test -q
 echo "==> cargo test -q took $((SECONDS - test_start)) s"
+run scripts/loc.sh
 # Online-scrub invariants, release-only (debug bitmap asserts fire on the
 # scribbles): two injected counter scribbles are each detected and
 # repaired by the scan step that reads them, and health stays Healthy.
