@@ -870,8 +870,7 @@ impl Aggregate {
             off += logicals.len();
             self.delayed_pvbn_frees
                 .extend(vol.remap_batch(logicals, &plan.vbns, chunk));
-            self.delayed_pvbn_frees
-                .extend(deletes.iter().filter_map(|&logical| vol.unmap(logical)));
+            self.delayed_pvbn_frees.extend(vol.unmap_batch(deletes));
         }
         Ok(())
     }
@@ -920,7 +919,8 @@ impl Aggregate {
             free_log,
             ..
         } = self;
-        let record = |pvbn, _: &mut wafl_bitmap::Bitmap| record_group_free(groups, pvbn, trim);
+        let record =
+            |frees: &[Vbn], _: &mut wafl_bitmap::Bitmap| record_group_frees(groups, frees, trim);
         let applied = match pages {
             Some(pages) => free_log.process(bitmap, pages, record)?,
             None => free_log.force_drain(bitmap, record)?,
@@ -930,44 +930,13 @@ impl Aggregate {
         Ok(())
     }
 
-    /// Apply physical frees at once: sort, walk the batch once for trim
-    /// and per-AA score accounting (the groups go by monotonically — they
-    /// are ordered by base VBN), then clear every bit with the word-masked
-    /// batch free instead of one bit flip per block. The score deltas
-    /// commute, so the reordering is state-neutral.
+    /// Apply physical frees at once: sort, book them on their groups,
+    /// then clear every bit with the word-masked batch free instead of
+    /// one bit flip per block. The score deltas commute, so the
+    /// reordering is state-neutral.
     fn free_sorted(&mut self, mut frees: Vec<Vbn>) -> WaflResult<()> {
         wafl_bitmap::sort_vbns(&mut frees);
-        let trim = self.cfg.trim_on_free;
-        let mut gi = 0usize;
-        // Sorted input means whole AA spans go by between topology
-        // lookups: one aa_span_of_vbn call per span crossed, not one
-        // aa_of_vbn per block — and one record_freed per span rather than
-        // per block, so the score batch sees a handful of AA entries
-        // instead of thousands of single-block updates.
-        let mut span_aa = wafl_types::AaId(0);
-        let mut span_end = Vbn(0);
-        let mut span_gi = 0usize;
-        let mut span_freed: u32 = 0;
-        for &pvbn in &frees {
-            while !self.groups[gi].geometry.contains(pvbn) {
-                gi += 1;
-            }
-            if pvbn >= span_end {
-                if span_freed > 0 {
-                    self.groups[span_gi].batch.record_freed(span_aa, span_freed);
-                }
-                (span_aa, span_end) = self.groups[gi].topology.aa_span_of_vbn(pvbn)?;
-                span_gi = gi;
-                span_freed = 0;
-            }
-            span_freed += 1;
-            if trim {
-                trim_freed(&mut self.groups[gi], pvbn)?;
-            }
-        }
-        if span_freed > 0 {
-            self.groups[span_gi].batch.record_freed(span_aa, span_freed);
-        }
+        record_group_frees(&mut self.groups, &frees, self.cfg.trim_on_free)?;
         self.bitmap.free_sorted_blocks(&frees)
     }
 
@@ -1210,18 +1179,39 @@ impl Aggregate {
     }
 }
 
-/// Record one applied physical free on its group: the AA's score delta
-/// and, under `trim_on_free`, a TRIM to its SSD. The delayed-free log
-/// calls this for every free it applies, budgeted or force-drained.
-fn record_group_free(groups: &mut [RaidGroupState], pvbn: Vbn, trim: bool) -> WaflResult<()> {
-    let g = groups
-        .iter_mut()
-        .find(|g| g.geometry.contains(pvbn))
-        .expect("freed pvbn belongs to a group");
-    let aa = g.topology.aa_of_vbn(pvbn)?;
-    g.batch.record_freed(aa, 1);
-    if trim {
-        trim_freed(g, pvbn)?;
+/// Book applied physical frees, strictly ascending, on their groups:
+/// one AA score delta per AA span and, under `trim_on_free`, a TRIM per
+/// block to its SSD. Both free paths book here: the immediate one with
+/// a CP's whole batch, the delayed-free log with each page it applies,
+/// budgeted or force-drained. Sorted input means the groups (ordered by
+/// base VBN) and whole AA spans go by in order: one `aa_span_of_vbn` per
+/// span crossed, not one `aa_of_vbn` per block, so the score batch sees
+/// a handful of AA entries instead of thousands of single-block updates.
+fn record_group_frees(groups: &mut [RaidGroupState], frees: &[Vbn], trim: bool) -> WaflResult<()> {
+    let mut gi = 0usize;
+    let mut span_aa = wafl_types::AaId(0);
+    let mut span_end = Vbn(0);
+    let mut span_gi = 0usize;
+    let mut span_freed: u32 = 0;
+    for &pvbn in frees {
+        while !groups[gi].geometry.contains(pvbn) {
+            gi += 1;
+        }
+        if pvbn >= span_end {
+            if span_freed > 0 {
+                groups[span_gi].batch.record_freed(span_aa, span_freed);
+            }
+            (span_aa, span_end) = groups[gi].topology.aa_span_of_vbn(pvbn)?;
+            span_gi = gi;
+            span_freed = 0;
+        }
+        span_freed += 1;
+        if trim {
+            trim_freed(&mut groups[gi], pvbn)?;
+        }
+    }
+    if span_freed > 0 {
+        groups[span_gi].batch.record_freed(span_aa, span_freed);
     }
     Ok(())
 }

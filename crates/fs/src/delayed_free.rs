@@ -17,9 +17,12 @@
 //! [`DelayedFreeLog`] is that log + HBPS; [`crate::Aggregate`] routes
 //! physical frees through it when [`crate::AggregateConfig::batched_frees`]
 //! is set, and processes a budgeted number of pages at each CP boundary.
+//! The log is a list per bitmap page, indexed by page number, and a page
+//! is applied whole: its frees sorted, cleared with one masked store per
+//! touched bitmap word, and handed to the caller's bookkeeping as one
+//! ascending slice.
 
-use std::collections::HashMap;
-use wafl_bitmap::Bitmap;
+use wafl_bitmap::{sort_vbns, Bitmap};
 use wafl_core::{Hbps, HbpsConfig};
 use wafl_types::{AaId, AaScore, Vbn, WaflResult, BITS_PER_BITMAP_BLOCK};
 
@@ -35,8 +38,13 @@ pub struct DelayedFreeStats {
 /// A log of pending physical frees, indexed by the bitmap-metafile page
 /// each free will dirty, with an HBPS ranking pages by pending count.
 pub struct DelayedFreeLog {
-    /// Pending frees per metafile page.
-    per_page: HashMap<u64, Vec<Vbn>>,
+    /// Pending frees per metafile page, indexed by page number (grown
+    /// on demand; an applied page keeps its buffer for the next frees).
+    per_page: Vec<Vec<Vbn>>,
+    /// Pages with pending frees.
+    pending_pages: usize,
+    /// A page's live frees while it is applied (reused).
+    live: Vec<Vbn>,
     /// Pages ranked by pending-free count. Page index stands in for the
     /// "AA" id; the score is the pending count.
     hbps: Hbps,
@@ -53,7 +61,9 @@ impl DelayedFreeLog {
     /// An empty log.
     pub fn new() -> DelayedFreeLog {
         DelayedFreeLog {
-            per_page: HashMap::new(),
+            per_page: Vec::new(),
+            pending_pages: 0,
+            live: Vec::new(),
             // Score space = frees pending against one 32 Ki-bit page.
             // 256 bins (width 128) — finer than the AA cache's 32,
             // because pending counts cluster in the low thousands and the
@@ -75,7 +85,7 @@ impl DelayedFreeLog {
 
     /// Distinct metafile pages with pending frees.
     pub fn pending_pages(&self) -> usize {
-        self.per_page.len()
+        self.pending_pages
     }
 
     /// Every logged-but-unapplied VBN, sorted (deterministic order for
@@ -83,7 +93,7 @@ impl DelayedFreeLog {
     pub fn pending_vbns(&self) -> Vec<Vbn> {
         let mut vbns: Vec<Vbn> = self
             .per_page
-            .values()
+            .iter()
             .flat_map(|v| v.iter().copied())
             .collect();
         vbns.sort_unstable_by_key(|v| v.get());
@@ -97,10 +107,15 @@ impl DelayedFreeLog {
     /// at most `max_score` bits).
     pub fn log_free(&mut self, vbn: Vbn) -> WaflResult<()> {
         let page = vbn.get() / BITS_PER_BITMAP_BLOCK;
-        let entry = self.per_page.entry(page).or_default();
+        let i = page as usize;
+        if i >= self.per_page.len() {
+            self.per_page.resize_with(i + 1, Vec::new);
+        }
+        let entry = &mut self.per_page[i];
         let old = entry.len() as u32;
         entry.push(vbn);
         if old == 0 {
+            self.pending_pages += 1;
             self.hbps.track_new(AaId(page as u32), AaScore(1))?;
         } else {
             self.hbps
@@ -112,13 +127,14 @@ impl DelayedFreeLog {
 
     /// Apply the pending frees of up to `page_budget` pages — best
     /// (fullest) pages first, so each metafile-page write retires the
-    /// most frees. `record` runs once per applied VBN (the CP engine uses
-    /// it to update AA-score batches and TRIM).
+    /// most frees. `record` runs once per applied page with its applied
+    /// VBNs, strictly ascending (the CP engine books them as AA-score
+    /// deltas and TRIMs).
     pub fn process(
         &mut self,
         bitmap: &mut Bitmap,
         page_budget: usize,
-        mut record: impl FnMut(Vbn, &mut Bitmap) -> WaflResult<()>,
+        mut record: impl FnMut(&[Vbn], &mut Bitmap) -> WaflResult<()>,
     ) -> WaflResult<DelayedFreeStats> {
         let mut stats = DelayedFreeStats::default();
         for _ in 0..page_budget {
@@ -129,40 +145,33 @@ impl DelayedFreeLog {
             let Some((page, _bound)) = self.hbps.take_best() else {
                 break;
             };
-            let Some(frees) = self.per_page.remove(&(page.get() as u64)) else {
+            let Some(frees) = self
+                .per_page
+                .get_mut(page.index())
+                .filter(|frees| !frees.is_empty())
+            else {
                 continue; // stale entry from a replenish race
             };
             let count = frees.len() as u32;
             // Replay idempotence: a crash between a bitmap-page write and
             // the log absolution leaves entries whose blocks are already
             // free. Skipping them makes post-crash replay safe instead of
-            // a double-free error. The survivors are sorted and coalesced
-            // so each consecutive run clears with one bulk `free_run` —
-            // one summary update per touched page, not one per block.
-            let mut live: Vec<Vbn> = Vec::with_capacity(frees.len());
-            for vbn in frees {
+            // a double-free error. The survivors are sorted and cleared
+            // with one masked store per touched word.
+            let live = &mut self.live;
+            live.clear();
+            for &vbn in frees.iter() {
                 if !bitmap.is_free(vbn)? {
                     live.push(vbn);
                 }
             }
-            live.sort_unstable();
+            frees.clear();
+            self.pending_pages -= 1;
+            sort_vbns(live);
             live.dedup();
-            let mut i = 0usize;
-            while i < live.len() {
-                let start = live[i];
-                let mut len = 1u64;
-                while i + (len as usize) < live.len()
-                    && live[i + len as usize].get() == start.get() + len
-                {
-                    len += 1;
-                }
-                bitmap.free_run(start, len)?;
-                for k in 0..len {
-                    record(Vbn(start.get() + k), bitmap)?;
-                }
-                stats.frees_applied += len;
-                i += len as usize;
-            }
+            bitmap.free_sorted_blocks(live)?;
+            record(live, bitmap)?;
+            stats.frees_applied += live.len() as u64;
             self.total_pending -= count as u64;
             self.hbps.untrack(page, AaScore(count))?;
             stats.pages_processed += 1;
@@ -172,15 +181,13 @@ impl DelayedFreeLog {
 
     /// Each logged page with its pending count — the truth the ranking
     /// indexes — in page order: the ranking breaks score ties by
-    /// arrival, and the map's order is its per-process hash seed's.
+    /// arrival.
     fn page_scores(&self) -> Vec<(AaId, AaScore)> {
-        let mut scores: Vec<(AaId, AaScore)> = self
-            .per_page
-            .iter()
-            .map(|(&p, v)| (AaId(p as u32), AaScore(v.len() as u32)))
-            .collect();
-        scores.sort_unstable_by_key(|&(page, _)| page);
-        scores
+        (0u32..)
+            .zip(&self.per_page)
+            .filter(|(_, v)| !v.is_empty())
+            .map(|(p, v)| (AaId(p), AaScore(v.len() as u32)))
+            .collect()
     }
 
     /// Rebuild the ranking from the log itself: the replenish scan, and
@@ -200,9 +207,9 @@ impl DelayedFreeLog {
     pub fn force_drain(
         &mut self,
         bitmap: &mut Bitmap,
-        record: impl FnMut(Vbn, &mut Bitmap) -> WaflResult<()>,
+        record: impl FnMut(&[Vbn], &mut Bitmap) -> WaflResult<()>,
     ) -> WaflResult<DelayedFreeStats> {
-        let pages = self.per_page.len();
+        let pages = self.pending_pages;
         self.process(bitmap, pages + 1, record)
     }
 
@@ -254,8 +261,8 @@ mod tests {
                 log.log_free(vbn).unwrap();
             }
             let mut order = Vec::new();
-            log.force_drain(&mut bitmap, |v, _| {
-                order.push(v.get() / BITS_PER_BITMAP_BLOCK);
+            log.force_drain(&mut bitmap, |vbns, _| {
+                order.extend(vbns.iter().map(|v| v.get() / BITS_PER_BITMAP_BLOCK));
                 Ok(())
             })
             .unwrap();
@@ -274,13 +281,12 @@ mod tests {
         assert_eq!(log.audit(), 0);
         // Page 0's pending count grows from 3 to 203 behind the ranking's
         // back: two bin counts and page 0's list entry now disagree.
-        let page0 = log.per_page.get_mut(&0).unwrap();
-        page0.extend((3..203).map(Vbn));
+        log.per_page[0].extend((3..203).map(Vbn));
         assert_eq!(log.audit(), 3);
         log.rebuild_ranking().unwrap();
         assert_eq!(log.audit(), 0);
         // A page that leaves the log without leaving the ranking.
-        log.per_page.remove(&1);
+        log.per_page[1].clear();
         assert_eq!(log.audit(), 2, "its bin count and its list entry");
     }
 
@@ -306,18 +312,14 @@ mod tests {
             log.log_free(Vbn(6 * 32768 + i)).unwrap();
         }
         let mut order = Vec::new();
-        log.process(&mut bitmap, 1, |v, _| {
-            if order.last() != Some(&(v.get() / 32768)) {
-                order.push(v.get() / 32768);
-            }
+        log.process(&mut bitmap, 1, |vbns, _| {
+            order.push(vbns[0].get() / 32768);
             Ok(())
         })
         .unwrap();
         assert_eq!(order, vec![3], "fullest page first");
-        log.process(&mut bitmap, 1, |v, _| {
-            if order.last() != Some(&(v.get() / 32768)) {
-                order.push(v.get() / 32768);
-            }
+        log.process(&mut bitmap, 1, |vbns, _| {
+            order.push(vbns[0].get() / 32768);
             Ok(())
         })
         .unwrap();

@@ -286,7 +286,48 @@ impl FlexVol {
             let displaced = self.vvbn_map.insert(vvbn.get(), pvbn.get());
             debug_assert!(displaced.is_none(), "{vvbn} was mapped before its CP");
         }
-        let mut freed_pvbns = Vec::with_capacity(logicals.len());
+        self.release_all(old_vvbns)
+    }
+
+    /// Remove `logical`'s mapping entirely (file deletion / hole punch),
+    /// queue the freed vvbn as a delayed free and return the freed pvbn
+    /// (`None` if the block was unmapped or a snapshot pins it). The
+    /// one-block reference [`FlexVol::unmap_batch`] is tested against.
+    #[cfg(test)]
+    #[deny(clippy::cast_possible_truncation)]
+    pub(crate) fn unmap(&mut self, logical: u64) -> Option<Vbn> {
+        let old_v = std::mem::replace(&mut self.logical_map[index(logical)], UNMAPPED);
+        if old_v == UNMAPPED {
+            return None;
+        }
+        let (old_v, old_p) = self.release_or_detach(Vbn(u64::from(old_v)))?;
+        self.delayed_vvbn_frees.push(old_v);
+        Some(old_p)
+    }
+
+    /// CP unmap for one volume's queued deletes (file deletion / hole
+    /// punch): remove each of `logicals`' mappings entirely, queue the
+    /// freed vvbns as delayed frees and return the freed pvbns; blocks
+    /// that were unmapped free nothing, and pinned ones detach. Two passes
+    /// as in [`FlexVol::remap_batch`] — clear the `logical_map` slots
+    /// gathering the old vvbns, then release their map slots — so the
+    /// misses of a pass overlap. A CP's deletes are distinct logicals, so
+    /// the end state is that of the per-block order.
+    #[deny(clippy::cast_possible_truncation)]
+    pub(crate) fn unmap_batch(&mut self, logicals: &[u64]) -> Vec<Vbn> {
+        let old_vvbns: Vec<u32> = logicals
+            .iter()
+            .map(|&logical| std::mem::replace(&mut self.logical_map[index(logical)], UNMAPPED))
+            .collect();
+        self.release_all(old_vvbns)
+    }
+
+    /// The bind's last pass: release or detach each old vvbn a batch
+    /// unlinked (`UNMAPPED` for a slot that held none), queueing the
+    /// released ones as delayed frees; returns their pvbns.
+    #[deny(clippy::cast_possible_truncation)]
+    fn release_all(&mut self, old_vvbns: Vec<u32>) -> Vec<Vbn> {
+        let mut freed_pvbns = Vec::with_capacity(old_vvbns.len());
         for old_v in old_vvbns {
             if old_v == UNMAPPED {
                 continue;
@@ -297,21 +338,6 @@ impl FlexVol {
             }
         }
         freed_pvbns
-    }
-
-    /// Remove `logical`'s mapping entirely (file deletion / hole punch).
-    /// Like [`FlexVol::remap_batch`], queue the freed vvbn as a delayed
-    /// free and return the freed pvbn (`None` if the block was unmapped
-    /// or a snapshot pins it).
-    #[deny(clippy::cast_possible_truncation)]
-    pub(crate) fn unmap(&mut self, logical: u64) -> Option<Vbn> {
-        let old_v = std::mem::replace(&mut self.logical_map[index(logical)], UNMAPPED);
-        if old_v == UNMAPPED {
-            return None;
-        }
-        let (old_v, old_p) = self.release_or_detach(Vbn(u64::from(old_v)))?;
-        self.delayed_vvbn_frees.push(old_v);
-        Some(old_p)
     }
 
     /// The active file system no longer references `old_v`: free it now,
@@ -545,6 +571,36 @@ mod tests {
         }
         assert!(batched.detached_blocks() > 0, "the snapshot pinned blocks");
         assert!(!batched.delayed_vvbn_frees.is_empty());
+    }
+
+    #[test]
+    fn staged_unmap_batch_matches_per_block_unmap() {
+        // Four CPs of writes, then deletes: of mapped blocks, of blocks
+        // never written or deleted before, and — a snapshot taken before
+        // the third — of pinned blocks (detach) beside unpinned ones.
+        let (mut batched, mut looped) = (vol(), vol());
+        let mut next_vbn = 0u64;
+        for cp in 0..4u64 {
+            if cp == 2 {
+                batched.snapshot_create();
+                looped.snapshot_create();
+            }
+            for l in (0..600).filter(|l| (l + cp) % 4 != 0) {
+                let (v, p) = (Vbn(next_vbn), Vbn(500_000 + 2 * next_vbn));
+                next_vbn += 1;
+                for vol in [&mut batched, &mut looped] {
+                    if let Some((old_v, _)) = vol.remap(l, v, p) {
+                        vol.delayed_vvbn_frees.push(old_v);
+                    }
+                }
+            }
+            let deletes: Vec<u64> = (0..1000).rev().filter(|l| (l * 7 + cp) % 5 == 0).collect();
+            let freed = batched.unmap_batch(&deletes);
+            let freed_ref: Vec<Vbn> = deletes.iter().filter_map(|&l| looped.unmap(l)).collect();
+            assert_eq!(freed, freed_ref, "cp {cp}: freed pvbns, in order");
+            assert_same_bind_state(&batched, &looped, &format!("cp {cp}"));
+        }
+        assert!(batched.detached_blocks() > 0, "the snapshot pinned blocks");
     }
 
     #[test]

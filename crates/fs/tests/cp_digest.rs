@@ -21,9 +21,12 @@
 //! `batched_frees_near_full_force_drain` was re-pinned when a shortfall
 //! retry began ranking again the AAs earlier rounds drained, and again
 //! when the force-drain moved ahead of the CP's first planning round
-//! (round 0 now plans with the blocks the drain freed). A change that
-//! moves a constant is a change in what a CP does. No geometry sets
-//! `trim_on_free` (TRIMs do not feed `CpStats`, but keep it that way).
+//! (round 0 now plans with the blocks the drain freed).
+//! `ssd_groups_batched_frees`, the one geometry on SSDs, was recorded at
+//! commit 1d95e9f, before the FTL's collector began resolving a victim's
+//! pages ahead of moving them. A change that moves a constant is a change
+//! in what a CP does. No geometry sets `trim_on_free` (TRIMs do not feed
+//! `CpStats`, but keep it that way).
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -427,6 +430,53 @@ fn volume_without_aa_cache() {
     }
     d.cp(&a.run_cp().unwrap());
     assert_eq!(d.finish(&a), 0x449f_56bf_b827_a718);
+}
+
+/// Two SSD 4 + 1 groups under two volumes with batched frees: a fill to
+/// ~85 %, then overwrites and deletes until every device has been
+/// written end to end and its FTL collects garbage. The only digest whose
+/// CPs write through `SsdFtl` — its relocations and erases reach
+/// `media_us` — so the end-state write amplification is folded in too.
+#[test]
+fn ssd_groups_batched_frees() {
+    const LOGICAL: u64 = 110_000;
+    let spec = RaidGroupSpec {
+        data_devices: 4,
+        parity_devices: 1,
+        device_blocks: 8 * 4096,
+        profile: MediaProfile::ssd(),
+    };
+    let mut a = Aggregate::new(
+        AggregateConfig {
+            raid_groups: vec![spec.clone(), spec.clone()],
+            batched_frees: true,
+            ..AggregateConfig::single_group(spec)
+        },
+        &[(vol(4 * 32768, true), LOGICAL); 2],
+        6,
+    )
+    .unwrap();
+    let mut d = Digest::new();
+    fill(&mut a, &mut d, 0, LOGICAL, 4096);
+    fill(&mut a, &mut d, 1, LOGICAL, 4096);
+    let mut rng = StdRng::seed_from_u64(17);
+    for _ in 0..40 {
+        for v in 0..2 {
+            overwrite(&mut a, &mut rng, v, LOGICAL, 1500);
+            for _ in 0..300 {
+                a.client_delete(VolumeId(v), rng.random_range(0..LOGICAL))
+                    .unwrap();
+            }
+        }
+        d.cp(&a.run_cp().unwrap());
+    }
+    let wa = a.mean_write_amplification();
+    assert!(
+        wa > 1.0,
+        "the run must make the FTLs collect garbage: WA {wa}"
+    );
+    d.f64(wa);
+    assert_eq!(d.finish(&a), 0xe654_a9b5_cbf0_a234);
 }
 
 /// Two groups and two volumes with batched frees and the runtime

@@ -6,6 +6,15 @@
 //! exploits: draining whole (erase-block-aligned) allocation areas makes
 //! pages that were written together become invalid together, so the
 //! greedy collector finds nearly-empty victims and relocates little.
+//!
+//! The maps of a device the size of a real one outgrow the CPU's caches,
+//! so the FTL works in passes where a page at a time would wait on one
+//! cache miss after another. A batch of host writes first checks every
+//! LPN's mapping (independent loads whose misses overlap), then writes;
+//! the collector first resolves the victim's live pages, then moves them.
+//! The greedy victim — the lowest-numbered block among those with the
+//! fewest valid pages — comes from an index of the sealed blocks by
+//! valid count instead of a scan over every erase block.
 
 use serde::{Deserialize, Serialize};
 use wafl_types::{WaflError, WaflResult};
@@ -39,6 +48,64 @@ impl SsdStats {
     }
 }
 
+/// The sealed erase blocks (neither erased nor being programmed) by
+/// valid-page count: bit `eb` of row `c` is set when block `eb` is sealed
+/// and holds `c` valid pages, and bit `c` of `counts` when row `c` has a
+/// bit set. The collector's victim is two first-set-bit scans away.
+#[derive(Debug, PartialEq, Eq)]
+struct VictimIndex {
+    /// Words per row: one bit per erase block.
+    words: usize,
+    /// One row per valid count, `0..=erase_block_pages`.
+    rows: Vec<u64>,
+    counts: Vec<u64>,
+}
+
+/// Index of the first set bit of `words`.
+fn first_set(words: &[u64]) -> Option<usize> {
+    let i = words.iter().position(|&w| w != 0)?;
+    Some(i * 64 + words[i].trailing_zeros() as usize)
+}
+
+impl VictimIndex {
+    fn new(erase_blocks: usize, erase_block_pages: u32) -> VictimIndex {
+        let words = erase_blocks.div_ceil(64);
+        let counts = erase_block_pages as usize + 1;
+        VictimIndex {
+            words,
+            rows: vec![0; counts * words],
+            counts: vec![0; counts.div_ceil(64)],
+        }
+    }
+
+    /// Row `count`'s span of `rows`.
+    fn row(&self, count: u32) -> std::ops::Range<usize> {
+        let start = count as usize * self.words;
+        start..start + self.words
+    }
+
+    fn insert(&mut self, eb: u32, count: u32) {
+        let row = self.row(count);
+        self.rows[row][eb as usize / 64] |= 1 << (eb % 64);
+        self.counts[count as usize / 64] |= 1 << (count % 64);
+    }
+
+    fn remove(&mut self, eb: u32, count: u32) {
+        let row = self.row(count);
+        let row = &mut self.rows[row];
+        row[eb as usize / 64] &= !(1 << (eb % 64));
+        if row.iter().all(|&w| w == 0) {
+            self.counts[count as usize / 64] &= !(1 << (count % 64));
+        }
+    }
+
+    /// The lowest-numbered block among those with the fewest valid pages.
+    fn fewest(&self) -> Option<u32> {
+        let count = first_set(&self.counts)? as u32;
+        first_set(&self.rows[self.row(count)]).map(|eb| eb as u32)
+    }
+}
+
 /// A page-mapped FTL over one SSD.
 ///
 /// Logical page numbers (LPNs) are the device DBNs; 4 KiB pages. Physical
@@ -56,11 +123,10 @@ pub struct SsdFtl {
     valid: Vec<u32>,
     /// Fully erased blocks available for writing.
     free_ebs: Vec<u32>,
-    /// `free_ebs` membership per erase block, so that the GC's victim
-    /// scan asks in O(1) what a search of the list would answer.
-    is_free: Vec<bool>,
-    /// Pick GC victims the way the code did before `is_free` existed
-    /// (the differential test's reference side).
+    /// The sealed blocks by valid count: the GC's victim candidates.
+    victims: VictimIndex,
+    /// Pick GC victims by a search of every block, as the code did before
+    /// the index (the differential test's reference side).
     #[cfg(test)]
     pick_by_list_search: bool,
     /// Erase block currently being programmed, and its fill level.
@@ -69,6 +135,9 @@ pub struct SsdFtl {
     /// GC refills the free list up to this many blocks.
     gc_reserve: usize,
     in_gc: bool,
+    /// Reused buffers: a host batch's LPNs, a victim's live LPNs.
+    batch: Vec<u32>,
+    moving: Vec<u32>,
     stats: SsdStats,
     /// Page program time, µs.
     pub program_us: f64,
@@ -115,13 +184,15 @@ impl SsdFtl {
             p2l: vec![UNMAPPED; physical_pages as usize],
             valid: vec![0; physical_ebs as usize],
             free_ebs: (0..physical_ebs as u32).rev().collect(),
-            is_free: vec![true; physical_ebs as usize],
+            victims: VictimIndex::new(physical_ebs as usize, erase_block_pages),
             #[cfg(test)]
             pick_by_list_search: false,
             active: 0,
             write_ptr: 0,
             gc_reserve,
             in_gc: false,
+            batch: Vec::new(),
+            moving: Vec::new(),
             stats: SsdStats::default(),
             program_us: 200.0,
             read_us: 60.0,
@@ -157,36 +228,31 @@ impl SsdFtl {
         let old = self.l2p[lpn as usize];
         if old != UNMAPPED {
             self.p2l[old as usize] = UNMAPPED;
-            self.valid[(old / self.erase_block_pages) as usize] -= 1;
+            let eb = old / self.erase_block_pages;
+            let valid = &mut self.valid[eb as usize];
+            *valid -= 1;
+            if eb != self.active {
+                self.victims.remove(eb, *valid + 1);
+                self.victims.insert(eb, *valid);
+            }
             self.l2p[lpn as usize] = UNMAPPED;
         }
     }
 
     /// Take an erased block off the free list.
     fn pop_free(&mut self) -> u32 {
-        let eb = self
-            .free_ebs
+        self.free_ebs
             .pop()
-            .expect("FTL invariant: free list never empties (OP + reserve)");
-        self.is_free[eb as usize] = false;
-        eb
-    }
-
-    /// The GC's victim: the lowest-numbered of the sealed blocks (neither
-    /// active nor erased) with the fewest valid pages.
-    fn pick_victim(&self) -> u32 {
-        (0u32..)
-            .zip(self.valid.iter().zip(&self.is_free))
-            .filter(|&(eb, (_, &free))| eb != self.active && !free)
-            .min_by_key(|&(_, (&valid, _))| valid)
-            .map(|(eb, _)| eb)
-            .expect("non-free erase block exists")
+            .expect("FTL invariant: free list never empties (OP + reserve)")
     }
 
     /// Claim the next physical page of the active block, rolling to a new
-    /// erase block (and triggering GC) as needed.
+    /// erase block (and triggering GC) as needed. The full block is
+    /// sealed: it joins the victim index.
     fn alloc_page(&mut self) -> u32 {
         if self.write_ptr == self.erase_block_pages {
+            self.victims
+                .insert(self.active, self.valid[self.active as usize]);
             self.active = self.pop_free();
             self.write_ptr = 0;
             if !self.in_gc && self.free_ebs.len() < self.gc_reserve {
@@ -201,36 +267,47 @@ impl SsdFtl {
     /// Greedy collection: always the victim with the fewest valid pages,
     /// mirroring the "FTL must first relocate all active data in the erase
     /// block elsewhere" description of §3.2.2.
+    ///
+    /// Two passes per victim. The first reads the victim's reverse map and
+    /// checks that each live page's forward entry points back at it: those
+    /// loads are independent, so their cache misses overlap, and they
+    /// bring in the lines the second pass — the moves — then stores to.
     fn run_gc(&mut self) {
         self.in_gc = true;
+        let mut moving = std::mem::take(&mut self.moving);
         while self.free_ebs.len() < self.gc_reserve {
-            let victim = self.pick_victim();
+            let victim = self.victims.fewest().expect("a sealed erase block exists");
             #[cfg(test)]
             let victim = if self.pick_by_list_search {
                 tests::victim_by_list_search(self)
             } else {
                 victim
             };
+            self.victims.remove(victim, self.valid[victim as usize]);
             let base = victim * self.erase_block_pages;
-            for p in base..base + self.erase_block_pages {
-                let lpn = self.p2l[p as usize];
+            let pages = &mut self.p2l[base as usize..(base + self.erase_block_pages) as usize];
+            moving.clear();
+            for (p, &lpn) in (base..).zip(pages.iter()) {
                 if lpn != UNMAPPED {
-                    // Relocate the still-valid page.
-                    self.p2l[p as usize] = UNMAPPED;
-                    self.valid[victim as usize] -= 1;
-                    let dst = self.alloc_page();
-                    self.l2p[lpn as usize] = dst;
-                    self.p2l[dst as usize] = lpn;
-                    self.valid[(dst / self.erase_block_pages) as usize] += 1;
-                    self.stats.nand_writes += 1;
-                    self.stats.gc_relocations += 1;
+                    assert_eq!(self.l2p[lpn as usize], p, "FTL maps disagree on LPN {lpn}");
+                    moving.push(lpn);
                 }
             }
-            debug_assert_eq!(self.valid[victim as usize], 0);
+            pages.fill(UNMAPPED);
+            debug_assert_eq!(self.valid[victim as usize] as usize, moving.len());
+            self.valid[victim as usize] = 0;
+            for &lpn in &moving {
+                let dst = self.alloc_page();
+                self.l2p[lpn as usize] = dst;
+                self.p2l[dst as usize] = lpn;
+                self.valid[self.active as usize] += 1;
+            }
+            self.stats.nand_writes += moving.len() as u64;
+            self.stats.gc_relocations += moving.len() as u64;
             self.stats.erases += 1;
             self.free_ebs.push(victim);
-            self.is_free[victim as usize] = true;
         }
+        self.moving = moving;
         self.in_gc = false;
     }
 
@@ -256,11 +333,27 @@ impl SsdFtl {
     /// Write a batch of logical pages and return the cost in microseconds:
     /// programs for host pages and relocations, reads for relocations, and
     /// erase time for blocks recycled while absorbing this batch.
+    ///
+    /// A check pass first asserts that each page's two map entries agree
+    /// (independent loads: their misses overlap, and the writes then find
+    /// the lines in cache), up to the first LPN out of range; the writes
+    /// fail there, after those before it.
     pub fn write_batch(&mut self, lpns: impl IntoIterator<Item = u32>) -> WaflResult<f64> {
         let before = self.stats;
-        for lpn in lpns {
-            self.host_write(lpn)?;
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.clear();
+        batch.extend(lpns);
+        for &lpn in &batch {
+            let Some(&p) = self.l2p.get(lpn as usize) else {
+                break;
+            };
+            if p != UNMAPPED {
+                assert_eq!(self.p2l[p as usize], lpn, "FTL maps disagree on LPN {lpn}");
+            }
         }
+        let written = batch.iter().try_for_each(|&lpn| self.host_write(lpn));
+        self.batch = batch;
+        written?;
         let d_nand = self.stats.nand_writes - before.nand_writes;
         let d_reloc = self.stats.gc_relocations - before.gc_relocations;
         let d_erase = self.stats.erases - before.erases;
@@ -302,8 +395,8 @@ mod tests {
     use super::*;
     use rand::prelude::*;
 
-    /// The victim scan as it was: every erase block asks the free *list*
-    /// whether it is on it.
+    /// The victim search as it was before the index: every erase block
+    /// asks the free *list* whether it is on it.
     pub(super) fn victim_by_list_search(ftl: &SsdFtl) -> u32 {
         ftl.valid
             .iter()
@@ -314,15 +407,35 @@ mod tests {
             .expect("non-free erase block exists")
     }
 
+    /// The victim index rebuilt from the truth: every block neither
+    /// erased nor active, under its valid count.
+    fn audit_victims(ftl: &SsdFtl) {
+        let mut want = VictimIndex::new(ftl.valid.len(), ftl.erase_block_pages);
+        for (eb, &valid) in (0u32..).zip(&ftl.valid) {
+            if eb != ftl.active && !ftl.free_ebs.contains(&eb) {
+                want.insert(eb, valid);
+            }
+        }
+        assert!(ftl.victims == want, "victim index diverged from the blocks");
+    }
+
     #[test]
-    fn flagged_victim_scan_matches_the_list_search() {
+    fn indexed_victim_pick_matches_the_list_search() {
         // Same host stream into two FTLs that differ only in how they
-        // find a victim: writes skewed towards a hot fifth of the space
-        // (many equally empty victims: the tie-break matters), trims in
-        // bursts, at a tight and a roomy over-provisioning.
-        for (seed, op) in [(11u64, 0.07), (12, 0.28)] {
-            let n = 64 * 120;
-            let mut flagged = SsdFtl::new(n, 64, op).unwrap();
+        // find a victim, the index audited after every op on both: writes
+        // skewed towards a hot fifth of the space (many equally empty
+        // victims: the tie-break matters), trims in bursts — in one case
+        // a quarter of all ops — at a tight and a roomy over-provisioning.
+        // The erase-block counts are 134, 159, 128 (a whole number of
+        // index words) and 134 again.
+        for (seed, logical_ebs, op, trims_per_4k) in [
+            (11u64, 120, 0.07, 256),
+            (12, 120, 0.28, 256),
+            (13, 117, 0.05, 256),
+            (14, 120, 0.07, 1024),
+        ] {
+            let n = 64 * logical_ebs;
+            let mut indexed = SsdFtl::new(n, 64, op).unwrap();
             let mut searched = SsdFtl::new(n, 64, op).unwrap();
             searched.pick_by_list_search = true;
             let mut rng = StdRng::seed_from_u64(seed);
@@ -332,21 +445,19 @@ mod tests {
                 } else {
                     rng.random_range(0..n)
                 };
-                if step % 4096 < 256 {
-                    flagged.trim(lpn).unwrap();
-                    searched.trim(lpn).unwrap();
-                } else {
-                    flagged.host_write(lpn).unwrap();
-                    searched.host_write(lpn).unwrap();
+                for ftl in [&mut indexed, &mut searched] {
+                    if step % 4096 < trims_per_4k {
+                        ftl.trim(lpn).unwrap();
+                    } else {
+                        ftl.host_write(lpn).unwrap();
+                    }
+                    audit_victims(ftl);
                 }
             }
-            assert!(flagged.stats().erases > 100, "the stream must exercise GC");
-            assert_eq!(flagged.stats(), searched.stats());
-            assert_eq!(flagged.l2p, searched.l2p);
-            assert_eq!(flagged.free_ebs, searched.free_ebs);
-            for (eb, &free) in flagged.is_free.iter().enumerate() {
-                assert_eq!(free, flagged.free_ebs.contains(&(eb as u32)), "eb {eb}");
-            }
+            assert!(indexed.stats().erases > 100, "the stream must exercise GC");
+            assert_eq!(indexed.stats(), searched.stats());
+            assert_eq!(indexed.l2p, searched.l2p);
+            assert_eq!(indexed.free_ebs, searched.free_ebs);
         }
     }
 
