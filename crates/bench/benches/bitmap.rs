@@ -1,12 +1,16 @@
 //! Bitmap-metafile benchmarks: score computation ("consulting bitmap
-//! metafiles", §3.3) and the full cache-rebuild walk the TopAA metafile
-//! exists to avoid (§3.4), raw popcount versus the free-count summaries.
+//! metafiles", §3.3), the full cache-rebuild walk the TopAA metafile
+//! exists to avoid (§3.4), raw popcount versus the free-count summaries,
+//! and a CP's batch of frees (ns per block freed).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use rand::prelude::*;
+use rand::rngs::StdRng;
 use std::hint::black_box;
+use std::time::{Duration, Instant};
 use wafl_bench::aged_bitmap;
-use wafl_bitmap::scan;
-use wafl_types::Vbn;
+use wafl_bitmap::{scan, sort_vbns, Bitmap};
+use wafl_types::{Vbn, TETRIS_STRIPES};
 
 fn page_score(c: &mut Criterion) {
     let bitmap = aged_bitmap(64 * 32_768, 0.55, 1);
@@ -94,8 +98,88 @@ fn fragmentation_scan(c: &mut Criterion) {
     });
 }
 
+/// One CP's frees, 8 192 blocks of a 4 Mi-block space, in the orders a CP
+/// sees: random (overwrites of random blocks), ascending, and as a 4 + 1
+/// RAID group wrote them (a sequential overwrite frees what an earlier
+/// one wrote: 2 048 stripes, tetris by tetris, a 64-block chain per
+/// device in turn).
+fn cp_free_batches(space: u64, seed: u64) -> [(&'static str, Vec<Vbn>); 3] {
+    const FREES: u64 = 8192;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut random: Vec<Vbn> = rand::seq::index::sample(&mut rng, space as usize, FREES as usize)
+        .into_iter()
+        .map(|v| Vbn(v as u64))
+        .collect();
+    random.shuffle(&mut rng);
+    let mut ascending = random.clone();
+    ascending.sort_unstable();
+    let device_blocks = space / 4;
+    let stripes = FREES / 4;
+    let first = rng.random_range(0..device_blocks / stripes) * stripes;
+    let chains = (0..stripes / TETRIS_STRIPES)
+        .flat_map(|t| (0..4).map(move |d| d * device_blocks + first + t * TETRIS_STRIPES))
+        .flat_map(|chain| (chain..chain + TETRIS_STRIPES).map(Vbn))
+        .collect();
+    [
+        ("random", random),
+        ("ascending", ascending),
+        ("4_device_chains", chains),
+    ]
+}
+
+fn cp_batch_free(c: &mut Criterion) {
+    // Each batch frees into a full 4 Mi-block bitmap with a 2 048-block
+    // AA summary, after 64 MiB of other traffic has pushed the bitmap out
+    // of the caches, as a CP's other stages do. The bitmap is refilled
+    // untimed after each batch. Two kernels per order: the sort the CP
+    // used to pay before the sorted-only batch free, and `free_batch`,
+    // which takes the batch as it comes.
+    let space = 128 * 32_768u64;
+    let mut bitmap = Bitmap::new(space);
+    bitmap.enable_aa_summary(2048).unwrap();
+    bitmap.allocate_run(Vbn(0), space).unwrap();
+    let mut traffic = vec![0u64; 8 << 20];
+    let mut g = c.benchmark_group("bitmap/cp_batch_free_8192");
+    g.throughput(Throughput::Elements(8192));
+    for (order, batch) in cp_free_batches(space, 7) {
+        for sorted in [true, false] {
+            let name = match sorted {
+                true => format!("{order}/sort_vbns+free_sorted_blocks"),
+                false => format!("{order}/free_batch"),
+            };
+            let mut work = batch.clone();
+            let (mut spent, mut blocks) = (Duration::ZERO, 0u64);
+            g.bench_function(&name, |b| {
+                b.iter(|| {
+                    traffic.iter_mut().for_each(|w| *w = w.wrapping_add(1));
+                    work.copy_from_slice(&batch);
+                    let t = Instant::now();
+                    if sorted {
+                        sort_vbns(&mut work);
+                        bitmap.free_sorted_blocks(&work).unwrap();
+                    } else {
+                        bitmap.free_batch(&work).unwrap();
+                    }
+                    spent += t.elapsed();
+                    blocks += work.len() as u64;
+                    for &v in &work {
+                        bitmap.allocate(v).unwrap();
+                    }
+                })
+            });
+            println!(
+                "bitmap/cp_batch_free_8192/{name}: {:.1} ns per block",
+                spent.as_nanos() as f64 / blocks as f64
+            );
+        }
+    }
+    black_box(&traffic);
+    g.finish();
+}
+
 criterion_group!(
     benches,
+    cp_batch_free,
     page_score,
     first_free,
     full_walk,

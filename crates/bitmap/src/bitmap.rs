@@ -4,7 +4,7 @@
 use crate::page::{BitmapPage, WORDS_PER_PAGE};
 use std::fmt::Display;
 use std::ops::Range;
-use wafl_types::{Vbn, WaflError, WaflResult, BITS_PER_BITMAP_BLOCK};
+use wafl_types::{Reciprocal, Vbn, WaflError, WaflResult, BITS_PER_BITMAP_BLOCK};
 
 /// Per-consistency-point accounting of bitmap-metafile I/O.
 ///
@@ -31,14 +31,11 @@ struct AaSummary {
 }
 
 impl AaSummary {
-    /// Move the counters by the bits of `mask` in the 64-bit word whose
-    /// first VBN is `word_base`: down for a claim, up when `freed`.
+    /// Count down the bits of `mask` claimed in the 64-bit word whose
+    /// first VBN is `word_base`.
     #[inline]
-    fn bump_word(&mut self, word_base: u64, mask: u64, freed: bool) {
-        let mut bump = |vbn: u64, n: u32| {
-            let c = &mut self.counts[(vbn / self.aa_blocks) as usize];
-            *c = if freed { *c + n } else { *c - n };
-        };
+    fn claim_word(&mut self, word_base: u64, mask: u64) {
+        let mut bump = |vbn: u64, n: u32| self.counts[(vbn / self.aa_blocks) as usize] -= n;
         if self.aa_blocks.is_multiple_of(64) {
             // A word never straddles an AA boundary: one bump.
             bump(word_base, mask.count_ones());
@@ -404,116 +401,136 @@ impl Bitmap {
         Ok(())
     }
 
-    /// Visit the global word indices and bit masks covering a strictly
-    /// ascending VBN list: `f(word_index, mask)` once per touched word,
-    /// in ascending word order, with every listed bit of that word OR'd
-    /// into one mask.
-    fn for_sorted_word_groups(vbns: &[Vbn], mut f: impl FnMut(usize, u64)) {
-        let mut open = usize::MAX;
-        let mut mask = 0u64;
-        for &v in vbns {
-            let w = (v.get() / 64) as usize;
-            if w != open {
-                if open != usize::MAX {
-                    f(open, mask);
-                }
-                open = w;
-                mask = 0;
-            }
-            mask |= 1u64 << (v.get() % 64);
-        }
-        if open != usize::MAX {
-            f(open, mask);
-        }
-    }
-
-    /// Free a strictly ascending batch of individual VBNs with one masked
-    /// word store per touched 64-bit word — the CP delayed-free fast
-    /// path. Random overwrite traffic frees thousands of *isolated*
-    /// blocks per CP; pushing each through [`Bitmap::free`] (or length-1
-    /// runs through [`Bitmap::free_run`]) pays per-call bookkeeping that
-    /// dwarfs the single bit flip. Here neighbours sharing a word
-    /// collapse into one mask check and one store, and every summary
-    /// counter advances by a popcount per word instead of once per block.
-    ///
-    /// Requirements: `vbns` strictly ascending (duplicates are rejected —
-    /// a duplicate is a double free). Atomicity matches [`Bitmap::free`]
-    /// batch-wide: every bit is verified allocated before any bit
-    /// changes, so an error leaves the bitmap untouched. `DirtyStats`
-    /// accounting is identical to calling [`Bitmap::free`] once per VBN.
+    /// Free a strictly ascending batch of VBNs: [`Bitmap::free_batch`]
+    /// behind a check of the order, which rejects a duplicate or an
+    /// out-of-order VBN before anything changes.
     pub fn free_sorted_blocks(&mut self, vbns: &[Vbn]) -> WaflResult<()> {
-        if vbns.is_empty() {
-            return Ok(());
-        }
-        let mut prev = None;
-        for &v in vbns {
-            if v.get() >= self.space_len {
-                return Err(WaflError::VbnOutOfRange {
-                    vbn: v,
-                    space_len: self.space_len,
-                });
-            }
-            if let Some(p) = prev {
-                if v.get() <= p {
-                    return Err(WaflError::InvalidConfig {
-                        reason: format!(
-                            "free_sorted_blocks: VBN {} out of order after {p}",
-                            v.get()
-                        ),
-                    });
-                }
-            }
-            prev = Some(v.get());
-        }
-        // Pass 1: verify every listed bit is allocated, so a double free
-        // mid-batch cannot leave a half-applied mutation.
-        let mut bad = None;
-        Self::for_sorted_word_groups(vbns, |wg, mask| {
-            if bad.is_none() {
-                let free = !self.pages[wg / WORDS_PER_PAGE].words()[wg % WORDS_PER_PAGE] & mask;
-                if free != 0 {
-                    bad = Some(Vbn(wg as u64 * 64 + free.trailing_zeros() as u64));
-                }
-            }
-        });
-        if let Some(vbn) = bad {
-            return Err(WaflError::BitmapStateMismatch {
-                vbn,
-                expected_free: false,
+        if let Some(w) = vbns.windows(2).find(|w| w[1] <= w[0]) {
+            return Err(WaflError::InvalidConfig {
+                reason: format!(
+                    "free_sorted_blocks: VBN {} out of order after {}",
+                    w[1].get(),
+                    w[0].get()
+                ),
             });
         }
-        // Pass 2: apply, one store and one set of counter bumps per word.
+        self.free_batch(vbns)
+    }
+
+    /// Free a batch of VBNs in any order, in one pass: the CP's
+    /// immediate-free path. Random overwrites free thousands of isolated
+    /// blocks per CP, where sorting them first costs more than it saves.
+    /// VBNs next to each other in the batch that share a 64-bit word
+    /// share one check-and-clear; the counters advance by the number of
+    /// VBNs, and the AA counter is found by a reciprocal multiply.
+    /// `DirtyStats` accounting is identical to calling [`Bitmap::free`]
+    /// once per VBN.
+    ///
+    /// Atomic: a VBN out of range or already free (before the call, or
+    /// earlier in the batch) undoes the frees before it and is named in
+    /// the error: the first VBN, in batch order, that [`Bitmap::free`]
+    /// would refuse. Bits, counters, `free_blocks` and `DirtyStats` are
+    /// then as before the call.
+    pub fn free_batch(&mut self, vbns: &[Vbn]) -> WaflResult<()> {
+        let mut newly_dirty = Vec::new();
+        // One copy of the loop per way of counting AAs: none tests for
+        // the summary per VBN.
+        let cleared = match self.aa_summary.as_ref().map(|s| s.aa_blocks % 64 == 0) {
+            None => self.clear_groups::<0>(vbns, &mut newly_dirty),
+            // A word never straddles an AA boundary: one bump a group.
+            Some(true) => self.clear_groups::<1>(vbns, &mut newly_dirty),
+            Some(false) => self.clear_groups::<2>(vbns, &mut newly_dirty),
+        };
+        if let Err((done, err)) = cleared {
+            for &v in &vbns[..done] {
+                let (p, i) = self.locate(v)?;
+                self.pages[p].set_allocated(i);
+                self.page_free[p] -= 1;
+                if let Some(s) = self.aa_summary.as_mut() {
+                    s.counts[(v.get() / s.aa_blocks) as usize] -= 1;
+                }
+            }
+            for p in newly_dirty {
+                self.dirty[p] = false;
+            }
+            return Err(err);
+        }
+        self.stats.pages_dirtied += newly_dirty.len() as u64;
+        self.stats.bits_flipped += vbns.len() as u64;
+        self.free_blocks += vbns.len() as u64;
+        if let (Some(&first), Some(&last)) = (vbns.first(), vbns.last()) {
+            self.debug_check_counters(first);
+            self.debug_check_counters(last);
+        }
+        Ok(())
+    }
+
+    /// [`Bitmap::free_batch`]'s pass, with the AA summary off (`AA` 0),
+    /// bumped once a group (1) or once a VBN (2): clears the bits, bumps
+    /// the counters and pushes each page it dirties to `newly_dirty`. On
+    /// a refused VBN, returns how many VBNs before it were cleared.
+    fn clear_groups<const AA: u8>(
+        &mut self,
+        vbns: &[Vbn],
+        newly_dirty: &mut Vec<usize>,
+    ) -> Result<(), (usize, WaflError)> {
         let Bitmap {
             pages,
             dirty,
-            stats,
-            free_blocks,
+            space_len,
             page_free,
             aa_summary,
             ..
         } = self;
-        let mut freed = 0u64;
-        Self::for_sorted_word_groups(vbns, |wg, mask| {
-            let p = wg / WORDS_PER_PAGE;
-            pages[p].clear_word_bits(wg % WORDS_PER_PAGE, mask);
-            let n = mask.count_ones();
+        let space_len = *space_len;
+        let (r, counts) = match aa_summary {
+            Some(s) => (Reciprocal::new(s.aa_blocks), &mut s.counts[..]),
+            None => (Reciprocal::new(1), &mut [][..]),
+        };
+        let mut i = 0;
+        while i < vbns.len() {
+            let v = vbns[i].get();
+            if v >= space_len {
+                let vbn = vbns[i];
+                return Err((i, WaflError::VbnOutOfRange { vbn, space_len }));
+            }
+            // The group: the VBNs from `i` on in `v`'s word, up to a
+            // repeat, which the next group then finds already free.
+            let mut mask = 1u64 << (v % 64);
+            let mut end = i + 1;
+            while end < vbns.len() {
+                let next = vbns[end].get();
+                let bit = 1u64 << (next % 64);
+                if next ^ v >= 64 || mask & bit != 0 || next >= space_len {
+                    break;
+                }
+                mask |= bit;
+                end += 1;
+            }
+            let p = (v / BITS_PER_BITMAP_BLOCK) as usize;
+            let clear = pages[p].clear_word_bits((v / 64) as usize % WORDS_PER_PAGE, mask);
+            if clear != 0 {
+                let bad = vbns[i..end]
+                    .iter()
+                    .find(|x| clear & 1 << (x.get() % 64) != 0);
+                let vbn = *bad.expect("a clear bit is one of the group's");
+                let expected_free = false;
+                return Err((i, WaflError::BitmapStateMismatch { vbn, expected_free }));
+            }
+            let n = end - i;
             page_free[p] += n as u16;
             if !dirty[p] {
                 dirty[p] = true;
-                stats.pages_dirtied += 1;
+                newly_dirty.push(p);
             }
-            stats.bits_flipped += n as u64;
-            freed += n as u64;
-            if let Some(sm) = aa_summary.as_mut() {
-                sm.bump_word(wg as u64 * 64, mask, true);
+            match AA {
+                1 => counts[r.quotient(v) as usize] += n as u32,
+                2 => vbns[i..end]
+                    .iter()
+                    .for_each(|x| counts[r.quotient(x.get()) as usize] += 1),
+                _ => {}
             }
-        });
-        *free_blocks += freed;
-        if cfg!(debug_assertions) {
-            let first = vbns[0];
-            let last = *vbns.last().expect("non-empty");
-            self.debug_check_counters(first);
-            self.debug_check_counters(last);
+            i = end;
         }
         Ok(())
     }
@@ -601,7 +618,7 @@ impl Bitmap {
                 left -= n;
                 page_taken += n as u16;
                 if let Some(sm) = aa_summary.as_mut() {
-                    sm.bump_word(base, take, false);
+                    sm.claim_word(base, take);
                 }
                 // A word claimed whole is one `extend`, so a long run
                 // costs what its length does; a fragmented AA is made of

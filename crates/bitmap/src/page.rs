@@ -183,12 +183,16 @@ impl BitmapPage {
         }
     }
 
-    /// Clear every bit of `mask` in word `wi`. The caller must have
-    /// verified those bits are all set (see
-    /// [`BitmapPage::first_allocated_in`]); this does not re-check.
+    /// Clear every bit of `mask` in word `wi` if all of them are set.
+    /// Returns the bits of `mask` that were already clear, leaving the
+    /// word as it was; 0 means the bits were cleared.
     #[inline]
-    pub fn clear_word_bits(&mut self, wi: usize, mask: u64) {
-        self.words[wi] &= !mask;
+    pub fn clear_word_bits(&mut self, wi: usize, mask: u64) -> u64 {
+        let clear = !self.words[wi] & mask;
+        if clear == 0 {
+            self.words[wi] &= !mask;
+        }
+        clear
     }
 
     /// Set every bit of `mask` in word `wi`. The caller has just read

@@ -1,25 +1,29 @@
-//! Linear-time ordering of VBN batches for [`Bitmap::free_sorted_blocks`].
+//! Linear-time ordering of VBN batches.
 //!
-//! A CP frees as many blocks as it writes, and the batch-free path wants
-//! them ascending. A comparison sort pays `log n` per block; the keys are
-//! block numbers bounded by the space they index, so an LSD radix sort
-//! over only the bits that differ between them orders a CP's batch in two
-//! linear passes for any space this simulator builds.
+//! Its one caller in the file system is the delayed-free log
+//! (`wafl_fs::delayed_free::DelayedFreeLog::process`), which sorts a
+//! bitmap page's pending frees so that `dedup` can drop repeated
+//! entries. A CP's own frees are not sorted: [`Bitmap::free_batch`]
+//! takes them in the order they arrive. A comparison sort pays `log n`
+//! per block; the keys are block numbers bounded by the space they index,
+//! so an LSD radix sort over only the bits that differ between them
+//! orders a batch in two linear passes for any space this simulator
+//! builds.
 //!
-//! [`Bitmap::free_sorted_blocks`]: crate::Bitmap::free_sorted_blocks
+//! [`Bitmap::free_batch`]: crate::Bitmap::free_batch
 
 use wafl_types::Vbn;
 
 /// Widest radix digit: 4 Ki `u32` counters are 16 KiB, half an L1 cache.
 const MAX_DIGIT_BITS: u32 = 12;
 
-/// Sort `vbns` ascending. Duplicates are kept (the batch-free path is
-/// what rejects them). Already-ascending input — sequential overwrites
-/// free blocks in the order they were written — returns after one read
-/// pass. Anything else takes a counting pass and a scatter pass per
-/// digit, the digits sized to cover just the span of bits that vary
-/// across the batch and no wider than the batch is long (a 128-block
-/// batch must not pay for 4 Ki buckets).
+/// Sort `vbns` ascending. Duplicates are kept (the caller drops them,
+/// or the batch free rejects them). Already-ascending input —
+/// sequential overwrites free blocks in the order they were written —
+/// returns after one read pass. Anything else takes a counting pass and
+/// a scatter pass per digit, the digits sized to cover just the span of
+/// bits that vary across the batch and no wider than the batch is long
+/// (a 128-block batch must not pay for 4 Ki buckets).
 pub fn sort_vbns(vbns: &mut [Vbn]) {
     let mut sorted = true;
     let (mut prev, mut any_set, mut all_set) = (0u64, 0u64, u64::MAX);

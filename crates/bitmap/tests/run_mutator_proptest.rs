@@ -12,15 +12,19 @@
 //!
 //! The same goes for the searches the mutators and the allocator's drain
 //! lean on (`first_allocated_in`, `first_free_in`, `free_runs_in_range`),
-//! which stop at their first hit and at their range's end, and for
-//! `sort_vbns`, which orders the batches `free_sorted_blocks` takes:
-//! each is checked here against the obvious per-bit loop or
-//! `sort_unstable`.
+//! which stop at their first hit and at their range's end, for
+//! `sort_vbns`, which orders the delayed-free log's pages, and for the
+//! batch free `free_batch`, which takes a CP's frees in the order they
+//! arrive: each is checked here against the obvious per-bit loop,
+//! `sort_unstable` or one `free` per VBN.
 
 use proptest::prelude::*;
-use wafl_bitmap::{sort_vbns, Bitmap};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+use wafl_bitmap::{sort_vbns, Bitmap, DirtyStats};
 use wafl_oracle::{per_bit_allocate_run, per_bit_free_run};
-use wafl_types::{Vbn, BITS_PER_BITMAP_BLOCK};
+use wafl_types::{Vbn, WaflError, BITS_PER_BITMAP_BLOCK};
 
 const SPACE: u64 = 3 * BITS_PER_BITMAP_BLOCK + 777;
 
@@ -50,6 +54,47 @@ fn bitmap_with_allocated(runs: &[(u64, u64)]) -> Bitmap {
         let _ = b.allocate_run(Vbn(start), len.min(SPACE - start));
     }
     b
+}
+
+/// A full bitmap with an AA summary of `aa_blocks`, the `holes` runs
+/// freed, and its `DirtyStats` taken: the state a CP frees into.
+fn bitmap_with_holes(holes: &[(u64, u64)], aa_blocks: u64) -> Bitmap {
+    let mut b = Bitmap::new(SPACE);
+    b.enable_aa_summary(aa_blocks).unwrap();
+    b.allocate_run(Vbn(0), SPACE).unwrap();
+    for &(start, len) in holes {
+        for v in start..(start + len).min(SPACE) {
+            let _ = b.free(Vbn(v));
+        }
+    }
+    b.take_dirty_stats();
+    b
+}
+
+/// `ascending` in the orders a CP's frees arrive in: shuffled,
+/// ascending, descending, and as a RAID group of four devices writes
+/// them, chains of eight blocks from each device in turn.
+fn arrival_orders(ascending: &[Vbn], seed: u64) -> [Vec<Vbn>; 4] {
+    let mut random = ascending.to_vec();
+    random.shuffle(&mut StdRng::seed_from_u64(seed));
+    let device = |v: &Vbn| (v.get() * 4 / SPACE) as usize;
+    let mut chains: [Vec<&[Vbn]>; 4] = Default::default();
+    for (d, chain) in chains.iter_mut().enumerate() {
+        let lo = ascending.partition_point(|v| device(v) < d);
+        let hi = ascending.partition_point(|v| device(v) <= d);
+        *chain = ascending[lo..hi].chunks(8).collect();
+    }
+    let longest = chains.iter().map(Vec::len).max().unwrap_or(0);
+    let interleaved = (0..longest)
+        .flat_map(|k| chains.iter().filter_map(move |c| c.get(k)))
+        .flat_map(|chain| chain.iter().copied())
+        .collect();
+    [
+        random,
+        ascending.to_vec(),
+        ascending.iter().rev().copied().collect(),
+        interleaved,
+    ]
 }
 
 /// Strategy for [`bitmap_with_allocated`].
@@ -146,6 +191,98 @@ proptest! {
         check(two_runs);
         check(ascending.iter().rev().copied().collect());
         check(ascending);
+    }
+
+    /// `free_batch` leaves what one `free` per VBN leaves, bits, counters
+    /// and `DirtyStats`, on every order a CP frees in: random,
+    /// ascending, descending, and a RAID group's device chains
+    /// interleaved. The AA summaries are a page, 2 048 blocks (a word
+    /// never straddles two AAs) and 1 000 blocks (words do).
+    #[test]
+    fn free_batch_matches_per_block_free(
+        holes in proptest::collection::vec((0..SPACE, 1u64..300), 0..20),
+        picks in proptest::collection::hash_set(0..SPACE, 1..1500),
+        aa_blocks in prop_oneof![Just(BITS_PER_BITMAP_BLOCK), Just(2048u64), Just(1000u64)],
+        seed in 0..u64::MAX,
+    ) {
+        let mut picks: Vec<Vbn> = picks.into_iter().map(Vbn).collect();
+        picks.sort_unstable();
+        let build = || {
+            let b = bitmap_with_holes(&holes, aa_blocks);
+            let frees: Vec<Vbn> = picks.iter().copied().filter(|&v| !b.is_free(v).unwrap()).collect();
+            (b, frees)
+        };
+        let (_, ascending) = build();
+        for batch in arrival_orders(&ascending, seed) {
+            let (mut kernel, _) = build();
+            let (mut reference, _) = build();
+            kernel.free_batch(&batch).unwrap();
+            for &v in &batch {
+                reference.free(v).unwrap();
+            }
+            assert_equivalent(&kernel, &reference, aa_blocks);
+            prop_assert_eq!(kernel.take_dirty_stats(), reference.take_dirty_stats());
+        }
+    }
+
+    /// A refused `free_batch` names the VBN one `free` per VBN would have
+    /// stopped at and changes nothing, whether the bad VBN is free and
+    /// comes first, in the middle or last, is free and shares a word with
+    /// the good VBN before it, or repeats a VBN the batch freed earlier
+    /// on or just before it.
+    #[test]
+    fn refused_free_batch_is_a_no_op(
+        holes in proptest::collection::vec((0..SPACE, 1u64..300), 1..20),
+        picks in proptest::collection::hash_set(0..SPACE, 2..400),
+        aa_blocks in prop_oneof![Just(BITS_PER_BITMAP_BLOCK), Just(2048u64), Just(1000u64)],
+        at in 0usize..6,
+        seed in 0..u64::MAX,
+    ) {
+        let mut untouched = bitmap_with_holes(&holes, aa_blocks);
+        let is_free = |v: u64| untouched.is_free(Vbn(v)).unwrap_or(false);
+        // A hole's edge: an allocated VBN whose word neighbour is free.
+        let edge = (0..SPACE).find(|&v| !is_free(v) && is_free(v ^ 1)).map(Vbn);
+        let Some((edge, free_vbn)) = edge.map(|v| (v, Vbn(v.get() ^ 1))) else {
+            continue;
+        };
+        let mut good: Vec<Vbn> = picks
+            .into_iter()
+            .map(Vbn)
+            .filter(|&v| !is_free(v.get()) && v != edge)
+            .collect();
+        if good.len() < 2 {
+            continue;
+        }
+        good.sort_unstable();
+        good.shuffle(&mut StdRng::seed_from_u64(seed));
+        let mut batch = good.clone();
+        let mid = batch.len() / 2;
+        match at {
+            0 => batch.insert(0, free_vbn),
+            1 => batch.insert(mid, free_vbn),
+            2 => batch.push(free_vbn),
+            3 => batch.splice(mid..mid, [edge, free_vbn]).for_each(drop),
+            4 => batch.push(good[0]),
+            _ => batch.insert(mid, good[mid]),
+        }
+        let mut reference = bitmap_with_holes(&holes, aa_blocks);
+        let want = batch
+            .iter()
+            .find(|&&v| reference.free(v).is_err())
+            .copied()
+            .unwrap();
+        let mut kernel = bitmap_with_holes(&holes, aa_blocks);
+        let err = kernel.free_batch(&batch).unwrap_err();
+        prop_assert!(
+            matches!(err, WaflError::BitmapStateMismatch { vbn, expected_free: false } if vbn == want),
+            "{:?}, want {:?}", err, want
+        );
+        assert_equivalent(&kernel, &untouched, aa_blocks);
+        // No dirty mark survives the refusal either: a VBN the refused
+        // batch cleared and restored dirties its page afresh.
+        kernel.free(batch[0]).ok();
+        untouched.free(batch[0]).ok();
+        prop_assert_eq!(kernel.take_dirty_stats(), untouched.take_dirty_stats());
     }
 
     /// Interleaved bulk and per-bit mutations on two bitmaps stay
@@ -247,7 +384,7 @@ fn duplicate_vbn_is_still_rejected_after_sorting() {
     sort_vbns(&mut batch);
     assert!(b.free_sorted_blocks(&batch).is_err());
     assert_eq!(b.page_free_counts(), &before_pages[..]);
-    assert_eq!(b.take_dirty_stats(), wafl_bitmap::DirtyStats::default());
+    assert_eq!(b.take_dirty_stats(), DirtyStats::default());
     b.verify_summary();
     batch.dedup();
     b.free_sorted_blocks(&batch).unwrap();

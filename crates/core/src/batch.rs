@@ -31,11 +31,13 @@ impl ScoreDeltaBatch {
     }
 
     /// Record `n` blocks allocated from `aa` during this CP.
+    #[inline]
     pub fn record_allocated(&mut self, aa: AaId, n: u32) {
         self.record(aa, ScoreDelta::allocated(n));
     }
 
     /// Record `n` blocks freed back to `aa` during this CP.
+    #[inline]
     pub fn record_freed(&mut self, aa: AaId, n: u32) {
         self.record(aa, ScoreDelta::freed(n));
     }
@@ -44,14 +46,22 @@ impl ScoreDeltaBatch {
     fn record(&mut self, aa: AaId, delta: ScoreDelta) {
         let i = aa.index();
         if i >= self.deltas.len() {
-            let len = (i + 1).next_multiple_of(64);
-            self.deltas.resize(len, 0);
-            self.touched.resize(len / 64, 0);
+            self.grow(i);
         }
         self.deltas[i] += delta.0;
         let (word, bit) = (&mut self.touched[i / 64], 1u64 << (i % 64));
         self.touched_count += usize::from(*word & bit == 0);
         *word |= bit;
+    }
+
+    /// Grow both tables to hold AA `i`: the first record into a higher
+    /// AA than any before, kept out of line.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, i: usize) {
+        let len = (i + 1).next_multiple_of(64);
+        self.deltas.resize(len, 0);
+        self.touched.resize(len / 64, 0);
     }
 
     /// Number of AAs with a pending change, counting those whose frees

@@ -39,4 +39,4 @@ pub use batch::ScoreDeltaBatch;
 pub use hbps::{Hbps, HbpsConfig};
 pub use heap_cache::RaidAwareCache;
 pub use raid_agnostic::RaidAgnosticCache;
-pub use topology::AaTopology;
+pub use topology::{book_spans, AaSpan, AaSpanFinder, AaTopology};

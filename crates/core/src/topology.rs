@@ -2,7 +2,9 @@
 
 use wafl_bitmap::Bitmap;
 use wafl_raid::RaidGeometry;
-use wafl_types::{AaId, AaScore, AaSizingPolicy, Vbn, WaflError, WaflResult, TETRIS_STRIPES};
+use wafl_types::{
+    AaId, AaScore, AaSizingPolicy, Reciprocal, Vbn, WaflError, WaflResult, TETRIS_STRIPES,
+};
 
 /// The AA tiling of one block-number space (§3.1).
 ///
@@ -172,52 +174,33 @@ impl AaTopology {
         }
     }
 
-    /// The AA containing `vbn`, plus the end (exclusive) of the maximal
-    /// run of consecutive VBNs from `vbn` that stay inside that AA. Bulk
-    /// paths that walk sorted VBN lists (the CP delayed-free coalescers)
-    /// use the span end to tag whole runs with one lookup instead of one
-    /// `aa_of_vbn` per block: within `vbn..end` the AA cannot change.
-    ///
-    /// For RAID-aware topologies the span ends where the device's current
-    /// stripe band does (an AA is one VBN run *per device*); for RAID-
-    /// agnostic topologies it ends at the AA boundary itself.
-    pub fn aa_span_of_vbn(&self, vbn: Vbn) -> WaflResult<(AaId, Vbn)> {
-        match self {
+    /// The AA lookup of bulk paths that map many VBNs to their AA spans
+    /// (the CP's booking of frees): this topology's divisors, turned
+    /// into reciprocals once.
+    pub fn span_finder(&self) -> AaSpanFinder {
+        // A RAID-agnostic space is one device whose AAs are one band each.
+        let (base, devices, device_blocks, height) = match self {
             AaTopology::RaidAware {
                 geometry,
                 stripes_per_aa,
-            } => {
-                let base = geometry.base_vbn.get();
-                let data_span = geometry.data_devices as u64 * geometry.device_blocks;
-                if vbn.get() < base || vbn.get() >= base + data_span {
-                    return Err(WaflError::VbnOutOfRange {
-                        vbn,
-                        space_len: base + data_span,
-                    });
-                }
-                let offset = vbn.get() - base;
-                let dev = offset / geometry.device_blocks;
-                let t = offset % geometry.device_blocks;
-                let aa = t / stripes_per_aa;
-                let band_end = ((aa + 1) * stripes_per_aa).min(geometry.device_blocks);
-                Ok((
-                    AaId(aa as u32),
-                    Vbn(base + dev * geometry.device_blocks + band_end),
-                ))
-            }
+            } => (
+                geometry.base_vbn.get(),
+                geometry.data_devices as u64,
+                geometry.device_blocks,
+                *stripes_per_aa,
+            ),
             AaTopology::RaidAgnostic {
                 space_len,
                 aa_blocks,
-            } => {
-                if vbn.get() >= *space_len {
-                    return Err(WaflError::VbnOutOfRange {
-                        vbn,
-                        space_len: *space_len,
-                    });
-                }
-                let aa = vbn.get() / aa_blocks;
-                Ok((AaId(aa as u32), Vbn(((aa + 1) * aa_blocks).min(*space_len))))
-            }
+            } => (0, 1, *space_len, *aa_blocks),
+        };
+        AaSpanFinder {
+            base,
+            len: devices * device_blocks,
+            device_blocks,
+            per_device: Reciprocal::new(device_blocks.max(1)),
+            height,
+            per_band: Reciprocal::new(height),
         }
     }
 
@@ -279,6 +262,99 @@ impl AaTopology {
     }
 }
 
+/// The VBNs `start .. start + len`, all in AA `aa`: one device's band of
+/// a RAID-aware AA, or a whole RAID-agnostic AA.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AaSpan {
+    /// The AA.
+    pub aa: AaId,
+    /// First VBN of the span.
+    pub start: u64,
+    /// VBNs in the span.
+    pub len: u64,
+}
+
+impl AaSpan {
+    /// Whether `vbn` is in the span: one unsigned compare, since a VBN
+    /// below `start` wraps to a huge offset.
+    #[inline]
+    pub fn contains(self, vbn: Vbn) -> bool {
+        vbn.get().wrapping_sub(self.start) < self.len
+    }
+}
+
+/// [`AaTopology::span_finder`]: the span of any VBN, without dividing.
+#[derive(Clone, Copy, Debug)]
+pub struct AaSpanFinder {
+    base: u64,
+    len: u64,
+    device_blocks: u64,
+    per_device: Reciprocal,
+    height: u64,
+    per_band: Reciprocal,
+}
+
+impl AaSpanFinder {
+    /// Whether `vbn` is in the space: one compare.
+    #[inline]
+    pub fn covers(&self, vbn: Vbn) -> bool {
+        vbn.get().wrapping_sub(self.base) < self.len
+    }
+
+    /// First VBN of the space.
+    #[inline]
+    pub fn base(&self) -> u64 {
+        self.base
+    }
+
+    /// The AA holding `vbn` and the maximal run of VBNs around it that
+    /// stays in that AA: to the ends of the device's stripe band for
+    /// RAID-aware topologies, of the AA itself for RAID-agnostic ones.
+    #[inline]
+    pub fn span_of(&self, vbn: Vbn) -> WaflResult<AaSpan> {
+        let offset = vbn.get().wrapping_sub(self.base);
+        if offset >= self.len {
+            return Err(WaflError::VbnOutOfRange {
+                vbn,
+                space_len: self.base + self.len,
+            });
+        }
+        let t = offset - self.per_device.quotient(offset) * self.device_blocks;
+        let aa = self.per_band.quotient(t);
+        let band = aa * self.height;
+        Ok(AaSpan {
+            aa: AaId(aa as u32),
+            start: vbn.get() - (t - band),
+            len: self.height.min(self.device_blocks - band),
+        })
+    }
+}
+
+/// Count `vbns`, in any order, by AA span: `book(key, aa, n)` once for
+/// each run of `n` VBNs next to each other in the batch that share a
+/// span. `locate` maps a VBN outside the open span to the key of its
+/// space and its span. A VBN inside the open span costs one compare, so
+/// a batch that visits each span in one run, as a sorted one does,
+/// books each span once; the totals per AA do not depend on the order.
+pub fn book_spans<K: Copy>(
+    vbns: &[Vbn],
+    mut locate: impl FnMut(Vbn) -> WaflResult<(K, AaSpan)>,
+    mut book: impl FnMut(K, AaId, u32),
+) -> WaflResult<()> {
+    let mut i = 0;
+    while i < vbns.len() {
+        let (key, span) = locate(vbns[i])?;
+        let run = vbns[i + 1..]
+            .iter()
+            .take_while(|&&v| span.contains(v))
+            .count()
+            + 1;
+        book(key, span.aa, run as u32);
+        i += run;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,7 +378,7 @@ mod tests {
     fn aa_span_agrees_with_per_vbn_lookup() {
         // A base offset plus a trailing short AA on the RAID-aware side; a
         // short trailing AA on the agnostic side. Every VBN's span must
-        // start in its own AA and cover exactly the same-AA suffix.
+        // hold it, lie in its AA and be maximal.
         let g = RaidGeometry::new(RaidGroupId(0), 3, 1, 1000, Vbn(5000)).unwrap();
         let topos = [
             AaTopology::raid_aware(g, AaSizingPolicy::Stripes { stripes: 300 }).unwrap(),
@@ -313,24 +389,81 @@ mod tests {
             .unwrap(),
         ];
         for t in &topos {
-            let (lo, hi) = match t {
+            // A RAID-agnostic space is one device.
+            let (lo, hi, device_blocks) = match t {
                 AaTopology::RaidAware { geometry, .. } => (
                     geometry.base_vbn.get(),
                     geometry.base_vbn.get() + geometry.data_devices as u64 * geometry.device_blocks,
+                    geometry.device_blocks,
                 ),
-                AaTopology::RaidAgnostic { space_len, .. } => (0, *space_len),
+                AaTopology::RaidAgnostic { space_len, .. } => (0, *space_len, *space_len),
             };
-            assert!(t.aa_span_of_vbn(Vbn(hi)).is_err());
-            let mut vbn = lo;
-            while vbn < hi {
-                let (aa, end) = t.aa_span_of_vbn(Vbn(vbn)).unwrap();
-                assert_eq!(aa, t.aa_of_vbn(Vbn(vbn)).unwrap());
-                assert!(end.get() > vbn && end.get() <= hi);
-                // Everything in the span shares the AA; the span is maximal
-                // (the next VBN, if in range, is in a different AA or a
-                // different device run).
-                assert_eq!(t.aa_of_vbn(Vbn(end.get() - 1)).unwrap(), aa);
-                vbn = end.get();
+            let finder = t.span_finder();
+            assert!(finder.span_of(Vbn(hi)).is_err());
+            assert!(lo == 0 || finder.span_of(Vbn(lo - 1)).is_err());
+            let in_aa = |v: u64, aa| (lo..hi).contains(&v) && t.aa_of_vbn(Vbn(v)).unwrap() == aa;
+            for vbn in lo..hi {
+                let span = finder.span_of(Vbn(vbn)).unwrap();
+                assert_eq!(span.aa, t.aa_of_vbn(Vbn(vbn)).unwrap());
+                assert!(span.contains(Vbn(vbn)));
+                let end = span.start + span.len;
+                assert!(in_aa(span.start, span.aa) && in_aa(end - 1, span.aa));
+                // Maximal: the VBNs just outside are in another AA, on
+                // another device, or out of the space.
+                let dev = |v: u64| (v - lo) / device_blocks;
+                for out in [span.start.wrapping_sub(1), end] {
+                    assert!(!span.contains(Vbn(out)));
+                    assert!(!in_aa(out, span.aa) || dev(out) != dev(vbn));
+                }
+            }
+        }
+    }
+
+    /// `book_spans` books what one `aa_of_vbn` + `record_freed` per VBN
+    /// books, on two groups of the 3 + 1 × 1 000-block geometry with
+    /// 300-stripe AAs, for frees in random, ascending and descending
+    /// order.
+    #[test]
+    fn book_spans_matches_per_block_booking() {
+        use crate::ScoreDeltaBatch;
+        use rand::prelude::*;
+        use rand::rngs::StdRng;
+        let topos: Vec<AaTopology> = [0u64, 3000]
+            .iter()
+            .enumerate()
+            .map(|(i, &base)| {
+                let g = RaidGeometry::new(RaidGroupId(i as u32), 3, 1, 1000, Vbn(base)).unwrap();
+                AaTopology::raid_aware(g, AaSizingPolicy::Stripes { stripes: 300 }).unwrap()
+            })
+            .collect();
+        let finders: Vec<AaSpanFinder> = topos.iter().map(AaTopology::span_finder).collect();
+        let drain = |b: &mut ScoreDeltaBatch| b.drain().collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(42);
+        for density in [0.02, 0.3, 1.0] {
+            let mut vbns: Vec<Vbn> = (0..6000)
+                .filter(|_| rng.random_bool(density))
+                .map(Vbn)
+                .collect();
+            vbns.shuffle(&mut rng);
+            let mut ascending = vbns.clone();
+            ascending.sort_unstable();
+            let descending: Vec<Vbn> = ascending.iter().rev().copied().collect();
+            for batch in [vbns, ascending, descending] {
+                let mut want = [ScoreDeltaBatch::new(), ScoreDeltaBatch::new()];
+                for &v in &batch {
+                    let g = (v.get() / 3000) as usize;
+                    want[g].record_freed(topos[g].aa_of_vbn(v).unwrap(), 1);
+                }
+                let mut got = [ScoreDeltaBatch::new(), ScoreDeltaBatch::new()];
+                let locate = |v: Vbn| {
+                    let g = finders.partition_point(|f| f.base() <= v.get()) - 1;
+                    Ok((g, finders[g].span_of(v)?))
+                };
+                book_spans(&batch, locate, |g, aa, n| got[g].record_freed(aa, n)).unwrap();
+                for g in 0..2 {
+                    assert_eq!(got[g].touched_aas(), want[g].touched_aas());
+                    assert_eq!(drain(&mut got[g]), drain(&mut want[g]));
+                }
             }
         }
     }

@@ -11,7 +11,7 @@ use crate::config::CpuModel;
 use crate::volume::{FlexVol, QueuedOp};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-use wafl_core::AaTopology;
+use wafl_core::{book_spans, AaSpanFinder, AaTopology};
 use wafl_faults::{CrashSite, FaultSession};
 use wafl_obs::trace::TraceData;
 use wafl_raid::analyze_cp_write_runs;
@@ -776,7 +776,7 @@ impl Aggregate {
                     self.free_log.log_free(pvbn)?;
                 }
             } else if !owed.is_empty() {
-                self.free_sorted(owed)?;
+                self.free_now(&owed)?;
             }
             self.apply_logged_frees(None, &mut cp.stats)?;
             for g in &mut self.groups {
@@ -904,7 +904,7 @@ impl Aggregate {
         } else if self.cfg.batched_frees {
             self.apply_logged_frees(Some(self.cfg.free_pages_per_cp), &mut cp.stats)?;
         } else if !frees.is_empty() {
-            self.free_sorted(frees)?;
+            self.free_now(&frees)?;
         }
         Ok(())
     }
@@ -930,14 +930,12 @@ impl Aggregate {
         Ok(())
     }
 
-    /// Apply physical frees at once: sort, book them on their groups,
-    /// then clear every bit with the word-masked batch free instead of
-    /// one bit flip per block. The score deltas commute, so the
-    /// reordering is state-neutral.
-    fn free_sorted(&mut self, mut frees: Vec<Vbn>) -> WaflResult<()> {
-        wafl_bitmap::sort_vbns(&mut frees);
-        record_group_frees(&mut self.groups, &frees, self.cfg.trim_on_free)?;
-        self.bitmap.free_sorted_blocks(&frees)
+    /// Apply physical frees at once, in the order they came: clear them
+    /// with the batch free, then book them on their groups. A batch the
+    /// bitmap refuses books nothing and TRIMs nothing.
+    fn free_now(&mut self, frees: &[Vbn]) -> WaflResult<()> {
+        self.bitmap.free_batch(frees)?;
+        record_group_frees(&mut self.groups, frees, self.cfg.trim_on_free)
     }
 
     /// Metafile I/O accounting (§2.5): the distinct bitmap pages the CP
@@ -1179,39 +1177,33 @@ impl Aggregate {
     }
 }
 
-/// Book applied physical frees, strictly ascending, on their groups:
-/// one AA score delta per AA span and, under `trim_on_free`, a TRIM per
-/// block to its SSD. Both free paths book here: the immediate one with
-/// a CP's whole batch, the delayed-free log with each page it applies,
-/// budgeted or force-drained. Sorted input means the groups (ordered by
-/// base VBN) and whole AA spans go by in order: one `aa_span_of_vbn` per
-/// span crossed, not one `aa_of_vbn` per block, so the score batch sees
-/// a handful of AA entries instead of thousands of single-block updates.
+/// Book applied physical frees, in any order, on their groups: one AA
+/// score delta per run of frees in one AA span ([`book_spans`]) and,
+/// under `trim_on_free`, a TRIM per block to its SSD. Both free paths
+/// book here: the immediate one with a CP's whole batch, the delayed-free
+/// log with each page it applies, budgeted or force-drained. A block's
+/// group is the last one whose base VBN is not above it, looked up only
+/// when the block is not in the last block's group.
 fn record_group_frees(groups: &mut [RaidGroupState], frees: &[Vbn], trim: bool) -> WaflResult<()> {
-    let mut gi = 0usize;
-    let mut span_aa = wafl_types::AaId(0);
-    let mut span_end = Vbn(0);
-    let mut span_gi = 0usize;
-    let mut span_freed: u32 = 0;
-    for &pvbn in frees {
-        while !groups[gi].geometry.contains(pvbn) {
-            gi += 1;
+    let finders: Vec<AaSpanFinder> = groups.iter().map(|g| g.topology.span_finder()).collect();
+    let mut g = 0;
+    let mut group_of = |vbn: Vbn| {
+        if !finders[g].covers(vbn) {
+            g = finders.partition_point(|f| f.base() <= vbn.get()).max(1) - 1;
         }
-        if pvbn >= span_end {
-            if span_freed > 0 {
-                groups[span_gi].batch.record_freed(span_aa, span_freed);
-            }
-            (span_aa, span_end) = groups[gi].topology.aa_span_of_vbn(pvbn)?;
-            span_gi = gi;
-            span_freed = 0;
+        g
+    };
+    let locate = |vbn| {
+        let g = group_of(vbn);
+        Ok((g, finders[g].span_of(vbn)?))
+    };
+    book_spans(frees, locate, |g, aa, n| {
+        groups[g].batch.record_freed(aa, n)
+    })?;
+    if trim {
+        for &pvbn in frees {
+            trim_freed(&mut groups[group_of(pvbn)], pvbn)?;
         }
-        span_freed += 1;
-        if trim {
-            trim_freed(&mut groups[gi], pvbn)?;
-        }
-    }
-    if span_freed > 0 {
-        groups[span_gi].batch.record_freed(span_aa, span_freed);
     }
     Ok(())
 }
@@ -2382,8 +2374,9 @@ mod batched_free_tests {
     use crate::aggregate::{Aggregate, DeviceMedia};
     use crate::aging;
     use crate::config::{AggregateConfig, FlexVolConfig, RaidGroupSpec};
+    use wafl_core::ScoreDeltaBatch;
     use wafl_media::MediaProfile;
-    use wafl_types::VolumeId;
+    use wafl_types::{Vbn, VolumeId};
 
     fn agg(batched: bool) -> Aggregate {
         Aggregate::new(
@@ -2606,6 +2599,79 @@ mod batched_free_tests {
             churn_under_pressure(LARGE, true, true) > 0,
             "the run must force-drain"
         );
+    }
+
+    /// A batch of frees the bitmap refuses (here for a double free in
+    /// its middle) changes nothing anywhere: the bitmap, the group's
+    /// score deltas and, under `trim_on_free`, the FTL's maps and TRIM
+    /// count stay as they were. The same holds for a volume's flush.
+    #[test]
+    fn refused_frees_book_and_trim_nothing() {
+        let mut a = Aggregate::new(
+            AggregateConfig {
+                trim_on_free: true,
+                ..AggregateConfig::single_group(RaidGroupSpec {
+                    data_devices: 2,
+                    parity_devices: 1,
+                    device_blocks: 8 * 4096,
+                    profile: MediaProfile::ssd(),
+                })
+            },
+            &[(FlexVolConfig::default(), 20_000)],
+            1,
+        )
+        .unwrap();
+        aging::fill_volume(&mut a, VolumeId(0), 4096).unwrap();
+        let space = a.bitmap.space_len();
+        let (live, free): (Vec<Vbn>, Vec<Vbn>) = (0..space)
+            .map(Vbn)
+            .partition(|&v| !a.bitmap.is_free(v).unwrap());
+        let mut batch: Vec<Vbn> = live.iter().step_by(97).copied().collect();
+        batch.insert(batch.len() / 2, free[0]);
+        let ftl = |a: &Aggregate| {
+            let g = &a.groups[0];
+            let lpn = |v: &Vbn| g.geometry.vbn_to_loc(*v).unwrap();
+            let state = |m: &DeviceMedia, d| match m {
+                DeviceMedia::Ssd(f) => {
+                    let mapped: Vec<bool> = batch
+                        .iter()
+                        .filter(|v| lpn(v).device.index() == d)
+                        .map(|v| f.is_mapped(lpn(v).dbn.get() as u32))
+                        .collect();
+                    (f.stats().trims, f.live_pages(), mapped)
+                }
+                _ => unreachable!("an SSD group"),
+            };
+            g.media
+                .iter()
+                .enumerate()
+                .map(|(d, m)| state(m, d))
+                .collect::<Vec<_>>()
+        };
+        let (ftl_before, deltas_before) = (ftl(&a), a.groups[0].batch.clone());
+        let pages_before = a.bitmap.page_free_counts().to_vec();
+        assert!(a.free_now(&batch).is_err());
+        assert_eq!(ftl(&a), ftl_before);
+        let drain = |b: &mut ScoreDeltaBatch| b.drain().collect::<Vec<_>>();
+        assert_eq!(
+            drain(&mut a.groups[0].batch),
+            drain(&mut deltas_before.clone())
+        );
+        assert_eq!(a.bitmap.page_free_counts(), &pages_before[..]);
+        assert!(live.iter().all(|&v| !a.bitmap.is_free(v).unwrap()));
+        // A volume's flush: a vvbn freed twice in one batch.
+        let vol = &mut a.vols[0];
+        let vvbn = (0..vol.bitmap.space_len())
+            .map(Vbn)
+            .find(|&v| !vol.bitmap.is_free(v).unwrap())
+            .unwrap();
+        vol.delayed_vvbn_frees = vec![vvbn, vvbn];
+        let vol_deltas = vol.batch.touched_aas();
+        let vol_free = vol.bitmap.free_blocks();
+        assert!(vol.flush_delayed_frees().is_err());
+        assert_eq!(vol.batch.touched_aas(), vol_deltas);
+        assert_eq!(vol.bitmap.free_blocks(), vol_free);
+        assert!(!vol.bitmap.is_free(vvbn).unwrap());
     }
 
     #[test]

@@ -169,7 +169,7 @@ impl DelayedFreeLog {
             self.pending_pages -= 1;
             sort_vbns(live);
             live.dedup();
-            bitmap.free_sorted_blocks(live)?;
+            bitmap.free_batch(live)?;
             record(live, bitmap)?;
             stats.frees_applied += live.len() as u64;
             self.total_pending -= count as u64;

@@ -6,7 +6,7 @@ use crate::paged_map::{check_block_space, slot, PagedMap};
 use crate::snapshot::{Snapshot, SnapshotId};
 use std::collections::{HashMap, HashSet};
 use wafl_bitmap::Bitmap;
-use wafl_core::{AaTopology, RaidAgnosticCache, ScoreDeltaBatch};
+use wafl_core::{book_spans, AaTopology, RaidAgnosticCache, ScoreDeltaBatch};
 use wafl_types::{AaSizingPolicy, Vbn, VolumeId, WaflError, WaflResult, RAID_AGNOSTIC_AA_BLOCKS};
 
 /// `logical_map` sentinel for "no mapping" (virtual spaces are checked
@@ -416,48 +416,26 @@ impl FlexVol {
         }
     }
 
-    /// Apply the CP boundary's delayed virtual frees (§3.3) in bulk:
-    /// sort, then clear the whole batch with
-    /// [`Bitmap::free_sorted_blocks`] — one masked word store per
-    /// touched word instead of one bit flip per block. Invalidates the
+    /// Apply the CP boundary's delayed virtual frees (§3.3) in bulk, in
+    /// the order they came: clear them with [`Bitmap::free_batch`], then
+    /// book one score delta per run of frees in one AA. Invalidates the
     /// drain cursor for any AA a free lands in. Returns the blocks freed.
     pub(crate) fn flush_delayed_frees(&mut self) -> WaflResult<u64> {
-        let mut frees = std::mem::take(&mut self.delayed_vvbn_frees);
+        let frees = std::mem::take(&mut self.delayed_vvbn_frees);
         if frees.is_empty() {
             return Ok(0);
         }
-        wafl_bitmap::sort_vbns(&mut frees);
-        let total = frees.len() as u64;
-        // Sorted input: one aa_span_of_vbn lookup per AA span crossed
-        // instead of one aa_of_vbn per block, one record_freed per span
-        // rather than per block, and one word-masked bitmap store per
-        // touched word via the batch free — random overwrites free
-        // thousands of isolated blocks, so per-block bookkeeping is the
-        // cost that matters here.
-        let mut span_aa = wafl_types::AaId(0);
-        let mut span_end = Vbn(0);
-        let mut span_freed: u32 = 0;
-        for &vbn in &frees {
-            if vbn >= span_end {
-                if span_freed > 0 {
-                    self.batch.record_freed(span_aa, span_freed);
-                    if self.drain_cursor.map(|(c, _)| c) == Some(span_aa) {
-                        self.drain_cursor = None;
-                    }
-                }
-                (span_aa, span_end) = self.topology.aa_span_of_vbn(vbn)?;
-                span_freed = 0;
+        self.bitmap.free_batch(&frees)?;
+        let finder = self.topology.span_finder();
+        let (batch, cursor) = (&mut self.batch, &mut self.drain_cursor);
+        let locate = |vbn| Ok(((), finder.span_of(vbn)?));
+        book_spans(&frees, locate, |(), aa, n| {
+            batch.record_freed(aa, n);
+            if cursor.is_some_and(|(c, _)| c == aa) {
+                *cursor = None;
             }
-            span_freed += 1;
-        }
-        if span_freed > 0 {
-            self.batch.record_freed(span_aa, span_freed);
-            if self.drain_cursor.map(|(c, _)| c) == Some(span_aa) {
-                self.drain_cursor = None;
-            }
-        }
-        self.bitmap.free_sorted_blocks(&frees)?;
-        Ok(total)
+        })?;
+        Ok(frees.len() as u64)
     }
 }
 

@@ -24,9 +24,11 @@
 //! (round 0 now plans with the blocks the drain freed).
 //! `ssd_groups_batched_frees`, the one geometry on SSDs, was recorded at
 //! commit 1d95e9f, before the FTL's collector began resolving a victim's
-//! pages ahead of moving them. A change that moves a constant is a change
-//! in what a CP does. No geometry sets `trim_on_free` (TRIMs do not feed
-//! `CpStats`, but keep it that way).
+//! pages ahead of moving them. `odd_geometry_overwrites_and_deletes` and
+//! `ssd_group_immediate_frees_trimmed`, the one geometry with
+//! `trim_on_free`, were recorded at commit 293f50e, while a CP still
+//! sorted its frees before applying them. A change that moves a constant
+//! is a change in what a CP does.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -532,4 +534,87 @@ fn crash_and_mount_auto_cycles() {
         d.cp(&a.run_cp().unwrap());
     }
     assert_eq!(d.finish(&a), 0x6d71_ff49_b99f_aee7);
+}
+
+/// Nothing a power of two: two HDD groups of 1 000 × k-block devices
+/// (3 + 1 × 37 000 and 5 + 1 × 23 000) cut into 3 000-stripe AAs by
+/// `aa_policy_override`, so each group ends in a short AA, under two
+/// volumes of 7 008-block AAs (not a multiple of a 64-bit word) whose
+/// last AA is short too; random overwrites with deletes.
+#[test]
+fn odd_geometry_overwrites_and_deletes() {
+    const LOGICAL: u64 = 60_000;
+    let mut a = Aggregate::new(
+        AggregateConfig {
+            raid_groups: vec![hdd_group(3, 37_000), hdd_group(5, 23_000)],
+            aa_policy_override: Some(wafl_types::AaSizingPolicy::Stripes { stripes: 3000 }),
+            ..AggregateConfig::single_group(hdd_group(3, 37_000))
+        },
+        &[(
+            FlexVolConfig {
+                aa_blocks: Some(7008),
+                ..vol(100_000, true)
+            },
+            LOGICAL,
+        ); 2],
+        11,
+    )
+    .unwrap();
+    let mut d = Digest::new();
+    fill(&mut a, &mut d, 0, LOGICAL, 4000);
+    fill(&mut a, &mut d, 1, LOGICAL, 4000);
+    let mut rng = StdRng::seed_from_u64(29);
+    for _ in 0..20 {
+        for v in 0..2 {
+            overwrite(&mut a, &mut rng, v, LOGICAL, 2500);
+            for _ in 0..250 {
+                a.client_delete(VolumeId(v), rng.random_range(0..LOGICAL))
+                    .unwrap();
+            }
+        }
+        d.cp(&a.run_cp().unwrap());
+    }
+    assert_eq!(d.finish(&a), 0xe789_b22e_bc5d_fad2);
+}
+
+/// One SSD 4 + 1 group with immediate frees and `trim_on_free`: every
+/// CP's physical frees reach the FTL as TRIMs in the order the CP frees
+/// them. TRIMs feed no `CpStats` field but change what the collector
+/// relocates, so the end-state write amplification is folded in.
+#[test]
+fn ssd_group_immediate_frees_trimmed() {
+    const LOGICAL: u64 = 100_000;
+    let spec = RaidGroupSpec {
+        data_devices: 4,
+        parity_devices: 1,
+        device_blocks: 8 * 4096,
+        profile: MediaProfile::ssd(),
+    };
+    let mut a = Aggregate::new(
+        AggregateConfig {
+            trim_on_free: true,
+            ..AggregateConfig::single_group(spec)
+        },
+        &[(vol(4 * 32768, true), LOGICAL)],
+        2,
+    )
+    .unwrap();
+    let mut d = Digest::new();
+    fill(&mut a, &mut d, 0, LOGICAL, 4096);
+    let mut rng = StdRng::seed_from_u64(23);
+    for _ in 0..40 {
+        overwrite(&mut a, &mut rng, 0, LOGICAL, 3000);
+        for _ in 0..300 {
+            a.client_delete(VolumeId(0), rng.random_range(0..LOGICAL))
+                .unwrap();
+        }
+        d.cp(&a.run_cp().unwrap());
+    }
+    let wa = a.mean_write_amplification();
+    assert!(
+        wa > 1.0,
+        "the run must make the FTL collect garbage: WA {wa}"
+    );
+    d.f64(wa);
+    assert_eq!(d.finish(&a), 0x917c_bc19_3e7f_cef0);
 }

@@ -383,6 +383,11 @@ impl SsdFtl {
         pages as f64 * self.read_us
     }
 
+    /// Whether `lpn` maps to a physical page: written and not trimmed.
+    pub fn is_mapped(&self, lpn: u32) -> bool {
+        self.l2p.get(lpn as usize).is_some_and(|&p| p != UNMAPPED)
+    }
+
     /// Total valid (live) pages — equals the number of distinct LPNs ever
     /// written and not trimmed.
     pub fn live_pages(&self) -> u64 {

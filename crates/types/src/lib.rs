@@ -12,6 +12,8 @@
 //! * Constants such as [`BLOCK_SIZE`] and [`BITS_PER_BITMAP_BLOCK`] that
 //!   the paper's sizing arguments depend on (a 4 KiB bitmap-metafile block
 //!   holds 32 Ki bits, hence the 32 Ki-VBN RAID-agnostic AA).
+//! * [`Reciprocal`] — division by a divisor fixed for a loop, as a shift
+//!   or a multiply, for the batch paths that map blocks to AAs.
 //!
 //! Everything here is `Copy`, cheap, and deliberately free of behaviour —
 //! the behaviour lives in `wafl-bitmap`, `wafl-raid`, `wafl-core`, and
@@ -24,6 +26,7 @@ mod consts;
 pub mod crc64;
 mod error;
 mod ids;
+mod recip;
 mod retry;
 mod score;
 
@@ -31,5 +34,6 @@ pub use config::{AaSizingPolicy, ChecksumStyle, MediaType};
 pub use consts::*;
 pub use error::{WaflError, WaflResult};
 pub use ids::{AaId, Dbn, DeviceId, RaidGroupId, StripeId, TetrisId, Vbn, VolumeId};
+pub use recip::Reciprocal;
 pub use retry::RetryPolicy;
 pub use score::{AaScore, ScoreDelta};
