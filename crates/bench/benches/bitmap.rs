@@ -8,7 +8,7 @@ use rand::prelude::*;
 use rand::rngs::StdRng;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-use wafl_bench::aged_bitmap;
+use wafl_bench::{aged_bitmap, aged_bitmap_for_aa};
 use wafl_bitmap::{scan, sort_vbns, Bitmap};
 use wafl_types::{Vbn, TETRIS_STRIPES};
 
@@ -30,12 +30,11 @@ fn full_walk(c: &mut Criterion) {
     // The mount-time rebuild walk over a 16 GiB (4 Mi-block) space.
     // `popcount` is the pre-summary implementation (raw word walk);
     // `sequential` answers from the per-page free-count summary, and
-    // `summary_per_aa` adds the per-AA counters volumes enable, turning
-    // the whole rebuild into a counter copy.
+    // `summary_per_aa` from a bitmap whose summary unit is the 2 048-block
+    // AA of the benchmark volumes, one counter load per AA.
     let space = 128 * 32_768u64;
     let bitmap = aged_bitmap(space, 0.55, 3);
-    let mut with_aa = aged_bitmap(space, 0.55, 3);
-    with_aa.enable_aa_summary(32_768).unwrap();
+    let with_aa = aged_bitmap_for_aa(space, 2048, 0.55, 3);
     let mut g = c.benchmark_group("bitmap/rebuild_walk");
     g.throughput(Throughput::Bytes(space / 8));
     g.bench_function("popcount", |b| {
@@ -45,7 +44,7 @@ fn full_walk(c: &mut Criterion) {
         b.iter(|| black_box(scan::scores_seq(&bitmap, 32_768)))
     });
     g.bench_function("summary_per_aa", |b| {
-        b.iter(|| black_box(scan::scores_seq(&with_aa, 32_768)))
+        b.iter(|| black_box(scan::scores_seq(&with_aa, 2048)))
     });
     g.finish();
 }
@@ -128,20 +127,34 @@ fn cp_free_batches(space: u64, seed: u64) -> [(&'static str, Vec<Vbn>); 3] {
 }
 
 fn cp_batch_free(c: &mut Criterion) {
-    // Each batch frees into a full 4 Mi-block bitmap with a 2 048-block
-    // AA summary, after 64 MiB of other traffic has pushed the bitmap out
-    // of the caches, as a CP's other stages do. The bitmap is refilled
-    // untimed after each batch. Two kernels per order: the sort the CP
-    // used to pay before the sorted-only batch free, and `free_batch`,
-    // which takes the batch as it comes.
+    // Each batch frees into a full 4 Mi-block bitmap, after 64 MiB of
+    // other traffic has pushed the bitmap out of the caches, as a CP's
+    // other stages do. The bitmap is refilled untimed after each batch.
+    // Two kernels per order: the sort the CP used to pay before the
+    // sorted-only batch free, and `free_batch`, which takes the batch as
+    // it comes. The summary unit is a page, as an aggregate's is, and
+    // `unit_2048/` repeats the random order on the 2 048-block units of
+    // the benchmark's `aged_overwrite` volumes.
     let space = 128 * 32_768u64;
-    let mut bitmap = Bitmap::new(space);
-    bitmap.enable_aa_summary(2048).unwrap();
-    bitmap.allocate_run(Vbn(0), space).unwrap();
+    let mut page_units = Bitmap::new(space);
+    let mut aa_units = Bitmap::for_aa_tiling(space, 2048);
+    for bitmap in [&mut page_units, &mut aa_units] {
+        bitmap.allocate_run(Vbn(0), space).unwrap();
+    }
     let mut traffic = vec![0u64; 8 << 20];
     let mut g = c.benchmark_group("bitmap/cp_batch_free_8192");
     g.throughput(Throughput::Elements(8192));
-    for (order, batch) in cp_free_batches(space, 7) {
+    let batches = cp_free_batches(space, 7);
+    let cases = batches
+        .iter()
+        .map(|(order, batch)| (false, *order, batch))
+        .chain([(true, "unit_2048/random", &batches[0].1)]);
+    for (by_aa, order, batch) in cases {
+        let bitmap = if by_aa {
+            &mut aa_units
+        } else {
+            &mut page_units
+        };
         for sorted in [true, false] {
             let name = match sorted {
                 true => format!("{order}/sort_vbns+free_sorted_blocks"),
@@ -152,7 +165,7 @@ fn cp_batch_free(c: &mut Criterion) {
             g.bench_function(&name, |b| {
                 b.iter(|| {
                     traffic.iter_mut().for_each(|w| *w = w.wrapping_add(1));
-                    work.copy_from_slice(&batch);
+                    work.copy_from_slice(batch);
                     let t = Instant::now();
                     if sorted {
                         sort_vbns(&mut work);

@@ -17,7 +17,12 @@ use wafl_types::{AaId, AaScore, Vbn};
 
 /// A bitmap with `fill` of its blocks randomly allocated.
 pub fn aged_bitmap(space: u64, fill: f64, seed: u64) -> Bitmap {
-    let mut b = Bitmap::new(space);
+    aged_bitmap_for_aa(space, wafl_types::BITS_PER_BITMAP_BLOCK, fill, seed)
+}
+
+/// [`aged_bitmap`] for AAs of `aa_blocks` ([`Bitmap::for_aa_tiling`]).
+pub fn aged_bitmap_for_aa(space: u64, aa_blocks: u64, fill: f64, seed: u64) -> Bitmap {
+    let mut b = Bitmap::for_aa_tiling(space, aa_blocks);
     let mut rng = StdRng::seed_from_u64(seed);
     let target = (space as f64 * fill) as u64;
     let mut done = 0;

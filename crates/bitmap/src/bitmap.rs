@@ -4,7 +4,14 @@
 use crate::page::{BitmapPage, WORDS_PER_PAGE};
 use std::fmt::Display;
 use std::ops::Range;
-use wafl_types::{Reciprocal, Vbn, WaflError, WaflResult, BITS_PER_BITMAP_BLOCK};
+use wafl_types::{Vbn, WaflError, WaflResult, BITS_PER_BITMAP_BLOCK};
+
+/// log2 of [`BITS_PER_BITMAP_BLOCK`]: a page is the largest summary unit.
+const PAGE_SHIFT: u32 = BITS_PER_BITMAP_BLOCK.trailing_zeros();
+
+/// log2 of the smallest summary unit, one 64-bit word: a word never
+/// straddles two units.
+const WORD_SHIFT: u32 = 6;
 
 /// Per-consistency-point accounting of bitmap-metafile I/O.
 ///
@@ -19,34 +26,6 @@ pub struct DirtyStats {
     pub pages_dirtied: u64,
     /// Individual bit flips since the last take (allocations + frees).
     pub bits_flipped: u64,
-}
-
-/// Per-AA free-count summary: one counter per allocation area of a flat
-/// (RAID-agnostic) AA tiling, maintained incrementally by every bit flip.
-struct AaSummary {
-    /// Blocks per AA of the tiling this summary indexes.
-    aa_blocks: u64,
-    /// Free blocks per AA, `space_len.div_ceil(aa_blocks)` entries.
-    counts: Vec<u32>,
-}
-
-impl AaSummary {
-    /// Count down the bits of `mask` claimed in the 64-bit word whose
-    /// first VBN is `word_base`.
-    #[inline]
-    fn claim_word(&mut self, word_base: u64, mask: u64) {
-        let mut bump = |vbn: u64, n: u32| self.counts[(vbn / self.aa_blocks) as usize] -= n;
-        if self.aa_blocks.is_multiple_of(64) {
-            // A word never straddles an AA boundary: one bump.
-            bump(word_base, mask.count_ones());
-        } else {
-            let mut m = mask;
-            while m != 0 {
-                bump(word_base + m.trailing_zeros() as u64, 1);
-                m &= m - 1;
-            }
-        }
-    }
 }
 
 /// What one [`Bitmap::claim_free_in_range`] call took.
@@ -70,32 +49,32 @@ pub struct Claim {
 /// assert!(!map.is_free(Vbn(42)).unwrap());
 /// assert!(map.allocate(Vbn(42)).is_err()); // double allocation caught
 ///
-/// // AA scores are range free-counts (§3.3), answered from the per-page
-/// // summary counters where whole pages are covered.
+/// // AA scores are range free-counts (§3.3), answered from the summary
+/// // counters where whole units are covered.
 /// assert_eq!(map.free_count_range(Vbn(0), 32_768), 32_767);
 ///
 /// // Each CP's metafile I/O is the dirty-page count (§2.5).
 /// assert_eq!(map.take_dirty_stats().pages_dirtied, 1);
 /// ```
 ///
-/// # Free-count summaries
+/// # Free-count summary
 ///
 /// The paper's premise is that "a linear walk of the bitmap metafiles" to
 /// recompute AA scores is too expensive to do on demand (§3.4). The bitmap
-/// therefore keeps a two-level summary, maintained incrementally by
-/// [`Bitmap::allocate`]/[`Bitmap::free`]/[`Bitmap::extend`]:
+/// therefore keeps one `u16` free-bit counter per *summary unit*, kept
+/// exact by every mutator: a power-of-two run of 64 ..= 32 Ki VBNs, so a
+/// 64-bit word never straddles two units and a unit never straddles two
+/// pages.
 ///
-/// * **per page** — a `u16` free-bit count per 4 KiB metafile page
-///   (2 bytes per 32 Ki tracked blocks ≈ 0.006 % overhead). Range
-///   queries answer fully-covered pages from the counter and popcount
-///   only the partial edge pages; skip-scans jump over pages whose
-///   counter is zero.
-/// * **per AA** — an optional `u32` free count per allocation area of a
-///   flat tiling ([`Bitmap::enable_aa_summary`]), making a whole-space
-///   score rebuild a sequential copy instead of a popcount walk.
+/// * [`Bitmap::new`] counts per 4 KiB metafile page (2 bytes per 32 Ki
+///   tracked blocks).
+/// * [`Bitmap::for_aa_tiling`] counts per AA of a flat tiling when the AA
+///   size allows it, so an AA score is one counter load.
 ///
-/// Debug builds verify every touched counter against the popcount ground
-/// truth on each mutation, and the whole summary at every
+/// Range queries answer fully covered units from the counter and popcount
+/// only the partial edges; skip-scans jump over units whose counter is
+/// zero. Debug builds verify every touched counter against the popcount
+/// ground truth on each mutation, and the whole summary at every
 /// [`Bitmap::take_dirty_stats`] (i.e. every consistency point).
 ///
 /// Invariants enforced at runtime (not just in debug builds) because the
@@ -110,30 +89,47 @@ pub struct Bitmap {
     stats: DirtyStats,
     space_len: u64,
     free_blocks: u64,
-    /// Free bits per page (32 Ki max fits `u16`), kept exact by every
-    /// mutation. Index parallel to `pages`.
-    page_free: Vec<u16>,
-    /// Optional per-AA counters for one configured flat tiling.
-    aa_summary: Option<AaSummary>,
+    /// log2 of the VBNs per summary unit, `WORD_SHIFT ..= PAGE_SHIFT`.
+    unit_shift: u32,
+    /// Free bits per summary unit (32 Ki max fits `u16`), kept exact by
+    /// every mutation; `space_len.div_ceil(unit)` entries.
+    unit_free: Vec<u16>,
 }
 
 impl Bitmap {
-    /// An all-free bitmap covering `space_len` VBNs. The final page is
-    /// padded with *allocated* bits past `space_len` so range queries never
-    /// see phantom free space.
+    /// An all-free bitmap covering `space_len` VBNs, one summary counter
+    /// per page. The final page is padded with *allocated* bits past
+    /// `space_len` so range queries never see phantom free space.
     pub fn new(space_len: u64) -> Bitmap {
+        Bitmap::with_unit_shift(space_len, PAGE_SHIFT)
+    }
+
+    /// An all-free bitmap for a space tiled in AAs of `aa_blocks`
+    /// consecutive VBNs: the summary unit is the AA when `aa_blocks` is a
+    /// power of two in 64 ..= 32 Ki — every production volume AA size —
+    /// so each AA score is one counter. Any other size counts per page.
+    pub fn for_aa_tiling(space_len: u64, aa_blocks: u64) -> Bitmap {
+        let fits = aa_blocks.is_power_of_two()
+            && (1 << WORD_SHIFT..=BITS_PER_BITMAP_BLOCK).contains(&aa_blocks);
+        let shift = if fits {
+            aa_blocks.trailing_zeros()
+        } else {
+            PAGE_SHIFT
+        };
+        Bitmap::with_unit_shift(space_len, shift)
+    }
+
+    fn with_unit_shift(space_len: u64, unit_shift: u32) -> Bitmap {
         let page_count = space_len.div_ceil(BITS_PER_BITMAP_BLOCK) as usize;
         let mut pages = vec![BitmapPage::new_free(); page_count];
         // Pad the tail of the last page.
         let tail_start = space_len % BITS_PER_BITMAP_BLOCK;
-        if tail_start != 0 {
-            let last = pages.last_mut().expect("space_len > 0 implies a page");
-            for i in tail_start..BITS_PER_BITMAP_BLOCK {
-                last.set_allocated(i);
-            }
+        if let Some(last) = pages.last_mut().filter(|_| tail_start != 0) {
+            last.set_range_allocated(tail_start, BITS_PER_BITMAP_BLOCK);
         }
-        let page_free = (0..page_count as u64)
-            .map(|p| BITS_PER_BITMAP_BLOCK.min(space_len - p * BITS_PER_BITMAP_BLOCK) as u16)
+        let unit = 1u64 << unit_shift;
+        let unit_free = (0..space_len.div_ceil(unit))
+            .map(|u| unit.min(space_len - u * unit) as u16)
             .collect();
         Bitmap {
             dirty: vec![false; page_count],
@@ -141,55 +137,9 @@ impl Bitmap {
             stats: DirtyStats::default(),
             space_len,
             free_blocks: space_len,
-            page_free,
-            aa_summary: None,
+            unit_shift,
+            unit_free,
         }
-    }
-
-    /// Enable the per-AA free-count summary for a flat tiling of
-    /// `aa_blocks` consecutive VBNs per AA (the trailing AA may be
-    /// short). From this point every allocate/free/extend keeps the
-    /// counters exact, and [`Bitmap::aa_free_counts`] answers whole-space
-    /// score rebuilds without touching a single bitmap word.
-    ///
-    /// Calling it again (same or different `aa_blocks`) rebuilds from the
-    /// current bit state.
-    pub fn enable_aa_summary(&mut self, aa_blocks: u64) -> WaflResult<()> {
-        if aa_blocks == 0 {
-            return Err(WaflError::InvalidConfig {
-                reason: "aa_blocks for the AA summary must be positive".into(),
-            });
-        }
-        self.aa_summary = Some(AaSummary {
-            aa_blocks,
-            counts: self.compute_aa_counts(aa_blocks),
-        });
-        Ok(())
-    }
-
-    /// Per-AA free counts for a tiling of `aa_blocks`, if that summary is
-    /// enabled and matches. Entry `i` is the free-block count of the AA
-    /// covering `i*aa_blocks .. (i+1)*aa_blocks` — exactly the AA score
-    /// of §3.3, served in O(1).
-    pub fn aa_free_counts(&self, aa_blocks: u64) -> Option<&[u32]> {
-        self.aa_summary
-            .as_ref()
-            .filter(|s| s.aa_blocks == aa_blocks)
-            .map(|s| s.counts.as_slice())
-    }
-
-    /// The AA size of the enabled per-AA summary, if any.
-    pub fn aa_summary_blocks(&self) -> Option<u64> {
-        self.aa_summary.as_ref().map(|s| s.aa_blocks)
-    }
-
-    /// Free counts per AA recomputed from the page counters (partial edge
-    /// pages popcounted). Used to (re)build the AA summary.
-    fn compute_aa_counts(&self, aa_blocks: u64) -> Vec<u32> {
-        let aa_count = self.space_len.div_ceil(aa_blocks);
-        (0..aa_count)
-            .map(|aa| self.free_count_range(Vbn(aa * aa_blocks), aa_blocks))
-            .collect()
     }
 
     /// Number of VBNs in the space.
@@ -202,6 +152,18 @@ impl Bitmap {
     #[inline]
     pub fn page_count(&self) -> usize {
         self.pages.len()
+    }
+
+    /// VBNs per summary unit: a page, or the AA of
+    /// [`Bitmap::for_aa_tiling`].
+    #[inline]
+    pub fn unit_blocks(&self) -> u64 {
+        1 << self.unit_shift
+    }
+
+    /// Every summary counter: the free blocks of each unit, in VBN order.
+    pub fn unit_free_counts(&self) -> &[u16] {
+        &self.unit_free
     }
 
     /// Total free blocks in the space — the top level of the free-count
@@ -238,6 +200,33 @@ impl Bitmap {
         ))
     }
 
+    /// The summary unit holding VBN `v`.
+    #[inline]
+    fn unit_of(&self, v: u64) -> usize {
+        (v >> self.unit_shift) as usize
+    }
+
+    /// The end of the unit holding VBN `v`, clamped to `limit`.
+    #[inline]
+    fn unit_end(&self, v: u64, limit: u64) -> u64 {
+        (((v >> self.unit_shift) + 1) << self.unit_shift).min(limit)
+    }
+
+    /// Free bits in `start..end`, which lies in one page, by popcount.
+    #[inline]
+    fn popcount_in_page(&self, start: u64, end: u64) -> u32 {
+        let page_start = start & !(BITS_PER_BITMAP_BLOCK - 1);
+        let page = &self.pages[(start / BITS_PER_BITMAP_BLOCK) as usize];
+        page.free_count_range(start - page_start, end - page_start)
+    }
+
+    /// Unit `u`'s free bits by popcount: what its counter must read. The
+    /// tail padding is allocated, so the whole unit can be counted.
+    fn unit_popcount(&self, u: usize) -> u32 {
+        let start = (u as u64) << self.unit_shift;
+        self.popcount_in_page(start, start + self.unit_blocks())
+    }
+
     /// Whether `vbn` is free.
     pub fn is_free(&self, vbn: Vbn) -> WaflResult<bool> {
         let (p, i) = self.locate(vbn)?;
@@ -263,10 +252,8 @@ impl Bitmap {
             });
         }
         self.free_blocks -= 1;
-        self.page_free[p] -= 1;
-        if let Some(s) = self.aa_summary.as_mut() {
-            s.counts[(vbn.get() / s.aa_blocks) as usize] -= 1;
-        }
+        let u = self.unit_of(vbn.get());
+        self.unit_free[u] -= 1;
         self.mark_dirty(p);
         self.debug_check_counters(vbn);
         Ok(())
@@ -282,20 +269,18 @@ impl Bitmap {
             });
         }
         self.free_blocks += 1;
-        self.page_free[p] += 1;
-        if let Some(s) = self.aa_summary.as_mut() {
-            s.counts[(vbn.get() / s.aa_blocks) as usize] += 1;
-        }
+        let u = self.unit_of(vbn.get());
+        self.unit_free[u] += 1;
         self.mark_dirty(p);
         self.debug_check_counters(vbn);
         Ok(())
     }
 
     /// Allocate the run `start .. start+len` in bulk: whole-word bit
-    /// stores, one summary-counter update per touched page and per touched
-    /// AA, and one dirty mark per page — instead of the per-bit loop's
-    /// per-block bookkeeping. `DirtyStats` accounting is identical to
-    /// `len` calls of [`Bitmap::allocate`].
+    /// stores, one summary-counter update per touched unit, and one dirty
+    /// mark per page — instead of the per-bit loop's per-block
+    /// bookkeeping. `DirtyStats` accounting is identical to `len` calls
+    /// of [`Bitmap::allocate`].
     ///
     /// Atomic: if any bit in the run is already allocated (or the run
     /// leaves the space), the error names the first offending VBN and the
@@ -352,47 +337,34 @@ impl Bitmap {
             }
             pos = page_end;
         }
-        // Pass 2: apply with word stores; each touched page costs one
-        // counter update and one dirty mark.
+        // Pass 2: apply with word stores, a unit at a time; each touched
+        // unit costs one counter update, each touched page a dirty mark.
         let mut pos = s;
         while pos < end {
             let p = (pos / BITS_PER_BITMAP_BLOCK) as usize;
             let in_page = pos % BITS_PER_BITMAP_BLOCK;
-            let page_end = ((p as u64 + 1) * BITS_PER_BITMAP_BLOCK).min(end);
-            let in_page_end = in_page + (page_end - pos);
-            let touched = (page_end - pos) as u16;
+            let unit_end = self.unit_end(pos, end);
+            let in_page_end = in_page + (unit_end - pos);
+            let touched = (unit_end - pos) as u16;
+            let u = self.unit_of(pos);
             if alloc {
                 self.pages[p].set_range_allocated(in_page, in_page_end);
-                self.page_free[p] -= touched;
+                self.unit_free[u] -= touched;
             } else {
                 self.pages[p].set_range_free(in_page, in_page_end);
-                self.page_free[p] += touched;
+                self.unit_free[u] += touched;
             }
             if !self.dirty[p] {
                 self.dirty[p] = true;
                 self.stats.pages_dirtied += 1;
             }
-            pos = page_end;
+            pos = unit_end;
         }
         self.stats.bits_flipped += len;
         if alloc {
             self.free_blocks -= len;
         } else {
             self.free_blocks += len;
-        }
-        if let Some(sm) = self.aa_summary.as_mut() {
-            let first_aa = s / sm.aa_blocks;
-            let last_aa = (end - 1) / sm.aa_blocks;
-            for aa in first_aa..=last_aa {
-                let aa_start = aa * sm.aa_blocks;
-                let aa_end = aa_start + sm.aa_blocks;
-                let overlap = (end.min(aa_end) - s.max(aa_start)) as u32;
-                if alloc {
-                    sm.counts[aa as usize] -= overlap;
-                } else {
-                    sm.counts[aa as usize] += overlap;
-                }
-            }
         }
         if cfg!(debug_assertions) {
             self.debug_check_counters(start);
@@ -421,10 +393,9 @@ impl Bitmap {
     /// immediate-free path. Random overwrites free thousands of isolated
     /// blocks per CP, where sorting them first costs more than it saves.
     /// VBNs next to each other in the batch that share a 64-bit word
-    /// share one check-and-clear; the counters advance by the number of
-    /// VBNs, and the AA counter is found by a reciprocal multiply.
-    /// `DirtyStats` accounting is identical to calling [`Bitmap::free`]
-    /// once per VBN.
+    /// share one check-and-clear and one counter update (a word never
+    /// straddles two summary units). `DirtyStats` accounting is identical
+    /// to calling [`Bitmap::free`] once per VBN.
     ///
     /// Atomic: a VBN out of range or already free (before the call, or
     /// earlier in the batch) undoes the frees before it and is named in
@@ -433,22 +404,12 @@ impl Bitmap {
     /// then as before the call.
     pub fn free_batch(&mut self, vbns: &[Vbn]) -> WaflResult<()> {
         let mut newly_dirty = Vec::new();
-        // One copy of the loop per way of counting AAs: none tests for
-        // the summary per VBN.
-        let cleared = match self.aa_summary.as_ref().map(|s| s.aa_blocks % 64 == 0) {
-            None => self.clear_groups::<0>(vbns, &mut newly_dirty),
-            // A word never straddles an AA boundary: one bump a group.
-            Some(true) => self.clear_groups::<1>(vbns, &mut newly_dirty),
-            Some(false) => self.clear_groups::<2>(vbns, &mut newly_dirty),
-        };
-        if let Err((done, err)) = cleared {
+        if let Err((done, err)) = self.clear_groups(vbns, &mut newly_dirty) {
             for &v in &vbns[..done] {
                 let (p, i) = self.locate(v)?;
                 self.pages[p].set_allocated(i);
-                self.page_free[p] -= 1;
-                if let Some(s) = self.aa_summary.as_mut() {
-                    s.counts[(v.get() / s.aa_blocks) as usize] -= 1;
-                }
+                let u = self.unit_of(v.get());
+                self.unit_free[u] -= 1;
             }
             for p in newly_dirty {
                 self.dirty[p] = false;
@@ -465,11 +426,10 @@ impl Bitmap {
         Ok(())
     }
 
-    /// [`Bitmap::free_batch`]'s pass, with the AA summary off (`AA` 0),
-    /// bumped once a group (1) or once a VBN (2): clears the bits, bumps
-    /// the counters and pushes each page it dirties to `newly_dirty`. On
-    /// a refused VBN, returns how many VBNs before it were cleared.
-    fn clear_groups<const AA: u8>(
+    /// [`Bitmap::free_batch`]'s pass: clears the bits, bumps the unit
+    /// counters and pushes each page it dirties to `newly_dirty`. On a
+    /// refused VBN, returns how many VBNs before it were cleared.
+    fn clear_groups(
         &mut self,
         vbns: &[Vbn],
         newly_dirty: &mut Vec<usize>,
@@ -478,15 +438,11 @@ impl Bitmap {
             pages,
             dirty,
             space_len,
-            page_free,
-            aa_summary,
+            unit_shift,
+            unit_free,
             ..
         } = self;
-        let space_len = *space_len;
-        let (r, counts) = match aa_summary {
-            Some(s) => (Reciprocal::new(s.aa_blocks), &mut s.counts[..]),
-            None => (Reciprocal::new(1), &mut [][..]),
-        };
+        let (space_len, unit_shift) = (*space_len, *unit_shift);
         let mut i = 0;
         while i < vbns.len() {
             let v = vbns[i].get();
@@ -517,18 +473,10 @@ impl Bitmap {
                 let expected_free = false;
                 return Err((i, WaflError::BitmapStateMismatch { vbn, expected_free }));
             }
-            let n = end - i;
-            page_free[p] += n as u16;
+            unit_free[(v >> unit_shift) as usize] += (end - i) as u16;
             if !dirty[p] {
                 dirty[p] = true;
                 newly_dirty.push(p);
-            }
-            match AA {
-                1 => counts[r.quotient(v) as usize] += n as u32,
-                2 => vbns[i..end]
-                    .iter()
-                    .for_each(|x| counts[r.quotient(x.get()) as usize] += 1),
-                _ => {}
             }
             i = end;
         }
@@ -537,7 +485,7 @@ impl Bitmap {
 
     /// Iterate the maximal runs of consecutive free VBNs in
     /// `start .. start+len` as `(run_start, run_len)` pairs, ascending.
-    /// Fully-allocated pages are skipped from their summary counter and
+    /// Fully-allocated units are skipped from their summary counter and
     /// free stretches advance word-at-a-time, so walking an AA costs
     /// O(words touched), not O(bits).
     pub fn free_runs_in_range(
@@ -555,11 +503,11 @@ impl Bitmap {
 
     /// Claim the lowest `quota` free VBNs of `start .. start+len` (clamped
     /// to the space): search and take in one walk. The range is read a
-    /// 64-bit word at a time — edge words masked, pages whose summary
+    /// 64-bit word at a time — edge words masked, units whose summary
     /// counter reads full skipped unread — and the free bits of a word
     /// are set in the word just read, so there is nothing to re-validate
     /// between finding a block and owning it. The summary counters and
-    /// `DirtyStats` advance once per touched word or page, to exactly
+    /// `DirtyStats` advance once per touched unit or page, to exactly
     /// what one [`Bitmap::allocate`] per claimed VBN would leave.
     ///
     /// The claimed VBNs are appended to `vbns` and their maximal runs
@@ -575,25 +523,25 @@ impl Bitmap {
     ) -> Claim {
         let end = start.get().saturating_add(len).min(self.space_len);
         let first_run = runs.len();
-        let Bitmap {
-            pages,
-            dirty,
-            stats,
-            page_free,
-            aa_summary,
-            ..
-        } = self;
         let mut left = quota;
         let mut pos = start.get();
         while pos < end && left > 0 {
+            let u = self.unit_of(pos);
+            let unit_end = self.unit_end(pos, end);
+            let Bitmap {
+                pages,
+                dirty,
+                stats,
+                unit_free,
+                ..
+            } = self;
             let p = (pos / BITS_PER_BITMAP_BLOCK) as usize;
             let page_start = p as u64 * BITS_PER_BITMAP_BLOCK;
-            let page_end = (page_start + BITS_PER_BITMAP_BLOCK).min(end);
-            let mut page_taken = 0u16;
-            let words = (pos - page_start) / 64..(page_end - page_start).div_ceil(64);
+            let mut unit_taken = 0u16;
+            let words = (pos - page_start) / 64..(unit_end - page_start).div_ceil(64);
             for wi in words {
-                // The page has nothing (more) free, or the quota is met.
-                if page_taken == page_free[p] || left == 0 {
+                // The unit has nothing (more) free, or the quota is met.
+                if unit_taken == unit_free[u] || left == 0 {
                     break;
                 }
                 let base = page_start + wi * 64;
@@ -601,8 +549,8 @@ impl Bitmap {
                 if base < pos {
                     mask <<= pos - base;
                 }
-                if page_end - base < 64 {
-                    mask &= (1u64 << (page_end - base)) - 1;
+                if unit_end - base < 64 {
+                    mask &= (1u64 << (unit_end - base)) - 1;
                 }
                 let mut take = !pages[p].words()[wi as usize] & mask;
                 if take == 0 {
@@ -616,10 +564,7 @@ impl Bitmap {
                 }
                 pages[p].set_word_bits(wi as usize, take);
                 left -= n;
-                page_taken += n as u16;
-                if let Some(sm) = aa_summary.as_mut() {
-                    sm.claim_word(base, take);
-                }
+                unit_taken += n as u16;
                 // A word claimed whole is one `extend`, so a long run
                 // costs what its length does; a fragmented AA is made of
                 // partly claimed words, ten runs to a word, and a push per
@@ -646,16 +591,16 @@ impl Bitmap {
                     take &= take.wrapping_add(1u64 << bit);
                 }
             }
-            if page_taken > 0 {
-                page_free[p] -= page_taken;
+            if unit_taken > 0 {
+                unit_free[u] -= unit_taken;
                 if !dirty[p] {
                     dirty[p] = true;
                     stats.pages_dirtied += 1;
                 }
             }
-            pos = page_end;
+            pos = unit_end;
         }
-        stats.bits_flipped += quota - left;
+        self.stats.bits_flipped += quota - left;
         self.free_blocks -= quota - left;
         let last_taken = runs[first_run..].last().map(|&(s, l)| Vbn(s.get() + l - 1));
         if cfg!(debug_assertions) {
@@ -674,7 +619,7 @@ impl Bitmap {
     }
 
     /// Debug-build parity check: the summary audit of the mutated `vbn`
-    /// (its page's and its AA's counters). Compiled out of release builds.
+    /// (its unit's counter). Compiled out of release builds.
     #[inline]
     fn debug_check_counters(&self, vbn: Vbn) {
         if cfg!(debug_assertions) {
@@ -685,28 +630,36 @@ impl Bitmap {
 
     /// Number of free blocks in `start .. start+len` (clamped to the
     /// space). This is how an AA score is computed from the metafile
-    /// (§3.3: "computed by consulting bitmap metafiles") — but pages the
-    /// range fully covers are answered from the per-page summary counter,
-    /// so only the two partial edge pages ever cost a popcount.
+    /// (§3.3: "computed by consulting bitmap metafiles") — but units the
+    /// range fully covers are answered from their summary counter, so
+    /// only the two partial edge units ever cost a popcount. An AA that
+    /// is the bitmap's unit ([`Bitmap::for_aa_tiling`]) is one load.
+    #[inline]
     pub fn free_count_range(&self, start: Vbn, len: u64) -> u32 {
-        let start = start.get().min(self.space_len);
-        let end = start.saturating_add(len).min(self.space_len);
-        if start >= end {
-            return 0;
+        if len == self.unit_blocks() && start.get() & (len - 1) == 0 {
+            if let Some(&free) = self.unit_free.get(self.unit_of(start.get())) {
+                return u32::from(free);
+            }
         }
+        self.count_units_in(start.get(), len)
+    }
+
+    /// [`Bitmap::free_count_range`] of a range that is not one unit.
+    fn count_units_in(&self, start: u64, len: u64) -> u32 {
+        let start = start.min(self.space_len);
+        let end = start.saturating_add(len).min(self.space_len);
         let mut total = 0u32;
         let mut pos = start;
         while pos < end {
-            let page = (pos / BITS_PER_BITMAP_BLOCK) as usize;
-            let in_page = pos % BITS_PER_BITMAP_BLOCK;
-            let page_end = ((page as u64 + 1) * BITS_PER_BITMAP_BLOCK).min(end);
-            if in_page == 0 && page_end - pos == BITS_PER_BITMAP_BLOCK {
-                total += self.page_free[page] as u32;
+            // The unit's end; the space's end for the last one.
+            let whole_end = self.unit_end(pos, self.space_len);
+            let unit_end = whole_end.min(end);
+            if pos & (self.unit_blocks() - 1) == 0 && unit_end == whole_end {
+                total += u32::from(self.unit_free[self.unit_of(pos)]);
             } else {
-                let in_page_end = in_page + (page_end - pos);
-                total += self.pages[page].free_count_range(in_page, in_page_end);
+                total += self.popcount_in_page(pos, unit_end);
             }
-            pos = page_end;
+            pos = unit_end;
         }
         total
     }
@@ -719,175 +672,139 @@ impl Bitmap {
     pub fn free_count_range_popcount(&self, start: Vbn, len: u64) -> u32 {
         let start = start.get().min(self.space_len);
         let end = start.saturating_add(len).min(self.space_len);
-        if start >= end {
-            return 0;
-        }
         let mut total = 0u32;
         let mut pos = start;
         while pos < end {
-            let page = (pos / BITS_PER_BITMAP_BLOCK) as usize;
-            let in_page = pos % BITS_PER_BITMAP_BLOCK;
-            let page_end = ((page as u64 + 1) * BITS_PER_BITMAP_BLOCK).min(end);
-            let in_page_end = in_page + (page_end - pos);
-            total += self.pages[page].free_count_range(in_page, in_page_end);
+            let page_end = (pos / BITS_PER_BITMAP_BLOCK + 1) * BITS_PER_BITMAP_BLOCK;
+            total += self.popcount_in_page(pos, page_end.min(end));
             pos = page_end;
         }
         total
     }
 
-    /// First free VBN at or after `from`, or `None`. Pages whose summary
+    /// First free VBN at or after `from`, or `None`. Units whose summary
     /// counter is zero are skipped without touching their words, so a
-    /// nearly full bitmap costs one counter load per full page instead of
-    /// a 4 KiB word walk.
+    /// nearly full bitmap costs one counter load per full unit instead of
+    /// a word walk.
     pub fn first_free_from(&self, from: Vbn) -> Option<Vbn> {
         self.first_free_between(from.get(), self.space_len).map(Vbn)
     }
 
-    /// First free VBN in `from..to` (`to <= space_len`). Pages whose
+    /// First free VBN in `from..to` (`to <= space_len`). Units whose
     /// summary counter reads full are skipped unread, and no word past
     /// `to` is probed: a search costs at most the range it was given.
     fn first_free_between(&self, from: u64, to: u64) -> Option<u64> {
         let mut pos = from;
         while pos < to {
-            let p = (pos / BITS_PER_BITMAP_BLOCK) as usize;
-            let page_start = p as u64 * BITS_PER_BITMAP_BLOCK;
-            let page_end = (page_start + BITS_PER_BITMAP_BLOCK).min(to);
-            if self.page_free[p] != 0 {
-                let hit = self.pages[p].first_free_in(pos - page_start, page_end - page_start);
-                if let Some(i) = hit {
+            let unit_end = self.unit_end(pos, to);
+            if self.unit_free[self.unit_of(pos)] != 0 {
+                let page_start = pos & !(BITS_PER_BITMAP_BLOCK - 1);
+                let page = &self.pages[(pos / BITS_PER_BITMAP_BLOCK) as usize];
+                if let Some(i) = page.first_free_in(pos - page_start, unit_end - page_start) {
                     return Some(page_start + i);
                 }
             }
-            pos = page_end;
+            pos = unit_end;
         }
         None
     }
 
-    /// Free blocks in page `page`, from the summary counter — O(1).
-    /// `None` if `page` is out of range.
-    pub fn page_free_count(&self, page: usize) -> Option<u32> {
-        self.page_free.get(page).map(|&c| c as u32)
-    }
-
-    /// All per-page free counts (one `u16` per 4 KiB metafile page).
-    pub fn page_free_counts(&self) -> &[u16] {
-        &self.page_free
-    }
-
     /// The summary audit over VBNs `vbns`: describes to `diverged` every
-    /// per-page and per-AA counter whose page or AA intersects the range
-    /// and disagrees with a popcount of the raw bits. Returns the
-    /// popcount free total of those pages.
+    /// unit counter whose unit intersects the range and disagrees with a
+    /// popcount of the raw bits. Returns the popcount free total of those
+    /// units.
     fn audit_range(&self, vbns: Range<u64>, diverged: &mut impl FnMut(&dyn Display)) -> u64 {
+        if vbns.is_empty() {
+            return 0;
+        }
         let mut total = 0u64;
-        let pages = vbns.start / BITS_PER_BITMAP_BLOCK..vbns.end.div_ceil(BITS_PER_BITMAP_BLOCK);
-        for p in pages.map(|p| p as usize) {
-            let truth = self.pages[p].free_count();
-            if u32::from(self.page_free[p]) != truth {
+        let units = self.unit_of(vbns.start)..self.unit_of(vbns.end + self.unit_blocks() - 1);
+        for u in units {
+            let truth = self.unit_popcount(u);
+            if u32::from(self.unit_free[u]) != truth {
+                let vbn = (u as u64) << self.unit_shift;
+                let p = vbn / BITS_PER_BITMAP_BLOCK;
                 diverged(&format_args!(
-                    "page {p} summary counter diverged from popcount"
+                    "page {p} summary counter diverged from popcount (unit at VBN {vbn})"
                 ));
             }
             total += u64::from(truth);
         }
-        if let Some(s) = self.aa_summary.as_ref().filter(|_| !vbns.is_empty()) {
-            for aa in vbns.start / s.aa_blocks..=(vbns.end - 1) / s.aa_blocks {
-                let truth = self.free_count_range_popcount(Vbn(aa * s.aa_blocks), s.aa_blocks);
-                if s.counts.get(aa as usize) != Some(&truth) {
-                    diverged(&format_args!(
-                        "AA {aa} summary counter diverged from popcount"
-                    ));
-                }
-            }
-        }
         total
     }
 
-    /// The whole summary audit: every page, the top-level free-block
-    /// total, and the per-AA summary's length against its tiling.
+    /// The whole summary audit: every unit and the top-level free-block
+    /// total.
     fn audit(&self, diverged: &mut impl FnMut(&dyn Display)) {
-        if let Some(s) = self.aa_summary.as_ref() {
-            if s.counts.len() as u64 != self.space_len.div_ceil(s.aa_blocks) {
-                diverged(&"AA summary length diverged from the tiling");
-            }
-        }
         if self.audit_range(0..self.space_len, diverged) != self.free_blocks {
             diverged(&"free_blocks counter diverged from popcount total");
         }
     }
 
-    /// Summary counters (per-page, per-AA, the free-block total and the
-    /// per-AA tiling) that disagree with the popcount ground truth: zero
-    /// unless memory damage or a bug corrupted the summary. Iron repairs
-    /// them with [`Bitmap::rebuild_summary`].
+    /// Summary counters (per unit and the free-block total) that disagree
+    /// with the popcount ground truth: zero unless memory damage or a bug
+    /// corrupted the summary. Iron repairs them with
+    /// [`Bitmap::rebuild_summary`].
     pub fn summary_divergences(&self) -> u64 {
         let mut bad = 0u64;
         self.audit(&mut |_| bad += 1);
         bad
     }
 
-    /// [`Bitmap::summary_divergences`] for one page's counter and every
-    /// per-AA counter intersecting the page: the unit the scrubber checks
-    /// and [`Bitmap::rebuild_page_summary`] repairs.
+    /// The VBNs of page `page` inside the space (empty past its end).
+    fn page_vbns(&self, page: usize) -> Range<u64> {
+        let start = (page as u64 * BITS_PER_BITMAP_BLOCK).min(self.space_len);
+        start..(start + BITS_PER_BITMAP_BLOCK).min(self.space_len)
+    }
+
+    /// [`Bitmap::summary_divergences`] for the unit counters of one page:
+    /// the unit the scrubber checks and [`Bitmap::rebuild_page_summary`]
+    /// repairs.
     pub fn page_summary_divergences(&self, page: usize) -> u64 {
         let mut bad = 0u64;
-        if page < self.pages.len() {
-            let start = page as u64 * BITS_PER_BITMAP_BLOCK;
-            let end = (start + BITS_PER_BITMAP_BLOCK).min(self.space_len);
-            self.audit_range(start..end, &mut |_| bad += 1);
-        }
+        self.audit_range(self.page_vbns(page), &mut |_| bad += 1);
         bad
     }
 
-    /// Fault-injection hook: overwrite one per-page summary counter
-    /// without touching the raw bits — a memory scribble on derived
-    /// state, so crash/corruption tests can exercise the Iron summary
-    /// audit. No-op if `page` is out of range.
-    pub fn scribble_page_counter(&mut self, page: usize, value: u16) {
-        if let Some(c) = self.page_free.get_mut(page) {
-            *c = value;
+    /// Fault-injection hook: flip the bits `xor` of the summary counter of
+    /// page `page`'s first unit without touching the raw bits — a memory
+    /// scribble on derived state, so crash/corruption tests can exercise
+    /// the Iron summary audit. No-op if `page` is out of range.
+    pub fn scribble_page_counter(&mut self, page: usize, xor: u16) {
+        let first = self.unit_of(self.page_vbns(page).start);
+        if page < self.pages.len() {
+            self.unit_free[first] ^= xor;
         }
     }
 
     /// Recompute the summary counters covering one metafile page from the
-    /// raw bits: the page's free counter, the top-level free-block total,
-    /// and any per-AA counters whose tiling intersects the page. This is
-    /// the structure-scoped repair the runtime scrubber schedules — a
-    /// single page's worth of popcounting instead of a whole-space
-    /// [`Bitmap::rebuild_summary`]. Returns the number of counters that
-    /// actually changed (0 when the summary was already exact, or `page`
-    /// is out of range).
+    /// raw bits: the page's unit counters and the top-level free-block
+    /// total. This is the structure-scoped repair the runtime scrubber
+    /// schedules — a single page's worth of popcounting instead of a
+    /// whole-space [`Bitmap::rebuild_summary`]. Returns the number of
+    /// counters that actually changed (0 when the summary was already
+    /// exact, or `page` is out of range).
     pub fn rebuild_page_summary(&mut self, page: usize) -> u64 {
-        let Some(pg) = self.pages.get(page) else {
+        let vbns = self.page_vbns(page);
+        if vbns.is_empty() {
             return 0;
-        };
-        let fixed = self.page_summary_divergences(page);
-        self.page_free[page] = pg.free_count() as u16;
-        let total = self.page_free.iter().map(|&c| u64::from(c)).sum();
-        let total_fixed = std::mem::replace(&mut self.free_blocks, total) != total;
-        if let Some(mut s) = self.aa_summary.take() {
-            let start = page as u64 * BITS_PER_BITMAP_BLOCK;
-            let end = (start + BITS_PER_BITMAP_BLOCK).min(self.space_len);
-            for aa in start / s.aa_blocks..=(end - 1) / s.aa_blocks {
-                let (aa_start, len) = (Vbn(aa * s.aa_blocks), s.aa_blocks);
-                s.counts[aa as usize] = self.free_count_range_popcount(aa_start, len);
-            }
-            self.aa_summary = Some(s);
         }
+        let fixed = self.page_summary_divergences(page);
+        for u in self.unit_of(vbns.start)..self.unit_of(vbns.end + self.unit_blocks() - 1) {
+            self.unit_free[u] = self.unit_popcount(u) as u16;
+        }
+        let total = self.unit_free.iter().map(|&c| u64::from(c)).sum();
+        let total_fixed = std::mem::replace(&mut self.free_blocks, total) != total;
         fixed + u64::from(total_fixed)
     }
 
     /// Recompute every summary counter from the raw bits — what WAFL Iron
     /// does for damaged derived state: recompute, don't fabricate.
     pub fn rebuild_summary(&mut self) {
-        for (p, page) in self.pages.iter().enumerate() {
-            self.page_free[p] = page.free_count() as u16;
+        for u in 0..self.unit_free.len() {
+            self.unit_free[u] = self.unit_popcount(u) as u16;
         }
-        self.free_blocks = self.page_free.iter().map(|&c| c as u64).sum();
-        if let Some(aa_blocks) = self.aa_summary_blocks() {
-            let counts = self.compute_aa_counts(aa_blocks);
-            self.aa_summary = Some(AaSummary { aa_blocks, counts });
-        }
+        self.free_blocks = self.unit_free.iter().map(|&c| u64::from(c)).sum();
     }
 
     /// [`Bitmap::summary_divergences`] as an assertion naming the first
@@ -932,43 +849,34 @@ impl Bitmap {
         let old_len = self.space_len;
         let old_tail = old_len % BITS_PER_BITMAP_BLOCK;
         if old_tail != 0 {
-            let page = (old_len / BITS_PER_BITMAP_BLOCK) as usize;
-            let unpad_end = (old_len - old_tail + BITS_PER_BITMAP_BLOCK).min(new_len);
-            for v in old_len..unpad_end {
-                let was = self.pages[page].set_free(v % BITS_PER_BITMAP_BLOCK);
-                debug_assert!(was, "tail padding must have been allocated");
-                self.free_blocks += 1;
-                self.page_free[page] += 1;
-            }
+            let last = self.pages.last_mut().expect("a tail implies a page");
+            let unpad_end = (BITS_PER_BITMAP_BLOCK - old_tail).min(new_len - old_len) + old_tail;
+            debug_assert!(
+                last.first_free_in(old_tail, unpad_end).is_none(),
+                "tail padding must have been allocated"
+            );
+            last.set_range_free(old_tail, unpad_end);
         }
-        // Append whole pages.
+        // Append whole pages, then pad the new tail (on the old tail page
+        // when the growth ends inside it; those bits are padding already).
         let new_pages = new_len.div_ceil(BITS_PER_BITMAP_BLOCK) as usize;
-        while self.pages.len() < new_pages {
-            self.pages.push(BitmapPage::new_free());
-            self.dirty.push(false);
-            let page_start = (self.pages.len() as u64 - 1) * BITS_PER_BITMAP_BLOCK;
-            let free = BITS_PER_BITMAP_BLOCK.min(new_len - page_start);
-            self.free_blocks += free;
-            self.page_free.push(free as u16);
-        }
-        // Pad the new tail. The pushed counter above already excludes the
-        // padding, and set_allocated on padding bits flips real bits only
-        // for freshly pushed pages (whose counter accounts for them).
+        self.pages.resize(new_pages, BitmapPage::new_free());
+        self.dirty.resize(new_pages, false);
         let new_tail = new_len % BITS_PER_BITMAP_BLOCK;
         if new_tail != 0 {
             let last = self.pages.last_mut().expect("pages exist after extend");
-            for i in new_tail..BITS_PER_BITMAP_BLOCK {
-                last.set_allocated(i);
-            }
+            last.set_range_allocated(new_tail, BITS_PER_BITMAP_BLOCK);
         }
         self.space_len = new_len;
-        // The AA tiling over the grown space has more (and re-shaped
-        // trailing) AAs: rebuild its counters from the page summaries.
+        self.free_blocks += new_len - old_len;
+        // Every unit from the old tail's on gained free space: count it.
         // Growth is a RAID-group-addition-frequency event, not a hot path.
-        if let Some(aa_blocks) = self.aa_summary_blocks() {
-            let counts = self.compute_aa_counts(aa_blocks);
-            self.aa_summary = Some(AaSummary { aa_blocks, counts });
-        }
+        let first = self.unit_of(old_len);
+        let fresh: Vec<u16> = (first..self.unit_of(new_len + self.unit_blocks() - 1))
+            .map(|u| self.unit_popcount(u) as u16)
+            .collect();
+        self.unit_free.truncate(first);
+        self.unit_free.extend(fresh);
         if cfg!(debug_assertions) {
             self.verify_summary();
         }
@@ -1052,14 +960,14 @@ mod tests {
 
     #[test]
     fn rebuild_page_summary_fixes_only_the_scribbled_page() {
-        let mut b = Bitmap::new(3 * BITS_PER_BITMAP_BLOCK);
-        b.enable_aa_summary(BITS_PER_BITMAP_BLOCK / 4).unwrap();
+        // Four units to a page: the scribble hits page 1's first.
+        let mut b = Bitmap::for_aa_tiling(3 * BITS_PER_BITMAP_BLOCK, BITS_PER_BITMAP_BLOCK / 4);
         for v in 0..100 {
             b.allocate(Vbn(v)).unwrap();
         }
         b.scribble_page_counter(1, 7);
-        // The scribble hit page 1's counter only; the tracked total, AA
-        // counters, and other pages are still exact, so the audit finds
+        // The scribble hit one of page 1's counters only; the tracked
+        // total and the other units are still exact, so the audit finds
         // and the repair fixes exactly one counter.
         assert_eq!(b.summary_divergences(), 1);
         assert_eq!(
@@ -1085,21 +993,17 @@ mod tests {
 
     #[test]
     fn run_mutators_match_per_bit_loop_and_are_atomic() {
-        // Run crossing a page boundary on a summary-enabled bitmap.
-        let mut bulk = Bitmap::new(3 * BITS_PER_BITMAP_BLOCK);
-        bulk.enable_aa_summary(BITS_PER_BITMAP_BLOCK / 4).unwrap();
-        let mut bit = Bitmap::new(3 * BITS_PER_BITMAP_BLOCK);
-        bit.enable_aa_summary(BITS_PER_BITMAP_BLOCK / 4).unwrap();
+        // Run crossing a page boundary and two of its quarter-page units.
+        let space = 3 * BITS_PER_BITMAP_BLOCK;
+        let mut bulk = Bitmap::for_aa_tiling(space, BITS_PER_BITMAP_BLOCK / 4);
+        let mut bit = Bitmap::for_aa_tiling(space, BITS_PER_BITMAP_BLOCK / 4);
         let (start, len) = (BITS_PER_BITMAP_BLOCK - 100, 300);
         bulk.allocate_run(Vbn(start), len).unwrap();
         for v in start..start + len {
             bit.allocate(Vbn(v)).unwrap();
         }
         assert_eq!(bulk.free_blocks(), bit.free_blocks());
-        assert_eq!(
-            bulk.aa_free_counts(BITS_PER_BITMAP_BLOCK / 4),
-            bit.aa_free_counts(BITS_PER_BITMAP_BLOCK / 4)
-        );
+        assert_eq!(bulk.unit_free_counts(), bit.unit_free_counts());
         assert_eq!(bulk.take_dirty_stats(), bit.take_dirty_stats());
         // Atomic: a mid-run conflict reports the first offending VBN and
         // leaves the bitmap untouched.
@@ -1126,15 +1030,11 @@ mod tests {
     fn free_sorted_blocks_matches_per_block_free() {
         use rand::prelude::*;
         use rand::rngs::StdRng;
-        // An AA size that is not a multiple of 64 exercises the per-bit
-        // summary fallback; a page-sized one exercises the per-word fast
-        // path.
-        for aa_blocks in [1000, BITS_PER_BITMAP_BLOCK] {
+        // Units of a word, of the benchmark volumes' AA and of a page.
+        for aa_blocks in [64, 2048, BITS_PER_BITMAP_BLOCK] {
             let space = 3 * BITS_PER_BITMAP_BLOCK;
-            let mut bulk = Bitmap::new(space);
-            bulk.enable_aa_summary(aa_blocks).unwrap();
-            let mut bit = Bitmap::new(space);
-            bit.enable_aa_summary(aa_blocks).unwrap();
+            let mut bulk = Bitmap::for_aa_tiling(space, aa_blocks);
+            let mut bit = Bitmap::for_aa_tiling(space, aa_blocks);
             // Allocate everything, then free a scattered sorted subset
             // (isolated bits, same-word neighbours, word and page
             // boundaries all show up at this density).
@@ -1164,10 +1064,7 @@ mod tests {
                 bit.free(v).unwrap();
             }
             assert_eq!(bulk.free_blocks(), bit.free_blocks());
-            assert_eq!(
-                bulk.aa_free_counts(aa_blocks),
-                bit.aa_free_counts(aa_blocks)
-            );
+            assert_eq!(bulk.unit_free_counts(), bit.unit_free_counts());
             for p in 0..bulk.page_count() {
                 assert_eq!(bulk.pages[p].words(), bit.pages[p].words(), "page {p}");
             }
@@ -1178,8 +1075,7 @@ mod tests {
 
     #[test]
     fn free_sorted_blocks_is_atomic_and_validates_input() {
-        let mut b = Bitmap::new(2 * BITS_PER_BITMAP_BLOCK);
-        b.enable_aa_summary(BITS_PER_BITMAP_BLOCK).unwrap();
+        let mut b = Bitmap::for_aa_tiling(2 * BITS_PER_BITMAP_BLOCK, 2048);
         b.allocate_run(Vbn(100), 50).unwrap();
         let stats_before = b.stats;
         // VBN 200 is already free: the whole batch must bounce untouched,
@@ -1295,10 +1191,7 @@ mod tests {
         for v in 0..len - 1 {
             b.allocate(Vbn(v)).unwrap();
         }
-        for p in 0..PAGES as usize - 1 {
-            assert_eq!(b.page_free_count(p), Some(0));
-        }
-        assert_eq!(b.page_free_count(PAGES as usize - 1), Some(1));
+        assert_eq!(b.unit_free_counts(), [0, 0, 0, 1]);
         assert_eq!(b.first_free_from(Vbn(0)), Some(Vbn(len - 1)));
         assert_eq!(b.first_free_from(Vbn(len - 1)), Some(Vbn(len - 1)));
         // Once that bit goes too, the scan exhausts via counters alone.

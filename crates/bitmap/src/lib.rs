@@ -10,14 +10,16 @@
 //!   **dirty-page accounting**. Dirty pages are the currency of §2.5: every
 //!   metafile block touched during a consistency point is a block that must
 //!   be read, updated, and written back, so the experiments count them.
-//!   A two-level **free-count summary** (a `u16` per page plus optional
-//!   per-AA counters) is maintained incrementally by every mutation, so
-//!   range free-counts, AA scores, and first-free skip-scans no longer
-//!   popcount raw bits on hot paths; debug builds verify the counters
-//!   against popcount ground truth on every mutation and every CP.
+//!   A **free-count summary**, one `u16` counter per summary unit (a
+//!   page, or a volume's AA), is maintained incrementally by every
+//!   mutation, so range free-counts, AA scores, and first-free skip-scans
+//!   no longer popcount raw bits on hot paths; debug builds verify the
+//!   counters against popcount ground truth on every mutation and every
+//!   CP.
 //! * [`scan`] — whole-bitmap scans used to (re)build AA caches (§3.4's
-//!   "background work can rebuild the entire cache"): a counter copy when
-//!   a per-AA summary matches, per-page-accelerated range counts otherwise.
+//!   "background work can rebuild the entire cache"): one counter load
+//!   per AA when the AA is the summary unit, unit-accelerated range
+//!   counts otherwise.
 //!
 //! A bit value of `1` means **allocated**; `0` means free. A fresh bitmap
 //! is entirely free.

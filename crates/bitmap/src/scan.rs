@@ -16,24 +16,15 @@ use wafl_types::{AaId, AaScore};
 /// included; its score reflects only in-range blocks because the bitmap
 /// pads its tail with allocated bits.
 ///
-/// 1. a matching per-AA summary ([`Bitmap::aa_free_counts`]) turns the
-///    whole rebuild into a counter copy — O(1) per AA, no bitmap words
-///    touched;
-/// 2. otherwise each AA is a [`Bitmap::free_count_range`], which answers
-///    fully-covered pages from the per-page counters and popcounts only
-///    the partial edges.
+/// Each AA is one [`Bitmap::free_count_range`]: one counter load for an
+/// AA that is the bitmap's summary unit ([`Bitmap::for_aa_tiling`]), and
+/// otherwise the fully covered units' counters plus a popcount of the
+/// partial edges.
 ///
 /// See [`scores_popcount`] for the raw-walk ground truth. (`_seq` is
 /// for the callers that import the name; there is no other variant.)
 pub fn scores_seq(bitmap: &Bitmap, aa_blocks: u64) -> Vec<(AaId, AaScore)> {
     assert!(aa_blocks > 0, "aa_blocks must be positive");
-    if let Some(counts) = bitmap.aa_free_counts(aa_blocks) {
-        return counts
-            .iter()
-            .enumerate()
-            .map(|(aa, &c)| (AaId(aa as u32), AaScore(c)))
-            .collect();
-    }
     let aa_count = bitmap.space_len().div_ceil(aa_blocks);
     (0..aa_count)
         .map(|aa| {
@@ -58,18 +49,6 @@ pub fn scores_popcount(bitmap: &Bitmap, aa_blocks: u64) -> Vec<(AaId, AaScore)> 
             let score = bitmap.free_count_range_popcount(start, aa_blocks);
             (AaId(aa as u32), AaScore(score))
         })
-        .collect()
-}
-
-/// Per-page free counts (one entry per 4 KiB metafile block), straight
-/// from the per-page summary counters — no bitmap words are read. This is
-/// the natural unit for RAID-agnostic AAs (1 AA = 1 page) and is also
-/// used by the mount-time cost model: a full walk reads every page.
-pub fn page_free_counts(bitmap: &Bitmap) -> Vec<u32> {
-    bitmap
-        .page_free_counts()
-        .iter()
-        .map(|&c| c as u32)
         .collect()
 }
 
@@ -149,9 +128,13 @@ mod tests {
     #[test]
     fn page_free_counts_match_range_queries() {
         let b = aged_bitmap(3 * 32768, 0.5, 3);
-        let counts = page_free_counts(&b);
+        let counts = b.unit_free_counts();
+        assert_eq!(counts.len(), 3, "a plain bitmap counts per page");
         for (i, &c) in counts.iter().enumerate() {
-            assert_eq!(c, b.free_count_range(Vbn(i as u64 * 32768), 32768));
+            assert_eq!(
+                u32::from(c),
+                b.free_count_range(Vbn(i as u64 * 32768), 32768)
+            );
         }
     }
 

@@ -6,8 +6,9 @@
 //! `free_runs_in_range`, truncate to the quota, allocate block by block
 //! (`wafl_oracle::per_bit_allocate_run`, so the reference lives outside
 //! the crate under test) — and this test holds it to that: bits, every
-//! summary counter, `DirtyStats`, the runs and VBNs reported, and the
-//! `Claim` it returns.
+//! summary counter (each also against a popcount of its unit), at units
+//! of a word, of 2 048 blocks and of a page, `DirtyStats`, the runs and
+//! VBNs reported, and the `Claim` it returns.
 //!
 //! `shims/proptest` neither shrinks nor names the failing case, so each
 //! case is drawn from one `seed` and every assertion prints it with the
@@ -19,7 +20,8 @@ use wafl_bitmap::Bitmap;
 use wafl_oracle::per_bit_allocate_run;
 use wafl_types::{Vbn, BITS_PER_BITMAP_BLOCK};
 
-/// Two pages and a tail that ends mid-page and mid-word.
+/// Two pages and a tail that ends mid-page and mid-word: the last unit
+/// is partly padding at every unit size.
 const SPACE: u64 = 2 * BITS_PER_BITMAP_BLOCK + 777;
 
 fn below(rng: &mut TestRng, n: u64) -> u64 {
@@ -30,7 +32,16 @@ fn below(rng: &mut TestRng, n: u64) -> u64 {
 /// filled in by `rng`; called twice with equal generators it builds two
 /// equal bitmaps.
 fn shaped_bitmap(rng: &mut TestRng) -> Bitmap {
-    let mut b = Bitmap::new(SPACE);
+    // Summary units of a word, 2 048 blocks and a page, and an AA size
+    // drawn at random, which picks its unit by the constructor's rule
+    // (most sizes count per page).
+    let aa_blocks = match below(rng, 4) {
+        0 => 64,
+        1 => 2048,
+        2 => BITS_PER_BITMAP_BLOCK,
+        _ => 1 + below(rng, 5000),
+    };
+    let mut b = Bitmap::for_aa_tiling(SPACE, aa_blocks);
     match below(rng, 6) {
         // Empty, full, alternating.
         0 => {}
@@ -46,7 +57,7 @@ fn shaped_bitmap(rng: &mut TestRng) -> Bitmap {
             }
         }
         4 => {
-            // Nearly full: whole pages read 0 in the summary.
+            // Nearly full: whole units read 0 in the summary.
             b.allocate_run(Vbn(0), SPACE).unwrap();
             for _ in 0..below(rng, 40) {
                 let start = below(rng, SPACE);
@@ -61,22 +72,22 @@ fn shaped_bitmap(rng: &mut TestRng) -> Bitmap {
             }
         }
     }
-    // AA summary: off, a multiple of 64 (one bump per word), or not (the
-    // per-bit fallback; an AA boundary can fall inside a word).
-    match below(rng, 4) {
-        0 => {}
-        1 => b.enable_aa_summary(64 * (1 + below(rng, 64))).unwrap(),
-        2 => b.enable_aa_summary(BITS_PER_BITMAP_BLOCK).unwrap(),
-        _ => b.enable_aa_summary(1 + below(rng, 5000)).unwrap(),
-    }
     b.take_dirty_stats();
     b
+}
+
+/// Every unit counter against a popcount of its unit's raw bits.
+fn assert_units_exact(b: &Bitmap, ctx: &str) {
+    let unit = b.unit_blocks();
+    for (u, &count) in b.unit_free_counts().iter().enumerate() {
+        let truth = b.free_count_range_popcount(Vbn(u as u64 * unit), unit);
+        assert_eq!(u32::from(count), truth, "{ctx}: unit {u} of {unit} blocks");
+    }
 }
 
 fn check(seed: u64) {
     let mut got = shaped_bitmap(&mut TestRng::from_seed(seed));
     let mut want = shaped_bitmap(&mut TestRng::from_seed(seed));
-    let aa_blocks = got.aa_summary_blocks();
     let mut rng = TestRng::from_seed(seed ^ 0x5EED);
     for i in 0..12 {
         // Starts and lengths that cross page boundaries, stop mid-word,
@@ -133,15 +144,9 @@ fn check(seed: u64) {
                 "{ctx}: page {p} bits"
             );
         }
-        assert_eq!(got.page_free_counts(), want.page_free_counts(), "{ctx}");
+        assert_eq!(got.unit_free_counts(), want.unit_free_counts(), "{ctx}");
         assert_eq!(got.free_blocks(), want.free_blocks(), "{ctx}");
-        if let Some(aa_blocks) = aa_blocks {
-            assert_eq!(
-                got.aa_free_counts(aa_blocks),
-                want.aa_free_counts(aa_blocks),
-                "{ctx}: aa counters"
-            );
-        }
+        assert_units_exact(&got, &ctx);
         assert_eq!(got.summary_divergences(), 0, "{ctx}");
         // Every other claim closes a dirty window, so both a fresh and
         // an already-dirty page are seen.

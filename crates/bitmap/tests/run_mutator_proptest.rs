@@ -2,10 +2,11 @@
 //!
 //! `allocate_run`/`free_run` exist purely as a faster spelling of the
 //! per-bit `allocate`/`free` loop (whole-word bit stores, one summary
-//! update per touched page/AA). These tests prove the two spellings are
-//! observationally identical — bit state, per-page counters, per-AA
-//! counters, top-level total, and `DirtyStats` accounting — on random
-//! runs that cross word and page boundaries, and that a failed bulk call
+//! update per touched unit). These tests prove the two spellings are
+//! observationally identical — bit state, unit counters (each also
+//! against a popcount), top-level total, and `DirtyStats` accounting — on
+//! random runs that cross word, unit and page boundaries, at units of a
+//! word, of 2 048 blocks and of a page, and that a failed bulk call
 //! mutates nothing. The per-bit reference loop comes from `wafl-oracle`
 //! (`per_bit_allocate_run`/`per_bit_free_run`), keeping the definition
 //! of "correct" outside the crate under test.
@@ -26,13 +27,24 @@ use wafl_bitmap::{sort_vbns, Bitmap, DirtyStats};
 use wafl_oracle::{per_bit_allocate_run, per_bit_free_run};
 use wafl_types::{Vbn, WaflError, BITS_PER_BITMAP_BLOCK};
 
+/// The last unit is partly padding at every unit size.
 const SPACE: u64 = 3 * BITS_PER_BITMAP_BLOCK + 777;
 
-/// Assert every observable of `a` equals `b` (bits, counters, totals).
-fn assert_equivalent(a: &Bitmap, b: &Bitmap, aa_blocks: u64) {
+/// Summary units: a word, the benchmark volumes' 2 048-block AA, a page.
+fn unit_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(64u64), Just(2048u64), Just(BITS_PER_BITMAP_BLOCK)]
+}
+
+/// Assert every observable of `a` equals `b` (bits, counters, totals),
+/// and every unit counter of `a` its popcount.
+fn assert_equivalent(a: &Bitmap, b: &Bitmap) {
     assert_eq!(a.free_blocks(), b.free_blocks());
-    assert_eq!(a.page_free_counts(), b.page_free_counts());
-    assert_eq!(a.aa_free_counts(aa_blocks), b.aa_free_counts(aa_blocks));
+    assert_eq!(a.unit_free_counts(), b.unit_free_counts());
+    let unit = a.unit_blocks();
+    for (u, &count) in a.unit_free_counts().iter().enumerate() {
+        let truth = a.free_count_range_popcount(Vbn(u as u64 * unit), unit);
+        assert_eq!(u32::from(count), truth, "unit {u} of {unit} blocks");
+    }
     for p in 0..a.page_count() {
         assert_eq!(
             a.page(p).unwrap().words(),
@@ -56,11 +68,10 @@ fn bitmap_with_allocated(runs: &[(u64, u64)]) -> Bitmap {
     b
 }
 
-/// A full bitmap with an AA summary of `aa_blocks`, the `holes` runs
+/// A full bitmap with summary units of `unit` blocks, the `holes` runs
 /// freed, and its `DirtyStats` taken: the state a CP frees into.
-fn bitmap_with_holes(holes: &[(u64, u64)], aa_blocks: u64) -> Bitmap {
-    let mut b = Bitmap::new(SPACE);
-    b.enable_aa_summary(aa_blocks).unwrap();
+fn bitmap_with_holes(holes: &[(u64, u64)], unit: u64) -> Bitmap {
+    let mut b = Bitmap::for_aa_tiling(SPACE, unit);
     b.allocate_run(Vbn(0), SPACE).unwrap();
     for &(start, len) in holes {
         for v in start..(start + len).min(SPACE) {
@@ -196,19 +207,19 @@ proptest! {
     /// `free_batch` leaves what one `free` per VBN leaves, bits, counters
     /// and `DirtyStats`, on every order a CP frees in: random,
     /// ascending, descending, and a RAID group's device chains
-    /// interleaved. The AA summaries are a page, 2 048 blocks (a word
-    /// never straddles two AAs) and 1 000 blocks (words do).
+    /// interleaved. The summary units are a page, 2 048 blocks and one
+    /// word, where each group of a word's VBNs is a whole unit.
     #[test]
     fn free_batch_matches_per_block_free(
         holes in proptest::collection::vec((0..SPACE, 1u64..300), 0..20),
         picks in proptest::collection::hash_set(0..SPACE, 1..1500),
-        aa_blocks in prop_oneof![Just(BITS_PER_BITMAP_BLOCK), Just(2048u64), Just(1000u64)],
+        unit in unit_strategy(),
         seed in 0..u64::MAX,
     ) {
         let mut picks: Vec<Vbn> = picks.into_iter().map(Vbn).collect();
         picks.sort_unstable();
         let build = || {
-            let b = bitmap_with_holes(&holes, aa_blocks);
+            let b = bitmap_with_holes(&holes, unit);
             let frees: Vec<Vbn> = picks.iter().copied().filter(|&v| !b.is_free(v).unwrap()).collect();
             (b, frees)
         };
@@ -220,7 +231,7 @@ proptest! {
             for &v in &batch {
                 reference.free(v).unwrap();
             }
-            assert_equivalent(&kernel, &reference, aa_blocks);
+            assert_equivalent(&kernel, &reference);
             prop_assert_eq!(kernel.take_dirty_stats(), reference.take_dirty_stats());
         }
     }
@@ -234,11 +245,11 @@ proptest! {
     fn refused_free_batch_is_a_no_op(
         holes in proptest::collection::vec((0..SPACE, 1u64..300), 1..20),
         picks in proptest::collection::hash_set(0..SPACE, 2..400),
-        aa_blocks in prop_oneof![Just(BITS_PER_BITMAP_BLOCK), Just(2048u64), Just(1000u64)],
+        unit in unit_strategy(),
         at in 0usize..6,
         seed in 0..u64::MAX,
     ) {
-        let mut untouched = bitmap_with_holes(&holes, aa_blocks);
+        let mut untouched = bitmap_with_holes(&holes, unit);
         let is_free = |v: u64| untouched.is_free(Vbn(v)).unwrap_or(false);
         // A hole's edge: an allocated VBN whose word neighbour is free.
         let edge = (0..SPACE).find(|&v| !is_free(v) && is_free(v ^ 1)).map(Vbn);
@@ -265,19 +276,19 @@ proptest! {
             4 => batch.push(good[0]),
             _ => batch.insert(mid, good[mid]),
         }
-        let mut reference = bitmap_with_holes(&holes, aa_blocks);
+        let mut reference = bitmap_with_holes(&holes, unit);
         let want = batch
             .iter()
             .find(|&&v| reference.free(v).is_err())
             .copied()
             .unwrap();
-        let mut kernel = bitmap_with_holes(&holes, aa_blocks);
+        let mut kernel = bitmap_with_holes(&holes, unit);
         let err = kernel.free_batch(&batch).unwrap_err();
         prop_assert!(
             matches!(err, WaflError::BitmapStateMismatch { vbn, expected_free: false } if vbn == want),
             "{:?}, want {:?}", err, want
         );
-        assert_equivalent(&kernel, &untouched, aa_blocks);
+        assert_equivalent(&kernel, &untouched);
         // No dirty mark survives the refusal either: a VBN the refused
         // batch cleared and restored dirties its page afresh.
         kernel.free(batch[0]).ok();
@@ -287,19 +298,18 @@ proptest! {
 
     /// Interleaved bulk and per-bit mutations on two bitmaps stay
     /// bit-for-bit and counter-for-counter identical. Runs are drawn to
-    /// cross word boundaries routinely and page boundaries often.
+    /// cross word boundaries routinely and unit and page boundaries
+    /// often.
     #[test]
     fn run_mutators_match_per_bit_loop(
         runs in proptest::collection::vec(
             (0..SPACE, 1u64..2 * BITS_PER_BITMAP_BLOCK),
             1..40,
         ),
-        aa_blocks in 1u64..40_000,
+        unit in unit_strategy(),
     ) {
-        let mut bulk = Bitmap::new(SPACE);
-        bulk.enable_aa_summary(aa_blocks).unwrap();
-        let mut perbit = Bitmap::new(SPACE);
-        perbit.enable_aa_summary(aa_blocks).unwrap();
+        let mut bulk = Bitmap::for_aa_tiling(SPACE, unit);
+        let mut perbit = Bitmap::for_aa_tiling(SPACE, unit);
 
         for (i, &(start, len)) in runs.iter().enumerate() {
             // Alternate allocate/free so both directions get coverage;
@@ -330,7 +340,7 @@ proptest! {
                 prop_assert!(perbit_res.is_err(), "bulk rejected a run per-bit accepts");
             }
             let _ = perbit_res;
-            assert_equivalent(&bulk, &perbit, aa_blocks);
+            assert_equivalent(&bulk, &perbit);
             // DirtyStats must agree after every step too: bulk counts one
             // dirtied page per touched page per window and one bit flip
             // per block, exactly like the loop.
@@ -346,11 +356,10 @@ proptest! {
         start in 0..SPACE + 100,
         len in 1u64..BITS_PER_BITMAP_BLOCK,
     ) {
-        let mut b = Bitmap::new(SPACE);
-        b.enable_aa_summary(4096).unwrap();
+        let mut b = Bitmap::for_aa_tiling(SPACE, 4096);
         b.allocate(Vbn(occupied)).unwrap();
         let before_free = b.free_blocks();
-        let before_pages = b.page_free_counts().to_vec();
+        let before_units = b.unit_free_counts().to_vec();
 
         // Force a conflict: allocating across `occupied`, or any run that
         // leaves the space, must fail atomically.
@@ -360,7 +369,7 @@ proptest! {
         if conflict || out_of_range {
             prop_assert!(res.is_err());
             prop_assert_eq!(b.free_blocks(), before_free);
-            prop_assert_eq!(b.page_free_counts(), &before_pages[..]);
+            prop_assert_eq!(b.unit_free_counts(), &before_units[..]);
             b.verify_summary();
         } else {
             prop_assert!(res.is_ok());
@@ -375,15 +384,14 @@ proptest! {
 /// sees it, rejects the batch as a double free, and changes nothing.
 #[test]
 fn duplicate_vbn_is_still_rejected_after_sorting() {
-    let mut b = Bitmap::new(SPACE);
-    b.enable_aa_summary(4096).unwrap();
+    let mut b = Bitmap::for_aa_tiling(SPACE, 4096);
     b.allocate_run(Vbn(0), 40_000).unwrap();
     b.take_dirty_stats();
-    let before_pages = b.page_free_counts().to_vec();
+    let before_units = b.unit_free_counts().to_vec();
     let mut batch: Vec<Vbn> = [39_000u64, 7, 33_000, 70, 7, 12].map(Vbn).to_vec();
     sort_vbns(&mut batch);
     assert!(b.free_sorted_blocks(&batch).is_err());
-    assert_eq!(b.page_free_counts(), &before_pages[..]);
+    assert_eq!(b.unit_free_counts(), &before_units[..]);
     assert_eq!(b.take_dirty_stats(), DirtyStats::default());
     b.verify_summary();
     batch.dedup();

@@ -54,9 +54,9 @@ impl RaidAgnosticCache {
     }
 
     /// Claim the best AA for writing. The returned score is the exact
-    /// current score (read from the bitmap's per-AA summary counter when
-    /// one is enabled — O(1) — and otherwise one summary-accelerated
-    /// range count). `None` when the cache is empty; callers should then
+    /// current score, [`AaTopology::score_from_bitmap`]: one summary
+    /// counter load when the AA is the bitmap's summary unit, as a
+    /// volume's is. `None` when the cache is empty; callers should then
     /// replenish and retry.
     pub fn pick_best(&mut self, bitmap: &Bitmap) -> Option<(AaId, AaScore)> {
         let (aa, _bound) = self.hbps.take_best()?;
@@ -67,9 +67,9 @@ impl RaidAgnosticCache {
     /// Apply one CP's batched deltas (§3.3: "updates to the HBPS get
     /// efficiently batched at the CP boundary"). The bitmap must already
     /// reflect the CP's allocations and frees; each touched AA reads its
-    /// new score from the free-count summary (O(1) with the per-AA
-    /// counters volumes enable), and the old score is reconstructed from
-    /// the delta — no per-AA score array exists.
+    /// new score from the free-count summary (one counter when the AA is
+    /// the bitmap's summary unit, as a volume's is), and the old score is
+    /// reconstructed from the delta — no per-AA score array exists.
     pub fn apply_cp_batch(
         &mut self,
         batch: &mut ScoreDeltaBatch,
@@ -87,7 +87,7 @@ impl RaidAgnosticCache {
     /// Replenish the list from a full scan if it has drained (§3.3.2's
     /// background scan). Returns `true` if a scan ran — the caller charges
     /// its cost (`bitmap.page_count()` page reads; the in-memory rescan
-    /// itself is a summary-counter copy, not a popcount walk).
+    /// itself reads summary counters, not a popcount walk).
     ///
     /// A scan empties `batch`, the deltas recorded for this cache since
     /// its last [`RaidAgnosticCache::apply_cp_batch`]. They describe

@@ -231,15 +231,14 @@ impl AaTopology {
     /// metafiles"). For RAID-aware topologies the bitmap indexes the
     /// aggregate's physical VBNs; for RAID-agnostic ones, the flat space.
     ///
-    /// A RAID-agnostic topology whose tiling matches the bitmap's enabled
-    /// per-AA summary reads the counter directly — O(1), no bitmap words
-    /// touched. Everything else goes through the range query, which the
-    /// per-page counters keep at O(partial edge pages).
+    /// Each of the AA's VBN ranges is one [`Bitmap::free_count_range`]. A
+    /// RAID-agnostic AA that is the bitmap's summary unit (a volume's,
+    /// [`Bitmap::for_aa_tiling`]) is one counter load; everything else
+    /// costs its covered units' counters plus the partial edges.
     pub fn score_from_bitmap(&self, bitmap: &Bitmap, aa: AaId) -> AaScore {
         if let AaTopology::RaidAgnostic { aa_blocks, .. } = self {
-            if let Some(counts) = bitmap.aa_free_counts(*aa_blocks) {
-                return AaScore(counts.get(aa.index()).copied().unwrap_or(0));
-            }
+            let start = Vbn(aa.get() as u64 * *aa_blocks);
+            return AaScore(bitmap.free_count_range(start, *aa_blocks));
         }
         let mut free = 0u32;
         for (start, len) in self.aa_vbn_ranges(aa) {

@@ -105,8 +105,7 @@ pub struct RaidGroupState {
     /// bypasses it and sweeps the bitmap until its repair ticket settles.
     pub(crate) cache_quarantined: bool,
     /// HBPS picks seen by this group, for the sampled pick-error audit
-    /// (1 in `allocator::PICK_AUDIT_SAMPLE` picks pays for a ground-truth
-    /// scan).
+    /// (`allocator::PickAudit`).
     pub(crate) pick_audit_tick: u64,
 }
 

@@ -143,22 +143,63 @@ pub(crate) fn plan_group_sweep(
     out
 }
 
-/// Audit 1 in this many HBPS-guided RAID-group picks against the exact
-/// ground-truth best score (the `allocator.pick_score_error_bin_widths`
-/// histogram). The exact audit is a full-group score scan, so it must not
-/// ride every pick; the sampled scan is additionally memoized per plan
-/// call, amortizing to at most one scan per group per CP. Volume picks
-/// answer the audit from their O(aa_count) free-count summary and are
-/// always audited.
+/// Audit 1 in this many HBPS-guided picks of a space, a volume's or an
+/// object-store group's, against the exact best score (the
+/// `allocator.pick_score_error_bin_widths` histogram); a space's first
+/// pick is always audited. The exact best is a full score scan, so it
+/// must not ride every pick: see [`PickAudit`].
 pub(crate) const PICK_AUDIT_SAMPLE: u64 = 64;
+
+/// One plan call's sampled audit of a space's HBPS picks.
+pub(crate) struct PickAudit<'a> {
+    /// The space's HBPS picks so far, across plan calls: the pick at a
+    /// multiple of [`PICK_AUDIT_SAMPLE`] is audited.
+    tick: &'a mut u64,
+    /// The exact best score, computed at most once per plan call and
+    /// before the pick it first audits is drained: a later sampled pick
+    /// of the same call is held to a best this call may have taken since,
+    /// which overstates its error and never hides one. At most one scan
+    /// per space per plan call, the §3.3 CP-boundary discipline.
+    best: Option<u32>,
+}
+
+impl<'a> PickAudit<'a> {
+    /// The audit of one plan call over the space whose pick count is
+    /// `tick`.
+    pub(crate) fn new(tick: &'a mut u64) -> PickAudit<'a> {
+        PickAudit { tick, best: None }
+    }
+
+    /// Count a pick of `score` off `cache`; if it is sampled, push its
+    /// `(true_best - score, bin_width)` to `errors`.
+    fn check(
+        &mut self,
+        cache: &RaidAgnosticCache,
+        bitmap: &Bitmap,
+        score: AaScore,
+        errors: &mut Vec<(u32, u32)>,
+    ) {
+        let sampled = self.tick.is_multiple_of(PICK_AUDIT_SAMPLE);
+        *self.tick = self.tick.wrapping_add(1);
+        if sampled {
+            let best = *self.best.get_or_insert_with(|| {
+                let scores = cache.topology().all_scores(bitmap);
+                scores.into_iter().map(|(_, s)| s.get()).max().unwrap_or(0)
+            });
+            let width = cache.hbps().config().bin_width();
+            errors.push((best.saturating_sub(score.get()), width));
+        }
+    }
+}
 
 /// Pick an AA off an HBPS cache, a volume's or an object-store group's
 /// alike: the best listed AA at its exact score (the HBPS bound is a bin
 /// edge; the score comes from the bitmap, as in §3.3). On a miss — the
 /// list is empty, or its best AA has nothing free — the cache replenishes
 /// from a scan if it needs to (§3.3.2's background scan), and picks once
-/// more. Returns the pick and whether a scan ran: the caller charges its
-/// pages.
+/// more. The pick goes through `audit`, which records its error to
+/// `errors` when sampled. Returns the pick and whether a scan ran: the
+/// caller charges its pages.
 ///
 /// `batch` holds exactly the changes the bitmap carries and the cache
 /// has not seen — this CP's earlier claims included — so a replenish
@@ -167,15 +208,23 @@ pub(crate) fn hbps_pick(
     cache: &mut RaidAgnosticCache,
     bitmap: &Bitmap,
     batch: &mut ScoreDeltaBatch,
+    audit: &mut PickAudit<'_>,
+    errors: &mut Vec<(u32, u32)>,
 ) -> WaflResult<(Option<(AaId, AaScore)>, bool)> {
     let nonzero = |pick: Option<(AaId, AaScore)>| pick.filter(|(_, s)| s.get() > 0);
-    if let Some(pick) = nonzero(cache.pick_best(bitmap)) {
-        return Ok((Some(pick), false));
+    let mut scanned = false;
+    let mut pick = nonzero(cache.pick_best(bitmap));
+    if pick.is_none() {
+        if !cache.maybe_replenish(bitmap, batch)? {
+            return Ok((None, false));
+        }
+        scanned = true;
+        pick = nonzero(cache.pick_best(bitmap));
     }
-    if !cache.maybe_replenish(bitmap, batch)? {
-        return Ok((None, false));
+    if let Some((_, score)) = pick {
+        audit.check(cache, bitmap, score, errors);
     }
-    Ok((nonzero(cache.pick_best(bitmap)), true))
+    Ok((pick, scanned))
 }
 
 /// The §4.1 baseline's draws within one plan call: AAs uniformly at
@@ -238,12 +287,7 @@ pub(crate) fn plan_raid_group(
     let mut out = AllocOutcome::default();
     let mut draw = RandomDraw::new(seed);
     let scan_pages = g.scan_pages();
-    // Exact ground-truth best score, computed at most once per plan call
-    // and before the pick it first audits is drained: a later sampled
-    // pick of the same call is held to a best this call may have taken
-    // since, which overstates its error and never hides one. Only
-    // sampled picks pay for it; see the HBPS arm below.
-    let mut audited_best: Option<u32> = None;
+    let mut audit = PickAudit::new(&mut g.pick_audit_tick);
     while out.vbns.len() < quota {
         // Continue the active AA, or claim a new one.
         let aa = match g.active_aa {
@@ -261,32 +305,11 @@ pub(crate) fn plan_raid_group(
                         None => None,
                     },
                     (_, Some(GroupCache::Hbps(cache))) => {
-                        let (pick, scanned) = hbps_pick(cache, bitmap, &mut g.batch)?;
+                        let errors = &mut out.pick_errors;
+                        let (pick, scanned) =
+                            hbps_pick(cache, bitmap, &mut g.batch, &mut audit, errors)?;
                         if scanned {
                             out.replenish_pages += scan_pages;
-                        }
-                        // The exact audit costs a full-group score scan,
-                        // so it does not ride every pick: sample 1 in
-                        // `PICK_AUDIT_SAMPLE` picks, and amortize even
-                        // those through a per-plan memo — one scan per
-                        // group per CP at most, the §3.3 CP-boundary
-                        // discipline.
-                        if let Some((_, score)) = pick {
-                            g.pick_audit_tick = g.pick_audit_tick.wrapping_add(1);
-                            if g.pick_audit_tick.is_multiple_of(PICK_AUDIT_SAMPLE) {
-                                let true_best = *audited_best.get_or_insert_with(|| {
-                                    g.topology
-                                        .all_scores(bitmap)
-                                        .into_iter()
-                                        .map(|(_, s)| s.get())
-                                        .max()
-                                        .unwrap_or_else(|| score.get())
-                                });
-                                out.pick_errors.push((
-                                    true_best.saturating_sub(score.get()),
-                                    cache.hbps().config().bin_width(),
-                                ));
-                            }
                         }
                         pick
                     }
@@ -327,6 +350,7 @@ pub(crate) fn allocate_vvbns(
 ) -> WaflResult<AllocOutcome> {
     let mut out = AllocOutcome::default();
     let mut draw = RandomDraw::new(seed);
+    let mut audit = PickAudit::new(&mut vol.pick_audit_tick);
     while out.vbns.len() < n {
         let aa = match vol.active_aa {
             Some(aa) => aa,
@@ -338,7 +362,9 @@ pub(crate) fn allocate_vvbns(
                     AllocatorMode::CacheGuided if vol.cache_quarantined => None,
                     AllocatorMode::CacheGuided => match vol.cache.as_mut() {
                         Some(cache) => {
-                            let (pick, scanned) = hbps_pick(cache, &vol.bitmap, &mut vol.batch)?;
+                            let errors = &mut out.pick_errors;
+                            let (pick, scanned) =
+                                hbps_pick(cache, &vol.bitmap, &mut vol.batch, &mut audit, errors)?;
                             if scanned {
                                 out.replenish_pages += vol.bitmap.page_count() as u64;
                                 // The replenish scan re-derives AA scores
@@ -346,32 +372,6 @@ pub(crate) fn allocate_vvbns(
                                 // is no longer known to be ahead of every
                                 // free block.
                                 vol.drain_cursor = None;
-                            }
-                            if let Some((_, score)) = pick {
-                                // True-best from the per-AA free-count
-                                // summary: O(aa_count) counter reads, not a
-                                // bitmap scan. Volume bitmaps always carry
-                                // the summary (enabled at creation), so the
-                                // audit population stays complete; the
-                                // popcount scan remains only as a paranoia
-                                // fallback.
-                                let true_best = vol
-                                    .bitmap
-                                    .aa_summary_blocks()
-                                    .and_then(|ab| vol.bitmap.aa_free_counts(ab))
-                                    .and_then(|counts| counts.iter().copied().max())
-                                    .unwrap_or_else(|| {
-                                        vol.topology
-                                            .all_scores(&vol.bitmap)
-                                            .into_iter()
-                                            .map(|(_, s)| s.get())
-                                            .max()
-                                            .unwrap_or_else(|| score.get())
-                                    });
-                                out.pick_errors.push((
-                                    true_best.saturating_sub(score.get()),
-                                    cache.hbps().config().bin_width(),
-                                ));
                             }
                             pick
                         }
@@ -595,6 +595,34 @@ mod tests {
         for &(err, width) in &out.pick_errors {
             assert!(err < width, "pick error {err} >= bin width {width}");
         }
+    }
+
+    /// An object-store group audits its first HBPS pick, as a volume
+    /// does: the 1-in-`PICK_AUDIT_SAMPLE` sample counts from it.
+    #[test]
+    fn a_groups_first_hbps_pick_records_a_pick_error() {
+        use crate::{Aggregate, AggregateConfig, RaidGroupSpec};
+        use wafl_media::MediaProfile;
+        let group = RaidGroupSpec {
+            data_devices: 1,
+            parity_devices: 0,
+            device_blocks: 8 * 32768,
+            profile: MediaProfile::object_store(),
+        };
+        let vol = FlexVolConfig {
+            size_blocks: 32768,
+            aa_cache: true,
+            aa_blocks: None,
+        };
+        let cfg = AggregateConfig::single_group(group);
+        let mut a = Aggregate::new(cfg, &[(vol, 1000)], 0).unwrap();
+        let (g, bitmap) = (&mut a.groups[0], &mut a.bitmap);
+        assert!(matches!(g.cache, Some(GroupCache::Hbps(_))));
+        let out = plan_raid_group(g, bitmap, 100, AllocatorMode::CacheGuided, 1).unwrap();
+        assert_eq!(out.picked.len(), 1);
+        assert_eq!(out.pick_errors.len(), 1, "the first pick went unaudited");
+        let (err, width) = out.pick_errors[0];
+        assert!(err < width, "pick error {err} >= bin width {width}");
     }
 
     #[test]

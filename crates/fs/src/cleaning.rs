@@ -278,13 +278,13 @@ mod tests {
         // comes up short and must leave no trace.
         let mut a = seeded(&[], 0.997);
         let free_before = a.bitmap().free_blocks();
-        let pages_before = a.bitmap().page_free_counts().to_vec();
+        let pages_before = a.bitmap().unit_free_counts().to_vec();
         let best_before = a.groups()[0].cache().unwrap().best();
         let before = crate::iron::check(&a).unwrap();
         let stats = clean_top_aas(&mut a, 0, 1).unwrap();
         assert_eq!(stats, CleaningStats::default());
         assert_eq!(a.bitmap().free_blocks(), free_before);
-        assert_eq!(a.bitmap().page_free_counts(), &pages_before[..]);
+        assert_eq!(a.bitmap().unit_free_counts(), &pages_before[..]);
         assert_eq!(a.bitmap().summary_divergences(), 0);
         assert_eq!(a.groups()[0].cache().unwrap().best(), best_before);
         assert!(a.groups()[0].batch.is_empty());

@@ -2649,7 +2649,7 @@ mod batched_free_tests {
                 .collect::<Vec<_>>()
         };
         let (ftl_before, deltas_before) = (ftl(&a), a.groups[0].batch.clone());
-        let pages_before = a.bitmap.page_free_counts().to_vec();
+        let pages_before = a.bitmap.unit_free_counts().to_vec();
         assert!(a.free_now(&batch).is_err());
         assert_eq!(ftl(&a), ftl_before);
         let drain = |b: &mut ScoreDeltaBatch| b.drain().collect::<Vec<_>>();
@@ -2657,7 +2657,7 @@ mod batched_free_tests {
             drain(&mut a.groups[0].batch),
             drain(&mut deltas_before.clone())
         );
-        assert_eq!(a.bitmap.page_free_counts(), &pages_before[..]);
+        assert_eq!(a.bitmap.unit_free_counts(), &pages_before[..]);
         assert!(live.iter().all(|&v| !a.bitmap.is_free(v).unwrap()));
         // A volume's flush: a vvbn freed twice in one batch.
         let vol = &mut a.vols[0];

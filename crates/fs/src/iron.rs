@@ -66,7 +66,7 @@ pub struct IronReport {
     /// and list entries of every cache, and the delayed-free ranking
     /// against its log. Repair rebuilds all of them.
     pub stale_scores: u64,
-    /// Bitmap free-count summary counters (per-page, per-AA, or the
+    /// Bitmap free-count summary counters (per summary unit, or the
     /// top-level total) that disagree with the popcount ground truth of
     /// the raw bits — scribbled derived state, rebuilt by repair.
     pub stale_summary_counters: u64,
@@ -352,7 +352,7 @@ mod tests {
     #[test]
     fn scribbled_summary_counter_is_detected_and_repaired() {
         let mut a = agg();
-        // Scribble a per-page free-count summary counter on the physical
+        // Scribble a free-count summary counter on the physical
         // bitmap: the bits are intact, only derived state is damaged.
         a.bitmap.scribble_page_counter(3, u16::MAX);
         let report = check(&a).unwrap();

@@ -13,9 +13,10 @@
 //! into the CP engine: every consistency point, a budget of
 //! [`AggregateConfig::scrub_pages_per_cp`](crate::AggregateConfig)
 //! verification units is checked against popcount ground truth. A unit
-//! is one structure's own audit, as [`crate::iron::check`] runs it: a
-//! bitmap page's ([`wafl_bitmap::Bitmap::page_summary_divergences`]), a
-//! max-heap's or an HBPS's. Every one of them is derived from the bitmap,
+//! is one structure's own audit, as [`crate::iron::check`] runs it: the
+//! summary counters of a bitmap page
+//! ([`wafl_bitmap::Bitmap::page_summary_divergences`]), a max-heap's or
+//! an HBPS's. Every one of them is derived from the bitmap,
 //! the only truth, so:
 //!
 //! 1. a unit the scan has read and **proved wrong** is repaired and
@@ -94,15 +95,14 @@ impl fmt::Display for HealthState {
 /// pages, then per volume its cache followed by its bitmap pages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum ScrubTarget {
-    /// One per-page summary counter of the aggregate bitmap (plus any
-    /// per-AA counters whose tiling intersects the page).
+    /// The summary counters of one aggregate bitmap page.
     AggPage(usize),
     /// A RAID group's in-memory TopAA cache (max-heap or HBPS audit).
     GroupCache(usize),
     /// A FlexVol's HBPS (its audit), or its absence when configured.
     VolCache(usize),
-    /// One per-page summary counter of a volume bitmap (plus intersecting
-    /// per-AA counters).
+    /// The summary counters of one volume bitmap page: one per page, or
+    /// one per AA of a volume whose AAs are the bitmap's summary unit.
     VolPage(usize, usize),
 }
 
@@ -470,10 +470,8 @@ pub fn apply_due_runtime_scribbles(agg: &mut Aggregate, session: &mut FaultSessi
                 if pages == 0 {
                     continue;
                 }
-                let p = page % pages;
-                let cur = agg.bitmap.page_free_count(p).unwrap_or(0) as u16;
                 let xor = ((fault.value_seed >> 16) as u16) | 1;
-                agg.bitmap.scribble_page_counter(p, cur ^ xor);
+                agg.bitmap.scribble_page_counter(page % pages, xor);
                 applied += 1;
             }
             RuntimeTarget::VolSummaryPage { vol, page } => {
@@ -485,10 +483,8 @@ pub fn apply_due_runtime_scribbles(agg: &mut Aggregate, session: &mut FaultSessi
                 if pages == 0 {
                     continue;
                 }
-                let p = page % pages;
-                let cur = agg.vols[v].bitmap.page_free_count(p).unwrap_or(0) as u16;
                 let xor = ((fault.value_seed >> 16) as u16) | 1;
-                agg.vols[v].bitmap.scribble_page_counter(p, cur ^ xor);
+                agg.vols[v].bitmap.scribble_page_counter(page % pages, xor);
                 applied += 1;
             }
             RuntimeTarget::HbpsBinCount { vol } => {

@@ -91,6 +91,9 @@ pub struct FlexVol {
     /// bypasses the cache and sweeps the bitmap until its repair ticket
     /// settles.
     pub(crate) cache_quarantined: bool,
+    /// HBPS picks seen by this volume, for the sampled pick-error audit
+    /// (`allocator::PickAudit`).
+    pub(crate) pick_audit_tick: u64,
     /// Snapshots pinning old block versions (see [`crate::snapshot`]).
     pub(crate) snapshots: Vec<Snapshot>,
     /// vvbn -> number of snapshots pinning it.
@@ -130,11 +133,10 @@ impl FlexVol {
             cfg.size_blocks,
             AaSizingPolicy::ConsecutiveVbns { blocks: aa_blocks },
         )?;
-        let mut bitmap = Bitmap::new(cfg.size_blocks);
-        // Per-AA free-count summary: every score query (CP batch apply,
-        // replenish scans, Iron audits, mount rebuilds) reads a counter
-        // instead of popcounting the AA's bits.
-        bitmap.enable_aa_summary(aa_blocks)?;
+        // One summary counter per AA where the size allows it: every score
+        // query (CP batch apply, replenish scans, Iron audits, mount
+        // rebuilds) reads a counter instead of popcounting the AA's bits.
+        let bitmap = Bitmap::for_aa_tiling(cfg.size_blocks, aa_blocks);
         let cache = if cfg.aa_cache {
             Some(RaidAgnosticCache::build(topology.clone(), &bitmap)?)
         } else {
@@ -155,6 +157,7 @@ impl FlexVol {
             active_aa: None,
             drain_cursor: None,
             cache_quarantined: false,
+            pick_audit_tick: 0,
             snapshots: Vec::new(),
             snap_refs: HashMap::new(),
             detached: HashSet::new(),

@@ -306,7 +306,7 @@ fn same_ops_twice_give_the_same_digest() {
             }
             d.cp(&a.run_cp().unwrap());
         }
-        for &c in a.bitmap().page_free_counts() {
+        for &c in a.bitmap().unit_free_counts() {
             d.u64(c.into());
         }
         d.finish(&a)

@@ -9,7 +9,11 @@ use wafl_repro::types::{AaId, AaScore, VolumeId};
 use wafl_repro::workloads::{run, RandomOverwrite};
 
 /// §3.3.2: "this AA cache uses exactly two pages of memory" — verified
-/// against a volume with a million AAs' worth of score traffic.
+/// against a volume with a million AAs' worth of score traffic, and on
+/// aged volumes of two sizes at the 2 048- and 32 768-block AAs volumes
+/// use. Beside its bitmap pages, an aged volume's free-space state is one
+/// summary counter per AA and the HBPS's two pages: nothing grows with
+/// the traffic it has seen.
 #[test]
 fn hbps_memory_is_constant() {
     let big = Hbps::build(
@@ -19,6 +23,50 @@ fn hbps_memory_is_constant() {
     .unwrap();
     assert_eq!(big.memory_bytes(), 8192);
     assert_eq!(big.tracked(), 2_000_000);
+
+    for size_blocks in [4 * 32768u64, 16 * 32768] {
+        for aa_blocks in [2048u64, 32768] {
+            let logical = size_blocks / 2;
+            let mut agg = Aggregate::new(
+                AggregateConfig::single_group(RaidGroupSpec {
+                    data_devices: 4,
+                    parity_devices: 1,
+                    device_blocks: size_blocks / 2,
+                    profile: MediaProfile::hdd(),
+                }),
+                &[(
+                    FlexVolConfig {
+                        size_blocks,
+                        aa_cache: true,
+                        aa_blocks: Some(aa_blocks),
+                    },
+                    logical,
+                )],
+                5,
+            )
+            .unwrap();
+            aging::fill_volume(&mut agg, VolumeId(0), 8192).unwrap();
+            aging::random_overwrite_churn(&mut agg, VolumeId(0), logical, 8192, 6).unwrap();
+            let ctx = format!("{size_blocks}-block volume, {aa_blocks}-block AAs");
+            let vol = &agg.volumes()[0];
+            let cache = vol.cache().expect("the volume's AA cache is on");
+            assert_eq!(cache.memory_bytes(), 8192, "{ctx}");
+            assert_eq!(cache.hbps().tracked(), size_blocks / aa_blocks, "{ctx}");
+            let bitmap = vol.bitmap();
+            assert_eq!(bitmap.unit_blocks(), aa_blocks, "{ctx}: one counter per AA");
+            assert_eq!(
+                bitmap.unit_free_counts().len() as u64,
+                size_blocks / aa_blocks,
+                "{ctx}"
+            );
+            let scores = vol.topology().all_scores(bitmap);
+            let counters = bitmap.unit_free_counts().iter().map(|&c| u32::from(c));
+            assert!(
+                scores.iter().map(|&(_, s)| s.get()).eq(counters),
+                "{ctx}: every AA score is its counter"
+            );
+        }
+    }
 }
 
 /// §3.3.2: the error margin of the default configuration is 3.125 %.
